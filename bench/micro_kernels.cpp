@@ -120,6 +120,24 @@ static void BM_PointLocation(benchmark::State& state) {
 }
 BENCHMARK(BM_PointLocation);
 
+static void BM_BuildMapping(benchmark::State& state) {
+  // XGC L0 -> L1 of the default cascade: every L0 vertex located on L1,
+  // including the rim vertices decimation leaves outside L1 that take the
+  // nearest-triangle fallback.
+  static const mesh::Cascade cascade = [] {
+    const auto ds = sim::make_xgc_dataset();
+    return mesh::build_cascade(ds.mesh, ds.values, mesh::CascadeOptions{});
+  }();
+  const auto& fine = cascade.levels[0].mesh;
+  const auto& coarse = cascade.levels[1].mesh;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_mapping(fine, coarse));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fine.vertex_count()));
+}
+BENCHMARK(BM_BuildMapping)->Unit(benchmark::kMillisecond);
+
 static void BM_DeltaAndRestore(benchmark::State& state) {
   const auto& ds = xgc_small();
   mesh::DecimateOptions opt;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "storage/blob_frame.hpp"
@@ -64,9 +65,9 @@ IoResult StorageTier::write(const std::string& key, util::BytesView data) {
     count_for(spec_.name, "write_bytes").add(data.size());
   }
   util::WallTimer timer;
-  const util::Bytes framed = frame_blob(data);
+  util::Bytes framed = frame_blob(data);
   if (spec_.backend == Backend::kMemory) {
-    memory_[key] = framed;
+    memory_[key] = std::move(framed);
   } else {
     std::ofstream f(path_for(key), std::ios::binary | std::ios::trunc);
     CANOPUS_CHECK(f.good(), "cannot open " + path_for(key));
@@ -85,16 +86,21 @@ IoResult StorageTier::read(const std::string& key, util::Bytes& out) const {
   const auto size_it = payload_sizes_.find(key);
   CANOPUS_CHECK(size_it != payload_sizes_.end(),
                 "object '" + key + "' not on tier '" + spec_.name + "'");
-  util::Bytes framed;
+  // A memory tier unframes straight from the stored bytes; `buffer` holds the
+  // frame only when it came from a file or must be corrupted, so an injected
+  // bit flip never touches the stored blob.
+  util::Bytes buffer;
+  util::BytesView framed;
   if (spec_.backend == Backend::kMemory) {
     framed = memory_.at(key);
   } else {
     std::ifstream f(path_for(key), std::ios::binary);
     CANOPUS_CHECK(f.good(), "cannot open " + path_for(key));
-    framed.resize(framed_size(size_it->second));
-    f.read(reinterpret_cast<char*>(framed.data()),
-           static_cast<std::streamsize>(framed.size()));
+    buffer.resize(framed_size(size_it->second));
+    f.read(reinterpret_cast<char*>(buffer.data()),
+           static_cast<std::streamsize>(buffer.size()));
     CANOPUS_CHECK(f.good(), "read failed: " + path_for(key));
+    framed = buffer;
   }
   double extra_seconds = 0.0;
   if (faults_) {
@@ -106,8 +112,12 @@ IoResult StorageTier::read(const std::string& key, util::Bytes& out) const {
     }
     if (d.corrupt && !framed.empty()) {
       if (obs::enabled()) count_for(spec_.name, "injected_corruptions").add(1);
-      const std::uint64_t bit = d.corrupt_bit % (framed.size() * 8);
-      framed[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      if (spec_.backend == Backend::kMemory) {
+        buffer.assign(framed.begin(), framed.end());
+      }
+      const std::uint64_t bit = d.corrupt_bit % (buffer.size() * 8);
+      buffer[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      framed = buffer;
     }
     extra_seconds = d.extra_seconds;
   }
