@@ -116,10 +116,9 @@ struct PipelineOptions {
   // their own threads; the reported row is the mean per-session cost (and
   // the counter columns the totals). 1 keeps the single-reader protocol.
   std::size_t sessions = 1;
-  // Async I/O engine (--io-depth / --io-batch): depth > 1 routes each
-  // reader's delta fetches through an io::IoRing that keeps `io_depth` tier
-  // reads in flight (submitted to the hierarchy in batches of `io_batch`)
-  // and decodes each chunk as its completion lands. Results stay
+  // Batched I/O engine (--io-depth / --io-batch): depth > 1 lets each
+  // reader's io::IoRing keep `io_depth` delta-chunk reads outstanding
+  // (submitted to the hierarchy in batches of `io_batch`). Results stay
   // bitwise-identical to the blocking path; the io(s) column then reports
   // the overlapped makespan instead of the serial sum. Needs delta_chunks
   // > 1 to have anything to overlap.
@@ -257,9 +256,6 @@ inline std::vector<PipelineCase> run_pipeline(
     // requests carry the per-call parameters.
     canopus::PipelineOptions popt;
     popt.parallel.threads = opt.threads;
-    // Fault-injected cases keep the serial read path: read-ahead would issue
-    // speculative reads and shift the injector's seeded decision stream.
-    popt.parallel.read_ahead = opt.fault_rate <= 0.0;
     if (opt.cache_mb > 0) {
       cache::CacheConfig cc;
       cc.budget_bytes = opt.cache_mb << 20;

@@ -4,10 +4,9 @@
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
 // google-benchmark): each vectorized hot kernel (crc32 slice-by-8, zfp
-// forward/inverse block transform, sz dequantization, delta estimate /
-// restore) runs both with util::simd forced scalar and with the runtime
-// dispatch active, verifies the outputs are bitwise-identical, and reports
-// best-of-N throughput. `--json` emits the table as JSON; `--min-speedup=R`
+// forward/inverse block transform, sz dequantization) runs both with
+// util::simd forced scalar and with the runtime dispatch active, verifies
+// the outputs are bitwise-identical, and reports best-of-N throughput. `--json` emits the table as JSON; `--min-speedup=R`
 // fails (nonzero exit) if any vectorized kernel falls below R, and — when a
 // vector ISA is active — at least two kernels must clear 2x.
 
@@ -354,32 +353,6 @@ int run_compare(bool json, double min_speedup) {
                                   }, 15));
   }
 
-  {  // Delta estimate loops (Algorithms 2+3) on the XGC mesh, barycentric
-     // interpolation (the arithmetic-heavy estimate mode).
-    const auto& ds = xgc_small();
-    mesh::DecimateOptions opt;
-    opt.ratio = 2.0;
-    const auto coarse = mesh::decimate(ds.mesh, ds.values, opt);
-    const auto mapping = core::build_mapping(ds.mesh, coarse.mesh);
-    const std::size_t bytes = ds.values.size() * sizeof(double);
-    mesh::Field delta, restored;
-    auto fn_delta = [&] {
-      delta = core::compute_delta(coarse.mesh, coarse.values, ds.values,
-                                  mapping, core::EstimateMode::kBarycentric);
-    };
-    rows.push_back(compare_kernel("delta_estimate", bytes, fn_delta, [&] {
-      return bytes_of(delta.data(), delta.size() * sizeof(double));
-    }, 15));
-    fn_delta();
-    auto fn_restore = [&] {
-      restored = core::restore_level(coarse.mesh, coarse.values, delta, mapping,
-                                     core::EstimateMode::kBarycentric);
-    };
-    rows.push_back(compare_kernel("delta_restore", bytes, fn_restore, [&] {
-      return bytes_of(restored.data(), restored.size() * sizeof(double));
-    }, 15));
-  }
-
   const bool vector_isa =
       util::simd::hardware_isa() != util::simd::Isa::kScalar;
   bool all_identical = true;
@@ -436,8 +409,8 @@ int run_compare(bool json, double min_speedup) {
 int main(int argc, char** argv) {
   bool compare = false;
   bool json = false;
-  // The floor tolerates ~10% wall-clock jitter: near-parity kernels (the
-  // gather-bound delta loops) would otherwise flake on shared hosts.
+  // The floor tolerates ~10% wall-clock jitter: near-parity kernels would
+  // otherwise flake on shared hosts.
   double min_speedup = 0.9;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -48,9 +49,6 @@ void fold(const adios::ReadTiming& t, RetrievalTimings& step) {
   if (t.from_replica) ++step.replica_reads;
 }
 
-/// Spatially permuted (chunked) deltas are stored in Morton order; scatter
-/// them back to vertex order. The scatter targets are a permutation, so the
-/// pool fan-out writes disjoint entries and the result is order-independent.
 /// RMS of a delta field. Permutation-invariant, so equally valid on the
 /// Morton storage order and the vertex order.
 double rms_of(const mesh::Field& delta) {
@@ -60,6 +58,9 @@ double rms_of(const mesh::Field& delta) {
   return std::sqrt(sum2 / static_cast<double>(delta.size()));
 }
 
+/// Spatially permuted (chunked) deltas are stored in Morton order; scatter
+/// them back to vertex order. The scatter targets are a permutation, so the
+/// pool fan-out writes disjoint entries and the result is order-independent.
 mesh::Field unpermute_delta(const mesh::Field& stored,
                             const std::vector<mesh::VertexId>& order,
                             util::ThreadPool& pool) {
@@ -76,6 +77,13 @@ mesh::Field unpermute_delta(const mesh::Field& stored,
       /*grain=*/4096);
   return delta;
 }
+
+/// Chunk ids 0 .. count-1: every chunk of a level, in chunk order.
+std::vector<std::uint32_t> all_chunks(std::uint32_t count) {
+  std::vector<std::uint32_t> ids(count);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
 }  // namespace
 
 ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
@@ -85,6 +93,7 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
     : hierarchy_(hierarchy),
       reader_(hierarchy, path),
       var_(std::move(var)),
+      info_(reader_.inq_var(var_)),
       geometry_(geometry) {
   if (options.shared_pool != nullptr) {
     shared_pool_ = options.shared_pool;
@@ -128,131 +137,157 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
                 "base level inconsistent with its mesh");
 }
 
-ProgressiveReader::~ProgressiveReader() {
-  if (prefetch_.valid()) prefetch_.wait();
-}
-
 util::ThreadPool& ProgressiveReader::pool() const {
   if (shared_pool_ != nullptr) return *shared_pool_;
   return local_pool_ ? *local_pool_ : util::ThreadPool::global();
 }
 
 double ProgressiveReader::decimation_ratio() const {
-  if (!full_vertex_count_) {
-    // Vertex count of L^0 = size of the finest delta (one delta entry per
-    // fine vertex, summed across chunks), available from metadata without
-    // touching the data.
-    const auto info = reader_.inq_var(var_);
-    std::size_t finest_count = 0;
-    for (const auto& b : info.blocks) {
-      if (b.kind == adios::BlockKind::kDelta && b.level == 0) {
-        finest_count += static_cast<std::size_t>(b.value_count);
-      }
+  // Vertex count of L^0 = size of the finest delta (one delta entry per fine
+  // vertex, summed across chunks), available from metadata without touching
+  // the data.
+  std::size_t finest_count = 0;
+  for (const auto& b : info_.blocks) {
+    if (b.kind == adios::BlockKind::kDelta && b.level == 0) {
+      finest_count += static_cast<std::size_t>(b.value_count);
     }
-    full_vertex_count_ = finest_count > 0 ? finest_count : values_.size();
   }
-  return static_cast<double>(*full_vertex_count_) /
-         static_cast<double>(values_.size());
+  const std::size_t full = finest_count > 0 ? finest_count : values_.size();
+  return static_cast<double>(full) / static_cast<double>(values_.size());
 }
 
-ProgressiveReader::PrefetchedLevel ProgressiveReader::fetch_level(
-    std::uint32_t level) const {
-  // Chunks are issued in chunk order whether blocking or ring-backed (the
-  // ring executes its FIFO strictly in submission order): the hierarchy sees
-  // the same read sequence as the serial reader, which keeps tier access
-  // accounting — and the fault injector's seeded decision stream —
-  // reproducible.
-  // The span runs on whichever thread fetches — the caller for a synchronous
-  // fetch, a pool worker for the read-ahead — so the trace shows which reads
-  // were overlapped.
-  CANOPUS_SPAN("read.fetch", {{"level", level}});
-  PrefetchedLevel out;
-  out.level = level;
-  try {
-    const auto info = reader_.inq_var(var_);
-    const auto* first = info.block(adios::BlockKind::kDelta, level);
-    CANOPUS_CHECK(first != nullptr, "delta block missing");
-    out.chunked = first->chunk_count > 1;
-    out.chunks.reserve(first->chunk_count);
-    if (io_config_.enabled() && first->chunk_count > 1) {
-      // Ring-backed read-ahead: same ops in the same order, but up to
-      // io.depth in flight; the overlapped makespan replaces the serial sum
-      // when the consuming step charges this level's I/O.
-      std::vector<const adios::BlockRecord*> recs(first->chunk_count, nullptr);
-      for (const auto& b : info.blocks) {
-        if (b.kind == adios::BlockKind::kDelta && b.level == level &&
-            b.chunk < recs.size()) {
-          recs[b.chunk] = &b;
-        }
-      }
-      io::IoRing ring(hierarchy_, io_config_, &pool());
-      for (const auto* r : recs) {
-        CANOPUS_CHECK(r != nullptr, "delta chunk record missing");
-        CANOPUS_CHECK(r->codec != "none", "block is opaque; use read_opaque");
-        ring.submit(r->object_key);
-      }
-      std::vector<double> costs;
-      costs.reserve(recs.size());
-      for (std::size_t c = 0; c < recs.size(); ++c) {
-        auto comp = ring.wait_next();
-        // First failed chunk stops the fetch, like the serial loop; the
-        // ring's destructor drops the not-yet-executed remainder.
-        if (comp.error) std::rethrow_exception(comp.error);
-        adios::BpReader::RawChunk raw;
-        raw.record = *recs[c];
-        raw.payload = std::move(comp.payload);
-        raw.io.io_sim_seconds = comp.io.sim_seconds;
-        raw.io.io_wall_seconds = comp.io.wall_seconds;
-        raw.io.bytes_read = comp.io.bytes;
-        raw.io.retries = comp.io.retries;
-        raw.io.corruptions = comp.io.corruptions;
-        raw.io.from_replica = comp.io.from_replica;
-        costs.push_back(comp.io.sim_seconds);
-        out.chunks.push_back(std::move(raw));
-      }
-      out.overlapped_io_seconds = io::overlap_makespan(costs, io_config_.depth);
-    } else {
-      for (std::uint32_t c = 0; c < first->chunk_count; ++c) {
-        out.chunks.push_back(
-            reader_.fetch_chunk(var_, adios::BlockKind::kDelta, level, c));
-      }
-    }
-  } catch (...) {
-    out.error = std::current_exception();
+std::uint32_t ProgressiveReader::delta_chunk_count(std::uint32_t level) const {
+  const auto* first = info_.block(adios::BlockKind::kDelta, level);
+  CANOPUS_CHECK(first != nullptr, "delta block missing");
+  return first->chunk_count;
+}
+
+ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
+    std::uint32_t level, const std::vector<std::uint32_t>& chunks,
+    RetrievalTimings& step) const {
+  // The span runs on whichever thread fetches — the caller, or a pool worker
+  // for the read-ahead — so the trace shows which reads were overlapped.
+  CANOPUS_SPAN("read.fetch", {{"level", level}, {"chunks", chunks.size()}});
+  RawChunks out(chunks.size());
+  io::IoRing ring(hierarchy_, io_config_);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto it = std::find_if(
+        info_.blocks.begin(), info_.blocks.end(), [&](const auto& b) {
+          return b.kind == adios::BlockKind::kDelta && b.level == level &&
+                 b.chunk == chunks[i];
+        });
+    CANOPUS_CHECK(it != info_.blocks.end(), "delta chunk record missing");
+    CANOPUS_CHECK(it->codec != "none", "block is opaque; use read_opaque");
+    out[i].record = *it;
+    ring.submit(it->object_key);
   }
+  // The ring issues the ops in submission order, so the hierarchy (and the
+  // fault injector's seeded decision stream) sees the serial read sequence.
+  std::vector<double> costs;
+  costs.reserve(chunks.size());
+  std::exception_ptr failure;
+  for (auto& raw : out) {
+    io::IoCompletion done = ring.wait_next();
+    if (done.error) {
+      // Stop at the first failed op, like a blocking loop; the ring drops the
+      // ops it has not issued.
+      failure = done.error;
+      break;
+    }
+    raw.payload = std::move(done.payload);
+    costs.push_back(done.io.sim_seconds);
+    step.bytes_read += done.io.bytes;
+    step.retries += done.io.retries;
+    step.corruptions_detected += done.io.corruptions;
+    if (done.io.from_replica) ++step.replica_reads;
+  }
+  if (io_config_.enabled()) {
+    step.io_seconds += io::overlap_makespan(costs, io_config_.depth);
+  } else {
+    for (const double c : costs) step.io_seconds += c;  // the per-op fold
+  }
+  if (failure) std::rethrow_exception(failure);
   return out;
 }
 
-ProgressiveReader::PrefetchedLevel ProgressiveReader::take_prefetch(
-    std::uint32_t level) {
-  auto& registry = obs::MetricsRegistry::global();
-  if (prefetch_.valid()) {
-    PrefetchedLevel p = prefetch_.get();
-    prefetch_level_.reset();
-    if (p.level == level) {
-      registry.counter("reader.prefetch_hits").add(1);
-      return p;
+std::vector<cache::BlockCache::ArrayPtr> ProgressiveReader::decode_level(
+    std::uint32_t level, const RawChunks& chunks, RetrievalTimings& step) {
+  CANOPUS_SPAN("read.decompress",
+               {{"level", level}, {"chunks", chunks.size()}});
+  cache::BlockCache* cache = hierarchy_.block_cache();
+  std::vector<cache::BlockCache::ArrayPtr> parts(chunks.size());
+  std::vector<double> decode_seconds(chunks.size(), 0.0);
+  pool().parallel_for(0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      const auto& rc = chunks[c];
+      const auto decode = [&] {
+        return adios::BpReader::decode_chunk(rc.record, rc.payload,
+                                             &decode_seconds[c]);
+      };
+      // Single-flight means exactly one session pays a cached decode; only
+      // that leader's wall time lands in decode_seconds (hits charge zero,
+      // like cached I/O).
+      parts[c] = cache != nullptr
+                     ? cache
+                           ->get_or_load_array(
+                               storage::StorageHierarchy::decoded_alias(
+                                   rc.record.object_key),
+                               decode)
+                           .array
+                     : std::make_shared<const std::vector<double>>(decode());
     }
-    // Stale read-ahead (a refine_region() or degraded step changed course):
-    // drop it. Speculative reads never enter the retrieval clock.
-    registry.counter("reader.prefetch_stale").add(1);
-  } else if (read_ahead_) {
-    registry.counter("reader.prefetch_misses").add(1);
+  });
+  for (const double s : decode_seconds) step.decompress_seconds += s;
+  return parts;
+}
+
+ProgressiveReader::LevelGeometry ProgressiveReader::read_geometry(
+    std::uint32_t level, RetrievalTimings& step) {
+  LevelGeometry g;
+  if (geometry_) return g;
+  adios::ReadTiming map_t, mesh_t;
+  g.mapping =
+      reader_.read_opaque(var_, adios::BlockKind::kMapping, level, &map_t);
+  g.mesh = reader_.read_opaque(var_, adios::BlockKind::kMesh, level, &mesh_t);
+  fold(map_t, step);
+  fold(mesh_t, step);
+  return g;
+}
+
+void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
+                                     bool chunked,
+                                     const LevelGeometry& geometry,
+                                     RetrievalTimings& step) {
+  CANOPUS_SPAN("read.restore", {{"level", next}});
+  util::WallTimer t;
+  if (geometry_) {
+    if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
+    values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
+                            geometry_->mappings[next], estimate_, &pool());
+  } else {
+    util::ByteReader mesh_reader(geometry.mesh);
+    auto fine_mesh = mesh::TriMesh::deserialize(mesh_reader);
+    if (chunked) {
+      delta = unpermute_delta(delta, *cached_spatial_order(fine_mesh), pool());
+    }
+    util::ByteReader map_reader(geometry.mapping);
+    const auto mapping = VertexMapping::deserialize(map_reader);
+    values_ = restore_level(mesh_, values_, delta, mapping, estimate_, &pool());
+    mesh_ = std::move(fine_mesh);
   }
-  return fetch_level(level);
+  step.restore_seconds += t.seconds();
 }
 
 void ProgressiveReader::start_prefetch(std::uint32_t level) {
-  if (!read_ahead_ || prefetch_.valid()) return;
+  if (!read_ahead_) return;
   // Cache-aware read-ahead: when every delta chunk of the level is already
   // resident in the shared block cache, the synchronous fetch will be all
   // hits at zero simulated cost — spending a pool worker on it would only
   // add task overhead and steal a thread from sibling sessions.
   if (const cache::BlockCache* cache = hierarchy_.block_cache()) {
-    const auto info = reader_.inq_var(var_);
     std::size_t chunks = 0;
     bool resident = true;
-    for (const auto& b : info.blocks) {
+    for (const auto& b : info_.blocks) {
       if (b.kind != adios::BlockKind::kDelta || b.level != level) continue;
       ++chunks;
       if (!cache->contains(b.object_key)) {
@@ -267,183 +302,28 @@ void ProgressiveReader::start_prefetch(std::uint32_t level) {
       return;
     }
   }
-  prefetch_ = pool().submit([this, level] { return fetch_level(level); });
-  prefetch_level_ = level;
-}
-
-mesh::Field ProgressiveReader::decode_level(PrefetchedLevel fetched,
-                                            RetrievalTimings& step,
-                                            bool& chunked) {
-  // Fold the successfully fetched chunks first (prefetched I/O is charged to
-  // the step that consumes it), then surface a fetch failure exactly as the
-  // synchronous path would: partial timings kept, exception propagated.
-  for (const auto& rc : fetched.chunks) fold(rc.io, step);
-  if (fetched.overlapped_io_seconds) {
-    // Ring-backed fetch: the chunks ran up to io.depth-way overlapped, so
-    // the step is charged their makespan, not the serial sum fold() added.
-    double serial_sum = 0.0;
-    for (const auto& rc : fetched.chunks) serial_sum += rc.io.io_sim_seconds;
-    step.io_seconds += *fetched.overlapped_io_seconds - serial_sum;
-  }
-  if (fetched.error) std::rethrow_exception(fetched.error);
-  chunked = fetched.chunked;
-
-  CANOPUS_SPAN("read.decompress",
-               {{"level", fetched.level}, {"chunks", fetched.chunks.size()}});
-  cache::BlockCache* cache = hierarchy_.block_cache();
-  std::vector<cache::BlockCache::ArrayPtr> parts(fetched.chunks.size());
-  std::vector<double> decode_seconds(fetched.chunks.size(), 0.0);
-  pool().parallel_for(0, fetched.chunks.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const auto& rc = fetched.chunks[c];
-      if (cache != nullptr) {
-        // Second cache level: the decoded array, under the chunk's "#decoded"
-        // alias, so sibling sessions skip the decompression too. Single-flight
-        // means exactly one session pays the decode; only that leader's wall
-        // time lands in decode_seconds (hits charge zero, like cached I/O).
-        parts[c] = cache
-                       ->get_or_load_array(
-                           storage::StorageHierarchy::decoded_alias(
-                               rc.record.object_key),
-                           [&] {
-                             return adios::BpReader::decode_chunk(
-                                 rc.record, rc.payload, &decode_seconds[c]);
-                           })
-                       .array;
-      } else {
-        parts[c] = std::make_shared<const std::vector<double>>(
-            adios::BpReader::decode_chunk(rc.record, rc.payload,
-                                          &decode_seconds[c]));
-      }
-    }
-  });
-  for (const double s : decode_seconds) step.decompress_seconds += s;
-
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p->size();
-  mesh::Field delta;
-  delta.reserve(total);
-  for (const auto& p : parts) delta.insert(delta.end(), p->begin(), p->end());
-  return delta;
-}
-
-mesh::Field ProgressiveReader::retrieve_level(std::uint32_t level,
-                                              RetrievalTimings& step,
-                                              bool& chunked) {
-  if (io_config_.enabled()) {
-    const bool matching_prefetch =
-        prefetch_.valid() && prefetch_level_ && *prefetch_level_ == level;
-    if (!matching_prefetch) {
-      const auto info = reader_.inq_var(var_);
-      const auto* first = info.block(adios::BlockKind::kDelta, level);
-      CANOPUS_CHECK(first != nullptr, "delta block missing");
-      if (first->chunk_count > 1) {
-        if (prefetch_.valid()) {
-          // Stale read-ahead (the reader changed course): discard it, its
-          // speculative reads never enter the retrieval clock.
-          prefetch_.get();
-          prefetch_level_.reset();
-          obs::MetricsRegistry::global().counter("reader.prefetch_stale").add(1);
-        }
-        return decode_level_async(info, level, step, chunked);
-      }
-    }
-  }
-  return decode_level(take_prefetch(level), step, chunked);
-}
-
-mesh::Field ProgressiveReader::decode_level_async(const adios::VarInfo& info,
-                                                  std::uint32_t level,
-                                                  RetrievalTimings& step,
-                                                  bool& chunked) {
-  const auto* first = info.block(adios::BlockKind::kDelta, level);
-  CANOPUS_ASSERT(first != nullptr && first->chunk_count > 1);
-  chunked = true;
-  const std::size_t n = first->chunk_count;
-  CANOPUS_SPAN("read.fetch_async",
-               {{"level", level}, {"depth", static_cast<int>(io_config_.depth)}});
-  std::vector<const adios::BlockRecord*> recs(n, nullptr);
-  for (const auto& b : info.blocks) {
-    if (b.kind == adios::BlockKind::kDelta && b.level == level && b.chunk < n) {
-      recs[b.chunk] = &b;
-    }
-  }
-  io::IoRing ring(hierarchy_, io_config_, &pool());
-  for (const auto* r : recs) {
-    CANOPUS_CHECK(r != nullptr, "delta chunk record missing");
-    CANOPUS_CHECK(r->codec != "none", "block is opaque; use read_opaque");
-    ring.submit(r->object_key);
-  }
-  cache::BlockCache* cache = hierarchy_.block_cache();
-  std::vector<cache::BlockCache::ArrayPtr> parts(n);
-  std::vector<double> decode_seconds(n, 0.0);
-  std::vector<std::future<void>> decodes;
-  decodes.reserve(n);
-  std::vector<double> costs;
-  costs.reserve(n);
-  std::exception_ptr failure;
-  for (std::size_t c = 0; c < n; ++c) {
-    auto comp = ring.wait_next();
-    if (comp.error) {
-      // Mirror the serial reader: stop at the first failed chunk. Completed
-      // chunks keep their charges; submissions the ring never executed are
-      // dropped by its destructor, exactly as the serial loop never issues
-      // reads past a failure.
-      failure = comp.error;
-      break;
-    }
-    step.bytes_read += comp.io.bytes;
-    step.retries += comp.io.retries;
-    step.corruptions_detected += comp.io.corruptions;
-    if (comp.io.from_replica) ++step.replica_reads;
-    costs.push_back(comp.io.sim_seconds);
-    // Completion-driven continuation: this chunk's decode fires the moment
-    // its read lands, while later reads are still in flight — no level-wide
-    // fetch barrier. parts/decode_seconds writes are per-index disjoint.
-    auto payload = std::make_shared<util::Bytes>(std::move(comp.payload));
-    const adios::BlockRecord* rec = recs[c];
-    decodes.push_back(
-        pool().submit([cache, rec, payload, &parts, &decode_seconds, c] {
-          if (cache != nullptr) {
-            // Same decoded-array cache level as the blocking path: one
-            // session pays the decode, siblings reuse it.
-            parts[c] = cache
-                           ->get_or_load_array(
-                               storage::StorageHierarchy::decoded_alias(
-                                   rec->object_key),
-                               [&] {
-                                 return adios::BpReader::decode_chunk(
-                                     *rec, *payload, &decode_seconds[c]);
-                               })
-                           .array;
-          } else {
-            parts[c] = std::make_shared<const std::vector<double>>(
-                adios::BpReader::decode_chunk(*rec, *payload,
-                                              &decode_seconds[c]));
-          }
-        }));
-  }
-  // Join every decode before surfacing any failure — the tasks write into
-  // frame-local vectors.
-  std::exception_ptr decode_failure;
-  for (auto& f : decodes) {
+  prefetch_ = pool().submit([this, level] {
+    Prefetch p;
+    p.level = level;
     try {
-      f.get();
+      p.chunks = fetch_level(level, all_chunks(delta_chunk_count(level)), p.io);
     } catch (...) {
-      if (!decode_failure) decode_failure = std::current_exception();
+      p.error = std::current_exception();
     }
-  }
-  step.io_seconds += io::overlap_makespan(costs, io_config_.depth);
-  for (const double s : decode_seconds) step.decompress_seconds += s;
-  if (failure) std::rethrow_exception(failure);
-  if (decode_failure) std::rethrow_exception(decode_failure);
+    return p;
+  });
+}
 
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p->size();
-  mesh::Field delta;
-  delta.reserve(total);
-  for (const auto& p : parts) delta.insert(delta.end(), p->begin(), p->end());
-  return delta;
+ProgressiveReader::RawChunks ProgressiveReader::take_prefetch(
+    std::uint32_t level, RetrievalTimings& step) {
+  Prefetch p = prefetch_.get();
+  CANOPUS_ASSERT(p.level == level);
+  obs::MetricsRegistry::global().counter("reader.prefetch_hits").add(1);
+  // The read-ahead's I/O is charged to the step that consumes it; a failed
+  // read-ahead degrades this step exactly like a synchronous fetch would.
+  step += p.io;
+  if (p.error) std::rethrow_exception(p.error);
+  return std::move(p.chunks);
 }
 
 RetrievalTimings ProgressiveReader::degrade(RetrievalTimings step) {
@@ -458,7 +338,26 @@ RetrievalTimings ProgressiveReader::degrade(RetrievalTimings step) {
   return step;
 }
 
+RetrievalTimings ProgressiveReader::advance(std::uint32_t next,
+                                            double delta_rms,
+                                            RetrievalTimings step) {
+  current_level_ = next;
+  last_delta_rms_ = delta_rms;
+  last_status_ = step.retries > 0 || step.replica_reads > 0
+                     ? RefineStatus::kRetried
+                     : RefineStatus::kOk;
+  CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
+                "restored level inconsistent with its mesh");
+  cumulative_ += step;
+  return step;
+}
+
 RetrievalTimings ProgressiveReader::refine() {
+  return refine_step(std::nullopt);
+}
+
+RetrievalTimings ProgressiveReader::refine_step(
+    std::optional<std::uint32_t> read_ahead_to) {
   CANOPUS_CHECK(current_level_ > 0, "already at full accuracy");
   const std::uint32_t next = current_level_ - 1;
 
@@ -473,95 +372,57 @@ RetrievalTimings ProgressiveReader::refine() {
     // stacked, skipped_ is empty and the flag stays sticky — the missing
     // deltas already propagated through finer estimates.)
     if (skipped_ && skipped_->level == current_level_) backfill_skipped(step);
-    bool chunked = false;
-    mesh::Field delta = retrieve_level(next, step, chunked);
-    delta_rms = rms_of(delta);
-
-    if (geometry_) {
-      // Every read of this step is done: overlap the (pure compute) unpermute
-      // and restore below with the read-ahead of the following delta. Issuing
-      // it here keeps the hierarchy's global read order identical to the
-      // serial reader's.
-      if (next > 0) start_prefetch(next - 1);
-      CANOPUS_SPAN("read.restore", {{"level", next}});
-      util::WallTimer t;
-      if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
-      values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
-                              geometry_->mappings[next], estimate_, &pool());
-      step.restore_seconds = t.seconds();
-    } else {
-      adios::ReadTiming map_t, mesh_t;
-      const auto map_raw =
-          reader_.read_opaque(var_, adios::BlockKind::kMapping, next, &map_t);
-      const auto mesh_raw =
-          reader_.read_opaque(var_, adios::BlockKind::kMesh, next, &mesh_t);
-      fold(map_t, step);
-      fold(mesh_t, step);
-      if (next > 0) start_prefetch(next - 1);
-
-      CANOPUS_SPAN("read.restore", {{"level", next}});
-      util::WallTimer t;
-      util::ByteReader mesh_reader(mesh_raw);
-      const auto fine_mesh = mesh::TriMesh::deserialize(mesh_reader);
-      if (chunked) {
-        delta = unpermute_delta(delta, *cached_spatial_order(fine_mesh), pool());
-      }
-      util::ByteReader map_reader(map_raw);
-      const auto mapping = VertexMapping::deserialize(map_reader);
-      values_ = restore_level(mesh_, values_, delta, mapping, estimate_, &pool());
-      mesh_ = fine_mesh;
-      step.restore_seconds = t.seconds();
+    const std::uint32_t chunk_count = delta_chunk_count(next);
+    const RawChunks raw =
+        prefetch_.valid() ? take_prefetch(next, step)
+                          : fetch_level(next, all_chunks(chunk_count), step);
+    const LevelGeometry geometry = read_geometry(next, step);
+    mesh::Field delta;
+    for (const auto& part : decode_level(next, raw, step)) {
+      delta.insert(delta.end(), part->begin(), part->end());
     }
+    delta_rms = rms_of(delta);
+    // Every read of this step is done: overlap the (pure compute) restore
+    // below with the read-ahead of the following level, when this
+    // refine_to() will restore it. Issuing it here keeps the hierarchy's
+    // global read order identical to the serial reader's.
+    if (read_ahead_to && next > *read_ahead_to) start_prefetch(next - 1);
+    restore_next(next, std::move(delta), chunk_count > 1, geometry, step);
   } catch (const storage::TierIoError&) {
     return degrade(std::move(step));
   } catch (const storage::IntegrityError&) {
     return degrade(std::move(step));
   }
-  current_level_ = next;
-  last_delta_rms_ = delta_rms;
-  last_status_ = step.retries > 0 || step.replica_reads > 0
-                     ? RefineStatus::kRetried
-                     : RefineStatus::kOk;
-  CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
-                "restored level inconsistent with its mesh");
-  cumulative_ += step;
-  return step;
+  return advance(next, delta_rms, std::move(step));
 }
 
 void ProgressiveReader::backfill_skipped(RetrievalTimings& step) {
   SkippedChunks& sk = *skipped_;
   CANOPUS_SPAN("read.backfill",
                {{"level", sk.level}, {"chunks", sk.chunks.size()}});
+  // Read back to front — a fixed order, so the tiers (and a seeded fault
+  // injector) see a reproducible read sequence.
+  const std::vector<std::uint32_t> ids(sk.chunks.rbegin(), sk.chunks.rend());
+  const RawChunks raw = fetch_level(sk.level, ids, step);
+  const auto parts = decode_level(sk.level, raw, step);
   // Skipped chunks were applied as delta = 0 during the regional restore
   // (fine = estimate + delta), so adding the stored values back is an exact
   // fix-up: estimate + 0 + d computes the same bits as estimate + d.
-  const std::vector<mesh::VertexId>* order = nullptr;
   std::shared_ptr<const std::vector<mesh::VertexId>> local_order;
-  if (geometry_) {
-    order = &geometry_->order(sk.level);
-  } else {
-    local_order = cached_spatial_order(mesh_);
-    order = local_order.get();
-  }
-  auto& pending = sk.chunks;
-  while (!pending.empty()) {
-    const std::uint32_t c = pending.back();
-    adios::ReadTiming t;
-    const auto part =
-        reader_.read_doubles_chunk(var_, adios::BlockKind::kDelta, sk.level, c, &t);
-    fold(t, step);
-    CANOPUS_CHECK(part.size() == sk.index.chunks[c].count,
+  if (!geometry_) local_order = cached_spatial_order(mesh_);
+  const auto& order = geometry_ ? geometry_->order(sk.level) : *local_order;
+  util::WallTimer timer;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto& range = sk.index.chunks[ids[i]];
+    const auto& part = *parts[i];
+    CANOPUS_CHECK(part.size() == range.count,
                   "chunk size inconsistent with its index");
-    util::WallTimer timer;
-    const std::size_t start = static_cast<std::size_t>(sk.index.chunks[c].start);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      values_[(*order)[start + i]] += part[i];
+    const auto start = static_cast<std::size_t>(range.start);
+    for (std::size_t k = 0; k < part.size(); ++k) {
+      values_[order[start + k]] += part[k];
     }
-    step.restore_seconds += timer.seconds();
-    // Pop only after the chunk landed: a fetch fault above leaves an exactly
-    // resumable remainder (the caller degrades; the flag stays set).
-    pending.pop_back();
   }
+  step.restore_seconds += timer.seconds();
   partially_refined_ = false;
   skipped_.reset();
 }
@@ -570,9 +431,6 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   CANOPUS_CHECK(current_level_ > 0, "already at full accuracy");
   const std::uint32_t next = current_level_ - 1;
   CANOPUS_SPAN("read.refine_region", {{"level", next}});
-  // A pending read-ahead holds every chunk of the level; a regional step
-  // wants only a subset with different accounting, so retire it first.
-  if (prefetch_.valid()) prefetch_.wait();
 
   // Without a chunk index the delta is monolithic: fall back to full refine.
   // A faulted index read, by contrast, degrades like any other failed fetch.
@@ -598,22 +456,22 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   double delta_rms = 0.0;
   std::vector<std::uint32_t> skipped_ids;
   try {
+    // `wanted` is ascending (index.intersecting scans chunks in order).
+    const std::vector<std::uint32_t> wanted = index.intersecting(roi);
+    const RawChunks raw = fetch_level(next, wanted, step);
+    const LevelGeometry geometry = read_geometry(next, step);
+    const auto parts = decode_level(next, raw, step);
     std::size_t fine_count = 0;
     for (const auto& c : index.chunks) fine_count += c.count;
     // Delta in Morton storage order; unfetched chunks stay zero (estimate-only).
     mesh::Field stored(fine_count, 0.0);
-    const std::vector<std::uint32_t> wanted = index.intersecting(roi);
-    for (std::uint32_t c : wanted) {
-      adios::ReadTiming t;
-      const auto part =
-          reader_.read_doubles_chunk(var_, adios::BlockKind::kDelta, next, c, &t);
-      fold(t, step);
-      CANOPUS_CHECK(part.size() == index.chunks[c].count,
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+      const auto& range = index.chunks[wanted[i]];
+      CANOPUS_CHECK(parts[i]->size() == range.count,
                     "chunk size inconsistent with its index");
-      std::copy(part.begin(), part.end(),
-                stored.begin() + static_cast<long>(index.chunks[c].start));
+      std::copy(parts[i]->begin(), parts[i]->end(),
+                stored.begin() + static_cast<long>(range.start));
     }
-    // `wanted` is ascending (index.intersecting scans chunks in order).
     for (std::uint32_t c = 0;
          c < static_cast<std::uint32_t>(index.chunks.size()); ++c) {
       if (!std::binary_search(wanted.begin(), wanted.end(), c)) {
@@ -621,42 +479,12 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
       }
     }
     delta_rms = rms_of(stored);  // lower bound: skipped chunks count as zero
-
-    if (geometry_) {
-      util::WallTimer t;
-      const auto delta = unpermute_delta(stored, geometry_->order(next), pool());
-      values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
-                              geometry_->mappings[next], estimate_, &pool());
-      step.restore_seconds = t.seconds();
-    } else {
-      adios::ReadTiming map_t, mesh_t;
-      const auto map_raw =
-          reader_.read_opaque(var_, adios::BlockKind::kMapping, next, &map_t);
-      const auto mesh_raw =
-          reader_.read_opaque(var_, adios::BlockKind::kMesh, next, &mesh_t);
-      fold(map_t, step);
-      fold(mesh_t, step);
-      util::WallTimer t;
-      util::ByteReader mesh_reader(mesh_raw);
-      const auto fine_mesh = mesh::TriMesh::deserialize(mesh_reader);
-      const auto delta =
-          unpermute_delta(stored, *cached_spatial_order(fine_mesh), pool());
-      util::ByteReader map_reader(map_raw);
-      const auto mapping = VertexMapping::deserialize(map_reader);
-      values_ = restore_level(mesh_, values_, delta, mapping, estimate_, &pool());
-      mesh_ = fine_mesh;
-      step.restore_seconds = t.seconds();
-    }
+    restore_next(next, std::move(stored), /*chunked=*/true, geometry, step);
   } catch (const storage::TierIoError&) {
     return degrade(std::move(step));
   } catch (const storage::IntegrityError&) {
     return degrade(std::move(step));
   }
-  current_level_ = next;
-  last_delta_rms_ = delta_rms;
-  last_status_ = step.retries > 0 || step.replica_reads > 0
-                     ? RefineStatus::kRetried
-                     : RefineStatus::kOk;
   // Skip-set bookkeeping for the backfill in refine(). Any previously
   // recorded set is now stale — it applied to a coarser level the reader has
   // moved past.
@@ -672,17 +500,23 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   }
   // The ROI covered every chunk: a full-accuracy refine in disguise, the
   // partial flag keeps its previous value.
-  CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
-                "restored level inconsistent with its mesh");
-  cumulative_ += step;
-  return step;
+  return advance(next, delta_rms, std::move(step));
 }
 
 RetrievalTimings ProgressiveReader::refine_to(std::uint32_t level) {
   CANOPUS_CHECK(level < levels_, "level out of range");
+  // The read-ahead never outlives this call: join it on every exit,
+  // exceptions included (the task reads through `this`).
+  struct JoinReadAhead {
+    std::future<Prefetch>& prefetch;
+    ~JoinReadAhead() {
+      if (prefetch.valid()) prefetch.wait();
+      prefetch = {};
+    }
+  } join{prefetch_};
   RetrievalTimings acc;
   while (current_level_ > level) {
-    acc += refine();
+    acc += refine_step(level);
     if (last_status_ == RefineStatus::kDegraded) break;
   }
   return acc;
@@ -697,133 +531,25 @@ RetrievalTimings ProgressiveReader::refine_until(double rmse_threshold) {
                 "refine_until: rmse_threshold must be finite");
   RetrievalTimings acc;
   while (current_level_ > 0) {
-    const mesh::Field before = values_;          // values at the coarser level
-    const mesh::TriMesh coarse = current_mesh(); // its mesh (for the estimate)
     acc += refine();
     if (last_status_ == RefineStatus::kDegraded) break;
-    // The paper's automated criterion is the RMSE between adjacent levels;
-    // that is exactly the RMS of the delta just applied (values - estimate),
-    // so recompute the estimate from the coarser level and difference it.
-    double sum2 = 0.0;
-    VertexMapping loaded;
-    const VertexMapping* mapping = nullptr;
-    if (geometry_) {
-      mapping = &geometry_->mappings[current_level_];
-    } else {
-      const util::Bytes map_raw =
-          reader_.read_opaque(var_, adios::BlockKind::kMapping, current_level_);
-      util::ByteReader map_reader(map_raw);
-      loaded = VertexMapping::deserialize(map_reader);
-      mapping = &loaded;
-    }
-    for (std::size_t x = 0; x < values_.size(); ++x) {
-      const double est = estimate_value(coarse, before, *mapping, x, estimate_);
-      const double d = values_[x] - est;
-      sum2 += d * d;
-    }
-    const double rmse = std::sqrt(sum2 / static_cast<double>(values_.size()));
-    if (rmse < rmse_threshold) break;
+    // The paper's automated criterion is the RMSE between adjacent levels:
+    // exactly the RMS of the delta just applied (values - estimate).
+    if (*last_delta_rms_ < rmse_threshold) break;
   }
   return acc;
 }
 
 RetrievalTimings ProgressiveReader::refine_while(
-    const std::function<bool(std::uint32_t, double)>& admit) {
+    const std::function<bool(std::uint32_t)>& admit) {
   CANOPUS_CHECK(admit != nullptr, "refine_while: admit must not be null");
   RetrievalTimings acc;
   while (current_level_ > 0) {
-    const std::uint32_t next = current_level_ - 1;
-    if (!admit(next, estimated_refine_cost(next))) break;
+    if (!admit(current_level_ - 1)) break;
     acc += refine();
     if (last_status_ == RefineStatus::kDegraded) break;
   }
   return acc;
-}
-
-double ProgressiveReader::estimated_refine_cost(std::uint32_t level) const {
-  CANOPUS_CHECK(level < levels_, "level out of range");
-  const auto info = reader_.inq_var(var_);
-  const cache::BlockCache* cache = hierarchy_.block_cache();
-  // A block's recorded tier is its *write-time* placement; background
-  // demotion (fabric eviction, make_room) and the tier advisor move objects
-  // afterwards, and charging the stale tier makes planned cost diverge from
-  // achieved cost. Price every block at its live residency instead; a key no
-  // local tier holds is charged at the remote store's estimate.
-  const storage::RemoteStore* remote = hierarchy_.remote_store();
-  const auto live_tier =
-      [this](const adios::BlockRecord& b) -> std::optional<std::size_t> {
-    if (const auto where = hierarchy_.find(b.object_key)) return where;
-    return std::nullopt;
-  };
-  double cost = 0.0;
-  // Delta chunks in chunk order, for the ring model below: with the async
-  // engine on they run depth-way overlapped (and, uncached, with per-batch
-  // tier-latency amortization), so planning charges their makespan — the
-  // mirror of what the step's RetrievalTimings will actually report.
-  // Each entry carries the chunk's live tier so the same-tier batching test
-  // below groups by where chunks are, not where they were written.
-  struct DeltaOp {
-    std::uint32_t chunk = 0;
-    const adios::BlockRecord* block = nullptr;
-    std::optional<std::size_t> tier;
-  };
-  std::vector<DeltaOp> deltas;
-  for (const auto& b : info.blocks) {
-    if (b.level != level) continue;
-    const bool data = b.kind == adios::BlockKind::kDelta;
-    const bool geom = geometry_ == nullptr &&
-                      (b.kind == adios::BlockKind::kMesh ||
-                       b.kind == adios::BlockKind::kMapping);
-    if (!data && !geom) continue;
-    if (cache != nullptr &&
-        (cache->contains(b.object_key) ||
-         cache->contains(storage::StorageHierarchy::decoded_alias(b.object_key)))) {
-      continue;  // cache hits cost zero simulated seconds
-    }
-    const std::optional<std::size_t> where = live_tier(b);
-    if (!where.has_value() && remote != nullptr) {
-      cost += remote->estimated_read_cost(b.object_key, b.stored_bytes);
-      continue;
-    }
-    const std::size_t tier = where.value_or(b.tier);
-    if (data && io_config_.enabled() && b.chunk_count > 1) {
-      deltas.push_back({b.chunk, &b, tier});
-      continue;
-    }
-    cost += hierarchy_.tier(tier).read_cost(b.stored_bytes);
-  }
-  if (!deltas.empty()) {
-    std::sort(deltas.begin(), deltas.end(),
-              [](const DeltaOp& a, const DeltaOp& b) { return a.chunk < b.chunk; });
-    const std::uint32_t batch = std::clamp<std::uint32_t>(
-        io_config_.batch == 0 ? 1 : io_config_.batch, 1, io_config_.depth);
-    std::vector<double> per_op;
-    per_op.reserve(deltas.size());
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      const auto& b = *deltas[i].block;
-      const std::size_t tier = *deltas[i].tier;
-      if (cache != nullptr) {
-        // A hierarchy fronted by a block cache serves batches through the
-        // single-flight cache path — no round-trip amortization there.
-        per_op.push_back(hierarchy_.tier(tier).read_cost(b.stored_bytes));
-        continue;
-      }
-      // read_batch charges one tier round trip per batch: the first op of a
-      // batch that lands on a tier pays the latency, later same-tier ops pay
-      // bytes only.
-      bool first_on_tier = true;
-      for (std::size_t j = i - i % batch; j < i; ++j) {
-        if (deltas[j].tier == tier) {
-          first_on_tier = false;
-          break;
-        }
-      }
-      per_op.push_back(
-          hierarchy_.tier(tier).batched_read_cost(b.stored_bytes, first_on_tier));
-    }
-    cost += io::overlap_makespan(per_op, io_config_.depth);
-  }
-  return cost;
 }
 
 }  // namespace canopus::core

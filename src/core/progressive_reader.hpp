@@ -50,7 +50,7 @@ enum class RefineStatus : std::uint8_t {
 std::string to_string(RefineStatus status);
 
 /// Concurrency knobs of a ProgressiveReader (see ParallelConfig): worker
-/// count for chunk decoding / restoration fan-out and whether refine() may
+/// count for chunk decoding / restoration fan-out and whether refine_to() may
 /// read the following delta level ahead of time.
 struct ReaderOptions {
   ParallelConfig parallel;
@@ -58,13 +58,11 @@ struct ReaderOptions {
   /// session pool). When set it overrides parallel.threads — the reader
   /// spawns no pool of its own — and must outlive the reader.
   util::ThreadPool* shared_pool = nullptr;
-  /// Async engine shape. With the default depth of 1 every fetch stays on
-  /// the blocking path (byte-for-byte the historical behavior); depth > 1
-  /// routes multi-chunk delta fetches through an io::IoRing so up to `depth`
-  /// tier reads stay in flight and each chunk's decode fires as its
-  /// completion lands. Restored fields are bitwise-identical either way —
-  /// only when I/O happens (and thus the step's io_seconds, charged as the
-  /// overlapped makespan instead of the serial sum) changes.
+  /// Shape of the io::IoRing every delta-chunk read goes through. With the
+  /// default depth of 1 the ring issues one read at a time and the step is
+  /// charged the serial sum (byte-for-byte the blocking reader); depth > 1
+  /// issues a level's chunks in batches and charges the overlapped makespan
+  /// of up to `depth` reads. Restored fields are bitwise-identical either way.
   io::IoConfig io;
 };
 
@@ -85,17 +83,15 @@ class ProgressiveReader {
   /// cache must outlive the reader.
   ///
   /// Restoration is concurrent per `options.parallel`: fetched delta chunks
-  /// decompress in parallel and, with read-ahead on, refine() starts pulling
-  /// the following delta off the (slow) tiers while the current one is
-  /// applied. Restored fields are bitwise-identical for any worker count, and
-  /// every simulated I/O second of a prefetched block is charged to the step
-  /// that consumes it, so RetrievalTimings still matches the simulated clock.
+  /// decompress in parallel and, with read-ahead on, refine_to() starts
+  /// pulling the following delta off the (slow) tiers while the current one
+  /// is applied. Restored fields are bitwise-identical for any worker count,
+  /// and every simulated I/O second of a prefetched block is charged to the
+  /// step that consumes it, so RetrievalTimings still matches the simulated
+  /// clock.
   ProgressiveReader(storage::StorageHierarchy& hierarchy, const std::string& path,
                     std::string var, const GeometryCache* geometry = nullptr,
                     ReaderOptions options = {});
-
-  /// Joins any in-flight read-ahead before tearing down.
-  ~ProgressiveReader();
 
   ProgressiveReader(const ProgressiveReader&) = delete;
   ProgressiveReader& operator=(const ProgressiveReader&) = delete;
@@ -145,32 +141,26 @@ class ProgressiveReader {
   bool partially_refined() const { return partially_refined_; }
 
   /// Refines until `level` (inclusive) or a step degrades (check
-  /// last_status()); returns accumulated step timings.
+  /// last_status()); returns accumulated step timings. The only entry point
+  /// that reads ahead: every level it prefetches is one this call restores,
+  /// and the read-ahead is joined before it returns (or throws).
   RetrievalTimings refine_to(std::uint32_t level);
 
-  /// Automated termination (Section III-E): refines until the RMS change
-  /// between consecutive levels drops below `rmse_threshold` (computed on the
-  /// refined level against its estimate), full accuracy is reached, or a
-  /// step degrades. Throws Error on a non-finite threshold; a threshold <= 0
-  /// can never exceed an RMS (which is >= 0), so it refines to full accuracy
-  /// — the documented way to say "no early stop".
+  /// Automated termination (Section III-E): refines until the RMS of the
+  /// delta just applied — the change between consecutive levels,
+  /// last_delta_rms() — drops below `rmse_threshold`, full accuracy is
+  /// reached, or a step degrades. Throws Error on a non-finite threshold; a
+  /// threshold <= 0 can never exceed an RMS (which is >= 0), so it refines to
+  /// full accuracy — the documented way to say "no early stop".
   RetrievalTimings refine_until(double rmse_threshold);
 
   /// Budgeted refinement for the serve-layer scheduler: before each step,
-  /// `admit(next_level, estimated_step_io_seconds)` decides whether to take
-  /// it. Stops when admit returns false, full accuracy is reached, or a step
-  /// degrades; returns accumulated step timings. The estimate passed to
-  /// admit is estimated_refine_cost(next_level).
+  /// `admit(next_level)` decides whether to take it (the scheduler prices
+  /// the step with serve::CostModel). Stops when admit returns false, full
+  /// accuracy is reached, or a step degrades; returns accumulated step
+  /// timings.
   RetrievalTimings refine_while(
-      const std::function<bool(std::uint32_t, double)>& admit);
-
-  /// Estimated simulated-I/O seconds of refining to `level` (one step):
-  /// per-block tier read costs from container metadata (delta chunks, plus
-  /// mesh/mapping blocks when no geometry cache is attached), with
-  /// cache-resident blocks counted as free. Pure metadata/cache probe — no
-  /// tier reads, no side effects. The serve module layers compute estimates
-  /// and observed-latency calibration on top (serve/cost_model.hpp).
-  double estimated_refine_cost(std::uint32_t level) const;
+      const std::function<bool(std::uint32_t)>& admit);
 
   /// RMS of the delta applied by the most recent successful refine() /
   /// refine_region() — the achieved-accuracy proxy the scheduler reports
@@ -180,7 +170,7 @@ class ProgressiveReader {
 
   /// Container metadata of the open variable (block records with per-chunk
   /// sizes, tier placements, and object keys) — the cost model's input.
-  adios::VarInfo var_info() const { return reader_.inq_var(var_); }
+  const adios::VarInfo& var_info() const { return info_; }
 
   /// True when a campaign GeometryCache supplies meshes/mappings (no
   /// per-step geometry I/O).
@@ -190,21 +180,23 @@ class ProgressiveReader {
   const RetrievalTimings& cumulative() const { return cumulative_; }
 
  private:
-  /// Raw (still compressed) blocks of one delta level, pulled off the tiers
-  /// either synchronously or by the read-ahead task. On a failed fetch,
-  /// `chunks` holds the successfully read prefix and `error` the failure, so
-  /// the consumer can fold the partial timings and then degrade exactly like
-  /// the synchronous path.
-  struct PrefetchedLevel {
+  using RawChunks = std::vector<adios::BpReader::RawChunk>;
+
+  /// A read-ahead of one whole delta level, fetched on a pool worker. On a
+  /// failed fetch `chunks` is empty, `io` holds the read prefix's timings and
+  /// `error` the failure, so the consuming step degrades exactly like a
+  /// synchronous fetch.
+  struct Prefetch {
     std::uint32_t level = 0;
-    bool chunked = false;
-    std::vector<adios::BpReader::RawChunk> chunks;
+    RawChunks chunks;
+    RetrievalTimings io;
     std::exception_ptr error;
-    /// Set when the chunks were fetched through the async engine: the
-    /// simulated seconds of the depth-way overlapped schedule
-    /// (overlap_makespan), which decode_level charges to the step instead of
-    /// the serial per-chunk sum. Empty on the blocking path.
-    std::optional<double> overlapped_io_seconds;
+  };
+
+  /// Fine-level geometry a step reads when no GeometryCache is attached.
+  struct LevelGeometry {
+    util::Bytes mapping;
+    util::Bytes mesh;
   };
 
   /// Chunks a regional refinement skipped, remembered so the next full
@@ -221,46 +213,56 @@ class ProgressiveReader {
   };
 
   /// Re-reads the pending skipped chunks of the current level and applies
-  /// their deltas additively, clearing partially_refined_. Applied chunks
-  /// are popped as they land, so a tier fault mid-way (which propagates to
-  /// the caller's degrade path) leaves an exactly resumable remainder.
+  /// their deltas additively, clearing partially_refined_. Nothing is applied
+  /// until every chunk has landed, so a tier fault (which propagates to the
+  /// caller's degrade path) leaves the whole set pending, exactly resumable.
   void backfill_skipped(RetrievalTimings& step);
+
+  /// One full refinement step; with `read_ahead_to` set, reads level
+  /// next - 1 ahead while restoring when next - 1 >= *read_ahead_to.
+  RetrievalTimings refine_step(std::optional<std::uint32_t> read_ahead_to);
 
   /// Records a failed step: counts it, sets kDegraded, keeps reader state.
   RetrievalTimings degrade(RetrievalTimings step);
 
+  /// Records a successful step to `next` whose applied delta had RMS
+  /// `delta_rms`.
+  RetrievalTimings advance(std::uint32_t next, double delta_rms,
+                           RetrievalTimings step);
+
   util::ThreadPool& pool() const;
-  /// Serially fetches every delta chunk of `level`; never throws (failures
-  /// are captured in the result). Safe to run off-thread: it only performs
-  /// reads through the (thread-safe) hierarchy.
-  PrefetchedLevel fetch_level(std::uint32_t level) const;
-  /// Consumes a matching in-flight read-ahead, or fetches synchronously. A
-  /// stale prefetch (different level) is discarded; its speculative reads
-  /// never enter the retrieval clock.
-  PrefetchedLevel take_prefetch(std::uint32_t level);
-  /// Kicks off the read-ahead for `level` (no-op when disabled).
+  std::uint32_t delta_chunk_count(std::uint32_t level) const;
+  /// Reads the compressed delta chunks `chunks` of `level`, in that order,
+  /// through an io::IoRing of io.depth and folds each completion into
+  /// `step`: io_seconds as the serial per-op sum at depth <= 1, as the
+  /// overlapped makespan at depth > 1. Stops at the first failed op and
+  /// rethrows it after folding the read prefix. Safe to run off-thread: it
+  /// only reads through the (thread-safe) hierarchy.
+  RawChunks fetch_level(std::uint32_t level,
+                        const std::vector<std::uint32_t>& chunks,
+                        RetrievalTimings& step) const;
+  /// Decodes fetched chunks in parallel on the pool, one array per chunk in
+  /// input order. With a block cache each decoded array is loaded once and
+  /// shared under its "#decoded" alias, so sibling sessions skip the decode.
+  std::vector<cache::BlockCache::ArrayPtr> decode_level(
+      std::uint32_t level, const RawChunks& chunks, RetrievalTimings& step);
+  /// Reads the fine level's mapping and mesh (nothing with a GeometryCache).
+  LevelGeometry read_geometry(std::uint32_t level, RetrievalTimings& step);
+  /// Restores level `next` from its delta in storage order (Morton order
+  /// when `chunked`); without a GeometryCache, mesh_ becomes the fine mesh.
+  void restore_next(std::uint32_t next, mesh::Field delta, bool chunked,
+                    const LevelGeometry& geometry, RetrievalTimings& step);
+  /// Kicks off the read-ahead of `level` (no-op when disabled or when every
+  /// chunk of the level is cache-resident).
   void start_prefetch(std::uint32_t level);
-  /// Folds fetch timings into `step`, rethrows a captured fetch failure, and
-  /// decodes all chunks in parallel, concatenated in chunk order.
-  mesh::Field decode_level(PrefetchedLevel fetched, RetrievalTimings& step,
-                           bool& chunked);
-  /// Dispatch for one level's delta retrieval: the completion-driven async
-  /// path when the ring is enabled, the level is multi-chunk, and no matching
-  /// read-ahead is pending; decode_level(take_prefetch(...)) otherwise.
-  mesh::Field retrieve_level(std::uint32_t level, RetrievalTimings& step,
-                             bool& chunked);
-  /// Ring-backed fetch + decode: submits every delta chunk of `level`, keeps
-  /// io.depth reads in flight, and spawns the decode of each chunk on the
-  /// pool the moment its completion lands (no level-wide fetch barrier).
-  /// Chunk order, and therefore the restored field, is bitwise-identical to
-  /// the blocking path; only io_seconds (overlapped makespan) differs.
-  mesh::Field decode_level_async(const adios::VarInfo& info,
-                                 std::uint32_t level, RetrievalTimings& step,
-                                 bool& chunked);
+  /// Consumes the read-ahead of `level`: folds its timings into `step` and
+  /// rethrows its failure.
+  RawChunks take_prefetch(std::uint32_t level, RetrievalTimings& step);
 
   storage::StorageHierarchy& hierarchy_;
   adios::BpReader reader_;
   std::string var_;
+  adios::VarInfo info_;  // block records of var_, loaded at open
   const GeometryCache* geometry_ = nullptr;  // not owned; may be null
   std::size_t levels_ = 0;
   EstimateMode estimate_ = EstimateMode::kUniformThirds;
@@ -272,8 +274,6 @@ class ProgressiveReader {
   std::optional<double> last_delta_rms_;
   mesh::TriMesh mesh_;  // only populated when geometry_ is null
   mesh::Field values_;
-  // Lazily resolved in decimation_ratio() const from container metadata.
-  mutable std::optional<std::size_t> full_vertex_count_;
   RetrievalTimings cumulative_;
 
   // Worker pool: the session-shared one when given, a dedicated one when
@@ -282,8 +282,7 @@ class ProgressiveReader {
   mutable std::optional<util::ThreadPool> local_pool_;
   bool read_ahead_ = false;
   io::IoConfig io_config_;
-  std::future<PrefetchedLevel> prefetch_;
-  std::optional<std::uint32_t> prefetch_level_;  // level of the pending future
+  std::future<Prefetch> prefetch_;  // valid only inside refine_to()
 };
 
 }  // namespace canopus::core

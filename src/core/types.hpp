@@ -39,8 +39,9 @@ struct ParallelConfig {
   /// compression commit (a single committer serializes placement, so
   /// placement order and phase accounting stay deterministic).
   bool pipeline = true;
-  /// Reader: prefetch the next delta level from its (slow) tier while the
-  /// current level is being decompressed and applied.
+  /// Reader: while refine_to() applies one level, fetch the next level it
+  /// will restore from its (slow) tier. Only levels the call commits to are
+  /// read ahead, so every prefetch is consumed.
   bool read_ahead = true;
 };
 

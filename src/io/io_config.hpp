@@ -1,5 +1,5 @@
 #pragma once
-// Knobs of the asynchronous submission/completion engine (io/io_ring.hpp),
+// Knobs of the batched submission/completion engine (io/io_ring.hpp),
 // split into their own header so the config loader and the Pipeline facade
 // can carry them without pulling in the engine.
 
@@ -7,13 +7,14 @@
 
 namespace canopus::io {
 
-/// Shape of one IoRing. The default depth of 1 IS the blocking path: every
-/// read completes before the next is submitted and the accounting degenerates
-/// to the plain per-op sum, so existing callers are unchanged until they opt
-/// in with depth > 1 (config `<io depth=...>` or the benches' --io-depth).
+/// Shape of one IoRing. The default depth of 1 IS the blocking path: the
+/// ring issues one read at a time, stops at the first failure, and the
+/// accounting degenerates to the plain per-op sum. Depth > 1 (config
+/// `<io depth=...>` or the benches' --io-depth) issues reads in batches and
+/// charges their overlapped makespan.
 struct IoConfig {
-  /// Bounded ring size: maximum tier operations in flight (submitted and not
-  /// yet consumed by the completion loop). 0 and 1 both mean blocking.
+  /// Bounded ring size: maximum completions outstanding (executed and not
+  /// yet consumed). 0 and 1 both mean blocking.
   std::uint32_t depth = 1;
   /// Maximum ops per aggregated submission to the hierarchy's batched seam
   /// (StorageHierarchy::read_batch). Clamped to depth at run time.

@@ -1,48 +1,39 @@
 #pragma once
-// Asynchronous submission/completion engine: a bounded ring of in-flight tier
-// operations with batched submission and completion-driven continuation.
+// Batched submission/completion engine: a bounded ring of tier operations
+// with batched submission, consumed in submission order.
 //
-// The shape follows ScaleStore's AsyncReadBuffer: a session submits the keys
-// it needs, the engine keeps up to `depth` operations in flight against the
-// storage hierarchy (issuing them through the batched submit seam,
-// StorageHierarchy::read_batch, in groups of up to `batch`), and the session
-// consumes completions in submission order, firing its continuation — for the
-// progressive reader, the decode of one delta chunk — as each lands instead
-// of after a level-wide barrier.
+// The shape follows ScaleStore's AsyncReadBuffer: a reader submits the keys
+// it needs, the engine issues them against the storage hierarchy through the
+// batched submit seam (StorageHierarchy::read_batch) in groups of up to
+// `batch`, keeping at most `depth` completions outstanding, and the reader
+// consumes completions in submission order.
 //
-// Determinism: batches execute strictly in submission order by exactly one
-// executor at a time, and read_batch preserves key order inside a batch, so
-// the tiers (and the seeded fault injector) see the same operation sequence
-// as a serial read loop — batched submission changes when I/O happens, never
-// what happens to each op. Batch *boundaries* are deterministic too: every op
-// is assigned to a logical group of exactly `batch` ops at submit time, and a
-// group is always issued as one read_batch call. This matters because
-// read_batch amortizes tier round-trip latency within a call — if the batch
-// split depended on how far the submitter had raced ahead of the background
-// driver, the simulated clock would differ run to run. The driver therefore
-// executes only *closed* groups (a full `batch` of members); the open tail
-// group is flushed solely by wait_next()'s inline pump, whose timing is fixed
-// by the caller's submit/wait sequence. Execution is opportunistic: a driver
-// task on the worker pool drains closed groups in the background, and
-// wait_next() pumps inline whenever no driver is active (including pools with
-// zero spare workers), so consuming completions can never deadlock.
+// The ring is synchronous and single-owner: wait_next() executes the next
+// batches on the calling thread when no completion is ready. There is no
+// background driver, so a ring built on a pool worker can never wait on a
+// task queued behind that same worker.
+//
+// Determinism: batches execute strictly in submission order, and read_batch
+// preserves key order inside a batch, so the tiers (and the seeded fault
+// injector) see the same operation sequence as a serial read loop — batched
+// submission changes how I/O is charged, never what happens to each op.
+// Batch boundaries are fixed too: every op is assigned to a group of at most
+// `batch` ops at submit time, and a group is always issued as one read_batch
+// call (read_batch amortizes tier round-trip latency within a call).
 //
 // Accounting for overlapped I/O lives next door: overlap_makespan() converts
 // a list of per-op simulated costs into the simulated wall-clock of running
-// them `depth`-way overlapped, which is what RetrievalTimings charges when a
-// ring is active (sum == makespan at depth 1, so blocking accounting is
+// them `depth`-way overlapped, which is what RetrievalTimings charges at
+// depth > 1 (sum == makespan at depth 1, so blocking accounting is
 // unchanged).
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "io/io_config.hpp"
 #include "storage/hierarchy.hpp"
-#include "util/thread_pool.hpp"
 
 namespace canopus::io {
 
@@ -63,36 +54,30 @@ struct IoCompletion {
   bool deadline_missed = false;  // sim cost exceeded IoConfig::deadline_seconds
 };
 
+/// Not thread-safe: one thread submits and consumes.
 class IoRing {
  public:
-  /// Rings issue reads against `hierarchy`; `pool` (optional) supplies the
-  /// background driver — with a null pool, or when the submitter is itself a
-  /// pool worker, execution happens inline in wait_next(). Both the hierarchy
-  /// and the pool must outlive the ring.
-  IoRing(const storage::StorageHierarchy& hierarchy, IoConfig config,
-         util::ThreadPool* pool = nullptr);
+  /// Rings issue reads against `hierarchy`, which must outlive the ring.
+  IoRing(const storage::StorageHierarchy& hierarchy, IoConfig config);
 
-  /// Drains every submitted op (results discarded) before tearing down.
-  ~IoRing();
+  /// Ops still queued when the ring is destroyed are dropped, never read: an
+  /// abandoned level must not advance the tiers' fault stream past what a
+  /// serial reader abandoning the same level would have read.
+  ~IoRing() = default;
 
   IoRing(const IoRing&) = delete;
   IoRing& operator=(const IoRing&) = delete;
 
-  const IoConfig& config() const { return config_; }
-
-  /// Enqueues a read of `key`; returns its submission id. Never blocks — the
-  /// ring bounds in-flight *execution*, not submission: batches stop being
-  /// issued while `depth` completions are waiting to be consumed, which is
-  /// what bounds payload memory.
+  /// Enqueues a read of `key`; returns its submission id. Performs no I/O.
   std::size_t submit(std::string key);
 
-  /// Next completion in submission order. Blocks until ready, pumping
-  /// batches inline when no background driver is making progress. Calling
-  /// with nothing outstanding is a bug (asserts).
+  /// Next completion in submission order. When none is ready, executes whole
+  /// batches in order until `depth` completions are outstanding (at least
+  /// one batch). Calling with nothing outstanding is a bug (throws).
   IoCompletion wait_next();
 
   /// Ops submitted and not yet consumed.
-  std::size_t in_flight() const;
+  std::size_t in_flight() const { return queue_.size() + ready_.size(); }
 
   /// Monotonic engine counters (independent of the obs layer so tests can
   /// assert exact accounting with observability off).
@@ -102,7 +87,7 @@ class IoRing {
     std::uint64_t batches = 0;          // read_batch calls issued
     std::uint64_t deadline_misses = 0;  // ops over IoConfig::deadline_seconds
   };
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Pending {
@@ -111,26 +96,16 @@ class IoRing {
     std::size_t group;  // logical batch assigned at submit time
   };
 
-  /// Executes queued groups while completions stay under the depth bound.
-  /// Runs with `lock` held; drops it around the actual I/O. With
-  /// `flush_open_group` false (the background driver) only closed groups are
-  /// issued; true (inline from wait_next) also flushes — and closes — the
-  /// open tail group.
-  void pump(std::unique_lock<std::mutex>& lock, bool flush_open_group);
-  void note_completion_locked(IoCompletion&& c);
-  void maybe_spawn_driver_locked();
+  /// Executes queued groups in order while completions stay under the depth
+  /// bound. Issuing the open tail group closes it.
+  void pump();
 
   const storage::StorageHierarchy& hierarchy_;
   const IoConfig config_;
-  util::ThreadPool* pool_;  // not owned; may be null
   const std::uint32_t max_batch_;  // effective group size (batch clamped)
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Pending> queue_;        // submitted, not yet executed
   std::deque<IoCompletion> ready_;   // executed, not yet consumed (in order)
-  bool executing_ = false;           // exactly one pump loop at a time
-  bool driver_scheduled_ = false;    // a pool driver task is queued/running
   std::size_t next_id_ = 0;
   std::size_t group_counter_ = 0;    // id of the currently open group
   std::uint32_t group_fill_ = 0;     // members submitted to the open group

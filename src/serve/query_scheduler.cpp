@@ -296,7 +296,7 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
 
     const bool rmse_mode = request.rmse_threshold.has_value();
     const double rmse_threshold = request.rmse_threshold.value_or(0.0);
-    reader.refine_while([&](std::uint32_t next, double /*estimated_io*/) {
+    reader.refine_while([&](std::uint32_t next) {
       if (!rmse_mode && next < target) return false;
       if (rmse_mode && reader.last_delta_rms().has_value() &&
           *reader.last_delta_rms() < rmse_threshold) {

@@ -221,10 +221,10 @@ class StorageHierarchy {
   /// failures are captured per op instead of thrown, and on the direct tier
   /// path consecutive clean reads from one tier within the batch share the
   /// submission round trip — ops after the tier's first pay transfer cost
-  /// only (StorageTier::batched_read_cost), modeling one I/O-aggregator
-  /// request per storage target. Retried, replica-served, and cache-fronted
-  /// ops keep full per-op costs. Local misses are deferred and resolved
-  /// through RemoteStore::remote_read_batch after the lock is released (same
+  /// only, modeling one I/O-aggregator request per storage target.
+  /// Retried, replica-served, and cache-fronted ops keep full per-op costs.
+  /// Local misses are deferred and resolved through
+  /// RemoteStore::remote_read_batch after the lock is released (same
   /// lock-ordering rule as read()).
   std::vector<BatchReadResult> read_batch(
       const std::vector<std::string>& keys) const;

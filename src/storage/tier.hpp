@@ -97,17 +97,6 @@ class StorageTier {
            static_cast<double>(nbytes) / spec_.read_bandwidth;
   }
 
-  /// Planning cost of a read issued as part of an aggregated batch submission
-  /// to this tier: ops after the first share the batch's round trip, so only
-  /// the first pays the per-operation latency and the rest pay transfer cost
-  /// alone. StorageHierarchy::read_batch applies the same amortization to
-  /// executed reads, so plans built from this stay consistent with the
-  /// simulated clock.
-  double batched_read_cost(std::size_t nbytes, bool first_in_batch) const {
-    return (first_in_batch ? spec_.read_latency : 0.0) +
-           static_cast<double>(nbytes) / spec_.read_bandwidth;
-  }
-
  private:
   std::string path_for(const std::string& key) const;
 

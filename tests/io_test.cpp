@@ -1,7 +1,7 @@
-// Tests for the asynchronous submission/completion engine (src/io): the
+// Tests for the batched submission/completion engine (src/io): the
 // overlap-makespan accounting, FIFO completion order, serial-equivalent
 // per-op results, batching behavior, deadlines, per-op error isolation, and
-// both execution paths (inline pump and background pool driver).
+// teardown with unconsumed ops.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "storage/hierarchy.hpp"
 #include "storage/tier.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cio = canopus::io;
 namespace cs = canopus::storage;
@@ -200,39 +199,23 @@ TEST(IoRing, DeadlineMissesAreRecordedNotEnforced) {
   EXPECT_EQ(ring2.stats().deadline_misses, 0u);
 }
 
-TEST(IoRing, BackgroundDriverOnPoolDrainsTheQueue) {
-  auto tiers = two_tiers();
-  const auto keys = seed_objects(tiers, 16);
-  cu::ThreadPool pool(2);
-
-  cio::IoConfig cfg;
-  cfg.depth = 8;
-  cfg.batch = 4;
-  cio::IoRing ring(tiers, cfg, &pool);
-  for (const auto& k : keys) ring.submit(k);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto c = ring.wait_next();
-    EXPECT_EQ(c.id, i);
-    EXPECT_FALSE(c.error);
-  }
-  const auto s = ring.stats();
-  EXPECT_EQ(s.submitted, 16u);
-  EXPECT_EQ(s.completed, 16u);
-}
-
 TEST(IoRing, DestructorDrainsUnconsumedOps) {
   auto tiers = two_tiers();
   const auto keys = seed_objects(tiers, 6);
-  cu::ThreadPool pool(2);
+  std::vector<std::string> read;
+  tiers.attach_access_listener(
+      [&read](const std::string& key, std::size_t) { read.push_back(key); });
   {
     cio::IoConfig cfg;
     cfg.depth = 2;
-    cio::IoRing ring(tiers, cfg, &pool);
+    cio::IoRing ring(tiers, cfg);
     for (const auto& k : keys) ring.submit(k);
-    // Consume one completion, abandon the rest: teardown must not hang or
-    // leave a driver task referencing a dead ring.
+    // Consume one completion, abandon the rest: teardown must not hang.
     EXPECT_EQ(ring.wait_next().id, 0u);
   }
+  // Only the first batch (depth 2) was ever issued; the abandoned ops behind
+  // it were dropped, never read.
+  EXPECT_EQ(read, (std::vector<std::string>{keys[0], keys[1]}));
   // The hierarchy is still fully usable afterwards.
   cu::Bytes out;
   EXPECT_NO_THROW(tiers.read(keys[3], out));

@@ -771,3 +771,96 @@ TEST(ParallelDeterminism, AsyncAccountingChargesMakespanNotSum) {
   // And the simulated clock is deterministic run to run.
   EXPECT_DOUBLE_EQ(async.io_seconds, async_again.io_seconds);
 }
+
+// Regression: a read-ahead running on a pool worker must never wait for a
+// task queued behind that same worker. With one of two shared workers held,
+// refine_to(0) at io depth 8 (read-ahead on) has to finish on the other.
+TEST(ParallelDeterminism, ReadAheadFinishesWithOneOfTwoWorkersHeld) {
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  auto tiers = three_tiers();
+  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                         chunked_config(0));
+
+  cu::ThreadPool pool(2);
+  std::promise<void> release;
+  auto held = pool.submit(
+      [released = release.get_future().share()] { released.wait(); });
+
+  cc::ReaderOptions opts;  // read_ahead defaults on
+  opts.shared_pool = &pool;
+  opts.io.depth = 8;
+  cc::ProgressiveReader reader(tiers, "d.bp", "v", nullptr, opts);
+  auto refined = std::async(std::launch::async, [&] { reader.refine_to(0); });
+  // Watchdog: release the held worker either way, so a hang is reported as a
+  // failure instead of stalling the suite.
+  const bool finished = refined.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  release.set_value();
+  refined.get();
+  held.get();
+  EXPECT_TRUE(finished) << "refine_to(0) needed the held worker";
+  EXPECT_TRUE(reader.at_full_accuracy());
+}
+
+// Read-ahead fetches only levels the refine_to() call restores, so the tiers
+// see the same read sequence with it on or off — and a seeded fault injector
+// makes the same decisions: a read to level 1 followed by a read to level 0
+// returns the same fields, statuses and injector counters either way.
+TEST(ParallelDeterminism, ReadAheadKeepsSeededFaultStream) {
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  struct Outcome {
+    std::vector<cm::Field> fields;
+    std::vector<std::string> statuses;
+    cs::FaultCounters counters;
+  };
+  const auto run = [&](bool read_ahead) {
+    auto tiers = three_tiers();
+    cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                           chunked_config(0));
+    auto faults = std::make_shared<cs::FaultInjector>(17);
+    cs::FaultProfile profile;
+    profile.read_error = 0.1;
+    profile.corrupt = 0.05;
+    profile.latency_spike = 0.2;
+    profile.spike_seconds = 1e-3;
+    for (std::size_t t = 1; t < tiers.tier_count(); ++t) {
+      faults->set_profile(t, profile);
+    }
+    tiers.attach_fault_injector(faults);
+
+    canopus::PipelineOptions options;
+    options.parallel.threads = 4;
+    options.parallel.read_ahead = read_ahead;
+    canopus::Pipeline pipeline(tiers, options);
+    Outcome out;
+    for (const std::uint32_t level : {1u, 0u}) {
+      canopus::ReadRequest request;
+      request.path = "d.bp";
+      request.var = "v";
+      request.target_level = level;
+      canopus::ReadResult result;
+      out.statuses.push_back(pipeline.read(request, &result).to_string());
+      out.fields.push_back(result.values);
+    }
+    out.counters = faults->counters();
+    return out;
+  };
+
+  const Outcome serial = run(false);
+  const Outcome ahead = run(true);
+  EXPECT_EQ(serial.statuses, ahead.statuses);
+  ASSERT_EQ(serial.fields.size(), ahead.fields.size());
+  for (std::size_t r = 0; r < serial.fields.size(); ++r) {
+    ASSERT_EQ(serial.fields[r].size(), ahead.fields[r].size()) << "read " << r;
+    for (std::size_t i = 0; i < serial.fields[r].size(); ++i) {
+      ASSERT_EQ(serial.fields[r][i], ahead.fields[r][i])
+          << "read " << r << " vertex " << i;
+    }
+  }
+  EXPECT_EQ(serial.counters.read_errors, ahead.counters.read_errors);
+  EXPECT_EQ(serial.counters.corruptions, ahead.counters.corruptions);
+  EXPECT_EQ(serial.counters.latency_spikes, ahead.counters.latency_spikes);
+  // The injector really fired, so a shifted stream would have shown.
+  EXPECT_GT(serial.counters.total_faults() + serial.counters.latency_spikes,
+            0u);
+}

@@ -298,3 +298,75 @@ TEST(RoiRefine, StackedPartialRegionsStaySticky) {
   EXPECT_TRUE(reader.at_full_accuracy());
   EXPECT_TRUE(reader.partially_refined());  // sticky by design once stacked
 }
+
+// ------------------------------------------------- one fetch path (depth) --
+
+// Regional refinement and its backfill read through the same ring-backed
+// fetch as a full refine. At any io depth they must leave the reader in the
+// exact state of the blocking depth-1 reader — fields, partial flag and bytes
+// read, with and without a geometry cache — and never charge more I/O.
+class RoiIoDepth : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(RoiIoDepth, RegionalAndBackfillMatchBlockingReader) {
+  const auto mesh = cm::shuffle_vertices(
+      cm::make_rect_mesh(40, 40, 2.0, 2.0, 0.1, 29), 8);
+  const auto values = bump_field(mesh, {1.6, 1.6}, 0.12);
+  auto h = tiers();
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "fpc";
+  config.delta_chunks = 16;
+  cc::refactor_and_write(h, "d.bp", "v", mesh, values, config);
+  const auto geometry = cc::GeometryCache::load(h, "d.bp", "v");
+
+  struct State {
+    cm::Field values;
+    bool partial = false;
+    std::size_t bytes_read = 0;
+    double io_seconds = 0.0;
+  };
+  // Regional step then a backfilling full step; then two stacked regional
+  // steps (the sticky case).
+  const auto walk = [&](std::uint32_t depth, const cc::GeometryCache* g) {
+    cc::ReaderOptions opts;
+    opts.io.depth = depth;
+    std::vector<State> states;
+    const auto record = [&states](const cc::ProgressiveReader& r,
+                                  const cc::RetrievalTimings& step) {
+      states.push_back({r.values(), r.partially_refined(), step.bytes_read,
+                        step.io_seconds});
+    };
+    cc::ProgressiveReader backfilled(h, "d.bp", "v", g, opts);
+    record(backfilled, backfilled.refine_region({{1.3, 1.3}, {1.9, 1.9}}));
+    record(backfilled, backfilled.refine());
+    cc::ProgressiveReader stacked(h, "d.bp", "v", g, opts);
+    record(stacked, stacked.refine_region({{0.2, 0.2}, {0.8, 0.8}}));
+    record(stacked, stacked.refine_region({{0.3, 0.3}, {0.7, 0.7}}));
+    return states;
+  };
+
+  const cc::GeometryCache* no_geometry = nullptr;
+  for (const cc::GeometryCache* g : {no_geometry, &geometry}) {
+    const auto blocking = walk(1, g);
+    const auto deep = walk(GetParam(), g);
+    ASSERT_EQ(blocking.size(), deep.size());
+    for (std::size_t s = 0; s < blocking.size(); ++s) {
+      EXPECT_EQ(blocking[s].partial, deep[s].partial) << "step " << s;
+      EXPECT_EQ(blocking[s].bytes_read, deep[s].bytes_read) << "step " << s;
+      EXPECT_LE(deep[s].io_seconds, blocking[s].io_seconds) << "step " << s;
+      ASSERT_EQ(blocking[s].values.size(), deep[s].values.size());
+      for (std::size_t i = 0; i < blocking[s].values.size(); ++i) {
+        ASSERT_EQ(blocking[s].values[i], deep[s].values[i])
+            << "step " << s << " vertex " << i;
+      }
+    }
+    EXPECT_TRUE(blocking[0].partial);   // the ROI skipped chunks...
+    EXPECT_FALSE(blocking[1].partial);  // ...the full step backfilled them
+    EXPECT_TRUE(blocking[3].partial);   // stacked partial levels stay sticky
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IoDepth, RoiIoDepth, ::testing::Values(1u, 8u),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& p) {
+                           return "depth" + std::to_string(p.param);
+                         });

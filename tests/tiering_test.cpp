@@ -362,8 +362,12 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
                          chunked_config());
 
+  // The planner's I/O estimate of the step to full accuracy.
+  const auto planned_io = [&tiers](const cc::ProgressiveReader& reader) {
+    return cv::CostModel::build(tiers, reader).step(0).io_seconds;
+  };
   cc::ProgressiveReader reader(tiers, "d.bp", "v");
-  const double before = reader.estimated_refine_cost(0);
+  const double before = planned_io(reader);
 
   // A background demotion (eviction pressure, advisor policy) moves the
   // level's chunks while the reader stays open. The estimate must price the
@@ -374,7 +378,7 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   const std::size_t target = origin == 2 ? 0 : 2;
   for (const auto& key : keys) tiers.migrate(key, target);
 
-  const double after = reader.estimated_refine_cost(0);
+  const double after = planned_io(reader);
   EXPECT_NE(after, before);
   if (target > origin) {
     EXPECT_GT(after, before);  // demoted to a slower tier: pricier
@@ -384,7 +388,7 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   // Planned == achieved: a reader opened fresh (which can only see live
   // residency) prices the step identically.
   cc::ProgressiveReader fresh(tiers, "d.bp", "v");
-  EXPECT_DOUBLE_EQ(after, fresh.estimated_refine_cost(0));
+  EXPECT_DOUBLE_EQ(after, planned_io(fresh));
 }
 
 TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
