@@ -254,7 +254,7 @@ inline std::vector<PipelineCase> run_pipeline(
     auto tiers = make_two_tier(raw_bytes);  // base always fits the fast tier
     // The facade: one Pipeline per case carries the concurrency knobs;
     // requests carry the per-call parameters.
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     if (opt.cache_mb > 0) {
       cache::CacheConfig cc;

@@ -64,7 +64,7 @@ ConfigResult run_config(const sim::Dataset& ds, const bench::PipelineOptions& op
   const std::size_t raw_bytes = ds.values.size() * sizeof(double);
   auto tiers = bench::make_two_tier(raw_bytes);
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
   popt.io.batch = opt.io_batch;
@@ -193,7 +193,7 @@ ClusterResult run_fabric_config(const sim::Dataset& ds,
   const auto geometry =
       core::GeometryCache::load(cluster.node(0), "run.bp", ds.variable);
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
   popt.io.batch = opt.io_batch;
@@ -255,7 +255,7 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
   // ranges split evenly.
   storage::StorageHierarchy staging({storage::tmpfs_spec(1ull << 30)});
   {
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     Pipeline writer(staging, popt);
     WriteRequest wreq;

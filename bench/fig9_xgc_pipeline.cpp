@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const std::uint32_t depth = std::max<std::uint32_t>(8, opt.io_depth);
     const std::uint32_t chunks = std::max<std::uint32_t>(8, opt.delta_chunks);
     auto tiers = bench::make_two_tier(ds.values.size() * sizeof(double));
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     Pipeline write_pipe(tiers, popt);
     WriteRequest wreq;
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     rreq.target_level = 0;
 
     auto run_side = [&](std::uint32_t io_depth) {
-      canopus::PipelineOptions side = popt;
+      canopus::Options side = popt;
       side.io.depth = io_depth;
       side.io.batch = opt.io_batch;
       Pipeline p(tiers, side);

@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
 
   bench::PipelineOptions io_opt;
   bench::io_flags(cli, io_opt);
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = bench::threads_flag(cli);
   popt.io.depth = io_opt.io_depth;
   popt.io.batch = io_opt.io_batch;
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   // The scheduled pipeline is separate so its serve knobs apply and the
   // baseline's sessions cannot warm anything for it (and vice versa: no
   // cache is configured, every query pays its own tier reads).
-  canopus::PipelineOptions spopt;
+  canopus::Options spopt;
   spopt.parallel.threads = bench::threads_flag(cli);
   spopt.io.depth = io_opt.io_depth;
   spopt.io.batch = io_opt.io_batch;

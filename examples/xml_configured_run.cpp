@@ -61,8 +61,13 @@ int main(int argc, char** argv) {
 
   // The facade builds the hierarchy (tiers, faults, retry) and installs the
   // <observability> plan in one step; the pipeline owns the result.
-  auto pipeline = Pipeline::from_config(config);
-  auto& tiers = pipeline.hierarchy();
+  std::unique_ptr<Pipeline> pipeline;
+  const Status ls = Pipeline::load(config, &pipeline);
+  if (!ls.ok()) {
+    std::printf("load failed: %s\n", ls.to_string().c_str());
+    return 1;
+  }
+  auto& tiers = pipeline->hierarchy();
   std::printf("hierarchy: ");
   for (std::size_t i = 0; i < tiers.tier_count(); ++i) {
     std::printf("%s%s", i ? " > " : "", tiers.tier(i).spec().name.c_str());
@@ -83,7 +88,7 @@ int main(int argc, char** argv) {
   wreq.values = &ds.values;
   wreq.config = config.refactor;
   WriteResult wres;
-  const Status ws = pipeline.write(wreq, &wres);
+  const Status ws = pipeline->write(wreq, &wres);
   if (!ws.ok()) {
     std::printf("write failed: %s\n", ws.to_string().c_str());
     return 1;
@@ -98,7 +103,7 @@ int main(int argc, char** argv) {
   rreq.var = ds.variable;
   rreq.target_level = 0;  // full accuracy
   ReadResult rres;
-  const Status rs = pipeline.read(rreq, &rres);
+  const Status rs = pipeline->read(rreq, &rres);
   if (!rs.usable()) {
     std::printf("read failed: %s\n", rs.to_string().c_str());
     return 1;
@@ -118,7 +123,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(c.latency_spikes),
         rres.timings.retries, core::to_string(rres.refine_status).c_str());
   }
-  const auto trace = pipeline.flush_observability();
+  std::string trace;
+  const Status fs = pipeline->flush_trace(&trace);
+  if (!fs.ok()) std::printf("trace flush failed: %s\n", fs.to_string().c_str());
   if (!trace.empty()) std::printf("chrome trace written to %s\n", trace.c_str());
   return 0;
 }

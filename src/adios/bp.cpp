@@ -109,15 +109,8 @@ WriteTiming BpWriter::store(BlockRecord record, util::BytesView payload,
   record.stored_bytes = payload.size();
 
   WriteTiming t;
-  storage::IoResult io;
-  if (tier_hint.has_value()) {
-    record.tier = *tier_hint;
-    io = hierarchy_.write_to(*tier_hint, record.object_key, payload);
-  } else {
-    auto [tier, result] = hierarchy_.place(record.object_key, payload);
-    record.tier = static_cast<std::uint32_t>(tier);
-    io = result;
-  }
+  auto [tier, io] = hierarchy_.place(record.object_key, payload, tier_hint);
+  record.tier = static_cast<std::uint32_t>(tier);
   // Base datasets are the anchor of every progressive read; keep a replica
   // one tier down so a failing fast tier degrades instead of blocking.
   if (record.kind == BlockKind::kBase) {

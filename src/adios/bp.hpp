@@ -103,7 +103,8 @@ class BpWriter {
   BpWriter& operator=(const BpWriter&) = delete;
 
   /// Compresses `values` with `codec_name` and places the block on the
-  /// fastest tier that fits (or `tier_hint` when given).
+  /// fastest tier that fits (or on `tier_hint` when given and it has room;
+  /// a full hinted tier is bypassed like any other).
   WriteTiming write_doubles(const std::string& var, BlockKind kind,
                             std::uint32_t level, std::span<const double> values,
                             const std::string& codec_name, double error_bound,

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -235,12 +234,12 @@ RuntimeConfig load_config(const std::string& xml_text) {
                               [](unsigned char c) { return std::isspace(c); }),
                text.end());
     CANOPUS_CHECK(!text.empty(), "<threads> needs a worker count");
-    config.refactor.parallel.threads =
+    config.options.parallel.threads =
         static_cast<std::size_t>(parse_uint(text, "<threads> worker count"));
   }
 
   if (const auto* pipeline = root->child("pipeline")) {
-    auto& pc = config.refactor.parallel;
+    auto& pc = config.options.parallel;
     if (pipeline->has_attr("overlap")) {
       pc.pipeline = parse_bool(pipeline->attr("overlap"));
     }
@@ -294,7 +293,6 @@ RuntimeConfig load_config(const std::string& xml_text) {
                     "<retry> attribute 'max-attempts' overflows: '" +
                         retry->attr("max-attempts") + "'");
       policy.max_attempts = static_cast<std::uint32_t>(attempts);
-      CANOPUS_CHECK(policy.max_attempts >= 1, "max-attempts must be >= 1");
     }
     if (retry->has_attr("backoff")) {
       policy.backoff_seconds = parse_duration(retry->attr("backoff"));
@@ -302,10 +300,8 @@ RuntimeConfig load_config(const std::string& xml_text) {
     if (retry->has_attr("multiplier")) {
       policy.backoff_multiplier = parse_double(
           retry->attr("multiplier"), "<retry> attribute 'multiplier'");
-      CANOPUS_CHECK(policy.backoff_multiplier >= 1.0,
-                    "backoff multiplier must be >= 1");
     }
-    config.retry = policy;
+    config.options.retry = policy;
   }
 
   if (const auto* cache_node = root->child("cache")) {
@@ -321,16 +317,14 @@ RuntimeConfig load_config(const std::string& xml_text) {
                         cache_node->attr("budget-mb") + "'");
       cc.budget_bytes = static_cast<std::size_t>(mb << 20);
     }
-    CANOPUS_CHECK(cc.budget_bytes > 0, "cache budget must be > 0");
     if (cache_node->has_attr("shards")) {
       cc.shards = static_cast<std::size_t>(
           parse_uint(cache_node->attr("shards"), "<cache> attribute 'shards'"));
-      CANOPUS_CHECK(cc.shards >= 1, "cache shards must be >= 1");
     }
     if (cache_node->has_attr("verify-hits")) {
       cc.verify_hits = parse_bool(cache_node->attr("verify-hits"));
     }
-    config.cache = cc;
+    config.options.cache = cc;
   }
 
   if (const auto* observability = root->child("observability")) {
@@ -348,29 +342,23 @@ RuntimeConfig load_config(const std::string& xml_text) {
       oo.histogram_buckets = static_cast<std::size_t>(
           parse_uint(observability->attr("histogram-buckets"),
                      "<observability> attribute 'histogram-buckets'"));
-      CANOPUS_CHECK(oo.histogram_buckets >= 2,
-                    "histogram-buckets must be >= 2");
     }
-    config.observability = oo;
+    config.options.observability = oo;
   }
 
   if (const auto* io_node = root->child("io")) {
-    io::IoConfig ic;
+    auto& ic = config.options.io;
     if (io_node->has_attr("depth")) {
       ic.depth = static_cast<std::uint32_t>(
           parse_uint(io_node->attr("depth"), "<io> attribute 'depth'"));
-      CANOPUS_CHECK(ic.depth >= 1, "<io> depth must be >= 1");
     }
     if (io_node->has_attr("batch")) {
       ic.batch = static_cast<std::uint32_t>(
           parse_uint(io_node->attr("batch"), "<io> attribute 'batch'"));
-      CANOPUS_CHECK(ic.batch >= 1, "<io> batch must be >= 1");
     }
     if (io_node->has_attr("deadline")) {
       ic.deadline_seconds = parse_duration(io_node->attr("deadline"));
-      CANOPUS_CHECK(ic.deadline_seconds >= 0.0, "<io> deadline must be >= 0");
     }
-    config.io = ic;
   }
 
   if (const auto* serve_node = root->child("serve")) {
@@ -378,25 +366,20 @@ RuntimeConfig load_config(const std::string& xml_text) {
     if (serve_node->has_attr("workers")) {
       sc.workers = static_cast<std::size_t>(
           parse_uint(serve_node->attr("workers"), "<serve> attribute 'workers'"));
-      CANOPUS_CHECK(sc.workers >= 1, "<serve> workers must be >= 1");
     }
     if (serve_node->has_attr("queue-limit")) {
       sc.queue_limit = static_cast<std::size_t>(parse_uint(
           serve_node->attr("queue-limit"), "<serve> attribute 'queue-limit'"));
-      CANOPUS_CHECK(sc.queue_limit >= 1, "<serve> queue-limit must be >= 1");
     }
     if (serve_node->has_attr("deadline-default")) {
       sc.default_deadline_seconds =
           parse_duration(serve_node->attr("deadline-default"));
-      CANOPUS_CHECK(sc.default_deadline_seconds > 0.0,
-                    "<serve> deadline-default must be > 0");
     }
     if (serve_node->has_attr("age-boost")) {
       sc.age_boost = parse_double(serve_node->attr("age-boost"),
                                   "<serve> attribute 'age-boost'");
-      CANOPUS_CHECK(sc.age_boost >= 0.0, "<serve> age-boost must be >= 0");
     }
-    config.serve = sc;
+    config.options.serve = sc;
   }
 
   if (const auto* fabric_node = root->child("fabric")) {
@@ -424,7 +407,8 @@ RuntimeConfig load_config(const std::string& xml_text) {
     }
     if (fabric_node->has_attr("remote-bw")) {
       fo.remote_bandwidth = parse_rate(fabric_node->attr("remote-bw"));
-      CANOPUS_CHECK(fo.remote_bandwidth > 0.0, "<fabric> remote-bw must be > 0");
+      CANOPUS_CHECK(std::isfinite(fo.remote_bandwidth),
+                    "<fabric> remote-bw must be finite");
     }
     if (fabric_node->has_attr("eviction-high")) {
       fo.eviction_high = parse_probability(fabric_node->attr("eviction-high"),
@@ -434,13 +418,17 @@ RuntimeConfig load_config(const std::string& xml_text) {
       fo.eviction_low = parse_probability(fabric_node->attr("eviction-low"),
                                           "eviction-low");
     }
-    CANOPUS_CHECK(fo.eviction_high == 0.0 || fo.eviction_low <= fo.eviction_high,
-                  "<fabric> eviction-low must be <= eviction-high");
     if (fabric_node->has_attr("eviction-interval")) {
       fo.eviction_interval_seconds =
           parse_duration(fabric_node->attr("eviction-interval"));
       CANOPUS_CHECK(fo.eviction_interval_seconds > 0.0,
                     "<fabric> eviction-interval must be > 0");
+    }
+    if (fo.eviction_high > 0.0) {  // the eviction providers will run
+      CANOPUS_CHECK(fo.eviction_low < fo.eviction_high,
+                    "<fabric> eviction-low must be < eviction-high");
+      CANOPUS_CHECK(std::isfinite(fo.eviction_interval_seconds),
+                    "<fabric> eviction-interval must be finite");
     }
     config.fabric = fo;
   }
@@ -452,37 +440,21 @@ RuntimeConfig load_config(const std::string& xml_text) {
     }
     if (tiering_node->has_attr("half-life")) {
       tc.half_life_seconds = parse_duration(tiering_node->attr("half-life"));
-      CANOPUS_CHECK(tc.half_life_seconds > 0.0,
-                    "<tiering> half-life must be > 0");
     }
     if (tiering_node->has_attr("promote-above")) {
       tc.promote_threshold = parse_double(tiering_node->attr("promote-above"),
                                           "<tiering> attribute 'promote-above'");
-      CANOPUS_CHECK(tc.promote_threshold >= 0.0,
-                    "<tiering> promote-above must be >= 0");
     }
     if (tiering_node->has_attr("demote-below")) {
       tc.demote_threshold = parse_double(tiering_node->attr("demote-below"),
                                          "<tiering> attribute 'demote-below'");
-      CANOPUS_CHECK(tc.demote_threshold >= 0.0,
-                    "<tiering> demote-below must be >= 0");
     }
-    // Mirror of the <fabric> eviction-low <= eviction-high check: an
-    // inverted hysteresis band (every heat value asks for both moves at
-    // once) is a config bug, rejected with the element and attributes named.
-    CANOPUS_CHECK(tc.demote_threshold < tc.promote_threshold,
-                  "<tiering> attribute 'demote-below' must be < attribute "
-                  "'promote-above' (hysteresis band)");
     if (tiering_node->has_attr("interval")) {
       tc.interval_seconds = parse_duration(tiering_node->attr("interval"));
-      CANOPUS_CHECK(tc.interval_seconds > 0.0,
-                    "<tiering> interval must be > 0");
     }
     if (tiering_node->has_attr("max-moves")) {
       tc.max_moves_per_tick = static_cast<std::size_t>(parse_uint(
           tiering_node->attr("max-moves"), "<tiering> attribute 'max-moves'"));
-      CANOPUS_CHECK(tc.max_moves_per_tick >= 1,
-                    "<tiering> max-moves must be >= 1");
     }
     if (tiering_node->has_attr("cooldown-ticks")) {
       tc.cooldown_ticks = static_cast<std::uint32_t>(
@@ -491,49 +463,13 @@ RuntimeConfig load_config(const std::string& xml_text) {
     }
     if (tiering_node->has_attr("reserve")) {
       tc.reserve = parse_probability(tiering_node->attr("reserve"), "reserve");
-      CANOPUS_CHECK(tc.reserve < 1.0, "<tiering> reserve must be < 1");
     }
-    config.tiering = tc;
+    config.options.tiering = tc;
   }
+
+  // The Options-level rules live in one place; run them once.
+  config.options.validate();
   return config;
-}
-
-storage::StorageHierarchy RuntimeConfig::make_hierarchy() const {
-  storage::StorageHierarchy hierarchy(tiers, policy);
-  if (!faults.empty()) {
-    auto injector = std::make_shared<storage::FaultInjector>(fault_seed);
-    for (const auto& tf : faults) {
-      bool matched = false;
-      for (std::size_t i = 0; i < tiers.size(); ++i) {
-        if (tiers[i].name == tf.tier_name) {
-          injector->set_profile(i, tf.profile);
-          matched = true;
-          break;
-        }
-      }
-      CANOPUS_CHECK(matched, "fault profile names unknown tier '" +
-                                 tf.tier_name + "'");
-    }
-    hierarchy.attach_fault_injector(std::move(injector));
-  }
-  if (retry) hierarchy.set_retry_policy(*retry);
-  if (cache) {
-    hierarchy.attach_block_cache(
-        std::make_shared<canopus::cache::BlockCache>(*cache));
-  }
-  return hierarchy;
-}
-
-canopus::Options RuntimeConfig::options() const {
-  canopus::Options out;
-  out.parallel = refactor.parallel;
-  out.observability = observability;
-  out.cache = cache;
-  out.serve = serve;
-  out.fabric = fabric;
-  out.tiering = tiering;
-  if (io.has_value()) out.io = *io;
-  return out;
 }
 
 RuntimeConfig load_config_file(const std::string& path) {

@@ -43,15 +43,24 @@
 // fields. Sizes accept B/KiB/MiB/GiB/TiB (and KB/MB/GB/TB as powers of ten),
 // rates accept .../s of the same units, durations accept ns/us/ms/s.
 //
-// The optional <faults> section wires a seeded storage::FaultInjector into
-// the hierarchy: each <tier name="..."> child names a configured tier and
-// sets its failure probabilities (read-error, write-error, corrupt,
-// latency-spike in [0,1]; spike-duration as a duration). <retry> tunes the
-// hierarchy's read retry-with-backoff policy.
+// The document splits in two. RuntimeConfig keeps what only the document
+// describes — tiers and placement policy, <refactor>, the <faults> plan, the
+// <fabric> shape — and the loader checks those rules itself. The blocks a
+// Pipeline consumes (<threads>, <pipeline>, <retry>, <cache>,
+// <observability>, <io>, <serve>, <tiering>) parse straight into
+// RuntimeConfig::options and are checked by one Options::validate() call.
+// Pipeline::load(config) hands those options to a hierarchy built from the
+// tiers, plus a fresh FaultInjector from the <faults> plan, so every load
+// gets its own fault stream.
+//
+// Each <faults><tier name="..."> child names a configured tier and sets its
+// failure probabilities (read-error, write-error, corrupt, latency-spike in
+// [0,1]; spike-duration as a duration). <retry> tunes the hierarchy's read
+// retry-with-backoff policy.
 //
 // <threads> pins the task engine's worker count (0 = hardware concurrency)
 // and <pipeline> toggles the writer's compute/commit overlap and the
-// reader's delta read-ahead; both land in RefactorConfig::parallel.
+// reader's delta read-ahead; both land in Options::parallel.
 //
 // The optional <observability> element configures the metrics + tracing
 // layer (src/obs): `enabled` flips the process-wide master switch, `trace`
@@ -84,7 +93,7 @@
 // `remote-bw` the inter-node bandwidth of the remote-read envelope, and
 // `eviction-high`/`eviction-low`/`eviction-interval` the per-node
 // anticipatory eviction provider's watermarks (fractions of tier-0
-// capacity; high = 0 disables the provider).
+// capacity; high = 0 disables the provider, otherwise low < high).
 //
 // The optional <tiering> element configures the workload-adaptive tier
 // advisor (src/tiering): `enabled` starts its background policy thread,
@@ -98,16 +107,11 @@
 #include <string>
 #include <vector>
 
-#include "cache/block_cache.hpp"
 #include "core/options.hpp"
 #include "core/types.hpp"
 #include "fabric/fabric_config.hpp"
-#include "io/io_config.hpp"
-#include "obs/observability.hpp"
-#include "serve/serve_config.hpp"
 #include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
-#include "tiering/tiering_config.hpp"
 
 namespace canopus::core {
 
@@ -123,51 +127,22 @@ struct RuntimeConfig {
   };
   std::uint64_t fault_seed = 0;
   std::vector<TierFaults> faults;
-  std::optional<storage::RetryPolicy> retry;
-
-  /// Metrics + tracing plan from the optional <observability> element;
-  /// nullopt leaves the process-wide observability state untouched.
-  std::optional<obs::ObservabilityOptions> observability;
-
-  /// Shared block cache from the optional <cache> element; nullopt runs
-  /// uncached. make_hierarchy() attaches it; Pipeline::from_config also
-  /// forwards it so a facade built from this config shares one cache.
-  std::optional<canopus::cache::CacheConfig> cache;
-
-  /// Async-engine shape from the optional <io> element; nullopt keeps the
-  /// blocking read path (identical to IoConfig's depth-1 default). Forwarded
-  /// by Pipeline::from_config into every reader the pipeline opens.
-  std::optional<canopus::io::IoConfig> io;
-
-  /// Query-scheduler knobs from the optional <serve> element; nullopt means
-  /// Pipeline::submit_query falls back to ServeConfig defaults on first use.
-  /// Forwarded by Pipeline::from_config.
-  std::optional<canopus::serve::ServeConfig> serve;
 
   /// Simulated-cluster shape from the optional <fabric> element; nullopt
-  /// means single-node serving. The loader only parses and validates the
-  /// options — constructing the fabric::Fabric (and importing a container
-  /// into it) is the application's call, since it needs tier specs per node.
+  /// means single-node serving. The loader only parses and validates it —
+  /// constructing the fabric::Fabric (and importing a container into it) is
+  /// the application's call, since it needs tier specs per node.
   std::optional<canopus::fabric::FabricOptions> fabric;
 
-  /// Workload-adaptive tiering knobs from the optional <tiering> element;
-  /// nullopt keeps placement static. Forwarded by Pipeline::from_config into
-  /// Options::tiering (the pipeline builds the TierAdvisor from it).
-  std::optional<canopus::tiering::TieringConfig> tiering;
-
-  /// Builds the configured hierarchy, with the fault injector attached and
-  /// the retry policy applied when the document configured them.
-  storage::StorageHierarchy make_hierarchy() const;
-
-  /// The document's option blocks as one canopus::Options (parallel,
-  /// observability, cache, io, serve, fabric, tiering). retry and faults are left
-  /// unset on purpose: make_hierarchy() already applies them, and a Pipeline
-  /// built from (make_hierarchy(), options()) must not apply them twice.
-  canopus::Options options() const;
+  /// Everything a Pipeline consumes (parallel, retry, observability, cache,
+  /// io, serve, tiering), validated once by the loader. `faults` stays
+  /// unset: Pipeline::load builds it from the plan above.
+  canopus::Options options;
 };
 
 /// Parses a configuration document; throws Error with a description of the
-/// offending element on invalid input.
+/// offending element (or, for an Options-level rule, the knob and attribute)
+/// on invalid input.
 RuntimeConfig load_config(const std::string& xml_text);
 
 /// Reads and parses a configuration file.

@@ -1,28 +1,24 @@
 #pragma once
-// canopus::Options — the consolidated runtime option surface.
+// canopus::Options — the one description of what a Pipeline consumes.
 //
-// Before this header the knobs of one deployment were scattered: concurrency
-// in core::ParallelConfig, instrumentation in obs::ObservabilityOptions,
-// robustness in storage::RetryPolicy + FaultInjector, caching in
-// cache::CacheConfig, serving in serve::ServeConfig, async I/O in
-// io::IoConfig, and the cluster shape in fabric::FabricOptions — each spelled
-// slightly differently at each call site (PipelineOptions members,
-// ReaderOptions members, XML blocks). Options gathers every per-subsystem
-// block under one roof, with one fluent builder per subsystem, uniform
-// defaults, and a single validation pass that reports every inconsistency
-// with its subsystem context ("canopus::Options: serve.workers must
-// be >= 1") instead of a CANOPUS_CHECK deep inside the subsystem.
+// Concurrency (core::ParallelConfig), instrumentation
+// (obs::ObservabilityOptions), robustness (storage::RetryPolicy +
+// FaultInjector), caching (cache::CacheConfig), serving (serve::ServeConfig),
+// async I/O (io::IoConfig) and adaptive tiering (tiering::TieringConfig) are
+// gathered here, with one fluent builder per block, uniform defaults, and a
+// single validation pass that reports every inconsistency with its subsystem
+// context ("canopus::Options: serve.workers (<serve> workers) must be >= 1")
+// instead of a CANOPUS_CHECK deep inside the subsystem.
 //
 //   auto options = canopus::Options{}
 //                      .with_threads(8)
 //                      .with_cache({.budget_bytes = 256 << 20})
-//                      .with_serve({.workers = 4, .queue_limit = 64})
-//                      .with_fabric({.nodes = 4});
+//                      .with_serve({.workers = 4, .queue_limit = 64});
 //   canopus::Pipeline pipeline(tiers, options);
 //
-// The old spelling `canopus::PipelineOptions` remains as a deprecated alias
-// of this type (see core/pipeline.hpp), so existing designated-initializer
-// call sites keep compiling unchanged; see README.md's migration table.
+// The XML loader (core/config.hpp) parses its Options-level blocks straight
+// into a RuntimeConfig's `options` member and validates them with this same
+// validate(), so a rule is written once for both spellings.
 //
 // The per-subsystem structs themselves stay where their subsystem defines
 // them (serve/serve_config.hpp, io/io_config.hpp, ...): Options is the
@@ -37,7 +33,6 @@
 #include "cache/block_cache.hpp"
 #include "core/status.hpp"
 #include "core/types.hpp"
-#include "fabric/fabric_config.hpp"
 #include "io/io_config.hpp"
 #include "obs/observability.hpp"
 #include "serve/serve_config.hpp"
@@ -47,8 +42,8 @@
 namespace canopus {
 
 /// Pipeline-lifetime configuration: the one place concurrency,
-/// instrumentation, fault policy, caching, serving, async I/O, and the
-/// cluster topology are set.
+/// instrumentation, fault policy, caching, serving, async I/O, and adaptive
+/// tiering are set.
 struct Options {
   /// Worker count / pipeline overlap / read-ahead for both directions.
   core::ParallelConfig parallel;
@@ -75,12 +70,6 @@ struct Options {
   /// pipeline opens (core::ReaderOptions::io). The depth-1 default keeps the
   /// blocking read path.
   io::IoConfig io;
-  /// Cluster shape (node count, partitioning, network envelope, eviction
-  /// watermarks). The pipeline itself does not construct a fabric::Fabric —
-  /// build one from these options and Pipeline::attach_fabric() it — but
-  /// carrying the block here gives XML configs and builders one home for it
-  /// (RuntimeConfig::options() fills it from the <fabric> element).
-  std::optional<fabric::FabricOptions> fabric;
   /// Workload-adaptive tiering (heat tracking + TierAdvisor policy). When
   /// set, Pipeline::tier_advisor() is built with these knobs — and created
   /// eagerly by query_scheduler() when `tiering->enabled`, so queries feed
@@ -132,19 +121,16 @@ struct Options {
     io = value;
     return *this;
   }
-  Options& with_fabric(fabric::FabricOptions value) {
-    fabric = value;
-    return *this;
-  }
   Options& with_tiering(tiering::TieringConfig value) {
     tiering = value;
     return *this;
   }
 
   /// One validation pass over every set block. Throws canopus::Error whose
-  /// message names the offending subsystem and knob ("canopus::Options:
-  /// fabric.nodes must be >= 1"); the facade boundary (Pipeline
-  /// construction, Pipeline::load) maps it to StatusCode::kInvalidArgument.
+  /// message names the offending knob and its XML attribute
+  /// ("canopus::Options: serve.workers (<serve> workers) must be >= 1"); the
+  /// facade boundary (Pipeline construction, Pipeline::load) maps it to
+  /// StatusCode::kInvalidArgument.
   void validate() const;
 
   /// Exception-free validation for Status-first call sites.

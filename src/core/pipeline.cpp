@@ -1,7 +1,9 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
+#include <fstream>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -45,12 +47,12 @@ Status status_from_read(core::RefineStatus refine,
 
 }  // namespace
 
-Pipeline::Pipeline(storage::StorageHierarchy& hierarchy, PipelineOptions options)
+Pipeline::Pipeline(storage::StorageHierarchy& hierarchy, Options options)
     : hierarchy_(&hierarchy), options_(std::move(options)) {
   apply_options();
 }
 
-Pipeline::Pipeline(storage::StorageHierarchy&& hierarchy, PipelineOptions options)
+Pipeline::Pipeline(storage::StorageHierarchy&& hierarchy, Options options)
     : owned_(std::move(hierarchy)),
       hierarchy_(&*owned_),
       options_(std::move(options)) {
@@ -77,17 +79,6 @@ void Pipeline::apply_options() {
   }
 }
 
-Pipeline Pipeline::from_config(const core::RuntimeConfig& config) {
-  // make_hierarchy() already attaches the configured fault injector and retry
-  // policy; config.options() leaves retry/faults unset to avoid re-applying
-  // them.
-  return Pipeline(config.make_hierarchy(), config.options());
-}
-
-Pipeline Pipeline::from_config_file(const std::string& path) {
-  return from_config(core::load_config_file(path));
-}
-
 Status Pipeline::load(const core::RuntimeConfig& config,
                       std::unique_ptr<Pipeline>* pipeline) {
   if (pipeline == nullptr) {
@@ -95,15 +86,31 @@ Status Pipeline::load(const core::RuntimeConfig& config,
                            "load: pipeline must not be null");
   }
   try {
+    Options options = config.options;
+    if (!config.faults.empty()) {
+      // A fresh injector per load: two pipelines built from one document
+      // draw independent fault streams.
+      auto injector =
+          std::make_shared<storage::FaultInjector>(config.fault_seed);
+      for (const auto& tf : config.faults) {
+        const auto tier = std::find_if(
+            config.tiers.begin(), config.tiers.end(),
+            [&](const storage::TierSpec& s) { return s.name == tf.tier_name; });
+        if (tier == config.tiers.end()) continue;
+        injector->set_profile(
+            static_cast<std::size_t>(tier - config.tiers.begin()), tf.profile);
+      }
+      options.faults = std::move(injector);
+    }
     // Pipeline has no move constructor (hierarchy_ points into owned_), so
-    // build in place rather than moving from_config's return.
-    pipeline->reset(
-        new Pipeline(config.make_hierarchy(), config.options()));
+    // build in place.
+    pipeline->reset(new Pipeline(
+        storage::StorageHierarchy(config.tiers, config.policy),
+        std::move(options)));
     return Status::success();
   } catch (...) {
     // A malformed or inconsistent config is a caller bug, not an internal
-    // failure: generic Errors (Options::validate, CANOPUS_CHECKs in the
-    // config loader) map to kInvalidArgument.
+    // failure: generic Errors map to kInvalidArgument.
     return status_from_current_exception(StatusCode::kInvalidArgument);
   }
 }
@@ -114,16 +121,16 @@ Status Pipeline::load(const std::string& config_path,
     return Status::failure(StatusCode::kInvalidArgument,
                            "load: pipeline must not be null");
   }
-  core::RuntimeConfig config;
-  try {
-    config = core::load_config_file(config_path);
-  } catch (...) {
-    // A missing or unreadable file is kNotFound; parse errors inside an
-    // existing file are still generic Errors and land there too — the
-    // detail string disambiguates.
-    return status_from_current_exception(StatusCode::kNotFound);
+  if (!std::ifstream(config_path).good()) {
+    return Status::failure(StatusCode::kNotFound,
+                           "cannot open config file: " + config_path);
   }
-  return load(config, pipeline);
+  try {
+    return load(core::load_config_file(config_path), pipeline);
+  } catch (...) {
+    // The file is there: a parse error or a rejected value is the caller's.
+    return status_from_current_exception(StatusCode::kInvalidArgument);
+  }
 }
 
 Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
@@ -305,6 +312,9 @@ Status Pipeline::flush_trace(std::string* path_out) {
   }
 }
 
-std::string Pipeline::flush_observability() { return obs::flush(); }
+fabric::Fabric* Pipeline::serving_fabric() const {
+  std::scoped_lock lock(wiring_mu_);
+  return fabric_;
+}
 
 }  // namespace canopus

@@ -32,17 +32,18 @@
 // The facade is also the cluster control plane: attach_fabric() plugs a
 // fabric::Fabric in, after which attach_node()/drain_node()/detach_node()/
 // rebalance() grow and shrink the topology at runtime while queries keep
-// being served, and topology() snapshots it (core/topology.hpp). Those
-// members are defined in the fabric module (src/fabric/pipeline_fabric.cpp),
-// mirroring how submit_query() lives in serve — core itself references
-// neither module's symbols.
+// being served, and topology() snapshots it (core/topology.hpp). Members that
+// touch another module's types are defined in that module — the topology
+// control plane in src/fabric/pipeline_fabric.cpp; query_scheduler(),
+// tier_advisor() and attach_fabric(), which wire scheduler, advisor and
+// fabric together, in src/serve/pipeline_serve.cpp — so core itself
+// references no serve, fabric or tiering symbol.
 //
 // The pre-facade entry points (core::refactor_and_write overloads and the
 // core::ProgressiveReader constructor) remain as thin deprecated wrappers
 // around the same engine for source compatibility; new code should come in
 // through Pipeline.
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -62,35 +63,23 @@
 
 namespace canopus {
 
-// The deadline-aware query scheduler (src/serve) plugs into the facade via
-// Pipeline::submit_query(). Only forward declarations here: the serve module
-// links against core, so the member functions touching these types are
-// defined in src/serve/pipeline_serve.cpp and core itself never references
-// serve symbols.
+// Only forward declarations of the serve, fabric and tiering types: those
+// modules link against core, so the members touching them are defined in
+// src/serve/pipeline_serve.cpp and src/fabric/pipeline_fabric.cpp.
 namespace serve {
 struct QueryRequest;
 struct QueryResult;
 class QueryScheduler;
 }  // namespace serve
 
-// Same pattern for the cluster fabric: the control-plane members touching
-// fabric::Fabric are defined in src/fabric/pipeline_fabric.cpp.
 namespace fabric {
 class Fabric;
 }  // namespace fabric
 
-// And for workload-adaptive tiering: the members touching
-// tiering::TierAdvisor are defined in src/tiering/pipeline_tiering.cpp.
 namespace tiering {
 class TierAdvisor;
 struct TieringReport;
 }  // namespace tiering
-
-/// Deprecated spelling of canopus::Options, kept so pre-PR-8 call sites
-/// (designated initializers over the same member names) compile unchanged.
-/// New code should spell it canopus::Options; see README.md's migration
-/// table.
-using PipelineOptions = Options;
 
 /// Everything one refactor-and-write needs. Provide either (mesh, values) —
 /// the full decimate/delta/compress/place pipeline — or a prebuilt cascade
@@ -192,20 +181,14 @@ class Pipeline {
   explicit Pipeline(storage::StorageHierarchy&& hierarchy,
                     Options options = {});
 
-  /// Builds a pipeline from an XML RuntimeConfig file: configured hierarchy
-  /// (tiers, placement, faults, retry), observability, cache, serve, io —
-  /// the Status-returning factory the error-reporting invariant asks for
-  /// (kNotFound for a missing file, kInvalidArgument for a malformed or
-  /// inconsistent config).
+  /// Builds a pipeline from an XML RuntimeConfig file: a hierarchy over the
+  /// configured tiers and placement policy, given the config's Options plus
+  /// a fresh FaultInjector from its <faults> plan. kNotFound when the file
+  /// cannot be read, kInvalidArgument for a malformed or inconsistent config.
   static Status load(const std::string& config_path,
                      std::unique_ptr<Pipeline>* pipeline);
   static Status load(const core::RuntimeConfig& config,
                      std::unique_ptr<Pipeline>* pipeline);
-
-  /// Deprecated throwing factories, kept for source compatibility: prefer
-  /// load(), which returns a Status instead of throwing on a bad config.
-  static Pipeline from_config(const core::RuntimeConfig& config);
-  static Pipeline from_config_file(const std::string& path);
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
@@ -252,29 +235,30 @@ class Pipeline {
 
   /// The pipeline's scheduler, created on first use from Options::serve (or
   /// defaults); never null. Use for non-blocking submission (submit()),
-  /// stats, and the pause/resume admission gate.
+  /// stats, and the pause/resume admission gate. With Options::tiering
+  /// enabled the first call also creates the tier advisor, so queries feed
+  /// heat from the first submission.
   serve::QueryScheduler& query_scheduler();
 
-  // --- Adaptive tiering (defined in src/tiering/pipeline_tiering.cpp). ------
+  // --- Adaptive tiering. ----------------------------------------------------
 
   /// The pipeline's TierAdvisor, created on first use from Options::tiering
   /// (or defaults); never null. On creation it watches the pipeline's
   /// hierarchy, follows the attached fabric (now and on later attaches), is
   /// handed to the query scheduler as its predicted-residency source, and —
   /// when Options::tiering.enabled — starts its background policy thread.
-  /// query_scheduler() creates it implicitly when tiering is enabled.
   tiering::TierAdvisor& tier_advisor();
 
   /// Counter snapshot of the advisor (ticks, promotions, demotions, ...);
   /// creates the advisor on first use like tier_advisor().
   tiering::TieringReport tiering_report();
 
-  // --- Cluster control plane (defined in src/fabric/pipeline_fabric.cpp). ---
+  // --- Cluster control plane. -----------------------------------------------
 
   /// Plugs a serving fabric into the facade (borrowed; must outlive the
   /// pipeline, pass nullptr to unplug). Queries submitted after this route
-  /// across the fabric's nodes (the scheduler is notified, whether it exists
-  /// yet or not), and the topology entry points below become live.
+  /// across the fabric's nodes, the advisor (if any) follows its nodes, and
+  /// the topology entry points below become live.
   Status attach_fabric(fabric::Fabric* fabric);
 
   /// The attached fabric, or nullptr. (Named serving_fabric because a member
@@ -320,15 +304,16 @@ class Pipeline {
   /// configured — that is kOk: nothing to flush is not a failure).
   Status flush_trace(std::string* path_out = nullptr);
 
-  /// Deprecated spelling of flush_trace(): returns the path written instead
-  /// of a Status, hiding sink errors.
-  std::string flush_observability();
-
  private:
   Status run_read(const ReadRequest& request, ReadResult* result);
-  /// Shared ctor tail: validation, observability, retry, faults, cache,
-  /// session pool.
+  /// Shared ctor tail and the only code that attaches options to the
+  /// hierarchy: validation, observability, retry, faults, cache, session
+  /// pool.
   void apply_options();
+  /// The one wiring step (defined in the serve module): connects whatever
+  /// exists of fabric, advisor and scheduler — fabric to advisor, fabric to
+  /// scheduler, advisor to scheduler. Caller holds wiring_mu_.
+  void connect_locked();
 
   std::optional<storage::StorageHierarchy> owned_;
   storage::StorageHierarchy* hierarchy_;
@@ -337,29 +322,19 @@ class Pipeline {
   /// options_.parallel.threads; sessions fall back to the global pool when
   /// no thread count is pinned).
   std::optional<util::ThreadPool> session_pool_;
-  /// Lazily created by tier_advisor() (definition lives in the tiering
-  /// module). Declared before scheduler_ so the scheduler — which holds a
-  /// raw pointer to the advisor — is destroyed first. shared_ptr's
-  /// type-erased deleter makes the incomplete type safe to destroy from
-  /// core TUs.
-  std::shared_ptr<tiering::TierAdvisor> advisor_;
-  std::once_flag advisor_once_;
-  /// Lazily created by query_scheduler() (definition lives in the serve
-  /// module). Declared after session_pool_ so the scheduler's workers join
-  /// before the pool they execute on is torn down. shared_ptr's type-erased
-  /// deleter makes the incomplete type safe to destroy from core TUs.
-  std::shared_ptr<serve::QueryScheduler> scheduler_;
-  std::once_flag scheduler_once_;
-  /// The attached fabric plus the cross-module notification hooks. Each hook
-  /// is a type-erased callback installed by one module and invoked by
-  /// another (scheduler↔fabric, advisor↔fabric, scheduler↔advisor), so no
-  /// module needs another's types; fabric_mu_ orders them all. New hook
-  /// installers compose with (wrap) any previously installed callback.
-  mutable std::mutex fabric_mu_;
+  /// Guards the three wired parts below — the attached fabric and the
+  /// advisor and scheduler, each created at most once on first use — and
+  /// every connect_locked() call.
+  mutable std::mutex wiring_mu_;
   fabric::Fabric* fabric_ = nullptr;
-  std::function<void(fabric::Fabric*)> on_fabric_change_;
-  tiering::TierAdvisor* advisor_raw_ = nullptr;
-  std::function<void(tiering::TierAdvisor*)> on_advisor_change_;
+  /// Created by tier_advisor() or query_scheduler(). Declared before
+  /// scheduler_ so the scheduler — which holds a raw pointer to the advisor —
+  /// is destroyed first. shared_ptr's type-erased deleter makes the
+  /// incomplete type safe to destroy from core TUs.
+  std::shared_ptr<tiering::TierAdvisor> advisor_;
+  /// Created by query_scheduler(). Declared after session_pool_ so the
+  /// scheduler's workers join before the pool they execute on is torn down.
+  std::shared_ptr<serve::QueryScheduler> scheduler_;
 };
 
 }  // namespace canopus

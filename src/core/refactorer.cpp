@@ -17,22 +17,6 @@ namespace canopus::core {
 
 namespace {
 
-/// Paper Fig. 1 layout: base on the fastest tier, deltas progressively lower
-/// (finest delta on the slowest). Level l's product goes `N-1-l` tiers down,
-/// clamped to the stack depth; the hierarchy still bypasses full tiers.
-std::optional<std::uint32_t> tier_hint_for(const RefactorConfig& config,
-                                           const storage::StorageHierarchy& hierarchy,
-                                           std::uint32_t level, std::size_t nbytes) {
-  if (!config.tiered_placement) return std::nullopt;
-  const std::size_t want =
-      std::min(hierarchy.tier_count() - 1,
-               static_cast<std::size_t>(config.levels - 1 - level));
-  // Respect the hint only when that tier has room; otherwise fall back to the
-  // generic bypass placement.
-  if (hierarchy.tier(want).fits(nbytes)) return static_cast<std::uint32_t>(want);
-  return std::nullopt;
-}
-
 /// One delta chunk, encoded on a pool worker and ready to place.
 struct PreparedChunk {
   util::Bytes payload;
@@ -205,6 +189,19 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
 }
 
 }  // namespace
+
+std::optional<std::uint32_t> tier_hint_for(
+    const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
+    std::uint32_t level, std::size_t nbytes) {
+  if (!config.tiered_placement) return std::nullopt;
+  const std::size_t want =
+      std::min(hierarchy.tier_count() - 1,
+               static_cast<std::size_t>(config.levels - 1 - level));
+  const auto [used, capacity] = hierarchy.tier_usage(want);
+  const std::size_t free = capacity > used ? capacity - used : 0;
+  if (nbytes <= free) return static_cast<std::uint32_t>(want);
+  return std::nullopt;
+}
 
 std::size_t RefactorReport::total_raw_bytes() const {
   std::size_t n = 0;

@@ -7,6 +7,7 @@
 // storage hierarchy. The returned report carries the paper's Fig. 6b phase
 // breakdown plus per-product sizes for the Fig. 5 comparison.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,17 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
                                   const std::string& path, const std::string& var,
                                   const mesh::Cascade& cascade,
                                   const RefactorConfig& config);
+
+/// Paper Fig. 1 layout hint: base on the fastest tier, deltas progressively
+/// lower (finest delta on the slowest). Level `level`'s products go
+/// `levels-1-level` tiers down, clamped to the stack depth — when
+/// `config.tiered_placement` is set and that tier has room for `nbytes` now
+/// (read under the hierarchy lock); nullopt otherwise. The hint is advisory:
+/// a block that no longer fits there at write time is placed by the normal
+/// bypass rule (StorageHierarchy::place).
+std::optional<std::uint32_t> tier_hint_for(
+    const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
+    std::uint32_t level, std::size_t nbytes);
 
 /// Baseline for Fig. 5: compress every level directly (no deltas) and report
 /// the same size accounting. Nothing is written to storage.

@@ -116,19 +116,6 @@ std::optional<ChunkLocation> ChunkDirectory::lookup(
   return ChunkLocation{owner, replica};
 }
 
-void ChunkDirectory::rebalance(std::size_t new_nodes) {
-  CANOPUS_CHECK(new_nodes >= 1, "rebalance needs at least one node");
-  std::scoped_lock lock(mu_);
-  active_.resize(new_nodes);
-  for (std::size_t i = 0; i < new_nodes; ++i) {
-    active_[i] = static_cast<std::uint32_t>(i);
-  }
-  ++epoch_;
-  for (auto& [key, entry] : entries_) {
-    entry.owner = owner_for_locked(key, entry.chunk, entry.chunk_count);
-  }
-}
-
 RebalancePlan ChunkDirectory::plan_locked() const {
   RebalancePlan plan;
   plan.epoch = epoch_;

@@ -25,8 +25,6 @@
 //   * coverage — under kMortonRange with nodes <= chunk_count, every node
 //     owns at least one chunk, and the per-node ranges are contiguous and
 //     disjoint;
-//   * rebalance — after rebalance(n'), every recorded entry's owner equals
-//     owner_for() recomputed with n' nodes (the eager legacy contract);
 //   * incremental plans — attach/detach plans contain exactly the entries
 //     whose target owner differs from the recorded owner, and nothing else.
 
@@ -101,13 +99,6 @@ class ChunkDirectory {
   /// the next *active* node after the owner in ring order.
   std::optional<ChunkLocation> lookup(const std::string& key) const;
 
-  /// Recomputes every recorded entry's owner for a new node count (elastic
-  /// grow/shrink). The fabric must re-shard the stored objects to match;
-  /// the directory only answers "who should own this now". Resets the
-  /// active set to {0..new_nodes-1} and bumps the epoch — the eager legacy
-  /// path; the incremental path is attach_node()/detach_node().
-  void rebalance(std::size_t new_nodes);
-
   // --- Elastic topology (incremental). -------------------------------------
 
   /// Adds node `id` to the active set and returns the incremental plan:
@@ -129,11 +120,11 @@ class ChunkDirectory {
   /// the new owner from this call on.
   void commit_move(const std::string& key, std::uint32_t new_owner);
 
-  /// Monotone topology epoch: bumped by rebalance(), attach_node(),
-  /// detach_node(), and set_residency() — any event after which cached owner
-  /// resolutions or cost-model residency probes may be stale. Planners
-  /// snapshot it and re-plan when it moves; a migration plan whose epoch is
-  /// no longer current has been superseded. commit_move() does not bump it
+  /// Monotone topology epoch: bumped by attach_node(), detach_node(), and
+  /// set_residency() — any event after which cached owner resolutions or
+  /// cost-model residency probes may be stale. Planners snapshot it and
+  /// re-plan when it moves; a migration plan whose epoch is no longer
+  /// current has been superseded. commit_move() does not bump it
   /// (cutovers execute *under* the epoch that planned them; lookup() is the
   /// live source of truth for who holds a key).
   std::uint64_t epoch() const;

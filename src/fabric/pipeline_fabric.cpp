@@ -1,7 +1,8 @@
-// Pipeline's cluster control plane. These members are declared in
+// Pipeline's topology control plane. These members are declared in
 // core/pipeline.hpp but defined here in the fabric module (which links
 // against core) so that core itself never references fabric symbols —
-// the same layering trick as serve/pipeline_serve.cpp.
+// the same layering trick as serve/pipeline_serve.cpp, which plugs the
+// fabric in (Pipeline::attach_fabric).
 
 #include <utility>
 
@@ -44,20 +45,6 @@ Status status_from_migration(const fabric::MigrationReport& report) {
 }
 
 }  // namespace
-
-Status Pipeline::attach_fabric(fabric::Fabric* fabric) {
-  std::scoped_lock lock(fabric_mu_);
-  fabric_ = fabric;
-  // Tell the scheduler (if it exists yet) to re-route; when it is created
-  // later, query_scheduler() reads fabric_ under the same mutex instead.
-  if (on_fabric_change_) on_fabric_change_(fabric);
-  return Status::success();
-}
-
-fabric::Fabric* Pipeline::serving_fabric() const {
-  std::scoped_lock lock(fabric_mu_);
-  return fabric_;
-}
 
 Status Pipeline::attach_node(std::uint32_t* id) {
   fabric::Fabric* f = serving_fabric();

@@ -3,24 +3,10 @@
 #include <optional>
 
 #include "compress/codec.hpp"
+#include "core/refactorer.hpp"
 #include "util/assert.hpp"
 
 namespace canopus::grid {
-
-namespace {
-
-std::optional<std::uint32_t> tier_hint_for(const core::RefactorConfig& config,
-                                           const storage::StorageHierarchy& hierarchy,
-                                           std::uint32_t level, std::size_t nbytes) {
-  if (!config.tiered_placement) return std::nullopt;
-  const std::size_t want =
-      std::min(hierarchy.tier_count() - 1,
-               static_cast<std::size_t>(config.levels - 1 - level));
-  if (hierarchy.tier(want).fits(nbytes)) return static_cast<std::uint32_t>(want);
-  return std::nullopt;
-}
-
-}  // namespace
 
 GridRefactorReport refactor_and_write_grid(storage::StorageHierarchy& hierarchy,
                                            const std::string& path,
@@ -60,7 +46,8 @@ GridRefactorReport refactor_and_write_grid(storage::StorageHierarchy& hierarchy,
     const auto t = writer.write_doubles(
         var, adios::BlockKind::kBase, base_level, base, config.codec,
         config.error_bound,
-        tier_hint_for(config, hierarchy, base_level, base.size() * sizeof(double)));
+        core::tier_hint_for(config, hierarchy, base_level,
+                            base.size() * sizeof(double)));
     report.phases.add("delta+compress", t.compress_seconds);
     report.phases.add("io", t.io_sim_seconds);
     report.stored_bytes += t.bytes_written;
@@ -74,7 +61,8 @@ GridRefactorReport refactor_and_write_grid(storage::StorageHierarchy& hierarchy,
     const auto t = writer.write_doubles(
         var, adios::BlockKind::kDelta, level, delta, config.codec,
         config.error_bound,
-        tier_hint_for(config, hierarchy, level, delta.size() * sizeof(double)));
+        core::tier_hint_for(config, hierarchy, level,
+                            delta.size() * sizeof(double)));
     report.phases.add("delta+compress", t.compress_seconds);
     report.phases.add("io", t.io_sim_seconds);
     report.stored_bytes += t.bytes_written;

@@ -1,51 +1,75 @@
-// Pipeline facade entry points into the serve module.
+// Pipeline facade members that wire the query scheduler, the tier advisor
+// and the serving fabric together.
 //
 // These are member functions of canopus::Pipeline, declared in
-// core/pipeline.hpp but defined here: serve links against core, so core's own
-// TUs never reference serve symbols and the layering stays acyclic. Any
-// binary calling Pipeline::submit_query()/query_scheduler() links canopus
-// (the umbrella), which carries this TU.
+// core/pipeline.hpp but defined here: serve is the one module that already
+// links serve, tiering and fabric, so core's own TUs never reference their
+// symbols and the layering stays acyclic. Any binary calling these links
+// canopus (the umbrella), which carries this TU.
 
 #include "core/pipeline.hpp"
 #include "serve/query_scheduler.hpp"
+#include "tiering/tier_advisor.hpp"
 
 namespace canopus {
 
-serve::QueryScheduler& Pipeline::query_scheduler() {
-  // With tiering enabled the advisor must exist before the first query, or
-  // no heat is recorded and the placement loop never closes. Created outside
-  // the call_once body: tier_advisor() takes fabric_mu_ itself, so creating
-  // it inside would self-deadlock.
-  if (options_.tiering.has_value() && options_.tiering->enabled) {
-    tier_advisor();
+namespace {
+
+std::shared_ptr<tiering::TierAdvisor> make_advisor(
+    const Options& options, storage::StorageHierarchy& hierarchy) {
+  auto advisor = std::make_shared<tiering::TierAdvisor>(
+      options.tiering.value_or(tiering::TieringConfig{}));
+  advisor->watch(hierarchy);
+  return advisor;
+}
+
+}  // namespace
+
+void Pipeline::connect_locked() {
+  if (advisor_ != nullptr) advisor_->attach_fabric(fabric_);
+  if (scheduler_ != nullptr) {
+    scheduler_->attach_fabric(fabric_);
+    scheduler_->attach_tier_advisor(advisor_.get());
   }
-  std::call_once(scheduler_once_, [this] {
-    auto scheduler = std::make_shared<serve::QueryScheduler>(
+}
+
+Status Pipeline::attach_fabric(fabric::Fabric* fabric) {
+  std::scoped_lock lock(wiring_mu_);
+  fabric_ = fabric;
+  connect_locked();
+  return Status::success();
+}
+
+tiering::TierAdvisor& Pipeline::tier_advisor() {
+  std::scoped_lock lock(wiring_mu_);
+  if (advisor_ == nullptr) {
+    advisor_ = make_advisor(options_, *hierarchy_);
+    connect_locked();
+    if (advisor_->config().enabled) advisor_->start();
+  }
+  return *advisor_;
+}
+
+tiering::TieringReport Pipeline::tiering_report() {
+  return tier_advisor().report();
+}
+
+serve::QueryScheduler& Pipeline::query_scheduler() {
+  std::scoped_lock lock(wiring_mu_);
+  if (scheduler_ == nullptr) {
+    // With tiering enabled the advisor must exist before the first query, or
+    // no heat is recorded and the placement loop never closes.
+    const bool start_advisor = advisor_ == nullptr &&
+                               options_.tiering.has_value() &&
+                               options_.tiering->enabled;
+    if (start_advisor) advisor_ = make_advisor(options_, *hierarchy_);
+    scheduler_ = std::make_shared<serve::QueryScheduler>(
         *hierarchy_, options_.serve.value_or(serve::ServeConfig{}),
         options_.parallel,
         session_pool_.has_value() ? &*session_pool_ : nullptr);
-    // Route across the attached fabric (if any), and keep routing current
-    // when the fabric is attached or swapped later: Pipeline::attach_fabric
-    // (fabric module) fires this hook under the same mutex. The hook
-    // captures the shared_ptr, not `this`, so it stays valid for the
-    // scheduler's whole lifetime. Composed with (not replacing) any hook the
-    // tier advisor installed before us.
-    std::scoped_lock lock(fabric_mu_);
-    scheduler->attach_fabric(fabric_);
-    auto previous = std::move(on_fabric_change_);
-    on_fabric_change_ = [scheduler, previous = std::move(previous)](
-                            fabric::Fabric* fabric) {
-      if (previous) previous(fabric);
-      scheduler->attach_fabric(fabric);
-    };
-    // Predicted-residency source: use the advisor if it exists, and pick it
-    // up later if Pipeline::tier_advisor() creates one after us.
-    scheduler->attach_tier_advisor(advisor_raw_);
-    on_advisor_change_ = [scheduler](tiering::TierAdvisor* advisor) {
-      scheduler->attach_tier_advisor(advisor);
-    };
-    scheduler_ = std::move(scheduler);
-  });
+    connect_locked();
+    if (start_advisor) advisor_->start();
+  }
   return *scheduler_;
 }
 

@@ -14,7 +14,11 @@ util::Bytes frame_blob(util::BytesView payload) {
   std::memcpy(frame.data(), &magic, sizeof magic);
   std::memcpy(frame.data() + 4, &length, sizeof length);
   std::memcpy(frame.data() + 12, &crc, sizeof crc);
-  std::memcpy(frame.data() + kFrameOverhead, payload.data(), payload.size());
+  // An empty payload may have a null data(); memcpy from null is undefined
+  // even for zero bytes.
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + kFrameOverhead, payload.data(), payload.size());
+  }
   return frame;
 }
 

@@ -45,11 +45,16 @@ std::optional<std::size_t> StorageHierarchy::choose_tier(std::size_t nbytes) con
   CANOPUS_UNREACHABLE("unknown placement policy");
 }
 
-std::pair<std::size_t, IoResult> StorageHierarchy::place(const std::string& key,
-                                                         util::BytesView data) {
+std::pair<std::size_t, IoResult> StorageHierarchy::place(
+    const std::string& key, util::BytesView data,
+    std::optional<std::size_t> preferred) {
   std::scoped_lock lock(mu_);
   erase(key);  // replacing an object must not leak capacity on another tier
-  const auto choice = choose_tier_for(key, data.size());
+  CANOPUS_ASSERT(!preferred.has_value() || *preferred < tiers_.size());
+  const bool use_preferred =
+      preferred.has_value() && tiers_[*preferred]->fits(data.size());
+  const auto choice =
+      use_preferred ? preferred : choose_tier_for(key, data.size());
   if (!choice.has_value()) {
     throw CapacityError("no tier can hold '" + key + "' (" +
                         std::to_string(data.size()) + " bytes)");

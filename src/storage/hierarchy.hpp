@@ -171,10 +171,14 @@ class StorageHierarchy {
   /// or nullopt when nothing fits.
   std::optional<std::size_t> choose_tier(std::size_t nbytes) const;
 
-  /// Places and writes an object; returns (tier index, io result).
-  /// Throws Error when no tier can hold it.
-  std::pair<std::size_t, IoResult> place(const std::string& key,
-                                         util::BytesView data);
+  /// Places and writes an object; returns (tier index, io result). When
+  /// `preferred` names a tier with room, the object goes there; otherwise
+  /// the policy places it, bypassing full tiers. The fit check and the write
+  /// run under one lock, so a concurrent writer cannot take the room in
+  /// between. Throws CapacityError when no tier can hold it.
+  std::pair<std::size_t, IoResult> place(
+      const std::string& key, util::BytesView data,
+      std::optional<std::size_t> preferred = std::nullopt);
 
   /// place() plus a best-effort replica on the next tier down (see
   /// replicate_below). The replica's write cost is folded into the returned

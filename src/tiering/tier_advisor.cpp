@@ -309,15 +309,21 @@ std::size_t TierAdvisor::tick_impl(State& s) {
           ++promoted;
           ++moves;
           moved_group = true;
-        } catch (const storage::CapacityError&) {
+        } catch (const Error&) {
+          // No room (make_room could not free enough, or a concurrent write
+          // took what it freed) or a faulting source tier: skip the group
+          // like a failed demotion, so no exception reaches the policy
+          // thread. Roll the plan back to actual residency, read before
+          // taking pred_mu (the lock order puts the hierarchy mutex first).
           ++skipped_cap;
-          // Roll the plan back to actual residency.
-          std::scoped_lock plock(s.pred_mu);
+          std::vector<std::pair<const std::string*, std::size_t>> actual;
           for (const auto& [m, t] : local) {
             if (const std::optional<std::size_t> a = h->find(m->key)) {
-              s.predicted[m->key] = *a;
+              actual.emplace_back(&m->key, *a);
             }
           }
+          std::scoped_lock plock(s.pred_mu);
+          for (const auto& [key, where] : actual) s.predicted[*key] = where;
         }
       } else {  // want_down
         if (cur + 1 >= h->tier_count()) continue;  // already at the bottom

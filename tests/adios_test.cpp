@@ -119,6 +119,28 @@ TEST(Bp, TierHintPinsBlock) {
   EXPECT_EQ(r.inq_var("v").blocks[0].tier, 1u);
 }
 
+TEST(Bp, FullHintedTierFallsBackToBypassPlacement) {
+  // The hint was computed when the tier had room; by write time another
+  // writer has filled it. The block takes the normal bypass placement (the
+  // next tier with room) instead of failing with "over capacity".
+  auto h = two_tiers(1024);
+  h.place("filler", cu::Bytes(900));
+  ASSERT_EQ(h.find("filler"), std::optional<std::size_t>(0));
+  {
+    ca::BpWriter w(h, "full.bp");
+    const auto t = w.write_doubles("v", ca::BlockKind::kData, 0, wave(100),
+                                   "raw", 0.0, 0u);
+    EXPECT_EQ(t.tier, 1u);
+    w.close();
+  }
+  ca::BpReader r(h, "full.bp");
+  const auto info = r.inq_var("v");
+  const auto& block = info.blocks[0];
+  EXPECT_EQ(block.tier, 1u);
+  EXPECT_EQ(h.find(block.object_key), std::optional<std::size_t>(1));
+  EXPECT_EQ(r.read_doubles("v", ca::BlockKind::kData, 0), wave(100));
+}
+
 TEST(Bp, OpaqueMeshBlockRoundTrip) {
   auto h = two_tiers();
   const auto mesh = cm::make_annulus_mesh(4, 24, 0.5, 1.0, 0.1, 2);

@@ -5,8 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
+#include "core/pipeline.hpp"
 #include "util/xml.hpp"
 
 namespace cu = canopus::util;
@@ -120,8 +124,9 @@ TEST(Config, LoadsTiersAndRefactor) {
             canopus::mesh::EdgePriority::kGradientWeighted);
   EXPECT_FALSE(config.refactor.tiered_placement);
 
-  auto hierarchy = config.make_hierarchy();
-  EXPECT_EQ(hierarchy.tier_count(), 2u);
+  std::unique_ptr<canopus::Pipeline> pipeline;
+  ASSERT_TRUE(canopus::Pipeline::load(config, &pipeline).ok());
+  EXPECT_EQ(pipeline->hierarchy().tier_count(), 2u);
 }
 
 TEST(Config, ParsesParallelKnobs) {
@@ -130,16 +135,16 @@ TEST(Config, ParsesParallelKnobs) {
     <threads> 4 </threads>
     <pipeline overlap="false" read-ahead="false"/>
   </canopus-config>)");
-  EXPECT_EQ(config.refactor.parallel.threads, 4u);
-  EXPECT_FALSE(config.refactor.parallel.pipeline);
-  EXPECT_FALSE(config.refactor.parallel.read_ahead);
+  EXPECT_EQ(config.options.parallel.threads, 4u);
+  EXPECT_FALSE(config.options.parallel.pipeline);
+  EXPECT_FALSE(config.options.parallel.read_ahead);
 }
 
 TEST(Config, ParallelKnobsDefaultToConcurrent) {
   const auto config = cc::load_config(kSample);
-  EXPECT_EQ(config.refactor.parallel.threads, 0u);  // 0 = global pool
-  EXPECT_TRUE(config.refactor.parallel.pipeline);
-  EXPECT_TRUE(config.refactor.parallel.read_ahead);
+  EXPECT_EQ(config.options.parallel.threads, 0u);  // 0 = global pool
+  EXPECT_TRUE(config.options.parallel.pipeline);
+  EXPECT_TRUE(config.options.parallel.read_ahead);
 }
 
 TEST(Config, ParsesCacheBlock) {
@@ -147,26 +152,30 @@ TEST(Config, ParsesCacheBlock) {
     <storage><tier preset="tmpfs" capacity="4MiB"/></storage>
     <cache budget="8MiB" shards="2" verify-hits="true"/>
   </canopus-config>)");
-  ASSERT_TRUE(config.cache.has_value());
-  EXPECT_EQ(config.cache->budget_bytes, 8u << 20);
-  EXPECT_EQ(config.cache->shards, 2u);
-  EXPECT_TRUE(config.cache->verify_hits);
-  auto hierarchy = config.make_hierarchy();
-  ASSERT_NE(hierarchy.block_cache(), nullptr);
-  EXPECT_EQ(hierarchy.block_cache()->budget_bytes(), 8u << 20);
+  ASSERT_TRUE(config.options.cache.has_value());
+  EXPECT_EQ(config.options.cache->budget_bytes, 8u << 20);
+  EXPECT_EQ(config.options.cache->shards, 2u);
+  EXPECT_TRUE(config.options.cache->verify_hits);
+  std::unique_ptr<canopus::Pipeline> pipeline;
+  ASSERT_TRUE(canopus::Pipeline::load(config, &pipeline).ok());
+  ASSERT_NE(pipeline->block_cache(), nullptr);
+  EXPECT_EQ(pipeline->block_cache()->budget_bytes(), 8u << 20);
 }
 
 TEST(Config, CacheDefaultsOffAndAcceptsBudgetMb) {
   // No <cache> element: uncached hierarchy, optional stays empty.
-  EXPECT_FALSE(cc::load_config(kSample).cache.has_value());
-  EXPECT_EQ(cc::load_config(kSample).make_hierarchy().block_cache(), nullptr);
+  EXPECT_FALSE(cc::load_config(kSample).options.cache.has_value());
+  std::unique_ptr<canopus::Pipeline> uncached;
+  ASSERT_TRUE(
+      canopus::Pipeline::load(cc::load_config(kSample), &uncached).ok());
+  EXPECT_EQ(uncached->block_cache(), nullptr);
   const auto config = cc::load_config(R"(<canopus-config>
     <storage><tier preset="tmpfs" capacity="4MiB"/></storage>
     <cache budget-mb="16"/>
   </canopus-config>)");
-  ASSERT_TRUE(config.cache.has_value());
-  EXPECT_EQ(config.cache->budget_bytes, 16u << 20);
-  EXPECT_FALSE(config.cache->verify_hits);
+  ASSERT_TRUE(config.options.cache.has_value());
+  EXPECT_EQ(config.options.cache->budget_bytes, 16u << 20);
+  EXPECT_FALSE(config.options.cache->verify_hits);
 }
 
 TEST(Config, InvalidCacheBlockThrows) {
@@ -187,8 +196,8 @@ TEST(Config, InvalidCacheBlockThrows) {
     <storage><tier preset="tmpfs" capacity="4MiB"/></storage>
     <cache/>
   </canopus-config>)");
-  ASSERT_TRUE(bare.cache.has_value());
-  EXPECT_EQ(bare.cache->budget_bytes,
+  ASSERT_TRUE(bare.options.cache.has_value());
+  EXPECT_EQ(bare.options.cache->budget_bytes,
             canopus::cache::CacheConfig{}.budget_bytes);
 }
 
@@ -321,21 +330,22 @@ TEST(Config, ParsesServeBlock) {
   const auto config = cc::load_config(wrap(
       "<serve workers=\"4\" queue-limit=\"64\" deadline-default=\"250ms\""
       " age-boost=\"2.5\"/>"));
-  ASSERT_TRUE(config.serve.has_value());
-  EXPECT_EQ(config.serve->workers, 4u);
-  EXPECT_EQ(config.serve->queue_limit, 64u);
-  EXPECT_DOUBLE_EQ(config.serve->default_deadline_seconds, 0.25);
-  EXPECT_DOUBLE_EQ(config.serve->age_boost, 2.5);
+  ASSERT_TRUE(config.options.serve.has_value());
+  EXPECT_EQ(config.options.serve->workers, 4u);
+  EXPECT_EQ(config.options.serve->queue_limit, 64u);
+  EXPECT_DOUBLE_EQ(config.options.serve->default_deadline_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(config.options.serve->age_boost, 2.5);
 }
 
 TEST(Config, ServeDefaultsAndValidation) {
   // No <serve> element: the optional stays empty (scheduler defaults apply
   // lazily at first use).
-  EXPECT_FALSE(cc::load_config(kSample).serve.has_value());
+  EXPECT_FALSE(cc::load_config(kSample).options.serve.has_value());
   // Bare <serve/> opts in with the ServeConfig defaults.
   const auto bare = cc::load_config(wrap("<serve/>"));
-  ASSERT_TRUE(bare.serve.has_value());
-  EXPECT_EQ(bare.serve->workers, canopus::serve::ServeConfig{}.workers);
+  ASSERT_TRUE(bare.options.serve.has_value());
+  EXPECT_EQ(bare.options.serve->workers,
+            canopus::serve::ServeConfig{}.workers);
 
   EXPECT_THROW(cc::load_config(wrap("<serve workers=\"0\"/>")),
                canopus::Error);
@@ -395,6 +405,10 @@ TEST(Config, FabricDefaultsAndValidation) {
   EXPECT_THROW(cc::load_config(
                    wrap("<fabric eviction-high=\"0.5\" eviction-low=\"0.8\"/>")),
                canopus::Error);
+  // An empty band (low == high) is inverted too.
+  EXPECT_THROW(cc::load_config(
+                   wrap("<fabric eviction-high=\"0.5\" eviction-low=\"0.5\"/>")),
+               canopus::Error);
   EXPECT_THROW(cc::load_config(wrap("<fabric eviction-interval=\"0ms\"/>")),
                canopus::Error);
   const std::string bad_nodes = config_error(wrap("<fabric nodes=\"many\"/>"));
@@ -406,22 +420,20 @@ TEST(Config, FabricDefaultsAndValidation) {
 TEST(Config, ParsesIoBlock) {
   const auto config = cc::load_config(
       wrap("<io depth=\"8\" batch=\"4\" deadline=\"5ms\"/>"));
-  ASSERT_TRUE(config.io.has_value());
-  EXPECT_EQ(config.io->depth, 8u);
-  EXPECT_EQ(config.io->batch, 4u);
-  EXPECT_DOUBLE_EQ(config.io->deadline_seconds, 5e-3);
-  EXPECT_TRUE(config.io->enabled());
+  EXPECT_EQ(config.options.io.depth, 8u);
+  EXPECT_EQ(config.options.io.batch, 4u);
+  EXPECT_DOUBLE_EQ(config.options.io.deadline_seconds, 5e-3);
+  EXPECT_TRUE(config.options.io.enabled());
 }
 
 TEST(Config, IoDefaultsAndValidation) {
-  // No <io> element: the optional stays empty and readers stay blocking.
-  EXPECT_FALSE(cc::load_config(kSample).io.has_value());
-  // Bare <io/> opts in with the defaults — depth 1 keeps the engine off.
+  // No <io> element: readers stay blocking.
+  EXPECT_FALSE(cc::load_config(kSample).options.io.enabled());
+  // Bare <io/> keeps the defaults — depth 1 keeps the engine off.
   const auto bare = cc::load_config(wrap("<io/>"));
-  ASSERT_TRUE(bare.io.has_value());
-  EXPECT_EQ(bare.io->depth, 1u);
-  EXPECT_FALSE(bare.io->enabled());
-  EXPECT_DOUBLE_EQ(bare.io->deadline_seconds, 0.0);
+  EXPECT_EQ(bare.options.io.depth, 1u);
+  EXPECT_FALSE(bare.options.io.enabled());
+  EXPECT_DOUBLE_EQ(bare.options.io.deadline_seconds, 0.0);
 
   EXPECT_THROW(cc::load_config(wrap("<io depth=\"0\"/>")), canopus::Error);
   EXPECT_THROW(cc::load_config(wrap("<io batch=\"0\"/>")), canopus::Error);
@@ -429,4 +441,65 @@ TEST(Config, IoDefaultsAndValidation) {
                canopus::Error);
   const std::string bad_depth = config_error(wrap("<io depth=\"eight\"/>"));
   EXPECT_NE(bad_depth.find("depth"), std::string::npos) << bad_depth;
+}
+
+// ------------------------------------------------------ validated once --
+
+TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
+  // Each Options-level rule lives only in Options::validate(), which the
+  // loader runs once: the message names the knob, and Pipeline::load reports
+  // every document it cannot use as kInvalidArgument — kNotFound is for a
+  // file that cannot be read.
+  struct Case {
+    std::string body;  // elements after <storage>
+    std::string knob;  // "" when the document is not even well-formed
+  };
+  const std::vector<Case> cases = {
+      {"<refactor levels=", ""},
+      {"<retry max-attempts=\"0\"/>", "retry.max_attempts"},
+      {"<retry backoff=\"infs\"/>", "retry.backoff_seconds"},
+      {"<retry multiplier=\"0.5\"/>", "retry.backoff_multiplier"},
+      {"<cache budget=\"0\"/>", "cache.budget_bytes"},
+      {"<cache budget-mb=\"0\"/>", "cache.budget_bytes"},
+      {"<cache shards=\"0\"/>", "cache.shards"},
+      {"<observability histogram-buckets=\"1\"/>",
+       "observability.histogram_buckets"},
+      {"<io depth=\"0\"/>", "io.depth"},
+      {"<io batch=\"0\"/>", "io.batch"},
+      {"<io deadline=\"infms\"/>", "io.deadline_seconds"},
+      {"<serve workers=\"0\"/>", "serve.workers"},
+      {"<serve queue-limit=\"0\"/>", "serve.queue_limit"},
+      {"<serve deadline-default=\"0ms\"/>", "serve.default_deadline_seconds"},
+      {"<serve age-boost=\"-1\"/>", "serve.age_boost"},
+      {"<tiering half-life=\"0ms\"/>", "tiering.half_life_seconds"},
+      {"<tiering promote-above=\"-1\"/>", "tiering.promote_threshold"},
+      {"<tiering demote-below=\"-1\"/>", "tiering.demote_threshold"},
+      {"<tiering demote-below=\"4\" promote-above=\"4\"/>",
+       "tiering.demote_threshold"},
+      {"<tiering interval=\"0ms\"/>", "tiering.interval_seconds"},
+      {"<tiering max-moves=\"0\"/>", "tiering.max_moves_per_tick"},
+      {"<tiering reserve=\"1\"/>", "tiering.reserve"},
+  };
+  namespace fs = std::filesystem;
+  const auto path =
+      (fs::temp_directory_path() / "canopus_bad_config_test.xml").string();
+  for (const auto& c : cases) {
+    const std::string xml = wrap(c.body);
+    const std::string what = config_error(xml);
+    EXPECT_FALSE(what.empty()) << c.body << " was accepted";
+    EXPECT_NE(what.find(c.knob), std::string::npos) << c.body << ": " << what;
+    {
+      std::ofstream f(path);
+      f << xml;
+    }
+    std::unique_ptr<canopus::Pipeline> pipeline;
+    const canopus::Status st = canopus::Pipeline::load(path, &pipeline);
+    EXPECT_EQ(st.code, canopus::StatusCode::kInvalidArgument)
+        << c.body << ": " << st.to_string();
+    EXPECT_EQ(pipeline, nullptr) << c.body;
+  }
+  std::remove(path.c_str());
+  std::unique_ptr<canopus::Pipeline> pipeline;
+  EXPECT_EQ(canopus::Pipeline::load(path, &pipeline).code,
+            canopus::StatusCode::kNotFound);
 }

@@ -26,7 +26,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/canopus.hpp"
@@ -540,15 +539,12 @@ TEST(ElasticServe, QueryAfterDetachNeverRoutesToRemovedNode) {
 
 // ------------------------------------------ facade: Options + control plane
 
-TEST(ElasticOptions, BuilderChainsAndAliasIsSameType) {
-  static_assert(std::is_same_v<canopus::PipelineOptions, canopus::Options>,
-                "PipelineOptions must remain an alias of Options");
+TEST(ElasticOptions, BuilderChains) {
   const auto options = canopus::Options{}
                            .with_threads(3)
                            .with_cache({.budget_bytes = 1 << 20, .shards = 2})
                            .with_serve({.workers = 1})
                            .with_io({.depth = 4, .batch = 2})
-                           .with_fabric({.nodes = 2})
                            .with_retry({.max_attempts = 2})
                            .with_trace("t.json");
   EXPECT_EQ(options.parallel.threads, 3u);
@@ -557,8 +553,6 @@ TEST(ElasticOptions, BuilderChainsAndAliasIsSameType) {
   ASSERT_TRUE(options.serve.has_value());
   EXPECT_EQ(options.serve->workers, 1u);
   EXPECT_EQ(options.io.depth, 4u);
-  ASSERT_TRUE(options.fabric.has_value());
-  EXPECT_EQ(options.fabric->nodes, 2u);
   ASSERT_TRUE(options.retry.has_value());
   EXPECT_EQ(options.retry->max_attempts, 2u);
   ASSERT_TRUE(options.observability.has_value());
@@ -574,12 +568,6 @@ TEST(ElasticOptions, ValidationNamesTheOffendingKnob) {
     EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
     EXPECT_NE(st.detail.find("serve.workers"), std::string::npos) << st.detail;
     EXPECT_THROW(options.validate(), canopus::Error);
-  }
-  {
-    auto options = canopus::Options{}.with_fabric({.nodes = 0});
-    const Status st = options.check();
-    EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
-    EXPECT_NE(st.detail.find("fabric.nodes"), std::string::npos) << st.detail;
   }
   {
     auto options = canopus::Options{}.with_cache({.budget_bytes = 0});
@@ -622,8 +610,8 @@ TEST(ElasticFacade, LoadReturnsStatusInsteadOfThrowing) {
   ASSERT_NE(pipeline, nullptr);
   EXPECT_EQ(pipeline->options().parallel.threads, 1u);
 
-  // flush_trace is the Status spelling of flush_observability; with no sink
-  // configured there is nothing to flush and that is kOk.
+  // With no trace sink configured there is nothing to flush, and that is
+  // kOk.
   std::string trace_path = "unset";
   EXPECT_TRUE(pipeline->flush_trace(&trace_path).ok());
   EXPECT_TRUE(trace_path.empty());

@@ -187,9 +187,18 @@ TEST(ChunkDirectory, RebalanceRecomputesEveryOwnerAndReplica) {
     }
     ASSERT_EQ(dir.size(), keys.size());
 
-    for (const std::size_t new_nodes : {6u, 2u, 1u}) {
-      dir.rebalance(new_nodes);
+    // Grow to 6 nodes, then shrink to 2 and 1, one attach/detach at a time,
+    // committing every planned move as the fabric would. Ids stay
+    // contiguous, so the active set is {0..new_nodes-1} at each check.
+    const auto commit = [&dir](const cf::RebalancePlan& plan) {
+      for (const auto& move : plan.moves) dir.commit_move(move.key, move.to);
+    };
+    std::uint32_t nodes = 4;
+    for (const std::uint32_t new_nodes : {6u, 2u, 1u}) {
+      while (nodes < new_nodes) commit(dir.attach_node(nodes++));
+      while (nodes > new_nodes) commit(dir.detach_node(--nodes));
       EXPECT_EQ(dir.node_count(), new_nodes);
+      EXPECT_TRUE(dir.plan_rebalance().moves.empty()) << "seed=" << seed;
       for (const auto& k : keys) {
         const auto loc = dir.lookup(k.key);
         ASSERT_TRUE(loc.has_value()) << k.key << " seed=" << seed;
@@ -433,7 +442,7 @@ TEST(Fabric, NodeKillMidRunDegradesToReplicasWithoutLostReads) {
   cf::FabricOptions fo;
   fo.nodes = kNodes;
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = 1;  // serial, on-demand reads: exact fetch counts
   popt.parallel.read_ahead = false;
 

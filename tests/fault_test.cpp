@@ -514,16 +514,24 @@ TEST(FaultConfig, XmlBuildsFaultedHierarchy) {
   EXPECT_DOUBLE_EQ(config.faults[0].profile.corrupt, 0.01);
   EXPECT_DOUBLE_EQ(config.faults[0].profile.latency_spike, 0.05);
   EXPECT_DOUBLE_EQ(config.faults[0].profile.spike_seconds, 0.02);
-  ASSERT_TRUE(config.retry.has_value());
-  EXPECT_EQ(config.retry->max_attempts, 6u);
-  EXPECT_DOUBLE_EQ(config.retry->backoff_seconds, 2e-3);
-  EXPECT_DOUBLE_EQ(config.retry->backoff_multiplier, 3.0);
+  ASSERT_TRUE(config.options.retry.has_value());
+  EXPECT_EQ(config.options.retry->max_attempts, 6u);
+  EXPECT_DOUBLE_EQ(config.options.retry->backoff_seconds, 2e-3);
+  EXPECT_DOUBLE_EQ(config.options.retry->backoff_multiplier, 3.0);
 
-  auto tiers = config.make_hierarchy();
+  std::unique_ptr<canopus::Pipeline> pipeline;
+  ASSERT_TRUE(canopus::Pipeline::load(config, &pipeline).ok());
+  const auto& tiers = pipeline->hierarchy();
   ASSERT_NE(tiers.fault_injector(), nullptr);
   EXPECT_DOUBLE_EQ(tiers.fault_injector()->profile(1).read_error, 0.1);
   EXPECT_DOUBLE_EQ(tiers.fault_injector()->profile(0).read_error, 0.0);
   EXPECT_EQ(tiers.retry_policy().max_attempts, 6u);
+
+  // Every load builds its own injector: two pipelines from one document
+  // draw independent fault streams.
+  std::unique_ptr<canopus::Pipeline> second;
+  ASSERT_TRUE(canopus::Pipeline::load(config, &second).ok());
+  EXPECT_NE(second->hierarchy().fault_injector(), tiers.fault_injector());
 }
 
 TEST(FaultConfig, UnknownTierNameRejected) {

@@ -29,7 +29,6 @@ namespace cu = canopus::util;
 namespace obs = canopus::obs;
 
 using canopus::Pipeline;
-using canopus::PipelineOptions;
 using canopus::ReadRequest;
 using canopus::ReadResult;
 using canopus::Status;
@@ -546,12 +545,13 @@ TEST(Pipeline, ConfigObservabilityBlockInstallsOptions) {
     <observability enabled="true" histogram-buckets="16"/>
   </canopus-config>)";
   const auto config = cc::load_config(xml);
-  ASSERT_TRUE(config.observability.has_value());
-  EXPECT_TRUE(config.observability->enabled);
-  EXPECT_EQ(config.observability->histogram_buckets, 16u);
-  EXPECT_TRUE(config.observability->trace_path.empty());
+  ASSERT_TRUE(config.options.observability.has_value());
+  EXPECT_TRUE(config.options.observability->enabled);
+  EXPECT_EQ(config.options.observability->histogram_buckets, 16u);
+  EXPECT_TRUE(config.options.observability->trace_path.empty());
 
-  auto pipeline = Pipeline::from_config(config);
+  std::unique_ptr<Pipeline> pipeline;
+  ASSERT_TRUE(Pipeline::load(config, &pipeline).ok());
   EXPECT_TRUE(obs::enabled());
   EXPECT_EQ(obs::MetricsRegistry::global().default_histogram_buckets(), 16u);
   obs::set_enabled(false);

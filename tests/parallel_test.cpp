@@ -402,7 +402,7 @@ TEST(ParallelDeterminism, ConcurrentSessionsBitwiseIdenticalCacheOnOff) {
 
   // Cache-off first: attaching the cache (second pass) is sticky on `tiers`.
   for (const bool cached : {false, true}) {
-    canopus::PipelineOptions options;
+    canopus::Options options;
     options.parallel.threads = 4;
     if (cached) {
       canopus::cache::CacheConfig cache_config;
@@ -472,7 +472,7 @@ TEST(ParallelDeterminism, ScheduledQueryBitwiseMatchesDirectRead) {
   cc::ProgressiveReader direct(tiers, "d.bp", "v", nullptr, serial);
   direct.refine_to(0);
 
-  canopus::PipelineOptions options;
+  canopus::Options options;
   options.parallel.threads = 4;
   canopus::serve::ServeConfig serve;
   serve.workers = 2;
@@ -828,7 +828,7 @@ TEST(ParallelDeterminism, ReadAheadKeepsSeededFaultStream) {
     }
     tiers.attach_fault_injector(faults);
 
-    canopus::PipelineOptions options;
+    canopus::Options options;
     options.parallel.threads = 4;
     options.parallel.read_ahead = read_ahead;
     canopus::Pipeline pipeline(tiers, options);

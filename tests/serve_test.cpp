@@ -350,7 +350,7 @@ TEST(CostModel, StepsCoverEveryRefinableLevel) {
 
 TEST(CostModel, CacheResidencyWaivesEstimatedIo) {
   Dataset data;
-  canopus::PipelineOptions options;
+  canopus::Options options;
   canopus::cache::CacheConfig cache_config;
   cache_config.budget_bytes = 32ull << 20;
   options.cache = cache_config;
@@ -445,7 +445,7 @@ TEST(QueryScheduler, ConcurrentClientsAllResolve) {
 
 TEST(PipelineServe, SubmitQueryRoundTrip) {
   Dataset data;
-  canopus::PipelineOptions options;
+  canopus::Options options;
   cv::ServeConfig serve;
   serve.workers = 2;
   serve.queue_limit = 16;

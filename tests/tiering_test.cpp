@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <random>
@@ -25,6 +26,7 @@
 #include "fabric/fabric.hpp"
 #include "mesh/generators.hpp"
 #include "serve/cost_model.hpp"
+#include "serve/query_scheduler.hpp"
 #include "storage/hierarchy.hpp"
 #include "test_support.hpp"
 #include "tiering/heat_tracker.hpp"
@@ -244,6 +246,43 @@ TEST(TierAdvisor, PromotesHotDeltaLevelThenStabilizes) {
   // Still hot, already on the fastest tier: placement is stable from here.
   for (int i = 0; i < 3; ++i) EXPECT_EQ(advisor.tick(), 0u);
   EXPECT_EQ(advisor.report().promotions, after_rise.promotions);
+}
+
+TEST(TierAdvisor, FaultingSourceTierSkipsPromotionWithoutThrowing) {
+  auto tiers = three_tiers();
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                         chunked_config());
+
+  ct::TierAdvisor advisor(test_policy());
+  advisor.watch(tiers);
+  ASSERT_TRUE(advisor.register_container("d.bp"));
+
+  // A hot delta level on the bottom tier, which now fails every read: the
+  // promotion's migrate() throws TierIoError from the source tier.
+  const auto keys = delta_keys(tiers, "d.bp", "v", 0);
+  ASSERT_FALSE(keys.empty());
+  for (const auto& key : keys) tiers.migrate(key, 2);
+  for (const auto& key : keys) advisor.heat().record(key, 10.0);
+  auto faults = std::make_shared<cs::FaultInjector>(7);
+  cs::FaultProfile dead;
+  dead.read_error = 1.0;
+  faults->set_profile(2, dead);
+  tiers.attach_fault_injector(faults);
+
+  // The failed move is a skip, like a failed demotion: tick() returns, so
+  // nothing can escape into the policy thread.
+  const auto before = advisor.report();
+  EXPECT_NO_THROW(advisor.tick());
+  const auto after = advisor.report();
+  EXPECT_EQ(after.promotions, before.promotions);
+  EXPECT_GT(after.skipped_capacity, before.skipped_capacity);
+  for (const auto& key : keys) {
+    EXPECT_EQ(tiers.find(key), std::optional<std::size_t>(2)) << key;
+    // The published plan was rolled back to actual residency.
+    EXPECT_EQ(advisor.predicted_tier(key), std::optional<std::size_t>(2))
+        << key;
+  }
 }
 
 TEST(TierAdvisor, HysteresisBandNeverThrashes) {
@@ -533,18 +572,15 @@ TEST(TieringConfig, ParsesTieringBlock) {
              demote-below="1" interval="10ms" max-moves="8"
              cooldown-ticks="3" reserve="0.1"/>
   </canopus-config>)");
-  ASSERT_TRUE(config.tiering.has_value());
-  EXPECT_TRUE(config.tiering->enabled);
-  EXPECT_DOUBLE_EQ(config.tiering->half_life_seconds, 0.5);
-  EXPECT_DOUBLE_EQ(config.tiering->promote_threshold, 4.0);
-  EXPECT_DOUBLE_EQ(config.tiering->demote_threshold, 1.0);
-  EXPECT_DOUBLE_EQ(config.tiering->interval_seconds, 0.01);
-  EXPECT_EQ(config.tiering->max_moves_per_tick, 8u);
-  EXPECT_EQ(config.tiering->cooldown_ticks, 3u);
-  EXPECT_DOUBLE_EQ(config.tiering->reserve, 0.1);
-  // The block flows through to the consolidated Options surface.
-  ASSERT_TRUE(config.options().tiering.has_value());
-  EXPECT_TRUE(config.options().tiering->enabled);
+  ASSERT_TRUE(config.options.tiering.has_value());
+  EXPECT_TRUE(config.options.tiering->enabled);
+  EXPECT_DOUBLE_EQ(config.options.tiering->half_life_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(config.options.tiering->promote_threshold, 4.0);
+  EXPECT_DOUBLE_EQ(config.options.tiering->demote_threshold, 1.0);
+  EXPECT_DOUBLE_EQ(config.options.tiering->interval_seconds, 0.01);
+  EXPECT_EQ(config.options.tiering->max_moves_per_tick, 8u);
+  EXPECT_EQ(config.options.tiering->cooldown_ticks, 3u);
+  EXPECT_DOUBLE_EQ(config.options.tiering->reserve, 0.1);
 }
 
 TEST(TieringConfig, RejectsInvertedHysteresisBandNamingTheAttributes) {
@@ -582,6 +618,64 @@ TEST(TieringConfig, OptionsValidateRejectsInvertedBand) {
   EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
   EXPECT_NE(status.to_string().find("demote_threshold"), std::string::npos)
       << status.to_string();
+}
+
+TEST(TieringConfig, PipelineWiringIsOrderIndependent) {
+  cs::StorageHierarchy staging({cs::tmpfs_spec(256 << 20)});
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh),
+                         chunked_config());
+  const auto keys = delta_keys(staging, "d.bp", "v", 0);
+  ASSERT_FALSE(keys.empty());
+
+  // Whichever of the three entry points comes first, the fabric reaches the
+  // scheduler and the advisor, and the advisor reaches the scheduler.
+  enum Step { kFabric, kAdvisor, kScheduler };
+  std::array<Step, 3> order = {kFabric, kAdvisor, kScheduler};
+  do {
+    cf::FabricOptions fo;
+    fo.nodes = 2;
+    cf::Fabric fabric(fo, {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+    fabric.import_container(staging, "d.bp");
+    canopus::Options options;
+    options.tiering = test_policy();
+    canopus::Pipeline pipeline(fabric.node(0), options);
+    for (const Step step : order) {
+      if (step == kFabric) {
+        ASSERT_TRUE(pipeline.attach_fabric(&fabric).ok());
+      } else if (step == kAdvisor) {
+        pipeline.tier_advisor();
+      } else {
+        pipeline.query_scheduler();
+      }
+    }
+    ct::TierAdvisor& advisor = pipeline.tier_advisor();
+    const std::string trace = "order " + std::to_string(order[0]) +
+                              std::to_string(order[1]) +
+                              std::to_string(order[2]);
+
+    // fabric -> scheduler: the query is routed to a shard.
+    cv::QueryRequest query;
+    query.path = "d.bp";
+    query.var = "v";
+    query.target_level = 0;
+    query.deadline_seconds = 1e6;
+    cv::QueryResult result;
+    ASSERT_TRUE(pipeline.submit_query(query, &result).usable()) << trace;
+    EXPECT_GE(result.shard, 0) << trace;
+    // advisor -> scheduler: the query registered its container.
+    EXPECT_GT(advisor.report().groups, 0u) << trace;
+    // fabric -> advisor: a read that only node 1 serves feeds the tracker.
+    const auto remote =
+        std::find_if(keys.begin(), keys.end(), [&](const std::string& key) {
+          return fabric.directory().lookup(key)->owner == 1;
+        });
+    ASSERT_NE(remote, keys.end()) << trace;
+    const double before = advisor.heat().heat(*remote);
+    Bytes bytes;
+    fabric.node(1).read(*remote, bytes);
+    EXPECT_GT(advisor.heat().heat(*remote), before + 0.5) << trace;
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(TieringConfig, PipelineFacadeExposesAdvisorAndReport) {
