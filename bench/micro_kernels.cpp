@@ -103,6 +103,30 @@ static void BM_Decimate2x(benchmark::State& state) {
 }
 BENCHMARK(BM_Decimate2x)->Unit(benchmark::kMillisecond);
 
+// What one Pipeline::write pays for decimation: the end-to-end benchmark's
+// timestep (a shuffled 20,800-vertex XGC plane, seed 3000) refactored into
+// 4 levels at step 2. Each iteration starts from a fresh mesh copy, so no
+// state derived from the mesh carries over between iterations.
+static void BM_BuildCascade(benchmark::State& state) {
+  static const sim::Dataset ds = [] {
+    sim::XgcOptions opt;
+    opt.seed = 3000;
+    return sim::make_xgc_dataset(opt);
+  }();
+  mesh::CascadeOptions opt;
+  opt.levels = 4;
+  opt.step = 2.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const mesh::TriMesh fresh = ds.mesh;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(mesh::build_cascade(fresh, ds.values, opt));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ds.mesh.vertex_count()));
+}
+BENCHMARK(BM_BuildCascade)->Unit(benchmark::kMillisecond);
+
 static void BM_PointLocation(benchmark::State& state) {
   const auto& ds = xgc_small();
   const mesh::PointLocator locator(ds.mesh);

@@ -152,6 +152,12 @@ Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
                                std::to_string(request.mesh->vertex_count()) +
                                ")");
   }
+  if (has_field && request.config.levels > 1 &&
+      request.mesh->triangle_count() == 0) {
+    return Status::failure(StatusCode::kInvalidArgument,
+                           "write: " + std::to_string(request.config.levels) +
+                               " levels need a mesh with triangles to decimate");
+  }
   core::RefactorConfig config = request.config;
   config.parallel = options_.parallel;
   try {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -12,35 +14,102 @@ namespace canopus::mesh {
 
 namespace {
 
+/// Room each list starts with beyond its initial length. A collapse grows
+/// the survivor's lists by a few entries; with 8, no list of a 4-level XGC
+/// cascade relocates, so each arena keeps its initial size.
+constexpr std::uint32_t kListSlack = 8;
+
+/// Per-vertex id lists packed into one arena. List v occupies the first
+/// `len` entries of a slot with room for `cap`; a list that fills its slot
+/// moves to the end of the arena with twice the room, leaving the old slot
+/// unused for the rest of the pass. A span from operator[] stays valid until
+/// the next push_back or insert on any list.
+class ArenaLists {
+ public:
+  ArenaLists() = default;
+  /// Gives list v room for `counts[v] + kListSlack` ids.
+  explicit ArenaLists(const std::vector<std::uint32_t>& counts)
+      : slots_(counts.size()) {
+    std::size_t off = 0;
+    for (std::size_t v = 0; v < counts.size(); ++v) {
+      slots_[v] = Slot{off, 0, counts[v] + kListSlack};
+      off += slots_[v].cap;
+    }
+    items_.resize(off);
+  }
+
+  std::span<std::uint32_t> operator[](std::uint32_t v) {
+    return {items_.data() + slots_[v].off, slots_[v].len};
+  }
+  std::span<const std::uint32_t> operator[](std::uint32_t v) const {
+    return {items_.data() + slots_[v].off, slots_[v].len};
+  }
+
+  bool contains(std::uint32_t v, std::uint32_t x) const {
+    const auto xs = (*this)[v];
+    return std::find(xs.begin(), xs.end(), x) != xs.end();
+  }
+
+  void push_back(std::uint32_t v, std::uint32_t x) {
+    Slot& s = slots_[v];
+    if (s.len == s.cap) {
+      const std::size_t off = items_.size();
+      const std::uint32_t cap = 2 * s.cap;  // never 0: every slot has slack
+      items_.resize(off + cap);
+      std::copy_n(items_.begin() + static_cast<std::ptrdiff_t>(s.off), s.len,
+                  items_.begin() + static_cast<std::ptrdiff_t>(off));
+      s.off = off;
+      s.cap = cap;
+    }
+    items_[s.off + s.len++] = x;
+  }
+
+  /// Appends x unless the list already holds it.
+  void insert(std::uint32_t v, std::uint32_t x) {
+    if (!contains(v, x)) push_back(v, x);
+  }
+
+  /// Removes x, moving the last entry into its place.
+  void erase(std::uint32_t v, std::uint32_t x) {
+    const auto xs = (*this)[v];
+    const auto it = std::find(xs.begin(), xs.end(), x);
+    if (it != xs.end()) {
+      *it = xs.back();
+      --slots_[v].len;
+    }
+  }
+
+  /// Drops the entries matching `pred`, keeping the others in order.
+  template <class Pred>
+  void remove_if(std::uint32_t v, Pred pred) {
+    const auto xs = (*this)[v];
+    slots_[v].len = static_cast<std::uint32_t>(
+        std::remove_if(xs.begin(), xs.end(), pred) - xs.begin());
+  }
+
+  void clear(std::uint32_t v) { slots_[v].len = 0; }
+
+ private:
+  struct Slot {
+    std::size_t off = 0;
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
+  };
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> items_;
+};
+
 /// Mutable mesh scratch state for the collapse loop. Vertex slot `i` survives
 /// a collapse of edge (i, j) and is moved to the midpoint; slot `j` dies.
 struct Workspace {
   std::vector<Vec2> pos;
   std::vector<double> val;
-  std::vector<bool> vertex_alive;
-  std::vector<std::vector<VertexId>> nbr;        // adjacent alive vertices
+  std::vector<std::uint8_t> vertex_alive;
+  ArenaLists nbr;                         // adjacent alive vertices
   std::vector<Triangle> tris;
-  std::vector<bool> tri_alive;
-  std::vector<std::vector<TriangleId>> inc;      // incident alive triangles
-  std::vector<std::uint32_t> version;            // bumped on any change at v
-
-  static void list_insert(std::vector<VertexId>& xs, VertexId v) {
-    if (std::find(xs.begin(), xs.end(), v) == xs.end()) xs.push_back(v);
-  }
-  static void list_erase(std::vector<VertexId>& xs, VertexId v) {
-    auto it = std::find(xs.begin(), xs.end(), v);
-    if (it != xs.end()) {
-      *it = xs.back();
-      xs.pop_back();
-    }
-  }
-  static void tri_list_erase(std::vector<TriangleId>& xs, TriangleId t) {
-    auto it = std::find(xs.begin(), xs.end(), t);
-    if (it != xs.end()) {
-      *it = xs.back();
-      xs.pop_back();
-    }
-  }
+  std::vector<std::uint8_t> tri_alive;
+  ArenaLists inc;                         // incident alive triangles
+  std::vector<std::uint32_t> version;     // bumped on any change at v
 };
 
 struct HeapEntry {
@@ -51,6 +120,11 @@ struct HeapEntry {
   bool operator<(const HeapEntry& o) const { return priority > o.priority; }
 };
 
+/// Entries of equal priority pop in an order set by the binary heap's
+/// layout, so the heap and the order of its pushes are part of the output:
+/// the initial edges in ascending (a, b) order, then after each collapse
+/// (i, n) for every n in nbr[i] order. Every list operation below keeps the
+/// order nbr[i] would have as a std::vector under the same operations.
 class Decimator {
  public:
   Decimator(const TriMesh& mesh, const Field& values, const DecimateOptions& opt)
@@ -58,20 +132,31 @@ class Decimator {
     CANOPUS_CHECK(values.size() == mesh.vertex_count(),
                   "field size does not match vertex count");
     CANOPUS_CHECK(opt.ratio >= 1.0, "decimation ratio must be >= 1");
+    CANOPUS_CHECK(mesh.triangle_count() > 0, "cannot decimate an empty mesh");
     ws_.pos = mesh.vertices();
     ws_.val = values;
-    ws_.vertex_alive.assign(ws_.pos.size(), true);
+    ws_.vertex_alive.assign(ws_.pos.size(), 1);
     ws_.tris = mesh.triangles();
-    ws_.tri_alive.assign(ws_.tris.size(), true);
+    ws_.tri_alive.assign(ws_.tris.size(), 1);
     ws_.version.assign(ws_.pos.size(), 0);
-    ws_.nbr.assign(ws_.pos.size(), {});
-    ws_.inc.assign(ws_.pos.size(), {});
-    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
-      for (VertexId v : ws_.tris[t].v) ws_.inc[v].push_back(t);
+    std::vector<std::uint32_t> count(ws_.pos.size(), 0);
+    for (const auto& tri : ws_.tris) {
+      for (VertexId v : tri.v) ++count[v];
     }
-    for (const auto& e : mesh.edges()) {
-      ws_.nbr[e.a].push_back(e.b);
-      ws_.nbr[e.b].push_back(e.a);
+    ws_.inc = ArenaLists(count);
+    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
+      for (VertexId v : ws_.tris[t].v) ws_.inc.push_back(v, t);
+    }
+    const std::vector<Edge> edges = mesh.edges();
+    std::fill(count.begin(), count.end(), 0);
+    for (const auto& e : edges) {
+      ++count[e.a];
+      ++count[e.b];
+    }
+    ws_.nbr = ArenaLists(count);
+    for (const auto& e : edges) {
+      ws_.nbr.push_back(e.a, e.b);
+      ws_.nbr.push_back(e.b, e.a);
     }
     // Scale-aware degeneracy threshold (squared area units).
     const auto box = mesh.bounds();
@@ -81,7 +166,10 @@ class Decimator {
       const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
       value_range_ = std::max(*hi - *lo, 1e-300);
     }
-    for (const auto& e : mesh.edges()) push_edge(e.a, e.b);
+    std::vector<HeapEntry> storage;
+    storage.reserve(edges.size());
+    heap_ = std::priority_queue<HeapEntry>(std::less<HeapEntry>(), std::move(storage));
+    for (const auto& e : edges) push_edge(e.a, e.b);
   }
 
   DecimateResult run() {
@@ -129,32 +217,32 @@ class Decimator {
   bool entry_valid(const HeapEntry& e) const {
     return ws_.vertex_alive[e.a] && ws_.vertex_alive[e.b] &&
            ws_.version[e.a] == e.va_version && ws_.version[e.b] == e.vb_version &&
-           std::find(ws_.nbr[e.a].begin(), ws_.nbr[e.a].end(), e.b) != ws_.nbr[e.a].end();
+           ws_.nbr.contains(e.a, e.b);
   }
 
   /// Link condition: the set of vertices adjacent to both endpoints must be
   /// exactly the opposite vertices of the triangles sharing the edge.
-  bool link_condition_ok(VertexId i, VertexId j) const {
-    std::vector<VertexId> opposite;
+  bool link_condition_ok(VertexId i, VertexId j) {
+    opposite_.clear();
     for (TriangleId t : ws_.inc[i]) {
       if (!ws_.tri_alive[t]) continue;
       const auto& tv = ws_.tris[t].v;
       const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
       if (!has_j) continue;
       for (VertexId v : tv) {
-        if (v != i && v != j) opposite.push_back(v);
+        if (v != i && v != j) opposite_.push_back(v);
       }
     }
     std::size_t common = 0;
     for (VertexId n : ws_.nbr[i]) {
-      if (std::find(ws_.nbr[j].begin(), ws_.nbr[j].end(), n) != ws_.nbr[j].end()) {
+      if (ws_.nbr.contains(j, n)) {
         ++common;
-        if (std::find(opposite.begin(), opposite.end(), n) == opposite.end()) {
+        if (std::find(opposite_.begin(), opposite_.end(), n) == opposite_.end()) {
           return false;  // shared neighbor not across the edge -> pinch
         }
       }
     }
-    return common == opposite.size() && !opposite.empty();
+    return common == opposite_.size() && !opposite_.empty();
   }
 
   /// Checks every surviving triangle around i or j keeps positive area when
@@ -183,45 +271,48 @@ class Decimator {
     const Vec2 m = (ws_.pos[i] + ws_.pos[j]) * 0.5;  // NewVertex(Vi, Vj)
     if (!geometry_ok(i, j, m)) return false;
 
-    // Kill triangles containing the edge.
+    // Kill triangles containing the edge. Erasing never moves a list, so
+    // the span over inc[i] stays valid.
     for (TriangleId t : ws_.inc[i]) {
       if (!ws_.tri_alive[t]) continue;
       const auto& tv = ws_.tris[t].v;
       if (tv[0] == j || tv[1] == j || tv[2] == j) {
-        ws_.tri_alive[t] = false;
+        ws_.tri_alive[t] = 0;
         for (VertexId v : tv) {
-          if (v != i) Workspace::tri_list_erase(ws_.inc[v], t);
+          if (v != i) ws_.inc.erase(v, t);
         }
       }
     }
-    ws_.inc[i].erase(std::remove_if(ws_.inc[i].begin(), ws_.inc[i].end(),
-                                    [&](TriangleId t) { return !ws_.tri_alive[t]; }),
-                     ws_.inc[i].end());
+    ws_.inc.remove_if(i, [&](TriangleId t) { return !ws_.tri_alive[t]; });
 
-    // Rewire triangles that referenced only j.
-    for (TriangleId t : ws_.inc[j]) {
+    // Rewire triangles that referenced only j. Indexed, because pushing onto
+    // inc[i] may move the arena.
+    for (std::size_t k = 0; k < ws_.inc[j].size(); ++k) {
+      const TriangleId t = ws_.inc[j][k];
       if (!ws_.tri_alive[t]) continue;
       for (VertexId& v : ws_.tris[t].v) {
         if (v == j) v = i;
       }
-      ws_.inc[i].push_back(t);
+      ws_.inc.push_back(i, t);
     }
-    ws_.inc[j].clear();
+    ws_.inc.clear(j);
 
-    // Merge adjacency: neighbors of j become neighbors of i.
-    for (VertexId n : ws_.nbr[j]) {
+    // Merge adjacency: neighbors of j become neighbors of i (indexed for
+    // the same reason).
+    for (std::size_t k = 0; k < ws_.nbr[j].size(); ++k) {
+      const VertexId n = ws_.nbr[j][k];
       if (n == i) continue;
-      Workspace::list_erase(ws_.nbr[n], j);
-      Workspace::list_insert(ws_.nbr[n], i);
-      Workspace::list_insert(ws_.nbr[i], n);
+      ws_.nbr.erase(n, j);
+      ws_.nbr.insert(n, i);
+      ws_.nbr.insert(i, n);
     }
-    Workspace::list_erase(ws_.nbr[i], j);
-    ws_.nbr[j].clear();
+    ws_.nbr.erase(i, j);
+    ws_.nbr.clear(j);
 
     // Move i to the midpoint, average the data (NewData = mean).
     ws_.pos[i] = m;
     ws_.val[i] = (ws_.val[i] + ws_.val[j]) * 0.5;
-    ws_.vertex_alive[j] = false;
+    ws_.vertex_alive[j] = 0;
     collapse_log_.emplace_back(i, j);
 
     // Invalidate stale heap entries and re-key every edge incident to i.
@@ -231,7 +322,7 @@ class Decimator {
     return true;
   }
 
-  DecimateResult compact() const {
+  DecimateResult compact() {
     std::vector<VertexId> remap(ws_.pos.size(), kInvalidVertex);
     std::vector<Vec2> vertices;
     Field values;
@@ -262,7 +353,7 @@ class Decimator {
     DecimateResult r;
     r.mesh = TriMesh(std::move(vertices), std::move(tris));
     r.values = std::move(values);
-    r.collapse_log = collapse_log_;
+    r.collapse_log = std::move(collapse_log_);
     r.survivor_slots = std::move(survivors);
     return r;
   }
@@ -272,6 +363,7 @@ class Decimator {
   Workspace ws_;
   std::priority_queue<HeapEntry> heap_;
   std::vector<std::pair<VertexId, VertexId>> collapse_log_;
+  std::vector<VertexId> opposite_;  // link_condition_ok scratch
   double min_area2_ = 0.0;
   double value_range_ = 1.0;
 };

@@ -12,6 +12,10 @@
 // valid manifold triangulations at any ratio; rejected edges are simply
 // skipped. Decimation is local (no cross-partition communication), which is
 // what makes Canopus' refactoring embarrassingly parallel.
+//
+// Output is a deterministic function of (mesh, values, options), ties in
+// priority included: equal priorities pop in the order the binary heap's
+// layout gives them, so the order of heap pushes is part of the contract.
 
 #include <cstdint>
 

@@ -18,43 +18,58 @@ TriMesh::TriMesh(std::vector<Vec2> vertices, std::vector<Triangle> triangles)
   }
 }
 
-const std::vector<Edge>& TriMesh::edges() const {
-  if (!edges_built_) {
-    edges_.clear();
-    edges_.reserve(triangles_.size() * 3);
+namespace {
+/// Sorts one edge bucket in place. A bucket holds about twice its vertex's
+/// degree, so insertion sort wins except at the hub of a large fan.
+void sort_bucket(VertexId* first, std::size_t n) {
+  if (n > 16) {
+    std::sort(first, first + n);
+    return;
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const VertexId x = first[i];
+    std::size_t k = i;
+    for (; k > 0 && first[k - 1] > x; --k) first[k] = first[k - 1];
+    first[k] = x;
+  }
+}
+}  // namespace
+
+std::vector<Edge> TriMesh::edges() const {
+  // File each triangle edge's larger endpoint under its smaller one (count,
+  // prefix-sum, fill), then sort and deduplicate each bucket and emit the
+  // buckets in vertex order: ascending (a, b) without a global sort.
+  const std::size_t nv = vertices_.size();
+  auto for_each_edge = [&](auto&& visit) {
     for (const auto& t : triangles_) {
-      edges_.emplace_back(t.v[0], t.v[1]);
-      edges_.emplace_back(t.v[1], t.v[2]);
-      edges_.emplace_back(t.v[2], t.v[0]);
+      visit(t.v[0], t.v[1]);
+      visit(t.v[1], t.v[2]);
+      visit(t.v[2], t.v[0]);
     }
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-    edges_built_ = true;
+  };
+  std::vector<std::size_t> start(nv + 1, 0);
+  for_each_edge([&](VertexId u, VertexId v) { ++start[std::min(u, v) + 1]; });
+  for (std::size_t v = 0; v < nv; ++v) start[v + 1] += start[v];
+  std::vector<VertexId> larger(start[nv]);
+  std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+  for_each_edge([&](VertexId u, VertexId v) {
+    larger[cursor[std::min(u, v)]++] = std::max(u, v);
+  });
+  // Deduplicate each sorted bucket in place; cursor[a] becomes its end.
+  std::size_t unique = 0;
+  for (VertexId a = 0; a < nv; ++a) {
+    VertexId* first = larger.data() + start[a];
+    VertexId* last = larger.data() + start[a + 1];
+    sort_bucket(first, static_cast<std::size_t>(last - first));
+    cursor[a] = start[a] + static_cast<std::size_t>(std::unique(first, last) - first);
+    unique += cursor[a] - start[a];
   }
-  return edges_;
-}
-
-const std::vector<std::vector<VertexId>>& TriMesh::vertex_neighbors() const {
-  if (!neighbors_built_) {
-    neighbors_.assign(vertices_.size(), {});
-    for (const auto& e : edges()) {
-      neighbors_[e.a].push_back(e.b);
-      neighbors_[e.b].push_back(e.a);
-    }
-    neighbors_built_ = true;
+  std::vector<Edge> out;
+  out.reserve(unique);
+  for (VertexId a = 0; a < nv; ++a) {
+    for (std::size_t k = start[a]; k < cursor[a]; ++k) out.emplace_back(a, larger[k]);
   }
-  return neighbors_;
-}
-
-const std::vector<std::vector<TriangleId>>& TriMesh::vertex_triangles() const {
-  if (!vertex_tris_built_) {
-    vertex_tris_.assign(vertices_.size(), {});
-    for (TriangleId t = 0; t < triangles_.size(); ++t) {
-      for (VertexId v : triangles_[t].v) vertex_tris_[v].push_back(t);
-    }
-    vertex_tris_built_ = true;
-  }
-  return vertex_tris_;
+  return out;
 }
 
 Aabb TriMesh::bounds() const {

@@ -47,14 +47,10 @@ class TriMesh {
   Vec2 vertex(VertexId v) const { return vertices_[v]; }
   const Triangle& triangle(TriangleId t) const { return triangles_[t]; }
 
-  /// Unique undirected edges, sorted; built on first use and cached.
-  const std::vector<Edge>& edges() const;
-
-  /// Per-vertex adjacent-vertex lists; built on first use and cached.
-  const std::vector<std::vector<VertexId>>& vertex_neighbors() const;
-
-  /// Per-vertex incident-triangle lists; built on first use and cached.
-  const std::vector<std::vector<TriangleId>>& vertex_triangles() const;
+  /// Unique undirected edges in ascending (a, b) order, derived afresh on
+  /// every call in one bucketed pass: each triangle edge is filed under its
+  /// smaller endpoint and each (small) bucket sorted, so no global sort.
+  std::vector<Edge> edges() const;
 
   /// Bounding box of all vertices (origin box for an empty mesh).
   Aabb bounds() const;
@@ -76,15 +72,6 @@ class TriMesh {
  private:
   std::vector<Vec2> vertices_;
   std::vector<Triangle> triangles_;
-
-  // Lazily computed caches; mutable because they are pure functions of the
-  // immutable vertex/triangle data.
-  mutable std::vector<Edge> edges_;
-  mutable bool edges_built_ = false;
-  mutable std::vector<std::vector<VertexId>> neighbors_;
-  mutable bool neighbors_built_ = false;
-  mutable std::vector<std::vector<TriangleId>> vertex_tris_;
-  mutable bool vertex_tris_built_ = false;
 };
 
 /// A scalar field sampled at mesh vertices — the L^l of the paper.

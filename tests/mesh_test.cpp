@@ -98,16 +98,6 @@ TEST(TriMesh, BasicCountsAndEdges) {
   EXPECT_DOUBLE_EQ(mesh.total_area(), 1.0);
 }
 
-TEST(TriMesh, NeighborsAndIncidence) {
-  const std::vector<cm::Vec2> verts{{0, 0}, {1, 0}, {1, 1}, {0, 1}};
-  const std::vector<cm::Triangle> tris{{{0, 1, 2}}, {{0, 2, 3}}};
-  const cm::TriMesh mesh(verts, tris);
-  EXPECT_EQ(mesh.vertex_neighbors()[0].size(), 3u);  // 1, 2, 3
-  EXPECT_EQ(mesh.vertex_neighbors()[1].size(), 2u);  // 0, 2
-  EXPECT_EQ(mesh.vertex_triangles()[0].size(), 2u);
-  EXPECT_EQ(mesh.vertex_triangles()[1].size(), 1u);
-}
-
 TEST(TriMesh, RejectsBadTriangles) {
   const std::vector<cm::Vec2> verts{{0, 0}, {1, 0}, {1, 1}};
   EXPECT_THROW(cm::TriMesh(verts, {{{0, 1, 5}}}), canopus::Error);

@@ -449,6 +449,26 @@ TEST(Pipeline, RejectsMalformedRequests) {
   EXPECT_EQ(pipeline.read(r, &result).code, StatusCode::kNotFound);
 }
 
+TEST(Pipeline, RejectsDecimatingAnEmptyMesh) {
+  auto tiers = two_tiers();
+  Pipeline pipeline(tiers);
+  const cm::TriMesh empty;
+  const cm::Field no_values;
+  for (const auto priority : {cm::EdgePriority::kShortestFirst,
+                              cm::EdgePriority::kRandom,
+                              cm::EdgePriority::kGradientWeighted}) {
+    WriteRequest w;
+    w.path = "empty.bp";
+    w.var = "v";
+    w.mesh = &empty;
+    w.values = &no_values;
+    w.config.levels = 3;
+    w.config.decimate.priority = priority;
+    EXPECT_EQ(pipeline.write(w).code, StatusCode::kInvalidArgument)
+        << "priority " << static_cast<int>(priority);
+  }
+}
+
 TEST(Pipeline, RoundTripMatchesLegacyApiBitwise) {
   const auto mesh = cm::make_annulus_mesh(12, 80, 0.5, 1.0, 0.1, 7);
   const auto values = smooth_field(mesh);

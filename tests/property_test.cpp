@@ -13,6 +13,9 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <queue>
+#include <tuple>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "core/canopus.hpp"
@@ -24,6 +27,7 @@
 #include "storage/blob_frame.hpp"
 #include "storage/hierarchy.hpp"
 #include "test_support.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -35,17 +39,20 @@ namespace cu = canopus::util;
 
 namespace {
 
-cm::TriMesh make_mesh(const std::string& family) {
-  if (family == "rect") return cm::make_rect_mesh(28, 28, 1.0, 1.0, 0.2, 11);
+/// `jittered = false` keeps the family's structured layout, whose many
+/// equal edge lengths tie in the decimator's priority queue.
+cm::TriMesh make_mesh(const std::string& family, bool jittered = true) {
+  const double j = jittered ? 1.0 : 0.0;
+  if (family == "rect") return cm::make_rect_mesh(28, 28, 1.0, 1.0, 0.2 * j, 11);
   if (family == "annulus") {
-    return cm::make_annulus_mesh(12, 64, 0.5, 1.0, 0.15, 11);
+    return cm::make_annulus_mesh(12, 64, 0.5, 1.0, 0.15 * j, 11);
   }
-  if (family == "disk") return cm::make_disk_mesh(12, 56, 1.0, 0.15, 11);
+  if (family == "disk") return cm::make_disk_mesh(12, 56, 1.0, 0.15 * j, 11);
   if (family == "airfoil") {
-    return cm::make_airfoil_mesh(36, 24, 10.0, 6.0, 3.5, 3.0, 2.2, 0.8, 0.1, 11);
+    return cm::make_airfoil_mesh(36, 24, 10.0, 6.0, 3.5, 3.0, 2.2, 0.8, 0.1 * j, 11);
   }
   if (family == "shuffled") {
-    return cm::shuffle_vertices(cm::make_rect_mesh(28, 28, 1.0, 1.0, 0.2, 11), 5);
+    return cm::shuffle_vertices(cm::make_rect_mesh(28, 28, 1.0, 1.0, 0.2 * j, 11), 5);
   }
   throw canopus::Error("unknown mesh family " + family);
 }
@@ -58,6 +65,15 @@ cm::Field analytic_field(const cm::TriMesh& mesh) {
            0.5 * std::exp(-((p.x - 0.4) * (p.x - 0.4) + p.y * p.y) / 0.05);
   }
   return f;
+}
+
+std::string priority_suffix(cm::EdgePriority priority) {
+  switch (priority) {
+    case cm::EdgePriority::kShortestFirst: return "_short";
+    case cm::EdgePriority::kRandom: return "_rand";
+    case cm::EdgePriority::kGradientWeighted: return "_grad";
+  }
+  return "_unknown";
 }
 
 std::vector<double> make_signal(const std::string& family, std::size_t n) {
@@ -124,14 +140,405 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("rect", "annulus", "disk", "airfoil", "shuffled"),
         ::testing::Values(2.0, 4.0, 8.0),
         ::testing::Values(cm::EdgePriority::kShortestFirst,
-                          cm::EdgePriority::kRandom)),
+                          cm::EdgePriority::kRandom,
+                          cm::EdgePriority::kGradientWeighted)),
     [](const auto& param_info) {
       return std::get<0>(param_info.param) + "_r" +
              std::to_string(static_cast<int>(std::get<1>(param_info.param))) +
-             (std::get<2>(param_info.param) == cm::EdgePriority::kShortestFirst
-                  ? "_short"
-                  : "_rand");
+             priority_suffix(std::get<2>(param_info.param));
     });
+
+// ---------------------------------------------------- decimation equivalence --
+
+namespace canopus::mesh {
+namespace {
+
+/// Unique undirected edges by one global sort of every triangle edge, as
+/// TriMesh::edges() derived them before it bucketed them per vertex.
+std::vector<Edge> reference_edges(const TriMesh& mesh) {
+  std::vector<Edge> edges;
+  edges.reserve(mesh.triangle_count() * 3);
+  for (const auto& t : mesh.triangles()) {
+    edges.emplace_back(t.v[0], t.v[1]);
+    edges.emplace_back(t.v[1], t.v[2]);
+    edges.emplace_back(t.v[2], t.v[0]);
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+// The decimator as it was before its lists moved into arenas: one
+// std::vector per vertex for adjacency and incidence, std::vector<bool>
+// flags, edges from reference_edges. Kept verbatim as the reference the
+// decimator must match bit for bit, ties in priority included.
+
+/// Mutable mesh scratch state for the collapse loop. Vertex slot `i` survives
+/// a collapse of edge (i, j) and is moved to the midpoint; slot `j` dies.
+struct Workspace {
+  std::vector<Vec2> pos;
+  std::vector<double> val;
+  std::vector<bool> vertex_alive;
+  std::vector<std::vector<VertexId>> nbr;        // adjacent alive vertices
+  std::vector<Triangle> tris;
+  std::vector<bool> tri_alive;
+  std::vector<std::vector<TriangleId>> inc;      // incident alive triangles
+  std::vector<std::uint32_t> version;            // bumped on any change at v
+
+  static void list_insert(std::vector<VertexId>& xs, VertexId v) {
+    if (std::find(xs.begin(), xs.end(), v) == xs.end()) xs.push_back(v);
+  }
+  static void list_erase(std::vector<VertexId>& xs, VertexId v) {
+    auto it = std::find(xs.begin(), xs.end(), v);
+    if (it != xs.end()) {
+      *it = xs.back();
+      xs.pop_back();
+    }
+  }
+  static void tri_list_erase(std::vector<TriangleId>& xs, TriangleId t) {
+    auto it = std::find(xs.begin(), xs.end(), t);
+    if (it != xs.end()) {
+      *it = xs.back();
+      xs.pop_back();
+    }
+  }
+};
+
+struct HeapEntry {
+  double priority;
+  VertexId a, b;
+  std::uint32_t va_version, vb_version;
+  // Min-heap via reversed comparison in a max-priority_queue.
+  bool operator<(const HeapEntry& o) const { return priority > o.priority; }
+};
+
+class ReferenceDecimator {
+ public:
+  ReferenceDecimator(const TriMesh& mesh, const Field& values, const DecimateOptions& opt)
+      : opt_(opt), rng_(opt.seed) {
+    CANOPUS_CHECK(values.size() == mesh.vertex_count(),
+                  "field size does not match vertex count");
+    CANOPUS_CHECK(opt.ratio >= 1.0, "decimation ratio must be >= 1");
+    ws_.pos = mesh.vertices();
+    ws_.val = values;
+    ws_.vertex_alive.assign(ws_.pos.size(), true);
+    ws_.tris = mesh.triangles();
+    ws_.tri_alive.assign(ws_.tris.size(), true);
+    ws_.version.assign(ws_.pos.size(), 0);
+    ws_.nbr.assign(ws_.pos.size(), {});
+    ws_.inc.assign(ws_.pos.size(), {});
+    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
+      for (VertexId v : ws_.tris[t].v) ws_.inc[v].push_back(t);
+    }
+    for (const auto& e : reference_edges(mesh)) {
+      ws_.nbr[e.a].push_back(e.b);
+      ws_.nbr[e.b].push_back(e.a);
+    }
+    // Scale-aware degeneracy threshold (squared area units).
+    const auto box = mesh.bounds();
+    const double diag2 = box.width() * box.width() + box.height() * box.height();
+    min_area2_ = 1e-14 * diag2;
+    if (opt.priority == EdgePriority::kGradientWeighted) {
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      value_range_ = std::max(*hi - *lo, 1e-300);
+    }
+    for (const auto& e : reference_edges(mesh)) push_edge(e.a, e.b);
+  }
+
+  DecimateResult run() {
+    const std::size_t n0 = ws_.pos.size();
+    const double cut_fraction_target = 1.0 - 1.0 / opt_.ratio;
+    std::size_t cut = 0;
+    std::size_t rejected = 0;
+    while (static_cast<double>(cut) / static_cast<double>(n0) < cut_fraction_target &&
+           !heap_.empty()) {
+      const HeapEntry e = heap_.top();
+      heap_.pop();
+      if (!entry_valid(e)) continue;
+      if (try_collapse(e.a, e.b)) {
+        ++cut;
+      } else {
+        ++rejected;
+      }
+    }
+    DecimateResult r = compact();
+    r.achieved_ratio = static_cast<double>(n0) / static_cast<double>(r.mesh.vertex_count());
+    r.collapses = cut;
+    r.rejected = rejected;
+    return r;
+  }
+
+ private:
+  double edge_priority(VertexId a, VertexId b) {
+    const double len = distance(ws_.pos[a], ws_.pos[b]);
+    switch (opt_.priority) {
+      case EdgePriority::kShortestFirst:
+        return len;
+      case EdgePriority::kRandom:
+        return rng_.uniform();
+      case EdgePriority::kGradientWeighted:
+        return len * (1.0 + opt_.gradient_weight *
+                                std::abs(ws_.val[a] - ws_.val[b]) / value_range_);
+    }
+    CANOPUS_UNREACHABLE("unknown edge priority");
+  }
+
+  void push_edge(VertexId a, VertexId b) {
+    heap_.push(HeapEntry{edge_priority(a, b), a, b, ws_.version[a], ws_.version[b]});
+  }
+
+  bool entry_valid(const HeapEntry& e) const {
+    return ws_.vertex_alive[e.a] && ws_.vertex_alive[e.b] &&
+           ws_.version[e.a] == e.va_version && ws_.version[e.b] == e.vb_version &&
+           std::find(ws_.nbr[e.a].begin(), ws_.nbr[e.a].end(), e.b) != ws_.nbr[e.a].end();
+  }
+
+  /// Link condition: the set of vertices adjacent to both endpoints must be
+  /// exactly the opposite vertices of the triangles sharing the edge.
+  bool link_condition_ok(VertexId i, VertexId j) const {
+    std::vector<VertexId> opposite;
+    for (TriangleId t : ws_.inc[i]) {
+      if (!ws_.tri_alive[t]) continue;
+      const auto& tv = ws_.tris[t].v;
+      const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
+      if (!has_j) continue;
+      for (VertexId v : tv) {
+        if (v != i && v != j) opposite.push_back(v);
+      }
+    }
+    std::size_t common = 0;
+    for (VertexId n : ws_.nbr[i]) {
+      if (std::find(ws_.nbr[j].begin(), ws_.nbr[j].end(), n) != ws_.nbr[j].end()) {
+        ++common;
+        if (std::find(opposite.begin(), opposite.end(), n) == opposite.end()) {
+          return false;  // shared neighbor not across the edge -> pinch
+        }
+      }
+    }
+    return common == opposite.size() && !opposite.empty();
+  }
+
+  /// Checks every surviving triangle around i or j keeps positive area when
+  /// the collapsed endpoint moves to `m`.
+  bool geometry_ok(VertexId i, VertexId j, Vec2 m) const {
+    auto survives_ok = [&](VertexId endpoint) {
+      for (TriangleId t : ws_.inc[endpoint]) {
+        if (!ws_.tri_alive[t]) continue;
+        const auto& tv = ws_.tris[t].v;
+        const bool has_i = tv[0] == i || tv[1] == i || tv[2] == i;
+        const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
+        if (has_i && has_j) continue;  // dies with the collapse
+        Vec2 p[3];
+        for (int k = 0; k < 3; ++k) {
+          p[k] = (tv[k] == i || tv[k] == j) ? m : ws_.pos[tv[k]];
+        }
+        if (signed_area2(p[0], p[1], p[2]) <= min_area2_) return false;
+      }
+      return true;
+    };
+    return survives_ok(i) && survives_ok(j);
+  }
+
+  bool try_collapse(VertexId i, VertexId j) {
+    if (!link_condition_ok(i, j)) return false;
+    const Vec2 m = (ws_.pos[i] + ws_.pos[j]) * 0.5;  // NewVertex(Vi, Vj)
+    if (!geometry_ok(i, j, m)) return false;
+
+    // Kill triangles containing the edge.
+    for (TriangleId t : ws_.inc[i]) {
+      if (!ws_.tri_alive[t]) continue;
+      const auto& tv = ws_.tris[t].v;
+      if (tv[0] == j || tv[1] == j || tv[2] == j) {
+        ws_.tri_alive[t] = false;
+        for (VertexId v : tv) {
+          if (v != i) Workspace::tri_list_erase(ws_.inc[v], t);
+        }
+      }
+    }
+    ws_.inc[i].erase(std::remove_if(ws_.inc[i].begin(), ws_.inc[i].end(),
+                                    [&](TriangleId t) { return !ws_.tri_alive[t]; }),
+                     ws_.inc[i].end());
+
+    // Rewire triangles that referenced only j.
+    for (TriangleId t : ws_.inc[j]) {
+      if (!ws_.tri_alive[t]) continue;
+      for (VertexId& v : ws_.tris[t].v) {
+        if (v == j) v = i;
+      }
+      ws_.inc[i].push_back(t);
+    }
+    ws_.inc[j].clear();
+
+    // Merge adjacency: neighbors of j become neighbors of i.
+    for (VertexId n : ws_.nbr[j]) {
+      if (n == i) continue;
+      Workspace::list_erase(ws_.nbr[n], j);
+      Workspace::list_insert(ws_.nbr[n], i);
+      Workspace::list_insert(ws_.nbr[i], n);
+    }
+    Workspace::list_erase(ws_.nbr[i], j);
+    ws_.nbr[j].clear();
+
+    // Move i to the midpoint, average the data (NewData = mean).
+    ws_.pos[i] = m;
+    ws_.val[i] = (ws_.val[i] + ws_.val[j]) * 0.5;
+    ws_.vertex_alive[j] = false;
+    collapse_log_.emplace_back(i, j);
+
+    // Invalidate stale heap entries and re-key every edge incident to i.
+    ++ws_.version[i];
+    ++ws_.version[j];
+    for (VertexId n : ws_.nbr[i]) push_edge(i, n);
+    return true;
+  }
+
+  DecimateResult compact() const {
+    std::vector<VertexId> remap(ws_.pos.size(), kInvalidVertex);
+    std::vector<Vec2> vertices;
+    Field values;
+    auto has_live_triangle = [&](VertexId v) {
+      for (TriangleId t : ws_.inc[v]) {
+        if (ws_.tri_alive[t]) return true;
+      }
+      return false;
+    };
+    // A collapse can orphan a boundary-corner vertex whose only triangle died;
+    // drop such vertices so the compacted mesh has no isolated vertices.
+    std::vector<VertexId> survivors;
+    for (VertexId v = 0; v < ws_.pos.size(); ++v) {
+      if (ws_.vertex_alive[v] && has_live_triangle(v)) {
+        remap[v] = static_cast<VertexId>(vertices.size());
+        vertices.push_back(ws_.pos[v]);
+        values.push_back(ws_.val[v]);
+        survivors.push_back(v);
+      }
+    }
+    std::vector<Triangle> tris;
+    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
+      if (!ws_.tri_alive[t]) continue;
+      Triangle tri = ws_.tris[t];
+      for (VertexId& v : tri.v) v = remap[v];
+      tris.push_back(tri);
+    }
+    DecimateResult r;
+    r.mesh = TriMesh(std::move(vertices), std::move(tris));
+    r.values = std::move(values);
+    r.collapse_log = collapse_log_;
+    r.survivor_slots = std::move(survivors);
+    return r;
+  }
+
+  DecimateOptions opt_;
+  util::Rng rng_;
+  Workspace ws_;
+  std::priority_queue<HeapEntry> heap_;
+  std::vector<std::pair<VertexId, VertexId>> collapse_log_;
+  double min_area2_ = 0.0;
+  double value_range_ = 1.0;
+};
+
+
+DecimateResult reference_decimate(const TriMesh& mesh, const Field& values,
+                                  const DecimateOptions& options) {
+  ReferenceDecimator d(mesh, values, options);
+  return d.run();
+}
+
+}  // namespace
+}  // namespace canopus::mesh
+
+namespace {
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void expect_same_decimation(const cm::DecimateResult& got,
+                            const cm::DecimateResult& want,
+                            const std::string& context) {
+  EXPECT_TRUE(same_bytes(got.mesh.vertices(), want.mesh.vertices())) << context;
+  EXPECT_TRUE(same_bytes(got.mesh.triangles(), want.mesh.triangles())) << context;
+  EXPECT_TRUE(same_bytes(got.values, want.values)) << context;
+  EXPECT_EQ(got.collapse_log, want.collapse_log) << context;
+  EXPECT_EQ(got.survivor_slots, want.survivor_slots) << context;
+  EXPECT_EQ(got.collapses, want.collapses) << context;
+  EXPECT_EQ(got.rejected, want.rejected) << context;
+  EXPECT_EQ(got.achieved_ratio, want.achieved_ratio) << context;
+}
+
+}  // namespace
+
+// Equal priorities pop in an order set by the heap's layout, so only the same
+// pushes in the same order reproduce a decimation. The unjittered families
+// tie on nearly every edge length; the sweep covers every priority.
+class DecimationEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(DecimationEquivalence, MatchesReferenceBitForBit) {
+  const auto& [family, jittered] = GetParam();
+  const auto mesh = make_mesh(family, jittered);
+  const auto field = analytic_field(mesh);
+  EXPECT_EQ(mesh.edges(), cm::reference_edges(mesh));
+  for (const double ratio : {1.0, 1.5, 2.0, 4.0, 8.0}) {
+    for (const auto priority : {cm::EdgePriority::kShortestFirst,
+                                cm::EdgePriority::kRandom,
+                                cm::EdgePriority::kGradientWeighted}) {
+      cm::DecimateOptions opt;
+      opt.ratio = ratio;
+      opt.priority = priority;
+      expect_same_decimation(cm::decimate(mesh, field, opt),
+                             cm::reference_decimate(mesh, field, opt),
+                             "ratio " + std::to_string(ratio) +
+                                 priority_suffix(priority));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndTies, DecimationEquivalence,
+    ::testing::Combine(
+        ::testing::Values("rect", "annulus", "disk", "airfoil", "shuffled"),
+        ::testing::Bool()),
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) +
+             (std::get<1>(param_info.param) ? "_jittered" : "_exact_ties");
+    });
+
+// The write path's cascade (4 levels, step 2) on full-size XGC planes: every
+// level and every pass's collapse log as the reference decimator makes them.
+TEST(CascadeEquivalence, XgcPlanesMatchReferenceBitForBit) {
+  for (const std::uint64_t seed : {3000u, 5007u, 21000u}) {
+    canopus::sim::XgcOptions xopt;
+    xopt.seed = seed;
+    const auto ds = canopus::sim::make_xgc_dataset(xopt);
+    cm::CascadeOptions copt;
+    copt.levels = 4;
+    copt.step = 2.0;
+    std::vector<cm::DecimateResult> passes;
+    const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt, &passes);
+    ASSERT_EQ(cascade.level_count(), 4u);
+    ASSERT_EQ(passes.size(), 3u);
+    cm::LevelData prev{ds.mesh, ds.values};
+    for (std::size_t l = 1; l < 4; ++l) {
+      cm::DecimateOptions step = copt.decimate;
+      step.ratio = copt.step;
+      const auto want = cm::reference_decimate(prev.mesh, prev.values, step);
+      const std::string context =
+          "seed " + std::to_string(seed) + " level " + std::to_string(l);
+      const auto& got = cascade.levels[l];
+      EXPECT_TRUE(same_bytes(got.mesh.vertices(), want.mesh.vertices())) << context;
+      EXPECT_TRUE(same_bytes(got.mesh.triangles(), want.mesh.triangles())) << context;
+      EXPECT_TRUE(same_bytes(got.values, want.values)) << context;
+      EXPECT_EQ(passes[l - 1].collapse_log, want.collapse_log) << context;
+      EXPECT_EQ(passes[l - 1].survivor_slots, want.survivor_slots) << context;
+      EXPECT_EQ(passes[l - 1].collapses, want.collapses) << context;
+      EXPECT_EQ(passes[l - 1].rejected, want.rejected) << context;
+      prev = cm::LevelData{want.mesh, want.values};
+    }
+  }
+}
 
 // ------------------------------------------------------------ codec bounds --
 
