@@ -410,25 +410,17 @@ RuntimeConfig load_config(const std::string& xml_text) {
       CANOPUS_CHECK(std::isfinite(fo.remote_bandwidth),
                     "<fabric> remote-bw must be finite");
     }
-    if (fabric_node->has_attr("eviction-high")) {
-      fo.eviction_high = parse_probability(fabric_node->attr("eviction-high"),
-                                           "eviction-high");
-    }
-    if (fabric_node->has_attr("eviction-low")) {
-      fo.eviction_low = parse_probability(fabric_node->attr("eviction-low"),
-                                          "eviction-low");
-    }
-    if (fabric_node->has_attr("eviction-interval")) {
-      fo.eviction_interval_seconds =
-          parse_duration(fabric_node->attr("eviction-interval"));
-      CANOPUS_CHECK(fo.eviction_interval_seconds > 0.0,
-                    "<fabric> eviction-interval must be > 0");
-    }
-    if (fo.eviction_high > 0.0) {  // the eviction providers will run
-      CANOPUS_CHECK(fo.eviction_low < fo.eviction_high,
-                    "<fabric> eviction-low must be < eviction-high");
-      CANOPUS_CHECK(std::isfinite(fo.eviction_interval_seconds),
-                    "<fabric> eviction-interval must be finite");
+    // Demotion by access heat is configured in <tiering>. Unknown attributes
+    // are otherwise ignored, so reject the fabric eviction watermarks by name
+    // rather than let a document that sets them run without the eviction it
+    // asked for.
+    for (const char* removed :
+         {"eviction-high", "eviction-low", "eviction-interval"}) {
+      if (fabric_node->has_attr(removed)) {
+        throw Error(std::string("<fabric> attribute '") + removed +
+                    "' is no longer supported: placement by access heat is "
+                    "configured in <tiering>");
+      }
     }
     config.fabric = fo;
   }

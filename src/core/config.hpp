@@ -30,9 +30,7 @@
 //     <io depth="8" batch="4" deadline="5ms"/>
 //     <serve workers="4" queue-limit="64" deadline-default="250ms"
 //            age-boost="4"/>
-//     <fabric nodes="4" partition="range" remote-us="200" remote-bw="1GB/s"
-//             eviction-high="0.9" eviction-low="0.75"
-//             eviction-interval="10ms"/>
+//     <fabric nodes="4" partition="range" remote-us="200" remote-bw="1GB/s"/>
 //     <tiering enabled="true" half-life="500ms" promote-above="4"
 //              demote-below="1" interval="10ms" max-moves="8"
 //              cooldown-ticks="2" reserve="0.1"/>
@@ -90,18 +88,19 @@
 // cluster (src/fabric): `nodes` is the node count, `partition` the chunk
 // ownership scheme ("range" = contiguous Morton ranges, "hash" = FNV-1a),
 // `remote-us` the per-message one-way latency in microseconds and
-// `remote-bw` the inter-node bandwidth of the remote-read envelope, and
-// `eviction-high`/`eviction-low`/`eviction-interval` the per-node
-// anticipatory eviction provider's watermarks (fractions of tier-0
-// capacity; high = 0 disables the provider, otherwise low < high).
+// `remote-bw` the inter-node bandwidth of the remote-read envelope. The
+// fabric does not demote; the retired `eviction-high`/`eviction-low`/
+// `eviction-interval` attributes are rejected by name, pointing at <tiering>.
 //
 // The optional <tiering> element configures the workload-adaptive tier
 // advisor (src/tiering): `enabled` starts its background policy thread,
 // `half-life` the access-heat decay, `promote-above`/`demote-below` the
-// hysteresis band (promote-above must exceed demote-below — inverted bands
-// are rejected like inverted eviction watermarks), `interval` the policy
-// period, `max-moves`/`cooldown-ticks` the churn bounds, and `reserve` the
-// headroom fraction kept free on a promotion's target tier (in [0, 1)).
+// hysteresis band (promote-above must exceed demote-below; an inverted band
+// is rejected with both attributes named), `interval` the policy period,
+// `max-moves`/`cooldown-ticks` the churn bounds, and `reserve` the headroom
+// fraction kept free on a promotion's target tier (in [0, 1)). The advisor
+// is the only code that demotes: a promotion that needs room demotes the
+// target tier's coldest objects first.
 
 #include <optional>
 #include <string>

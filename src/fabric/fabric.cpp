@@ -1,7 +1,6 @@
 #include "fabric/fabric.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "adios/bp.hpp"
 #include "obs/metrics.hpp"
@@ -40,13 +39,9 @@ Fabric::Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
                 "fabric: remote envelope must be non-negative latency and "
                 "positive bandwidth");
   for (std::size_t i = 0; i < options_.nodes; ++i) append_node();
-  if (options_.eviction_high > 0.0) start_eviction_providers();
 }
 
-Fabric::~Fabric() {
-  stop_eviction_providers();
-  wait_for_migration();
-}
+Fabric::~Fabric() { wait_for_migration(); }
 
 Fabric::Node* Fabric::node_ptr(std::size_t i) const {
   std::shared_lock lock(nodes_mu_);
@@ -77,12 +72,6 @@ std::uint32_t Fabric::append_node() {
       }
     }
     nodes_.push_back(std::move(node));
-  }
-  {
-    std::scoped_lock lock(provider_mu_);
-    if (providers_running_) {
-      node_ptr(id)->provider = std::thread([this, id] { provider_loop(id); });
-    }
   }
   return id;
 }
@@ -194,6 +183,7 @@ ImportReport Fabric::import_container(storage::StorageHierarchy& staging,
       }
     }
   }
+  update_occupancy_gauges();
   return report;
 }
 
@@ -648,7 +638,6 @@ Fabric::Stats Fabric::stats() const {
   s.remote_reads = remote_reads_.load(std::memory_order_relaxed);
   s.replica_fallbacks = replica_fallbacks_.load(std::memory_order_relaxed);
   s.failed_remote_reads = failed_remote_reads_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   s.migrations = migrations_.load(std::memory_order_relaxed);
   s.migration_failures = migration_failures_.load(std::memory_order_relaxed);
   return s;
@@ -670,95 +659,6 @@ void Fabric::update_occupancy_gauges() const {
     }
   }
   publish_epoch_gauge();
-}
-
-void Fabric::start_eviction_providers() {
-  {
-    std::scoped_lock lock(provider_mu_);
-    if (providers_running_) return;
-    stop_providers_ = false;
-    providers_running_ = true;
-  }
-  const std::size_t slots = node_count();
-  for (std::size_t i = 0; i < slots; ++i) {
-    node_ptr(i)->provider = std::thread([this, i] { provider_loop(i); });
-  }
-}
-
-void Fabric::stop_eviction_providers() {
-  {
-    std::scoped_lock lock(provider_mu_);
-    if (!providers_running_) return;
-    stop_providers_ = true;
-  }
-  provider_cv_.notify_all();
-  // The table only grows, so re-reading node_count() each iteration also
-  // joins providers of nodes attached after the loop started.
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    Node* n = node_ptr(i);
-    if (n->provider.joinable()) n->provider.join();
-  }
-  std::scoped_lock lock(provider_mu_);
-  providers_running_ = false;
-}
-
-void Fabric::provider_loop(std::size_t node_index) {
-  std::unique_lock lock(provider_mu_);
-  for (;;) {
-    provider_cv_.wait_for(
-        lock, std::chrono::duration<double>(options_.eviction_interval_seconds),
-        [this] { return stop_providers_; });
-    if (stop_providers_) return;
-    lock.unlock();
-    tick_eviction(node_index);
-    lock.lock();
-  }
-}
-
-void Fabric::tick_eviction(std::size_t node_index) {
-  Node* n = node_ptr(node_index);
-  if (n == nullptr || n->detached.load(std::memory_order_relaxed)) return;
-  auto& h = n->hierarchy;
-  update_occupancy_gauges();
-  if (h.tier_count() < 2) return;
-  const auto [used, capacity] = h.tier_usage(0);
-  if (capacity == 0 ||
-      static_cast<double>(used) <= options_.eviction_high * capacity) {
-    return;
-  }
-  const double low =
-      std::clamp(options_.eviction_low, 0.0, options_.eviction_high);
-  const auto target_free =
-      static_cast<std::size_t>((1.0 - low) * static_cast<double>(capacity));
-  EvictionDelegate delegate;
-  {
-    std::scoped_lock hooks(hooks_mu_);
-    delegate = eviction_delegate_;
-  }
-  try {
-    if (delegate) {
-      // Heat-aware victim selection (the tier advisor's coldest-first
-      // policy) instead of the built-in LRU demotion.
-      const std::size_t demoted = delegate(node_index, h, target_free);
-      if (demoted > 0) {
-        evictions_.fetch_add(demoted, std::memory_order_relaxed);
-        count_fabric("evictions", demoted);
-      }
-      return;
-    }
-    const auto demoted = h.make_room(0, target_free);
-    if (!demoted.empty()) {
-      evictions_.fetch_add(demoted.size(), std::memory_order_relaxed);
-      count_fabric("evictions", demoted.size());
-    }
-  } catch (const Error&) {
-    // Lower tiers full or nothing demotable; leave it for the next tick.
-  }
-}
-
-void Fabric::set_eviction_delegate(EvictionDelegate delegate) {
-  std::scoped_lock lock(hooks_mu_);
-  eviction_delegate_ = std::move(delegate);
 }
 
 void Fabric::set_node_access_listener(

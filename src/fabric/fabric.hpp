@@ -6,8 +6,8 @@
 // N nodes in one process, each owning a StorageHierarchy (its slice of the
 // cluster's tiered memory) plus an optional BlockCache, with refactored
 // products sharded across them by a ChunkDirectory. The shape follows
-// ScaleStore's buffer manager — partitioned ownership, message-channel
-// remote access, and a background page-provider per node:
+// ScaleStore's buffer manager — partitioned ownership and message-channel
+// remote access:
 //
 //   * import_container() shards a written BP container: base/delta/data
 //     blocks go to their directory owner (plus a replica copy on the ring
@@ -20,9 +20,11 @@
 //     bandwidth) on the simulated clock. A dead or faulting owner degrades
 //     to the replica owner transparently — readers just see
 //     IoResult::from_replica, exactly like an intra-hierarchy fallback.
-//   * An anticipatory-eviction provider per node watches the fastest tier
-//     and demotes LRU blocks down-tier once occupancy crosses the high
-//     watermark, so steady-state serving never stalls on a full fast tier.
+//
+// The fabric itself never demotes: a node's placement is the storage
+// layer's fastest-tier-with-room rule, and the tier advisor (src/tiering,
+// TierAdvisor::attach_fabric) is the one policy that moves blocks between a
+// node's tiers, by access heat.
 //
 // Elastic topology (PR 8): the node table grows and shrinks at runtime.
 // attach_node() adds a node (same tier stack), seeds it with the replicated
@@ -48,9 +50,7 @@
 // gauge mirrors ChunkDirectory::epoch().
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -88,9 +88,8 @@ struct MigrationReport {
 class Fabric {
  public:
   /// Every node gets the same tier stack (`node_tiers`) and placement
-  /// policy. Eviction providers start automatically when
-  /// options.eviction_high > 0. The tier stack and policy are retained so
-  /// attach_node() can stamp out identical nodes later.
+  /// policy. The tier stack and policy are retained so attach_node() can
+  /// stamp out identical nodes later.
   Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
          storage::PlacementPolicy policy = storage::PlacementPolicy::kFastestFit);
   ~Fabric();
@@ -117,7 +116,8 @@ class Fabric {
   /// fabric. Sharded kinds (kBase, kDelta, kData) land on their directory
   /// owner's fastest fitting tier, then replica copies on the ring
   /// successor (best-effort, like replicate_below); metadata and geometry
-  /// (kMesh, kMapping, kChunkIndex) are replicated to every node.
+  /// (kMesh, kMapping, kChunkIndex) are replicated to every node. Refreshes
+  /// the occupancy gauges when done.
   ImportReport import_container(storage::StorageHierarchy& staging,
                                 const std::string& path);
 
@@ -139,7 +139,7 @@ class Fabric {
   MigrationReport drain_node(std::uint32_t id);
 
   /// drain_node() + removal from service: after the drain the node is
-  /// marked detached and no longer routes, evicts, or serves. Its slot (and
+  /// marked detached and no longer routes or serves. Its slot (and
   /// id) remain; re-attachment stamps out a fresh node with a new id.
   MigrationReport detach_node(std::uint32_t id);
 
@@ -170,9 +170,6 @@ class Fabric {
   std::uint32_t route_query(const std::string& path,
                             const std::string& var) const;
 
-  void start_eviction_providers();
-  void stop_eviction_providers();
-
   /// Monotonic fabric-wide counters, independent of the obs layer so tests
   /// can assert exact accounting with observability disabled.
   struct Stats {
@@ -180,15 +177,14 @@ class Fabric {
     std::uint64_t remote_reads = 0;        // resolved from the owner node
     std::uint64_t replica_fallbacks = 0;   // resolved from the replica owner
     std::uint64_t failed_remote_reads = 0; // no reachable copy
-    std::uint64_t evictions = 0;           // provider demotions
     std::uint64_t migrations = 0;          // committed ownership transfers
     std::uint64_t migration_failures = 0;  // abandoned moves
   };
   Stats stats() const;
 
-  /// Publishes per-node fast-tier occupancy gauges
-  /// (fabric.node<i>.tier0_used_bytes) and the topology.epoch gauge; the
-  /// providers and every topology change also refresh them.
+  /// Publishes per-node tier occupancy gauges
+  /// (fabric.node<i>.tier<t>_used_bytes) and the topology.epoch gauge;
+  /// import_container() and every topology change also refresh them.
   void update_occupancy_gauges() const;
 
   /// Planning estimate of resolving `key` from node `from_node`: the
@@ -203,16 +199,6 @@ class Fabric {
 
   // --- Tiering hooks (src/tiering layers above fabric, so these are
   // type-erased; the TierAdvisor plugs in through Pipeline). ---------------
-
-  /// Replaces the eviction providers' LRU make_room with a caller-supplied
-  /// policy: invoked with the node index, the node's hierarchy, and the
-  /// fast-tier free-byte target when occupancy crosses eviction_high.
-  /// Returns the number of objects it demoted (counted as evictions). An
-  /// empty function restores the LRU default.
-  using EvictionDelegate = std::function<std::size_t(
-      std::size_t node_index, storage::StorageHierarchy& hierarchy,
-      std::size_t target_free_bytes)>;
-  void set_eviction_delegate(EvictionDelegate delegate);
 
   /// Installs the listener on every node's hierarchy — current nodes now and
   /// future nodes at attach — so access heat and residency observations keep
@@ -257,16 +243,14 @@ class Fabric {
     std::unique_ptr<NodeRemoteStore> remote;
     std::atomic<bool> alive{true};
     std::atomic<bool> detached{false};
-    std::thread provider;
   };
 
   /// Slot pointer, or nullptr out of range. Nodes are never destroyed
   /// before the fabric, so the pointer stays valid after the shared lock is
   /// released; only the table itself needs guarding against growth.
   Node* node_ptr(std::size_t i) const;
-  /// Builds a node, wires its remote store (and cache when configured), and
-  /// appends it to the table; returns its id. Starts its provider when the
-  /// providers are running.
+  /// Builds a node, wires its remote store, cache (when configured) and
+  /// tiering listeners, and appends it to the table; returns its id.
   std::uint32_t append_node();
 
   storage::IoResult remote_read_from(std::size_t from_node,
@@ -282,8 +266,6 @@ class Fabric {
                                     const std::string& key, util::Bytes& out,
                                     bool charge_latency, bool* crossed_network);
   void note_local_hit(std::size_t node, const std::string& key);
-  void provider_loop(std::size_t node_index);
-  void tick_eviction(std::size_t node_index);
 
   /// Executes one plan: per chunk, copy (primary, else replica) → place on
   /// the new owner → commit_move cutover → retire the old copy (erase also
@@ -321,23 +303,16 @@ class Fabric {
   std::vector<std::string> replicated_keys_;
   std::optional<cache::CacheConfig> per_node_cache_;
 
-  /// Tiering hooks (see set_eviction_delegate / set_node_*_listener).
-  /// hooks_mu_ is a leaf lock: holders never take another fabric mutex.
+  /// Tiering hooks (see set_node_*_listener). hooks_mu_ is a leaf lock:
+  /// holders never take another fabric mutex.
   mutable std::mutex hooks_mu_;
-  EvictionDelegate eviction_delegate_;
   storage::StorageHierarchy::AccessListener node_access_listener_;
   storage::StorageHierarchy::MoveListener node_move_listener_;
-
-  std::mutex provider_mu_;
-  std::condition_variable provider_cv_;
-  bool providers_running_ = false;
-  bool stop_providers_ = false;
 
   std::atomic<std::uint64_t> local_hits_{0};
   std::atomic<std::uint64_t> remote_reads_{0};
   std::atomic<std::uint64_t> replica_fallbacks_{0};
   std::atomic<std::uint64_t> failed_remote_reads_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> migrations_{0};
   std::atomic<std::uint64_t> migration_failures_{0};
 };

@@ -29,13 +29,8 @@ struct FabricOptions {
   double remote_latency_seconds = 200e-6;
   /// Remote transfer bandwidth in bytes/second (remote-bw, e.g. "1GB/s").
   double remote_bandwidth = 1e9;
-  /// Anticipatory eviction: when a node's fastest tier is fuller than this
-  /// fraction, the node's background provider demotes LRU blocks down-tier
-  /// until occupancy falls below eviction_low. <= 0 disables the providers.
-  double eviction_high = 0.0;
-  double eviction_low = 0.75;
-  /// Wall-clock period of the providers' occupancy checks.
-  double eviction_interval_seconds = 0.01;
+  // Moving blocks between a node's tiers is the tier advisor's job, by
+  // access heat (<tiering>, tiering/tiering_config.hpp); the fabric places.
 };
 
 }  // namespace canopus::fabric

@@ -59,7 +59,6 @@ std::pair<std::size_t, IoResult> StorageHierarchy::place(
     throw CapacityError("no tier can hold '" + key + "' (" +
                         std::to_string(data.size()) + " bytes)");
   }
-  touch(key);
   return {*choice, tiers_[*choice]->write(key, data)};
 }
 
@@ -68,7 +67,6 @@ IoResult StorageHierarchy::write_to(std::size_t tier_index, const std::string& k
   std::scoped_lock lock(mu_);
   CANOPUS_ASSERT(tier_index < tiers_.size());
   erase(key);
-  touch(key);
   return tiers_[tier_index]->write(key, data);
 }
 
@@ -172,7 +170,6 @@ std::vector<std::string> StorageHierarchy::detach_tier(std::size_t i) {
                           " bytes) from tier '" + tiers_[i]->spec().name + "'");
     }
     tiers_[i]->erase(key);
-    touch(key);
   }
   tiers_.erase(tiers_.begin() + static_cast<std::ptrdiff_t>(i));
   if (round_robin_next_ >= tiers_.size()) round_robin_next_ = 0;
@@ -356,7 +353,6 @@ IoResult StorageHierarchy::read_uncached(const std::string& key,
 IoResult StorageHierarchy::read_local(std::size_t where, const std::string& key,
                                       util::Bytes& out) const {
   std::scoped_lock lock(mu_);
-  touch(key);
   IoResult acc;
   std::exception_ptr error;
   if (read_attempts(where, key, out, acc, error)) {
@@ -407,7 +403,6 @@ void StorageHierarchy::erase(const std::string& key) {
     t->erase(key);
     t->erase(rkey);
   }
-  last_access_.erase(key);
   if (cache_) {
     // Lock order is hierarchy mutex -> cache shard mutex (never reversed:
     // cache loaders run outside every cache lock). Invalidation also cancels
@@ -467,10 +462,6 @@ void StorageHierarchy::attach_fault_injector(
   }
 }
 
-void StorageHierarchy::touch(const std::string& key) const {
-  last_access_[key] = ++access_clock_;
-}
-
 IoResult StorageHierarchy::migrate(const std::string& key, std::size_t to_tier) {
   std::scoped_lock lock(mu_);
   CANOPUS_ASSERT(to_tier < tiers_.size());
@@ -481,57 +472,12 @@ IoResult StorageHierarchy::migrate(const std::string& key, std::size_t to_tier) 
   const auto read_io = tiers_[*from]->read(key, data);
   const auto write_io = tiers_[to_tier]->write(key, data);
   tiers_[*from]->erase(key);
-  touch(key);
   // Cached copies of the blob stay valid — the bytes are tier-independent —
   // but residency observers must re-stamp, or planned costs go stale against
   // the new placement (the move listener is that re-stamp hook).
   if (move_listener_) move_listener_(key, *from, to_tier);
   return IoResult{read_io.sim_seconds + write_io.sim_seconds,
                   read_io.wall_seconds + write_io.wall_seconds, data.size()};
-}
-
-std::vector<std::string> StorageHierarchy::make_room(std::size_t tier,
-                                                     std::size_t bytes) {
-  std::scoped_lock lock(mu_);
-  CANOPUS_ASSERT(tier < tiers_.size());
-  std::vector<std::string> evicted;
-  while (tiers_[tier]->free_bytes() < bytes) {
-    // Pick the least-recently-used object on this tier (objects never read
-    // or written through the tracked paths count as oldest).
-    std::string victim;
-    std::uint64_t victim_stamp = ~std::uint64_t{0};
-    for (const auto& [key, stamp] : last_access_) {
-      if (tiers_[tier]->contains(key) && stamp < victim_stamp) {
-        victim = key;
-        victim_stamp = stamp;
-      }
-    }
-    if (victim.empty()) {
-      // Fall back to any object on the tier (untracked keys).
-      // Tiers do not expose iteration; treat as unsatisfiable.
-      throw CapacityError("make_room: cannot free " + std::to_string(bytes) +
-                          " bytes on tier '" + tiers_[tier]->spec().name + "'");
-    }
-    // Demote to the first lower tier that fits.
-    const std::size_t size = tiers_[tier]->object_size(victim);
-    bool moved = false;
-    for (std::size_t lower = tier + 1; lower < tiers_.size(); ++lower) {
-      if (tiers_[lower]->fits(size)) {
-        migrate(victim, lower);
-        moved = true;
-        break;
-      }
-    }
-    // Same cannot-free-space condition as the empty-victim branch above, so
-    // the same typed error: a generic Error here would map to a different
-    // Status (kInternal vs kCapacity) at the facade for identical failures.
-    if (!moved) {
-      throw CapacityError("make_room: no lower tier can absorb '" + victim +
-                          "'");
-    }
-    evicted.push_back(victim);
-  }
-  return evicted;
 }
 
 }  // namespace canopus::storage

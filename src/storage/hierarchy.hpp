@@ -21,8 +21,7 @@
 
 namespace canopus::storage {
 
-/// Thrown when no tier (or no eviction plan) can absorb an object. A typed
-/// subclass so the Pipeline facade can report StatusCode::kCapacity without
+/// Thrown when no tier can absorb an object. A typed subclass so the Pipeline facade can report StatusCode::kCapacity without
 /// parsing messages.
 class CapacityError : public Error {
  public:
@@ -121,8 +120,6 @@ class StorageHierarchy {
         access_listener_(std::move(o.access_listener_)),
         move_listener_(std::move(o.move_listener_)),
         round_robin_next_(o.round_robin_next_),
-        access_clock_(o.access_clock_),
-        last_access_(std::move(o.last_access_)),
         tier_residency_(std::move(o.tier_residency_)) {}
   StorageHierarchy& operator=(StorageHierarchy&&) = delete;
   StorageHierarchy(const StorageHierarchy&) = delete;
@@ -238,19 +235,14 @@ class StorageHierarchy {
 
   void erase(const std::string& key);
 
-  // --- Migration & eviction (Section IV-B: "data migration and eviction
-  // will play an integral part"). ----------------------------------------
+  // --- Migration (Section IV-B: "data migration and eviction will play an
+  // integral part"). Which objects move is the tier advisor's decision
+  // (src/tiering); without one, nothing demotes. ---------------------------
 
   /// Moves an object to another tier; returns the read+write cost. No-op
   /// (zero cost) when the object already lives there. Throws when the
   /// object is missing or the target lacks capacity.
   IoResult migrate(const std::string& key, std::size_t to_tier);
-
-  /// Demotes least-recently-used objects from `tier` to slower tiers until
-  /// at least `bytes` are free there. Returns the demoted keys in eviction
-  /// order. Throws Error when even full demotion cannot free enough space
-  /// (e.g. lower tiers are full too).
-  std::vector<std::string> make_room(std::size_t tier, std::size_t bytes);
 
   // --- Robustness (fault injection, retries, replicas). -------------------
 
@@ -296,9 +288,10 @@ class StorageHierarchy {
   /// the heat signal for workload-adaptive tiering.
   using AccessListener = std::function<void(const std::string& key,
                                             std::size_t bytes)>;
-  /// Fires after any migration — explicit migrate(), make_room() demotions,
-  /// detach_tier() drains — so residency observers (predicted-placement maps,
-  /// cost planners) can re-stamp instead of going stale.
+  /// Fires after any migration — migrate(), including the tier advisor's
+  /// promotions and coldest-first demotions, and detach_tier() drains — so
+  /// residency observers (predicted-placement maps, cost planners) can
+  /// re-stamp instead of going stale.
   using MoveListener = std::function<void(const std::string& key,
                                           std::size_t from_tier,
                                           std::size_t to_tier)>;
@@ -313,8 +306,8 @@ class StorageHierarchy {
   void attach_move_listener(MoveListener listener);
 
   /// Locked snapshot of the keys on tier `i`, sorted (replica copies
-  /// included). Safe from background maintenance threads; used by heat-aware
-  /// eviction to rank victims.
+  /// included). Safe from background maintenance threads; the tier advisor
+  /// ranks room-making victims from it.
   std::vector<std::string> keys_on_tier(std::size_t i) const;
 
  private:
@@ -337,7 +330,6 @@ class StorageHierarchy {
   IoResult read_local(std::size_t where, const std::string& key,
                       util::Bytes& out) const;
 
-  void touch(const std::string& key) const;
   /// One bounded attempt loop against the copy of `key` on `tier`; folds
   /// failed-attempt costs and counters into `acc`. Returns success; stores the
   /// last failure in `error`.
@@ -347,9 +339,9 @@ class StorageHierarchy {
   /// Serializes every data-path operation: the progressive reader's
   /// read-ahead and the refactorer's pipelined committer issue hierarchy I/O
   /// from pool workers concurrently with the caller's thread. One lock keeps
-  /// tier state, the LRU bookkeeping, and the fault injector's RNG stream
-  /// consistent; it is recursive because compound operations
-  /// (place_with_replica, make_room) reuse the locked primitives. Simulated
+  /// tier state and the fault injector's RNG stream consistent; it is
+  /// recursive because compound operations (place_with_replica, migrate)
+  /// reuse the locked primitives. Simulated
   /// I/O is cheap, so the coarse lock models the one-I/O-aggregator-per-
   /// storage-target regime rather than costing real throughput.
   mutable std::recursive_mutex mu_;
@@ -362,9 +354,6 @@ class StorageHierarchy {
   AccessListener access_listener_;  // see attach_access_listener
   MoveListener move_listener_;      // see attach_move_listener
   mutable std::size_t round_robin_next_ = 0;
-  // LRU bookkeeping: monotone clock, last-access stamp per key.
-  mutable std::uint64_t access_clock_ = 0;
-  mutable std::map<std::string, std::uint64_t> last_access_;
   // Tier residency: key prefix -> allowed tier names (longest prefix wins).
   std::map<std::string, std::vector<std::string>> tier_residency_;
 };

@@ -13,7 +13,8 @@
 // FNV-1a of the key, each a small map behind its own mutex. The shard mutex
 // is a leaf lock — record()/heat() never call back into storage or cache —
 // so the tracker is safe to invoke from inside StorageHierarchy's read path
-// (hierarchy mutex held) and from the fabric's provider threads.
+// (hierarchy mutex held) and from the advisor's policy pass (its state
+// mutex and a hierarchy mutex held).
 //
 // Time is explicit: record()/heat() take `now_seconds` on the tracker's own
 // monotone axis (now() supplies a steady-clock reading). Tests pass explicit

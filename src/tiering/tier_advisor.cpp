@@ -24,11 +24,50 @@ void count_tiering(const char* name, std::uint64_t n) {
   obs::MetricsRegistry::global().counter(std::string("tiering.") + name).add(n);
 }
 
+std::size_t free_bytes(const storage::StorageHierarchy& h, std::size_t tier) {
+  const auto [used, capacity] = h.tier_usage(tier);
+  return capacity - std::min(used, capacity);
+}
+
+/// Demotes the coldest objects on `tier` of `h`, each to the first lower tier
+/// with room, until at least `room` bytes are free there or no candidate is
+/// left; returns the number demoted. Keys for which `keep(key)` holds (the
+/// group being promoted) are never victims. Runs inside tick(), so locks
+/// come in the documented order: State::mu (held by tick), then the
+/// hierarchy mutex, then leaf locks (tracker shards, and pred_mu through the
+/// move listener). A key that races away mid-pass just fails its migrate.
+template <typename Keep>
+std::size_t demote_coldest(const HeatTracker& tracker,
+                           storage::StorageHierarchy& h, std::size_t tier,
+                           std::size_t room, const Keep& keep) {
+  std::vector<std::pair<double, std::string>> victims;
+  const double now = tracker.now();
+  for (std::string& key : h.keys_on_tier(tier)) {
+    if (!keep(key)) victims.emplace_back(tracker.heat(key, now), std::move(key));
+  }
+  // Coldest first; ties broken by key so victim order is deterministic.
+  std::sort(victims.begin(), victims.end());
+  std::size_t demoted = 0;
+  for (const auto& [heat, key] : victims) {
+    if (free_bytes(h, tier) >= room) break;
+    for (std::size_t lower = tier + 1; lower < h.tier_count(); ++lower) {
+      try {
+        h.migrate(key, lower);
+        ++demoted;
+        break;
+      } catch (const Error&) {
+        // no room on this tier / key moved or vanished — try the next one
+      }
+    }
+  }
+  return demoted;
+}
+
 }  // namespace
 
-// All mutable advisor state. Listeners and the fabric eviction delegate
-// capture the shared_ptr, never the advisor, so a hook left on a borrowed
-// hierarchy or fabric cannot dangle after the advisor is destroyed.
+// All mutable advisor state. The listeners capture the shared_ptr, never the
+// advisor, so a hook left on a borrowed hierarchy or fabric cannot dangle
+// after the advisor is destroyed.
 //
 // Lock order (acyclic): mu → hierarchy mutex → {tracker shard mu, pred_mu}.
 // The listeners fire under a hierarchy mutex and take only leaf locks.
@@ -71,7 +110,7 @@ struct TierAdvisor::State {
 
   std::atomic<std::uint64_t> promotions{0};
   std::atomic<std::uint64_t> demotions{0};
-  std::atomic<std::uint64_t> delegated_evictions{0};
+  std::atomic<std::uint64_t> evictions{0};
   std::atomic<std::uint64_t> skipped_cooldown{0};
   std::atomic<std::uint64_t> skipped_capacity{0};
 
@@ -109,19 +148,17 @@ TierAdvisor::TierAdvisor(TieringConfig config) {
 
 TierAdvisor::~TierAdvisor() { stop(); }
 
-void TierAdvisor::install_listeners(const std::shared_ptr<State>& s,
-                                    storage::StorageHierarchy& hierarchy) {
-  hierarchy.attach_access_listener(
-      [s](const std::string& key, std::size_t bytes) {
-        (void)bytes;
-        s->tracker.record(key, 1.0);
-      });
-  hierarchy.attach_move_listener(
-      [s](const std::string& key, std::size_t from_tier, std::size_t to_tier) {
-        (void)from_tier;
-        std::scoped_lock lock(s->pred_mu);
-        s->predicted[key] = to_tier;
-      });
+TierAdvisor::Listeners TierAdvisor::listeners(const std::shared_ptr<State>& s) {
+  return {[s](const std::string& key, std::size_t bytes) {
+            (void)bytes;
+            s->tracker.record(key, 1.0);
+          },
+          [s](const std::string& key, std::size_t from_tier,
+              std::size_t to_tier) {
+            (void)from_tier;
+            std::scoped_lock lock(s->pred_mu);
+            s->predicted[key] = to_tier;
+          }};
 }
 
 void TierAdvisor::watch(storage::StorageHierarchy& hierarchy) {
@@ -132,7 +169,9 @@ void TierAdvisor::watch(storage::StorageHierarchy& hierarchy) {
     }
     state_->watched.push_back(&hierarchy);
   }
-  install_listeners(state_, hierarchy);
+  Listeners l = listeners(state_);
+  hierarchy.attach_access_listener(std::move(l.on_access));
+  hierarchy.attach_move_listener(std::move(l.on_move));
 }
 
 void TierAdvisor::attach_fabric(fabric::Fabric* fabric) {
@@ -145,34 +184,15 @@ void TierAdvisor::attach_fabric(fabric::Fabric* fabric) {
     s->fabric = fabric;
   }
   if (previous != nullptr) {
-    previous->set_eviction_delegate({});
     previous->set_node_access_listener({});
     previous->set_node_move_listener({});
   }
   if (fabric == nullptr) return;
   // The fabric applies these to every current node and to nodes attached
   // later, so heat keeps flowing across rebalance epochs.
-  fabric->set_node_access_listener(
-      [s](const std::string& key, std::size_t bytes) {
-        (void)bytes;
-        s->tracker.record(key, 1.0);
-      });
-  fabric->set_node_move_listener(
-      [s](const std::string& key, std::size_t from_tier, std::size_t to_tier) {
-        (void)from_tier;
-        std::scoped_lock lock(s->pred_mu);
-        s->predicted[key] = to_tier;
-      });
-  fabric->set_eviction_delegate([s](std::size_t node_index,
-                                    storage::StorageHierarchy& h,
-                                    std::size_t target_free_bytes) {
-    (void)node_index;
-    const std::size_t demoted = demote_coldest_impl(*s, h, 0,
-                                                    target_free_bytes);
-    s->delegated_evictions.fetch_add(demoted, std::memory_order_relaxed);
-    count_tiering("delegated_evictions", demoted);
-    return demoted;
-  });
+  Listeners l = listeners(s);
+  fabric->set_node_access_listener(std::move(l.on_access));
+  fabric->set_node_move_listener(std::move(l.on_move));
 }
 
 bool TierAdvisor::register_container(const std::string& path) {
@@ -242,6 +262,7 @@ std::size_t TierAdvisor::tick_impl(State& s) {
   std::size_t hot = 0;
   std::uint64_t promoted = 0;
   std::uint64_t demoted = 0;
+  std::uint64_t evicted = 0;
   std::uint64_t skipped_cool = 0;
   std::uint64_t skipped_cap = 0;
 
@@ -287,34 +308,49 @@ std::size_t TierAdvisor::tick_impl(State& s) {
           if (t > target) needed += m->bytes;
         }
         if (needed == 0) continue;
-        const auto [used, capacity] = h->tier_usage(target);
-        const auto headroom =
-            static_cast<std::size_t>(s.config.reserve *
-                                     static_cast<double>(capacity));
-        try {
-          const std::size_t free = capacity > used ? capacity - used : 0;
-          if (free < needed + headroom) h->make_room(target, needed + headroom);
-          // Publish the plan before executing it: a planner consulting
-          // predicted_tier() concurrently prices the group at its imminent
-          // home, which is what makes planned cost track achieved cost.
-          {
-            std::scoped_lock plock(s.pred_mu);
-            for (const auto& [m, t] : local) {
-              if (t > target) s.predicted[m->key] = target;
+        const std::size_t capacity = h->tier_usage(target).second;
+        const std::size_t room =
+            needed + static_cast<std::size_t>(s.config.reserve *
+                                              static_cast<double>(capacity));
+        if (free_bytes(*h, target) < room) {
+          evicted += demote_coldest(
+              s.tracker, *h, target, room, [&g](const std::string& key) {
+                return std::any_of(
+                    g.members.begin(), g.members.end(),
+                    [&key](const State::Member& m) { return m.key == key; });
+              });
+        }
+        bool ok = free_bytes(*h, target) >= room;
+        if (ok) {
+          try {
+            // Publish the plan before executing it: a planner consulting
+            // predicted_tier() concurrently prices the group at its imminent
+            // home, which is what makes planned cost track achieved cost.
+            {
+              std::scoped_lock plock(s.pred_mu);
+              for (const auto& [m, t] : local) {
+                if (t > target) s.predicted[m->key] = target;
+              }
             }
+            for (const auto& [m, t] : local) {
+              if (t > target) h->migrate(m->key, target);
+            }
+          } catch (const Error&) {
+            // A concurrent write took the room, or the source tier faulted.
+            ok = false;
           }
-          for (const auto& [m, t] : local) {
-            if (t > target) h->migrate(m->key, target);
-          }
+        }
+        if (ok) {
           ++promoted;
           ++moves;
           moved_group = true;
-        } catch (const Error&) {
-          // No room (make_room could not free enough, or a concurrent write
-          // took what it freed) or a faulting source tier: skip the group
-          // like a failed demotion, so no exception reaches the policy
-          // thread. Roll the plan back to actual residency, read before
-          // taking pred_mu (the lock order puts the hierarchy mutex first).
+        } else {
+          // No room (the coldest-first pass could not free enough, or a
+          // concurrent write took what it freed) or a faulting source tier:
+          // skip the group like a failed demotion, so no exception reaches
+          // the policy thread. Roll the plan back to actual residency, read
+          // before taking pred_mu (the lock order puts the hierarchy mutex
+          // first).
           ++skipped_cap;
           std::vector<std::pair<const std::string*, std::size_t>> actual;
           for (const auto& [m, t] : local) {
@@ -355,10 +391,12 @@ std::size_t TierAdvisor::tick_impl(State& s) {
   s.groups_count = s.groups.size();
   s.promotions.fetch_add(promoted, std::memory_order_relaxed);
   s.demotions.fetch_add(demoted, std::memory_order_relaxed);
+  s.evictions.fetch_add(evicted, std::memory_order_relaxed);
   s.skipped_cooldown.fetch_add(skipped_cool, std::memory_order_relaxed);
   s.skipped_capacity.fetch_add(skipped_cap, std::memory_order_relaxed);
   count_tiering("promotions", promoted);
   count_tiering("demotions", demoted);
+  count_tiering("evictions", evicted);
   count_tiering("skipped_cooldown", skipped_cool);
   count_tiering("skipped_capacity", skipped_cap);
   if (obs::enabled()) {
@@ -367,51 +405,6 @@ std::size_t TierAdvisor::tick_impl(State& s) {
     reg.gauge("tiering.hot_groups").set(static_cast<std::int64_t>(hot));
   }
   return moves;
-}
-
-std::size_t TierAdvisor::demote_coldest(storage::StorageHierarchy& h,
-                                        std::size_t tier,
-                                        std::size_t target_free_bytes) {
-  const std::size_t demoted = demote_coldest_impl(*state_, h, tier,
-                                                  target_free_bytes);
-  state_->delegated_evictions.fetch_add(demoted, std::memory_order_relaxed);
-  count_tiering("delegated_evictions", demoted);
-  return demoted;
-}
-
-std::size_t TierAdvisor::demote_coldest_impl(State& s,
-                                             storage::StorageHierarchy& h,
-                                             std::size_t tier,
-                                             std::size_t target_free_bytes) {
-  if (tier + 1 >= h.tier_count()) return 0;
-  // Deliberately no s.mu here: this runs on the fabric's provider threads
-  // while tick() may hold s.mu and a hierarchy mutex — taking s.mu would
-  // invert the order. Everything below uses the hierarchy's own locked
-  // primitives; a key that races away mid-pass just fails its migrate.
-  std::vector<std::pair<double, std::string>> victims;
-  {
-    const double now = s.tracker.now();
-    for (std::string& key : h.keys_on_tier(tier)) {
-      victims.emplace_back(s.tracker.heat(key, now), std::move(key));
-    }
-  }
-  // Coldest first; ties broken by key so victim order is deterministic.
-  std::sort(victims.begin(), victims.end());
-  std::size_t demoted = 0;
-  for (const auto& [heat, key] : victims) {
-    const auto [used, capacity] = h.tier_usage(tier);
-    if (capacity - std::min(used, capacity) >= target_free_bytes) break;
-    for (std::size_t lower = tier + 1; lower < h.tier_count(); ++lower) {
-      try {
-        h.migrate(key, lower);
-        ++demoted;
-        break;
-      } catch (const Error&) {
-        // no room on this tier / key moved or vanished — try the next one
-      }
-    }
-  }
-  return demoted;
 }
 
 void TierAdvisor::start() {
@@ -452,8 +445,7 @@ TieringReport TierAdvisor::report() const {
   TieringReport out;
   out.promotions = s.promotions.load(std::memory_order_relaxed);
   out.demotions = s.demotions.load(std::memory_order_relaxed);
-  out.delegated_evictions =
-      s.delegated_evictions.load(std::memory_order_relaxed);
+  out.evictions = s.evictions.load(std::memory_order_relaxed);
   out.skipped_cooldown = s.skipped_cooldown.load(std::memory_order_relaxed);
   out.skipped_capacity = s.skipped_capacity.load(std::memory_order_relaxed);
   std::scoped_lock lock(s.mu);

@@ -17,28 +17,34 @@
 //     level) — the paper's unit of progressive refinement — so policy acts
 //     on whole delta levels, not individual chunks.
 //   * tick() compares each group's mean per-block heat against a hysteresis
-//     band: above promote_threshold the group moves one tier up (making room
-//     via StorageHierarchy::make_room when needed), below demote_threshold
-//     one tier down, in between it stays put. Cooldown ticks and a per-tick
-//     move bound keep churn bounded; an oscillating workload inside the band
-//     never moves anything (the no-thrash property tests pin).
+//     band: above promote_threshold the group moves one tier up, below
+//     demote_threshold one tier down, in between it stays put. Cooldown
+//     ticks and a per-tick move bound keep churn bounded; an oscillating
+//     workload inside the band never moves anything (the no-thrash property
+//     tests pin).
+//   * A promotion whose target tier lacks room (plus the `reserve`
+//     headroom) first demotes that tier's coldest objects (counted as
+//     evictions), each to the first lower tier with room; the group's own
+//     blocks are never victims. If that cannot free enough, the group is
+//     skipped (skipped_capacity). This is the only code that picks which
+//     objects leave a tier: without an advisor nothing demotes, and
+//     placement stays the storage layer's fastest-tier-with-room rule.
 //   * Planned moves are published to a predicted-residency map *before* they
-//     execute, and every observed migration (the advisor's own, make_room
-//     demotions, fabric evictions) re-stamps it — so serve::CostModel plans
-//     against where blocks are going, and planned cost tracks achieved cost.
+//     execute, and every observed migration (the advisor's own promotions,
+//     demotions and evictions, tier drains) re-stamps it — so
+//     serve::CostModel plans against where blocks are going, and planned
+//     cost tracks achieved cost.
 //   * attach_fabric() extends all of the above to every node of a serving
-//     fabric and installs an eviction delegate: the fabric's anticipatory
-//     providers then demote coldest-first instead of LRU. Heat is keyed by
-//     global object names, so it survives rebalance epochs — a chunk
-//     migrated to a new owner keeps its history.
+//     fabric. Heat is keyed by global object names, so it survives rebalance
+//     epochs — a chunk migrated to a new owner keeps its history.
 //
 // Every move goes through StorageHierarchy::migrate, which preserves the
 // object's bytes exactly: placement changes are bitwise-invisible to query
 // results, only timings move. Counters land on tiering.* (obs).
 //
 // Internally all mutable state lives in a shared_ptr<State> that the
-// installed listeners and delegates capture, so a hook that outlives the
-// advisor (e.g. one registered on a borrowed hierarchy) never dangles.
+// installed listeners capture, so a hook that outlives the advisor (e.g. one
+// registered on a borrowed hierarchy) never dangles.
 
 #include <condition_variable>
 #include <memory>
@@ -77,10 +83,9 @@ class TierAdvisor {
   void watch(storage::StorageHierarchy& hierarchy);
 
   /// Extends the purview to every attached node of `fabric` (including nodes
-  /// attached later), installs the per-node heat/move listeners, and
-  /// replaces the fabric's LRU eviction with this advisor's coldest-first
-  /// delegate. Pass nullptr to detach (clears the hooks on the previously
-  /// attached fabric). The fabric must outlive the advisor's ticks.
+  /// attached later) and installs the per-node heat/move listeners. Pass
+  /// nullptr to detach (clears the hooks on the previously attached fabric).
+  /// The fabric must outlive the advisor's ticks.
   void attach_fabric(fabric::Fabric* fabric);
 
   /// Reads `path`'s metadata from the first watched hierarchy (or fabric
@@ -110,25 +115,18 @@ class TierAdvisor {
   /// range-check it against their own tier stack.
   std::optional<std::size_t> predicted_tier(const std::string& key) const;
 
-  /// Demotes the coldest objects on `tier` of `h` to lower tiers until at
-  /// least `target_free_bytes` are free (or nothing more can move); returns
-  /// the number of objects demoted. This is the eviction delegate
-  /// attach_fabric() installs; exposed so capacity pressure anywhere can use
-  /// heat-aware victim selection.
-  std::size_t demote_coldest(storage::StorageHierarchy& h, std::size_t tier,
-                             std::size_t target_free_bytes);
-
   TieringReport report() const;
   const TieringConfig& config() const;
 
  private:
   struct State;
+  struct Listeners {
+    storage::StorageHierarchy::AccessListener on_access;  // records heat
+    storage::StorageHierarchy::MoveListener on_move;  // re-stamps predictions
+  };
   static std::size_t tick_impl(State& s);
-  static std::size_t demote_coldest_impl(State& s, storage::StorageHierarchy& h,
-                                         std::size_t tier,
-                                         std::size_t target_free_bytes);
-  static void install_listeners(const std::shared_ptr<State>& s,
-                                storage::StorageHierarchy& hierarchy);
+  /// The listeners watch() and attach_fabric() install.
+  static Listeners listeners(const std::shared_ptr<State>& s);
   void loop();
 
   std::shared_ptr<State> state_;

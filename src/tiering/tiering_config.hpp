@@ -37,8 +37,8 @@ struct TieringConfig {
   /// half of the anti-thrash story, alongside the hysteresis band).
   std::uint32_t cooldown_ticks = 2;
   /// Fraction of the promotion target tier's capacity the advisor keeps free
-  /// when promoting into it (headroom so a promotion does not immediately
-  /// trip the eviction watermark). In [0, 1).
+  /// when promoting into it: a promotion needs its bytes plus this headroom,
+  /// demoting the tier's coldest objects to get it. In [0, 1).
   double reserve = 0.0;
 };
 
@@ -48,8 +48,8 @@ struct TieringReport {
   std::uint64_t ticks = 0;               // policy passes executed
   std::uint64_t promotions = 0;          // group moves up-tier
   std::uint64_t demotions = 0;           // group moves down-tier (cold policy)
-  std::uint64_t delegated_evictions = 0; // coldest-first demotions for the
-                                         // fabric's eviction providers
+  std::uint64_t evictions = 0;           // objects demoted coldest-first to
+                                         // make room for a promotion
   std::uint64_t skipped_cooldown = 0;    // moves suppressed by cooldown_ticks
   std::uint64_t skipped_capacity = 0;    // moves abandoned for lack of room
   std::size_t groups = 0;                // registered (var, kind, level) groups

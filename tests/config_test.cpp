@@ -365,16 +365,12 @@ TEST(Config, ServeDefaultsAndValidation) {
 TEST(Config, ParsesFabricBlock) {
   const auto config = cc::load_config(wrap(
       "<fabric nodes=\"4\" partition=\"hash\" remote-us=\"250\""
-      " remote-bw=\"2GB/s\" eviction-high=\"0.9\" eviction-low=\"0.7\""
-      " eviction-interval=\"20ms\"/>"));
+      " remote-bw=\"2GB/s\"/>"));
   ASSERT_TRUE(config.fabric.has_value());
   EXPECT_EQ(config.fabric->nodes, 4u);
   EXPECT_EQ(config.fabric->partition, canopus::fabric::Partition::kHash);
   EXPECT_DOUBLE_EQ(config.fabric->remote_latency_seconds, 250e-6);
   EXPECT_DOUBLE_EQ(config.fabric->remote_bandwidth, 2e9);
-  EXPECT_DOUBLE_EQ(config.fabric->eviction_high, 0.9);
-  EXPECT_DOUBLE_EQ(config.fabric->eviction_low, 0.7);
-  EXPECT_DOUBLE_EQ(config.fabric->eviction_interval_seconds, 0.02);
 }
 
 TEST(Config, FabricDefaultsAndValidation) {
@@ -400,17 +396,11 @@ TEST(Config, FabricDefaultsAndValidation) {
                canopus::Error);
   EXPECT_THROW(cc::load_config(wrap("<fabric remote-bw=\"0MB/s\"/>")),
                canopus::Error);
-  EXPECT_THROW(cc::load_config(wrap("<fabric eviction-high=\"1.5\"/>")),
-               canopus::Error);
-  EXPECT_THROW(cc::load_config(
-                   wrap("<fabric eviction-high=\"0.5\" eviction-low=\"0.8\"/>")),
-               canopus::Error);
-  // An empty band (low == high) is inverted too.
-  EXPECT_THROW(cc::load_config(
-                   wrap("<fabric eviction-high=\"0.5\" eviction-low=\"0.5\"/>")),
-               canopus::Error);
-  EXPECT_THROW(cc::load_config(wrap("<fabric eviction-interval=\"0ms\"/>")),
-               canopus::Error);
+  // The fabric does not demote: eviction watermarks fail the load and point
+  // the reader at <tiering> instead of loading and doing nothing.
+  const std::string watermark =
+      config_error(wrap("<fabric eviction-high=\"0.9\"/>"));
+  EXPECT_NE(watermark.find("<tiering>"), std::string::npos) << watermark;
   const std::string bad_nodes = config_error(wrap("<fabric nodes=\"many\"/>"));
   EXPECT_NE(bad_nodes.find("nodes"), std::string::npos) << bad_nodes;
 }
@@ -479,6 +469,9 @@ TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
       {"<tiering interval=\"0ms\"/>", "tiering.interval_seconds"},
       {"<tiering max-moves=\"0\"/>", "tiering.max_moves_per_tick"},
       {"<tiering reserve=\"1\"/>", "tiering.reserve"},
+      {"<fabric eviction-high=\"0.9\"/>", "eviction-high"},
+      {"<fabric eviction-low=\"0.75\"/>", "eviction-low"},
+      {"<fabric eviction-interval=\"10ms\"/>", "eviction-interval"},
   };
   namespace fs = std::filesystem;
   const auto path =

@@ -1,4 +1,4 @@
-// Tests for the extension features: storage migration/eviction, byte-split
+// Tests for the extension features: storage migration, byte-split
 // refactoring, decimation replay, campaign writing, the geometry cache, and
 // composed codec pipelines.
 
@@ -42,7 +42,7 @@ cm::Field wave_field(const cm::TriMesh& mesh, double phase = 0.0) {
 
 }  // namespace
 
-// -------------------------------------------------- migration & eviction --
+// --------------------------------------------------------------- migration --
 
 TEST(Migration, MoveBetweenTiers) {
   cs::StorageHierarchy h({cs::tmpfs_spec(1000), cs::lustre_spec(10000)});
@@ -77,44 +77,6 @@ TEST(Migration, OverCapacityTargetThrows) {
   EXPECT_THROW(h.migrate("a", 1), canopus::Error);
   // Object must still be readable from its original tier.
   EXPECT_EQ(h.find("a"), std::optional<std::size_t>(0));
-}
-
-TEST(Eviction, LruVictimDemotedFirst) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(300), cs::lustre_spec(10000)});
-  h.place("old", blob(100, 1));
-  h.place("mid", blob(100, 2));
-  h.place("hot", blob(100, 3));
-  // Touch "old" so "mid" becomes the LRU.
-  cu::Bytes tmp;
-  h.read("old", tmp);
-  const auto evicted = h.make_room(0, 100);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], "mid");
-  EXPECT_EQ(h.find("mid"), std::optional<std::size_t>(1));
-  EXPECT_EQ(h.find("old"), std::optional<std::size_t>(0));
-}
-
-TEST(Eviction, MakesEnoughRoomForLargeRequest) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(300), cs::lustre_spec(10000)});
-  h.place("a", blob(100, 1));
-  h.place("b", blob(100, 2));
-  h.place("c", blob(100, 3));
-  const auto evicted = h.make_room(0, 150);
-  EXPECT_EQ(evicted.size(), 2u);  // one demotion frees 100, so two needed
-  EXPECT_GE(h.tier(0).free_bytes(), 150u);
-}
-
-TEST(Eviction, NoopWhenAlreadyFree) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(300), cs::lustre_spec(10000)});
-  h.place("a", blob(50));
-  EXPECT_TRUE(h.make_room(0, 100).empty());
-}
-
-TEST(Eviction, ThrowsWhenLowerTiersFull) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(300), cs::lustre_spec(80)});
-  h.place("a", blob(100, 1));
-  h.place("b", blob(100, 2));
-  EXPECT_THROW(h.make_room(0, 250), canopus::Error);
 }
 
 // --------------------------------------------------------------- byte-split --

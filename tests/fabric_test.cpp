@@ -1,9 +1,9 @@
 // Cluster-grade suite for the sharded serving fabric (src/fabric):
 // partition totality/disjointness/coverage properties, directory rebalance
 // correctness, remote-vs-local bitwise identity, import/replica placement,
-// the anticipatory-eviction provider, the cost model's remote-residency
-// accounting, and a seeded node-kill stress run with exact serve accounting
-// (no lost or duplicated chunk reads).
+// the cost model's remote-residency accounting, and a seeded node-kill
+// stress run with exact serve accounting (no lost or duplicated chunk
+// reads).
 //
 // Randomized cases derive their seeds from CANOPUS_TEST_SEED (see
 // tests/test_support.hpp) and print the seed on failure.
@@ -316,49 +316,6 @@ TEST(Fabric, RouteQueryPrefersOwningAliveNode) {
   EXPECT_TRUE(fabric.alive(rerouted));
   fabric.revive_node(routed);
   EXPECT_EQ(fabric.route_query("d.bp", "v"), routed);
-}
-
-// ------------------------------------------------------- eviction provider
-
-TEST(Fabric, EvictionProviderDemotesColdBlocksDownTier) {
-  cf::FabricOptions fo;
-  fo.nodes = 1;
-  fo.eviction_high = 0.5;
-  fo.eviction_low = 0.25;
-  fo.eviction_interval_seconds = 0.001;
-  cf::Fabric fabric(fo, {cs::tmpfs_spec(64 << 10), cs::lustre_spec(1 << 30)});
-
-  // Fill the fast tier past the high watermark: 6 x 8 KiB = 48 KiB > 32 KiB.
-  std::vector<std::string> keys;
-  for (int i = 0; i < 6; ++i) {
-    Bytes block(8 << 10, std::byte{static_cast<unsigned char>(i)});
-    keys.push_back("blk" + std::to_string(i));
-    fabric.node(0).place(keys.back(), block);
-  }
-
-  // The provider must notice within a few ticks and demote until the fast
-  // tier is back under the high watermark.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    const auto [used, capacity] = fabric.node(0).tier_usage(0);
-    if (static_cast<double>(used) <= fo.eviction_high * capacity) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "eviction provider never relieved the fast tier (used=" << used
-        << "/" << capacity << ")";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(fabric.stats().evictions, 0u);
-
-  // Demotion moves blocks, never loses them: every key still reads back
-  // byte-identical from some tier.
-  for (int i = 0; i < 6; ++i) {
-    Bytes got;
-    fabric.node(0).read(keys[static_cast<std::size_t>(i)], got);
-    ASSERT_EQ(got.size(), 8u << 10);
-    EXPECT_TRUE(std::all_of(got.begin(), got.end(), [&](std::byte b) {
-      return b == std::byte{static_cast<unsigned char>(i)};
-    })) << keys[static_cast<std::size_t>(i)];
-  }
 }
 
 // --------------------------------------------- cost model remote residency

@@ -1,9 +1,9 @@
 // Tests for the workload-adaptive auto-tiering loop (src/tiering): the
-// decayed HeatTracker, the TierAdvisor's hysteresis/cooldown policy, the
-// typed capacity errors of StorageHierarchy::make_room, predicted-residency
-// re-stamping (planned cost == achieved cost), heat-aware coldest-first
-// demotion, the <tiering> config block, and heat survival across fabric
-// topology changes.
+// decayed HeatTracker, the TierAdvisor's hysteresis/cooldown policy,
+// promotion under capacity pressure (coldest-first room making, standalone
+// and on a fabric node), predicted-residency re-stamping (planned cost ==
+// achieved cost), the <tiering> config block, and heat survival across
+// fabric topology changes.
 //
 // Randomized sweeps derive their seeds from CANOPUS_TEST_SEED (see
 // tests/test_support.hpp) and print the seed on failure.
@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -169,43 +170,6 @@ TEST(HeatTracker, UnknownKeysAreColdAndTrackedCounts) {
   tracker.record("b", 2.0, 0.0);
   tracker.record("a", 1.0, 1.0);
   EXPECT_EQ(tracker.tracked(), 2u);
-}
-
-// ------------------------------------------- make_room error typing (fix) --
-
-TEST(MakeRoom, BothCapacityPathsThrowTypedCapacityError) {
-  // Path 1: nothing on the tier can be evicted at all (request exceeds what
-  // eviction could ever free).
-  {
-    cs::StorageHierarchy h({cs::tmpfs_spec(64 << 10)});
-    EXPECT_THROW(h.make_room(0, 128 << 10), cs::CapacityError);
-    Status status = Status::success();
-    try {
-      h.make_room(0, 128 << 10);
-    } catch (...) {
-      status = canopus::status_from_current_exception();
-    }
-    EXPECT_EQ(status.code, StatusCode::kCapacity) << status.to_string();
-  }
-  // Path 2: a victim exists but no lower tier can absorb it. This used to be
-  // a CANOPUS_CHECK (generic Error -> kInternal) while path 1 already threw
-  // CapacityError -> kCapacity; identical capacity exhaustion must map to
-  // one status code.
-  {
-    cs::StorageHierarchy h({cs::tmpfs_spec(16 << 10), cs::ssd_spec(8 << 10)});
-    const Bytes block(12 << 10, std::byte{0x5a});
-    h.write_to(0, "victim", block);
-    EXPECT_THROW(h.make_room(0, 8 << 10), cs::CapacityError);
-    Status status = Status::success();
-    try {
-      h.make_room(0, 8 << 10);
-    } catch (...) {
-      status = canopus::status_from_current_exception();
-    }
-    EXPECT_EQ(status.code, StatusCode::kCapacity) << status.to_string();
-    // The failed eviction never destroys data.
-    EXPECT_TRUE(h.find("victim").has_value());
-  }
 }
 
 // ------------------------------------------------------------ policy loop --
@@ -366,31 +330,249 @@ TEST(TierAdvisor, CooldownSuppressesImmediateReversal) {
   EXPECT_GT(advisor.report().demotions, before.demotions);
 }
 
+// ------------------------------------- promotion under capacity pressure --
+
+namespace {
+
+/// Where the promotion under test runs: a standalone hierarchy the advisor
+/// watches, or one node of a 3-node fabric joined through attach_fabric.
+enum class RigInput { kStandalone, kFabricNode };
+
+const char* rig_name(RigInput input) {
+  return input == RigInput::kStandalone ? "standalone" : "fabric node";
+}
+
+struct Filler {
+  std::string key;
+  std::size_t bytes;
+  double heat;
+};
+
+/// A promotion target under pressure. Its fast tier (tier 0) holds only the
+/// fillers, written in order; the hot delta levels sit on tier 1; every
+/// other block starts on tier 2.
+struct PressureRig {
+  std::unique_ptr<cs::StorageHierarchy> standalone;
+  std::unique_ptr<cf::Fabric> fabric;
+  std::unique_ptr<ct::TierAdvisor> advisor;  // after the stores: dies first
+  cs::StorageHierarchy* h = nullptr;
+  std::map<std::string, Bytes> bytes;  // every filler and delta level
+};
+
+constexpr std::size_t kMidTier = 1 << 20;
+constexpr std::size_t kSlowTier = 4 << 20;
+
+/// A staged container "p.bp" whose delta levels are `delta_chunks` blocks
+/// each. With one block, a level's group lives on one node of a fabric.
+cs::StorageHierarchy staged_container(std::uint32_t delta_chunks) {
+  cs::StorageHierarchy staging({cs::tmpfs_spec(256 << 20)});
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  auto config = chunked_config();
+  config.delta_chunks = delta_chunks;
+  cc::refactor_and_write(staging, "p.bp", "v", mesh, smooth_field(mesh),
+                         config);
+  return staging;
+}
+
+/// Payload bytes of `key` in `h`.
+std::size_t stored_size(const cs::StorageHierarchy& h, const std::string& key) {
+  return h.tier(*h.find(key)).object_size(key);
+}
+
+/// Builds the rig with a fast tier of `fast_capacity` bytes. `hot_levels`
+/// lists the delta levels moved to tier 1 (on a fabric, only levels the
+/// chosen node owns). With `lower_full`, tiers 1 and 2 are padded full.
+PressureRig make_rig(RigInput input, cs::StorageHierarchy& staging,
+                     const std::vector<std::string>& hot_levels,
+                     std::size_t fast_capacity,
+                     const std::vector<Filler>& fillers,
+                     bool lower_full = false) {
+  const std::vector<cs::TierSpec> stack = {cs::tmpfs_spec(fast_capacity),
+                                           cs::ssd_spec(kMidTier),
+                                           cs::lustre_spec(kSlowTier)};
+  PressureRig rig;
+  rig.advisor = std::make_unique<ct::TierAdvisor>(test_policy());
+  if (input == RigInput::kStandalone) {
+    rig.standalone = std::make_unique<cs::StorageHierarchy>(stack);
+    rig.h = rig.standalone.get();
+    rig.advisor->watch(*rig.h);
+    for (const auto& [key, bytes] : stored_objects(staging, "p.bp", "v")) {
+      rig.h->place(key, bytes);
+    }
+    Bytes meta;
+    staging.read(ca::metadata_key("p.bp"), meta);
+    rig.h->place(ca::metadata_key("p.bp"), meta);
+  } else {
+    cf::FabricOptions fo;
+    fo.nodes = 3;
+    rig.fabric = std::make_unique<cf::Fabric>(fo, stack);
+    rig.fabric->import_container(staging, "p.bp");
+    // value() throws (failing the test) if the level has no owner.
+    const auto owner = rig.fabric->directory().lookup(hot_levels.front());
+    rig.h = &rig.fabric->node(owner.value().owner);
+    rig.advisor->attach_fabric(rig.fabric.get());
+  }
+  EXPECT_TRUE(rig.advisor->register_container("p.bp"));
+
+  cs::StorageHierarchy& h = *rig.h;
+  for (std::size_t tier = 0; tier < 2; ++tier) {
+    for (const auto& key : h.keys_on_tier(tier)) h.migrate(key, 2);
+  }
+  for (const auto& key : hot_levels) {
+    h.migrate(key, 1);
+    staging.read(key, rig.bytes[key]);
+  }
+  for (const Filler& f : fillers) {
+    Bytes block(f.bytes, static_cast<std::byte>(f.key.front()));
+    h.write_to(0, f.key, block);
+    rig.advisor->heat().record(f.key, f.heat);
+    rig.bytes[f.key] = std::move(block);
+  }
+  if (lower_full) {
+    for (std::size_t tier = 1; tier < 3; ++tier) {
+      const auto [used, capacity] = h.tier_usage(tier);
+      h.write_to(tier, "pad" + std::to_string(tier), Bytes(capacity - used));
+    }
+  }
+  return rig;
+}
+
+/// Moves never lose a block: every filler and hot level reads back
+/// byte-identical from wherever it now lives.
+void expect_bytes_intact(PressureRig& rig) {
+  for (const auto& [key, expected] : rig.bytes) {
+    Bytes got;
+    rig.h->read(key, got);
+    EXPECT_EQ(got, expected) << key;
+  }
+}
+
+}  // namespace
+
+TEST(TierAdvisor, PromotionMakesRoomColdestFirst) {
+  auto staging = staged_container(1);
+  const std::string hot_key = delta_keys(staging, "p.bp", "v", 0).front();
+  const std::size_t needed = stored_size(staging, hot_key);
+  // Three fillers of `filler` bytes and `slack` bytes free: one demotion is
+  // too little for the hot level, two are enough.
+  const std::size_t slack = needed / 4;
+  const std::size_t filler = needed * 9 / 16;
+  ASSERT_LT(slack + filler, needed);
+  ASSERT_GE(slack + 2 * filler, needed);
+  const std::size_t fast = 3 * filler + slack;
+  // Written hottest first, so the least recently written is the hottest.
+  const std::vector<Filler> fillers = {
+      {"hot", filler, 5.0}, {"warm", filler, 3.0}, {"cold", filler, 1.0}};
+
+  for (const RigInput input : {RigInput::kStandalone, RigInput::kFabricNode}) {
+    SCOPED_TRACE(rig_name(input));
+    {
+      // The room already exists: the promotion demotes nothing.
+      auto rig = make_rig(input, staging, {hot_key}, fast, {fillers[0]});
+      rig.advisor->heat().record(hot_key, 10.0);
+      EXPECT_GE(rig.advisor->tick(), 1u);
+      EXPECT_EQ(rig.h->find(hot_key), std::optional<std::size_t>(0));
+      EXPECT_EQ(rig.h->find("hot"), std::optional<std::size_t>(0));
+      EXPECT_EQ(rig.advisor->report().evictions, 0u);
+    }
+    {
+      // Coldest first, not least recently written, and as many victims as
+      // the room takes: cold, then warm; hot stays.
+      auto rig = make_rig(input, staging, {hot_key}, fast, fillers);
+      rig.advisor->heat().record(hot_key, 10.0);
+      EXPECT_GE(rig.advisor->tick(), 1u);
+      EXPECT_EQ(rig.h->find(hot_key), std::optional<std::size_t>(0));
+      EXPECT_EQ(rig.advisor->predicted_tier(hot_key),
+                std::optional<std::size_t>(0));
+      EXPECT_EQ(rig.h->find("cold"), std::optional<std::size_t>(1));
+      EXPECT_EQ(rig.h->find("warm"), std::optional<std::size_t>(1));
+      EXPECT_EQ(rig.h->find("hot"), std::optional<std::size_t>(0));
+      const auto report = rig.advisor->report();
+      EXPECT_EQ(report.evictions, 2u);
+      EXPECT_EQ(report.promotions, 1u);
+      EXPECT_EQ(report.skipped_capacity, 0u);
+      expect_bytes_intact(rig);
+    }
+    {
+      // Lower tiers full: no victim can move, so the promotion is skipped,
+      // the plan matches live residency, and nothing throws or is lost.
+      auto rig = make_rig(input, staging, {hot_key}, fast, fillers,
+                          /*lower_full=*/true);
+      rig.advisor->heat().record(hot_key, 10.0);
+      const auto before = rig.advisor->report();
+      EXPECT_NO_THROW(rig.advisor->tick());
+      const auto after = rig.advisor->report();
+      EXPECT_EQ(after.skipped_capacity, before.skipped_capacity + 1);
+      EXPECT_EQ(after.promotions, before.promotions);
+      EXPECT_EQ(after.evictions, 0u);
+      EXPECT_EQ(rig.h->find(hot_key), std::optional<std::size_t>(1));
+      EXPECT_EQ(rig.advisor->predicted_tier(hot_key), rig.h->find(hot_key));
+      expect_bytes_intact(rig);
+    }
+  }
+}
+
+TEST(TierAdvisor, PromotionNeverDemotesItsOwnGroup) {
+  // Level 0 in two blocks: `resident` already on the fast tier and colder
+  // than anything else there, `behind` one tier down and hot enough to make
+  // the group's mean heat promote it.
+  auto staging = staged_container(2);
+  const auto keys = delta_keys(staging, "p.bp", "v", 0);
+  ASSERT_EQ(keys.size(), 2u);
+  const std::string& resident = keys[0];
+  const std::string& behind = keys[1];
+  const std::size_t filler = stored_size(staging, behind);
+  auto rig = make_rig(RigInput::kStandalone, staging, {behind},
+                      stored_size(staging, resident) + filler,
+                      {{"filler", filler, 1.0}});
+  cs::StorageHierarchy& h = *rig.h;
+  h.migrate(resident, 0);
+  rig.advisor->heat().record(behind, 20.0);
+
+  // The room comes from the filler, not from the group's own cold block.
+  EXPECT_GE(rig.advisor->tick(), 1u);
+  EXPECT_EQ(h.find(behind), std::optional<std::size_t>(0));
+  EXPECT_EQ(h.find(resident), std::optional<std::size_t>(0));
+  EXPECT_EQ(h.find("filler"), std::optional<std::size_t>(1));
+  EXPECT_EQ(rig.advisor->report().evictions, 1u);
+}
+
 TEST(TierAdvisor, DemoteColdestPicksColdestFirstDeterministically) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(64 << 10), cs::lustre_spec(1 << 30)});
-  const Bytes block(8 << 10, std::byte{0x11});
-  h.write_to(0, "hot", block);
-  h.write_to(0, "warm", block);
-  h.write_to(0, "cold", block);
+  auto staging = staged_container(1);
+  const std::array<std::string, 2> level_keys = {
+      delta_keys(staging, "p.bp", "v", 0).front(),
+      delta_keys(staging, "p.bp", "v", 1).front()};
+  const std::size_t n0 = stored_size(staging, level_keys[0]);
+  const std::size_t n1 = stored_size(staging, level_keys[1]);
+  // A full fast tier of three equal fillers, each big enough for either
+  // level but not for both: every promotion below demotes exactly one.
+  const std::size_t filler = std::max(n0, n1);
+  auto rig = make_rig(RigInput::kStandalone, staging,
+                      {level_keys[0], level_keys[1]}, 3 * filler,
+                      {{"hot", filler, 5.0},
+                       {"warm", filler, 3.0},
+                       {"cold", filler, 1.0}});
+  ct::TierAdvisor& advisor = *rig.advisor;
+  cs::StorageHierarchy& h = *rig.h;
 
-  ct::TierAdvisor advisor(test_policy());
-  advisor.watch(h);
-  advisor.heat().record("hot", 5.0);
-  advisor.heat().record("warm", 3.0);
-  advisor.heat().record("cold", 1.0);
-
-  // Free space is 40 KiB; asking for 48 KiB demotes exactly one object —
-  // and it must be the coldest.
-  EXPECT_EQ(advisor.demote_coldest(h, 0, 48 << 10), 1u);
+  // Level 0 turns hot (level 1 stays inside the band): its promotion demotes
+  // exactly one object, and it must be the coldest.
+  advisor.heat().record(level_keys[0], 10.0);
+  advisor.heat().record(level_keys[1], 2.0);
+  EXPECT_GE(advisor.tick(), 1u);
+  EXPECT_EQ(h.find(level_keys[0]), std::optional<std::size_t>(0));
   EXPECT_EQ(h.find("cold"), std::optional<std::size_t>(1));
   EXPECT_EQ(h.find("warm"), std::optional<std::size_t>(0));
   EXPECT_EQ(h.find("hot"), std::optional<std::size_t>(0));
+  EXPECT_EQ(advisor.report().evictions, 1u);
 
-  // The next request takes the next-coldest.
-  EXPECT_EQ(advisor.demote_coldest(h, 0, 56 << 10), 1u);
+  // The next promotion takes the next-coldest.
+  advisor.heat().record(level_keys[1], 8.0);
+  EXPECT_GE(advisor.tick(), 1u);
+  EXPECT_EQ(h.find(level_keys[1]), std::optional<std::size_t>(0));
   EXPECT_EQ(h.find("warm"), std::optional<std::size_t>(1));
   EXPECT_EQ(h.find("hot"), std::optional<std::size_t>(0));
-  EXPECT_EQ(advisor.report().delegated_evictions, 2u);
+  EXPECT_EQ(advisor.report().evictions, 2u);
 }
 
 // ----------------------------------------- stale residency (planned cost) --
@@ -443,8 +625,9 @@ TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
   ASSERT_FALSE(keys.empty());
   EXPECT_EQ(advisor.predicted_tier(keys.front()), std::nullopt);
 
-  // Any observed migration — advisor move, make_room demotion, eviction —
-  // re-stamps the prediction to the achieved placement.
+  // Any observed migration — advisor promotion, demotion or room-making
+  // eviction, or a plain migrate — re-stamps the prediction to the achieved
+  // placement.
   tiers.migrate(keys.front(), 2);
   EXPECT_EQ(advisor.predicted_tier(keys.front()),
             std::optional<std::size_t>(2));
@@ -591,8 +774,7 @@ TEST(TieringConfig, RejectsInvertedHysteresisBandNamingTheAttributes) {
     </canopus-config>)");
     FAIL() << "inverted band accepted";
   } catch (const canopus::Error& e) {
-    // The message must name the element and both attributes, mirroring the
-    // <fabric> eviction-low/eviction-high diagnostic.
+    // The message must name the element and both attributes.
     const std::string what = e.what();
     EXPECT_NE(what.find("<tiering>"), std::string::npos) << what;
     EXPECT_NE(what.find("demote-below"), std::string::npos) << what;
