@@ -120,7 +120,13 @@ double parse_probability(const std::string& text, const std::string& what) {
 std::size_t parse_size(const std::string& text) {
   const auto [value, unit] = split_number_unit(text);
   CANOPUS_CHECK(value >= 0.0, "negative size: " + text);
-  return static_cast<std::size_t>(value * size_unit_factor(unit));
+  const double bytes = value * size_unit_factor(unit);
+  // Casting inf, or anything at or past 2^64, to size_t is undefined.
+  constexpr int kBits = std::numeric_limits<std::size_t>::digits;
+  CANOPUS_CHECK(std::isfinite(bytes) && bytes < std::ldexp(1.0, kBits),
+                "size is not representable in " + std::to_string(kBits) +
+                    " bits: " + text);
+  return static_cast<std::size_t>(bytes);
 }
 
 double parse_rate(const std::string& text) {
@@ -161,10 +167,22 @@ RuntimeConfig load_config(const std::string& xml_text) {
       throw Error("unknown placement policy: " + policy);
     }
   }
+  // An infinite bandwidth or latency would zero or poison every simulated
+  // cost on the tier.
+  const auto finite = [](double value, const char* attr) {
+    CANOPUS_CHECK(std::isfinite(value), std::string("<tier> attribute '") +
+                                            attr + "' must be finite");
+    return value;
+  };
   for (const auto* tier : storage_node->children_named("tier")) {
     CANOPUS_CHECK(tier->has_attr("capacity"),
                   "<tier> needs a capacity attribute");
-    const auto capacity = parse_size(tier->attr("capacity"));
+    std::size_t capacity = 0;
+    try {
+      capacity = parse_size(tier->attr("capacity"));
+    } catch (const Error& e) {
+      throw Error(std::string("<tier> attribute 'capacity': ") + e.what());
+    }
     storage::TierSpec spec;
     if (tier->has_attr("preset")) {
       spec = preset_spec(tier->attr("preset"), capacity);
@@ -174,13 +192,21 @@ RuntimeConfig load_config(const std::string& xml_text) {
       spec.capacity_bytes = capacity;
     }
     if (tier->has_attr("name")) spec.name = tier->attr("name");
-    if (tier->has_attr("read-bw")) spec.read_bandwidth = parse_rate(tier->attr("read-bw"));
-    if (tier->has_attr("write-bw")) spec.write_bandwidth = parse_rate(tier->attr("write-bw"));
+    if (tier->has_attr("read-bw")) {
+      spec.read_bandwidth =
+          finite(parse_rate(tier->attr("read-bw")), "read-bw");
+    }
+    if (tier->has_attr("write-bw")) {
+      spec.write_bandwidth =
+          finite(parse_rate(tier->attr("write-bw")), "write-bw");
+    }
     if (tier->has_attr("read-latency")) {
-      spec.read_latency = parse_duration(tier->attr("read-latency"));
+      spec.read_latency =
+          finite(parse_duration(tier->attr("read-latency")), "read-latency");
     }
     if (tier->has_attr("write-latency")) {
-      spec.write_latency = parse_duration(tier->attr("write-latency"));
+      spec.write_latency =
+          finite(parse_duration(tier->attr("write-latency")), "write-latency");
     }
     if (tier->has_attr("backend")) {
       const auto backend = tier->attr("backend");

@@ -147,7 +147,8 @@ RuntimeConfig load_config(const std::string& xml_text);
 /// Reads and parses a configuration file.
 RuntimeConfig load_config_file(const std::string& path);
 
-/// Unit helpers, exposed for reuse/testing.
+/// Unit helpers, exposed for reuse/testing. parse_size throws for a size
+/// that is infinite or at least 2^64 bytes.
 std::size_t parse_size(const std::string& text);     // "4MiB" -> bytes
 double parse_rate(const std::string& text);          // "250MB/s" -> bytes/s
 double parse_duration(const std::string& text);      // "5ms" -> seconds

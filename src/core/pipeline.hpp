@@ -30,14 +30,14 @@
 // the layers underneath are mapped at this boundary and never escape.
 //
 // The facade is also the cluster control plane: attach_fabric() plugs a
-// fabric::Fabric in, after which attach_node()/drain_node()/detach_node()/
-// rebalance() grow and shrink the topology at runtime while queries keep
-// being served, and topology() snapshots it (core/topology.hpp). Members that
-// touch another module's types are defined in that module — the topology
-// control plane in src/fabric/pipeline_fabric.cpp; query_scheduler(),
-// tier_advisor() and attach_fabric(), which wire scheduler, advisor and
-// fabric together, in src/serve/pipeline_serve.cpp — so core itself
-// references no serve, fabric or tiering symbol.
+// fabric::Fabric in, after which attach_node()/detach_node() grow and shrink
+// the topology at runtime while queries keep being served, and topology()
+// snapshots it (core/topology.hpp). Members that touch another module's
+// types are defined in that module — the topology control plane in
+// src/fabric/pipeline_fabric.cpp; query_scheduler(), tier_advisor() and
+// attach_fabric(), which wire scheduler, advisor and fabric together, in
+// src/serve/pipeline_serve.cpp — so core itself references no serve, fabric
+// or tiering symbol.
 //
 // The pre-facade entry points (core::refactor_and_write overloads and the
 // core::ProgressiveReader constructor) remain as thin deprecated wrappers
@@ -266,30 +266,19 @@ class Pipeline {
   fabric::Fabric* serving_fabric() const;
 
   /// Grows the cluster by one node; `*id` (optional) receives its stable
-  /// node id. Only the chunks whose directory owner changed migrate, in the
-  /// background — queries are served throughout (old owner until each
-  /// chunk's cutover). kInvalidArgument when no fabric is attached.
+  /// node id. Only the chunks whose directory owner changed migrate, and they
+  /// have migrated when this returns — queries on other threads are served
+  /// throughout (old owner until each chunk's cutover). kIoError when moves
+  /// were abandoned (no readable copy or no room on the new owner);
+  /// kInvalidArgument when no fabric is attached.
   Status attach_node(std::uint32_t* id = nullptr);
 
   /// Moves every primary chunk off node `id` (copy → cutover → retire,
   /// replicas repaired onto the new ring successors) while the node keeps
-  /// serving; the node stays attached. kInvalidArgument for an unknown,
-  /// detached, or last-active node.
-  Status drain_node(std::uint32_t id);
-
-  /// drain_node() + removal from service: after the drain completes the node
-  /// no longer routes, serves, or holds data. Queries planned after this
-  /// never touch it.
+  /// serving, then removes it from service: afterwards it no longer routes,
+  /// serves, or holds data, and queries planned after this never touch it.
+  /// kInvalidArgument for an unknown, detached, or last active node.
   Status detach_node(std::uint32_t id);
-
-  /// Re-plans chunk ownership against the current topology (e.g. after
-  /// residency changes) and migrates synchronously.
-  Status rebalance();
-
-  /// Joins any in-flight background migration (after attach_node()); returns
-  /// kOk when the migration moved every planned chunk, kRetried when a newer
-  /// topology change superseded it, kIoError/kCapacity when moves failed.
-  Status wait_for_rebalance();
 
   /// Point-in-time cluster snapshot (epoch, per-node occupancy and liveness,
   /// migration count). Single-node pipelines (no fabric attached) report one

@@ -21,14 +21,14 @@ struct Topology {
     std::uint32_t id = 0;       // stable slot id (never reused)
     bool alive = true;          // not failure-simulated down (kill_node)
     bool active = true;         // in the directory's active set (serves and
-                                // owns chunks; false once drained/detached)
+                                // owns chunks; false once detached)
     std::vector<std::string> tiers;  // tier names, fastest first
     std::uint64_t owned_bytes = 0;   // directory-owned chunk payload bytes
     std::uint64_t used_bytes = 0;    // bytes resident across the node's tiers
   };
 
-  /// ChunkDirectory::epoch() at snapshot time; bumped by every
-  /// attach/detach/rebalance, NOT by individual chunk cutovers.
+  /// ChunkDirectory::epoch() at snapshot time; bumped by every node attach
+  /// and detach, NOT by individual chunk cutovers.
   std::uint64_t epoch = 0;
   /// Committed ownership transfers so far (Fabric::Stats::migrations).
   std::uint64_t migrations = 0;

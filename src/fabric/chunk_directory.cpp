@@ -44,41 +44,15 @@ std::optional<std::uint32_t> ChunkDirectory::replica_of(std::uint32_t owner,
   return static_cast<std::uint32_t>((owner + 1) % nodes);
 }
 
-std::vector<std::uint32_t> ChunkDirectory::eligible_locked(
-    const std::string& key) const {
-  // Longest residency prefix that matches the key wins. residency_ is
-  // ordered, so candidate prefixes of `key` sort before it; walk backwards
-  // from the insertion point checking prefix-of-key.
-  const std::vector<std::uint32_t>* restriction = nullptr;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, nodes] : residency_) {
-    if (prefix.size() >= best_len && key.size() >= prefix.size() &&
-        key.compare(0, prefix.size(), prefix) == 0) {
-      restriction = &nodes;
-      best_len = prefix.size();
-    }
-  }
-  if (restriction == nullptr) return active_;
-  std::vector<std::uint32_t> allowed;
-  std::set_intersection(restriction->begin(), restriction->end(),
-                        active_.begin(), active_.end(),
-                        std::back_inserter(allowed));
-  // An empty intersection (every resident node detached) falls back to the
-  // full active set: a key must never become unownable.
-  if (allowed.empty()) return active_;
-  return allowed;
-}
-
 std::uint32_t ChunkDirectory::owner_for_locked(
     const std::string& key, std::uint32_t chunk,
     std::uint32_t chunk_count) const {
-  const auto allowed = eligible_locked(key);
-  CANOPUS_ASSERT(!allowed.empty());
+  CANOPUS_ASSERT(!active_.empty());
   const std::uint32_t slot =
       (partition_ == Partition::kMortonRange && chunk_count > 1)
-          ? range_owner(chunk, chunk_count, allowed.size())
-          : hash_owner(key, allowed.size());
-  return allowed[slot];
+          ? range_owner(chunk, chunk_count, active_.size())
+          : hash_owner(key, active_.size());
+  return active_[slot];
 }
 
 std::uint32_t ChunkDirectory::owner_for(const std::string& key,
@@ -118,7 +92,6 @@ std::optional<ChunkLocation> ChunkDirectory::lookup(
 
 RebalancePlan ChunkDirectory::plan_locked() const {
   RebalancePlan plan;
-  plan.epoch = epoch_;
   for (const auto& [key, entry] : entries_) {
     const std::uint32_t target =
         owner_for_locked(key, entry.chunk, entry.chunk_count);
@@ -178,39 +151,6 @@ std::vector<std::uint32_t> ChunkDirectory::active_nodes() const {
 bool ChunkDirectory::is_active(std::uint32_t id) const {
   std::scoped_lock lock(mu_);
   return std::binary_search(active_.begin(), active_.end(), id);
-}
-
-void ChunkDirectory::set_residency(const std::string& prefix,
-                                   std::vector<std::uint32_t> nodes) {
-  std::scoped_lock lock(mu_);
-  if (nodes.empty()) {
-    residency_.erase(prefix);
-  } else {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    residency_[prefix] = std::move(nodes);
-  }
-  ++epoch_;
-}
-
-std::vector<std::uint32_t> ChunkDirectory::residency_for(
-    const std::string& key) const {
-  std::scoped_lock lock(mu_);
-  const std::vector<std::uint32_t>* restriction = nullptr;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, nodes] : residency_) {
-    if (prefix.size() >= best_len && key.size() >= prefix.size() &&
-        key.compare(0, prefix.size(), prefix) == 0) {
-      restriction = &nodes;
-      best_len = prefix.size();
-    }
-  }
-  if (restriction == nullptr) return {};
-  std::vector<std::uint32_t> allowed;
-  std::set_intersection(restriction->begin(), restriction->end(),
-                        active_.begin(), active_.end(),
-                        std::back_inserter(allowed));
-  return allowed;
 }
 
 std::vector<ChunkDirectory::EntryView> ChunkDirectory::snapshot() const {

@@ -8,16 +8,14 @@
 // partition functions are pure and static so the property suite can assert
 // totality, disjointness, and coverage without building a cluster.
 //
-// Elastic topology (PR 8): the directory now separates *node identity* from
-// *partition slot*. Nodes carry stable ids; the active set lists the ids that
-// currently participate in ownership. attach_node()/detach_node() change the
-// active set, bump the topology epoch, and return an incremental
-// RebalancePlan — only the entries whose target owner changed. Recorded
-// owners stay put until the fabric finishes each copy and calls
-// commit_move(): reads keep resolving to the old owner until cutover, so a
-// migration in flight never makes a key unreachable. An optional residency
-// set per key prefix restricts which active nodes may own matching chunk
-// groups (Paradigm4's create_with_residency shape).
+// Elastic topology: the directory separates *node identity* from *partition
+// slot*. Nodes carry stable ids; the active set lists the ids that currently
+// participate in ownership. attach_node()/detach_node() change the active
+// set, bump the topology epoch, and return an incremental RebalancePlan —
+// only the entries whose target owner changed. Recorded owners stay put until
+// the fabric finishes each copy and calls commit_move(): reads keep resolving
+// to the old owner until cutover, so a migration in flight never makes a key
+// unreachable.
 //
 // Invariants (tests/fabric_test.cpp and tests/elastic_test.cpp pin them):
 //   * totality — owner_for() maps every (key, chunk, chunk_count) to exactly
@@ -55,11 +53,8 @@ struct ChunkMove {
   std::size_t bytes = 0;
 };
 
-/// What one topology change asks the fabric to migrate. `epoch` is the
-/// directory epoch the plan was computed at; a later topology change
-/// supersedes the plan (the fabric re-plans instead of finishing it).
+/// What one topology change asks the fabric to migrate.
 struct RebalancePlan {
-  std::uint64_t epoch = 0;
   std::vector<ChunkMove> moves;
 };
 
@@ -85,9 +80,8 @@ class ChunkDirectory {
   /// The owner this directory's partition assigns (pure; does not record).
   /// kMortonRange falls back to hash_owner for single-chunk block groups
   /// (bases, plain data) so those still spread across the fabric. The
-  /// partition computes a slot among the eligible nodes (active set,
-  /// intersected with the key's residency set when one matches), then maps
-  /// the slot to that set's stable node id.
+  /// partition computes a slot among the active nodes, then maps the slot to
+  /// that node's stable id.
   std::uint32_t owner_for(const std::string& key, std::uint32_t chunk,
                           std::uint32_t chunk_count) const;
 
@@ -112,36 +106,25 @@ class ChunkDirectory {
   /// commits their moves, so in-flight reads still find the copy.
   RebalancePlan detach_node(std::uint32_t id);
 
-  /// Recomputes targets for the current active set without changing it
-  /// (e.g. after residency edits) and returns the incremental plan.
+  /// Recomputes targets for the current active set without changing it and
+  /// returns the incremental plan — what is still mis-placed after a
+  /// migration pass abandoned some moves.
   RebalancePlan plan_rebalance();
 
   /// Cutover: records that `key` now lives on `new_owner`. Reads resolve to
   /// the new owner from this call on.
   void commit_move(const std::string& key, std::uint32_t new_owner);
 
-  /// Monotone topology epoch: bumped by attach_node(), detach_node(), and
-  /// set_residency() — any event after which cached owner resolutions or
-  /// cost-model residency probes may be stale. Planners snapshot it and
-  /// re-plan when it moves; a migration plan whose epoch is no longer
-  /// current has been superseded. commit_move() does not bump it
-  /// (cutovers execute *under* the epoch that planned them; lookup() is the
-  /// live source of truth for who holds a key).
+  /// Monotone topology epoch: bumped by attach_node() and detach_node() —
+  /// the events after which cached owner resolutions or cost-model residency
+  /// probes may be stale. Planners snapshot it and re-plan when it moves.
+  /// commit_move() does not bump it (cutovers execute *under* the epoch that
+  /// planned them; lookup() is the live source of truth for who holds a key).
   std::uint64_t epoch() const;
 
   /// Stable ids of the nodes currently participating in ownership.
   std::vector<std::uint32_t> active_nodes() const;
   bool is_active(std::uint32_t id) const;
-
-  /// Restricts ownership of keys starting with `prefix` to `nodes` (a
-  /// residency set, intersected with the active set; an empty intersection
-  /// falls back to the full active set so keys never become unownable).
-  /// Pass an empty vector to clear. Longest matching prefix wins.
-  void set_residency(const std::string& prefix,
-                     std::vector<std::uint32_t> nodes);
-  /// The residency set owner_for() would honor for `key` (already
-  /// intersected with the active set), or empty when unrestricted.
-  std::vector<std::uint32_t> residency_for(const std::string& key) const;
 
   std::size_t node_count() const;
   std::size_t size() const;
@@ -170,9 +153,6 @@ class ChunkDirectory {
     std::uint32_t owner = 0;
   };
 
-  /// Eligible owner ids for `key`: residency ∩ active, or active. Locked by
-  /// caller.
-  std::vector<std::uint32_t> eligible_locked(const std::string& key) const;
   std::uint32_t owner_for_locked(const std::string& key, std::uint32_t chunk,
                                  std::uint32_t chunk_count) const;
   RebalancePlan plan_locked() const;
@@ -182,8 +162,6 @@ class ChunkDirectory {
   std::vector<std::uint32_t> active_;  // sorted stable node ids
   std::uint64_t epoch_ = 0;
   std::map<std::string, Entry> entries_;
-  // prefix -> allowed node ids (sorted); longest prefix match.
-  std::map<std::string, std::vector<std::uint32_t>> residency_;
 };
 
 }  // namespace canopus::fabric

@@ -41,8 +41,6 @@ Fabric::Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
   for (std::size_t i = 0; i < options_.nodes; ++i) append_node();
 }
 
-Fabric::~Fabric() { wait_for_migration(); }
-
 Fabric::Node* Fabric::node_ptr(std::size_t i) const {
   std::shared_lock lock(nodes_mu_);
   return i < nodes_.size() ? nodes_[i].get() : nullptr;
@@ -61,7 +59,7 @@ std::uint32_t Fabric::append_node() {
           std::make_shared<cache::BlockCache>(*per_node_cache_));
     }
     // A node attached mid-run inherits the tiering listeners, so heat keeps
-    // flowing from the moment the rebalance hands it chunks.
+    // flowing from the moment the migration hands it chunks.
     {
       std::scoped_lock hooks(hooks_mu_);
       if (node_access_listener_) {
@@ -189,9 +187,8 @@ ImportReport Fabric::import_container(storage::StorageHierarchy& staging,
 
 // --- Elastic topology. ------------------------------------------------------
 
-std::uint32_t Fabric::attach_node(bool background) {
+MigrationReport Fabric::attach_node(std::uint32_t* id_out) {
   std::scoped_lock tlock(topology_mu_);
-  wait_for_migration();
   const std::uint32_t id = append_node();
   // Seed the read-mostly replicated blocks (metadata, geometry) from any
   // serving peer so the node can open readers before the shard migration
@@ -221,36 +218,23 @@ std::uint32_t Fabric::attach_node(bool background) {
       }
     }
   }
-  RebalancePlan plan = directory_.attach_node(id);
+  MigrationReport report = run_migration(directory_.attach_node(id));
   count_fabric("node_attaches");
-  publish_epoch_gauge();
+  report.replicas_repaired += repair_replicas(std::nullopt);
   update_occupancy_gauges();
-  if (background) {
-    launch_migration(std::move(plan));
-  } else {
-    MigrationReport report = run_migration(plan);
-    report.replicas_repaired += repair_replicas(std::nullopt);
-    std::scoped_lock lock(migration_mu_);
-    last_migration_ = report;
-  }
-  return id;
+  if (id_out != nullptr) *id_out = id;
+  return report;
 }
 
-MigrationReport Fabric::drain_node(std::uint32_t id) {
+MigrationReport Fabric::detach_node(std::uint32_t id) {
   std::scoped_lock tlock(topology_mu_);
-  return drain_locked(id);
-}
-
-MigrationReport Fabric::drain_locked(std::uint32_t id) {
   Node* n = node_ptr(id);
   CANOPUS_CHECK(n != nullptr && !n->detached.load(std::memory_order_relaxed),
-                "fabric: cannot drain node " + std::to_string(id));
-  wait_for_migration();
+                "fabric: cannot detach node " + std::to_string(id));
   MigrationReport report = run_migration(directory_.detach_node(id));
-  count_fabric("node_drains");
-  // Anything that could not move on the first pass (a racing topology edit,
-  // a transient fault on the source) gets bounded retries; the node must own
-  // nothing before it may stop serving.
+  // Anything that could not move on the first pass (a transient fault on
+  // the source, no room on the new owner) gets bounded retries; the node
+  // must own nothing before it may stop serving.
   auto owned_by = [&](std::uint32_t node_id) {
     const auto owned = directory_.owned_bytes();
     return node_id < owned.size() ? owned[node_id] : 0;
@@ -260,56 +244,15 @@ MigrationReport Fabric::drain_locked(std::uint32_t id) {
     report.chunks_moved += retry.chunks_moved;
     report.bytes_moved += retry.bytes_moved;
     report.failed = retry.failed;
-    report.superseded = report.superseded || retry.superseded;
   }
   CANOPUS_CHECK(owned_by(id) == 0,
-                "fabric: drain of node " + std::to_string(id) +
+                "fabric: detach of node " + std::to_string(id) +
                     " left primaries behind (remaining nodes out of room?)");
   report.replicas_repaired += repair_replicas(id);
-  publish_epoch_gauge();
-  update_occupancy_gauges();
-  return report;
-}
-
-MigrationReport Fabric::detach_node(std::uint32_t id) {
-  std::scoped_lock tlock(topology_mu_);
-  Node* n = node_ptr(id);
-  CANOPUS_CHECK(n != nullptr && !n->detached.load(std::memory_order_relaxed),
-                "fabric: cannot detach node " + std::to_string(id));
-  MigrationReport report;
-  if (directory_.is_active(id)) report = drain_locked(id);
   n->detached.store(true, std::memory_order_relaxed);
   count_fabric("node_detaches");
-  publish_epoch_gauge();
   update_occupancy_gauges();
   return report;
-}
-
-MigrationReport Fabric::rebalance() {
-  std::scoped_lock tlock(topology_mu_);
-  wait_for_migration();
-  MigrationReport report = run_migration(directory_.plan_rebalance());
-  report.replicas_repaired += repair_replicas(std::nullopt);
-  publish_epoch_gauge();
-  update_occupancy_gauges();
-  {
-    std::scoped_lock lock(migration_mu_);
-    last_migration_ = report;
-  }
-  return report;
-}
-
-MigrationReport Fabric::wait_for_migration() {
-  // Join outside migration_mu_: the worker takes the lock to publish its
-  // report, so joining while holding it would deadlock.
-  std::thread worker;
-  {
-    std::scoped_lock lock(migration_mu_);
-    worker = std::move(migration_thread_);
-  }
-  if (worker.joinable()) worker.join();
-  std::scoped_lock lock(migration_mu_);
-  return last_migration_;
 }
 
 bool Fabric::attached(std::size_t i) const {
@@ -317,29 +260,10 @@ bool Fabric::attached(std::size_t i) const {
   return n != nullptr && !n->detached.load(std::memory_order_relaxed);
 }
 
-void Fabric::launch_migration(RebalancePlan plan) {
-  wait_for_migration();
-  std::scoped_lock lock(migration_mu_);
-  migration_thread_ = std::thread([this, plan = std::move(plan)] {
-    MigrationReport report = run_migration(plan);
-    report.replicas_repaired += repair_replicas(std::nullopt);
-    update_occupancy_gauges();
-    std::scoped_lock inner(migration_mu_);
-    last_migration_ = report;
-  });
-}
-
 MigrationReport Fabric::run_migration(const RebalancePlan& plan) {
   MigrationReport report;
-  report.epoch = plan.epoch;
   util::Bytes bytes;
   for (const auto& mv : plan.moves) {
-    if (directory_.epoch() != plan.epoch) {
-      // A newer topology change owns the remaining moves; its own plan
-      // covers everything still mis-placed.
-      report.superseded = true;
-      break;
-    }
     CANOPUS_SPAN("fabric.migrate", {{"from", static_cast<int>(mv.from)},
                                     {"to", static_cast<int>(mv.to)}});
     Node* dst = node_ptr(mv.to);
@@ -438,13 +362,6 @@ std::size_t Fabric::repair_replicas(std::optional<std::uint32_t> retired) {
   }
   if (repaired > 0) count_fabric("replicas_repaired", repaired);
   return repaired;
-}
-
-void Fabric::publish_epoch_gauge() const {
-  if (!obs::enabled()) return;
-  obs::MetricsRegistry::global()
-      .gauge("topology.epoch")
-      .set(static_cast<std::int64_t>(directory_.epoch()));
 }
 
 // --- Failure simulation. ----------------------------------------------------
@@ -658,7 +575,8 @@ void Fabric::update_occupancy_gauges() const {
           .set(static_cast<std::int64_t>(used));
     }
   }
-  publish_epoch_gauge();
+  registry.gauge("topology.epoch")
+      .set(static_cast<std::int64_t>(directory_.epoch()));
 }
 
 void Fabric::set_node_access_listener(

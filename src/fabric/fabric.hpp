@@ -26,19 +26,21 @@
 // TierAdvisor::attach_fabric) is the one policy that moves blocks between a
 // node's tiers, by access heat.
 //
-// Elastic topology (PR 8): the node table grows and shrinks at runtime.
-// attach_node() adds a node (same tier stack), seeds it with the replicated
-// metadata/geometry blocks, and kicks a *background* migration of exactly
+// Elastic topology: the node table grows and shrinks at runtime, and
+// attach_node() and detach_node() are the only ways to change it. Topology
+// changes are serialized, and each finishes its migration on the caller's
+// thread before it returns. attach_node() adds a node (same tier stack),
+// seeds it with the replicated metadata/geometry blocks, and migrates exactly
 // the chunks whose directory owner changed — copy to the new owner, then
-// commit_move() cutover, then retire the old copy (which also invalidates
-// the old owner's cache entries). detach_node() drains: the node leaves the
+// commit_move() cutover, then retire the old copy (which also invalidates the
+// old owner's cache entries). detach_node() drains: the node leaves the
 // directory's active set first (no new placements or replica targets), its
 // primaries are copied to their new owners and its replica copies repaired
 // onto the new ring successors, and only then is it marked detached. Queries
-// keep being served throughout — from the old owner until each chunk's
-// cutover, and from replicas during the copy window (PR 1's fallback is the
-// safety net); a resolution that races a cutover re-reads the directory and
-// retries the new owner before degrading.
+// on other threads keep being served throughout — from the old owner until
+// each chunk's cutover, and from replicas during the copy window (the storage
+// layer's replica fallback is the safety net); a resolution that races a
+// cutover re-reads the directory and retries the new owner before degrading.
 //
 // Everything above the hierarchy — ProgressiveReader, ReadSession,
 // serve::QueryScheduler — works against a node unchanged; remote resolution
@@ -56,7 +58,6 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/block_cache.hpp"
@@ -77,12 +78,10 @@ struct ImportReport {
 
 /// What one topology change's migration actually did.
 struct MigrationReport {
-  std::uint64_t epoch = 0;          // directory epoch the plan was made at
   std::size_t chunks_moved = 0;     // committed ownership transfers
   std::size_t bytes_moved = 0;      // payload bytes of those transfers
   std::size_t replicas_repaired = 0;  // ring-successor copies (re)placed
   std::size_t failed = 0;           // moves abandoned (no copy or no room)
-  bool superseded = false;          // a newer topology change cut it short
 };
 
 class Fabric {
@@ -92,7 +91,6 @@ class Fabric {
   /// stamp out identical nodes later.
   Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
          storage::PlacementPolicy policy = storage::PlacementPolicy::kFastestFit);
-  ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -123,35 +121,26 @@ class Fabric {
 
   // --- Elastic topology. ----------------------------------------------------
 
-  /// Grows the fabric by one node (same tier stack and policy as the rest)
-  /// and returns its stable id. The node is seeded with the replicated
-  /// metadata/geometry blocks so it can serve immediately; the chunks whose
-  /// directory owner changed migrate in the background (`background=false`
-  /// migrates before returning). Queries are served throughout.
-  std::uint32_t attach_node(bool background = true);
+  /// Grows the fabric by one node (same tier stack and policy as the rest);
+  /// `*id` (optional) receives its stable id. The node is seeded with the
+  /// replicated metadata/geometry blocks, the chunks whose directory owner
+  /// changed migrate to it, and replicas are repaired onto the new ring
+  /// successors — all before this returns. Queries on other threads are
+  /// served throughout.
+  MigrationReport attach_node(std::uint32_t* id = nullptr);
 
-  /// Moves every primary off node `id` (directory detach: the node stops
-  /// being a placement or replica target, then copy→cutover→retire per
-  /// chunk, then replica repair onto the new ring successors). The node
-  /// keeps serving in-flight reads throughout and remains attached — call
-  /// detach_node() to also remove it from service. Throws when `id` is the
-  /// last active node.
-  MigrationReport drain_node(std::uint32_t id);
-
-  /// drain_node() + removal from service: after the drain the node is
-  /// marked detached and no longer routes or serves. Its slot (and
-  /// id) remain; re-attachment stamps out a fresh node with a new id.
+  /// Moves every primary off node `id` and removes it from service: the node
+  /// stops being a placement or replica target, then copy→cutover→retire per
+  /// chunk, then replica repair onto the new ring successors, and only then
+  /// is it marked detached. It keeps serving in-flight reads until that
+  /// point. Its slot (and id) remain; re-attachment stamps out a fresh node
+  /// with a new id. Throws for an unknown, detached, or last active node, and
+  /// when the remaining nodes cannot absorb its primaries (the node then
+  /// stays attached, out of the active set, serving what it still owns).
   MigrationReport detach_node(std::uint32_t id);
 
-  /// Re-plans against the current topology (e.g. after set_residency) and
-  /// migrates synchronously.
-  MigrationReport rebalance();
-
-  /// Joins any background migration and returns the last completed report.
-  MigrationReport wait_for_migration();
-
   /// True while node `id` is part of the fabric (attached and not yet
-  /// detached). Note a draining node is still attached.
+  /// detached). A node stays attached while detach_node() drains it.
   bool attached(std::size_t i) const;
 
   // --- Failure simulation. --------------------------------------------------
@@ -202,7 +191,7 @@ class Fabric {
 
   /// Installs the listener on every node's hierarchy — current nodes now and
   /// future nodes at attach — so access heat and residency observations keep
-  /// flowing across rebalance epochs. Empty functions detach.
+  /// flowing across topology epochs. Empty functions detach.
   void set_node_access_listener(storage::StorageHierarchy::AccessListener l);
   void set_node_move_listener(storage::StorageHierarchy::MoveListener l);
 
@@ -269,17 +258,12 @@ class Fabric {
 
   /// Executes one plan: per chunk, copy (primary, else replica) → place on
   /// the new owner → commit_move cutover → retire the old copy (erase also
-  /// invalidates its cache entries) → repair the ring-successor replica.
-  /// Stops early when the plan's epoch is superseded.
+  /// invalidates its cache entries). Caller holds topology_mu_.
   MigrationReport run_migration(const RebalancePlan& plan);
-  /// drain_node() body; caller holds topology_mu_.
-  MigrationReport drain_locked(std::uint32_t id);
   /// Ensures every recorded entry's replica copy sits on its current ring
   /// successor, dropping stale copies elsewhere. `retired` (optional) also
   /// has its stale *primary* leftovers cleaned.
   std::size_t repair_replicas(std::optional<std::uint32_t> retired);
-  void launch_migration(RebalancePlan plan);
-  void publish_epoch_gauge() const;
 
   const FabricOptions options_;
   const std::vector<storage::TierSpec> node_tiers_;
@@ -291,11 +275,9 @@ class Fabric {
   mutable std::shared_mutex nodes_mu_;
   std::vector<std::unique_ptr<Node>> nodes_;
 
-  /// Serializes topology changes (attach/drain/detach/rebalance).
+  /// Serializes topology changes (attach_node/detach_node), each held for
+  /// its whole migration.
   std::mutex topology_mu_;
-  std::thread migration_thread_;
-  std::mutex migration_mu_;  // guards migration_thread_ + last_migration_
-  MigrationReport last_migration_;
 
   /// Keys replicated to every node at import (metadata/geometry); a node
   /// attached later is seeded with these so it can serve immediately.

@@ -22,9 +22,8 @@ Status no_fabric(const char* entry_point) {
 }
 
 /// Folds a completed migration into the facade's Status vocabulary:
-/// kRetried when a newer topology change superseded the plan mid-run (the
-/// successor plan covers the rest), kIoError when moves were abandoned
-/// (unreadable source or full destination), kOk otherwise.
+/// kIoError when moves were abandoned (unreadable source or full
+/// destination), kOk otherwise.
 Status status_from_migration(const fabric::MigrationReport& report) {
   if (report.failed > 0) {
     return Status::failure(
@@ -33,13 +32,6 @@ Status status_from_migration(const fabric::MigrationReport& report) {
             std::to_string(report.failed + report.chunks_moved) +
             " chunk move(s) abandoned (no readable copy or no room on the "
             "new owner)");
-  }
-  if (report.superseded) {
-    Status s;
-    s.code = StatusCode::kRetried;
-    s.detail = "migration superseded by a newer topology change at epoch " +
-               std::to_string(report.epoch);
-    return s;
   }
   return Status::success();
 }
@@ -50,22 +42,8 @@ Status Pipeline::attach_node(std::uint32_t* id) {
   fabric::Fabric* f = serving_fabric();
   if (f == nullptr) return no_fabric("attach_node");
   try {
-    const std::uint32_t node = f->attach_node(/*background=*/true);
-    if (id != nullptr) *id = node;
-    return Status::success();
+    return status_from_migration(f->attach_node(id));
   } catch (...) {
-    return status_from_current_exception(StatusCode::kInvalidArgument);
-  }
-}
-
-Status Pipeline::drain_node(std::uint32_t id) {
-  fabric::Fabric* f = serving_fabric();
-  if (f == nullptr) return no_fabric("drain_node");
-  try {
-    return status_from_migration(f->drain_node(id));
-  } catch (...) {
-    // Draining the last active node (or an unknown/detached id) is a caller
-    // bug, reported as such instead of aborting.
     return status_from_current_exception(StatusCode::kInvalidArgument);
   }
 }
@@ -76,27 +54,9 @@ Status Pipeline::detach_node(std::uint32_t id) {
   try {
     return status_from_migration(f->detach_node(id));
   } catch (...) {
+    // Detaching the last active node (or an unknown/detached id) is a caller
+    // bug, reported as such instead of aborting.
     return status_from_current_exception(StatusCode::kInvalidArgument);
-  }
-}
-
-Status Pipeline::rebalance() {
-  fabric::Fabric* f = serving_fabric();
-  if (f == nullptr) return no_fabric("rebalance");
-  try {
-    return status_from_migration(f->rebalance());
-  } catch (...) {
-    return status_from_current_exception(StatusCode::kInternal);
-  }
-}
-
-Status Pipeline::wait_for_rebalance() {
-  fabric::Fabric* f = serving_fabric();
-  if (f == nullptr) return no_fabric("wait_for_rebalance");
-  try {
-    return status_from_migration(f->wait_for_migration());
-  } catch (...) {
-    return status_from_current_exception(StatusCode::kInternal);
   }
 }
 

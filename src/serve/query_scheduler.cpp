@@ -304,8 +304,8 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
       }
       // Re-check the budget before every step with the calibrated estimate:
       // a plan that turned out optimistic stops early instead of blowing
-      // the deadline. When the topology moved underneath the query
-      // (attach/detach/rebalance committed a new epoch), rebuild the model
+      // the deadline. When the topology moved underneath the query (a node
+      // attach or detach committed a new epoch), rebuild the model
       // first so remaining steps are priced at the blocks' new homes.
       if (const std::uint64_t now_epoch = topology_epoch();
           now_epoch != model_epoch) {

@@ -53,8 +53,7 @@ std::pair<std::size_t, IoResult> StorageHierarchy::place(
   CANOPUS_ASSERT(!preferred.has_value() || *preferred < tiers_.size());
   const bool use_preferred =
       preferred.has_value() && tiers_[*preferred]->fits(data.size());
-  const auto choice =
-      use_preferred ? preferred : choose_tier_for(key, data.size());
+  const auto choice = use_preferred ? preferred : choose_tier(data.size());
   if (!choice.has_value()) {
     throw CapacityError("no tier can hold '" + key + "' (" +
                         std::to_string(data.size()) + " bytes)");
@@ -68,113 +67,6 @@ IoResult StorageHierarchy::write_to(std::size_t tier_index, const std::string& k
   CANOPUS_ASSERT(tier_index < tiers_.size());
   erase(key);
   return tiers_[tier_index]->write(key, data);
-}
-
-std::vector<std::size_t> StorageHierarchy::resident_tiers_locked(
-    const std::string& key) const {
-  if (tier_residency_.empty()) return {};
-  const std::vector<std::string>* names = nullptr;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, allowed] : tier_residency_) {
-    if (prefix.size() >= best_len && key.size() >= prefix.size() &&
-        key.compare(0, prefix.size(), prefix) == 0) {
-      names = &allowed;
-      best_len = prefix.size();
-    }
-  }
-  if (names == nullptr) return {};
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    for (const auto& name : *names) {
-      if (tiers_[i]->spec().name == name) {
-        indices.push_back(i);
-        break;
-      }
-    }
-  }
-  return indices;  // empty when every named tier is gone: unrestricted
-}
-
-std::vector<std::size_t> StorageHierarchy::resident_tiers(
-    const std::string& key) const {
-  std::scoped_lock lock(mu_);
-  return resident_tiers_locked(key);
-}
-
-std::optional<std::size_t> StorageHierarchy::choose_tier_for(
-    const std::string& key, std::size_t nbytes) const {
-  std::scoped_lock lock(mu_);
-  const auto allowed = resident_tiers_locked(key);
-  if (allowed.empty()) return choose_tier(nbytes);
-  if (policy_ == PlacementPolicy::kSlowestOnly) {
-    return tiers_[allowed.back()]->fits(nbytes)
-               ? std::optional<std::size_t>(allowed.back())
-               : std::nullopt;
-  }
-  // Fastest resident tier with room (round-robin striping is not meaningful
-  // inside an explicit residency set).
-  for (const std::size_t i : allowed) {
-    if (tiers_[i]->fits(nbytes)) return i;
-  }
-  return std::nullopt;
-}
-
-void StorageHierarchy::set_tier_residency(const std::string& prefix,
-                                          std::vector<std::string> tier_names) {
-  std::scoped_lock lock(mu_);
-  if (tier_names.empty()) {
-    tier_residency_.erase(prefix);
-  } else {
-    tier_residency_[prefix] = std::move(tier_names);
-  }
-}
-
-void StorageHierarchy::rebind_fault_injector_locked() {
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    tiers_[i]->set_fault_injector(faults_.get(), i);
-  }
-}
-
-std::size_t StorageHierarchy::attach_tier(TierSpec spec,
-                                          std::optional<std::size_t> index) {
-  std::scoped_lock lock(mu_);
-  const std::size_t at =
-      index.has_value() ? std::min(*index, tiers_.size()) : tiers_.size();
-  tiers_.insert(tiers_.begin() + static_cast<std::ptrdiff_t>(at),
-                std::make_unique<StorageTier>(std::move(spec)));
-  rebind_fault_injector_locked();
-  return at;
-}
-
-std::vector<std::string> StorageHierarchy::detach_tier(std::size_t i) {
-  std::scoped_lock lock(mu_);
-  CANOPUS_CHECK(i < tiers_.size(), "detach_tier: index out of range");
-  CANOPUS_CHECK(tiers_.size() > 1, "detach_tier: cannot remove the only tier");
-  const auto drained = tiers_[i]->keys();
-  util::Bytes data;
-  for (const auto& key : drained) {
-    tiers_[i]->read(key, data);
-    bool placed = false;
-    for (std::size_t t = 0; t < tiers_.size(); ++t) {
-      if (t == i || !tiers_[t]->fits(data.size())) continue;
-      tiers_[t]->write(key, data);
-      // Note the reported index is pre-removal; positions above `i` shift
-      // down when the tier goes away (observers range-check, per the header).
-      if (move_listener_) move_listener_(key, i, t);
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      throw CapacityError("detach_tier: remaining tiers cannot absorb '" +
-                          key + "' (" + std::to_string(data.size()) +
-                          " bytes) from tier '" + tiers_[i]->spec().name + "'");
-    }
-    tiers_[i]->erase(key);
-  }
-  tiers_.erase(tiers_.begin() + static_cast<std::ptrdiff_t>(i));
-  if (round_robin_next_ >= tiers_.size()) round_robin_next_ = 0;
-  rebind_fault_injector_locked();
-  return drained;
 }
 
 std::pair<std::size_t, IoResult> StorageHierarchy::place_with_replica(
@@ -330,7 +222,15 @@ std::vector<BatchReadResult> StorageHierarchy::read_batch(
     auto remote_results = remote_->remote_read_batch(remote_keys);
     CANOPUS_ASSERT(remote_results.size() == misses.size());
     for (std::size_t j = 0; j < misses.size(); ++j) {
-      out[misses[j]] = std::move(remote_results[j]);
+      BatchReadResult& r = out[misses[j]];
+      r = std::move(remote_results[j]);
+      if (r.error == nullptr) continue;
+      try {
+        r.io = read_moved_here(keys[misses[j]], r.bytes, r.error);
+        r.error = nullptr;
+      } catch (...) {
+        r.error = std::current_exception();
+      }
     }
   }
   return out;
@@ -347,7 +247,20 @@ IoResult StorageHierarchy::read_uncached(const std::string& key,
   // Local miss with a remote store attached: resolve across the fabric.
   // Deliberately outside mu_ — the remote owner takes its own hierarchy
   // lock, and two nodes reading from each other must never hold both.
-  return remote_->remote_read(key, out);
+  try {
+    return remote_->remote_read(key, out);
+  } catch (const Error&) {
+    return read_moved_here(key, out, std::current_exception());
+  }
+}
+
+IoResult StorageHierarchy::read_moved_here(
+    const std::string& key, util::Bytes& out,
+    std::exception_ptr remote_error) const {
+  std::scoped_lock lock(mu_);
+  const auto where = find(key);
+  if (!where.has_value()) std::rethrow_exception(remote_error);
+  return read_local(*where, key, out);
 }
 
 IoResult StorageHierarchy::read_local(std::size_t where, const std::string& key,

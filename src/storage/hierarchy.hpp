@@ -8,7 +8,6 @@
 // which tier holds each object so retrieval is a single lookup.
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -79,8 +78,8 @@ class RemoteStore {
   /// per successful serve, after the bytes are in hand). Default no-op.
   virtual void note_local_hit(const std::string& key) { (void)key; }
 
-  /// Monotone epoch of the cluster topology behind this resolver (node
-  /// attach/detach/rebalance). Planners (serve::CostModel) snapshot it and
+  /// Monotone epoch of the cluster topology behind this resolver (bumped by
+  /// node attach and detach). Planners (serve::CostModel) snapshot it and
   /// rebuild their residency probes when it moves, so a plan never routes
   /// against a retired owner. Standalone resolvers stay at 0.
   virtual std::uint64_t topology_epoch() const { return 0; }
@@ -119,8 +118,7 @@ class StorageHierarchy {
         remote_(o.remote_),
         access_listener_(std::move(o.access_listener_)),
         move_listener_(std::move(o.move_listener_)),
-        round_robin_next_(o.round_robin_next_),
-        tier_residency_(std::move(o.tier_residency_)) {}
+        round_robin_next_(o.round_robin_next_) {}
   StorageHierarchy& operator=(StorageHierarchy&&) = delete;
   StorageHierarchy(const StorageHierarchy&) = delete;
   StorageHierarchy& operator=(const StorageHierarchy&) = delete;
@@ -128,37 +126,6 @@ class StorageHierarchy {
   std::size_t tier_count() const { return tiers_.size(); }
   StorageTier& tier(std::size_t i) { return *tiers_[i]; }
   const StorageTier& tier(std::size_t i) const { return *tiers_[i]; }
-
-  // --- Elastic tier topology (runtime grow/shrink). ------------------------
-
-  /// Inserts a tier at runtime (at `index`, or appended as the new slowest
-  /// when omitted) and returns its index. The attached fault injector is
-  /// re-bound positionally: FaultProfiles keyed by tier index follow the
-  /// *position*, not the tier, after an attach or detach.
-  std::size_t attach_tier(TierSpec spec,
-                          std::optional<std::size_t> index = std::nullopt);
-
-  /// Drains every object on tier `i` to the fastest remaining tier with
-  /// room, then removes the tier; returns the drained keys. Cached entries
-  /// stay valid (same key, same bytes). Throws CapacityError when the
-  /// remaining tiers cannot absorb the contents — already-drained objects
-  /// stay moved. Throws Error when `i` is the only tier.
-  std::vector<std::string> detach_tier(std::size_t i);
-
-  /// Restricts placement of keys starting with `prefix` to the named tiers
-  /// (a residency set, matched by TierSpec::name so it survives tier
-  /// attach/detach). Placement picks the fastest resident tier with room
-  /// (kSlowestOnly keeps its meaning within the set); a residency set whose
-  /// tiers are all gone falls back to the full stack so keys never become
-  /// unplaceable. Pass an empty vector to clear. Longest matching prefix
-  /// wins. Affects place()/place_with_replica(); reads and migration are
-  /// unrestricted.
-  void set_tier_residency(const std::string& prefix,
-                          std::vector<std::string> tier_names);
-
-  /// Indices of the tiers the residency set allows for `key` (empty when
-  /// unrestricted or when no named tier currently exists).
-  std::vector<std::size_t> resident_tiers(const std::string& key) const;
 
   /// Locked (used, capacity) snapshot of tier `i` — safe to call from a
   /// background maintenance thread while readers and writers are active.
@@ -288,10 +255,9 @@ class StorageHierarchy {
   /// the heat signal for workload-adaptive tiering.
   using AccessListener = std::function<void(const std::string& key,
                                             std::size_t bytes)>;
-  /// Fires after any migration — migrate(), including the tier advisor's
-  /// promotions and coldest-first demotions, and detach_tier() drains — so
-  /// residency observers (predicted-placement maps, cost planners) can
-  /// re-stamp instead of going stale.
+  /// Fires after any migrate(), including the tier advisor's promotions and
+  /// coldest-first demotions, so residency observers (predicted-placement
+  /// maps, cost planners) can re-stamp instead of going stale.
   using MoveListener = std::function<void(const std::string& key,
                                           std::size_t from_tier,
                                           std::size_t to_tier)>;
@@ -311,19 +277,17 @@ class StorageHierarchy {
   std::vector<std::string> keys_on_tier(std::size_t i) const;
 
  private:
-  /// choose_tier() narrowed to the key's tier-residency set (when one
-  /// matches and names at least one live tier).
-  std::optional<std::size_t> choose_tier_for(const std::string& key,
-                                             std::size_t nbytes) const;
-  std::vector<std::size_t> resident_tiers_locked(const std::string& key) const;
-  /// Re-points every tier's fault-injector binding at its current index
-  /// (after attach_tier/detach_tier shifted positions).
-  void rebind_fault_injector_locked();
-
   /// The pre-cache read path: placement lookup, retry loop, replica
   /// fallback. read() delegates here on a cache miss (or when no cache is
   /// attached).
   IoResult read_uncached(const std::string& key, util::Bytes& out) const;
+
+  /// After remote resolution of a local miss failed with `remote_error`:
+  /// a migration can move `key` onto this node between the miss and the
+  /// resolver's lookup, which then names this node as the owner and finds
+  /// no other copy. Reads the key locally if it is here now, else rethrows.
+  IoResult read_moved_here(const std::string& key, util::Bytes& out,
+                           std::exception_ptr remote_error) const;
 
   /// The locked local part of read_uncached: retry loop + replica fallback
   /// for a key some tier holds. Caller verified `where` under the same lock.
@@ -354,8 +318,6 @@ class StorageHierarchy {
   AccessListener access_listener_;  // see attach_access_listener
   MoveListener move_listener_;      // see attach_move_listener
   mutable std::size_t round_robin_next_ = 0;
-  // Tier residency: key prefix -> allowed tier names (longest prefix wins).
-  std::map<std::string, std::vector<std::string>> tier_residency_;
 };
 
 }  // namespace canopus::storage

@@ -80,8 +80,8 @@ class StorageTier {
   bool contains(const std::string& key) const;
   std::size_t object_size(const std::string& key) const;
 
-  /// Names of every object on this tier (sorted). Used by the hierarchy's
-  /// drain path when a tier is detached at runtime.
+  /// Names of every object on this tier (sorted). The tier advisor ranks
+  /// room-making victims from it (StorageHierarchy::keys_on_tier).
   std::vector<std::string> keys() const;
 
   /// Removes an object (no-op when absent); frees its capacity.

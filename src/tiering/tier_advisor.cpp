@@ -189,7 +189,7 @@ void TierAdvisor::attach_fabric(fabric::Fabric* fabric) {
   }
   if (fabric == nullptr) return;
   // The fabric applies these to every current node and to nodes attached
-  // later, so heat keeps flowing across rebalance epochs.
+  // later, so heat keeps flowing across topology epochs.
   Listeners l = listeners(s);
   fabric->set_node_access_listener(std::move(l.on_access));
   fabric->set_node_move_listener(std::move(l.on_move));

@@ -31,11 +31,11 @@
 //     placement stays the storage layer's fastest-tier-with-room rule.
 //   * Planned moves are published to a predicted-residency map *before* they
 //     execute, and every observed migration (the advisor's own promotions,
-//     demotions and evictions, tier drains) re-stamps it — so
+//     demotions and evictions) re-stamps it — so
 //     serve::CostModel plans against where blocks are going, and planned
 //     cost tracks achieved cost.
 //   * attach_fabric() extends all of the above to every node of a serving
-//     fabric. Heat is keyed by global object names, so it survives rebalance
+//     fabric. Heat is keyed by global object names, so it survives topology
 //     epochs — a chunk migrated to a new owner keeps its history.
 //
 // Every move goes through StorageHierarchy::migrate, which preserves the

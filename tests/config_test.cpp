@@ -77,6 +77,10 @@ TEST(Units, Sizes) {
   EXPECT_EQ(cc::parse_size("1.5KiB"), 1536u);
   EXPECT_THROW(cc::parse_size("10parsecs"), canopus::Error);
   EXPECT_THROW(cc::parse_size("lots"), canopus::Error);
+  // No size_t value: the cast would be undefined.
+  EXPECT_THROW(cc::parse_size("inf"), canopus::Error);
+  EXPECT_THROW(cc::parse_size("1e30TiB"), canopus::Error);
+  EXPECT_THROW(cc::parse_size("18446744073709551616"), canopus::Error);
 }
 
 TEST(Units, RatesAndDurations) {
@@ -322,6 +326,44 @@ TEST(Config, MalformedNumericsNameTheirLocation) {
   const std::string neg_bound =
       config_error(wrap("<refactor error-bound=\"-1e-4\"/>"));
   EXPECT_NE(neg_bound.find("error-bound"), std::string::npos) << neg_bound;
+}
+
+TEST(Config, UnrepresentableTierQuantitiesNameTheAttribute) {
+  // Each of these used to load: the capacity as a 0-byte tier, the rest as
+  // an infinite bandwidth or latency.
+  struct Case {
+    std::string tier;  // attributes after preset="tmpfs"
+    std::string attr;
+  };
+  const std::vector<Case> cases = {
+      {"capacity=\"inf\"", "capacity"},
+      {"capacity=\"1e30TiB\"", "capacity"},
+      {"capacity=\"4MiB\" read-bw=\"infGB/s\"", "read-bw"},
+      {"capacity=\"4MiB\" write-bw=\"infGB/s\"", "write-bw"},
+      {"capacity=\"4MiB\" read-latency=\"infs\"", "read-latency"},
+      {"capacity=\"4MiB\" write-latency=\"infs\"", "write-latency"},
+  };
+  namespace fs = std::filesystem;
+  const auto path =
+      (fs::temp_directory_path() / "canopus_bad_tier_test.xml").string();
+  for (const auto& c : cases) {
+    const std::string xml = "<canopus-config><storage><tier preset=\"tmpfs\" " +
+                            c.tier + "/></storage></canopus-config>";
+    const std::string what = config_error(xml);
+    EXPECT_FALSE(what.empty()) << c.tier << " was accepted";
+    EXPECT_NE(what.find("'" + c.attr + "'"), std::string::npos)
+        << c.tier << ": " << what;
+    {
+      std::ofstream f(path);
+      f << xml;
+    }
+    std::unique_ptr<canopus::Pipeline> pipeline;
+    const canopus::Status st = canopus::Pipeline::load(path, &pipeline);
+    EXPECT_EQ(st.code, canopus::StatusCode::kInvalidArgument)
+        << c.tier << ": " << st.to_string();
+    EXPECT_EQ(pipeline, nullptr) << c.tier;
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------ serve --

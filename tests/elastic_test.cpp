@@ -1,14 +1,14 @@
-// Elastic-topology suite (PR 8): runtime attach/detach of fabric nodes and
-// storage tiers, incremental directory rebalancing with background
-// migration, residency sets, the canopus::Options consolidation, and the
-// Pipeline control plane (attach_node/drain/detach/rebalance/topology).
+// Elastic-topology suite: runtime attach/detach of fabric nodes, incremental
+// directory plans, migration that finishes before the topology verb returns,
+// the canopus::Options consolidation, and the Pipeline control plane
+// (attach_node/detach_node/topology).
 //
-// The two regression pins ISSUE.md asks for live here:
+// Two regression pins live here:
 //   * a query planned after detach_node never routes to the removed node
-//     (Serve.QueryAfterDetachNeverRoutesToRemovedNode);
-//   * a post-rebalance read cannot be served from a stale owner's retired
-//     copy (Fabric.AttachNodeMigratesExactlyOwnerChangedChunks asserts the
-//     losing node's copy is gone after cutover and reads stay bitwise-
+//     (ElasticServe.QueryAfterDetachNeverRoutesToRemovedNode);
+//   * a read after a migration cannot be served from a stale owner's retired
+//     copy (ElasticFabric.AttachNodeMigratesExactlyOwnerChangedChunks asserts
+//     the losing node's copy is gone after cutover and reads stay bitwise-
 //     identical).
 //
 // Randomized cases derive their seeds from CANOPUS_TEST_SEED (see
@@ -49,7 +49,6 @@ namespace cv = canopus::serve;
 
 using canopus::Status;
 using canopus::StatusCode;
-using canopus::util::Bytes;
 
 namespace {
 
@@ -94,14 +93,6 @@ bool holds(const cs::StorageHierarchy& h, const std::string& key) {
   return false;
 }
 
-Bytes bytes_of(const std::string& text) {
-  Bytes out(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    out[i] = static_cast<std::byte>(text[i]);
-  }
-  return out;
-}
-
 std::map<std::string, std::uint32_t> owners_of(const cf::ChunkDirectory& dir) {
   std::map<std::string, std::uint32_t> out;
   for (const auto& e : dir.snapshot()) out[e.key] = e.owner;
@@ -124,7 +115,6 @@ TEST(ElasticDirectory, AttachPlanIsExactlyTheOwnerChangedEntries) {
   const auto epoch_before = dir.epoch();
 
   const cf::RebalancePlan plan = dir.attach_node(2);
-  EXPECT_EQ(plan.epoch, dir.epoch());
   EXPECT_GT(dir.epoch(), epoch_before);
   ASSERT_FALSE(plan.moves.empty());
 
@@ -145,10 +135,13 @@ TEST(ElasticDirectory, AttachPlanIsExactlyTheOwnerChangedEntries) {
     EXPECT_EQ(dir.lookup(key)->owner, owner) << key;
   }
 
-  // Cutover is per-key and immediate.
+  // Cutover is per-key and immediate, and runs under the epoch that planned
+  // it: commit_move never bumps the epoch.
   const auto& mv = plan.moves.front();
+  const auto epoch_planned = dir.epoch();
   dir.commit_move(mv.key, mv.to);
   EXPECT_EQ(dir.lookup(mv.key)->owner, mv.to);
+  EXPECT_EQ(dir.epoch(), epoch_planned);
 }
 
 TEST(ElasticDirectory, DetachStopsNewPlacementButKeepsOldResolvable) {
@@ -192,104 +185,7 @@ TEST(ElasticDirectory, DetachStopsNewPlacementButKeepsOldResolvable) {
   EXPECT_THROW(dir.detach_node(0), canopus::Error);
 }
 
-TEST(ElasticDirectory, ResidencyRestrictsOwnersWithActiveFallback) {
-  cf::ChunkDirectory dir(4, cf::Partition::kMortonRange);
-  dir.set_residency("d.bp/v/", {1, 3});
-  for (std::uint32_t c = 0; c < 16; ++c) {
-    const auto owner = dir.assign("d.bp/v/delta/1/" + std::to_string(c), c, 16, 8);
-    EXPECT_TRUE(owner == 1 || owner == 3) << owner;
-  }
-  // Unmatched prefixes stay unrestricted.
-  EXPECT_TRUE(dir.residency_for("other.bp/x").empty());
-  EXPECT_EQ(dir.residency_for("d.bp/v/base"),
-            (std::vector<std::uint32_t>{1, 3}));
-
-  // A residency set whose nodes all left the active set falls back to the
-  // full active set — keys never become unownable.
-  dir.detach_node(1);
-  dir.detach_node(3);
-  const auto fallback = dir.owner_for("d.bp/v/base", 0, 1);
-  EXPECT_TRUE(fallback == 0 || fallback == 2) << fallback;
-  EXPECT_TRUE(dir.residency_for("d.bp/v/base").empty());
-
-  // Epoch moves on residency edits too (cost models must re-plan), but
-  // commit_move never bumps it.
-  const auto e = dir.epoch();
-  dir.set_residency("d.bp/v/", {});
-  EXPECT_GT(dir.epoch(), e);
-  dir.assign("k", 0, 1, 1);
-  const auto e2 = dir.epoch();
-  dir.commit_move("k", dir.active_nodes().front());
-  EXPECT_EQ(dir.epoch(), e2);
-}
-
-// ------------------------------------------------ hierarchy: elastic tiers
-
-TEST(ElasticTiers, DetachTierDrainsEveryObjectBitwise) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(1 << 20), cs::lustre_spec(8 << 20)});
-  std::map<std::string, Bytes> expected;
-  for (int i = 0; i < 8; ++i) {
-    const std::string key = "obj/" + std::to_string(i);
-    expected[key] = bytes_of(std::string(1000 + i, static_cast<char>('a' + i)));
-    h.place(key, expected[key]);
-  }
-  ASSERT_GT(h.tier(0).used_bytes(), 0u);
-
-  const auto drained = h.detach_tier(0);
-  EXPECT_FALSE(drained.empty());
-  EXPECT_EQ(h.tier_count(), 1u);
-  EXPECT_EQ(h.tier(0).spec().name, "lustre");
-  for (const auto& [key, payload] : expected) {
-    Bytes got;
-    h.read(key, got);
-    EXPECT_EQ(got, payload) << key;
-  }
-
-  // The only remaining tier cannot be detached.
-  EXPECT_THROW(h.detach_tier(0), canopus::Error);
-
-  // Re-attaching a fast tier at the front makes it the placement target
-  // again.
-  const auto idx = h.attach_tier(cs::tmpfs_spec(1 << 20), 0);
-  EXPECT_EQ(idx, 0u);
-  EXPECT_EQ(h.tier(0).spec().name, "tmpfs");
-  h.place("obj/new", bytes_of("fresh"));
-  EXPECT_TRUE(h.tier(0).contains("obj/new"));
-}
-
-TEST(ElasticTiers, DetachRefusesWhenRemainingTiersCannotAbsorb) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(1 << 20), cs::tmpfs_spec(2 << 10)});
-  h.place("big", Bytes(512 << 10));  // fits tier 0 only
-  EXPECT_THROW(h.detach_tier(0), cs::CapacityError);
-  // The object is still readable somewhere after the refused drain.
-  Bytes got;
-  h.read("big", got);
-  EXPECT_EQ(got.size(), 512u << 10);
-}
-
-TEST(ElasticTiers, TierResidencyPinsPlacementByName) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(4 << 20), cs::lustre_spec(16 << 20)});
-  h.set_tier_residency("cold/", {"lustre"});
-
-  const auto [cold_tier, cold_io] = h.place("cold/a", bytes_of("cold bytes"));
-  EXPECT_EQ(h.tier(cold_tier).spec().name, "lustre");
-  const auto [hot_tier, hot_io] = h.place("hot/a", bytes_of("hot bytes"));
-  EXPECT_EQ(h.tier(hot_tier).spec().name, "tmpfs");
-  (void)cold_io;
-  (void)hot_io;
-
-  EXPECT_EQ(h.resident_tiers("cold/a"), (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(h.resident_tiers("hot/a").empty());  // unrestricted
-
-  // Naming only tiers that are gone degrades to unrestricted placement
-  // instead of wedging writes.
-  h.set_tier_residency("ghost/", {"nvram"});
-  const auto [ghost_tier, ghost_io] = h.place("ghost/a", bytes_of("x"));
-  EXPECT_EQ(h.tier(ghost_tier).spec().name, "tmpfs");
-  (void)ghost_io;
-}
-
-// ------------------------------------------------- fabric: live attach/drain
+// ------------------------------------------------ fabric: live attach/detach
 
 TEST(ElasticFabric, AttachNodeMigratesExactlyOwnerChangedChunks) {
   Staged data;
@@ -319,10 +215,9 @@ TEST(ElasticFabric, AttachNodeMigratesExactlyOwnerChangedChunks) {
   const auto stats_before = fabric.stats();
   const auto epoch_before = fabric.topology_epoch();
 
-  const std::uint32_t id = fabric.attach_node(/*background=*/true);
+  std::uint32_t id = 0;
+  const cf::MigrationReport report = fabric.attach_node(&id);
   EXPECT_EQ(id, 2u);
-  const cf::MigrationReport report = fabric.wait_for_migration();
-  EXPECT_FALSE(report.superseded);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_GT(fabric.topology_epoch(), epoch_before);
 
@@ -338,8 +233,8 @@ TEST(ElasticFabric, AttachNodeMigratesExactlyOwnerChangedChunks) {
 
   // Stale-owner regression: after cutover the losing node's primary copy is
   // retired (its cache entries with it), and the new owner holds the chunk —
-  // a post-rebalance read can only be served from the current owner or its
-  // replica, never the stale copy.
+  // a read after the migration can only be served from the current owner or
+  // its replica, never the stale copy.
   for (const auto& [key, owner] : before) {
     if (after.at(key) == owner) continue;
     EXPECT_TRUE(holds(fabric.node(after.at(key)), key)) << key;
@@ -363,11 +258,17 @@ TEST(ElasticFabric, AttachNodeMigratesExactlyOwnerChangedChunks) {
   }
 }
 
-TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
-  // The ISSUE.md sweep: a node is detached while sessions race full-accuracy
-  // reads, and a seeded fault injector corrupts reads on the leaving node —
-  // including migration copy reads. Zero failed queries, fields bitwise-
-  // identical to a healthy reference, and the drained node owns nothing.
+namespace {
+
+enum class TopologyChange { kDetach, kAttach };
+
+/// Sessions race full-accuracy reads while the topology changes under them,
+/// and a seeded fault injector corrupts reads on one node — including the
+/// migration's copy reads off it. kDetach removes that node; kAttach adds a
+/// node that takes chunks from it. Zero failed queries, fields bitwise-
+/// identical to a healthy reference, and every chunk the change moved is
+/// accounted for.
+void race_topology_change(TopologyChange change) {
   const std::uint64_t seed = canopus::test::test_seed();
   std::mt19937_64 rng(seed ^ 0xe1a5ull);
   constexpr std::size_t kNodes = 3;
@@ -404,7 +305,11 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
   const auto geometry = cc::GeometryCache::load(fabric.node(0), "d.bp", "v");
   rreq.geometry = &geometry;
 
-  const auto victim = static_cast<std::uint32_t>(rng() % kNodes);
+  // The faulty node: a random one to detach, or the top of the Morton range
+  // when attaching, since the newcomer takes its upper chunks.
+  const auto victim = change == TopologyChange::kDetach
+                          ? static_cast<std::uint32_t>(rng() % kNodes)
+                          : static_cast<std::uint32_t>(kNodes - 1);
   // Corrupt a fraction of the victim's reads: racing sessions and the
   // migration's copy reads both hit the CRC check and retry (or fall back
   // to the replica). The stream is seeded, so the sweep is reproducible.
@@ -424,9 +329,11 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
         std::make_unique<canopus::Pipeline>(fabric.node(i), popt));
   }
 
+  const auto before = owners_of(fabric.directory());
   std::vector<std::unique_ptr<canopus::ReadSession>> sessions(kSessions);
   std::vector<Status> statuses(kSessions);
   cf::MigrationReport report;
+  std::uint32_t added = 0;
   {
     std::vector<std::thread> clients;
     clients.reserve(kSessions + 1);
@@ -440,7 +347,8 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
     }
     clients.emplace_back([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      report = fabric.detach_node(victim);
+      report = change == TopologyChange::kDetach ? fabric.detach_node(victim)
+                                                 : fabric.attach_node(&added);
     });
     for (auto& client : clients) client.join();
   }
@@ -459,20 +367,39 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
     }
   }
 
-  // The drain completed: nothing is owned by or resident on the victim,
-  // and it is out of the active set for good.
   EXPECT_EQ(report.failed, 0u) << "seed=" << seed;
-  EXPECT_FALSE(fabric.attached(victim));
-  EXPECT_FALSE(fabric.directory().is_active(victim));
   // owned_bytes() is sized by the highest id that is active or still owns
   // entries — a fully drained top id is past the end, which is the answer.
   const auto owned = fabric.directory().owned_bytes();
-  EXPECT_EQ(victim < owned.size() ? owned[victim] : 0u, 0u);
-  for (const auto& e : fabric.directory().snapshot()) {
-    EXPECT_NE(e.owner, victim) << e.key;
+  const auto owned_by = [&](std::uint32_t id) {
+    return id < owned.size() ? owned[id] : 0u;
+  };
+  const auto after = owners_of(fabric.directory());
+  if (change == TopologyChange::kDetach) {
+    // The drain completed: nothing is owned by or resident on the victim,
+    // and it is out of the active set for good.
+    EXPECT_FALSE(fabric.attached(victim));
+    EXPECT_FALSE(fabric.directory().is_active(victim));
+    EXPECT_EQ(owned_by(victim), 0u);
+    for (const auto& [key, owner] : after) {
+      EXPECT_NE(owner, victim) << key;
+    }
+  } else {
+    // The migration moved exactly the owner-changed entries, the faulty node
+    // was among the losers, and the newcomer serves a share.
+    std::size_t changed = 0;
+    std::size_t lost_by_victim = 0;
+    for (const auto& [key, owner] : before) {
+      if (after.at(key) == owner) continue;
+      ++changed;
+      if (owner == victim && after.at(key) == added) ++lost_by_victim;
+    }
+    EXPECT_EQ(report.chunks_moved, changed) << "seed=" << seed;
+    EXPECT_GT(lost_by_victim, 0u) << "seed=" << seed;
+    EXPECT_GT(owned_by(added), 0u) << "seed=" << seed;
   }
 
-  // And reads after the detach still serve, bitwise-identical.
+  // And reads after the change still serve, bitwise-identical.
   {
     canopus::Pipeline pipeline(fabric.node(victim == 0 ? 1 : 0), popt);
     std::unique_ptr<canopus::ReadSession> session;
@@ -484,6 +411,16 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
       ASSERT_EQ(values[i], reference[i]) << "i=" << i << " seed=" << seed;
     }
   }
+}
+
+}  // namespace
+
+TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
+  race_topology_change(TopologyChange::kDetach);
+}
+
+TEST(ElasticFabric, AttachUnderRacingReadsAndCorruptionLosesNothing) {
+  race_topology_change(TopologyChange::kAttach);
 }
 
 // ------------------------------------------- serve: routing after topology
@@ -623,10 +560,7 @@ TEST(ElasticFacade, ControlPlaneWithoutFabricReportsInvalidArgument) {
   canopus::Pipeline pipeline(h);
   EXPECT_EQ(pipeline.serving_fabric(), nullptr);
   EXPECT_EQ(pipeline.attach_node().code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(pipeline.drain_node(0).code, StatusCode::kInvalidArgument);
   EXPECT_EQ(pipeline.detach_node(0).code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(pipeline.rebalance().code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(pipeline.wait_for_rebalance().code, StatusCode::kInvalidArgument);
 
   // The single-node topology snapshot still describes the local hierarchy.
   const canopus::Topology topo = pipeline.topology();
@@ -648,24 +582,20 @@ TEST(ElasticFacade, AttachDrainDetachRoundTripThroughPipeline) {
                              canopus::Options{}.with_threads(1));
   ASSERT_TRUE(pipeline.attach_fabric(&fabric).ok());
 
+  // attach_node returns once its migration has landed.
   std::uint32_t id = 0;
-  ASSERT_TRUE(pipeline.attach_node(&id).ok());
+  const Status attached = pipeline.attach_node(&id);
+  ASSERT_TRUE(attached.ok()) << attached.to_string();
   EXPECT_EQ(id, 2u);
-  const Status migrated = pipeline.wait_for_rebalance();
-  ASSERT_TRUE(migrated.ok()) << migrated.to_string();
   EXPECT_EQ(pipeline.topology().nodes.size(), 3u);
   EXPECT_EQ(pipeline.topology().active_nodes(), 3u);
+  EXPECT_GT(pipeline.topology().nodes[id].owned_bytes, 0u);
 
-  ASSERT_TRUE(pipeline.drain_node(id).ok());
-  EXPECT_EQ(pipeline.topology().nodes[id].owned_bytes, 0u);
   ASSERT_TRUE(pipeline.detach_node(id).ok());
+  EXPECT_EQ(pipeline.topology().nodes[id].owned_bytes, 0u);
   EXPECT_EQ(pipeline.topology().active_nodes(), 2u);
 
   // Unknown / already-detached ids are caller bugs, not aborts.
   EXPECT_EQ(pipeline.detach_node(99).code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(pipeline.drain_node(id).code, StatusCode::kInvalidArgument);
-
-  // rebalance() with nothing to do is kOk.
-  const Status st = pipeline.rebalance();
-  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(pipeline.detach_node(id).code, StatusCode::kInvalidArgument);
 }

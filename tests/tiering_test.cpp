@@ -729,10 +729,10 @@ TEST(TierAdvisor, HeatSurvivesAttachNodeAndRebalance) {
   const double heat_before = advisor.heat().heat(probe);
   EXPECT_GT(heat_before, 0.0);
 
-  // Grow the cluster and rebalance mid-run. Heat is keyed by global object
-  // names, so a chunk handed to the new owner keeps its history.
-  const std::uint32_t added = fabric.attach_node(/*background=*/false);
-  fabric.rebalance();
+  // Grow the cluster mid-run; the attach migrates before it returns. Heat is
+  // keyed by global object names, so a chunk handed to the new owner keeps
+  // its history.
+  fabric.attach_node();
   EXPECT_GE(advisor.heat().heat(probe), heat_before * 0.99);
 
   // The listener reached the node attached after attach_fabric(): reads on
@@ -743,7 +743,6 @@ TEST(TierAdvisor, HeatSurvivesAttachNodeAndRebalance) {
   fabric.node(moved->owner).read(probe, again);
   EXPECT_EQ(again, payload);
   EXPECT_GT(advisor.heat().heat(probe), heat_before);
-  (void)added;
 }
 
 // ------------------------------------------------------ config + options --
