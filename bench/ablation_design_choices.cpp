@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
       copt.levels = 2;
       const auto cascade = mesh::build_cascade(ds.mesh, ds.values, copt);
       const auto mapping =
-          core::build_mapping(cascade.levels[0].mesh, cascade.levels[1].mesh);
+          core::build_mapping(cascade.levels[0].mesh, cascade.levels[1].mesh,
+                              mode);
       const auto delta =
           core::compute_delta(cascade.levels[1].mesh, cascade.levels[1].values,
                               cascade.levels[0].values, mapping, mode);

@@ -6,8 +6,14 @@
 //   canopus: compress L^{N-1} plus the deltas delta^{l-(l+1)}.
 // Also reports encode+decode wall time per approach, backing the paper's
 // "both cases result in similar compression speed" observation.
+//
+// Base and deltas are only part of a stored container: each dataset also
+// gets a whole-container table by block kind (base, delta, chunk index,
+// mesh, mapping), summed from the block records of one 4-level, 8-chunk
+// container. Those byte counts are deterministic.
 
 #include <iostream>
+#include <map>
 
 #include "bench_common.hpp"
 #include "compress/codec.hpp"
@@ -34,7 +40,8 @@ Sizes canopus_sizes(const mesh::Cascade& cascade, const compress::Codec& codec,
   for (std::size_t l = cascade.level_count() - 1; l-- > 0;) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
-    const auto mapping = core::build_mapping(fine.mesh, coarse.mesh);
+    const auto mapping = core::build_mapping(
+        fine.mesh, coarse.mesh, core::EstimateMode::kUniformThirds);
     const auto delta = core::compute_delta(coarse.mesh, coarse.values,
                                            fine.values, mapping,
                                            core::EstimateMode::kUniformThirds);
@@ -62,6 +69,41 @@ Sizes direct_sizes(const mesh::Cascade& cascade, const compress::Codec& codec,
   for (const auto& s : streams) codec.decode(s);
   out.decode_s = t.seconds();
   return out;
+}
+
+/// Stored bytes of one refactored container by block kind, from its block
+/// records (the base's replica and the metadata object are not blocks).
+util::Table container_by_kind(const sim::Dataset& ds, const std::string& codec,
+                              double eb) {
+  auto tiers = bench::make_two_tier(256ull << 20);
+  core::RefactorConfig config;
+  config.levels = 4;
+  config.codec = codec;
+  config.error_bound = eb;
+  config.delta_chunks = 8;
+  core::refactor_and_write(tiers, "fig5.bp", ds.variable, ds.mesh, ds.values,
+                           config);
+  const adios::BpReader reader(tiers, "fig5.bp");
+  std::map<adios::BlockKind, std::pair<std::size_t, std::size_t>> kinds;
+  std::size_t total = 0;
+  for (const auto& b : reader.inq_var(ds.variable).blocks) {
+    auto& [blocks, bytes] = kinds[b.kind];
+    ++blocks;
+    bytes += b.stored_bytes;
+    total += b.stored_bytes;
+  }
+  util::Table t({"block kind", "blocks", "bytes", "share"});
+  for (const auto kind : {adios::BlockKind::kBase, adios::BlockKind::kDelta,
+                          adios::BlockKind::kChunkIndex, adios::BlockKind::kMesh,
+                          adios::BlockKind::kMapping}) {
+    const auto [blocks, bytes] = kinds[kind];
+    t.add_row({adios::to_string(kind), std::to_string(blocks),
+               std::to_string(bytes),
+               util::Table::pct(static_cast<double>(bytes) /
+                                static_cast<double>(total))});
+  }
+  t.add_row({"total", "", std::to_string(total), util::Table::pct(1.0)});
+  return t;
 }
 
 }  // namespace
@@ -100,6 +142,11 @@ int main(int argc, char** argv) {
     if (cli.has("csv")) {
       t.save_csv(cli.get("csv", ".") + "/fig5" + panel + "_" + ds.name + ".csv");
     }
+    std::cout << '\n';
+    container_by_kind(ds, codec->name(), eb)
+        .print(std::cout, std::string("Fig. 5") + panel + " " + ds.name +
+                              ": one container by block kind (4 levels, 8 "
+                              "delta chunks, uniform Estimate)");
     std::cout << '\n';
   }
   return 0;

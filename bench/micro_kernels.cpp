@@ -154,7 +154,8 @@ static void BM_BuildMapping(benchmark::State& state) {
   const auto& fine = cascade.levels[0].mesh;
   const auto& coarse = cascade.levels[1].mesh;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_mapping(fine, coarse));
+    benchmark::DoNotOptimize(
+        core::build_mapping(fine, coarse, core::EstimateMode::kUniformThirds));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fine.vertex_count()));
@@ -166,7 +167,8 @@ static void BM_DeltaAndRestore(benchmark::State& state) {
   mesh::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = mesh::decimate(ds.mesh, ds.values, opt);
-  const auto mapping = core::build_mapping(ds.mesh, coarse.mesh);
+  const auto mapping = core::build_mapping(ds.mesh, coarse.mesh,
+                                           core::EstimateMode::kUniformThirds);
   for (auto _ : state) {
     const auto delta =
         core::compute_delta(coarse.mesh, coarse.values, ds.values, mapping,

@@ -58,8 +58,8 @@ CampaignReport write_variable_group(
 
   std::vector<VertexMapping> mappings;  // mappings[l]: level l from level l+1
   for (std::size_t l = 0; l + 1 < N; ++l) {
-    mappings.push_back(
-        build_mapping(cascade.levels[l].mesh, cascade.levels[l + 1].mesh));
+    mappings.push_back(build_mapping(cascade.levels[l].mesh,
+                                     cascade.levels[l + 1].mesh, rc.estimate));
   }
   report.geometry_seconds = geometry_timer.seconds();
 

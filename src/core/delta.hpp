@@ -16,26 +16,25 @@ namespace canopus::core {
 
 /// Builds the fine-vertex -> coarse-triangle mapping by point location in the
 /// coarse mesh (the index Canopus persists to avoid the O(n^2) brute force).
-/// `pool` selects the worker pool for the per-vertex fan-out (nullptr = the
-/// process-global pool); results are identical for any pool.
+/// The mapping holds float32 weights only when `mode` reads them
+/// (estimate_reads_weights). `pool` selects the worker pool for the
+/// per-vertex fan-out (nullptr = the process-global pool); results are
+/// identical for any pool.
 VertexMapping build_mapping(const mesh::TriMesh& fine, const mesh::TriMesh& coarse,
-                            util::ThreadPool* pool = nullptr);
-
-/// Estimate(.) for one fine vertex under the given mode.
-double estimate_value(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                      const VertexMapping& mapping, std::size_t fine_vertex,
-                      EstimateMode mode);
+                            EstimateMode mode, util::ThreadPool* pool = nullptr);
 
 /// Algorithm 2: delta between a fine level and its estimate from the coarse
-/// level. `fine_values` has one entry per mapping entry. Per-vertex work fans
-/// out on `pool` (nullptr = global); the output is bitwise-identical to the
-/// serial loop for any worker count.
+/// level. `fine_values` has one entry per mapping entry; a weight-reading
+/// mode needs a mapping with weights (canopus::Error otherwise). Per-vertex
+/// work fans out on `pool` (nullptr = global); the output is
+/// bitwise-identical to the serial loop for any worker count.
 mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
                           const mesh::Field& fine_values, const VertexMapping& mapping,
                           EstimateMode mode, util::ThreadPool* pool = nullptr);
 
 /// Algorithm 3: restore the fine level from the coarse level plus a delta.
-/// Parallel like compute_delta, with the same determinism guarantee.
+/// Same mapping requirement as compute_delta; parallel like it, with the
+/// same determinism guarantee.
 mesh::Field restore_level(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
                           const mesh::Field& delta, const VertexMapping& mapping,
                           EstimateMode mode, util::ThreadPool* pool = nullptr);

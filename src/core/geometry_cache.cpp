@@ -1,5 +1,7 @@
 #include "core/geometry_cache.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -52,13 +54,23 @@ std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
   return memo.try_emplace(key, std::move(order)).first->second;
 }
 
+std::size_t container_levels(const adios::BpReader& reader) {
+  const auto attr = reader.attribute("levels");
+  CANOPUS_CHECK(attr.has_value(), "container missing 'levels' attribute");
+  std::uint32_t levels = 0;
+  const char* end = attr->data() + attr->size();
+  const auto [ptr, ec] = std::from_chars(attr->data(), end, levels);
+  CANOPUS_CHECK(ec == std::errc() && ptr == end && levels >= 1,
+                "container attribute 'levels' is not a level count: '" +
+                    *attr + "'");
+  return levels;
+}
+
 GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,
                                   const std::string& path, const std::string& var,
                                   double* io_seconds) {
   adios::BpReader reader(hierarchy, path);
-  const auto levels_attr = reader.attribute("levels");
-  CANOPUS_CHECK(levels_attr.has_value(), "container missing 'levels' attribute");
-  const auto levels = static_cast<std::size_t>(std::stoul(*levels_attr));
+  const auto levels = container_levels(reader);
 
   GeometryCache cache;
   double io = 0.0;
@@ -76,7 +88,8 @@ GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,
                                         static_cast<std::uint32_t>(l), &t);
     io += t.io_sim_seconds;
     util::ByteReader br(raw);
-    cache.mappings.push_back(VertexMapping::deserialize(br));
+    cache.mappings.push_back(VertexMapping::deserialize(
+        br, cache.meshes[l].vertex_count(), cache.meshes[l + 1].triangle_count()));
   }
   cache.orders.reserve(cache.meshes.size());
   for (const auto& m : cache.meshes) {

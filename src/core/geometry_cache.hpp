@@ -12,11 +12,17 @@
 #include <string>
 #include <vector>
 
+#include "adios/bp.hpp"
 #include "core/types.hpp"
 #include "mesh/tri_mesh.hpp"
 #include "storage/hierarchy.hpp"
 
 namespace canopus::core {
+
+/// The container's level count N, from its `levels` attribute. Throws
+/// canopus::Error naming the attribute when it is missing or not an integer
+/// in [1, 2^32).
+std::size_t container_levels(const adios::BpReader& reader);
 
 /// Process-wide memoized mesh::spatial_order, keyed by a geometry
 /// fingerprint (vertex count, bounds, CRC-32 of the coordinate bytes).

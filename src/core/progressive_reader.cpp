@@ -105,9 +105,7 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
   // single pinned worker the reader stays fully serial, by design.
   read_ahead_ = options.parallel.read_ahead && pool().size() > 1;
 
-  const auto levels_attr = reader_.attribute("levels");
-  CANOPUS_CHECK(levels_attr.has_value(), "container missing 'levels' attribute");
-  levels_ = static_cast<std::size_t>(std::stoul(*levels_attr));
+  levels_ = container_levels(reader_);
   if (const auto est = reader_.attribute("estimate")) {
     estimate_ = estimate_mode_from_string(*est);
   }
@@ -271,7 +269,8 @@ void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
       delta = unpermute_delta(delta, *cached_spatial_order(fine_mesh), pool());
     }
     util::ByteReader map_reader(geometry.mapping);
-    const auto mapping = VertexMapping::deserialize(map_reader);
+    const auto mapping = VertexMapping::deserialize(
+        map_reader, fine_mesh.vertex_count(), mesh_.triangle_count());
     values_ = restore_level(mesh_, values_, delta, mapping, estimate_, &pool());
     mesh_ = std::move(fine_mesh);
   }

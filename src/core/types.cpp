@@ -20,36 +20,60 @@ EstimateMode estimate_mode_from_string(const std::string& s) {
   throw Error("unknown estimate mode: " + s);
 }
 
-void VertexMapping::quantize_weights() {
-  for (auto& w : weights) {
-    w[0] = static_cast<double>(static_cast<float>(w[0]));
-    w[1] = static_cast<double>(static_cast<float>(w[1]));
-    w[2] = 1.0 - w[0] - w[1];  // affine constraint (Eq. 3) kept exactly
-  }
+bool estimate_reads_weights(EstimateMode mode) {
+  return mode != EstimateMode::kUniformThirds;
 }
 
+namespace {
+// Layout byte, the first byte of a mapping block.
+constexpr std::uint8_t kTriangles = 0;  // varint triangle per entry
+constexpr std::uint8_t kWeighted = 1;   // varint triangle, float32 w0, w1
+}  // namespace
+
 void VertexMapping::serialize(util::ByteWriter& out) const {
-  CANOPUS_ASSERT(triangle.size() == weights.size());
+  CANOPUS_ASSERT(weights.empty() || weights.size() == triangle.size());
+  const bool weighted = !weights.empty();
+  out.put(weighted ? kWeighted : kTriangles);
   out.put_varint(triangle.size());
   for (std::size_t i = 0; i < triangle.size(); ++i) {
     out.put_varint(triangle[i]);
-    // float32 weights (the mapping is quantized at build time, so this is
-    // exact); the third weight is implied by the affine constraint.
-    out.put(static_cast<float>(weights[i][0]));
-    out.put(static_cast<float>(weights[i][1]));
+    if (weighted) {
+      out.put(weights[i][0]);
+      out.put(weights[i][1]);
+    }
   }
 }
 
-VertexMapping VertexMapping::deserialize(util::ByteReader& in) {
-  VertexMapping m;
+VertexMapping VertexMapping::deserialize(util::ByteReader& in,
+                                         std::size_t fine_vertices,
+                                         std::size_t coarse_triangles) {
+  const auto layout = in.get<std::uint8_t>();
+  CANOPUS_CHECK(layout == kTriangles || layout == kWeighted,
+                "mapping block: unknown layout " + std::to_string(layout));
+  const bool weighted = layout == kWeighted;
   const auto n = in.get_varint();
+  CANOPUS_CHECK(n == fine_vertices,
+                "mapping block: " + std::to_string(n) + " entries for " +
+                    std::to_string(fine_vertices) + " fine vertices");
+  // Every entry takes at least one varint byte, plus 8 with weights.
+  const std::size_t entry_bytes = weighted ? 1 + 2 * sizeof(float) : 1;
+  CANOPUS_CHECK(n <= in.remaining() / entry_bytes,
+                "mapping block: " + std::to_string(n) + " entries in " +
+                    std::to_string(in.remaining()) + " bytes");
+  VertexMapping m;
   m.triangle.reserve(n);
-  m.weights.reserve(n);
+  if (weighted) m.weights.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    m.triangle.push_back(static_cast<std::uint32_t>(in.get_varint()));
-    const double w0 = static_cast<double>(in.get<float>());
-    const double w1 = static_cast<double>(in.get<float>());
-    m.weights.push_back({w0, w1, 1.0 - w0 - w1});
+    const auto t = in.get_varint();
+    CANOPUS_CHECK(t < coarse_triangles,
+                  "mapping block: triangle " + std::to_string(t) + " of " +
+                      std::to_string(coarse_triangles) + " coarse triangles");
+    m.triangle.push_back(static_cast<std::uint32_t>(t));
+    if (weighted) {
+      const float w0 = in.get<float>();
+      const float w1 = in.get<float>();
+      m.weights.push_back({w0, w1});
+    }
   }
   return m;
 }
@@ -80,6 +104,10 @@ void ChunkIndex::serialize(util::ByteWriter& out) const {
 ChunkIndex ChunkIndex::deserialize(util::ByteReader& in) {
   ChunkIndex idx;
   const auto n = in.get_varint();
+  // Every range takes at least two varint bytes and four doubles.
+  CANOPUS_CHECK(n <= in.remaining() / (2 + 4 * sizeof(double)),
+                "chunk index block: " + std::to_string(n) + " chunks in " +
+                    std::to_string(in.remaining()) + " bytes");
   idx.chunks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Range r;

@@ -96,23 +96,43 @@ struct ChunkIndex {
   static ChunkIndex deserialize(util::ByteReader& in);
 };
 
-/// For every vertex of the fine level: the containing coarse triangle and its
-/// barycentric weights there. Stored in BP metadata during refactoring and
-/// reused to accelerate restoration (Section III-E2).
+/// True when Estimate(.) under `mode` reads barycentric weights
+/// (barycentric, nearest-vertex); uniform thirds reads only the triangle.
+bool estimate_reads_weights(EstimateMode mode);
+
+/// For every vertex of the fine level: the containing coarse triangle and,
+/// only when the container's Estimate reads them, its barycentric weights
+/// there. Stored in BP metadata during refactoring and reused to accelerate
+/// restoration (Section III-E2).
+///
+/// Weights are float32, the precision they are persisted at; build_mapping
+/// rounds them before any delta is computed, so the reader decodes exactly
+/// the weights the writer used. Only w0 and w1 are held: w2 = 1 - w0 - w1 is
+/// derived where it is read (the affine constraint of Eq. 3).
 struct VertexMapping {
-  std::vector<std::uint32_t> triangle;            // coarse triangle per vertex
-  std::vector<std::array<double, 3>> weights;     // barycentric weights
+  std::vector<std::uint32_t> triangle;         // coarse triangle per vertex
+  std::vector<std::array<float, 2>> weights;   // (w0, w1) per vertex, or empty
 
   std::size_t size() const { return triangle.size(); }
+  /// One weight pair per fine vertex, as the weight-reading modes need.
+  bool has_weights() const { return weights.size() == triangle.size(); }
 
-  /// Rounds weights to float32 precision (w2 re-derived from the affine
-  /// constraint). build_mapping applies this before deltas are computed, so
-  /// the weights stored on disk are bit-identical to the ones the deltas
-  /// assumed — serialization stays exact at half the bytes.
-  void quantize_weights();
+  /// All three barycentric weights of fine vertex `v` (requires has_weights).
+  std::array<double, 3> weights_of(std::size_t v) const {
+    const double w0 = weights[v][0];
+    const double w1 = weights[v][1];
+    return {w0, w1, 1.0 - w0 - w1};
+  }
 
+  /// A block is a layout byte (0 = triangles, 1 = triangles + float32 w0,
+  /// w1), the varint entry count, then per entry a varint triangle id and,
+  /// in layout 1, the two weights.
   void serialize(util::ByteWriter& out) const;
-  static VertexMapping deserialize(util::ByteReader& in);
+  /// Decodes the mapping of a `fine_vertices`-vertex level into a
+  /// `coarse_triangles`-triangle level; throws canopus::Error when the
+  /// block's count or any triangle id does not fit those meshes.
+  static VertexMapping deserialize(util::ByteReader& in, std::size_t fine_vertices,
+                                   std::size_t coarse_triangles);
 };
 
 }  // namespace canopus::core

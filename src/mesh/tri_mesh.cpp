@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -118,6 +119,9 @@ void TriMesh::serialize(util::ByteWriter& out) const {
 
 TriMesh TriMesh::deserialize(util::ByteReader& in) {
   const auto nv = in.get_varint();
+  CANOPUS_CHECK(nv <= in.remaining() / (2 * sizeof(double)),
+                "mesh block: " + std::to_string(nv) + " vertices in " +
+                    std::to_string(in.remaining()) + " bytes");
   std::vector<Vec2> vertices;
   vertices.reserve(nv);
   for (std::uint64_t i = 0; i < nv; ++i) {
@@ -127,6 +131,10 @@ TriMesh TriMesh::deserialize(util::ByteReader& in) {
     vertices.push_back(v);
   }
   const auto nt = in.get_varint();
+  // A triangle takes at least one varint byte per corner.
+  CANOPUS_CHECK(nt <= in.remaining() / 3,
+                "mesh block: " + std::to_string(nt) + " triangles in " +
+                    std::to_string(in.remaining()) + " bytes");
   std::vector<Triangle> triangles;
   triangles.reserve(nt);
   for (std::uint64_t i = 0; i < nt; ++i) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -15,6 +16,7 @@
 #include "mesh/validate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
+#include "reference_mapping.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
 
@@ -23,6 +25,7 @@ namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace ca = canopus::adios;
 namespace cu = canopus::util;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -55,7 +58,7 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(fine_mesh, fine_values, opt);
 
-  const auto mapping = cc::build_mapping(fine_mesh, coarse.mesh);
+  const auto mapping = cc::build_mapping(fine_mesh, coarse.mesh, GetParam());
   const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine_values,
                                        mapping, GetParam());
   const auto restored = cc::restore_level(coarse.mesh, coarse.values, delta,
@@ -63,6 +66,62 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
   ASSERT_EQ(restored.size(), fine_values.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
     EXPECT_DOUBLE_EQ(restored[i], fine_values[i]) << "vertex " << i;
+  }
+}
+
+// Containers of every Estimate mode hold the deltas and restore the fields
+// that the reference mapping (three double weights per fine vertex) gives,
+// bit for bit, on the GeometryCache path and the on-demand path.
+TEST_P(DeltaRestore, WriterDeltasMatchReferenceMapping) {
+  // The raw codec stores each computed delta as it is.
+  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "raw";
+  config.estimate = GetParam();
+  config.delta_chunks = 4;
+  cm::CascadeOptions copt;
+  copt.levels = config.levels;
+  const auto cascade = cm::build_cascade(mesh, smooth_field(mesh), copt);
+  auto tiers = big_two_tiers();
+  cc::refactor_and_write(tiers, "w.bp", "v", cascade, config);
+  const ca::BpReader reader(tiers, "w.bp");
+  for (std::uint32_t l = 0; l + 1 < config.levels; ++l) {
+    const auto& fine = cascade.levels[l];
+    const auto& coarse = cascade.levels[l + 1];
+    const auto expected = ct::reference_delta(
+        coarse.mesh, coarse.values, fine.values,
+        ct::reference_build_mapping(fine.mesh, coarse.mesh), GetParam());
+    EXPECT_TRUE(ct::same_bits(ct::stored_delta(reader, "v", l, fine.mesh),
+                              expected))
+        << "level " << l;
+  }
+}
+
+TEST_P(DeltaRestore, RestoredLevelsMatchReferenceOnEveryReadPath) {
+  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
+  for (const std::uint32_t chunks : {1u, 4u}) {
+    SCOPED_TRACE("chunks " + std::to_string(chunks));
+    auto tiers = big_two_tiers();
+    cc::RefactorConfig config;
+    config.levels = 3;
+    config.codec = "zfp";
+    config.error_bound = 1e-4;
+    config.estimate = GetParam();
+    config.delta_chunks = chunks;
+    cc::refactor_and_write(tiers, "r.bp", "v", mesh, smooth_field(mesh), config);
+    const auto expected =
+        ct::reference_levels(tiers, "r.bp", "v", "v", GetParam());
+    const auto geometry = cc::GeometryCache::load(tiers, "r.bp", "v");
+    cc::ProgressiveReader cached(tiers, "r.bp", "v", &geometry);
+    cc::ProgressiveReader on_demand(tiers, "r.bp", "v");
+    for (std::uint32_t l = config.levels; l-- > 0;) {
+      cached.refine_to(l);
+      on_demand.refine_to(l);
+      EXPECT_TRUE(ct::same_bits(cached.values(), expected[l])) << "level " << l;
+      EXPECT_TRUE(ct::same_bits(on_demand.values(), expected[l]))
+          << "level " << l;
+    }
   }
 }
 
@@ -80,7 +139,8 @@ TEST(Delta, DeltasAreSmootherThanLevels) {
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, values, opt);
-  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  const auto mapping =
+      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kBarycentric);
   const auto delta = cc::compute_delta(coarse.mesh, coarse.values, values,
                                        mapping, cc::EstimateMode::kBarycentric);
   cu::RunningStats level_stats, delta_stats;
@@ -101,7 +161,8 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, f, opt);
-  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  const auto mapping =
+      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kBarycentric);
   const auto d_bary = cc::compute_delta(coarse.mesh, coarse.values, f, mapping,
                                         cc::EstimateMode::kBarycentric);
   const auto d_unif = cc::compute_delta(coarse.mesh, coarse.values, f, mapping,
@@ -113,22 +174,81 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
 }
 
 TEST(Delta, MappingSerializationRoundTrip) {
-  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
+  // The codec is exact: triangles and float32 weights come back bit for
+  // bit, and only the weight-reading modes carry weights at all. Against
+  // the reference (three double weights per entry, always stored), every
+  // mode keeps its triangles, a weighted block is the reference block
+  // behind a layout byte, and a weightless one is 8 bytes per entry
+  // shorter.
+  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, smooth_field(mesh), opt);
-  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
-  cu::ByteWriter w;
-  mapping.serialize(w);
-  cu::ByteReader r(w.view());
-  const auto copy = cc::VertexMapping::deserialize(r);
-  ASSERT_EQ(copy.size(), mapping.size());
-  for (std::size_t i = 0; i < mapping.size(); ++i) {
-    EXPECT_EQ(copy.triangle[i], mapping.triangle[i]);
-    for (int k = 0; k < 3; ++k) {
-      EXPECT_NEAR(copy.weights[i][k], mapping.weights[i][k], 1e-12);
+  const auto reference = ct::reference_build_mapping(mesh, coarse.mesh);
+  cu::ByteWriter reference_block;
+  reference.serialize(reference_block);
+  for (auto mode : {cc::EstimateMode::kUniformThirds,
+                    cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kNearestVertex}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    const bool weighted = cc::estimate_reads_weights(mode);
+    const auto mapping = cc::build_mapping(mesh, coarse.mesh, mode);
+    EXPECT_EQ(mapping.triangle, reference.triangle);
+    EXPECT_EQ(mapping.weights.empty(), !weighted);
+    for (std::size_t v = 0; v < mapping.weights.size(); ++v) {
+      const auto w = mapping.weights_of(v);
+      ASSERT_EQ(std::memcmp(w.data(), reference.weights[v].data(), sizeof w), 0)
+          << "vertex " << v;
+    }
+
+    cu::ByteWriter w;
+    mapping.serialize(w);
+    if (weighted) {
+      ASSERT_EQ(w.size(), reference_block.size() + 1);
+      EXPECT_EQ(std::memcmp(w.view().data() + 1, reference_block.view().data(),
+                            reference_block.size()),
+                0);
+    } else {
+      EXPECT_EQ(w.size(), reference_block.size() + 1 - 8 * mesh.vertex_count());
+    }
+
+    cu::ByteReader r(w.view());
+    const auto copy = cc::VertexMapping::deserialize(
+        r, mesh.vertex_count(), coarse.mesh.triangle_count());
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(copy.triangle, mapping.triangle);
+    ASSERT_EQ(copy.weights.size(), mapping.weights.size());
+    for (std::size_t v = 0; v < mapping.weights.size(); ++v) {
+      ASSERT_EQ(std::memcmp(copy.weights[v].data(), mapping.weights[v].data(),
+                            sizeof(mapping.weights[v])),
+                0)
+          << "vertex " << v;
     }
   }
+}
+
+TEST(Delta, WeightlessMappingRejectedByWeightReadingModes) {
+  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
+  const auto values = smooth_field(mesh);
+  cm::DecimateOptions opt;
+  opt.ratio = 2.0;
+  const auto coarse = cm::decimate(mesh, values, opt);
+  const auto mapping =
+      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kUniformThirds);
+  ASSERT_FALSE(mapping.has_weights());
+  const cm::Field delta(mapping.size(), 0.0);
+  for (auto mode : {cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kNearestVertex}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    EXPECT_THROW(cc::compute_delta(coarse.mesh, coarse.values, values, mapping,
+                                   mode),
+                 canopus::Error);
+    EXPECT_THROW(cc::restore_level(coarse.mesh, coarse.values, delta, mapping,
+                                   mode),
+                 canopus::Error);
+  }
+  EXPECT_NO_THROW(cc::restore_level(coarse.mesh, coarse.values, delta, mapping,
+                                    cc::EstimateMode::kUniformThirds));
 }
 
 TEST(Delta, EstimateModeStringsRoundTrip) {
@@ -524,4 +644,134 @@ TEST(ProgressiveReader, RefineUntilValidatesThreshold) {
   // refine all the way to full accuracy.
   reader.refine_until(-1.0);
   EXPECT_TRUE(reader.at_full_accuracy());
+}
+
+// ---------------------------------------------------------- crafted input --
+
+// Each decoder bounds a declared count by the bytes left in its block, and
+// the mapping decoder its count and triangle ids by the meshes it maps
+// between, so corrupt input is a canopus::Error instead of a huge
+// allocation or a read past a mesh.
+
+TEST(Decoders, MappingCountBeyondBlockThrowsError) {
+  // Blocks for a 4-vertex level over a 2-triangle coarse level.
+  const auto block = [](std::uint8_t layout, std::uint64_t count,
+                        std::initializer_list<std::uint64_t> ids) {
+    cu::ByteWriter w;
+    w.put(layout);
+    w.put_varint(count);
+    for (const auto id : ids) {
+      w.put_varint(id);
+      if (layout == 1) {
+        w.put(0.25f);
+        w.put(0.5f);
+      }
+    }
+    return w.take();
+  };
+  const auto decode = [](const cu::Bytes& bytes) {
+    cu::ByteReader r(bytes);
+    return cc::VertexMapping::deserialize(r, 4, 2);
+  };
+  for (const std::uint8_t layout : {0, 1}) {
+    SCOPED_TRACE("layout " + std::to_string(layout));
+    EXPECT_EQ(decode(block(layout, 4, {0, 1, 1, 0})).weights.size(),
+              layout == 1 ? 4u : 0u);
+    // A whole block for another level, counts past the block, a block
+    // that ends early.
+    EXPECT_THROW(decode(block(layout, 5, {0, 1, 1, 0, 0})), canopus::Error);
+    EXPECT_THROW(decode(block(layout, std::uint64_t{1} << 40, {1})),
+                 canopus::Error);
+    EXPECT_THROW(decode(block(layout, std::uint64_t{1} << 61, {1})),
+                 canopus::Error);
+    EXPECT_THROW(decode(block(layout, 4, {1})), canopus::Error);
+    // Triangle ids past the coarse level's triangles, small and wide.
+    EXPECT_THROW(decode(block(layout, 4, {0, 1, 2, 0})), canopus::Error);
+    EXPECT_THROW(decode(block(layout, 4, {0, 1, std::uint64_t{1} << 33, 0})),
+                 canopus::Error);
+  }
+  EXPECT_THROW(decode(block(7, 4, {0, 0, 0, 0})), canopus::Error);
+
+  // In a container, a mapping that names a triangle past the coarse mesh:
+  // both read paths reject the block instead of reading past the mesh.
+  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
+  auto tiers = big_two_tiers();
+  cc::RefactorConfig config;
+  config.levels = 2;
+  config.codec = "raw";
+  config.delta_chunks = 1;
+  cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
+  const ca::BpReader ok(tiers, "ok.bp");
+  const auto meshes = ct::stored_meshes(ok, "v", config.levels);
+  cc::VertexMapping crafted;
+  crafted.triangle.assign(meshes[0].vertex_count(), 0);
+  crafted.triangle.back() =
+      static_cast<std::uint32_t>(meshes[1].triangle_count());
+  cu::ByteWriter mapping;
+  crafted.serialize(mapping);
+  {
+    ca::BpWriter writer(tiers, "bad.bp");
+    writer.set_attribute("levels", "2");
+    for (std::uint32_t l = 0; l < 2; ++l) {
+      writer.write_opaque("v", ca::BlockKind::kMesh, l,
+                          ok.read_opaque("v", ca::BlockKind::kMesh, l));
+    }
+    writer.write_opaque("v", ca::BlockKind::kMapping, 0, mapping.view());
+    writer.write_doubles("v", ca::BlockKind::kBase, 1,
+                         ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
+                         0.0);
+    writer.write_doubles("v", ca::BlockKind::kDelta, 0,
+                         ok.read_doubles("v", ca::BlockKind::kDelta, 0), "raw",
+                         0.0);
+    writer.close();
+  }
+  EXPECT_THROW(cc::GeometryCache::load(tiers, "bad.bp", "v"), canopus::Error);
+  cc::ProgressiveReader on_demand(tiers, "bad.bp", "v");
+  EXPECT_THROW(on_demand.refine_to(0), canopus::Error);
+}
+
+TEST(Decoders, MeshCountBeyondBlockThrowsError) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
+    SCOPED_TRACE(n);
+    cu::ByteWriter vertices;
+    vertices.put_varint(n);
+    vertices.put(0.0);
+    vertices.put(1.0);
+    cu::ByteReader rv(vertices.view());
+    EXPECT_THROW(cm::TriMesh::deserialize(rv), canopus::Error);
+
+    cu::ByteWriter triangles;
+    triangles.put_varint(3);
+    for (const double c : {0.0, 0.0, 1.0, 0.0, 0.0, 1.0}) triangles.put(c);
+    triangles.put_varint(n);
+    for (const std::uint64_t v : {0, 1, 2}) triangles.put_varint(v);
+    cu::ByteReader rt(triangles.view());
+    EXPECT_THROW(cm::TriMesh::deserialize(rt), canopus::Error);
+  }
+}
+
+TEST(Decoders, ChunkIndexCountBeyondBlockThrowsError) {
+  cu::ByteWriter w;
+  w.put_varint(std::uint64_t{1} << 40);
+  w.put_varint(0);
+  w.put_varint(4);
+  for (int k = 0; k < 4; ++k) w.put(0.0);
+  cu::ByteReader r(w.view());
+  EXPECT_THROW(cc::ChunkIndex::deserialize(r), canopus::Error);
+}
+
+TEST(Decoders, MalformedLevelsAttributeThrowsError) {
+  for (const std::string value : {"three", "", "0", "-1", "3x", "4294967296"}) {
+    SCOPED_TRACE("levels='" + value + "'");
+    auto tiers = big_two_tiers();
+    {
+      ca::BpWriter writer(tiers, "bad.bp");
+      writer.set_attribute("levels", value);
+      writer.write_doubles("v", ca::BlockKind::kBase, 0,
+                           std::vector<double>{1.0, 2.0, 3.0}, "raw", 0.0);
+      writer.close();
+    }
+    EXPECT_THROW(cc::GeometryCache::load(tiers, "bad.bp", "v"), canopus::Error);
+    EXPECT_THROW(cc::ProgressiveReader(tiers, "bad.bp", "v"), canopus::Error);
+  }
 }

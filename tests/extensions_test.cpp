@@ -10,6 +10,7 @@
 #include "compress/huffman.hpp"
 #include "core/canopus.hpp"
 #include "mesh/generators.hpp"
+#include "reference_mapping.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/rng.hpp"
@@ -21,6 +22,7 @@ namespace cs = canopus::storage;
 namespace cp = canopus::compress;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -272,7 +274,92 @@ TEST(Campaign, EmptyTimestepsThrow) {
                canopus::Error);
 }
 
+TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
+  // The campaign's one-time mappings give the deltas and restored fields of
+  // the reference mapping (three double weights per fine vertex), bit for
+  // bit. The raw codec stores each delta as computed.
+  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 13);
+  std::vector<cm::Field> steps;
+  for (int t = 0; t < 3; ++t) steps.push_back(wave_field(mesh, 0.3 * t));
+  for (auto mode : {cc::EstimateMode::kUniformThirds,
+                    cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kNearestVertex}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    cs::StorageHierarchy tiers(
+        {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+    cc::CampaignConfig config;
+    config.refactor.levels = 3;
+    config.refactor.codec = "raw";
+    config.refactor.estimate = mode;
+    config.threads = 2;
+    cc::write_campaign(tiers, "camp.bp", "dpot", mesh, steps, config);
+
+    // Timestep 0 decimates to the cascade the geometry was built from.
+    cm::CascadeOptions copt;
+    copt.levels = config.refactor.levels;
+    copt.step = config.refactor.step;
+    copt.decimate = config.refactor.decimate;
+    const auto cascade = cm::build_cascade(mesh, steps[0], copt);
+    const canopus::adios::BpReader raw(tiers, "camp.bp");
+    for (std::uint32_t l = 0; l + 1 < copt.levels; ++l) {
+      const auto& fine = cascade.levels[l];
+      const auto& coarse = cascade.levels[l + 1];
+      EXPECT_TRUE(ct::same_bits(
+          ct::stored_delta(raw, cc::timestep_var("dpot", 0), l, fine.mesh),
+          ct::reference_delta(coarse.mesh, coarse.values, fine.values,
+                              ct::reference_build_mapping(fine.mesh, coarse.mesh),
+                              mode)))
+          << "level " << l;
+    }
+
+    const auto geometry = cc::GeometryCache::load(tiers, "camp.bp", "dpot");
+    for (std::size_t t = 0; t < steps.size(); ++t) {
+      const auto var = cc::timestep_var("dpot", t);
+      const auto expected =
+          ct::reference_levels(tiers, "camp.bp", var, "dpot", mode);
+      cc::ProgressiveReader reader(tiers, "camp.bp", var, &geometry);
+      for (std::uint32_t l = copt.levels; l-- > 0;) {
+        reader.refine_to(l);
+        EXPECT_TRUE(ct::same_bits(reader.values(), expected[l]))
+            << "t=" << t << " level " << l;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------- geometry cache --
+
+TEST(GeometryCache, MappingsHoldWeightsOnlyWhenEstimateReadsThem) {
+  // A uniform container's mappings are a triangle per fine vertex; a
+  // weight-reading mode adds one float pair per fine vertex. Both writers.
+  const auto mesh = cm::make_disk_mesh(10, 48, 1.0, 0.1, 23);
+  const std::vector<cm::Field> steps{wave_field(mesh)};
+  for (auto mode : {cc::EstimateMode::kUniformThirds,
+                    cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kNearestVertex}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    cs::StorageHierarchy tiers(
+        {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+    cc::CampaignConfig config;
+    config.refactor.levels = 3;
+    config.refactor.estimate = mode;
+    cc::refactor_and_write(tiers, "w.bp", "v", mesh, steps[0], config.refactor);
+    cc::write_campaign(tiers, "c.bp", "v", mesh, steps, config);
+    for (const char* path : {"w.bp", "c.bp"}) {
+      SCOPED_TRACE(path);
+      const auto geometry = cc::GeometryCache::load(tiers, path, "v");
+      ASSERT_EQ(geometry.mappings.size(), 2u);
+      for (std::size_t l = 0; l < 2; ++l) {
+        const auto& m = geometry.mappings[l];
+        EXPECT_EQ(m.size(), geometry.meshes[l].vertex_count());
+        EXPECT_EQ(m.weights.size(),
+                  cc::estimate_reads_weights(mode) ? m.size() : 0u);
+      }
+    }
+  }
+  static_assert(sizeof(decltype(cc::VertexMapping::weights)::value_type) ==
+                2 * sizeof(float));
+}
 
 TEST(GeometryCache, MatchesOnDemandReads) {
   cs::StorageHierarchy tiers(

@@ -586,7 +586,7 @@ TEST_P(DeltaInverseSweep, RestoreInvertsDeltaAcrossTwoLevels) {
   for (std::size_t l = 0; l + 1 < 3; ++l) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
-    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
+    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
     const auto delta =
         cc::compute_delta(coarse.mesh, coarse.values, fine.values, mapping, mode);
     const auto restored =

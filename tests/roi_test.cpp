@@ -7,13 +7,16 @@
 
 #include "core/canopus.hpp"
 #include "mesh/generators.hpp"
+#include "reference_mapping.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
 
+namespace ca = canopus::adios;
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
+namespace ct = canopus::test;
 namespace cu = canopus::util;
 
 namespace {
@@ -218,6 +221,54 @@ TEST(RoiRefine, WorksWithGeometryCache) {
     }
   }
   EXPECT_LE(feature_err, 5e-7);
+}
+
+TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
+  // A regional step restores the reference mapping's bits (three double
+  // weights per fine vertex) with the unfetched chunks at zero, and the
+  // backfill then lands on the reference's full level, on the GeometryCache
+  // path and the on-demand path alike.
+  const auto mesh = cm::shuffle_vertices(
+      cm::make_annulus_mesh(14, 84, 0.5, 1.0, 0.1, 23), 6);
+  const cm::Aabb roi{{0.6, -0.2}, {1.0, 0.2}};
+  for (auto mode : {cc::EstimateMode::kUniformThirds,
+                    cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kNearestVertex}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    auto h = tiers();
+    cc::RefactorConfig config;
+    config.levels = 3;
+    config.codec = "zfp";
+    config.error_bound = 1e-7;
+    config.delta_chunks = 24;
+    config.estimate = mode;
+    cc::refactor_and_write(h, "eq.bp", "v", mesh,
+                           bump_field(mesh, {0.8, 0.0}, 0.1), config);
+    const auto expected = ct::reference_levels(h, "eq.bp", "v", "v", mode);
+
+    const ca::BpReader raw(h, "eq.bp");
+    const auto meshes = ct::stored_meshes(raw, "v", config.levels);
+    const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 1);
+    cu::ByteReader ir(index_bytes);
+    const auto wanted = cc::ChunkIndex::deserialize(ir).intersecting(roi);
+    ASSERT_LT(wanted.size(), config.delta_chunks);
+    const auto regional = ct::reference_restore(
+        meshes[2], expected[2], ct::stored_delta(raw, "v", 1, meshes[1], &wanted),
+        ct::reference_build_mapping(meshes[1], meshes[2]), mode);
+
+    const auto geometry = cc::GeometryCache::load(h, "eq.bp", "v");
+    cc::ProgressiveReader cached(h, "eq.bp", "v", &geometry);
+    cc::ProgressiveReader on_demand(h, "eq.bp", "v");
+    for (auto* reader : {&cached, &on_demand}) {
+      SCOPED_TRACE(reader == &cached ? "geometry cache" : "on demand");
+      reader->refine_region(roi);
+      ASSERT_TRUE(reader->partially_refined());
+      EXPECT_TRUE(ct::same_bits(reader->values(), regional));
+      reader->refine();  // backfills level 1, then restores level 0
+      EXPECT_FALSE(reader->partially_refined());
+      EXPECT_TRUE(ct::same_bits(reader->values(), expected[0]));
+    }
+  }
 }
 
 // ------------------------------------------- partial-flag lifecycle (fix) --
