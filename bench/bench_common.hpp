@@ -116,16 +116,14 @@ struct PipelineOptions {
   // their own threads; the reported row is the mean per-session cost (and
   // the counter columns the totals). 1 keeps the single-reader protocol.
   std::size_t sessions = 1;
-  // Batched I/O engine (--io-depth / --io-batch): depth > 1 lets each
-  // reader's io::IoRing keep `io_depth` delta-chunk reads outstanding
-  // (submitted to the hierarchy in batches of `io_batch`). Results stay
-  // bitwise-identical to the blocking path; the io(s) column then reports
-  // the overlapped makespan instead of the serial sum. Needs delta_chunks
-  // > 1 to have anything to overlap.
+  // I/O overlap depth (--io-depth): depth > 1 charges each level's
+  // delta-chunk reads their overlap makespan on `io_depth` lanes instead of
+  // the serial sum. Reads and results stay bitwise-identical to the
+  // blocking path; only the io(s) column moves. Needs delta_chunks > 1 to
+  // have anything to overlap.
   std::uint32_t io_depth = 1;
-  std::uint32_t io_batch = 4;
   // Independently decodable chunks per delta (--delta-chunks): the write-side
-  // knob that gives the ring (and the parallel decode) its parallelism.
+  // knob that gives the overlap (and the parallel decode) its parallelism.
   std::uint32_t delta_chunks = 1;
 };
 
@@ -142,13 +140,11 @@ inline void session_flags(const util::Cli& cli, PipelineOptions& opt) {
       std::max<std::int64_t>(1, cli.get_int("sessions", 1)));
 }
 
-/// Shared --io-depth / --io-batch / --delta-chunks flags (see
-/// PipelineOptions::io_depth, io_batch, delta_chunks).
+/// Shared --io-depth / --delta-chunks flags (see PipelineOptions::io_depth,
+/// delta_chunks).
 inline void io_flags(const util::Cli& cli, PipelineOptions& opt) {
   opt.io_depth = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("io-depth", 1)));
-  opt.io_batch = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, cli.get_int("io-batch", 4)));
   opt.delta_chunks = static_cast<std::uint32_t>(std::max<std::int64_t>(
       1, cli.get_int("delta-chunks", opt.io_depth > 1 ? 8 : 1)));
 }
@@ -262,7 +258,6 @@ inline std::vector<PipelineCase> run_pipeline(
       popt.cache = cc;
     }
     popt.io.depth = opt.io_depth;
-    popt.io.batch = opt.io_batch;
     Pipeline pipeline(tiers, popt);
 
     WriteRequest wreq;

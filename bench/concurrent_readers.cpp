@@ -67,7 +67,6 @@ ConfigResult run_config(const sim::Dataset& ds, const bench::PipelineOptions& op
   canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
-  popt.io.batch = opt.io_batch;
   if (cached) {
     cache::CacheConfig cc;
     cc.budget_bytes = opt.cache_mb << 20;
@@ -195,7 +194,6 @@ ClusterResult run_fabric_config(const sim::Dataset& ds,
   canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
-  popt.io.batch = opt.io_batch;
   std::vector<std::unique_ptr<Pipeline>> pipelines;
   pipelines.reserve(run_nodes);
   for (std::size_t i = 0; i < run_nodes; ++i) {
@@ -362,7 +360,7 @@ int main(int argc, char** argv) {
   opt.sessions = static_cast<std::size_t>(
       std::max<std::int64_t>(2, cli.get_int("sessions", 8)));
   if (opt.cache_mb == 0) opt.cache_mb = 64;  // the study needs a cache to compare
-  // --io-depth/--io-batch route session fetches through the async engine;
+  // --io-depth charges session fetches their overlap makespan;
   // --delta-chunks gives it (and the parallel decode) its parallelism.
   bench::io_flags(cli, opt);
   // Observability is on by default here so the cache.* counters land in the

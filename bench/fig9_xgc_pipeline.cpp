@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   // the next-level retrieval as K concurrent ReadSessions (mean per-session
   // cost reported). See bench/concurrent_readers for the dedicated study.
   bench::session_flags(cli, opt);
-  // --io-depth=D routes delta fetches through the async engine (D reads in
-  // flight, completion-driven decode); --delta-chunks sets the write-side
-  // chunking that gives it parallelism. --io-ab runs the acceptance A/B.
+  // --io-depth=D charges each level's delta reads their overlap makespan on
+  // D lanes; --delta-chunks sets the write-side chunking that gives them
+  // something to overlap. --io-ab runs the acceptance A/B.
   bench::io_flags(cli, opt);
   // --trace-out=trace.json records spans + metrics and exports a Chrome trace.
   bench::observability_flags(cli);
@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
   const auto ds = sim::make_xgc_dataset({});
 
   if (cli.has("io-ab")) {
-    // Acceptance A/B: identical container (delta_chunks >= 8 so the ring has
-    // parallelism), full restoration read twice — blocking (depth 1) vs
-    // async (depth >= 8). The restored field must be bitwise-identical and
-    // the async simulated I/O strictly lower; exit nonzero otherwise.
+    // Acceptance A/B: identical container (delta_chunks >= 8 so the reads
+    // have something to overlap), full restoration read twice — blocking
+    // (depth 1) vs overlapped (depth >= 8). The restored field must be
+    // bitwise-identical and the overlapped simulated I/O strictly lower;
+    // exit nonzero otherwise.
     const std::uint32_t depth = std::max<std::uint32_t>(8, opt.io_depth);
     const std::uint32_t chunks = std::max<std::uint32_t>(8, opt.delta_chunks);
     auto tiers = bench::make_two_tier(ds.values.size() * sizeof(double));
@@ -70,7 +71,6 @@ int main(int argc, char** argv) {
     auto run_side = [&](std::uint32_t io_depth) {
       canopus::Options side = popt;
       side.io.depth = io_depth;
-      side.io.batch = opt.io_batch;
       Pipeline p(tiers, side);
       ReadResult r;
       const auto st = p.read(rreq, &r);
@@ -78,32 +78,32 @@ int main(int argc, char** argv) {
       return r;
     };
     const auto blocking = run_side(1);
-    const auto async = run_side(depth);
+    const auto overlapped = run_side(depth);
 
     util::Table t({"path", "io(s)", "decompress(s)", "restore(s)"});
     t.add_row({"blocking depth=1", util::Table::num(blocking.timings.io_seconds, 5),
                util::Table::num(blocking.timings.decompress_seconds, 4),
                util::Table::num(blocking.timings.restore_seconds, 4)});
-    t.add_row({"async depth=" + std::to_string(depth),
-               util::Table::num(async.timings.io_seconds, 5),
-               util::Table::num(async.timings.decompress_seconds, 4),
-               util::Table::num(async.timings.restore_seconds, 4)});
-    t.print(std::cout, "Fig. 9 async I/O A/B (full restoration, " +
+    t.add_row({"overlapped depth=" + std::to_string(depth),
+               util::Table::num(overlapped.timings.io_seconds, 5),
+               util::Table::num(overlapped.timings.decompress_seconds, 4),
+               util::Table::num(overlapped.timings.restore_seconds, 4)});
+    t.print(std::cout, "Fig. 9 overlapped I/O A/B (full restoration, " +
                            std::to_string(chunks) + " delta chunks)");
 
-    if (blocking.values != async.values) {
-      std::cerr << "FAIL: async restoration is not bitwise-identical to the "
-                   "blocking path\n";
+    if (blocking.values != overlapped.values) {
+      std::cerr << "FAIL: overlapped restoration is not bitwise-identical "
+                   "to the blocking path\n";
       return 1;
     }
-    if (!(async.timings.io_seconds < blocking.timings.io_seconds)) {
-      std::cerr << "FAIL: async io_seconds (" << async.timings.io_seconds
-                << ") not below blocking (" << blocking.timings.io_seconds
-                << ")\n";
+    if (!(overlapped.timings.io_seconds < blocking.timings.io_seconds)) {
+      std::cerr << "FAIL: overlapped io_seconds ("
+                << overlapped.timings.io_seconds << ") not below blocking ("
+                << blocking.timings.io_seconds << ")\n";
       return 1;
     }
-    std::cout << "\nasync vs blocking simulated I/O: "
-              << util::Table::pct(1.0 - async.timings.io_seconds /
+    std::cout << "\noverlapped vs blocking simulated I/O: "
+              << util::Table::pct(1.0 - overlapped.timings.io_seconds /
                                             blocking.timings.io_seconds)
               << " lower, restored field bitwise-identical\n";
     return 0;

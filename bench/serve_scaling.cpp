@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
   canopus::Options popt;
   popt.parallel.threads = bench::threads_flag(cli);
   popt.io.depth = io_opt.io_depth;
-  popt.io.batch = io_opt.io_batch;
   Pipeline pipeline(tiers, popt);
 
   WriteRequest wreq;
@@ -273,7 +272,6 @@ int main(int argc, char** argv) {
   canopus::Options spopt;
   spopt.parallel.threads = bench::threads_flag(cli);
   spopt.io.depth = io_opt.io_depth;
-  spopt.io.batch = io_opt.io_batch;
   spopt.serve = serve_config;
   Pipeline scheduled_pipeline(tiers, spopt);
   serve::QueryRequest base_query;

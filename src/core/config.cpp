@@ -156,16 +156,16 @@ RuntimeConfig load_config(const std::string& xml_text) {
   const auto* storage_node = root->child("storage");
   CANOPUS_CHECK(storage_node != nullptr, "missing <storage> section");
   {
+    // Placement is fastest tier with room. The retired policies fail by name
+    // rather than load as something else; a single-tier baseline is a
+    // one-tier <storage>.
     const auto policy = storage_node->attr("policy", "fastest-fit");
-    if (policy == "fastest-fit") {
-      config.policy = storage::PlacementPolicy::kFastestFit;
-    } else if (policy == "slowest-only") {
-      config.policy = storage::PlacementPolicy::kSlowestOnly;
-    } else if (policy == "round-robin") {
-      config.policy = storage::PlacementPolicy::kRoundRobin;
-    } else {
-      throw Error("unknown placement policy: " + policy);
+    if (policy == "slowest-only" || policy == "round-robin") {
+      throw Error("<storage> policy '" + policy +
+                  "' is no longer supported: placement is fastest-fit");
     }
+    CANOPUS_CHECK(policy == "fastest-fit",
+                  "unknown placement policy: " + policy);
   }
   // An infinite bandwidth or latency would zero or poison every simulated
   // cost on the tier.
@@ -373,17 +373,18 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* io_node = root->child("io")) {
-    auto& ic = config.options.io;
     if (io_node->has_attr("depth")) {
-      ic.depth = static_cast<std::uint32_t>(
+      config.options.io.depth = static_cast<std::uint32_t>(
           parse_uint(io_node->attr("depth"), "<io> attribute 'depth'"));
     }
-    if (io_node->has_attr("batch")) {
-      ic.batch = static_cast<std::uint32_t>(
-          parse_uint(io_node->attr("batch"), "<io> attribute 'batch'"));
-    }
-    if (io_node->has_attr("deadline")) {
-      ic.deadline_seconds = parse_duration(io_node->attr("deadline"));
+    // Delta chunks are read one at a time, so there is nothing to batch and
+    // no per-op deadline to record; fail by name rather than ignore them.
+    for (const char* removed : {"batch", "deadline"}) {
+      if (io_node->has_attr(removed)) {
+        throw Error(std::string("<io> attribute '") + removed +
+                    "' is no longer supported: reads are issued one at a "
+                    "time and <io depth> sets the overlap they are charged");
+      }
     }
   }
 

@@ -27,7 +27,7 @@
 //     <cache budget="64MiB" shards="8"/>
 //     <observability enabled="true" trace="run-trace.json"
 //                    histogram-buckets="64"/>
-//     <io depth="8" batch="4" deadline="5ms"/>
+//     <io depth="8"/>
 //     <serve workers="4" queue-limit="64" deadline-default="250ms"
 //            age-boost="4"/>
 //     <fabric nodes="4" partition="range" remote-us="200" remote-bw="1GB/s"/>
@@ -40,9 +40,12 @@
 // envelope from storage/tier.hpp; explicit attributes override preset
 // fields. Sizes accept B/KiB/MiB/GiB/TiB (and KB/MB/GB/TB as powers of ten),
 // rates accept .../s of the same units, durations accept ns/us/ms/s.
+// Placement is the fastest tier with room: `<storage policy>` accepts only
+// "fastest-fit" (the default), and the retired "slowest-only" and
+// "round-robin" are rejected by name.
 //
 // The document splits in two. RuntimeConfig keeps what only the document
-// describes — tiers and placement policy, <refactor>, the <faults> plan, the
+// describes — tiers, <refactor>, the <faults> plan, the
 // <fabric> shape — and the loader checks those rules itself. The blocks a
 // Pipeline consumes (<threads>, <pipeline>, <retry>, <cache>,
 // <observability>, <io>, <serve>, <tiering>) parse straight into
@@ -70,12 +73,11 @@
 // MiB count), `shards` the lock-shard count, and `verify-hits` re-checks
 // each hit's CRC-32.
 //
-// The optional <io> element shapes the asynchronous submission/completion
-// engine (src/io) the progressive reader routes its delta fetches through:
-// `depth` bounds the in-flight tier operations (1 = blocking, the default),
-// `batch` the ops per aggregated submission to the storage hierarchy, and
-// `deadline` the per-op simulated-latency deadline (a miss is recorded on
-// the io.deadline_misses counter, never enforced).
+// The optional <io> element sets `depth`, the lanes over which the progressive
+// reader's delta-chunk reads are charged (src/io): 1 (the default) charges
+// their sum, more charges their overlap makespan. Reads are issued one at a
+// time either way; the retired `batch` and `deadline` attributes are rejected
+// by name.
 //
 // The optional <serve> element configures the deadline-aware query
 // scheduler behind Pipeline::submit_query (src/serve): `workers` is the
@@ -116,7 +118,6 @@ namespace canopus::core {
 
 struct RuntimeConfig {
   std::vector<storage::TierSpec> tiers;  // fastest first, as listed
-  storage::PlacementPolicy policy = storage::PlacementPolicy::kFastestFit;
   RefactorConfig refactor;
 
   /// Fault-injection plan: seed + per-tier profiles, matched by tier name.

@@ -57,10 +57,6 @@ void Options::validate() const {
             "serve.age_boost (<serve> age-boost) must be finite and >= 0");
   }
   require(io.depth >= 1, "io.depth (<io> depth) must be >= 1");
-  require(io.batch >= 1, "io.batch (<io> batch) must be >= 1");
-  require(std::isfinite(io.deadline_seconds) && io.deadline_seconds >= 0.0,
-          "io.deadline_seconds (<io> deadline) must be finite and >= 0 "
-          "(0 disables)");
   if (tiering.has_value()) {
     require(finite_positive(tiering->half_life_seconds),
             "tiering.half_life_seconds (<tiering> half-life) must be finite "

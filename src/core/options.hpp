@@ -4,7 +4,7 @@
 // Concurrency (core::ParallelConfig), instrumentation
 // (obs::ObservabilityOptions), robustness (storage::RetryPolicy +
 // FaultInjector), caching (cache::CacheConfig), serving (serve::ServeConfig),
-// async I/O (io::IoConfig) and adaptive tiering (tiering::TieringConfig) are
+// I/O overlap (io::IoConfig) and adaptive tiering (tiering::TieringConfig) are
 // gathered here, with one fluent builder per block, uniform defaults, and a
 // single validation pass that reports every inconsistency with its subsystem
 // context ("canopus::Options: serve.workers (<serve> workers) must be >= 1")
@@ -66,9 +66,9 @@ struct Options {
   /// these knobs (worker count, bounded admission queue, default deadline,
   /// priority aging). Leave unset to get ServeConfig defaults on first use.
   std::optional<serve::ServeConfig> serve;
-  /// Async I/O engine shape forwarded into every reader/session this
-  /// pipeline opens (core::ReaderOptions::io). The depth-1 default keeps the
-  /// blocking read path.
+  /// Overlap depth forwarded into every reader/session this pipeline opens
+  /// (core::ReaderOptions::io). The depth-1 default charges the blocking
+  /// per-read sum.
   io::IoConfig io;
   /// Workload-adaptive tiering (heat tracking + TierAdvisor policy). When
   /// set, Pipeline::tier_advisor() is built with these knobs — and created

@@ -104,9 +104,8 @@ Status Pipeline::load(const core::RuntimeConfig& config,
     }
     // Pipeline has no move constructor (hierarchy_ points into owned_), so
     // build in place.
-    pipeline->reset(new Pipeline(
-        storage::StorageHierarchy(config.tiers, config.policy),
-        std::move(options)));
+    pipeline->reset(new Pipeline(storage::StorageHierarchy(config.tiers),
+                                 std::move(options)));
     return Status::success();
   } catch (...) {
     // A malformed or inconsistent config is a caller bug, not an internal

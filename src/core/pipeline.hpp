@@ -182,7 +182,7 @@ class Pipeline {
                     Options options = {});
 
   /// Builds a pipeline from an XML RuntimeConfig file: a hierarchy over the
-  /// configured tiers and placement policy, given the config's Options plus
+  /// configured tiers, given the config's Options plus
   /// a fresh FaultInjector from its <faults> plan. kNotFound when the file
   /// cannot be read, kInvalidArgument for a malformed or inconsistent config.
   static Status load(const std::string& config_path,

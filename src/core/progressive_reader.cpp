@@ -7,8 +7,9 @@
 #include <utility>
 
 #include "core/delta.hpp"
-#include "io/io_ring.hpp"
+#include "io/overlap_makespan.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "storage/blob_frame.hpp"
 #include "storage/fault.hpp"
@@ -167,7 +168,6 @@ ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
   // for the read-ahead — so the trace shows which reads were overlapped.
   CANOPUS_SPAN("read.fetch", {{"level", level}, {"chunks", chunks.size()}});
   RawChunks out(chunks.size());
-  io::IoRing ring(hierarchy_, io_config_);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const auto it = std::find_if(
         info_.blocks.begin(), info_.blocks.end(), [&](const auto& b) {
@@ -177,27 +177,30 @@ ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
     CANOPUS_CHECK(it != info_.blocks.end(), "delta chunk record missing");
     CANOPUS_CHECK(it->codec != "none", "block is opaque; use read_opaque");
     out[i].record = *it;
-    ring.submit(it->object_key);
   }
-  // The ring issues the ops in submission order, so the hierarchy (and the
-  // fault injector's seeded decision stream) sees the serial read sequence.
+  // One read at a time, in chunk order, stopping at the first failure: the
+  // hierarchy (and a seeded fault injector) sees the same reads at any depth.
   std::vector<double> costs;
   costs.reserve(chunks.size());
   std::exception_ptr failure;
   for (auto& raw : out) {
-    io::IoCompletion done = ring.wait_next();
-    if (done.error) {
-      // Stop at the first failed op, like a blocking loop; the ring drops the
-      // ops it has not issued.
-      failure = done.error;
-      break;
+    storage::IoResult io;
+    util::WallTimer submit_timer;
+    try {
+      io = hierarchy_.read(raw.record.object_key, raw.payload);
+    } catch (...) {
+      failure = std::current_exception();
     }
-    raw.payload = std::move(done.payload);
-    costs.push_back(done.io.sim_seconds);
-    step.bytes_read += done.io.bytes;
-    step.retries += done.io.retries;
-    step.corruptions_detected += done.io.corruptions;
-    if (done.io.from_replica) ++step.replica_reads;
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global().histogram("io.submit_us").observe(
+          submit_timer.seconds() * 1e6);
+    }
+    if (failure) break;
+    costs.push_back(io.sim_seconds);
+    step.bytes_read += io.bytes;
+    step.retries += io.retries;
+    step.corruptions_detected += io.corruptions;
+    if (io.from_replica) ++step.replica_reads;
   }
   if (io_config_.enabled()) {
     step.io_seconds += io::overlap_makespan(costs, io_config_.depth);

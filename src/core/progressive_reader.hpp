@@ -58,11 +58,11 @@ struct ReaderOptions {
   /// session pool). When set it overrides parallel.threads — the reader
   /// spawns no pool of its own — and must outlive the reader.
   util::ThreadPool* shared_pool = nullptr;
-  /// Shape of the io::IoRing every delta-chunk read goes through. With the
-  /// default depth of 1 the ring issues one read at a time and the step is
-  /// charged the serial sum (byte-for-byte the blocking reader); depth > 1
-  /// issues a level's chunks in batches and charges the overlapped makespan
-  /// of up to `depth` reads. Restored fields are bitwise-identical either way.
+  /// How a level's delta-chunk reads are charged. They are always issued one
+  /// at a time, in chunk order; with the default depth of 1 the step is
+  /// charged their serial sum, and depth > 1 charges their overlap_makespan
+  /// on `depth` lanes. Reads, restored fields and fault streams are the same
+  /// at every depth; only io_seconds changes.
   io::IoConfig io;
 };
 
@@ -232,12 +232,12 @@ class ProgressiveReader {
 
   util::ThreadPool& pool() const;
   std::uint32_t delta_chunk_count(std::uint32_t level) const;
-  /// Reads the compressed delta chunks `chunks` of `level`, in that order,
-  /// through an io::IoRing of io.depth and folds each completion into
-  /// `step`: io_seconds as the serial per-op sum at depth <= 1, as the
-  /// overlapped makespan at depth > 1. Stops at the first failed op and
-  /// rethrows it after folding the read prefix. Safe to run off-thread: it
-  /// only reads through the (thread-safe) hierarchy.
+  /// Reads the compressed delta chunks `chunks` of `level` one at a time, in
+  /// that order, and folds each read into `step`: io_seconds as the serial
+  /// per-op sum at depth <= 1, as the overlapped makespan at depth > 1.
+  /// Stops at the first failed read and rethrows it after folding the read
+  /// prefix. Safe to run off-thread: it only reads through the (thread-safe)
+  /// hierarchy.
   RawChunks fetch_level(std::uint32_t level,
                         const std::vector<std::uint32_t>& chunks,
                         RetrievalTimings& step) const;

@@ -171,7 +171,7 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
   // The product's headline tier is the slowest one holding any chunk: that is
   // what bounds a retrieval of the whole delta, whereas the previously
   // reported "tier of the last chunk written" says nothing once hint fallback
-  // or striping scatters chunks.
+  // or fastest-fit bypass scatters chunks.
   product.tier =
       *std::max_element(product.chunk_tiers.begin(), product.chunk_tiers.end());
 

@@ -29,7 +29,7 @@ struct ProductSize {
   /// that bounds a retrieval of the whole product.
   std::uint32_t tier = 0;
   /// Tier of every stored chunk, in chunk order (single-chunk products carry
-  /// one entry). Hint fallback and striping policies can scatter a chunked
+  /// one entry). Hint fallback or fastest-fit bypass can scatter a chunked
   /// delta across tiers, so one scalar cannot describe the placement.
   std::vector<std::uint32_t> chunk_tiers;
 };

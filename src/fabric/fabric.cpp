@@ -27,11 +27,9 @@ bool sharded_kind(adios::BlockKind kind) {
 
 }  // namespace
 
-Fabric::Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
-               storage::PlacementPolicy policy)
+Fabric::Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers)
     : options_(options),
       node_tiers_(std::move(node_tiers)),
-      policy_(policy),
       directory_(options.nodes, options.partition) {
   CANOPUS_CHECK(options_.nodes >= 1, "fabric needs at least one node");
   CANOPUS_CHECK(options_.remote_latency_seconds >= 0.0 &&
@@ -47,7 +45,7 @@ Fabric::Node* Fabric::node_ptr(std::size_t i) const {
 }
 
 std::uint32_t Fabric::append_node() {
-  auto node = std::make_unique<Node>(node_tiers_, policy_);
+  auto node = std::make_unique<Node>(node_tiers_);
   std::uint32_t id = 0;
   {
     std::unique_lock lock(nodes_mu_);
@@ -421,34 +419,6 @@ std::uint32_t Fabric::route_query(const std::string& path,
 storage::IoResult Fabric::remote_read_from(std::size_t from_node,
                                            const std::string& key,
                                            util::Bytes& out) {
-  bool crossed_network = false;
-  return remote_read_one(from_node, key, out, /*charge_latency=*/true,
-                         &crossed_network);
-}
-
-std::vector<storage::BatchReadResult> Fabric::remote_read_batch_from(
-    std::size_t from_node, const std::vector<std::string>& keys) {
-  std::vector<storage::BatchReadResult> out(keys.size());
-  bool latency_paid = false;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    bool crossed_network = false;
-    try {
-      out[i].io = remote_read_one(from_node, keys[i], out[i].bytes,
-                                  /*charge_latency=*/!latency_paid,
-                                  &crossed_network);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-    // A failed op never charged the envelope, so it doesn't count as paying.
-    latency_paid = latency_paid || crossed_network;
-  }
-  return out;
-}
-
-storage::IoResult Fabric::remote_read_one(std::size_t from_node,
-                                          const std::string& key,
-                                          util::Bytes& out, bool charge_latency,
-                                          bool* crossed_network) {
   CANOPUS_SPAN("fabric.remote_read", {{"node", static_cast<int>(from_node)}});
   auto loc = directory_.lookup(key);
   if (!loc.has_value()) {
@@ -457,9 +427,8 @@ storage::IoResult Fabric::remote_read_one(std::size_t from_node,
     throw storage::TierIoError("fabric: no directory entry for '" + key + "'");
   }
   const auto envelope = [&](storage::IoResult io, std::size_t bytes) {
-    io.sim_seconds += (charge_latency ? options_.remote_latency_seconds : 0.0) +
+    io.sim_seconds += options_.remote_latency_seconds +
                       static_cast<double>(bytes) / options_.remote_bandwidth;
-    *crossed_network = true;
     return io;
   };
   // Owner resolution with one epoch-aware retry: a migration cutover can

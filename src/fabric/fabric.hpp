@@ -86,11 +86,9 @@ struct MigrationReport {
 
 class Fabric {
  public:
-  /// Every node gets the same tier stack (`node_tiers`) and placement
-  /// policy. The tier stack and policy are retained so attach_node() can
-  /// stamp out identical nodes later.
-  Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers,
-         storage::PlacementPolicy policy = storage::PlacementPolicy::kFastestFit);
+  /// Every node gets the same tier stack (`node_tiers`). The tier stack is
+  /// retained so attach_node() can stamp out identical nodes later.
+  Fabric(FabricOptions options, std::vector<storage::TierSpec> node_tiers);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -121,7 +119,7 @@ class Fabric {
 
   // --- Elastic topology. ----------------------------------------------------
 
-  /// Grows the fabric by one node (same tier stack and policy as the rest);
+  /// Grows the fabric by one node (same tier stack as the rest);
   /// `*id` (optional) receives its stable id. The node is seeded with the
   /// replicated metadata/geometry blocks, the chunks whose directory owner
   /// changed migrate to it, and replicas are repaired onto the new ring
@@ -205,10 +203,6 @@ class Fabric {
                                   util::Bytes& out) override {
       return fabric_.remote_read_from(node_, key, out);
     }
-    std::vector<storage::BatchReadResult> remote_read_batch(
-        const std::vector<std::string>& keys) override {
-      return fabric_.remote_read_batch_from(node_, keys);
-    }
     double estimated_read_cost(const std::string& key,
                                std::size_t bytes) const override {
       return fabric_.estimated_remote_cost(node_, key, bytes);
@@ -226,8 +220,8 @@ class Fabric {
   };
 
   struct Node {
-    Node(std::vector<storage::TierSpec> specs, storage::PlacementPolicy policy)
-        : hierarchy(std::move(specs), policy) {}
+    explicit Node(std::vector<storage::TierSpec> specs)
+        : hierarchy(std::move(specs)) {}
     storage::StorageHierarchy hierarchy;
     std::unique_ptr<NodeRemoteStore> remote;
     std::atomic<bool> alive{true};
@@ -244,16 +238,6 @@ class Fabric {
 
   storage::IoResult remote_read_from(std::size_t from_node,
                                      const std::string& key, util::Bytes& out);
-  /// Batched form feeding the async engine's ring: per-op resolution (owner →
-  /// replica fallback, counters, failures) is identical to remote_read_from,
-  /// but only the first op in the batch that actually crosses the network
-  /// pays the remote_latency_seconds envelope — later networked ops ride the
-  /// same round trip and pay only their bytes/remote_bandwidth share.
-  std::vector<storage::BatchReadResult> remote_read_batch_from(
-      std::size_t from_node, const std::vector<std::string>& keys);
-  storage::IoResult remote_read_one(std::size_t from_node,
-                                    const std::string& key, util::Bytes& out,
-                                    bool charge_latency, bool* crossed_network);
   void note_local_hit(std::size_t node, const std::string& key);
 
   /// Executes one plan: per chunk, copy (primary, else replica) → place on
@@ -267,7 +251,6 @@ class Fabric {
 
   const FabricOptions options_;
   const std::vector<storage::TierSpec> node_tiers_;
-  const storage::PlacementPolicy policy_;
   ChunkDirectory directory_;
 
   /// Guards the node table against concurrent growth (attach_node) — not

@@ -1,10 +1,7 @@
 #include "serve/cost_model.hpp"
 
-#include <algorithm>
-
 #include "adios/bp.hpp"
 #include "cache/block_cache.hpp"
-#include "obs/metrics.hpp"
 #include "tiering/tier_advisor.hpp"
 #include "util/assert.hpp"
 
@@ -19,31 +16,6 @@ void Calibration::observe_compute(std::size_t bytes, double seconds) {
     next = 0.8 * current + 0.2 * sample;
   } while (!ewma_.compare_exchange_weak(current, next,
                                         std::memory_order_relaxed));
-}
-
-double Calibration::tier_factor(const storage::StorageTier& tier) {
-  if (!obs::enabled()) return 1.0;
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string& name = tier.spec().name;
-  const obs::Histogram& latency =
-      registry.histogram("storage." + name + ".read_us");
-  const std::uint64_t samples = latency.count();
-  if (samples < 16) return 1.0;  // too little signal to overrule the spec
-  const std::uint64_t reads =
-      registry.counter("storage." + name + ".reads").value();
-  const std::uint64_t bytes =
-      registry.counter("storage." + name + ".read_bytes").value();
-  if (reads == 0) return 1.0;
-  const double observed_mean_seconds =
-      latency.sum() / 1e6 / static_cast<double>(samples);
-  const double mean_read_bytes =
-      static_cast<double>(bytes) / static_cast<double>(reads);
-  const double predicted_seconds =
-      tier.read_cost(static_cast<std::size_t>(mean_read_bytes));
-  if (!(predicted_seconds > 0.0)) return 1.0;
-  // Clamped: the histogram mixes block sizes, so the ratio is a trend
-  // signal, not a precise measurement.
-  return std::clamp(observed_mean_seconds / predicted_seconds, 0.25, 4.0);
 }
 
 CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
@@ -61,11 +33,6 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
   const double seconds_per_byte = calibration != nullptr
                                       ? calibration->compute_seconds_per_byte()
                                       : Calibration::kPriorSecondsPerByte;
-  std::vector<double> tier_factors(hierarchy.tier_count(), 1.0);
-  for (std::size_t i = 0; i < tier_factors.size(); ++i) {
-    tier_factors[i] = Calibration::tier_factor(hierarchy.tier(i));
-  }
-
   const cache::BlockCache* cache = hierarchy.block_cache();
   const adios::VarInfo info = reader.var_info();
   for (const auto& b : info.blocks) {
@@ -107,13 +74,11 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
             where = *predicted;
           }
         }
-        step.io_seconds +=
-            tier_factors[where] * hierarchy.tier(where).read_cost(stored);
+        step.io_seconds += hierarchy.tier(where).read_cost(stored);
       } else if (const auto* remote = hierarchy.remote_store()) {
         step.io_seconds += remote->estimated_read_cost(b.object_key, stored);
       } else {
-        step.io_seconds +=
-            tier_factors[b.tier] * hierarchy.tier(b.tier).read_cost(stored);
+        step.io_seconds += hierarchy.tier(b.tier).read_cost(stored);
       }
     }
     if (!residency.decoded) {

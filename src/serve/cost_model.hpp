@@ -12,13 +12,10 @@
 //      bandwidth per block — with cache-resident blocks counted as free
 //      (BlockCache::probe: blob residency waives the I/O, a resident decoded
 //      array waives the decode too).
-//   3. Observed behavior — two calibration signals correct the analytic
-//      numbers. Per tier, the obs read-latency histogram
-//      ("storage.<tier>.read_us") is compared against the envelope's
-//      prediction: a tier running hot (injected latency spikes, contention)
-//      yields a factor > 1. Per scheduler, an EWMA of measured
-//      decode+restore seconds per stored byte replaces the built-in prior
-//      as queries complete.
+//   3. Observed compute — per scheduler, an EWMA of measured decode+restore
+//      seconds per stored byte replaces the built-in prior as queries
+//      complete. I/O is priced from the envelope alone: observability
+//      records what happened and never steers a plan.
 //
 // The model is a pure planning artifact: building it performs no tier reads
 // and leaves the cache untouched. Execution then re-checks the remaining
@@ -68,12 +65,6 @@ class Calibration {
     return ewma_.load(std::memory_order_relaxed);
   }
 
-  /// Multiplier on `tier`'s analytic read cost, learned from the obs
-  /// read-latency histogram ("storage.<name>.read_us"): observed mean /
-  /// predicted mean, clamped to [0.25, 4]. Returns 1 until observability is
-  /// enabled and enough samples exist.
-  static double tier_factor(const storage::StorageTier& tier);
-
  private:
   std::atomic<double> ewma_{kPriorSecondsPerByte};
 };
@@ -81,7 +72,7 @@ class Calibration {
 class CostModel {
  public:
   /// Builds per-level step estimates for the variable `reader` has open.
-  /// `calibration` may be null (priors and factor 1 apply). When `advisor`
+  /// `calibration` may be null (the compute prior applies). When `advisor`
   /// is set, locally resident blocks are priced at the advisor's *predicted*
   /// tier (TierAdvisor::predicted_tier) instead of their current one, so a
   /// plan raced by a background promotion/demotion charges the placement the

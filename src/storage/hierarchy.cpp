@@ -9,9 +9,7 @@
 
 namespace canopus::storage {
 
-StorageHierarchy::StorageHierarchy(std::vector<TierSpec> specs,
-                                   PlacementPolicy policy)
-    : policy_(policy) {
+StorageHierarchy::StorageHierarchy(std::vector<TierSpec> specs) {
   CANOPUS_CHECK(!specs.empty(), "hierarchy needs at least one tier");
   tiers_.reserve(specs.size());
   for (auto& s : specs) {
@@ -21,28 +19,10 @@ StorageHierarchy::StorageHierarchy(std::vector<TierSpec> specs,
 
 std::optional<std::size_t> StorageHierarchy::choose_tier(std::size_t nbytes) const {
   std::scoped_lock lock(mu_);
-  switch (policy_) {
-    case PlacementPolicy::kFastestFit:
-      for (std::size_t i = 0; i < tiers_.size(); ++i) {
-        if (tiers_[i]->fits(nbytes)) return i;
-      }
-      return std::nullopt;
-    case PlacementPolicy::kSlowestOnly:
-      return tiers_.back()->fits(nbytes)
-                 ? std::optional<std::size_t>(tiers_.size() - 1)
-                 : std::nullopt;
-    case PlacementPolicy::kRoundRobin: {
-      for (std::size_t probe = 0; probe < tiers_.size(); ++probe) {
-        const std::size_t i = (round_robin_next_ + probe) % tiers_.size();
-        if (tiers_[i]->fits(nbytes)) {
-          round_robin_next_ = (i + 1) % tiers_.size();
-          return i;
-        }
-      }
-      return std::nullopt;
-    }
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    if (tiers_[i]->fits(nbytes)) return i;
   }
-  CANOPUS_UNREACHABLE("unknown placement policy");
+  return std::nullopt;
 }
 
 std::pair<std::size_t, IoResult> StorageHierarchy::place(
@@ -162,78 +142,6 @@ IoResult StorageHierarchy::read(const std::string& key, util::Bytes& out) const 
   io.bytes = out.size();
   io.from_cache = true;
   return io;
-}
-
-std::vector<BatchReadResult> StorageHierarchy::read_batch(
-    const std::vector<std::string>& keys) const {
-  std::vector<BatchReadResult> out(keys.size());
-  if (cache_) {
-    // Cache-fronted ops keep the per-key single-flight protocol (hits free,
-    // one leader per miss); batching them under mu_ would deadlock against
-    // the cache's condition variable exactly as documented in read().
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      try {
-        out[i].io = read(keys[i], out[i].bytes);
-      } catch (...) {
-        out[i].error = std::current_exception();
-      }
-    }
-    return out;
-  }
-  std::vector<std::size_t> misses;
-  {
-    std::scoped_lock lock(mu_);
-    // Round-trip amortization: the first clean read from a tier in this batch
-    // pays the full submission latency, later ones on the same tier ride the
-    // same aggregated request (transfer cost only). Retries and replica
-    // fallbacks break out of the aggregate and keep their full per-attempt
-    // costs — a failed request is its own round trip.
-    std::vector<bool> latency_paid(tiers_.size(), false);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto where = find(keys[i]);
-      if (!where.has_value()) {
-        if (remote_ != nullptr) {
-          misses.push_back(i);
-        } else {
-          out[i].error = std::make_exception_ptr(
-              Error("object '" + keys[i] + "' not in hierarchy"));
-        }
-        continue;
-      }
-      try {
-        out[i].io = read_local(*where, keys[i], out[i].bytes);
-        if (out[i].io.retries == 0 && !out[i].io.from_replica) {
-          if (latency_paid[*where]) {
-            out[i].io.sim_seconds -= tiers_[*where]->spec().read_latency;
-          } else {
-            latency_paid[*where] = true;
-          }
-        }
-      } catch (...) {
-        out[i].error = std::current_exception();
-      }
-    }
-  }
-  if (!misses.empty()) {
-    // Remote resolution outside mu_, same deadlock rule as read_uncached().
-    std::vector<std::string> remote_keys;
-    remote_keys.reserve(misses.size());
-    for (const std::size_t i : misses) remote_keys.push_back(keys[i]);
-    auto remote_results = remote_->remote_read_batch(remote_keys);
-    CANOPUS_ASSERT(remote_results.size() == misses.size());
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      BatchReadResult& r = out[misses[j]];
-      r = std::move(remote_results[j]);
-      if (r.error == nullptr) continue;
-      try {
-        r.io = read_moved_here(keys[misses[j]], r.bytes, r.error);
-        r.error = nullptr;
-      } catch (...) {
-        r.error = std::current_exception();
-      }
-    }
-  }
-  return out;
 }
 
 IoResult StorageHierarchy::read_uncached(const std::string& key,

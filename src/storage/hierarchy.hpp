@@ -27,16 +27,6 @@ class CapacityError : public Error {
   explicit CapacityError(const std::string& what) : Error(what) {}
 };
 
-/// Outcome of one operation of a batched read (read_batch /
-/// RemoteStore::remote_read_batch): the payload and I/O accounting on
-/// success, or the captured failure — a batch never throws as a whole, each
-/// op fails independently exactly as its serial read() would.
-struct BatchReadResult {
-  util::Bytes bytes;
-  IoResult io;
-  std::exception_ptr error;  // null on success; bytes empty when set
-};
-
 /// Resolver for objects that are not on any local tier — the hook the
 /// cluster fabric (src/fabric) plugs in so N node-local hierarchies behave
 /// like one aggregate store. StorageHierarchy::read() consults it on a local
@@ -50,23 +40,6 @@ class RemoteStore {
   /// including the network envelope. Called only after a local miss; throws
   /// TierIoError when no reachable peer has a copy.
   virtual IoResult remote_read(const std::string& key, util::Bytes& out) = 0;
-
-  /// Batched variant used by read_batch() for a run of local misses: resolves
-  /// every key, capturing each op's failure in its slot instead of throwing.
-  /// The default loops remote_read(); the fabric overrides it to amortize the
-  /// per-message network latency across the batch (one aggregated request).
-  virtual std::vector<BatchReadResult> remote_read_batch(
-      const std::vector<std::string>& keys) {
-    std::vector<BatchReadResult> out(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      try {
-        out[i].io = remote_read(keys[i], out[i].bytes);
-      } catch (...) {
-        out[i].error = std::current_exception();
-      }
-    }
-    return out;
-  }
 
   /// Planning estimate of remote_read()'s simulated cost for a `bytes`-sized
   /// object (owner tier cost + network envelope). No side effects: the serve
@@ -85,12 +58,6 @@ class RemoteStore {
   virtual std::uint64_t topology_epoch() const { return 0; }
 };
 
-enum class PlacementPolicy : std::uint8_t {
-  kFastestFit,   // paper default: fastest tier with room, bypass when full
-  kSlowestOnly,  // everything on the last tier (the "no hierarchy" baseline)
-  kRoundRobin,   // stripe objects across tiers (ablation)
-};
-
 /// Retry-with-backoff knobs for reads against failure-prone tiers. Backoff is
 /// charged to the simulated clock (sim_seconds), keeping runs deterministic.
 struct RetryPolicy {
@@ -102,8 +69,7 @@ struct RetryPolicy {
 class StorageHierarchy {
  public:
   /// Builds a hierarchy from fastest to slowest.
-  explicit StorageHierarchy(std::vector<TierSpec> specs,
-                            PlacementPolicy policy = PlacementPolicy::kFastestFit);
+  explicit StorageHierarchy(std::vector<TierSpec> specs);
 
   // Movable so factories can return by value; the mutex is not part of the
   // logical state (each instance gets a fresh one). Moving a hierarchy that
@@ -111,14 +77,12 @@ class StorageHierarchy {
   // one would be.
   StorageHierarchy(StorageHierarchy&& o) noexcept
       : tiers_(std::move(o.tiers_)),
-        policy_(o.policy_),
         faults_(std::move(o.faults_)),
         retry_(o.retry_),
         cache_(std::move(o.cache_)),
         remote_(o.remote_),
         access_listener_(std::move(o.access_listener_)),
-        move_listener_(std::move(o.move_listener_)),
-        round_robin_next_(o.round_robin_next_) {}
+        move_listener_(std::move(o.move_listener_)) {}
   StorageHierarchy& operator=(StorageHierarchy&&) = delete;
   StorageHierarchy(const StorageHierarchy&) = delete;
   StorageHierarchy& operator=(const StorageHierarchy&) = delete;
@@ -131,15 +95,16 @@ class StorageHierarchy {
   /// background maintenance thread while readers and writers are active.
   std::pair<std::size_t, std::size_t> tier_usage(std::size_t i) const;
 
-  /// Index of the tier the policy would choose for an object of this size,
-  /// or nullopt when nothing fits.
+  /// Index of the fastest tier with room for an object of this size, or
+  /// nullopt when nothing fits.
   std::optional<std::size_t> choose_tier(std::size_t nbytes) const;
 
   /// Places and writes an object; returns (tier index, io result). When
   /// `preferred` names a tier with room, the object goes there; otherwise
-  /// the policy places it, bypassing full tiers. The fit check and the write
-  /// run under one lock, so a concurrent writer cannot take the room in
-  /// between. Throws CapacityError when no tier can hold it.
+  /// it goes to the fastest tier with room, bypassing full tiers. The fit
+  /// check and the write run under one lock, so a concurrent writer cannot
+  /// take the room in between. Throws CapacityError when no tier can hold
+  /// it.
   std::pair<std::size_t, IoResult> place(
       const std::string& key, util::BytesView data,
       std::optional<std::size_t> preferred = std::nullopt);
@@ -179,23 +144,6 @@ class StorageHierarchy {
   /// only when every copy is exhausted; always verifies that the bytes
   /// returned match the recorded object size.
   IoResult read(const std::string& key, util::Bytes& out) const;
-
-  /// Batched submission seam for the async I/O engine (src/io): reads every
-  /// key as one aggregated submission, returning per-op results in key order.
-  /// Semantics per op are identical to read() — same retry/backoff loop,
-  /// replica fallback, cache single-flight, remote resolution, and (because
-  /// ops execute in key order under one lock acquisition) the same seeded
-  /// fault-injector decision stream as the serial loop. Two things differ:
-  /// failures are captured per op instead of thrown, and on the direct tier
-  /// path consecutive clean reads from one tier within the batch share the
-  /// submission round trip — ops after the tier's first pay transfer cost
-  /// only, modeling one I/O-aggregator request per storage target.
-  /// Retried, replica-served, and cache-fronted ops keep full per-op costs.
-  /// Local misses are deferred and resolved through
-  /// RemoteStore::remote_read_batch after the lock is released (same
-  /// lock-ordering rule as read()).
-  std::vector<BatchReadResult> read_batch(
-      const std::vector<std::string>& keys) const;
 
   /// Tier currently holding the object, or nullopt.
   std::optional<std::size_t> find(const std::string& key) const;
@@ -310,14 +258,12 @@ class StorageHierarchy {
   /// storage-target regime rather than costing real throughput.
   mutable std::recursive_mutex mu_;
   std::vector<std::unique_ptr<StorageTier>> tiers_;
-  PlacementPolicy policy_;
   std::shared_ptr<FaultInjector> faults_;
   RetryPolicy retry_;
   std::shared_ptr<cache::BlockCache> cache_;
   RemoteStore* remote_ = nullptr;  // not owned; see attach_remote_store
   AccessListener access_listener_;  // see attach_access_listener
   MoveListener move_listener_;      // see attach_move_listener
-  mutable std::size_t round_robin_next_ = 0;
 };
 
 }  // namespace canopus::storage

@@ -126,11 +126,8 @@ IoResult StorageTier::read(const std::string& key, util::Bytes& out) const {
   if (obs::enabled()) {
     count_for(spec_.name, "reads").add(1);
     count_for(spec_.name, "read_bytes").add(out.size());
-    // Observed per-read latency (simulated clock, microseconds). Injected
-    // latency spikes land here too, which is the point: the serve-layer cost
-    // model compares this histogram against the analytic envelope to learn
-    // how much slower the tier currently runs than its spec promises
-    // (serve/cost_model.hpp, Calibration::tier_factor).
+    // Observed per-read latency (simulated clock, microseconds), injected
+    // latency spikes included.
     obs::MetricsRegistry::global()
         .histogram("storage." + spec_.name + ".read_us")
         .observe(sim_seconds * 1e6);

@@ -278,10 +278,11 @@ std::string config_error(const std::string& xml) {
   return {};
 }
 
-std::string wrap(const std::string& body) {
-  return "<canopus-config>\n"
-         "  <storage><tier preset=\"tmpfs\" capacity=\"4MiB\"/></storage>\n" +
-         body + "\n</canopus-config>";
+std::string wrap(const std::string& body,
+                 const std::string& storage_attrs = "") {
+  return "<canopus-config>\n  <storage" + storage_attrs +
+         "><tier preset=\"tmpfs\" capacity=\"4MiB\"/></storage>\n" + body +
+         "\n</canopus-config>";
 }
 }  // namespace
 
@@ -450,11 +451,8 @@ TEST(Config, FabricDefaultsAndValidation) {
 // --------------------------------------------------------------------- io --
 
 TEST(Config, ParsesIoBlock) {
-  const auto config = cc::load_config(
-      wrap("<io depth=\"8\" batch=\"4\" deadline=\"5ms\"/>"));
+  const auto config = cc::load_config(wrap("<io depth=\"8\"/>"));
   EXPECT_EQ(config.options.io.depth, 8u);
-  EXPECT_EQ(config.options.io.batch, 4u);
-  EXPECT_DOUBLE_EQ(config.options.io.deadline_seconds, 5e-3);
   EXPECT_TRUE(config.options.io.enabled());
 }
 
@@ -465,12 +463,8 @@ TEST(Config, IoDefaultsAndValidation) {
   const auto bare = cc::load_config(wrap("<io/>"));
   EXPECT_EQ(bare.options.io.depth, 1u);
   EXPECT_FALSE(bare.options.io.enabled());
-  EXPECT_DOUBLE_EQ(bare.options.io.deadline_seconds, 0.0);
 
   EXPECT_THROW(cc::load_config(wrap("<io depth=\"0\"/>")), canopus::Error);
-  EXPECT_THROW(cc::load_config(wrap("<io batch=\"0\"/>")), canopus::Error);
-  EXPECT_THROW(cc::load_config(wrap("<io deadline=\"-5ms\"/>")),
-               canopus::Error);
   const std::string bad_depth = config_error(wrap("<io depth=\"eight\"/>"));
   EXPECT_NE(bad_depth.find("depth"), std::string::npos) << bad_depth;
 }
@@ -485,6 +479,7 @@ TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
   struct Case {
     std::string body;  // elements after <storage>
     std::string knob;  // "" when the document is not even well-formed
+    std::string storage_attrs = "";  // attributes of <storage>
   };
   const std::vector<Case> cases = {
       {"<refactor levels=", ""},
@@ -497,8 +492,10 @@ TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
       {"<observability histogram-buckets=\"1\"/>",
        "observability.histogram_buckets"},
       {"<io depth=\"0\"/>", "io.depth"},
-      {"<io batch=\"0\"/>", "io.batch"},
-      {"<io deadline=\"infms\"/>", "io.deadline_seconds"},
+      // Retired: reads are issued one at a time, so there is no batch and no
+      // per-op deadline to record.
+      {"<io batch=\"4\"/>", "'batch'"},
+      {"<io deadline=\"5ms\"/>", "'deadline'"},
       {"<serve workers=\"0\"/>", "serve.workers"},
       {"<serve queue-limit=\"0\"/>", "serve.queue_limit"},
       {"<serve deadline-default=\"0ms\"/>", "serve.default_deadline_seconds"},
@@ -514,12 +511,15 @@ TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
       {"<fabric eviction-high=\"0.9\"/>", "eviction-high"},
       {"<fabric eviction-low=\"0.75\"/>", "eviction-low"},
       {"<fabric eviction-interval=\"10ms\"/>", "eviction-interval"},
+      // Retired placement policies: placement is fastest-fit only.
+      {"", "slowest-only", " policy=\"slowest-only\""},
+      {"", "round-robin", " policy=\"round-robin\""},
   };
   namespace fs = std::filesystem;
   const auto path =
       (fs::temp_directory_path() / "canopus_bad_config_test.xml").string();
   for (const auto& c : cases) {
-    const std::string xml = wrap(c.body);
+    const std::string xml = wrap(c.body, c.storage_attrs);
     const std::string what = config_error(xml);
     EXPECT_FALSE(what.empty()) << c.body << " was accepted";
     EXPECT_NE(what.find(c.knob), std::string::npos) << c.body << ": " << what;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <set>
 
 #include "core/canopus.hpp"
 #include "mesh/cascade.hpp"
@@ -311,21 +310,40 @@ TEST(Refactorer, TieredPlacementFollowsFig1) {
 }
 
 TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
-  // Round-robin placement scatters a chunked delta across tiers; the product
-  // must list every chunk's tier (matching the container index) and report
-  // the slowest of them — not whichever tier the last chunk happened to get.
-  cs::StorageHierarchy tiers({cs::tmpfs_spec(64 << 20), cs::ssd_spec(64 << 20),
-                              cs::lustre_spec(1 << 30)},
-                             cs::PlacementPolicy::kRoundRobin);
-  const auto mesh = cm::make_rect_mesh(40, 40, 1.0, 1.0, 0.1, 13);
+  // Fastest-fit placement spills a chunk that no longer fits the fast tier and
+  // lets a later, smaller chunk take the room left there; the product must
+  // list every chunk's tier (matching the container index) and report the
+  // slowest of them — not whichever tier the last chunk happened to get.
+  const auto mesh = cm::make_rect_mesh(43, 43, 1.0, 1.0, 0.1, 13);
   cc::RefactorConfig config;
   config.levels = 2;
   config.delta_chunks = 4;
-  config.tiered_placement = false;  // let the round-robin policy place
-  const auto report = cc::refactor_and_write(tiers, "rr.bp", "v", mesh,
+  config.tiered_placement = false;  // let fastest-fit place
+  // Probe with room everywhere for the stored size of every block. The base
+  // is written first (its replica goes below it), then delta chunks 0..3.
+  std::size_t base = 0;
+  std::vector<std::size_t> chunk(4, 0);
+  {
+    auto roomy = big_two_tiers();
+    cc::refactor_and_write(roomy, "probe.bp", "v", mesh, smooth_field(mesh),
+                           config);
+    ca::BpReader probe(roomy, "probe.bp");
+    for (const auto& b : probe.inq_var("v").blocks) {
+      const auto n = static_cast<std::size_t>(b.stored_bytes);
+      if (b.kind == ca::BlockKind::kBase) base = n;
+      if (b.kind == ca::BlockKind::kDelta) chunk.at(b.chunk) = n;
+    }
+  }
+  // Tier 0 holds the base and chunks 0, 1 and 3: chunk 2 does not fit the
+  // room left after chunk 1 and spills, and the smaller chunk 3 fills it.
+  ASSERT_LT(chunk[3], chunk[2]);
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(base + chunk[0] + chunk[1] + chunk[3]),
+       cs::ssd_spec(64 << 20), cs::lustre_spec(1 << 30)});
+  const auto report = cc::refactor_and_write(tiers, "ff.bp", "v", mesh,
                                              smooth_field(mesh), config);
 
-  ca::BpReader reader(tiers, "rr.bp");
+  ca::BpReader reader(tiers, "ff.bp");
   const auto info = reader.inq_var("v");
   for (const auto& p : report.products) {
     ASSERT_FALSE(p.chunk_tiers.empty()) << p.name;
@@ -341,10 +359,10 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
               << p.name << " chunk " << b.chunk;
         }
       }
-      // Round-robin over 3 tiers with 4 chunks must actually scatter.
-      const std::set<std::uint32_t> distinct(p.chunk_tiers.begin(),
-                                             p.chunk_tiers.end());
-      EXPECT_GE(distinct.size(), 2u) << p.name;
+      // The spill scatters the delta, and the last chunk is not the slowest.
+      EXPECT_EQ(p.chunk_tiers, (std::vector<std::uint32_t>{0, 0, 1, 0}))
+          << p.name;
+      EXPECT_NE(p.tier, p.chunk_tiers.back()) << p.name;
     }
   }
 }

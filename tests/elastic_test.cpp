@@ -481,7 +481,7 @@ TEST(ElasticOptions, BuilderChains) {
                            .with_threads(3)
                            .with_cache({.budget_bytes = 1 << 20, .shards = 2})
                            .with_serve({.workers = 1})
-                           .with_io({.depth = 4, .batch = 2})
+                           .with_io({.depth = 4})
                            .with_retry({.max_attempts = 2})
                            .with_trace("t.json");
   EXPECT_EQ(options.parallel.threads, 3u);
@@ -512,7 +512,7 @@ TEST(ElasticOptions, ValidationNamesTheOffendingKnob) {
   }
   {
     canopus::Options options;
-    options.io.batch = 0;
+    options.io.depth = 0;
     EXPECT_EQ(options.check().code, StatusCode::kInvalidArgument);
   }
   // A bad option surfaces at Pipeline construction (throwing ctor) and as

@@ -6,10 +6,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/canopus.hpp"
 #include "core/config.hpp"
-#include "io/io_ring.hpp"
 #include "sim/datasets.hpp"
 #include "storage/blob_frame.hpp"
 #include "storage/fault.hpp"
@@ -677,60 +677,23 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   EXPECT_GT(cache->stats().hits, 0u);
 }
 
-// ------------------------------------------------- batched submission ----
+// ---------------------------------------------------------- io depth ----
 
-// Batched submission changes when I/O happens, never what happens to each
-// op: every fault-handling behavior of read() — retry accounting, replica
-// fallback, terminal errors — must survive the ring's read_batch path.
-TEST(BatchedFaults, RingPreservesRetryAndReplicaSemantics) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(1 << 20), cs::lustre_spec(1 << 20)});
-  const auto ok_blob = make_blob(300, 4);
-  const auto rep_blob = make_blob(400, 8);
-  h.place("ok", ok_blob);
-  h.place_with_replica("rep", rep_blob);
-  ASSERT_EQ(h.replica_tier("rep"), std::optional<std::size_t>(1));
-
-  auto inj = std::make_shared<cs::FaultInjector>(1);
-  cs::FaultProfile p;
-  p.read_error = 1.0;  // every primary (tier 0) copy is gone for good
-  inj->set_profile(0, p);
-  h.attach_fault_injector(inj);
-
-  canopus::io::IoConfig cfg;
-  cfg.depth = 4;
-  cfg.batch = 4;  // all three ops ride a single read_batch submission
-  canopus::io::IoRing ring(h, cfg);
-  ring.submit("ok");
-  ring.submit("rep");
-  ring.submit("missing");
-
-  // "ok" has no replica: batched submission exhausts the same retry budget
-  // and surfaces the same terminal error as a serial read.
-  const auto a = ring.wait_next();
-  ASSERT_TRUE(a.error);
-  EXPECT_THROW(std::rethrow_exception(a.error), cs::TierIoError);
-
-  // "rep" falls back to its replica copy with full retry accounting.
-  const auto b = ring.wait_next();
-  ASSERT_FALSE(b.error);
-  EXPECT_EQ(b.payload, rep_blob);
-  EXPECT_TRUE(b.io.from_replica);
-  EXPECT_EQ(b.io.retries, h.retry_policy().max_attempts);
-
-  // A key that never existed fails cleanly alongside the faulted ops.
-  const auto c = ring.wait_next();
-  ASSERT_TRUE(c.error);
-  EXPECT_THROW(std::rethrow_exception(c.error), canopus::Error);
-}
-
-// Seeded sweep: an async reader (depth-4 ring, chunked deltas) pointed at a
-// flaky tier must always terminate cleanly — refined to full accuracy within
-// the error bound, or degraded without corrupting reader state. The seed is
-// part of every failure message so CI reds replay locally.
+// Seeded sweep: io depth changes how a level's reads are charged, never which
+// reads are issued. Each seed runs a depth-8 reader and its depth-1 twin on
+// one container, each against a fresh injector of that seed, with read errors
+// and corruptions that are terminal (one attempt, no delta replicas), with and
+// without read-ahead. Every read consults the injector once; a certain zero-second
+// latency spike counts those consults. The twins must consult equally often,
+// stop at the same level with the same status, counters and field bits, and
+// depth 8 must never charge more simulated I/O. Either reader must terminate
+// cleanly: refined within the error bound, or degraded at its last good
+// level. The seed is part of every failure message so CI reds replay locally.
 TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
   const auto ds = tiny_xgc();
   const std::uint64_t base_seed = canopus::test::test_seed();
-  for (std::uint64_t case_id = 0; case_id < 4; ++case_id) {
+  std::uint64_t injected = 0;  // read errors across the sweep
+  for (std::uint64_t case_id = 0; case_id < 8; ++case_id) {
     const std::uint64_t seed = base_seed * 1000 + 37 * case_id + 5;
     SCOPED_TRACE("fault seed " + std::to_string(seed) +
                  " (CANOPUS_TEST_SEED=" + std::to_string(base_seed) + ")");
@@ -744,36 +707,78 @@ TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
     config.delta_chunks = 8;
     cc::refactor_and_write(tiers, "sweep.bp", ds.variable, ds.mesh, ds.values,
                            config);
-
-    auto inj = std::make_shared<cs::FaultInjector>(seed);
-    cs::FaultProfile p;
-    p.read_error = 0.15;
-    p.corrupt = 0.01;
-    inj->set_profile(1, p);
-    tiers.attach_fault_injector(inj);
     cs::RetryPolicy retry;
-    retry.max_attempts = 8;
+    retry.max_attempts = 1;
     tiers.set_retry_policy(retry);
 
-    cc::ReaderOptions opts;
-    opts.parallel.threads = 4;
-    opts.io.depth = 4;
-    opts.io.batch = 2;
-    cc::ProgressiveReader reader(tiers, "sweep.bp", ds.variable, nullptr,
-                                 opts);
-    ASSERT_NO_THROW(reader.refine_to(0));
-    if (reader.at_full_accuracy()) {
-      EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-                5.0 * config.error_bound);
-    } else {
-      // Degraded, never thrown: the reader holds its last good level.
-      EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-      EXPECT_GT(reader.cumulative().degraded_steps, 0u);
+    struct Outcome {
+      std::uint64_t consults = 0;
+      std::uint64_t read_errors = 0;
+      std::uint64_t corruptions = 0;
+      std::uint32_t level = 0;
+      cc::RefineStatus status = cc::RefineStatus::kOk;
+      cc::RetrievalTimings timings;
+      std::vector<double> values;
+    };
+    const auto run = [&](std::uint32_t depth, bool read_ahead) {
+      cc::ReaderOptions opts;
+      opts.parallel.threads = 4;
+      opts.parallel.read_ahead = read_ahead;
+      opts.io.depth = depth;
+      cc::ProgressiveReader reader(tiers, "sweep.bp", ds.variable, nullptr,
+                                   opts);
+      auto inj = std::make_shared<cs::FaultInjector>(seed);
+      cs::FaultProfile p;
+      p.read_error = 0.05;
+      p.corrupt = 0.01;
+      p.latency_spike = 1.0;  // every consult counts, at zero seconds
+      inj->set_profile(0, p);
+      inj->set_profile(1, p);
+      tiers.attach_fault_injector(inj);
+      for (int call = 0; call < 6 && !reader.at_full_accuracy(); ++call) {
+        EXPECT_NO_THROW(reader.refine_to(0));
+      }
+      tiers.attach_fault_injector(nullptr);
+      if (reader.at_full_accuracy()) {
+        EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+                  5.0 * config.error_bound);
+      } else {
+        // Degraded, never thrown: the reader holds its last good level.
+        EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+        EXPECT_GT(reader.cumulative().degraded_steps, 0u);
+      }
+      return Outcome{inj->counters().latency_spikes,
+                     inj->counters().read_errors,
+                     inj->counters().corruptions,
+                     reader.current_level(),
+                     reader.last_status(),
+                     reader.cumulative(),
+                     reader.values()};
+    };
+
+    for (const bool read_ahead : {false, true}) {
+      SCOPED_TRACE(read_ahead ? "read-ahead on" : "read-ahead off");
+      const Outcome serial = run(1, read_ahead);
+      const Outcome overlapped = run(8, read_ahead);
+      EXPECT_GT(serial.consults, 0u);
+      EXPECT_EQ(overlapped.consults, serial.consults);
+      EXPECT_EQ(overlapped.read_errors, serial.read_errors);
+      EXPECT_EQ(overlapped.corruptions, serial.corruptions);
+      EXPECT_EQ(overlapped.level, serial.level);
+      EXPECT_EQ(overlapped.status, serial.status);
+      EXPECT_EQ(overlapped.timings.bytes_read, serial.timings.bytes_read);
+      EXPECT_EQ(overlapped.timings.retries, serial.timings.retries);
+      EXPECT_EQ(overlapped.timings.corruptions_detected,
+                serial.timings.corruptions_detected);
+      EXPECT_EQ(overlapped.timings.replica_reads, serial.timings.replica_reads);
+      EXPECT_EQ(overlapped.timings.degraded_steps,
+                serial.timings.degraded_steps);
+      EXPECT_EQ(overlapped.values, serial.values);  // bitwise
+      EXPECT_LE(overlapped.timings.io_seconds, serial.timings.io_seconds);
+      injected += serial.read_errors;
     }
-    // The reader's fault ledger never undercounts: every injected read error
-    // and corruption was either retried or ended a degraded step.
-    EXPECT_GT(inj->counters().read_errors + inj->counters().corruptions, 0u);
   }
+  EXPECT_GT(injected, 0u);
 }
 
 // A fully dead delta tier degrades the async reader exactly like the

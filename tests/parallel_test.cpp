@@ -603,9 +603,9 @@ cc::RefactorConfig chunked_config(std::size_t threads) {
 
 }  // namespace
 
-// The async engine may reorder *when* chunk reads and decodes happen, never
-// what they produce: a ring-backed reader (with and without read-ahead) must
-// restore the exact bytes of the blocking depth-1 reader.
+// Io depth changes how reads are charged, never what they produce: a deeper
+// reader (with and without read-ahead) must restore the exact bytes of the
+// blocking depth-1 reader.
 TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers = three_tiers();
@@ -618,17 +618,16 @@ TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
   cc::ProgressiveReader serial(tiers, "d.bp", "v", nullptr, blocking);
   serial.refine_to(0);
 
-  cc::ReaderOptions async_sync;  // completion-driven decode, no prefetch
+  cc::ReaderOptions async_sync;  // overlapped charge, no prefetch
   async_sync.parallel.threads = 4;
   async_sync.parallel.read_ahead = false;
   async_sync.io.depth = 8;
   cc::ProgressiveReader ring(tiers, "d.bp", "v", nullptr, async_sync);
   ring.refine_to(0);
 
-  cc::ReaderOptions async_ahead;  // ring-backed read-ahead path
+  cc::ReaderOptions async_ahead;  // overlapped charge plus read-ahead
   async_ahead.parallel.threads = 4;
   async_ahead.io.depth = 4;
-  async_ahead.io.batch = 2;
   cc::ProgressiveReader ahead(tiers, "d.bp", "v", nullptr, async_ahead);
   ahead.refine_to(0);
 
@@ -683,7 +682,7 @@ TEST(ParallelDeterminism, SimdOnOffBitwiseIdentical) {
 }
 
 // The tier advisor only moves bytes between tiers; with it ticking between
-// refinement steps (and the async engine reading from the shuffled
+// refinement steps (and a depth-8 reader reading from the shuffled
 // placement), the restored field must stay bit-identical to a static,
 // advisor-less run.
 TEST(ParallelDeterminism, TierAdvisorOnOffBitwiseIdentical) {
@@ -738,9 +737,9 @@ TEST(ParallelDeterminism, TierAdvisorOnOffBitwiseIdentical) {
   }
 }
 
-// Satellite accounting fix: with the ring active, a step charges the
-// simulated wall-clock of the overlapped reads (the makespan), not the sum
-// of per-op costs; the blocking reader keeps the exact historical sum.
+// Above depth 1 a step charges the simulated wall-clock of the overlapped
+// reads (the makespan), not the sum of per-op costs; the blocking reader
+// keeps the exact historical sum.
 TEST(ParallelDeterminism, AsyncAccountingChargesMakespanNotSum) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   const std::uint32_t depth = 8;

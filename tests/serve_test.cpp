@@ -9,6 +9,8 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,9 +18,13 @@
 #include "core/geometry_cache.hpp"
 #include "core/pipeline.hpp"
 #include "mesh/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observability.hpp"
 #include "serve/cost_model.hpp"
 #include "serve/query_scheduler.hpp"
+#include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/rng.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
@@ -395,6 +401,81 @@ TEST(CostModel, CalibrationEwmaTracksObservedThroughput) {
   EXPECT_GT(calibration.compute_seconds_per_byte(),
             100 * cv::Calibration::kPriorSecondsPerByte);
   EXPECT_LE(calibration.compute_seconds_per_byte(), slow * 1.01);
+}
+
+// Observability records what happened and never steers a plan: one seeded
+// query sequence against a lustre tier with latency spikes must plan, reach
+// and serve the same levels, bit for bit, with tracing off and on. The lustre
+// round trip is slowed to 0.5 s so that deadlines sit hundreds of simulated
+// milliseconds clear of each step boundary, far beyond the wall-clock decode
+// time the budget also counts (even under sanitizers): only a plan that read
+// the observed latencies could move.
+TEST(CostModel, ObservabilityNeverSteersPlans) {
+  cs::TierSpec lustre = cs::lustre_spec(1 << 30);
+  lustre.read_latency = 0.5;
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::ssd_spec(128 << 20), lustre});
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                         refactor_config());
+  double base_total = 0.0;
+  double refine_cost = 0.0;
+  {
+    cc::ProgressiveReader probe(tiers, "d.bp", "v");
+    base_total = probe.cumulative().total();
+    refine_cost = cv::CostModel::build(tiers, probe)
+                      .cost_between(probe.current_level(), 0);
+  }
+  ASSERT_GT(refine_cost, 1.0);
+
+  struct Served {
+    std::uint32_t planned = 0;
+    std::uint32_t achieved = 0;
+    cm::Field values;
+  };
+  cv::QueryRequest to_full = query();
+  to_full.target_level = 0;
+  const auto run = [&](bool observe) {
+    canopus::obs::MetricsRegistry::global().reset();
+    canopus::obs::set_enabled(observe);
+    auto faults = std::make_shared<cs::FaultInjector>(17);
+    cs::FaultProfile spikes;
+    spikes.latency_spike = 0.3;
+    spikes.spike_seconds = 1.0;
+    faults->set_profile(2, spikes);  // lustre holds the finest delta
+    tiers.attach_fault_injector(faults);
+    cv::QueryScheduler scheduler(tiers, {}, {});
+    canopus::util::Rng rng(23);
+    std::vector<Served> served;
+    for (int q = 0; q < 30; ++q) {
+      cv::QueryRequest request = to_full;
+      // Half the refine cost affords the cheap ssd step only; 1.2x affords
+      // both, but not if the lustre step were priced 20% higher.
+      const double share = rng.uniform_index(2) == 0 ? 0.5 : 1.2;
+      request.deadline_seconds = base_total + share * refine_cost;
+      cv::QueryResult result;
+      EXPECT_TRUE(scheduler.execute(request, &result).usable()) << q;
+      served.push_back({result.planned_level, result.achieved_level,
+                        std::move(result.values)});
+    }
+    tiers.attach_fault_injector(nullptr);
+    canopus::obs::set_enabled(false);
+    return served;
+  };
+
+  const auto quiet = run(false);
+  const auto traced = run(true);
+  ASSERT_EQ(quiet.size(), traced.size());
+  std::set<std::uint32_t> levels;
+  for (std::size_t q = 0; q < quiet.size(); ++q) {
+    EXPECT_EQ(traced[q].planned, quiet[q].planned) << "query " << q;
+    EXPECT_EQ(traced[q].achieved, quiet[q].achieved) << "query " << q;
+    EXPECT_EQ(traced[q].values, quiet[q].values) << "query " << q;
+    levels.insert(quiet[q].achieved);
+  }
+  // The sequence exercises both outcomes: stopped after the ssd step, and
+  // refined through the spiking lustre step.
+  EXPECT_EQ(levels, (std::set<std::uint32_t>{0, 1}));
 }
 
 // ------------------------------------------------------------ concurrency --

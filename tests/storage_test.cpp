@@ -149,21 +149,6 @@ TEST(Hierarchy, ReplaceMovesBetweenTiers) {
   EXPECT_EQ(h.tier(0).used_bytes(), 0u);
 }
 
-TEST(Hierarchy, SlowestOnlyPolicy) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(1000), cs::lustre_spec(1000)},
-                         cs::PlacementPolicy::kSlowestOnly);
-  const auto [tier, io] = h.place("a", make_blob(10));
-  EXPECT_EQ(tier, 1u);
-}
-
-TEST(Hierarchy, RoundRobinPolicy) {
-  cs::StorageHierarchy h({cs::tmpfs_spec(1000), cs::lustre_spec(1000)},
-                         cs::PlacementPolicy::kRoundRobin);
-  const auto [t0, io0] = h.place("a", make_blob(10, 1));
-  const auto [t1, io1] = h.place("b", make_blob(10, 2));
-  EXPECT_NE(t0, t1);
-}
-
 TEST(Hierarchy, WriteToExplicitTier) {
   cs::StorageHierarchy h({cs::tmpfs_spec(1000), cs::lustre_spec(1000)});
   h.write_to(1, "pinned", make_blob(10));
