@@ -113,9 +113,13 @@ int main(int argc, char** argv) {
       cfg.tiered_placement = tiered;
       core::refactor_and_write(tiers, "p.bp", ds.variable, ds.mesh, ds.values,
                                cfg);
-      core::ProgressiveReader quick(tiers, "p.bp", ds.variable);
+      // Campaign-lifetime geometry, off the measured path: the columns
+      // price the base and the deltas only.
+      const auto geometry =
+          core::GeometryCache::load(tiers, "p.bp", ds.variable);
+      core::ProgressiveReader quick(tiers, "p.bp", ds.variable, &geometry);
       const double base_io = quick.cumulative().io_seconds;
-      core::ProgressiveReader full(tiers, "p.bp", ds.variable);
+      core::ProgressiveReader full(tiers, "p.bp", ds.variable, &geometry);
       full.refine_to(0);
       t.add_row({tiered ? "tiered (paper)" : "pfs-only",
                  util::Table::num(base_io, 4),

@@ -141,12 +141,14 @@ inline void session_flags(const util::Cli& cli, PipelineOptions& opt) {
 }
 
 /// Shared --io-depth / --delta-chunks flags (see PipelineOptions::io_depth,
-/// delta_chunks).
+/// delta_chunks). Chunking defaults to 1 at every depth, so runs at two
+/// depths read the same containers; overlap needs chunks to overlap, so
+/// pass --delta-chunks=8 with --io-depth > 1.
 inline void io_flags(const util::Cli& cli, PipelineOptions& opt) {
   opt.io_depth = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("io-depth", 1)));
-  opt.delta_chunks = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, cli.get_int("delta-chunks", opt.io_depth > 1 ? 8 : 1)));
+  opt.delta_chunks = static_cast<std::uint32_t>(
+      std::max<std::int64_t>(1, cli.get_int("delta-chunks", 1)));
 }
 
 /// Shared --trace-out flag: `--trace-out=trace.json` enables the

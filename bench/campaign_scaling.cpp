@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                util::Table::num(static_cast<double>(report.geometry_bytes) / 1024.0, 0)});
   }
   t.print(std::cout, "Campaign refactoring scalability (single-node worker sweep)");
-  std::cout << "\nNote: geometry (meshes + mappings) is written once per\n"
-               "campaign; per-timestep products amortize it.\n";
+  std::cout << "\nNote: geometry (the L0 mesh, collapse logs and mappings) is\n"
+               "written once per campaign; per-timestep products amortize it.\n";
   return 0;
 }

@@ -187,7 +187,7 @@ ClusterResult run_fabric_config(const sim::Dataset& ds,
   cluster.attach_node_caches(cc);
 
   // Campaign-lifetime geometry, preloaded off the measured path (every node
-  // holds a full copy of the mesh/mapping blocks).
+  // holds a full copy of the geometry blocks).
   const auto geometry =
       core::GeometryCache::load(cluster.node(0), "run.bp", ds.variable);
 

@@ -8,9 +8,9 @@
 // "both cases result in similar compression speed" observation.
 //
 // Base and deltas are only part of a stored container: each dataset also
-// gets a whole-container table by block kind (base, delta, chunk index,
-// mesh, mapping), summed from the block records of one 4-level, 8-chunk
-// container. Those byte counts are deterministic.
+// gets a whole-container table by block kind (base, delta, chunk index, the
+// L0 mesh, collapse logs, mapping), summed from the block records of one
+// 4-level, 8-chunk container. Those byte counts are deterministic.
 
 #include <iostream>
 #include <map>
@@ -95,6 +95,7 @@ util::Table container_by_kind(const sim::Dataset& ds, const std::string& codec,
   util::Table t({"block kind", "blocks", "bytes", "share"});
   for (const auto kind : {adios::BlockKind::kBase, adios::BlockKind::kDelta,
                           adios::BlockKind::kChunkIndex, adios::BlockKind::kMesh,
+                          adios::BlockKind::kCollapseLog,
                           adios::BlockKind::kMapping}) {
     const auto [blocks, bytes] = kinds[kind];
     t.add_row({adios::to_string(kind), std::to_string(blocks),

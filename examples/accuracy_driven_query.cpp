@@ -37,10 +37,14 @@ int main(int argc, char** argv) {
   wreq.config.error_bound = 1e-6;
   if (!pipeline.write(wreq).ok()) return 1;
 
+  // Campaign-lifetime geometry, loaded once so each query reads data only.
+  const auto geometry = core::GeometryCache::load(tiers, "g.bp", ds.variable);
+
   // The accuracy-driven query: declare an RMSE tolerance, not a level.
   ReadRequest rreq;
   rreq.path = "g.bp";
   rreq.var = ds.variable;
+  rreq.geometry = &geometry;
   rreq.rmse_threshold = rmse;
   ReadResult result;
   if (!pipeline.read(rreq, &result).usable()) return 1;
@@ -52,6 +56,7 @@ int main(int argc, char** argv) {
   ReadRequest full_req;
   full_req.path = "g.bp";
   full_req.var = ds.variable;
+  full_req.geometry = &geometry;
   full_req.target_level = 0;
   ReadResult full;
   if (!pipeline.read(full_req, &full).usable()) return 1;

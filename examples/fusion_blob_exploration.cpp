@@ -59,7 +59,9 @@ int main(int argc, char** argv) {
       analytics::to_gray8(full_raster, lo, hi), raster_px, raster_px, params);
   std::printf("reference (L0): %zu blobs detected\n\n", reference.size());
 
-  core::ProgressiveReader reader(tiers, "xgc.bp", "dpot");
+  // Geometry is loaded once per campaign, off the per-read path.
+  const auto geometry = core::GeometryCache::load(tiers, "xgc.bp", "dpot");
+  core::ProgressiveReader reader(tiers, "xgc.bp", "dpot", &geometry);
   std::printf("%-6s %-10s %-7s %-9s %-9s %-8s %s\n", "level", "decimation",
               "blobs", "avg-diam", "area", "overlap", "cumulative-io(ms)");
   for (;;) {

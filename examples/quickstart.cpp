@@ -61,7 +61,9 @@ int main() {
 
   // 4. Progressive read-back: open at base accuracy, then refine on demand.
   //    (pipeline.read() would fetch a target level in one call; open() hands
-  //    out the step-wise reader for interactive refinement.)
+  //    out the step-wise reader for interactive refinement.) Without a
+  //    GeometryCache in the request, the open also loads the geometry, so
+  //    every refinement step reads only its delta.
   ReadRequest rreq;
   rreq.path = "quickstart.bp";
   rreq.var = "field";
@@ -72,7 +74,8 @@ int main() {
     return 1;
   }
   std::printf("\nprogressive retrieval:\n");
-  std::printf("  level %u (base): %zu vertices, decimation %.1fx, io %.2f ms\n",
+  std::printf("  level %u (base + geometry): %zu vertices, decimation %.1fx, "
+              "io %.2f ms\n",
               reader->current_level(), reader->values().size(),
               reader->decimation_ratio(),
               reader->cumulative().io_seconds * 1e3);

@@ -78,6 +78,9 @@ int main(int argc, char** argv) {
     ReadRequest rreq;
     rreq.path = std::string(name) + ".bp";
     rreq.var = var;
+    // Geometry is loaded once per campaign, off the per-read path.
+    const auto geometry = core::GeometryCache::load(tiers, rreq.path, var);
+    rreq.geometry = &geometry;
     // Base only: the coarsest stored level (levels - 1).
     rreq.target_level = static_cast<std::uint32_t>(config.levels - 1);
     ReadResult base;

@@ -24,6 +24,7 @@ std::string to_string(BlockKind kind) {
     case BlockKind::kMapping: return "mapping";
     case BlockKind::kData: return "data";
     case BlockKind::kChunkIndex: return "chunkindex";
+    case BlockKind::kCollapseLog: return "collapselog";
   }
   CANOPUS_UNREACHABLE("unknown block kind");
 }
@@ -47,7 +48,7 @@ BlockRecord BlockRecord::deserialize(util::ByteReader& in) {
   BlockRecord r;
   r.var = in.get_string();
   const auto kind = in.get<std::uint8_t>();
-  CANOPUS_CHECK(kind <= static_cast<std::uint8_t>(BlockKind::kChunkIndex),
+  CANOPUS_CHECK(kind <= static_cast<std::uint8_t>(BlockKind::kCollapseLog),
                 "bp metadata corrupt (kind)");
   r.kind = static_cast<BlockKind>(kind);
   r.level = in.get<std::uint32_t>();

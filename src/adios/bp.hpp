@@ -34,6 +34,7 @@ enum class BlockKind : std::uint8_t {
   kMapping = 3,     // fine-vertex -> coarse-triangle mapping
   kData = 4,        // plain (non-refactored) variable payload
   kChunkIndex = 5,  // per-chunk vertex ranges + bounding boxes of a level
+  kCollapseLog = 6, // collapses that decimate level l-1 into level l
 };
 
 std::string to_string(BlockKind kind);

@@ -5,6 +5,7 @@
 #include "adios/bp.hpp"
 #include "compress/codec.hpp"
 #include "core/delta.hpp"
+#include "core/geometry_cache.hpp"
 #include "mesh/cascade.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -69,13 +70,8 @@ CampaignReport write_variable_group(
   writer.set_attribute("estimate", to_string(rc.estimate));
   writer.set_attribute("group_size", std::to_string(variables.size()));
 
-  for (std::size_t l = 0; l < N; ++l) {
-    util::ByteWriter bytes;
-    cascade.levels[l].mesh.serialize(bytes);
-    const auto level = static_cast<std::uint32_t>(l);
-    const auto t = writer.write_opaque(
-        geometry_var, adios::BlockKind::kMesh, level, bytes.view(),
-        tier_hint_for(rc, hierarchy, level, bytes.size()));
+  {
+    const auto t = write_geometry(writer, hierarchy, geometry_var, cascade, rc);
     report.io_sim_seconds += t.io_sim_seconds;
     report.geometry_bytes += t.bytes_written;
   }
@@ -102,8 +98,9 @@ CampaignReport write_variable_group(
       level_values.reserve(N);
       level_values.push_back(variables[t].second);
       for (std::size_t l = 1; l < N; ++l) {
-        level_values.push_back(
-            mesh::replay_decimation(recipes[l - 1], level_values.back()));
+        level_values.push_back(mesh::replay_decimation(
+            cascade.logs[l - 1], recipes[l - 1].survivor_slots,
+            level_values.back()));
       }
       auto& out = products[t];
       out.base = codec->encode(level_values[N - 1], rc.error_bound);

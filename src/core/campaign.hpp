@@ -5,11 +5,11 @@
 // This is the regime the paper targets ("simulation results need to be
 // written once but analyzed a number of times"; XGC1 writes its grid data
 // every few timesteps over a fixed mesh). The geometry pipeline — decimation
-// cascade, per-level meshes, restoration mappings — depends only on the mesh
-// when the edge priority is shortest-first, so it runs once; each timestep
-// then decimates by *replaying* the recorded collapse sequence, computes its
-// deltas against the shared mappings, compresses, and is placed on the
-// hierarchy. Timesteps are independent, so the per-timestep work fans out on
+// cascade, the L0 mesh and its collapse logs, restoration mappings — depends
+// only on the mesh when the edge priority is shortest-first, so it runs
+// once; each timestep then decimates by *replaying* the recorded collapse
+// sequence, computes its deltas against the shared mappings, compresses, and
+// is placed on the hierarchy. Timesteps are independent, so the per-timestep work fans out on
 // a thread pool (the paper's "embarrassingly parallel" refactoring claim).
 //
 // The container layout names each timestep's blocks "<var>/t<k>", and the
@@ -36,7 +36,7 @@ struct CampaignReport {
   std::size_t timesteps = 0;
   std::size_t raw_bytes = 0;
   std::size_t stored_bytes = 0;       // data products only (base + deltas)
-  std::size_t geometry_bytes = 0;     // one-time meshes + mappings
+  std::size_t geometry_bytes = 0;     // one-time L0 mesh, logs, mappings
   double geometry_seconds = 0.0;      // cascade + mapping build (wall)
   double refactor_wall_seconds = 0.0; // parallel per-timestep phase (wall)
   double io_sim_seconds = 0.0;        // simulated placement cost

@@ -7,8 +7,10 @@
 #include <tuple>
 
 #include "adios/bp.hpp"
+#include "core/refactorer.hpp"
 #include "util/assert.hpp"
 #include "util/crc32.hpp"
+#include "util/timer.hpp"
 
 namespace canopus::core {
 
@@ -66,27 +68,113 @@ std::size_t container_levels(const adios::BpReader& reader) {
   return levels;
 }
 
-GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,
-                                  const std::string& path, const std::string& var,
-                                  double* io_seconds) {
-  adios::BpReader reader(hierarchy, path);
+adios::WriteTiming write_geometry(adios::BpWriter& writer,
+                                  storage::StorageHierarchy& hierarchy,
+                                  const std::string& var,
+                                  const mesh::Cascade& cascade,
+                                  const RefactorConfig& config) {
+  CANOPUS_CHECK(cascade.logs.size() + 1 == cascade.level_count(),
+                "cascade carries " + std::to_string(cascade.logs.size()) +
+                    " collapse logs for " +
+                    std::to_string(cascade.level_count()) + " levels");
+  adios::WriteTiming total;
+  const auto put = [&](adios::BlockKind kind, std::size_t l,
+                       const util::ByteWriter& bytes) {
+    const auto level = static_cast<std::uint32_t>(l);
+    const auto t = writer.write_opaque(
+        var, kind, level, bytes.view(),
+        tier_hint_for(config, hierarchy, level, bytes.size()));
+    total.io_sim_seconds += t.io_sim_seconds;
+    total.io_wall_seconds += t.io_wall_seconds;
+    total.bytes_written += t.bytes_written;
+  };
+  util::ByteWriter mesh_bytes;
+  cascade.levels[0].mesh.serialize(mesh_bytes);
+  put(adios::BlockKind::kMesh, 0, mesh_bytes);
+  for (std::size_t l = 1; l < cascade.level_count(); ++l) {
+    const auto& log = cascade.logs[l - 1];
+    util::ByteWriter bytes;
+    bytes.put_varint(log.size());
+    for (const auto& [i, j] : log) {
+      bytes.put_varint(i);
+      bytes.put_varint(j);
+    }
+    put(adios::BlockKind::kCollapseLog, l, bytes);
+  }
+  return total;
+}
+
+util::Bytes read_charged(const adios::BpReader& reader, const std::string& var,
+                         adios::BlockKind kind, std::uint32_t level,
+                         RetrievalTimings& cost) {
+  adios::ReadTiming t;
+  try {
+    auto raw = reader.read_opaque(var, kind, level, &t);
+    cost.charge(t);
+    return raw;
+  } catch (const storage::StorageError& e) {
+    cost.charge(e.charge);
+    throw;
+  }
+}
+
+namespace {
+
+/// Decodes `var`'s level-`level` collapse log in `raw` and replays it on
+/// `input`, the level above. Every failure names the block.
+mesh::TriMesh replay_block(util::BytesView raw, const mesh::TriMesh& input,
+                           const std::string& var, std::uint32_t level) {
+  try {
+    util::ByteReader br(raw);
+    const auto count = br.get_varint();
+    // A collapse takes at least one varint byte per slot.
+    CANOPUS_CHECK(count <= br.remaining() / 2,
+                  std::to_string(count) + " collapses in " +
+                      std::to_string(br.remaining()) + " bytes");
+    const std::size_t n = input.vertex_count();
+    const auto slot = [&] {
+      const auto v = br.get_varint();
+      CANOPUS_CHECK(v < n, "slot " + std::to_string(v) + " past the " +
+                               std::to_string(n) + "-vertex input");
+      return static_cast<mesh::VertexId>(v);
+    };
+    mesh::CollapseLog log(count);
+    for (auto& [i, j] : log) {
+      i = slot();
+      j = slot();
+    }
+    return mesh::replay_collapses(input, log);
+  } catch (const Error& e) {
+    throw Error("collapse log block of '" + var + "' at level " +
+                std::to_string(level) + ": " + e.what());
+  }
+}
+
+}  // namespace
+
+GeometryCache GeometryCache::load(const adios::BpReader& reader,
+                                  const std::string& var,
+                                  RetrievalTimings* cost) {
+  util::WallTimer wall;
+  RetrievalTimings local;
+  RetrievalTimings& charged = cost != nullptr ? *cost : local;
   const auto levels = container_levels(reader);
 
   GeometryCache cache;
-  double io = 0.0;
-  for (std::size_t l = 0; l < levels; ++l) {
-    adios::ReadTiming t;
-    const auto raw = reader.read_opaque(var, adios::BlockKind::kMesh,
-                                        static_cast<std::uint32_t>(l), &t);
-    io += t.io_sim_seconds;
+  {
+    const auto raw =
+        read_charged(reader, var, adios::BlockKind::kMesh, 0, charged);
     util::ByteReader br(raw);
     cache.meshes.push_back(mesh::TriMesh::deserialize(br));
   }
-  for (std::size_t l = 0; l + 1 < levels; ++l) {
-    adios::ReadTiming t;
-    const auto raw = reader.read_opaque(var, adios::BlockKind::kMapping,
-                                        static_cast<std::uint32_t>(l), &t);
-    io += t.io_sim_seconds;
+  for (std::uint32_t l = 1; l < levels; ++l) {
+    const auto raw =
+        read_charged(reader, var, adios::BlockKind::kCollapseLog, l, charged);
+    cache.meshes.push_back(replay_block(raw, cache.meshes.back(), var, l));
+  }
+  for (std::uint32_t l = 0; l + 1 < levels; ++l) {
+    const auto raw =
+        read_charged(reader, var, adios::BlockKind::kMapping, l, charged);
     util::ByteReader br(raw);
     cache.mappings.push_back(VertexMapping::deserialize(
         br, cache.meshes[l].vertex_count(), cache.meshes[l + 1].triangle_count()));
@@ -95,8 +183,14 @@ GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,
   for (const auto& m : cache.meshes) {
     cache.orders.push_back(cached_spatial_order(m));
   }
-  if (io_seconds) *io_seconds = io;
+  charged.restore_seconds += wall.seconds();
   return cache;
+}
+
+GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,
+                                  const std::string& path, const std::string& var,
+                                  RetrievalTimings* cost) {
+  return load(adios::BpReader(hierarchy, path), var, cost);
 }
 
 }  // namespace canopus::core

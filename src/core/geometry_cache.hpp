@@ -1,12 +1,20 @@
 #pragma once
-// One-time geometry loading for campaign-style analytics.
+// One-time geometry loading for campaign-style analytics, and the container
+// layout of that geometry.
 //
 // Simulation meshes are static across a run: XGC1 writes thousands of dpot
 // timesteps over the same mesh. The per-level meshes and restoration
-// mappings are therefore campaign-lifetime artifacts — read and deserialized
+// mappings are therefore campaign-lifetime artifacts — read and rebuilt
 // once, then shared by every ProgressiveReader that analyzes a timestep.
 // Passing a GeometryCache to ProgressiveReader removes geometry I/O from the
-// per-read critical path, which is the regime the paper's Figs. 9-11 measure.
+// per-read critical path, which is the regime the paper's Figs. 9-11 measure;
+// a reader opened without one loads its own at open.
+//
+// A container stores the L0 mesh once (a level-0 kMesh block) and, for each
+// decimation pass, the collapse log that produced level l (a level-l
+// kCollapseLog block: a varint count, then varint (survivor, dying) pairs in
+// level l-1's slot numbering). load() rebuilds levels 1..N-1 by replaying the
+// logs (mesh::replay_collapses), bitwise equal to the writer's cascade.
 
 #include <memory>
 #include <string>
@@ -14,6 +22,7 @@
 
 #include "adios/bp.hpp"
 #include "core/types.hpp"
+#include "mesh/cascade.hpp"
 #include "mesh/tri_mesh.hpp"
 #include "storage/hierarchy.hpp"
 
@@ -34,6 +43,24 @@ std::size_t container_levels(const adios::BpReader& reader);
 std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
     const mesh::TriMesh& mesh);
 
+/// Writes the geometry of `cascade` as `var`: the L0 mesh and one collapse
+/// log per pass (layout above), each block with the tier hint of its level
+/// (tier_hint_for). Both writers call it. Returns the blocks' summed
+/// simulated I/O seconds and stored bytes. Throws canopus::Error when the
+/// cascade lacks a log for some pass.
+adios::WriteTiming write_geometry(adios::BpWriter& writer,
+                                  storage::StorageHierarchy& hierarchy,
+                                  const std::string& var,
+                                  const mesh::Cascade& cascade,
+                                  const RefactorConfig& config);
+
+/// Reads one opaque block and adds the read to `cost`. A read that gives up
+/// after the hierarchy's retries and replica fallback is charged too, with
+/// the attempts it made, before its storage::StorageError propagates.
+util::Bytes read_charged(const adios::BpReader& reader, const std::string& var,
+                         adios::BlockKind kind, std::uint32_t level,
+                         RetrievalTimings& cost);
+
 struct GeometryCache {
   /// meshes[l] is G^l; size = level count.
   std::vector<mesh::TriMesh> meshes;
@@ -50,11 +77,18 @@ struct GeometryCache {
     return *orders[level];
   }
 
-  /// Reads every mesh and mapping block of `var` from the container.
-  /// `io_seconds`, when given, receives the simulated one-time read cost.
+  /// Reads the L0 mesh, the collapse logs and the mappings of `var`, and
+  /// rebuilds levels 1..N-1 by replay. `cost`, when given, is charged every
+  /// read (I/O seconds, bytes, retries, corruptions, replica reads; a failed
+  /// read too) and the load's wall time as restore_seconds. A malformed
+  /// block throws canopus::Error naming it.
+  static GeometryCache load(const adios::BpReader& reader,
+                            const std::string& var,
+                            RetrievalTimings* cost = nullptr);
+  /// Opens the container at `path` and loads `var`'s geometry from it.
   static GeometryCache load(storage::StorageHierarchy& hierarchy,
                             const std::string& path, const std::string& var,
-                            double* io_seconds = nullptr);
+                            RetrievalTimings* cost = nullptr);
 };
 
 }  // namespace canopus::core

@@ -144,6 +144,12 @@ Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
         StatusCode::kInvalidArgument,
         "write: provide either (mesh, values) or a cascade, not both/neither");
   }
+  if (has_cascade &&
+      request.cascade->logs.size() + 1 != request.cascade->level_count()) {
+    return Status::failure(StatusCode::kInvalidArgument,
+                           "write: the cascade lacks the collapse log of some "
+                           "pass (build it with mesh::build_cascade)");
+  }
   if (has_field && request.values->size() != request.mesh->vertex_count()) {
     return Status::failure(StatusCode::kInvalidArgument,
                            "write: values/mesh size mismatch (" +

@@ -83,7 +83,9 @@ struct TieringReport;
 
 /// Everything one refactor-and-write needs. Provide either (mesh, values) —
 /// the full decimate/delta/compress/place pipeline — or a prebuilt cascade
-/// to amortize decimation across a campaign.
+/// to amortize decimation across a campaign. The cascade must carry each
+/// pass's collapse log (mesh::build_cascade fills them); write() returns
+/// kInvalidArgument otherwise.
 struct WriteRequest {
   std::string path;  // container name, e.g. "run.bp"
   std::string var;   // variable name, e.g. "dpot"
@@ -116,8 +118,8 @@ struct ReadRequest {
   /// target_level and rmse_threshold.
   std::optional<mesh::Aabb> roi;
   /// Campaign-lifetime geometry (meshes, mappings, spatial orders); must
-  /// outlive the call. Without it geometry is fetched on demand and charged
-  /// to the timings.
+  /// outlive the call. Without it the reader loads the container's geometry
+  /// at open and charges that load to the timings.
   const core::GeometryCache* geometry = nullptr;
 };
 

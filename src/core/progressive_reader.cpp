@@ -17,18 +17,6 @@
 
 namespace canopus::core {
 
-RetrievalTimings& RetrievalTimings::operator+=(const RetrievalTimings& o) {
-  io_seconds += o.io_seconds;
-  decompress_seconds += o.decompress_seconds;
-  restore_seconds += o.restore_seconds;
-  bytes_read += o.bytes_read;
-  retries += o.retries;
-  corruptions_detected += o.corruptions_detected;
-  replica_reads += o.replica_reads;
-  degraded_steps += o.degraded_steps;
-  return *this;
-}
-
 std::string to_string(RefineStatus status) {
   switch (status) {
     case RefineStatus::kOk: return "ok";
@@ -39,17 +27,6 @@ std::string to_string(RefineStatus status) {
 }
 
 namespace {
-/// Folds one block read's timing (including the hierarchy's robustness
-/// counters) into the step accumulator.
-void fold(const adios::ReadTiming& t, RetrievalTimings& step) {
-  step.io_seconds += t.io_sim_seconds;
-  step.decompress_seconds += t.decompress_seconds;
-  step.bytes_read += t.bytes_read;
-  step.retries += t.retries;
-  step.corruptions_detected += t.corruptions;
-  if (t.from_replica) ++step.replica_reads;
-}
-
 /// RMS of a delta field. Permutation-invariant, so equally valid on the
 /// Morton storage order and the vertex order.
 double rms_of(const mesh::Field& delta) {
@@ -121,17 +98,11 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
   adios::ReadTiming data_t;
   values_ = reader_.read_doubles(var_, adios::BlockKind::kBase, current_level_,
                                  &data_t);
+  cumulative_.charge(data_t);
   if (!geometry_) {
-    adios::ReadTiming mesh_t;
-    const auto raw =
-        reader_.read_opaque(var_, adios::BlockKind::kMesh, current_level_, &mesh_t);
-    util::ByteReader br(raw);
-    util::WallTimer t;
-    mesh_ = mesh::TriMesh::deserialize(br);
-    cumulative_.restore_seconds += t.seconds();
-    fold(mesh_t, cumulative_);
+    owned_geometry_ = GeometryCache::load(reader_, var_, &cumulative_);
+    geometry_ = &*owned_geometry_;
   }
-  fold(data_t, cumulative_);
   CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
                 "base level inconsistent with its mesh");
 }
@@ -142,17 +113,8 @@ util::ThreadPool& ProgressiveReader::pool() const {
 }
 
 double ProgressiveReader::decimation_ratio() const {
-  // Vertex count of L^0 = size of the finest delta (one delta entry per fine
-  // vertex, summed across chunks), available from metadata without touching
-  // the data.
-  std::size_t finest_count = 0;
-  for (const auto& b : info_.blocks) {
-    if (b.kind == adios::BlockKind::kDelta && b.level == 0) {
-      finest_count += static_cast<std::size_t>(b.value_count);
-    }
-  }
-  const std::size_t full = finest_count > 0 ? finest_count : values_.size();
-  return static_cast<double>(full) / static_cast<double>(values_.size());
+  return static_cast<double>(geometry_->meshes[0].vertex_count()) /
+         static_cast<double>(values_.size());
 }
 
 std::uint32_t ProgressiveReader::delta_chunk_count(std::uint32_t level) const {
@@ -188,6 +150,9 @@ ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
     util::WallTimer submit_timer;
     try {
       io = hierarchy_.read(raw.record.object_key, raw.payload);
+    } catch (const storage::StorageError& e) {
+      io = e.charge;  // a read that gave up still pays for its attempts
+      failure = std::current_exception();
     } catch (...) {
       failure = std::current_exception();
     }
@@ -195,12 +160,10 @@ ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
       obs::MetricsRegistry::global().histogram("io.submit_us").observe(
           submit_timer.seconds() * 1e6);
     }
-    if (failure) break;
     costs.push_back(io.sim_seconds);
-    step.bytes_read += io.bytes;
-    step.retries += io.retries;
-    step.corruptions_detected += io.corruptions;
-    if (io.from_replica) ++step.replica_reads;
+    io.sim_seconds = 0.0;  // charged below, as the serial sum or the makespan
+    step.charge(io);
+    if (failure) break;
   }
   if (io_config_.enabled()) {
     step.io_seconds += io::overlap_makespan(costs, io_config_.depth);
@@ -242,41 +205,13 @@ std::vector<cache::BlockCache::ArrayPtr> ProgressiveReader::decode_level(
   return parts;
 }
 
-ProgressiveReader::LevelGeometry ProgressiveReader::read_geometry(
-    std::uint32_t level, RetrievalTimings& step) {
-  LevelGeometry g;
-  if (geometry_) return g;
-  adios::ReadTiming map_t, mesh_t;
-  g.mapping =
-      reader_.read_opaque(var_, adios::BlockKind::kMapping, level, &map_t);
-  g.mesh = reader_.read_opaque(var_, adios::BlockKind::kMesh, level, &mesh_t);
-  fold(map_t, step);
-  fold(mesh_t, step);
-  return g;
-}
-
 void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
-                                     bool chunked,
-                                     const LevelGeometry& geometry,
-                                     RetrievalTimings& step) {
+                                     bool chunked, RetrievalTimings& step) {
   CANOPUS_SPAN("read.restore", {{"level", next}});
   util::WallTimer t;
-  if (geometry_) {
-    if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
-    values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
-                            geometry_->mappings[next], estimate_, &pool());
-  } else {
-    util::ByteReader mesh_reader(geometry.mesh);
-    auto fine_mesh = mesh::TriMesh::deserialize(mesh_reader);
-    if (chunked) {
-      delta = unpermute_delta(delta, *cached_spatial_order(fine_mesh), pool());
-    }
-    util::ByteReader map_reader(geometry.mapping);
-    const auto mapping = VertexMapping::deserialize(
-        map_reader, fine_mesh.vertex_count(), mesh_.triangle_count());
-    values_ = restore_level(mesh_, values_, delta, mapping, estimate_, &pool());
-    mesh_ = std::move(fine_mesh);
-  }
+  if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
+  values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
+                          geometry_->mappings[next], estimate_, &pool());
   step.restore_seconds += t.seconds();
 }
 
@@ -330,7 +265,7 @@ ProgressiveReader::RawChunks ProgressiveReader::take_prefetch(
 
 RetrievalTimings ProgressiveReader::degrade(RetrievalTimings step) {
   // The fetch failed after retries and replica fallback: keep the last good
-  // level (values_/mesh_/current_level_ were not touched yet) and surface the
+  // level (values_/current_level_ were not touched yet) and surface the
   // outcome as a status, not an exception — analytics continue on what they
   // have, exactly the elastic-accuracy contract.
   step.degraded_steps += 1;
@@ -378,7 +313,6 @@ RetrievalTimings ProgressiveReader::refine_step(
     const RawChunks raw =
         prefetch_.valid() ? take_prefetch(next, step)
                           : fetch_level(next, all_chunks(chunk_count), step);
-    const LevelGeometry geometry = read_geometry(next, step);
     mesh::Field delta;
     for (const auto& part : decode_level(next, raw, step)) {
       delta.insert(delta.end(), part->begin(), part->end());
@@ -389,10 +323,8 @@ RetrievalTimings ProgressiveReader::refine_step(
     // refine_to() will restore it. Issuing it here keeps the hierarchy's
     // global read order identical to the serial reader's.
     if (read_ahead_to && next > *read_ahead_to) start_prefetch(next - 1);
-    restore_next(next, std::move(delta), chunk_count > 1, geometry, step);
-  } catch (const storage::TierIoError&) {
-    return degrade(std::move(step));
-  } catch (const storage::IntegrityError&) {
+    restore_next(next, std::move(delta), chunk_count > 1, step);
+  } catch (const storage::StorageError&) {
     return degrade(std::move(step));
   }
   return advance(next, delta_rms, std::move(step));
@@ -410,9 +342,7 @@ void ProgressiveReader::backfill_skipped(RetrievalTimings& step) {
   // Skipped chunks were applied as delta = 0 during the regional restore
   // (fine = estimate + delta), so adding the stored values back is an exact
   // fix-up: estimate + 0 + d computes the same bits as estimate + d.
-  std::shared_ptr<const std::vector<mesh::VertexId>> local_order;
-  if (!geometry_) local_order = cached_spatial_order(mesh_);
-  const auto& order = geometry_ ? geometry_->order(sk.level) : *local_order;
+  const auto& order = geometry_->order(sk.level);
   util::WallTimer timer;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto& range = sk.index.chunks[ids[i]];
@@ -435,24 +365,22 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   CANOPUS_SPAN("read.refine_region", {{"level", next}});
 
   // Without a chunk index the delta is monolithic: fall back to full refine.
-  // A faulted index read, by contrast, degrades like any other failed fetch.
+  // A faulted index read, by contrast, degrades like any other failed fetch
+  // and is charged what its attempts cost.
   ChunkIndex index;
+  RetrievalTimings probe;
   try {
-    RetrievalTimings probe;  // folded into the step below
-    adios::ReadTiming t;
-    const auto raw =
-        reader_.read_opaque(var_, adios::BlockKind::kChunkIndex, next, &t);
+    const auto raw = read_charged(reader_, var_, adios::BlockKind::kChunkIndex,
+                                  next, probe);
     util::ByteReader br(raw);
     index = ChunkIndex::deserialize(br);
-    fold(t, probe);
-    cumulative_ += probe;
-  } catch (const storage::TierIoError&) {
-    return degrade(RetrievalTimings{});
-  } catch (const storage::IntegrityError&) {
-    return degrade(RetrievalTimings{});
+  } catch (const storage::StorageError&) {
+    return degrade(std::move(probe));
   } catch (const Error&) {
+    cumulative_ += probe;
     return refine();
   }
+  cumulative_ += probe;
 
   RetrievalTimings step;
   double delta_rms = 0.0;
@@ -461,7 +389,6 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
     // `wanted` is ascending (index.intersecting scans chunks in order).
     const std::vector<std::uint32_t> wanted = index.intersecting(roi);
     const RawChunks raw = fetch_level(next, wanted, step);
-    const LevelGeometry geometry = read_geometry(next, step);
     const auto parts = decode_level(next, raw, step);
     std::size_t fine_count = 0;
     for (const auto& c : index.chunks) fine_count += c.count;
@@ -481,10 +408,8 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
       }
     }
     delta_rms = rms_of(stored);  // lower bound: skipped chunks count as zero
-    restore_next(next, std::move(stored), /*chunked=*/true, geometry, step);
-  } catch (const storage::TierIoError&) {
-    return degrade(std::move(step));
-  } catch (const storage::IntegrityError&) {
+    restore_next(next, std::move(stored), /*chunked=*/true, step);
+  } catch (const storage::StorageError&) {
     return degrade(std::move(step));
   }
   // Skip-set bookkeeping for the backfill in refine(). Any previously

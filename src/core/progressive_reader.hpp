@@ -23,23 +23,6 @@
 
 namespace canopus::core {
 
-/// Cumulative phase timings of all retrieval steps so far, plus the
-/// robustness counters of the degraded-path machinery (retries, detected
-/// corruption, replica fallbacks, refinement steps that gave up).
-struct RetrievalTimings {
-  double io_seconds = 0.0;          // simulated tier I/O
-  double decompress_seconds = 0.0;  // wall
-  double restore_seconds = 0.0;     // wall
-  std::size_t bytes_read = 0;
-  std::size_t retries = 0;               // failed tier reads that were retried
-  std::size_t corruptions_detected = 0;  // CRC failures among those
-  std::size_t replica_reads = 0;         // reads served by a replica copy
-  std::size_t degraded_steps = 0;        // refine() calls that gave up
-
-  double total() const { return io_seconds + decompress_seconds + restore_seconds; }
-  RetrievalTimings& operator+=(const RetrievalTimings& o);
-};
-
 /// Outcome of one refinement step.
 enum class RefineStatus : std::uint8_t {
   kOk = 0,       // level advanced, no faults along the way
@@ -77,10 +60,11 @@ class ProgressiveReader {
   ///
   /// `geometry`, when given, supplies the per-level meshes, restoration
   /// mappings, and spatial orders from a campaign-lifetime GeometryCache so
-  /// that no geometry is read or deserialized on the per-timestep path
-  /// (meshes are static across a simulation run). Without it, geometry blocks
-  /// are fetched on demand and their cost is charged to the step timings. The
-  /// cache must outlive the reader.
+  /// that no geometry is read or rebuilt on the per-timestep path (meshes are
+  /// static across a simulation run); it must outlive the reader. Without
+  /// it, the reader loads its own GeometryCache at open and charges that
+  /// load to cumulative() — its reads (failed ones too) and its wall time —
+  /// so refinement steps read deltas only.
   ///
   /// Restoration is concurrent per `options.parallel`: fetched delta chunks
   /// decompress in parallel and, with read-ahead on, refine_to() starts
@@ -104,7 +88,7 @@ class ProgressiveReader {
   /// Data and geometry at the current accuracy.
   const mesh::Field& values() const { return values_; }
   const mesh::TriMesh& current_mesh() const {
-    return geometry_ ? geometry_->meshes[current_level_] : mesh_;
+    return geometry_->meshes[current_level_];
   }
 
   /// Decimation ratio of the current level relative to L^0.
@@ -113,11 +97,12 @@ class ProgressiveReader {
   /// One refinement step: fetch delta^{(level-1)-level}, decompress, restore.
   /// Returns the step's timings. Throws when already at full accuracy.
   ///
-  /// Failure-prone tiers never surface as exceptions here: when a delta (or
-  /// its mesh/mapping) stays unreadable after the hierarchy's retries and
-  /// replica fallback, the step reports RefineStatus::kDegraded via
-  /// last_status(), the reader keeps the last good accuracy level, and
-  /// analytics continue on it (degraded_steps counts the give-ups).
+  /// Failure-prone tiers never surface as exceptions here: when a delta
+  /// stays unreadable after the hierarchy's retries and replica fallback,
+  /// the step reports RefineStatus::kDegraded via last_status(), the reader
+  /// keeps the last good accuracy level, and analytics continue on it
+  /// (degraded_steps counts the give-ups). The step is still charged what the
+  /// failed read cost.
   RetrievalTimings refine();
 
   /// Outcome of the most recent refine()/refine_region() call.
@@ -172,10 +157,6 @@ class ProgressiveReader {
   /// sizes, tier placements, and object keys) — the cost model's input.
   const adios::VarInfo& var_info() const { return info_; }
 
-  /// True when a campaign GeometryCache supplies meshes/mappings (no
-  /// per-step geometry I/O).
-  bool has_geometry() const { return geometry_ != nullptr; }
-
   /// Timings accumulated since open (includes the base retrieval).
   const RetrievalTimings& cumulative() const { return cumulative_; }
 
@@ -191,12 +172,6 @@ class ProgressiveReader {
     RawChunks chunks;
     RetrievalTimings io;
     std::exception_ptr error;
-  };
-
-  /// Fine-level geometry a step reads when no GeometryCache is attached.
-  struct LevelGeometry {
-    util::Bytes mapping;
-    util::Bytes mesh;
   };
 
   /// Chunks a regional refinement skipped, remembered so the next full
@@ -236,8 +211,8 @@ class ProgressiveReader {
   /// that order, and folds each read into `step`: io_seconds as the serial
   /// per-op sum at depth <= 1, as the overlapped makespan at depth > 1.
   /// Stops at the first failed read and rethrows it after folding the read
-  /// prefix. Safe to run off-thread: it only reads through the (thread-safe)
-  /// hierarchy.
+  /// prefix and the failed read's charge. Safe to run off-thread: it only
+  /// reads through the (thread-safe) hierarchy.
   RawChunks fetch_level(std::uint32_t level,
                         const std::vector<std::uint32_t>& chunks,
                         RetrievalTimings& step) const;
@@ -246,12 +221,10 @@ class ProgressiveReader {
   /// shared under its "#decoded" alias, so sibling sessions skip the decode.
   std::vector<cache::BlockCache::ArrayPtr> decode_level(
       std::uint32_t level, const RawChunks& chunks, RetrievalTimings& step);
-  /// Reads the fine level's mapping and mesh (nothing with a GeometryCache).
-  LevelGeometry read_geometry(std::uint32_t level, RetrievalTimings& step);
   /// Restores level `next` from its delta in storage order (Morton order
-  /// when `chunked`); without a GeometryCache, mesh_ becomes the fine mesh.
+  /// when `chunked`).
   void restore_next(std::uint32_t next, mesh::Field delta, bool chunked,
-                    const LevelGeometry& geometry, RetrievalTimings& step);
+                    RetrievalTimings& step);
   /// Kicks off the read-ahead of `level` (no-op when disabled or when every
   /// chunk of the level is cache-resident).
   void start_prefetch(std::uint32_t level);
@@ -263,7 +236,8 @@ class ProgressiveReader {
   adios::BpReader reader_;
   std::string var_;
   adios::VarInfo info_;  // block records of var_, loaded at open
-  const GeometryCache* geometry_ = nullptr;  // not owned; may be null
+  std::optional<GeometryCache> owned_geometry_;  // loaded at open without one
+  const GeometryCache* geometry_ = nullptr;      // never null after open
   std::size_t levels_ = 0;
   EstimateMode estimate_ = EstimateMode::kUniformThirds;
 
@@ -272,7 +246,6 @@ class ProgressiveReader {
   bool partially_refined_ = false;
   std::optional<SkippedChunks> skipped_;
   std::optional<double> last_delta_rms_;
-  mesh::TriMesh mesh_;  // only populated when geometry_ is null
   mesh::Field values_;
   RetrievalTimings cumulative_;
 

@@ -250,6 +250,8 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   CANOPUS_CHECK(config.levels >= 1, "refactor needs at least one level");
   CANOPUS_CHECK(cascade.level_count() == config.levels,
                 "cascade does not match config.levels");
+  CANOPUS_CHECK(cascade.logs.size() + 1 == cascade.level_count(),
+                "cascade lacks the collapse log of some pass");
   CANOPUS_SPAN("refactor.write", {{"var", var}, {"levels", config.levels}});
   obs::MetricsRegistry::global().counter("refactor.variables").add(1);
   RefactorReport report;
@@ -323,18 +325,10 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
     throw;
   }
 
-  // Per-level meshes (geometry travels with the data: a decimated level is a
-  // complete, directly consumable dataset).
-  for (std::size_t l = 0; l < N; ++l) {
-    util::ByteWriter mesh_bytes;
-    cascade.levels[l].mesh.serialize(mesh_bytes);
-    const auto level = static_cast<std::uint32_t>(l);
-    const auto hint =
-        tier_hint_for(config, hierarchy, level, mesh_bytes.size());
-    const auto t = writer.write_opaque(var, adios::BlockKind::kMesh, level,
-                                       mesh_bytes.view(), hint);
-    report.phases.add("io", t.io_sim_seconds);
-  }
+  // Geometry travels with the data: the L0 mesh and the collapse logs that
+  // rebuild every coarser level (GeometryCache::load).
+  const auto geometry = write_geometry(writer, hierarchy, var, cascade, config);
+  report.phases.add("io", geometry.io_sim_seconds);
 
   writer.close();
   return report;

@@ -3,8 +3,8 @@
 //
 // refactor_and_write() runs the full Section III pipeline for one variable on
 // one unstructured triangular mesh and persists every product (base, deltas,
-// per-level meshes, restoration mappings) into a BP container across the
-// storage hierarchy. The returned report carries the paper's Fig. 6b phase
+// the L0 mesh and per-pass collapse logs, restoration mappings) into a BP
+// container across the storage hierarchy. The returned report carries the paper's Fig. 6b phase
 // breakdown plus per-product sizes for the Fig. 5 comparison.
 
 #include <optional>
@@ -70,7 +70,8 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
 /// cost in a campaign (thousands of timesteps share one cascade); this entry
 /// point lets callers amortize it and charge only the per-variable
 /// delta+compress+place pipeline. `cascade` must have been built with the
-/// same levels/step the config describes. No "decimation" phase is recorded.
+/// same levels/step the config describes, and carry each pass's collapse log
+/// (build_cascade fills them). No "decimation" phase is recorded.
 RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
                                   const std::string& path, const std::string& var,
                                   const mesh::Cascade& cascade,

@@ -1,8 +1,39 @@
 #include "core/types.hpp"
 
+#include "adios/bp.hpp"
+#include "storage/tier.hpp"
 #include "util/assert.hpp"
 
 namespace canopus::core {
+
+RetrievalTimings& RetrievalTimings::operator+=(const RetrievalTimings& o) {
+  io_seconds += o.io_seconds;
+  decompress_seconds += o.decompress_seconds;
+  restore_seconds += o.restore_seconds;
+  bytes_read += o.bytes_read;
+  retries += o.retries;
+  corruptions_detected += o.corruptions_detected;
+  replica_reads += o.replica_reads;
+  degraded_steps += o.degraded_steps;
+  return *this;
+}
+
+void RetrievalTimings::charge(const adios::ReadTiming& read) {
+  io_seconds += read.io_sim_seconds;
+  decompress_seconds += read.decompress_seconds;
+  bytes_read += read.bytes_read;
+  retries += read.retries;
+  corruptions_detected += read.corruptions;
+  if (read.from_replica) ++replica_reads;
+}
+
+void RetrievalTimings::charge(const storage::IoResult& io) {
+  io_seconds += io.sim_seconds;
+  bytes_read += io.bytes;
+  retries += io.retries;
+  corruptions_detected += io.corruptions;
+  if (io.from_replica) ++replica_reads;
+}
 
 std::string to_string(EstimateMode mode) {
   switch (mode) {

@@ -11,6 +11,13 @@
 #include "mesh/geometry.hpp"
 #include "util/byte_buffer.hpp"
 
+namespace canopus::adios {
+struct ReadTiming;
+}  // namespace canopus::adios
+namespace canopus::storage {
+struct IoResult;
+}  // namespace canopus::storage
+
 namespace canopus::core {
 
 /// How Estimate(.) (Eq. 2) combines the three coarse-triangle corner values
@@ -43,6 +50,29 @@ struct ParallelConfig {
   /// will restore from its (slow) tier. Only levels the call commits to are
   /// read ahead, so every prefetch is consumed.
   bool read_ahead = true;
+};
+
+/// Cumulative phase timings of all retrieval steps so far, plus the
+/// robustness counters of the degraded-path machinery (retries, detected
+/// corruption, replica fallbacks, refinement steps that gave up).
+struct RetrievalTimings {
+  double io_seconds = 0.0;          // simulated tier I/O
+  double decompress_seconds = 0.0;  // wall
+  double restore_seconds = 0.0;     // wall
+  std::size_t bytes_read = 0;
+  std::size_t retries = 0;               // failed tier reads that were retried
+  std::size_t corruptions_detected = 0;  // CRC failures among those
+  std::size_t replica_reads = 0;         // reads served by a replica copy
+  std::size_t degraded_steps = 0;        // refine() calls that gave up
+
+  double total() const { return io_seconds + decompress_seconds + restore_seconds; }
+  RetrievalTimings& operator+=(const RetrievalTimings& o);
+  /// Charges one block read: simulated I/O, decode time, bytes and the
+  /// hierarchy's robustness counters.
+  void charge(const adios::ReadTiming& read);
+  /// Charges one tier read; a read that gave up charges its
+  /// storage::StorageError::charge.
+  void charge(const storage::IoResult& io);
 };
 
 /// Everything that controls one refactoring run.

@@ -12,6 +12,7 @@ Cascade build_cascade(const TriMesh& mesh, const Field& values,
                 "field size does not match vertex count");
   Cascade c;
   c.levels.reserve(options.levels);
+  c.logs.reserve(options.levels - 1);
   c.levels.push_back(LevelData{mesh, values});
   DecimateOptions step = options.decimate;
   step.ratio = options.step;
@@ -21,14 +22,14 @@ Cascade build_cascade(const TriMesh& mesh, const Field& values,
     CANOPUS_CHECK(r.mesh.vertex_count() >= 3,
                   "decimation exhausted the mesh; reduce levels or step");
     c.levels.push_back(LevelData{std::move(r.mesh), std::move(r.values)});
+    c.logs.push_back(std::move(r.collapse_log));
     if (pass_stats) {
-      // Keep the meshes out of the stats copy to avoid duplicating them; the
-      // collapse log and survivor slots travel along for replay_decimation.
+      // Keep the meshes and the log out of the stats to avoid duplicating
+      // them; the survivor slots travel along for replay_decimation.
       DecimateResult stats;
       stats.achieved_ratio = r.achieved_ratio;
       stats.collapses = r.collapses;
       stats.rejected = r.rejected;
-      stats.collapse_log = std::move(r.collapse_log);
       stats.survivor_slots = std::move(r.survivor_slots);
       pass_stats->push_back(std::move(stats));
     }

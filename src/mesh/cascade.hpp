@@ -23,6 +23,10 @@ struct CascadeOptions {
 struct Cascade {
   /// levels[l] holds G^l and L^l; levels[0] is the input.
   std::vector<LevelData> levels;
+  /// logs[l] is the collapse log of the pass from level l to level l + 1, so
+  /// replay_collapses(levels[l].mesh, logs[l]) == levels[l + 1].mesh. The
+  /// writer stores these instead of the meshes of levels 1..N-1.
+  std::vector<CollapseLog> logs;
 
   std::size_t level_count() const { return levels.size(); }
   const LevelData& base() const { return levels.back(); }
@@ -34,8 +38,10 @@ struct Cascade {
   }
 };
 
-/// Runs `levels - 1` decimation passes. Per-pass statistics (collapses,
-/// rejections, achieved ratio) are recorded in `pass_stats` when non-null.
+/// Runs `levels - 1` decimation passes and keeps each pass's collapse log.
+/// Per-pass statistics (collapses, rejections, achieved ratio, survivor
+/// slots) are recorded in `pass_stats` when non-null; their collapse logs
+/// stay empty, since the cascade holds them.
 Cascade build_cascade(const TriMesh& mesh, const Field& values,
                       const CascadeOptions& options,
                       std::vector<DecimateResult>* pass_stats = nullptr);

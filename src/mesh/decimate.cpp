@@ -5,6 +5,7 @@
 #include <functional>
 #include <queue>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -13,6 +14,11 @@
 namespace canopus::mesh {
 
 namespace {
+
+/// NewVertex(Vi, Vj): where a collapse moves its surviving endpoint. The
+/// decimator and replay_collapses share this one expression, so a replayed
+/// mesh has the decimator's coordinates bit for bit.
+Vec2 midpoint(Vec2 a, Vec2 b) { return (a + b) * 0.5; }
 
 /// Room each list starts with beyond its initial length. A collapse grows
 /// the survivor's lists by a few entries; with 8, no list of a 4-level XGC
@@ -268,7 +274,7 @@ class Decimator {
 
   bool try_collapse(VertexId i, VertexId j) {
     if (!link_condition_ok(i, j)) return false;
-    const Vec2 m = (ws_.pos[i] + ws_.pos[j]) * 0.5;  // NewVertex(Vi, Vj)
+    const Vec2 m = midpoint(ws_.pos[i], ws_.pos[j]);
     if (!geometry_ok(i, j, m)) return false;
 
     // Kill triangles containing the edge. Erasing never moves a list, so
@@ -362,7 +368,7 @@ class Decimator {
   util::Rng rng_;
   Workspace ws_;
   std::priority_queue<HeapEntry> heap_;
-  std::vector<std::pair<VertexId, VertexId>> collapse_log_;
+  CollapseLog collapse_log_;
   std::vector<VertexId> opposite_;  // link_condition_ok scratch
   double min_area2_ = 0.0;
   double value_range_ = 1.0;
@@ -376,20 +382,82 @@ DecimateResult decimate(const TriMesh& mesh, const Field& values,
   return d.run();
 }
 
-Field replay_decimation(const DecimateResult& recipe, const Field& values) {
+Field replay_decimation(const CollapseLog& log,
+                        const std::vector<VertexId>& survivor_slots,
+                        const Field& values) {
   Field work = values;
-  for (const auto& [i, j] : recipe.collapse_log) {
+  for (const auto& [i, j] : log) {
     CANOPUS_CHECK(i < work.size() && j < work.size(),
                   "replay: collapse log does not match field size");
     work[i] = (work[i] + work[j]) * 0.5;
   }
   Field out;
-  out.reserve(recipe.survivor_slots.size());
-  for (VertexId slot : recipe.survivor_slots) {
+  out.reserve(survivor_slots.size());
+  for (VertexId slot : survivor_slots) {
     CANOPUS_CHECK(slot < work.size(), "replay: survivor slot out of range");
     out.push_back(work[slot]);
   }
   return out;
+}
+
+TriMesh replay_collapses(const TriMesh& input, const CollapseLog& log) {
+  const std::size_t n = input.vertex_count();
+  std::vector<Vec2> pos = input.vertices();
+  // final_of[v] is v's survivor; the forward pass marks dead slots with
+  // kInvalidVertex, which the reverse pass then overwrites.
+  std::vector<VertexId> final_of(n);
+  for (VertexId v = 0; v < n; ++v) final_of[v] = v;
+  for (const auto& [i, j] : log) {
+    CANOPUS_CHECK(i < n && j < n,
+                  "replay: slot past the " + std::to_string(n) +
+                      "-vertex input (" + std::to_string(i) + ", " +
+                      std::to_string(j) + ")");
+    CANOPUS_CHECK(i != j, "replay: slot " + std::to_string(i) +
+                              " collapsed into itself");
+    CANOPUS_CHECK(final_of[i] != kInvalidVertex && final_of[j] != kInvalidVertex,
+                  "replay: slot used after it died (" +
+                      std::to_string(i) + ", " + std::to_string(j) + ")");
+    pos[i] = midpoint(pos[i], pos[j]);
+    final_of[j] = kInvalidVertex;
+  }
+  // A slot that died at collapse k follows its survivor, whose own final
+  // slot later collapses have already settled.
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    final_of[it->second] = final_of[it->first];
+  }
+
+  // Surviving triangles, mapped and compacted in input order (branch-free:
+  // every mapped triangle is written, and only a survivor advances).
+  const auto& tris = input.triangles();
+  std::vector<Triangle> kept(tris.size());
+  std::size_t tri_count = 0;
+  for (const auto& t : tris) {
+    const Triangle m{{final_of[t.v[0]], final_of[t.v[1]], final_of[t.v[2]]}};
+    kept[tri_count] = m;
+    tri_count += static_cast<std::size_t>((m.v[0] != m.v[1]) &
+                                          (m.v[1] != m.v[2]) &
+                                          (m.v[0] != m.v[2]));
+  }
+  // The output vertices: the slots a surviving triangle references, in slot
+  // order. remap[v] is v's output index.
+  std::vector<VertexId> remap(n, 0);
+  for (std::size_t k = 0; k < tri_count; ++k) {
+    for (VertexId v : kept[k].v) remap[v] = 1;
+  }
+  std::size_t vertex_count = 0;
+  for (VertexId v = 0; v < n; ++v) vertex_count += remap[v];
+  std::vector<Vec2> vertices(vertex_count);
+  for (VertexId v = 0, next = 0; v < n; ++v) {
+    if (remap[v] == 0) continue;
+    vertices[next] = pos[v];
+    remap[v] = next++;
+  }
+  std::vector<Triangle> out(kept.begin(),
+                            kept.begin() + static_cast<std::ptrdiff_t>(tri_count));
+  for (auto& t : out) {
+    for (VertexId& v : t.v) v = remap[v];
+  }
+  return TriMesh(std::move(vertices), std::move(out));
 }
 
 }  // namespace canopus::mesh

@@ -18,6 +18,8 @@
 // layout gives them, so the order of heap pushes is part of the contract.
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "mesh/tri_mesh.hpp"
 
@@ -42,6 +44,10 @@ struct DecimateOptions {
   double gradient_weight = 4.0;
 };
 
+/// The committed collapses of one pass, in order, as (surviving slot, dying
+/// slot) pairs in the pass's *input* vertex numbering.
+using CollapseLog = std::vector<std::pair<VertexId, VertexId>>;
+
 struct DecimateResult {
   TriMesh mesh;    // G^{l+1}
   Field values;    // L^{l+1}
@@ -51,13 +57,13 @@ struct DecimateResult {
   std::size_t collapses = 0;
   std::size_t rejected = 0;
 
-  /// Replay support: the committed collapses in order, as (surviving slot,
-  /// dying slot) pairs in the *input* level's vertex indexing, plus the
-  /// input slot each output vertex was compacted from. With kShortestFirst
-  /// priority the collapse sequence depends only on geometry, so a different
-  /// timestep's field over the same mesh decimates by replaying this log —
-  /// no priority queue, no connectivity work (see replay_decimation).
-  std::vector<std::pair<VertexId, VertexId>> collapse_log;
+  /// Replay support: the committed collapses, plus the input slot each
+  /// output vertex was compacted from. The output mesh is a pure function of
+  /// the input mesh and the log (replay_collapses). With kShortestFirst
+  /// priority the log depends only on geometry, so a different timestep's
+  /// field over the same mesh decimates by replaying it — no priority queue,
+  /// no connectivity work (see replay_decimation).
+  CollapseLog collapse_log;
   std::vector<VertexId> survivor_slots;
 };
 
@@ -67,7 +73,24 @@ DecimateResult decimate(const TriMesh& mesh, const Field& values,
 
 /// Applies a recorded collapse sequence to another field sampled on the same
 /// input mesh: each (i, j) averages slot j into slot i (NewData), and the
-/// survivor gather produces the decimated field. O(collapses + output).
-Field replay_decimation(const DecimateResult& recipe, const Field& values);
+/// gather of `survivor_slots` produces the decimated field.
+/// O(collapses + output).
+Field replay_decimation(const CollapseLog& log,
+                        const std::vector<VertexId>& survivor_slots,
+                        const Field& values);
+
+/// Rebuilds the mesh a decimation pass produced from its input mesh and its
+/// collapse log, bitwise equal to decimate(input, ...).mesh:
+///   - each (i, j), in log order, moves slot i to the decimator's midpoint
+///     of i and j;
+///   - one reverse pass over the log maps every slot to its final survivor;
+///   - a triangle survives when its three mapped corners are distinct, and
+///     survivors keep input order;
+///   - the output vertices are the slots a surviving triangle references, in
+///     slot order.
+/// Every output vector is allocated at its exact size. Throws canopus::Error
+/// for a log that cannot come from `input`: an id past its vertices, i == j,
+/// or a slot used after it died.
+TriMesh replay_collapses(const TriMesh& input, const CollapseLog& log);
 
 }  // namespace canopus::mesh

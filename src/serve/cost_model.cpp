@@ -37,13 +37,9 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
   const adios::VarInfo info = reader.var_info();
   for (const auto& b : info.blocks) {
     if (b.level >= model.steps_.size()) continue;  // base-level blocks
-    const bool data = b.kind == adios::BlockKind::kDelta;
-    // Without a GeometryCache each step also reads the fine level's mesh and
-    // mapping blocks; the chunk index is only touched by regional reads.
-    const bool geometry = !reader.has_geometry() &&
-                          (b.kind == adios::BlockKind::kMesh ||
-                           b.kind == adios::BlockKind::kMapping);
-    if (!data && !geometry) continue;
+    // A step reads delta chunks only: every reader holds its geometry from
+    // open, and the chunk index is only touched by regional reads.
+    if (b.kind != adios::BlockKind::kDelta) continue;
 
     LevelCostEstimate& step = model.steps_[b.level];
     step.bytes += static_cast<std::size_t>(b.stored_bytes);

@@ -6,8 +6,8 @@
 // of each refinement step from three sources:
 //
 //   1. Product metadata — the container's block records give every delta
-//      chunk's stored size and tier placement, and (when the reader has no
-//      GeometryCache) the mesh/mapping blocks a step must also read.
+//      chunk's stored size and tier placement. A step reads nothing else:
+//      every reader holds its geometry from open.
 //   2. The hierarchy's deterministic tier envelope — latency + bytes /
 //      bandwidth per block — with cache-resident blocks counted as free
 //      (BlockCache::probe: blob residency waives the I/O, a resident decoded

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "storage/tier.hpp"
 #include "util/assert.hpp"
 #include "util/byte_buffer.hpp"
 
@@ -26,9 +27,9 @@ namespace canopus::storage {
 /// length, or CRC mismatch) — i.e. the bytes that came back are not the bytes
 /// that were written. Distinct from TierIoError so callers can count
 /// corruption separately from plain I/O failures.
-class IntegrityError : public Error {
+class IntegrityError : public StorageError {
  public:
-  explicit IntegrityError(const std::string& what) : Error(what) {}
+  explicit IntegrityError(const std::string& what) : StorageError(what) {}
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x31524643u;  // "CFR1"

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/tier.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -26,9 +27,9 @@ namespace canopus::storage {
 /// Thrown when a tier operation fails outright (injected read/write error,
 /// or — with real backends — an unreadable file). Distinct from
 /// IntegrityError, which means bytes arrived but were corrupt.
-class TierIoError : public Error {
+class TierIoError : public StorageError {
  public:
-  explicit TierIoError(const std::string& what) : Error(what) {}
+  explicit TierIoError(const std::string& what) : StorageError(what) {}
 };
 
 /// Per-tier failure probabilities. All in [0, 1]; zero-initialized profile

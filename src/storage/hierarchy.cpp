@@ -125,11 +125,25 @@ IoResult StorageHierarchy::read(const std::string& key, util::Bytes& out) const 
   // mu_ inside read_uncached, so holding mu_ across the cache call would
   // deadlock (and serialize all cached reads besides).
   IoResult leader_io;
-  const auto result = cache_->get_or_load_blob(key, [&] {
-    util::Bytes bytes;
-    leader_io = read_uncached(key, bytes);
-    return bytes;
-  });
+  bool leader = false;
+  cache::BlockCache::BlobResult result;
+  try {
+    result = cache_->get_or_load_blob(key, [&] {
+      leader = true;
+      util::Bytes bytes;
+      leader_io = read_uncached(key, bytes);
+      return bytes;
+    });
+  } catch (const IntegrityError& e) {
+    // A piggybacked waiter rethrows the leader's error object, whose charge
+    // is the leader's reads: the waiter read nothing, so it gets a copy that
+    // charges nothing.
+    if (leader) throw;
+    throw IntegrityError(e.what());
+  } catch (const TierIoError& e) {
+    if (leader) throw;
+    throw TierIoError(e.what());
+  }
   out.assign(result.blob->begin(), result.blob->end());
   // The single-flight leader pays the true tier cost; hits and piggybacked
   // waiters are served from memory at zero simulated cost.
@@ -206,7 +220,12 @@ IoResult StorageHierarchy::read_local(std::size_t where, const std::string& key,
     return acc;
   }
   CANOPUS_ASSERT(error != nullptr);
-  std::rethrow_exception(error);
+  try {
+    std::rethrow_exception(error);
+  } catch (StorageError& e) {
+    e.charge = acc;
+    throw;
+  }
 }
 
 std::optional<std::size_t> StorageHierarchy::find(const std::string& key) const {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/byte_buffer.hpp"
 
 namespace canopus::storage {
@@ -48,6 +49,16 @@ struct IoResult {
   std::uint32_t corruptions = 0;  // CRC failures among those attempts
   bool from_replica = false;      // satisfied by a cross-tier replica copy
   bool from_cache = false;        // satisfied by the shared block cache
+};
+
+/// Base of the tier failures, TierIoError and IntegrityError. When a read
+/// exhausts every copy, StorageHierarchy sets `charge` to what its attempts
+/// cost (retries, corruptions, transfer time and backoff) before the error
+/// propagates, so a failed read is charged like a successful one.
+class StorageError : public Error {
+ public:
+  using Error::Error;
+  IoResult charge;
 };
 
 class StorageTier {

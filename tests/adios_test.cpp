@@ -216,6 +216,28 @@ TEST(Bp, CorruptMetadataRejected) {
   EXPECT_THROW(ca::BpReader(h, "evil.bp"), canopus::Error);
 }
 
+TEST(Bp, MetadataKindBoundIsTheLastBlockKind) {
+  auto h = two_tiers();
+  {
+    ca::BpWriter w(h, "kinds.bp");
+    w.write_opaque("v", ca::BlockKind::kCollapseLog, 1, cu::Bytes(3));
+    w.close();
+  }
+  const ca::BpReader r(h, "kinds.bp");
+  ASSERT_EQ(r.inq_var("v").levels(ca::BlockKind::kCollapseLog),
+            std::vector<std::uint32_t>{1});
+  EXPECT_EQ(ca::to_string(ca::BlockKind::kCollapseLog), "collapselog");
+  // The record's kind byte follows the magic, the record count and the
+  // one-character variable name; one past the last kind is rejected.
+  cu::Bytes meta;
+  h.read(ca::metadata_key("kinds.bp"), meta);
+  ASSERT_EQ(meta[7], static_cast<std::byte>(ca::BlockKind::kCollapseLog));
+  meta[7] = static_cast<std::byte>(
+      static_cast<std::uint8_t>(ca::BlockKind::kCollapseLog) + 1);
+  h.place(ca::metadata_key("past.bp"), meta);
+  EXPECT_THROW(ca::BpReader(h, "past.bp"), canopus::Error);
+}
+
 TEST(Bp, TwoContainersCoexist) {
   auto h = two_tiers();
   {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "core/canopus.hpp"
@@ -16,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
 #include "reference_mapping.hpp"
+#include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
 
@@ -711,7 +713,8 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
   EXPECT_THROW(decode(block(7, 4, {0, 0, 0, 0})), canopus::Error);
 
   // In a container, a mapping that names a triangle past the coarse mesh:
-  // both read paths reject the block instead of reading past the mesh.
+  // the loader rejects the block instead of reading past the mesh, whether
+  // called directly or by a reader opened without a cache.
   const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
   auto tiers = big_two_tiers();
   cc::RefactorConfig config;
@@ -720,7 +723,7 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
   config.delta_chunks = 1;
   cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
   const ca::BpReader ok(tiers, "ok.bp");
-  const auto meshes = ct::stored_meshes(ok, "v", config.levels);
+  const auto meshes = ct::stored_meshes(ok, "v");
   cc::VertexMapping crafted;
   crafted.triangle.assign(meshes[0].vertex_count(), 0);
   crafted.triangle.back() =
@@ -730,10 +733,10 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
   {
     ca::BpWriter writer(tiers, "bad.bp");
     writer.set_attribute("levels", "2");
-    for (std::uint32_t l = 0; l < 2; ++l) {
-      writer.write_opaque("v", ca::BlockKind::kMesh, l,
-                          ok.read_opaque("v", ca::BlockKind::kMesh, l));
-    }
+    writer.write_opaque("v", ca::BlockKind::kMesh, 0,
+                        ok.read_opaque("v", ca::BlockKind::kMesh, 0));
+    writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
+                        ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
     writer.write_opaque("v", ca::BlockKind::kMapping, 0, mapping.view());
     writer.write_doubles("v", ca::BlockKind::kBase, 1,
                          ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
@@ -744,8 +747,7 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
     writer.close();
   }
   EXPECT_THROW(cc::GeometryCache::load(tiers, "bad.bp", "v"), canopus::Error);
-  cc::ProgressiveReader on_demand(tiers, "bad.bp", "v");
-  EXPECT_THROW(on_demand.refine_to(0), canopus::Error);
+  EXPECT_THROW(cc::ProgressiveReader(tiers, "bad.bp", "v"), canopus::Error);
 }
 
 TEST(Decoders, MeshCountBeyondBlockThrowsError) {
@@ -791,5 +793,134 @@ TEST(Decoders, MalformedLevelsAttributeThrowsError) {
     }
     EXPECT_THROW(cc::GeometryCache::load(tiers, "bad.bp", "v"), canopus::Error);
     EXPECT_THROW(cc::ProgressiveReader(tiers, "bad.bp", "v"), canopus::Error);
+  }
+}
+
+// A collapse-log block of the level-1 pass of a container whose L0 mesh has
+// `n` vertices is rejected, naming the block, by the loader and by a reader
+// opened without a cache, when its count runs past the block, it ends early,
+// or a pair cannot come from that mesh.
+TEST(Decoders, MalformedCollapseLogThrowsErrorNamingTheBlock) {
+  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
+  auto tiers = big_two_tiers();
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "raw";
+  cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
+  const ca::BpReader ok(tiers, "ok.bp");
+  const std::uint64_t n = mesh.vertex_count();
+  ASSERT_GT(n, 300u);
+  const auto block = [](std::uint64_t count,
+                        std::initializer_list<std::uint64_t> slots) {
+    cu::ByteWriter w;
+    w.put_varint(count);
+    for (const auto v : slots) w.put_varint(v);
+    return w.take();
+  };
+  auto halved = ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1);
+  halved.resize(halved.size() / 2);
+  const std::vector<std::pair<std::string, cu::Bytes>> cases = {
+      {"count past the block", block(std::uint64_t{1} << 40, {0, 1})},
+      {"count past 2^61", block(std::uint64_t{1} << 61, {0, 1})},
+      {"half a block", halved},
+      // 200 and 300 take two bytes each, so the count passes the bound.
+      {"truncated block", block(2, {200, 300})},
+      {"slot past the input", block(1, {0, n})},
+      {"slot past 32 bits", block(1, {std::uint64_t{1} << 33, 0})},
+      {"slot collapsed into itself", block(1, {3, 3})},
+      {"slot collapsed twice", block(2, {0, 1, 2, 1})},
+      {"survivor used after it died", block(2, {0, 1, 1, 2})},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto& [what, bytes] = cases[k];
+    SCOPED_TRACE(what);
+    const std::string path = "bad" + std::to_string(k) + ".bp";
+    {
+      ca::BpWriter writer(tiers, path);
+      writer.set_attribute("levels", "3");
+      writer.write_opaque("v", ca::BlockKind::kMesh, 0,
+                          ok.read_opaque("v", ca::BlockKind::kMesh, 0));
+      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1, bytes);
+      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 2,
+                          ok.read_opaque("v", ca::BlockKind::kCollapseLog, 2));
+      for (std::uint32_t l = 0; l < 2; ++l) {
+        writer.write_opaque("v", ca::BlockKind::kMapping, l,
+                            ok.read_opaque("v", ca::BlockKind::kMapping, l));
+        writer.write_doubles("v", ca::BlockKind::kDelta, l,
+                             ok.read_doubles("v", ca::BlockKind::kDelta, l),
+                             "raw", 0.0);
+      }
+      writer.write_doubles("v", ca::BlockKind::kBase, 2,
+                           ok.read_doubles("v", ca::BlockKind::kBase, 2), "raw",
+                           0.0);
+      writer.close();
+    }
+    const auto names_block = [](const std::function<void()>& open) {
+      try {
+        open();
+      } catch (const canopus::Error& e) {
+        return std::string(e.what()).find(
+                   "collapse log block of 'v' at level 1") != std::string::npos;
+      }
+      return false;
+    };
+    EXPECT_TRUE(names_block([&] { cc::GeometryCache::load(tiers, path, "v"); }));
+    EXPECT_TRUE(names_block([&] { cc::ProgressiveReader(tiers, path, "v"); }));
+  }
+}
+
+// ---------------------------------------------------------- collapse replay --
+
+// Across datasets, edge priorities and depths, the loaded meshes are the
+// writer's cascade, held at exact size, and a reader opened without a cache
+// restores every level bitwise as a reader given the cache does, in every
+// Estimate mode.
+TEST(CollapseReplay, LoadedLevelsAreTheCascadeOnEveryReadPath) {
+  for (const auto& ds : canopus::sim::all_datasets(0.05)) {
+    for (const auto priority : {cm::EdgePriority::kShortestFirst,
+                                cm::EdgePriority::kRandom,
+                                cm::EdgePriority::kGradientWeighted}) {
+      for (std::size_t levels = 2; levels <= 5; ++levels) {
+        SCOPED_TRACE(ds.name + " priority " +
+                     std::to_string(static_cast<int>(priority)) + " levels " +
+                     std::to_string(levels));
+        cm::CascadeOptions copt;
+        copt.levels = levels;
+        copt.decimate.priority = priority;
+        const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+        for (const auto mode : {cc::EstimateMode::kUniformThirds,
+                                cc::EstimateMode::kBarycentric,
+                                cc::EstimateMode::kNearestVertex}) {
+          SCOPED_TRACE(cc::to_string(mode));
+          auto tiers = big_two_tiers();
+          cc::RefactorConfig config;
+          config.levels = levels;
+          config.decimate = copt.decimate;
+          config.estimate = mode;
+          config.codec = "zfp";
+          config.error_bound = 1e-4;
+          config.delta_chunks = 4;
+          cc::refactor_and_write(tiers, "s.bp", "v", ds.mesh, ds.values, config);
+          const auto geometry = cc::GeometryCache::load(tiers, "s.bp", "v");
+          ASSERT_EQ(geometry.level_count(), levels);
+          for (std::size_t l = 0; l < levels; ++l) {
+            const auto& m = geometry.meshes[l];
+            EXPECT_TRUE(m == cascade.levels[l].mesh) << "level " << l;
+            EXPECT_EQ(m.vertices().capacity(), m.vertex_count()) << "level " << l;
+            EXPECT_EQ(m.triangles().capacity(), m.triangle_count())
+                << "level " << l;
+          }
+          cc::ProgressiveReader cached(tiers, "s.bp", "v", &geometry);
+          cc::ProgressiveReader plain(tiers, "s.bp", "v");
+          for (auto l = static_cast<std::uint32_t>(levels); l-- > 0;) {
+            cached.refine_to(l);
+            plain.refine_to(l);
+            ASSERT_EQ(plain.current_level(), l);
+            EXPECT_TRUE(ct::same_bits(cached.values(), plain.values()))
+                << "level " << l;
+          }
+        }
+      }
+    }
   }
 }

@@ -165,7 +165,8 @@ TEST(Replay, ReproducesDirectDecimationExactly) {
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto direct = cm::decimate(mesh, f0, opt);
-  const auto replayed = cm::replay_decimation(direct, f0);
+  const auto replayed =
+      cm::replay_decimation(direct.collapse_log, direct.survivor_slots, f0);
   ASSERT_EQ(replayed.size(), direct.values.size());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i], direct.values[i]);
@@ -182,7 +183,8 @@ TEST(Replay, OtherTimestepMatchesItsOwnDecimation) {
   opt.ratio = 2.0;
   const auto recipe = cm::decimate(mesh, fa, opt);
   const auto direct_b = cm::decimate(mesh, fb, opt);
-  const auto replay_b = cm::replay_decimation(recipe, fb);
+  const auto replay_b =
+      cm::replay_decimation(recipe.collapse_log, recipe.survivor_slots, fb);
   ASSERT_EQ(replay_b.size(), direct_b.values.size());
   for (std::size_t i = 0; i < replay_b.size(); ++i) {
     EXPECT_EQ(replay_b[i], direct_b.values[i]);
@@ -195,7 +197,9 @@ TEST(Replay, SizeMismatchThrows) {
   opt.ratio = 2.0;
   const auto recipe = cm::decimate(mesh, wave_field(mesh), opt);
   cm::Field wrong(3, 0.0);
-  EXPECT_THROW(cm::replay_decimation(recipe, wrong), canopus::Error);
+  EXPECT_THROW(
+      cm::replay_decimation(recipe.collapse_log, recipe.survivor_slots, wrong),
+      canopus::Error);
 }
 
 // ---------------------------------------------------------------- campaign --
@@ -243,15 +247,22 @@ TEST(Campaign, GeometryStoredOncePerCampaign) {
   const auto report =
       cc::write_campaign(tiers, "g.bp", "v", mesh, steps, config);
   // Geometry cost must not scale with timestep count: 8 timesteps of data
-  // but a single mesh+mapping set.
+  // but a single geometry set (the L0 mesh, a collapse log per coarser
+  // level, a mapping per delta level).
   canopus::adios::BpReader reader(tiers, "g.bp");
   const auto info = reader.inq_var("v");
-  std::size_t meshes = 0, mappings = 0;
+  std::size_t meshes = 0, logs = 0, mappings = 0;
   for (const auto& b : info.blocks) {
     if (b.kind == canopus::adios::BlockKind::kMesh) ++meshes;
+    if (b.kind == canopus::adios::BlockKind::kCollapseLog) ++logs;
     if (b.kind == canopus::adios::BlockKind::kMapping) ++mappings;
   }
-  EXPECT_EQ(meshes, 3u);
+  EXPECT_EQ(meshes, 1u);
+  EXPECT_EQ(info.levels(canopus::adios::BlockKind::kMesh),
+            std::vector<std::uint32_t>{0});
+  EXPECT_EQ(logs, 2u);
+  EXPECT_EQ(info.levels(canopus::adios::BlockKind::kCollapseLog),
+            (std::vector<std::uint32_t>{1, 2}));
   EXPECT_EQ(mappings, 2u);
   EXPECT_EQ(reader.attribute("group_size"), std::optional<std::string>("8"));
   EXPECT_GT(report.raw_bytes, 8u * report.geometry_bytes / 10u);
@@ -371,23 +382,31 @@ TEST(GeometryCache, MatchesOnDemandReads) {
   config.codec = "fpc";
   cc::refactor_and_write(tiers, "gc.bp", "v", mesh, values, config);
 
-  double one_time_io = 0.0;
-  const auto geometry = cc::GeometryCache::load(tiers, "gc.bp", "v", &one_time_io);
-  EXPECT_GT(one_time_io, 0.0);
+  cc::RetrievalTimings one_time;
+  const auto geometry = cc::GeometryCache::load(tiers, "gc.bp", "v", &one_time);
+  EXPECT_GT(one_time.io_seconds, 0.0);
+  EXPECT_GT(one_time.bytes_read, 0u);
   ASSERT_EQ(geometry.level_count(), 3u);
   ASSERT_EQ(geometry.mappings.size(), 2u);
 
+  // A reader opened without a cache loads the same geometry at open and is
+  // charged exactly its reads there; its steps then read what a cached
+  // reader's steps read.
   cc::ProgressiveReader cached(tiers, "gc.bp", "v", &geometry);
   cc::ProgressiveReader plain(tiers, "gc.bp", "v");
-  cached.refine_to(0);
-  plain.refine_to(0);
-  ASSERT_EQ(cached.values().size(), plain.values().size());
-  for (std::size_t i = 0; i < cached.values().size(); ++i) {
-    EXPECT_EQ(cached.values()[i], plain.values()[i]);
+  EXPECT_EQ(plain.cumulative().bytes_read,
+            cached.cumulative().bytes_read + one_time.bytes_read);
+  EXPECT_NEAR(plain.cumulative().io_seconds,
+              cached.cumulative().io_seconds + one_time.io_seconds, 1e-12);
+  while (!cached.at_full_accuracy()) {
+    const auto a = cached.refine();
+    const auto b = plain.refine();
+    EXPECT_EQ(a.bytes_read, b.bytes_read);
+    EXPECT_EQ(a.io_seconds, b.io_seconds);
+    EXPECT_TRUE(cached.current_mesh() == plain.current_mesh());
+    EXPECT_EQ(cached.values(), plain.values());
   }
-  // The cached reader moves strictly fewer bytes per read.
-  EXPECT_LT(cached.cumulative().bytes_read, plain.cumulative().bytes_read);
-  EXPECT_TRUE(cached.current_mesh() == plain.current_mesh());
+  EXPECT_TRUE(plain.at_full_accuracy());
 }
 
 TEST(GeometryCache, MismatchedCacheRejected) {
@@ -514,13 +533,16 @@ TEST(VariableGroup, MultipleVariablesShareOneGeometry) {
     reader.refine_to(0);
     EXPECT_LE(cu::max_abs_error(truth, reader.values()), 3e-7) << name;
   }
-  // Exactly one mesh block per level in the whole container.
+  // Exactly one L0 mesh and one collapse log per coarser level in the whole
+  // container.
   canopus::adios::BpReader raw(tiers, "grp.bp");
-  std::size_t mesh_blocks = 0;
+  std::size_t mesh_blocks = 0, log_blocks = 0;
   for (const auto& var : raw.variables()) {
     for (const auto& b : raw.inq_var(var).blocks) {
       if (b.kind == canopus::adios::BlockKind::kMesh) ++mesh_blocks;
+      if (b.kind == canopus::adios::BlockKind::kCollapseLog) ++log_blocks;
     }
   }
-  EXPECT_EQ(mesh_blocks, 3u);
+  EXPECT_EQ(mesh_blocks, 1u);
+  EXPECT_EQ(log_blocks, 2u);
 }

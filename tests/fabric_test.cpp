@@ -234,11 +234,25 @@ TEST(Fabric, ImportShardsPrimariesAndReplicatesMetadata) {
   // Capacity is generous, so every sharded block got its cross-node replica.
   EXPECT_EQ(report.replicas, records.size());
 
-  // Metadata lives on every node (each node can open the container).
+  // Metadata lives on every node (each node can open the container), and so
+  // does every geometry block: the L0 mesh, the collapse logs, the mappings
+  // and the chunk indexes.
   const auto meta_key = ca::metadata_key("d.bp");
   for (std::size_t i = 0; i < fabric.node_count(); ++i) {
     EXPECT_TRUE(fabric.node(i).find(meta_key).has_value()) << "node " << i;
   }
+  std::size_t logs = 0;
+  for (const auto& b : ca::BpReader(data.staging, "d.bp").inq_var("v").blocks) {
+    if (b.kind == ca::BlockKind::kBase || b.kind == ca::BlockKind::kDelta) {
+      continue;
+    }
+    if (b.kind == ca::BlockKind::kCollapseLog) ++logs;
+    for (std::size_t i = 0; i < fabric.node_count(); ++i) {
+      EXPECT_TRUE(fabric.node(i).find(b.object_key).has_value())
+          << b.object_key << " on node " << i;
+    }
+  }
+  EXPECT_EQ(logs, 2u);
 
   // Each sharded primary sits on its directory owner, its replica copy on
   // the ring successor — and nowhere else.

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/canopus.hpp"
@@ -326,6 +330,15 @@ TEST(HierarchyFaults, ExhaustedWithoutReplicaThrows) {
   cu::Bytes out;
   EXPECT_THROW(h.read("x", out), cs::TierIoError);
   EXPECT_EQ(inj->counters().read_errors, h.retry_policy().max_attempts);
+  // The error carries what the attempts cost.
+  try {
+    h.read("x", out);
+    ADD_FAILURE() << "read of a dead tier returned";
+  } catch (const cs::TierIoError& e) {
+    EXPECT_EQ(e.charge.retries, h.retry_policy().max_attempts);
+    EXPECT_GT(e.charge.sim_seconds, 0.0);
+    EXPECT_EQ(e.charge.bytes, 0u);
+  }
 }
 
 TEST(HierarchyFaults, PersistentCorruptionSurfacesIntegrityError) {
@@ -461,6 +474,9 @@ TEST(ReaderDegradation, RefineStatusRetriedOnRecoveredFault) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
+  // Four chunks per delta: a step reads four blocks from the faulty tier
+  // (its geometry was read at open, before the faults).
+  config.delta_chunks = 4;
   cc::refactor_and_write(tiers, "ret.bp", ds.variable, ds.mesh, ds.values,
                          config);
   cc::ProgressiveReader reader(tiers, "ret.bp", ds.variable);
@@ -483,6 +499,119 @@ TEST(ReaderDegradation, RefineStatusRetriedOnRecoveredFault) {
   EXPECT_GT(retried_steps, 0u);  // seed 17 faults at least one step
   EXPECT_EQ(reader.cumulative().retries,
             inj->counters().read_errors + inj->counters().corruptions);
+}
+
+namespace {
+
+/// What `attempts` failed reads of `key` on `tier` cost under `retry`: each
+/// pays its transfer plus the backoff before the next, summed in attempt
+/// order as the hierarchy charges them.
+double failed_attempts_cost(const cs::StorageTier& tier, const std::string& key,
+                            const cs::RetryPolicy& retry) {
+  double cost = 0.0;
+  double backoff = retry.backoff_seconds;
+  for (std::uint32_t a = 0; a < retry.max_attempts; ++a) {
+    cost += tier.read_cost(tier.object_size(key)) + backoff;
+    backoff *= retry.backoff_multiplier;
+  }
+  return cost;
+}
+
+/// Fails every read of the lustre tier, four attempts per copy.
+cs::RetryPolicy fail_every_lustre_read(cs::StorageHierarchy& tiers,
+                                       std::shared_ptr<cs::FaultInjector> inj) {
+  cs::FaultProfile p;
+  p.read_error = 1.0;
+  inj->set_profile(1, p);
+  tiers.attach_fault_injector(std::move(inj));
+  cs::RetryPolicy retry;
+  retry.max_attempts = 4;
+  tiers.set_retry_policy(retry);
+  return retry;
+}
+
+}  // namespace
+
+// A delta read that exhausts its attempts is charged what they cost: the
+// degraded step reports every failed attempt as a retry, and their transfer
+// time plus backoff as io_seconds, at io depth 1 and above.
+TEST(ReaderDegradation, FailedDeltaReadKeepsItsCharge) {
+  const auto ds = tiny_xgc();
+  for (const std::uint32_t depth : {1u, 4u}) {
+    SCOPED_TRACE("io depth " + std::to_string(depth));
+    cs::StorageHierarchy tiers(
+        {cs::tmpfs_spec(8 << 20), cs::lustre_spec(1 << 30)});
+    cc::RefactorConfig config;
+    config.levels = 3;
+    config.codec = "zfp";
+    config.error_bound = 1e-5;
+    config.delta_chunks = 4;
+    cc::refactor_and_write(tiers, "charge.bp", ds.variable, ds.mesh, ds.values,
+                           config);
+    cc::ReaderOptions options;
+    options.io.depth = depth;
+    cc::ProgressiveReader reader(tiers, "charge.bp", ds.variable, nullptr,
+                                 options);
+    // The step's first read: chunk 0 of the next level's delta, on lustre.
+    const auto* first = reader.var_info().block(
+        canopus::adios::BlockKind::kDelta, reader.current_level() - 1);
+    ASSERT_NE(first, nullptr);
+    ASSERT_EQ(tiers.find(first->object_key), std::optional<std::size_t>(1));
+
+    auto inj = std::make_shared<cs::FaultInjector>(5);
+    const auto retry = fail_every_lustre_read(tiers, inj);
+    const auto step = reader.refine();
+    ASSERT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+    EXPECT_EQ(inj->counters().read_errors, retry.max_attempts);
+    EXPECT_EQ(step.retries, inj->counters().read_errors);
+    EXPECT_EQ(step.io_seconds,
+              failed_attempts_cost(tiers.tier(1), first->object_key, retry));
+    EXPECT_EQ(step.bytes_read, 0u);
+    EXPECT_EQ(step.degraded_steps, 1u);
+    EXPECT_EQ(reader.cumulative().retries, step.retries);
+  }
+}
+
+// The other reads that can give up are charged the same way: a regional
+// step whose chunk index is unreadable, and a geometry load whose L0 mesh
+// is.
+TEST(ReaderDegradation, FailedIndexAndGeometryReadsKeepTheirCharge) {
+  const auto ds = tiny_xgc();
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(8 << 20), cs::lustre_spec(1 << 30)});
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "zfp";
+  config.error_bound = 1e-5;
+  config.delta_chunks = 4;
+  cc::refactor_and_write(tiers, "charge.bp", ds.variable, ds.mesh, ds.values,
+                         config);
+  cc::ProgressiveReader reader(tiers, "charge.bp", ds.variable);
+  const auto* index = reader.var_info().block(
+      canopus::adios::BlockKind::kChunkIndex, reader.current_level() - 1);
+  const auto* mesh =
+      reader.var_info().block(canopus::adios::BlockKind::kMesh, 0);
+  ASSERT_NE(index, nullptr);
+  ASSERT_NE(mesh, nullptr);
+  ASSERT_EQ(tiers.find(index->object_key), std::optional<std::size_t>(1));
+  ASSERT_EQ(tiers.find(mesh->object_key), std::optional<std::size_t>(1));
+
+  auto inj = std::make_shared<cs::FaultInjector>(5);
+  const auto retry = fail_every_lustre_read(tiers, inj);
+  const auto step =
+      reader.refine_region(canopus::mesh::Aabb{{-1e9, -1e9}, {1e9, 1e9}});
+  ASSERT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+  EXPECT_EQ(step.retries, retry.max_attempts);
+  EXPECT_EQ(step.io_seconds,
+            failed_attempts_cost(tiers.tier(1), index->object_key, retry));
+
+  cc::RetrievalTimings cost;
+  EXPECT_THROW(cc::GeometryCache::load(tiers, "charge.bp", ds.variable, &cost),
+               cs::TierIoError);
+  EXPECT_EQ(cost.retries, retry.max_attempts);
+  EXPECT_EQ(cost.io_seconds,
+            failed_attempts_cost(tiers.tier(1), mesh->object_key, retry));
+  EXPECT_EQ(inj->counters().read_errors, 2 * retry.max_attempts);
 }
 
 TEST(ReaderDegradation, StatusToString) {
@@ -612,6 +741,59 @@ TEST(CacheFaults, InjectedReadErrorsAreNeverCached) {
 // Bit flips: a corrupting tier admits nothing (every read fails its frame
 // CRC), and once the cache holds clean verified bytes, later readers are
 // served correct data even while the tier is still flipping bits.
+// A read that gives up charges its attempts to the single-flight leader
+// only: a waiter that piggybacked on the failed load read nothing, so its
+// copy of the error charges nothing.
+TEST(CacheFaults, FailedSingleFlightLoadChargesOnlyTheLeader) {
+  canopus::cache::CacheConfig cache_config;
+  cache_config.budget_bytes = 1 << 20;
+  auto cache = std::make_shared<canopus::cache::BlockCache>(cache_config);
+  // Resolves every local miss by failing, once a second reader waits on the
+  // in-flight load.
+  struct DeadRemote : cs::RemoteStore {
+    const canopus::cache::BlockCache* cache = nullptr;
+    cs::IoResult remote_read(const std::string& key, cu::Bytes&) override {
+      while (cache->stats().single_flight_waits == 0) std::this_thread::yield();
+      cs::TierIoError e("no reachable copy of '" + key + "'");
+      e.charge.retries = 3;
+      e.charge.sim_seconds = 0.25;
+      throw e;
+    }
+    double estimated_read_cost(const std::string&, std::size_t) const override {
+      return 0.0;
+    }
+  } remote;
+  remote.cache = cache.get();
+  cs::StorageHierarchy h({cs::tmpfs_spec(1 << 20)});
+  h.attach_block_cache(cache);
+  h.attach_remote_store(&remote);
+  // Both readers catch one shared error object, freed by whichever lets go
+  // last through a reference count ThreadSanitizer cannot see; the leader
+  // holds it until the waiter is done, so the waiter never frees it.
+  std::atomic<bool> waiter_done{false};
+  const auto charge_of_read = [&h, &waiter_done](bool leader) {
+    cu::Bytes out;
+    try {
+      h.read("elsewhere", out);
+    } catch (const cs::TierIoError& e) {
+      const cs::IoResult charge = e.charge;
+      while (leader && !waiter_done.load()) std::this_thread::yield();
+      return charge;
+    }
+    ADD_FAILURE() << "read of an unreachable object returned";
+    return cs::IoResult{};
+  };
+  auto leader = std::async(std::launch::async, charge_of_read, true);
+  while (cache->stats().misses == 0) std::this_thread::yield();
+  const cs::IoResult waiter = charge_of_read(false);
+  waiter_done = true;
+  const cs::IoResult led = leader.get();
+  EXPECT_EQ(led.retries, 3u);
+  EXPECT_EQ(led.sim_seconds, 0.25);
+  EXPECT_EQ(waiter.retries, 0u);
+  EXPECT_EQ(waiter.sim_seconds, 0.0);
+}
+
 TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   const auto ds = tiny_xgc();
   cs::StorageHierarchy tiers(

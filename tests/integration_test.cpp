@@ -229,8 +229,9 @@ TEST(Integration, DegradedPipelineStillRefinesUnderSlowTierFaults) {
   retry.max_attempts = 8;
   tiers.set_retry_policy(retry);
 
-  // No geometry cache: meshes and mappings are fetched from the faulted
-  // tier on the per-step path, exercising retries on every block kind.
+  // No geometry cache: the open loads the L0 mesh, the collapse logs and the
+  // mappings from the faulted tier, and each step its delta, exercising
+  // retries on every block kind; the open charges its retries too.
   cc::ProgressiveReader reader(tiers, "degraded.bp", ds.variable);
   const auto base_level = reader.current_level();
   while (!reader.at_full_accuracy() &&

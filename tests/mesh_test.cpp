@@ -364,6 +364,46 @@ TEST(Cascade, PassStatsReported) {
   EXPECT_GT(stats[0].collapses, 0u);
 }
 
+// ------------------------------------------------------- collapse replay --
+
+TEST(CollapseReplay, RebuildsEveryPassBitwiseAtExactSize) {
+  for (const auto priority : {cm::EdgePriority::kShortestFirst,
+                              cm::EdgePriority::kRandom,
+                              cm::EdgePriority::kGradientWeighted}) {
+    SCOPED_TRACE(static_cast<int>(priority));
+    const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
+    cm::CascadeOptions opt;
+    opt.levels = 4;
+    opt.decimate.priority = priority;
+    const auto cascade = cm::build_cascade(mesh, make_field(mesh), opt);
+    ASSERT_EQ(cascade.logs.size(), 3u);
+    for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
+      const auto replayed =
+          cm::replay_collapses(cascade.levels[l].mesh, cascade.logs[l]);
+      EXPECT_TRUE(replayed == cascade.levels[l + 1].mesh) << "pass " << l;
+      EXPECT_EQ(replayed.vertices().capacity(), replayed.vertex_count());
+      EXPECT_EQ(replayed.triangles().capacity(), replayed.triangle_count());
+    }
+  }
+}
+
+TEST(CollapseReplay, RejectsLogsThatCannotComeFromTheInput) {
+  const auto mesh = cm::make_rect_mesh(6, 6, 1.0, 1.0);
+  const auto n = static_cast<cm::VertexId>(mesh.vertex_count());
+  const std::vector<cm::CollapseLog> bad = {
+      {{0, n}},            // slot past the input
+      {{n, 0}},            // survivor past the input
+      {{3, 3}},            // collapsed into itself
+      {{0, 1}, {2, 1}},    // collapsed twice
+      {{0, 1}, {1, 2}},    // survivor used after it died
+  };
+  for (const auto& log : bad) {
+    EXPECT_THROW(cm::replay_collapses(mesh, log), canopus::Error);
+  }
+  // An empty log is the identity.
+  EXPECT_TRUE(cm::replay_collapses(mesh, {}) == mesh);
+}
+
 TEST(Cascade, SingleLevelIsOriginal) {
   const auto mesh = cm::make_rect_mesh(5, 5, 1.0, 1.0);
   cm::CascadeOptions opt;

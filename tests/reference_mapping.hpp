@@ -160,17 +160,12 @@ inline mesh::Field stored_delta(const adios::BpReader& reader,
   return delta;
 }
 
-/// The stored meshes of `geometry_var`, one per level.
+/// The meshes of `geometry_var`, one per level: the stored L0 mesh and the
+/// levels its stored collapse logs rebuild (the CollapseReplay suites of
+/// core_test and mesh_test hold them equal to the writer's cascade).
 inline std::vector<mesh::TriMesh> stored_meshes(const adios::BpReader& reader,
-                                                const std::string& geometry_var,
-                                                std::size_t levels) {
-  std::vector<mesh::TriMesh> meshes;
-  for (std::uint32_t l = 0; l < levels; ++l) {
-    const auto raw = reader.read_opaque(geometry_var, adios::BlockKind::kMesh, l);
-    util::ByteReader br(raw);
-    meshes.push_back(mesh::TriMesh::deserialize(br));
-  }
-  return meshes;
+                                                const std::string& geometry_var) {
+  return core::GeometryCache::load(reader, geometry_var).meshes;
 }
 
 /// levels[l] is L^l of `var` restored with the reference mapping from the
@@ -181,7 +176,7 @@ inline std::vector<mesh::Field> reference_levels(
     core::EstimateMode mode) {
   const adios::BpReader reader(tiers, path);
   const auto n = static_cast<std::uint32_t>(core::container_levels(reader));
-  const auto meshes = stored_meshes(reader, geometry_var, n);
+  const auto meshes = stored_meshes(reader, geometry_var);
   std::vector<mesh::Field> levels(n);
   levels[n - 1] = reader.read_doubles(var, adios::BlockKind::kBase, n - 1);
   for (std::uint32_t l = n - 1; l-- > 0;) {

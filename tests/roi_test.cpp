@@ -247,7 +247,7 @@ TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
     const auto expected = ct::reference_levels(h, "eq.bp", "v", "v", mode);
 
     const ca::BpReader raw(h, "eq.bp");
-    const auto meshes = ct::stored_meshes(raw, "v", config.levels);
+    const auto meshes = ct::stored_meshes(raw, "v");
     const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 1);
     cu::ByteReader ir(index_bytes);
     const auto wanted = cc::ChunkIndex::deserialize(ir).intersecting(roi);

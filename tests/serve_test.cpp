@@ -121,24 +121,35 @@ TEST(QueryScheduler, GenerousDeadlineReachesTargetBitwise) {
 }
 
 TEST(QueryScheduler, TightDeadlineDegradesToCoarserLevelBitwise) {
-  Dataset data;
+  // The ssd tier holds the first step's delta chunks. Its round trip is
+  // slowed to 50 ms so that the deadline below sits tens of simulated
+  // milliseconds clear of both the open and the first step, far beyond the
+  // wall-clock time the budget also counts (the base decode and, without a
+  // GeometryCache, the geometry load at open).
+  cs::TierSpec ssd = cs::ssd_spec(128 << 20);
+  ssd.read_latency = 0.05;
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), ssd, cs::lustre_spec(1 << 30)});
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                         refactor_config());
 
   // Probe the deterministic base cost and the first step's simulated I/O.
   double base_total = 0.0;
   double first_step_io = 0.0;
   std::uint32_t coarsest = 0;
   {
-    cc::ProgressiveReader probe(data.tiers, "d.bp", "v");
+    cc::ProgressiveReader probe(tiers, "d.bp", "v");
     base_total = probe.cumulative().total();
     coarsest = probe.current_level();
-    const auto model = cv::CostModel::build(data.tiers, probe);
+    const auto model = cv::CostModel::build(tiers, probe);
     first_step_io = model.step(coarsest - 1).io_seconds;
   }
   ASSERT_GT(first_step_io, 0.0);
 
   // A budget that covers the base but only a sliver of the first refinement
   // step: the query must answer with the coarser field, degraded.
-  cv::QueryScheduler scheduler(data.tiers, {}, {});
+  cv::QueryScheduler scheduler(tiers, {}, {});
   cv::QueryRequest request = query();
   request.target_level = 0;
   request.deadline_seconds = base_total + 0.25 * first_step_io;
@@ -155,7 +166,7 @@ TEST(QueryScheduler, TightDeadlineDegradesToCoarserLevelBitwise) {
   EXPECT_LE(result.timings.total(), *request.deadline_seconds);
 
   // Elastic degradation serves the exact field of that coarser level.
-  canopus::Pipeline pipeline(data.tiers);
+  canopus::Pipeline pipeline(tiers);
   canopus::ReadRequest rreq;
   rreq.path = "d.bp";
   rreq.var = "v";
@@ -418,10 +429,13 @@ TEST(CostModel, ObservabilityNeverSteersPlans) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
                          refactor_config());
+  // Preloaded geometry keeps the L0 mesh's lustre read out of every open, so
+  // the spikes land on delta reads only.
+  const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
   double base_total = 0.0;
   double refine_cost = 0.0;
   {
-    cc::ProgressiveReader probe(tiers, "d.bp", "v");
+    cc::ProgressiveReader probe(tiers, "d.bp", "v", &geometry);
     base_total = probe.cumulative().total();
     refine_cost = cv::CostModel::build(tiers, probe)
                       .cost_between(probe.current_level(), 0);
@@ -435,6 +449,7 @@ TEST(CostModel, ObservabilityNeverSteersPlans) {
   };
   cv::QueryRequest to_full = query();
   to_full.target_level = 0;
+  to_full.geometry = &geometry;
   const auto run = [&](bool observe) {
     canopus::obs::MetricsRegistry::global().reset();
     canopus::obs::set_enabled(observe);
