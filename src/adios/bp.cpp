@@ -8,11 +8,24 @@
 namespace canopus::adios {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x43424631;  // "CBF1" Canopus BP format v1
+// "CBF2" Canopus BP format v2: v1 records also carried the writer's tier.
+// There is no v1 decoder; containers do not outlive their process.
+constexpr std::uint32_t kMagic = 0x43424632;
 
 std::string block_key(const std::string& path, const BlockRecord& r) {
   return path + "/" + r.var + "/" + to_string(r.kind) + "/l" +
          std::to_string(r.level) + "/c" + std::to_string(r.chunk);
+}
+
+ReadTiming read_timing(const storage::IoResult& io) {
+  ReadTiming t;
+  t.io_sim_seconds = io.sim_seconds;
+  t.io_wall_seconds = io.wall_seconds;
+  t.bytes_read = io.bytes;
+  t.retries = io.retries;
+  t.corruptions = io.corruptions;
+  t.from_replica = io.from_replica;
+  return t;
 }
 }  // namespace
 
@@ -40,7 +53,6 @@ void BlockRecord::serialize(util::ByteWriter& out) const {
   out.put_varint(value_count);
   out.put_varint(raw_bytes);
   out.put_varint(stored_bytes);
-  out.put(tier);
   out.put_string(object_key);
 }
 
@@ -59,7 +71,6 @@ BlockRecord BlockRecord::deserialize(util::ByteReader& in) {
   r.value_count = in.get_varint();
   r.raw_bytes = in.get_varint();
   r.stored_bytes = in.get_varint();
-  r.tier = in.get<std::uint32_t>();
   r.object_key = in.get_string();
   return r;
 }
@@ -111,16 +122,15 @@ WriteTiming BpWriter::store(BlockRecord record, util::BytesView payload,
 
   WriteTiming t;
   auto [tier, io] = hierarchy_.place(record.object_key, payload, tier_hint);
-  record.tier = static_cast<std::uint32_t>(tier);
   // Base datasets are the anchor of every progressive read; keep a replica
   // one tier down so a failing fast tier degrades instead of blocking.
   if (record.kind == BlockKind::kBase) {
-    hierarchy_.replicate_below(record.tier, record.object_key, payload, &io);
+    hierarchy_.replicate_below(tier, record.object_key, payload, &io);
   }
   t.io_sim_seconds = io.sim_seconds;
   t.io_wall_seconds = io.wall_seconds;
   t.bytes_written = io.bytes;
-  t.tier = record.tier;
+  t.tier = static_cast<std::uint32_t>(tier);
   records_.push_back(std::move(record));
   return t;
 }
@@ -287,23 +297,6 @@ std::vector<double> BpReader::read_doubles(const std::string& var, BlockKind kin
   return read_doubles_chunk(var, kind, level, 0, timing);
 }
 
-BpReader::RawChunk BpReader::fetch_chunk(const std::string& var, BlockKind kind,
-                                         std::uint32_t level,
-                                         std::uint32_t chunk) const {
-  const auto& r = find_record(var, kind, level, chunk);
-  CANOPUS_CHECK(r.codec != "none", "block is opaque; use read_opaque");
-  RawChunk raw;
-  raw.record = r;
-  const auto io = hierarchy_.read(r.object_key, raw.payload);
-  raw.io.io_sim_seconds = io.sim_seconds;
-  raw.io.io_wall_seconds = io.wall_seconds;
-  raw.io.bytes_read = io.bytes;
-  raw.io.retries = io.retries;
-  raw.io.corruptions = io.corruptions;
-  raw.io.from_replica = io.from_replica;
-  return raw;
-}
-
 std::vector<double> BpReader::decode_chunk(const BlockRecord& record,
                                            util::BytesView payload,
                                            double* decompress_seconds) {
@@ -320,11 +313,14 @@ std::vector<double> BpReader::read_doubles_chunk(const std::string& var,
                                                  std::uint32_t level,
                                                  std::uint32_t chunk,
                                                  ReadTiming* timing) const {
-  const auto raw = fetch_chunk(var, kind, level, chunk);
+  const auto& r = find_record(var, kind, level, chunk);
+  CANOPUS_CHECK(r.codec != "none", "block is opaque; use read_opaque");
+  util::Bytes payload;
+  const auto io = hierarchy_.read(r.object_key, payload);
   double decompress = 0.0;
-  auto values = decode_chunk(raw.record, raw.payload, &decompress);
+  auto values = decode_chunk(r, payload, &decompress);
   if (timing) {
-    *timing = raw.io;
+    *timing = read_timing(io);
     timing->decompress_seconds = decompress;
   }
   return values;
@@ -335,14 +331,7 @@ util::Bytes BpReader::read_opaque(const std::string& var, BlockKind kind,
   const auto& r = find_record(var, kind, level, 0);
   util::Bytes payload;
   const auto io = hierarchy_.read(r.object_key, payload);
-  if (timing) {
-    timing->io_sim_seconds = io.sim_seconds;
-    timing->io_wall_seconds = io.wall_seconds;
-    timing->bytes_read = io.bytes;
-    timing->retries = io.retries;
-    timing->corruptions = io.corruptions;
-    timing->from_replica = io.from_replica;
-  }
+  if (timing) *timing = read_timing(io);
   return payload;
 }
 

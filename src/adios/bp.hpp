@@ -51,8 +51,7 @@ struct BlockRecord {
   std::uint64_t value_count = 0;  // doubles before compression (0 if opaque)
   std::uint64_t raw_bytes = 0;    // payload size before compression
   std::uint64_t stored_bytes = 0; // payload size as stored
-  std::uint32_t tier = 0;         // hierarchy tier index holding the object
-  std::string object_key;         // hierarchy object name
+  std::string object_key;         // hierarchy object name; find() its tier
 
   void serialize(util::ByteWriter& out) const;
   static BlockRecord deserialize(util::ByteReader& in);
@@ -183,21 +182,10 @@ class BpReader {
                                          std::uint32_t level, std::uint32_t chunk,
                                          ReadTiming* timing = nullptr) const;
 
-  /// One chunk's stored payload plus its index record and I/O timing, fetched
-  /// without decoding. Decoding can then run on any thread via decode_chunk —
-  /// this is the split the progressive reader uses to decompress fetched
-  /// chunks in parallel and to read ahead from slow tiers while restoring.
-  struct RawChunk {
-    BlockRecord record;
-    util::Bytes payload;
-    ReadTiming io;
-  };
-  RawChunk fetch_chunk(const std::string& var, BlockKind kind,
-                       std::uint32_t level, std::uint32_t chunk) const;
-
   /// Decodes a fetched payload with the record's codec; adds the decode wall
   /// time to *decompress_seconds when given. Pure function of its arguments,
-  /// safe to call concurrently from pool workers.
+  /// safe to call concurrently from pool workers (the progressive reader
+  /// decodes a level's chunks in parallel with it).
   static std::vector<double> decode_chunk(const BlockRecord& record,
                                           util::BytesView payload,
                                           double* decompress_seconds = nullptr);

@@ -253,19 +253,6 @@ BlockCache::BlobPtr BlockCache::lookup_blob(const std::string& key) {
   return nullptr;
 }
 
-BlockCache::ArrayPtr BlockCache::lookup_array(const std::string& key) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  if (auto it = shard.map.find(key); it != shard.map.end() && it->second.array) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    note_hit(it->second, key);
-    return it->second.array;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::enabled()) CacheMetrics::get().misses.add(1);
-  return nullptr;
-}
-
 bool BlockCache::contains(const std::string& key) const {
   const Shard& shard = shard_for(key);
   std::scoped_lock lock(shard.mu);

@@ -113,8 +113,6 @@ class BlockCache {
 
   /// Resident blob or nullptr; counts a hit or a miss.
   BlobPtr lookup_blob(const std::string& key);
-  /// Resident array or nullptr; counts a hit or a miss.
-  ArrayPtr lookup_array(const std::string& key);
 
   /// True when `key` is resident (no stat side effects, no LRU touch).
   bool contains(const std::string& key) const;

@@ -81,7 +81,7 @@ CampaignReport write_variable_group(
     const auto level = static_cast<std::uint32_t>(l);
     const auto t = writer.write_opaque(
         geometry_var, adios::BlockKind::kMapping, level, bytes.view(),
-        tier_hint_for(rc, hierarchy, level, bytes.size()));
+        tier_hint_for(rc, hierarchy, level));
     report.io_sim_seconds += t.io_sim_seconds;
     report.geometry_bytes += t.bytes_written;
   }
@@ -125,7 +125,7 @@ CampaignReport write_variable_group(
       const auto wt = writer.write_precompressed(
           tvar, adios::BlockKind::kBase, base_level, out.base, rc.codec,
           rc.error_bound, cascade.levels[N - 1].values.size(),
-          tier_hint_for(rc, hierarchy, base_level, out.base.size()));
+          tier_hint_for(rc, hierarchy, base_level));
       report.io_sim_seconds += wt.io_sim_seconds;
       report.stored_bytes += wt.bytes_written;
     }
@@ -134,7 +134,7 @@ CampaignReport write_variable_group(
       const auto wt = writer.write_precompressed(
           tvar, adios::BlockKind::kDelta, level, out.deltas[l], rc.codec,
           rc.error_bound, cascade.levels[l].values.size(),
-          tier_hint_for(rc, hierarchy, level, out.deltas[l].size()));
+          tier_hint_for(rc, hierarchy, level));
       report.io_sim_seconds += wt.io_sim_seconds;
       report.stored_bytes += wt.bytes_written;
     }

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/assert.hpp"
 #include "util/xml.hpp"
@@ -106,6 +108,26 @@ double parse_double(const std::string& text, const std::string& what) {
   return v;
 }
 
+/// Rejects an attribute or child element of `node` that the loader does not
+/// read, naming both: a misspelt knob fails the load instead of leaving its
+/// default in place, and so does a retired one.
+void check_names(const util::XmlNode& node,
+                 std::initializer_list<std::string_view> attributes,
+                 std::initializer_list<std::string_view> elements = {}) {
+  const auto known = [](std::initializer_list<std::string_view> names,
+                        const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const auto& [name, value] : node.attributes) {
+    CANOPUS_CHECK(known(attributes, name),
+                  "<" + node.name + "> has no attribute '" + name + "'");
+  }
+  for (const auto& child : node.children) {
+    CANOPUS_CHECK(known(elements, child->name),
+                  "<" + node.name + "> has no element <" + child->name + ">");
+  }
+}
+
 double parse_probability(const std::string& text, const std::string& what) {
   char* end = nullptr;
   const double p = std::strtod(text.c_str(), &end);
@@ -151,10 +173,14 @@ RuntimeConfig load_config(const std::string& xml_text) {
   const auto root = util::parse_xml(xml_text);
   CANOPUS_CHECK(root->name == "canopus-config",
                 "root element must be <canopus-config>, got <" + root->name + ">");
+  check_names(*root, {},
+              {"storage", "refactor", "threads", "pipeline", "faults", "retry",
+               "cache", "observability", "io", "serve", "fabric", "tiering"});
   RuntimeConfig config;
 
   const auto* storage_node = root->child("storage");
   CANOPUS_CHECK(storage_node != nullptr, "missing <storage> section");
+  check_names(*storage_node, {"policy"}, {"tier"});
   {
     // Placement is fastest tier with room. The retired policies fail by name
     // rather than load as something else; a single-tier baseline is a
@@ -175,6 +201,8 @@ RuntimeConfig load_config(const std::string& xml_text) {
     return value;
   };
   for (const auto* tier : storage_node->children_named("tier")) {
+    check_names(*tier, {"capacity", "preset", "name", "read-bw", "write-bw",
+                        "read-latency", "write-latency", "backend", "root"});
     CANOPUS_CHECK(tier->has_attr("capacity"),
                   "<tier> needs a capacity attribute");
     std::size_t capacity = 0;
@@ -225,6 +253,8 @@ RuntimeConfig load_config(const std::string& xml_text) {
   CANOPUS_CHECK(!config.tiers.empty(), "<storage> lists no tiers");
 
   if (const auto* refactor = root->child("refactor")) {
+    check_names(*refactor, {"levels", "step", "codec", "error-bound",
+                            "estimate", "priority", "tiered-placement"});
     auto& rc = config.refactor;
     if (refactor->has_attr("levels")) {
       rc.levels = static_cast<std::size_t>(parse_uint(
@@ -254,6 +284,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* threads = root->child("threads")) {
+    check_names(*threads, {});
     // Worker count as text content: <threads>4</threads> (0 = hardware).
     std::string text = threads->text;
     text.erase(std::remove_if(text.begin(), text.end(),
@@ -265,6 +296,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* pipeline = root->child("pipeline")) {
+    check_names(*pipeline, {"overlap", "read-ahead"});
     auto& pc = config.options.parallel;
     if (pipeline->has_attr("overlap")) {
       pc.pipeline = parse_bool(pipeline->attr("overlap"));
@@ -275,11 +307,14 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* faults = root->child("faults")) {
+    check_names(*faults, {"seed"}, {"tier"});
     if (faults->has_attr("seed")) {
       config.fault_seed =
           parse_uint(faults->attr("seed"), "<faults> attribute 'seed'");
     }
     for (const auto* tier : faults->children_named("tier")) {
+      check_names(*tier, {"name", "read-error", "write-error", "corrupt",
+                          "latency-spike", "spike-duration"});
       CANOPUS_CHECK(tier->has_attr("name"),
                     "<faults><tier> needs a name attribute");
       RuntimeConfig::TierFaults tf;
@@ -311,6 +346,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* retry = root->child("retry")) {
+    check_names(*retry, {"max-attempts", "backoff", "multiplier"});
     storage::RetryPolicy policy;
     if (retry->has_attr("max-attempts")) {
       const std::uint64_t attempts = parse_uint(
@@ -331,6 +367,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* cache_node = root->child("cache")) {
+    check_names(*cache_node, {"budget", "budget-mb", "shards", "verify-hits"});
     canopus::cache::CacheConfig cc;
     if (cache_node->has_attr("budget")) {
       cc.budget_bytes = parse_size(cache_node->attr("budget"));
@@ -354,6 +391,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* observability = root->child("observability")) {
+    check_names(*observability, {"enabled", "trace", "histogram-buckets"});
     obs::ObservabilityOptions oo;
     if (observability->has_attr("enabled")) {
       oo.enabled = parse_bool(observability->attr("enabled"));
@@ -373,22 +411,16 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* io_node = root->child("io")) {
+    check_names(*io_node, {"depth"});
     if (io_node->has_attr("depth")) {
       config.options.io.depth = static_cast<std::uint32_t>(
           parse_uint(io_node->attr("depth"), "<io> attribute 'depth'"));
     }
-    // Delta chunks are read one at a time, so there is nothing to batch and
-    // no per-op deadline to record; fail by name rather than ignore them.
-    for (const char* removed : {"batch", "deadline"}) {
-      if (io_node->has_attr(removed)) {
-        throw Error(std::string("<io> attribute '") + removed +
-                    "' is no longer supported: reads are issued one at a "
-                    "time and <io depth> sets the overlap they are charged");
-      }
-    }
   }
 
   if (const auto* serve_node = root->child("serve")) {
+    check_names(*serve_node,
+                {"workers", "queue-limit", "deadline-default", "age-boost"});
     serve::ServeConfig sc;
     if (serve_node->has_attr("workers")) {
       sc.workers = static_cast<std::size_t>(
@@ -410,6 +442,7 @@ RuntimeConfig load_config(const std::string& xml_text) {
   }
 
   if (const auto* fabric_node = root->child("fabric")) {
+    check_names(*fabric_node, {"nodes", "partition", "remote-us", "remote-bw"});
     fabric::FabricOptions fo;
     if (fabric_node->has_attr("nodes")) {
       fo.nodes = static_cast<std::size_t>(
@@ -437,22 +470,13 @@ RuntimeConfig load_config(const std::string& xml_text) {
       CANOPUS_CHECK(std::isfinite(fo.remote_bandwidth),
                     "<fabric> remote-bw must be finite");
     }
-    // Demotion by access heat is configured in <tiering>. Unknown attributes
-    // are otherwise ignored, so reject the fabric eviction watermarks by name
-    // rather than let a document that sets them run without the eviction it
-    // asked for.
-    for (const char* removed :
-         {"eviction-high", "eviction-low", "eviction-interval"}) {
-      if (fabric_node->has_attr(removed)) {
-        throw Error(std::string("<fabric> attribute '") + removed +
-                    "' is no longer supported: placement by access heat is "
-                    "configured in <tiering>");
-      }
-    }
     config.fabric = fo;
   }
 
   if (const auto* tiering_node = root->child("tiering")) {
+    check_names(*tiering_node,
+                {"enabled", "half-life", "promote-above", "demote-below",
+                 "interval", "max-moves", "cooldown-ticks", "reserve"});
     tiering::TieringConfig tc;
     if (tiering_node->has_attr("enabled")) {
       tc.enabled = parse_bool(tiering_node->attr("enabled"));

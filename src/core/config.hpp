@@ -42,7 +42,10 @@
 // rates accept .../s of the same units, durations accept ns/us/ms/s.
 // Placement is the fastest tier with room: `<storage policy>` accepts only
 // "fastest-fit" (the default), and the retired "slowest-only" and
-// "round-robin" are rejected by name.
+// "round-robin" are rejected by name. Every element accepts exactly the
+// attributes and child elements shown above: any other name, misspelt or
+// retired (`<io batch>`, `<fabric eviction-high>`), fails the load with the
+// element and the name in the message.
 //
 // The document splits in two. RuntimeConfig keeps what only the document
 // describes — tiers, <refactor>, the <faults> plan, the
@@ -76,8 +79,7 @@
 // The optional <io> element sets `depth`, the lanes over which the progressive
 // reader's delta-chunk reads are charged (src/io): 1 (the default) charges
 // their sum, more charges their overlap makespan. Reads are issued one at a
-// time either way; the retired `batch` and `deadline` attributes are rejected
-// by name.
+// time either way.
 //
 // The optional <serve> element configures the deadline-aware query
 // scheduler behind Pipeline::submit_query (src/serve): `workers` is the
@@ -91,8 +93,7 @@
 // ownership scheme ("range" = contiguous Morton ranges, "hash" = FNV-1a),
 // `remote-us` the per-message one-way latency in microseconds and
 // `remote-bw` the inter-node bandwidth of the remote-read envelope. The
-// fabric does not demote; the retired `eviction-high`/`eviction-low`/
-// `eviction-interval` attributes are rejected by name, pointing at <tiering>.
+// fabric does not demote; demotion is <tiering>'s.
 //
 // The optional <tiering> element configures the workload-adaptive tier
 // advisor (src/tiering): `enabled` starts its background policy thread,

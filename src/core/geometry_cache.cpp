@@ -81,9 +81,8 @@ adios::WriteTiming write_geometry(adios::BpWriter& writer,
   const auto put = [&](adios::BlockKind kind, std::size_t l,
                        const util::ByteWriter& bytes) {
     const auto level = static_cast<std::uint32_t>(l);
-    const auto t = writer.write_opaque(
-        var, kind, level, bytes.view(),
-        tier_hint_for(config, hierarchy, level, bytes.size()));
+    const auto t = writer.write_opaque(var, kind, level, bytes.view(),
+                                       tier_hint_for(config, hierarchy, level));
     total.io_sim_seconds += t.io_sim_seconds;
     total.io_wall_seconds += t.io_wall_seconds;
     total.bytes_written += t.bytes_written;

@@ -73,7 +73,7 @@ struct Options {
   /// Workload-adaptive tiering (heat tracking + TierAdvisor policy). When
   /// set, Pipeline::tier_advisor() is built with these knobs — and created
   /// eagerly by query_scheduler() when `tiering->enabled`, so queries feed
-  /// heat and plan against predicted residency from the first submission.
+  /// heat from the first submission.
   /// Leave unset for static placement (the advisor can still be created
   /// explicitly with defaults via Pipeline::tier_advisor()).
   std::optional<tiering::TieringConfig> tiering;

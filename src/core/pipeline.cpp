@@ -137,28 +137,18 @@ Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
     return Status::failure(StatusCode::kInvalidArgument,
                            "write: path and var are required");
   }
-  const bool has_field = request.mesh != nullptr && request.values != nullptr;
-  const bool has_cascade = request.cascade != nullptr;
-  if (has_field == has_cascade) {
-    return Status::failure(
-        StatusCode::kInvalidArgument,
-        "write: provide either (mesh, values) or a cascade, not both/neither");
-  }
-  if (has_cascade &&
-      request.cascade->logs.size() + 1 != request.cascade->level_count()) {
+  if (request.mesh == nullptr || request.values == nullptr) {
     return Status::failure(StatusCode::kInvalidArgument,
-                           "write: the cascade lacks the collapse log of some "
-                           "pass (build it with mesh::build_cascade)");
+                           "write: mesh and values are required");
   }
-  if (has_field && request.values->size() != request.mesh->vertex_count()) {
+  if (request.values->size() != request.mesh->vertex_count()) {
     return Status::failure(StatusCode::kInvalidArgument,
                            "write: values/mesh size mismatch (" +
                                std::to_string(request.values->size()) + " vs " +
                                std::to_string(request.mesh->vertex_count()) +
                                ")");
   }
-  if (has_field && request.config.levels > 1 &&
-      request.mesh->triangle_count() == 0) {
+  if (request.config.levels > 1 && request.mesh->triangle_count() == 0) {
     return Status::failure(StatusCode::kInvalidArgument,
                            "write: " + std::to_string(request.config.levels) +
                                " levels need a mesh with triangles to decimate");
@@ -169,12 +159,8 @@ Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
     CANOPUS_SPAN("pipeline.write", {{"path", request.path},
                                     {"var", request.var}});
     core::RefactorReport report =
-        has_cascade ? core::refactor_and_write(*hierarchy_, request.path,
-                                               request.var, *request.cascade,
-                                               config)
-                    : core::refactor_and_write(*hierarchy_, request.path,
-                                               request.var, *request.mesh,
-                                               *request.values, config);
+        core::refactor_and_write(*hierarchy_, request.path, request.var,
+                                 *request.mesh, *request.values, config);
     if (result) result->report = std::move(report);
     return Status::success();
   } catch (...) {

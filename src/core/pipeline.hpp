@@ -81,17 +81,15 @@ class TierAdvisor;
 struct TieringReport;
 }  // namespace tiering
 
-/// Everything one refactor-and-write needs. Provide either (mesh, values) —
-/// the full decimate/delta/compress/place pipeline — or a prebuilt cascade
-/// to amortize decimation across a campaign. The cascade must carry each
-/// pass's collapse log (mesh::build_cascade fills them); write() returns
-/// kInvalidArgument otherwise.
+/// Everything one refactor-and-write needs: the mesh and its field, run
+/// through the full decimate/delta/compress/place pipeline. A campaign that
+/// shares one mesh across timesteps amortizes decimation with
+/// core::write_campaign instead.
 struct WriteRequest {
   std::string path;  // container name, e.g. "run.bp"
   std::string var;   // variable name, e.g. "dpot"
   const mesh::TriMesh* mesh = nullptr;
   const mesh::Field* values = nullptr;
-  const mesh::Cascade* cascade = nullptr;
   /// Refactoring knobs. `config.parallel` is ignored: concurrency comes from
   /// canopus::Options so it is configured once per pipeline, not per call.
   core::RefactorConfig config;
@@ -247,8 +245,9 @@ class Pipeline {
   /// The pipeline's TierAdvisor, created on first use from Options::tiering
   /// (or defaults); never null. On creation it watches the pipeline's
   /// hierarchy, follows the attached fabric (now and on later attaches), is
-  /// handed to the query scheduler as its predicted-residency source, and —
-  /// when Options::tiering.enabled — starts its background policy thread.
+  /// handed to the query scheduler, which feeds it each query's access
+  /// intent, and — when Options::tiering.enabled — starts its background
+  /// policy thread.
   tiering::TierAdvisor& tier_advisor();
 
   /// Counter snapshot of the advisor (ticks, promotions, demotions, ...);

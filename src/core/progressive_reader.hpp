@@ -154,14 +154,20 @@ class ProgressiveReader {
   std::optional<double> last_delta_rms() const { return last_delta_rms_; }
 
   /// Container metadata of the open variable (block records with per-chunk
-  /// sizes, tier placements, and object keys) — the cost model's input.
+  /// sizes and object keys) — the cost model's input.
   const adios::VarInfo& var_info() const { return info_; }
 
   /// Timings accumulated since open (includes the base retrieval).
   const RetrievalTimings& cumulative() const { return cumulative_; }
 
  private:
-  using RawChunks = std::vector<adios::BpReader::RawChunk>;
+  /// One delta chunk's index record and stored payload, fetched without
+  /// decoding so decode_level can decode a level's chunks in parallel.
+  struct RawChunk {
+    adios::BlockRecord record;
+    util::Bytes payload;
+  };
+  using RawChunks = std::vector<RawChunk>;
 
   /// A read-ahead of one whole delta level, fetched on a pool worker. On a
   /// failed fetch `chunks` is empty, `io` holds the read prefix's timings and

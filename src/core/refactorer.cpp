@@ -149,8 +149,7 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
                   const std::string& var, const RefactorConfig& config,
                   RefactorReport& report, PreparedLevel prepared) {
   CANOPUS_SPAN("refactor.commit", {{"level", prepared.level}});
-  const auto hint =
-      tier_hint_for(config, hierarchy, prepared.level, prepared.raw_bytes);
+  const auto hint = tier_hint_for(config, hierarchy, prepared.level);
   report.phases.add("delta+compress", prepared.compute_seconds);
 
   ProductSize product;
@@ -192,15 +191,11 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
 
 std::optional<std::uint32_t> tier_hint_for(
     const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
-    std::uint32_t level, std::size_t nbytes) {
+    std::uint32_t level) {
   if (!config.tiered_placement) return std::nullopt;
-  const std::size_t want =
+  return static_cast<std::uint32_t>(
       std::min(hierarchy.tier_count() - 1,
-               static_cast<std::size_t>(config.levels - 1 - level));
-  const auto [used, capacity] = hierarchy.tier_usage(want);
-  const std::size_t free = capacity > used ? capacity - used : 0;
-  if (nbytes <= free) return static_cast<std::uint32_t>(want);
-  return std::nullopt;
+               static_cast<std::size_t>(config.levels - 1 - level)));
 }
 
 std::size_t RefactorReport::total_raw_bytes() const {
@@ -281,8 +276,7 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   // Base dataset L^{N-1}.
   {
     const auto& base = cascade.levels[N - 1];
-    const auto hint = tier_hint_for(config, hierarchy, base_level,
-                                    base.values.size() * sizeof(double));
+    const auto hint = tier_hint_for(config, hierarchy, base_level);
     const auto t = writer.write_doubles(var, adios::BlockKind::kBase, base_level,
                                         base.values, config.codec,
                                         config.error_bound, hint);

@@ -79,14 +79,13 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
 
 /// Paper Fig. 1 layout hint: base on the fastest tier, deltas progressively
 /// lower (finest delta on the slowest). Level `level`'s products go
-/// `levels-1-level` tiers down, clamped to the stack depth — when
-/// `config.tiered_placement` is set and that tier has room for `nbytes` now
-/// (read under the hierarchy lock); nullopt otherwise. The hint is advisory:
-/// a block that no longer fits there at write time is placed by the normal
-/// bypass rule (StorageHierarchy::place).
+/// `levels-1-level` tiers down, clamped to the stack depth, when
+/// `config.tiered_placement` is set; nullopt otherwise. Whether a block fits
+/// there is StorageHierarchy::place's check, made with the block's stored
+/// bytes: one that does not fit goes to the fastest tier with room.
 std::optional<std::uint32_t> tier_hint_for(
     const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
-    std::uint32_t level, std::size_t nbytes);
+    std::uint32_t level);
 
 /// Baseline for Fig. 5: compress every level directly (no deltas) and report
 /// the same size accounting. Nothing is written to storage.

@@ -56,15 +56,12 @@ std::uint32_t Fabric::append_node() {
       node->hierarchy.attach_block_cache(
           std::make_shared<cache::BlockCache>(*per_node_cache_));
     }
-    // A node attached mid-run inherits the tiering listeners, so heat keeps
+    // A node attached mid-run inherits the tiering listener, so heat keeps
     // flowing from the moment the migration hands it chunks.
     {
       std::scoped_lock hooks(hooks_mu_);
       if (node_access_listener_) {
         node->hierarchy.attach_access_listener(node_access_listener_);
-      }
-      if (node_move_listener_) {
-        node->hierarchy.attach_move_listener(node_move_listener_);
       }
     }
     nodes_.push_back(std::move(node));
@@ -556,16 +553,6 @@ void Fabric::set_node_access_listener(
   }
   for (std::size_t i = 0; i < node_count(); ++i) {
     node_ptr(i)->hierarchy.attach_access_listener(l);
-  }
-}
-
-void Fabric::set_node_move_listener(storage::StorageHierarchy::MoveListener l) {
-  {
-    std::scoped_lock lock(hooks_mu_);
-    node_move_listener_ = l;
-  }
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    node_ptr(i)->hierarchy.attach_move_listener(l);
   }
 }
 

@@ -184,14 +184,13 @@ class Fabric {
   /// RemoteStore so planners above the hierarchy can watch it).
   std::uint64_t topology_epoch() const { return directory_.epoch(); }
 
-  // --- Tiering hooks (src/tiering layers above fabric, so these are
-  // type-erased; the TierAdvisor plugs in through Pipeline). ---------------
+  // --- Tiering hook (src/tiering layers above fabric, so it is type-erased;
+  // the TierAdvisor plugs in through Pipeline). -----------------------------
 
   /// Installs the listener on every node's hierarchy — current nodes now and
-  /// future nodes at attach — so access heat and residency observations keep
-  /// flowing across topology epochs. Empty functions detach.
+  /// future nodes at attach — so access heat keeps flowing across topology
+  /// epochs. An empty function detaches.
   void set_node_access_listener(storage::StorageHierarchy::AccessListener l);
-  void set_node_move_listener(storage::StorageHierarchy::MoveListener l);
 
  private:
   /// The per-node storage::RemoteStore adapter the node's hierarchy calls.
@@ -268,11 +267,10 @@ class Fabric {
   std::vector<std::string> replicated_keys_;
   std::optional<cache::CacheConfig> per_node_cache_;
 
-  /// Tiering hooks (see set_node_*_listener). hooks_mu_ is a leaf lock:
+  /// Tiering hook (see set_node_access_listener). hooks_mu_ is a leaf lock:
   /// holders never take another fabric mutex.
   mutable std::mutex hooks_mu_;
   storage::StorageHierarchy::AccessListener node_access_listener_;
-  storage::StorageHierarchy::MoveListener node_move_listener_;
 
   std::atomic<std::uint64_t> local_hits_{0};
   std::atomic<std::uint64_t> remote_reads_{0};

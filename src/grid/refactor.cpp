@@ -45,9 +45,7 @@ GridRefactorReport refactor_and_write_grid(storage::StorageHierarchy& hierarchy,
     const auto& base = levels[N - 1];
     const auto t = writer.write_doubles(
         var, adios::BlockKind::kBase, base_level, base, config.codec,
-        config.error_bound,
-        core::tier_hint_for(config, hierarchy, base_level,
-                            base.size() * sizeof(double)));
+        config.error_bound, core::tier_hint_for(config, hierarchy, base_level));
     report.phases.add("delta+compress", t.compress_seconds);
     report.phases.add("io", t.io_sim_seconds);
     report.stored_bytes += t.bytes_written;
@@ -60,9 +58,7 @@ GridRefactorReport refactor_and_write_grid(storage::StorageHierarchy& hierarchy,
     const auto level = static_cast<std::uint32_t>(l);
     const auto t = writer.write_doubles(
         var, adios::BlockKind::kDelta, level, delta, config.codec,
-        config.error_bound,
-        core::tier_hint_for(config, hierarchy, level,
-                            delta.size() * sizeof(double)));
+        config.error_bound, core::tier_hint_for(config, hierarchy, level));
     report.phases.add("delta+compress", t.compress_seconds);
     report.phases.add("io", t.io_sim_seconds);
     report.stored_bytes += t.bytes_written;

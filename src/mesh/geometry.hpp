@@ -21,7 +21,6 @@ struct Vec2 {
   Vec2& operator+=(Vec2 o) { x += o.x; y += o.y; return *this; }
   bool operator==(const Vec2&) const = default;
 
-  double dot(Vec2 o) const { return x * o.x + y * o.y; }
   /// z-component of the 3-D cross product; >0 means `o` is CCW from *this.
   double cross(Vec2 o) const { return x * o.y - y * o.x; }
   double norm2() const { return x * x + y * y; }

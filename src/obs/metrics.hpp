@@ -97,10 +97,9 @@ class Histogram {
   /// Inclusive lower bound of bucket `index` (0, 1, 2, 4, 8, ...).
   static double bucket_lower_bound(std::size_t index);
 
-  std::size_t bucket_count() const { return buckets_; }
   std::uint64_t count() const;
   double sum() const;
-  /// Aggregated per-bucket counts (size bucket_count()).
+  /// Aggregated per-bucket counts, one per bucket.
   std::vector<std::uint64_t> bucket_counts() const;
   /// Quantile estimate (q in [0, 1]) from the aggregated buckets: the lower
   /// bound of the bucket holding the q-th sample. Returns 0 when empty.

@@ -122,10 +122,6 @@ std::size_t TraceRecorder::thread_count() const {
   return n;
 }
 
-void TraceRecorder::write_chrome_trace(std::ostream& os) const {
-  os << chrome_trace_json();
-}
-
 std::string TraceRecorder::chrome_trace_json() const {
   const auto evts = events();
   std::string out;

@@ -88,7 +88,6 @@ class TraceRecorder {
   std::size_t thread_count() const;
 
   /// Chrome trace_event JSON (the "traceEvents" object form).
-  void write_chrome_trace(std::ostream& os) const;
   std::string chrome_trace_json() const;
   /// Writes the Chrome trace to `path`; throws std::runtime_error on I/O
   /// failure.

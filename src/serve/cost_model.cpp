@@ -2,7 +2,6 @@
 
 #include "adios/bp.hpp"
 #include "cache/block_cache.hpp"
-#include "tiering/tier_advisor.hpp"
 #include "util/assert.hpp"
 
 namespace canopus::serve {
@@ -20,8 +19,7 @@ void Calibration::observe_compute(std::size_t bytes, double seconds) {
 
 CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
                            const core::ProgressiveReader& reader,
-                           const Calibration* calibration,
-                           const tiering::TierAdvisor* advisor) {
+                           const Calibration* calibration) {
   CostModel model;
   const std::size_t levels = reader.level_count();
   if (levels <= 1) return model;
@@ -48,33 +46,21 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
       residency = cache->probe(
           b.object_key, storage::StorageHierarchy::decoded_alias(b.object_key));
     }
-    if (residency.blob || residency.decoded) {
-      ++step.cached_blocks;  // I/O free: the blob never leaves the cache
+    if (residency.blob) {
+      ++step.cached_blocks;  // I/O free: the fetch is served from the cache
     } else {
       const auto stored = static_cast<std::size_t>(b.stored_bytes);
-      // The record's tier index describes where the *writer* placed the
-      // block — on a fabric node that may be another node's hierarchy
-      // entirely, and even locally eviction may have demoted it. Charge the
-      // tier that actually holds the block; a block no local tier holds is
-      // remote-resident, and pretending its record tier were local would
-      // undercount the network envelope and overplan the reachable level.
+      // Charge the tier that holds the block now. A block no local tier
+      // holds is remote-resident: the peer prices it with the network
+      // envelope. One that no peer holds either fails its read, so it gets
+      // the slowest tier's price.
       if (const auto local = hierarchy.find(b.object_key)) {
-        // An attached tier advisor may have already *planned* a move for
-        // this block; price its predicted tier so the plan matches what the
-        // query will read from (predictions only override locally resident
-        // blocks — the remote envelope below is never second-guessed).
-        std::size_t where = *local;
-        if (advisor != nullptr) {
-          const auto predicted = advisor->predicted_tier(b.object_key);
-          if (predicted.has_value() && *predicted < hierarchy.tier_count()) {
-            where = *predicted;
-          }
-        }
-        step.io_seconds += hierarchy.tier(where).read_cost(stored);
+        step.io_seconds += hierarchy.tier(*local).read_cost(stored);
       } else if (const auto* remote = hierarchy.remote_store()) {
         step.io_seconds += remote->estimated_read_cost(b.object_key, stored);
       } else {
-        step.io_seconds += hierarchy.tier(b.tier).read_cost(stored);
+        step.io_seconds +=
+            hierarchy.tier(hierarchy.tier_count() - 1).read_cost(stored);
       }
     }
     if (!residency.decoded) {

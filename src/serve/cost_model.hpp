@@ -6,12 +6,15 @@
 // of each refinement step from three sources:
 //
 //   1. Product metadata — the container's block records give every delta
-//      chunk's stored size and tier placement. A step reads nothing else:
-//      every reader holds its geometry from open.
-//   2. The hierarchy's deterministic tier envelope — latency + bytes /
-//      bandwidth per block — with cache-resident blocks counted as free
-//      (BlockCache::probe: blob residency waives the I/O, a resident decoded
-//      array waives the decode too).
+//      chunk's stored size. A step reads nothing else: every reader holds
+//      its geometry from open.
+//   2. Live residency — the hierarchy's find() names the tier that holds
+//      each block now, priced by its deterministic envelope (latency +
+//      bytes / bandwidth); a block no local tier holds is priced by the
+//      peer that would serve it. Cache residency is free where the reader
+//      skips the work (BlockCache::probe): a resident blob waives the I/O,
+//      since the reader always fetches the blob, and a resident decoded
+//      array waives the decode.
 //   3. Observed compute — per scheduler, an EWMA of measured decode+restore
 //      seconds per stored byte replaces the built-in prior as queries
 //      complete. I/O is priced from the envelope alone: observability
@@ -30,12 +33,6 @@
 #include "core/progressive_reader.hpp"
 #include "storage/hierarchy.hpp"
 
-// The tier advisor (src/tiering) supplies predicted residency; forward
-// declaration only, so serve TUs that never pass one don't pull tiering in.
-namespace canopus::tiering {
-class TierAdvisor;
-}  // namespace canopus::tiering
-
 namespace canopus::serve {
 
 /// Estimated cost of one refinement step (refining TO `level`).
@@ -44,7 +41,7 @@ struct LevelCostEstimate {
   double io_seconds = 0.0;       // simulated tier fetches of the step's blocks
   double compute_seconds = 0.0;  // decode + restore estimate (wall)
   std::size_t bytes = 0;         // stored bytes the step covers
-  std::size_t cached_blocks = 0; // blocks currently resident in the cache
+  std::size_t cached_blocks = 0; // blocks whose blob the cache holds
   double total() const { return io_seconds + compute_seconds; }
 };
 
@@ -72,15 +69,12 @@ class Calibration {
 class CostModel {
  public:
   /// Builds per-level step estimates for the variable `reader` has open.
-  /// `calibration` may be null (the compute prior applies). When `advisor`
-  /// is set, locally resident blocks are priced at the advisor's *predicted*
-  /// tier (TierAdvisor::predicted_tier) instead of their current one, so a
-  /// plan raced by a background promotion/demotion charges the placement the
-  /// query will actually read from.
+  /// `calibration` may be null (the compute prior applies). Blocks are
+  /// priced where they live when the model is built: a plan built while a
+  /// tier advisor moves them prices the tier before the move.
   static CostModel build(storage::StorageHierarchy& hierarchy,
                          const core::ProgressiveReader& reader,
-                         const Calibration* calibration = nullptr,
-                         const tiering::TierAdvisor* advisor = nullptr);
+                         const Calibration* calibration = nullptr);
 
   /// One entry per refinable level, index = target level (0 .. levels-2).
   const std::vector<LevelCostEstimate>& steps() const { return steps_; }

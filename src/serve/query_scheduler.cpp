@@ -286,7 +286,7 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
     };
     std::uint64_t model_epoch = topology_epoch();
     CostModel model =
-        CostModel::build(*hierarchy, reader, &calibration_, advisor);
+        CostModel::build(*hierarchy, reader, &calibration_);
     const core::RetrievalTimings at_open = reader.cumulative();
     // The base retrieval already spent part of the budget; plan the reachable
     // level with what is left. Even a budget the base alone exceeded serves
@@ -309,7 +309,7 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
       // first so remaining steps are priced at the blocks' new homes.
       if (const std::uint64_t now_epoch = topology_epoch();
           now_epoch != model_epoch) {
-        model = CostModel::build(*hierarchy, reader, &calibration_, advisor);
+        model = CostModel::build(*hierarchy, reader, &calibration_);
         model_epoch = now_epoch;
         count_serve("replans");
       }

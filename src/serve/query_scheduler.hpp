@@ -14,10 +14,13 @@
 //     under overload, latency stays bounded and clients learn to back off.
 //   * Deadline planning. Each admitted query gets a retrieval-cost budget
 //     (its deadline, in RetrievalTimings::total() seconds — simulated tier
-//     I/O plus measured compute, so plans are machine-independent and tests
-//     deterministic). A per-level CostModel (serve/cost_model.hpp) built
-//     from product metadata, cache residency, and observed tier latencies
-//     plans the reachable level before any delta is fetched.
+//     I/O plus measured wall-clock decode and restore time). A per-level
+//     CostModel (serve/cost_model.hpp) built from product metadata, live
+//     residency, cache residency and each tier's deterministic envelope
+//     plans the reachable level before any delta is fetched. Its I/O
+//     estimate is machine-independent; its compute estimate is an EWMA of
+//     measured wall time, so how deep a query refines can vary with host
+//     speed and load.
 //   * Elastic degradation. Execution re-checks the remaining budget before
 //     every refinement step (ProgressiveReader::refine_while). When the
 //     deadline stops refinement above the target level the query still
@@ -148,12 +151,11 @@ class QueryScheduler {
     fabric_.store(fabric, std::memory_order_release);
   }
 
-  /// Plugs the workload-adaptive tier advisor in: queries record their
-  /// access intent into its HeatTracker before refining (the heat signal
-  /// that drives promotion), and the cost model prices blocks at the
-  /// advisor's predicted residency instead of the current placement. The
-  /// advisor must outlive the scheduler; pass nullptr to detach. Safe to
-  /// call while queries are in flight.
+  /// Plugs the workload-adaptive tier advisor in: queries register their
+  /// container and record their access intent into its HeatTracker before
+  /// refining (the heat signal that drives promotion). Plans still price
+  /// blocks where they live now. The advisor must outlive the scheduler;
+  /// pass nullptr to detach. Safe to call while queries are in flight.
   void attach_tier_advisor(tiering::TierAdvisor* advisor) {
     advisor_.store(advisor, std::memory_order_release);
   }

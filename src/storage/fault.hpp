@@ -84,7 +84,6 @@ class FaultInjector {
   FaultDecision on_write(std::size_t tier);
 
   const FaultCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = FaultCounters{}; }
 
  private:
   util::Rng rng_;

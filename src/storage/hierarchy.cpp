@@ -271,11 +271,6 @@ void StorageHierarchy::attach_access_listener(AccessListener listener) {
   access_listener_ = std::move(listener);
 }
 
-void StorageHierarchy::attach_move_listener(MoveListener listener) {
-  std::scoped_lock lock(mu_);
-  move_listener_ = std::move(listener);
-}
-
 std::vector<std::string> StorageHierarchy::keys_on_tier(std::size_t i) const {
   std::scoped_lock lock(mu_);
   CANOPUS_ASSERT(i < tiers_.size());
@@ -311,11 +306,8 @@ IoResult StorageHierarchy::migrate(const std::string& key, std::size_t to_tier) 
   util::Bytes data;
   const auto read_io = tiers_[*from]->read(key, data);
   const auto write_io = tiers_[to_tier]->write(key, data);
+  // Cached copies of the blob stay valid: the bytes are tier-independent.
   tiers_[*from]->erase(key);
-  // Cached copies of the blob stay valid — the bytes are tier-independent —
-  // but residency observers must re-stamp, or planned costs go stale against
-  // the new placement (the move listener is that re-stamp hook).
-  if (move_listener_) move_listener_(key, *from, to_tier);
   return IoResult{read_io.sim_seconds + write_io.sim_seconds,
                   read_io.wall_seconds + write_io.wall_seconds, data.size()};
 }

@@ -81,8 +81,7 @@ class StorageHierarchy {
         retry_(o.retry_),
         cache_(std::move(o.cache_)),
         remote_(o.remote_),
-        access_listener_(std::move(o.access_listener_)),
-        move_listener_(std::move(o.move_listener_)) {}
+        access_listener_(std::move(o.access_listener_)) {}
   StorageHierarchy& operator=(StorageHierarchy&&) = delete;
   StorageHierarchy(const StorageHierarchy&) = delete;
   StorageHierarchy& operator=(const StorageHierarchy&) = delete;
@@ -95,16 +94,13 @@ class StorageHierarchy {
   /// background maintenance thread while readers and writers are active.
   std::pair<std::size_t, std::size_t> tier_usage(std::size_t i) const;
 
-  /// Index of the fastest tier with room for an object of this size, or
-  /// nullopt when nothing fits.
-  std::optional<std::size_t> choose_tier(std::size_t nbytes) const;
-
   /// Places and writes an object; returns (tier index, io result). When
-  /// `preferred` names a tier with room, the object goes there; otherwise
-  /// it goes to the fastest tier with room, bypassing full tiers. The fit
-  /// check and the write run under one lock, so a concurrent writer cannot
-  /// take the room in between. Throws CapacityError when no tier can hold
-  /// it.
+  /// `preferred` names a tier with room for the object's bytes, the object
+  /// goes there; otherwise it goes to the fastest tier with room, bypassing
+  /// full tiers. This is the only code that picks a block's tier, and find()
+  /// the only record of it. The fit check and the write run under one lock,
+  /// so a concurrent writer cannot take the room in between. Throws
+  /// CapacityError when no tier can hold it.
   std::pair<std::size_t, IoResult> place(
       const std::string& key, util::BytesView data,
       std::optional<std::size_t> preferred = std::nullopt);
@@ -196,19 +192,13 @@ class StorageHierarchy {
   void attach_remote_store(RemoteStore* remote);
   RemoteStore* remote_store() const { return remote_; }
 
-  // --- Placement observation hooks (src/tiering plugs in here). ------------
+  // --- Heat observation hook (src/tiering plugs in here). -------------------
 
   /// Fires once per read this hierarchy serves locally — cache hits, tier
   /// reads, replica fallbacks — with the object key and payload size. This is
   /// the heat signal for workload-adaptive tiering.
   using AccessListener = std::function<void(const std::string& key,
                                             std::size_t bytes)>;
-  /// Fires after any migrate(), including the tier advisor's promotions and
-  /// coldest-first demotions, so residency observers (predicted-placement
-  /// maps, cost planners) can re-stamp instead of going stale.
-  using MoveListener = std::function<void(const std::string& key,
-                                          std::size_t from_tier,
-                                          std::size_t to_tier)>;
 
   /// Installs the listener (last attach wins; empty function detaches).
   /// Attach before concurrent use, like attach_remote_store: the read path
@@ -217,7 +207,6 @@ class StorageHierarchy {
   /// locks (see tiering::HeatTracker) — calling back into the hierarchy from
   /// a listener deadlocks on the non-recursive paths.
   void attach_access_listener(AccessListener listener);
-  void attach_move_listener(MoveListener listener);
 
   /// Locked snapshot of the keys on tier `i`, sorted (replica copies
   /// included). Safe from background maintenance threads; the tier advisor
@@ -225,6 +214,10 @@ class StorageHierarchy {
   std::vector<std::string> keys_on_tier(std::size_t i) const;
 
  private:
+  /// Index of the fastest tier with room for an object of this size, or
+  /// nullopt when nothing fits.
+  std::optional<std::size_t> choose_tier(std::size_t nbytes) const;
+
   /// The pre-cache read path: placement lookup, retry loop, replica
   /// fallback. read() delegates here on a cache miss (or when no cache is
   /// attached).
@@ -263,7 +256,6 @@ class StorageHierarchy {
   std::shared_ptr<cache::BlockCache> cache_;
   RemoteStore* remote_ = nullptr;  // not owned; see attach_remote_store
   AccessListener access_listener_;  // see attach_access_listener
-  MoveListener move_listener_;      // see attach_move_listener
 };
 
 }  // namespace canopus::storage

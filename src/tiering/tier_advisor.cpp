@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -34,8 +33,8 @@ std::size_t free_bytes(const storage::StorageHierarchy& h, std::size_t tier) {
 /// left; returns the number demoted. Keys for which `keep(key)` holds (the
 /// group being promoted) are never victims. Runs inside tick(), so locks
 /// come in the documented order: State::mu (held by tick), then the
-/// hierarchy mutex, then leaf locks (tracker shards, and pred_mu through the
-/// move listener). A key that races away mid-pass just fails its migrate.
+/// hierarchy mutex, then the tracker's shard locks. A key that races away
+/// mid-pass just fails its migrate.
 template <typename Keep>
 std::size_t demote_coldest(const HeatTracker& tracker,
                            storage::StorageHierarchy& h, std::size_t tier,
@@ -65,12 +64,12 @@ std::size_t demote_coldest(const HeatTracker& tracker,
 
 }  // namespace
 
-// All mutable advisor state. The listeners capture the shared_ptr, never the
-// advisor, so a hook left on a borrowed hierarchy or fabric cannot dangle
-// after the advisor is destroyed.
+// All mutable advisor state. The access listener captures the shared_ptr,
+// never the advisor, so a hook left on a borrowed hierarchy or fabric cannot
+// dangle after the advisor is destroyed.
 //
-// Lock order (acyclic): mu → hierarchy mutex → {tracker shard mu, pred_mu}.
-// The listeners fire under a hierarchy mutex and take only leaf locks.
+// Lock order (acyclic): mu → hierarchy mutex → tracker shard mu. The
+// listener fires under a hierarchy mutex and takes only the shard lock.
 struct TierAdvisor::State {
   explicit State(TieringConfig c)
       : config(c), tracker(c.half_life_seconds) {}
@@ -102,11 +101,6 @@ struct TierAdvisor::State {
   std::uint64_t tick_count = 0;
   std::size_t groups_count = 0;
   std::size_t hot_groups = 0;
-
-  // Predicted residency: published before a planned move executes and
-  // re-stamped by every observed migration (leaf lock, see header).
-  mutable std::mutex pred_mu;
-  std::unordered_map<std::string, std::size_t> predicted;
 
   std::atomic<std::uint64_t> promotions{0};
   std::atomic<std::uint64_t> demotions{0};
@@ -148,17 +142,12 @@ TierAdvisor::TierAdvisor(TieringConfig config) {
 
 TierAdvisor::~TierAdvisor() { stop(); }
 
-TierAdvisor::Listeners TierAdvisor::listeners(const std::shared_ptr<State>& s) {
-  return {[s](const std::string& key, std::size_t bytes) {
-            (void)bytes;
-            s->tracker.record(key, 1.0);
-          },
-          [s](const std::string& key, std::size_t from_tier,
-              std::size_t to_tier) {
-            (void)from_tier;
-            std::scoped_lock lock(s->pred_mu);
-            s->predicted[key] = to_tier;
-          }};
+storage::StorageHierarchy::AccessListener TierAdvisor::access_listener(
+    const std::shared_ptr<State>& s) {
+  return [s](const std::string& key, std::size_t bytes) {
+    (void)bytes;
+    s->tracker.record(key, 1.0);
+  };
 }
 
 void TierAdvisor::watch(storage::StorageHierarchy& hierarchy) {
@@ -169,9 +158,7 @@ void TierAdvisor::watch(storage::StorageHierarchy& hierarchy) {
     }
     state_->watched.push_back(&hierarchy);
   }
-  Listeners l = listeners(state_);
-  hierarchy.attach_access_listener(std::move(l.on_access));
-  hierarchy.attach_move_listener(std::move(l.on_move));
+  hierarchy.attach_access_listener(access_listener(state_));
 }
 
 void TierAdvisor::attach_fabric(fabric::Fabric* fabric) {
@@ -183,16 +170,11 @@ void TierAdvisor::attach_fabric(fabric::Fabric* fabric) {
     if (previous == fabric) return;
     s->fabric = fabric;
   }
-  if (previous != nullptr) {
-    previous->set_node_access_listener({});
-    previous->set_node_move_listener({});
-  }
+  if (previous != nullptr) previous->set_node_access_listener({});
   if (fabric == nullptr) return;
-  // The fabric applies these to every current node and to nodes attached
-  // later, so heat keeps flowing across topology epochs.
-  Listeners l = listeners(s);
-  fabric->set_node_access_listener(std::move(l.on_access));
-  fabric->set_node_move_listener(std::move(l.on_move));
+  // The fabric applies it to every current node and to nodes attached later,
+  // so heat keeps flowing across topology epochs.
+  fabric->set_node_access_listener(access_listener(s));
 }
 
 bool TierAdvisor::register_container(const std::string& path) {
@@ -242,14 +224,6 @@ bool TierAdvisor::register_container(const std::string& path) {
 
 HeatTracker& TierAdvisor::heat() { return state_->tracker; }
 const HeatTracker& TierAdvisor::heat() const { return state_->tracker; }
-
-std::optional<std::size_t> TierAdvisor::predicted_tier(
-    const std::string& key) const {
-  std::scoped_lock lock(state_->pred_mu);
-  const auto it = state_->predicted.find(key);
-  if (it == state_->predicted.end()) return std::nullopt;
-  return it->second;
-}
 
 std::size_t TierAdvisor::tick() { return tick_impl(*state_); }
 
@@ -323,15 +297,6 @@ std::size_t TierAdvisor::tick_impl(State& s) {
         bool ok = free_bytes(*h, target) >= room;
         if (ok) {
           try {
-            // Publish the plan before executing it: a planner consulting
-            // predicted_tier() concurrently prices the group at its imminent
-            // home, which is what makes planned cost track achieved cost.
-            {
-              std::scoped_lock plock(s.pred_mu);
-              for (const auto& [m, t] : local) {
-                if (t > target) s.predicted[m->key] = target;
-              }
-            }
             for (const auto& [m, t] : local) {
               if (t > target) h->migrate(m->key, target);
             }
@@ -348,18 +313,8 @@ std::size_t TierAdvisor::tick_impl(State& s) {
           // No room (the coldest-first pass could not free enough, or a
           // concurrent write took what it freed) or a faulting source tier:
           // skip the group like a failed demotion, so no exception reaches
-          // the policy thread. Roll the plan back to actual residency, read
-          // before taking pred_mu (the lock order puts the hierarchy mutex
-          // first).
+          // the policy thread.
           ++skipped_cap;
-          std::vector<std::pair<const std::string*, std::size_t>> actual;
-          for (const auto& [m, t] : local) {
-            if (const std::optional<std::size_t> a = h->find(m->key)) {
-              actual.emplace_back(&m->key, *a);
-            }
-          }
-          std::scoped_lock plock(s.pred_mu);
-          for (const auto& [key, where] : actual) s.predicted[*key] = where;
         }
       } else {  // want_down
         if (cur + 1 >= h->tier_count()) continue;  // already at the bottom

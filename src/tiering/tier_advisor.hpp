@@ -29,11 +29,9 @@
 //     skipped (skipped_capacity). This is the only code that picks which
 //     objects leave a tier: without an advisor nothing demotes, and
 //     placement stays the storage layer's fastest-tier-with-room rule.
-//   * Planned moves are published to a predicted-residency map *before* they
-//     execute, and every observed migration (the advisor's own promotions,
-//     demotions and evictions) re-stamps it — so
-//     serve::CostModel plans against where blocks are going, and planned
-//     cost tracks achieved cost.
+//   * The advisor keeps no record of where a block lives: it reads
+//     StorageHierarchy::find, as serve::CostModel does, so a rewrite, an
+//     erase or a fabric migration cannot leave it a stale copy.
 //   * attach_fabric() extends all of the above to every node of a serving
 //     fabric. Heat is keyed by global object names, so it survives topology
 //     epochs — a chunk migrated to a new owner keeps its history.
@@ -43,13 +41,12 @@
 // results, only timings move. Counters land on tiering.* (obs).
 //
 // Internally all mutable state lives in a shared_ptr<State> that the
-// installed listeners capture, so a hook that outlives the advisor (e.g. one
-// registered on a borrowed hierarchy) never dangles.
+// installed access listener captures, so a hook that outlives the advisor
+// (e.g. one registered on a borrowed hierarchy) never dangles.
 
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -75,15 +72,14 @@ class TierAdvisor {
   TierAdvisor(const TierAdvisor&) = delete;
   TierAdvisor& operator=(const TierAdvisor&) = delete;
 
-  /// Adds a hierarchy to the advisor's purview and installs its heat/move
-  /// listeners (StorageHierarchy::attach_access_listener /
-  /// attach_move_listener). Idempotent per hierarchy. The hierarchy must not
-  /// have other listeners attached (last attach wins), and must outlive the
-  /// advisor's ticks.
+  /// Adds a hierarchy to the advisor's purview and installs its heat
+  /// listener (StorageHierarchy::attach_access_listener). Idempotent per
+  /// hierarchy. The hierarchy must not have another listener attached (last
+  /// attach wins), and must outlive the advisor's ticks.
   void watch(storage::StorageHierarchy& hierarchy);
 
   /// Extends the purview to every attached node of `fabric` (including nodes
-  /// attached later) and installs the per-node heat/move listeners. Pass
+  /// attached later) and installs the per-node heat listener. Pass
   /// nullptr to detach (clears the hooks on the previously attached fabric).
   /// The fabric must outlive the advisor's ticks.
   void attach_fabric(fabric::Fabric* fabric);
@@ -107,26 +103,15 @@ class TierAdvisor {
   void start();
   void stop();
 
-  /// The tier the advisor has planned (or last observed) for `key`, or
-  /// nullopt when the key has no recorded placement decision. Published
-  /// before a planned move executes, and re-stamped by every observed
-  /// migration, so planners price blocks at their imminent home. The index
-  /// is relative to the hierarchy that holds the key locally; callers must
-  /// range-check it against their own tier stack.
-  std::optional<std::size_t> predicted_tier(const std::string& key) const;
-
   TieringReport report() const;
   const TieringConfig& config() const;
 
  private:
   struct State;
-  struct Listeners {
-    storage::StorageHierarchy::AccessListener on_access;  // records heat
-    storage::StorageHierarchy::MoveListener on_move;  // re-stamps predictions
-  };
   static std::size_t tick_impl(State& s);
-  /// The listeners watch() and attach_fabric() install.
-  static Listeners listeners(const std::shared_ptr<State>& s);
+  /// The heat listener watch() and attach_fabric() install.
+  static storage::StorageHierarchy::AccessListener access_listener(
+      const std::shared_ptr<State>& s);
   void loop();
 
   std::shared_ptr<State> state_;

@@ -14,9 +14,9 @@ namespace canopus::tiering {
 ///  max-moves= cooldown-ticks= reserve=>, src/tiering).
 struct TieringConfig {
   /// Starts the advisor's background policy thread when the Pipeline creates
-  /// it. Disabled, the advisor still tracks heat and answers
-  /// predicted_tier(); moves happen only through explicit tick() calls
-  /// (deterministic benches and tests drive it that way).
+  /// it. Disabled, the advisor still tracks heat; moves happen only through
+  /// explicit tick() calls (deterministic benches and tests drive it that
+  /// way).
   bool enabled = false;
   /// Exponential-decay half-life of access heat: a key not touched for this
   /// many seconds is worth half what it was.

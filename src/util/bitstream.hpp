@@ -42,8 +42,6 @@ class BitWriter {
     write_bits(1ull << n, n + 1);
   }
 
-  std::size_t bit_count() const { return words_.size() * 64 + fill_; }
-
   /// Finalizes and returns the packed bytes (pads the tail word with zeros).
   Bytes finish() {
     if (fill_ > 0) {
@@ -95,9 +93,6 @@ class BitReader {
     }
     return n;
   }
-
-  /// Number of whole bits consumed so far.
-  std::size_t bits_consumed() const { return word_index_ * 64 - fill_; }
 
  private:
   void refill() {

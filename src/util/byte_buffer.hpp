@@ -143,10 +143,6 @@ class ByteReader {
   std::size_t position() const { return pos_; }
   std::size_t remaining() const { return view_.size() - pos_; }
   bool exhausted() const { return pos_ == view_.size(); }
-  void seek(std::size_t pos) {
-    CANOPUS_CHECK(pos <= view_.size(), "seek past end");
-    pos_ = pos;
-  }
 
  private:
   BytesView view_;

@@ -104,8 +104,10 @@ TEST(Bp, BaseGoesToFastTierDeltasSpill) {
   }
   ca::BpReader r(h, "placed.bp");
   const auto info = r.inq_var("dpot");
-  EXPECT_EQ(info.block(ca::BlockKind::kBase, 2)->tier, 0u);
-  EXPECT_EQ(info.block(ca::BlockKind::kDelta, 1)->tier, 1u);
+  EXPECT_EQ(h.find(info.block(ca::BlockKind::kBase, 2)->object_key),
+            std::optional<std::size_t>(0));
+  EXPECT_EQ(h.find(info.block(ca::BlockKind::kDelta, 1)->object_key),
+            std::optional<std::size_t>(1));
 }
 
 TEST(Bp, TierHintPinsBlock) {
@@ -116,7 +118,8 @@ TEST(Bp, TierHintPinsBlock) {
     w.close();
   }
   ca::BpReader r(h, "hint.bp");
-  EXPECT_EQ(r.inq_var("v").blocks[0].tier, 1u);
+  EXPECT_EQ(h.find(r.inq_var("v").blocks[0].object_key),
+            std::optional<std::size_t>(1));
 }
 
 TEST(Bp, FullHintedTierFallsBackToBypassPlacement) {
@@ -136,7 +139,6 @@ TEST(Bp, FullHintedTierFallsBackToBypassPlacement) {
   ca::BpReader r(h, "full.bp");
   const auto info = r.inq_var("v");
   const auto& block = info.blocks[0];
-  EXPECT_EQ(block.tier, 1u);
   EXPECT_EQ(h.find(block.object_key), std::optional<std::size_t>(1));
   EXPECT_EQ(r.read_doubles("v", ca::BlockKind::kData, 0), wave(100));
 }

@@ -439,13 +439,53 @@ TEST(Config, FabricDefaultsAndValidation) {
                canopus::Error);
   EXPECT_THROW(cc::load_config(wrap("<fabric remote-bw=\"0MB/s\"/>")),
                canopus::Error);
-  // The fabric does not demote: eviction watermarks fail the load and point
-  // the reader at <tiering> instead of loading and doing nothing.
+  // The fabric does not demote: eviction watermarks fail the load, naming
+  // the element and the attribute, instead of loading and doing nothing.
   const std::string watermark =
       config_error(wrap("<fabric eviction-high=\"0.9\"/>"));
-  EXPECT_NE(watermark.find("<tiering>"), std::string::npos) << watermark;
+  EXPECT_NE(watermark.find("<fabric> has no attribute 'eviction-high'"),
+            std::string::npos)
+      << watermark;
   const std::string bad_nodes = config_error(wrap("<fabric nodes=\"many\"/>"));
   EXPECT_NE(bad_nodes.find("nodes"), std::string::npos) << bad_nodes;
+}
+
+// -------------------------------------------------------- unknown names --
+
+TEST(Config, EveryDocumentedNameLoads) {
+  // Each element's allow-list holds every attribute and child element
+  // core/config.hpp documents; anything else fails the load (see
+  // BadDocumentsNameTheKnobAndLoadAsInvalidArgument).
+  const auto config = cc::load_config(R"(<canopus-config>
+    <storage policy="fastest-fit">
+      <tier preset="tmpfs" capacity="4MiB"/>
+      <tier name="archive" preset="lustre" capacity="1GiB" read-bw="40MB/s"
+            write-bw="40MB/s" read-latency="5ms" write-latency="5ms"
+            backend="file" root="archive-dir"/>
+    </storage>
+    <refactor levels="3" step="2" codec="zfp" error-bound="1e-6"
+              estimate="uniform" priority="shortest" tiered-placement="true"/>
+    <threads>2</threads>
+    <pipeline overlap="true" read-ahead="false"/>
+    <faults seed="7">
+      <tier name="archive" read-error="0.1" write-error="0" corrupt="0"
+            latency-spike="0" spike-duration="1ms"/>
+    </faults>
+    <retry max-attempts="3" backoff="1ms" multiplier="2"/>
+    <cache budget="1MiB" budget-mb="2" shards="2" verify-hits="true"/>
+    <observability enabled="false" trace="t.json" histogram-buckets="16"/>
+    <io depth="2"/>
+    <serve workers="2" queue-limit="8" deadline-default="50ms" age-boost="1"/>
+    <fabric nodes="2" partition="hash" remote-us="10" remote-bw="1GB/s"/>
+    <tiering enabled="false" half-life="1s" promote-above="4" demote-below="1"
+             interval="10ms" max-moves="2" cooldown-ticks="1" reserve="0.1"/>
+  </canopus-config>)");
+  ASSERT_EQ(config.tiers.size(), 2u);
+  EXPECT_EQ(config.tiers[1].root_dir, "archive-dir");
+  EXPECT_EQ(config.faults.size(), 1u);
+  EXPECT_EQ(config.options.io.depth, 2u);
+  ASSERT_TRUE(config.options.tiering.has_value());
+  EXPECT_EQ(config.options.tiering->cooldown_ticks, 1u);
 }
 
 // --------------------------------------------------------------------- io --
@@ -514,6 +554,18 @@ TEST(Config, BadDocumentsNameTheKnobAndLoadAsInvalidArgument) {
       // Retired placement policies: placement is fastest-fit only.
       {"", "slowest-only", " policy=\"slowest-only\""},
       {"", "round-robin", " policy=\"round-robin\""},
+      // Names the loader does not read. Each used to load: a misspelt
+      // attribute left its knob at the default (a 64 MiB cache, tiering
+      // off) and an unknown element was skipped.
+      {"<cache budjet=\"1MiB\"/>", "<cache> has no attribute 'budjet'"},
+      {"<tiering enabeld=\"true\"/>", "<tiering> has no attribute 'enabeld'"},
+      {"<chache budget=\"1MiB\"/>", "<canopus-config> has no element <chache>"},
+      {"<refactor tiered_placement=\"false\"/>",
+       "<refactor> has no attribute 'tiered_placement'"},
+      {"<io depth=\"2\"><lanes/></io>", "<io> has no element <lanes>"},
+      {"<faults><tier name=\"tmpfs\" read-errors=\"0.5\"/></faults>",
+       "<tier> has no attribute 'read-errors'"},
+      {"", "<storage> has no attribute 'polcy'", " polcy=\"fastest-fit\""},
   };
   namespace fs = std::filesystem;
   const auto path =

@@ -354,10 +354,11 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
     EXPECT_EQ(p.tier, slowest) << p.name;
     if (p.name != "base") {
       ASSERT_EQ(p.chunk_tiers.size(), 4u);
-      // Ground truth: the per-chunk tiers recorded in the container index.
+      // Ground truth: the tier the hierarchy holds each chunk on.
       for (const auto& b : info.blocks) {
         if (b.kind == ca::BlockKind::kDelta && b.level == p.level) {
-          EXPECT_EQ(p.chunk_tiers[b.chunk], b.tier)
+          EXPECT_EQ(tiers.find(b.object_key),
+                    std::optional<std::size_t>(p.chunk_tiers[b.chunk]))
               << p.name << " chunk " << b.chunk;
         }
       }
@@ -367,6 +368,76 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
       EXPECT_NE(p.tier, p.chunk_tiers.back()) << p.name;
     }
   }
+}
+
+TEST(Refactorer, LevelTakesItsHintedTierWhenItsStoredBytesFit) {
+  // Level 0's Fig. 1 tier is tier 2, sized to hold exactly the level's
+  // stored delta and mapping but not its raw delta bytes. Only
+  // StorageHierarchy::place decides whether a block fits, with the bytes it
+  // stores, so the level lands there.
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  const auto values = smooth_field(mesh);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "zfp";
+  config.error_bound = 1e-3;
+  const auto three_tiers = [](std::size_t slowest) {
+    return cs::StorageHierarchy({cs::tmpfs_spec(64 << 20),
+                                 cs::ssd_spec(64 << 20),
+                                 cs::lustre_spec(slowest)});
+  };
+  const auto level0 = [](const ca::BlockRecord& b) {
+    return b.level == 0 && (b.kind == ca::BlockKind::kDelta ||
+                            b.kind == ca::BlockKind::kMapping);
+  };
+  std::size_t stored = 0;
+  std::size_t raw_delta = 0;
+  {
+    auto roomy = three_tiers(1 << 30);
+    cc::refactor_and_write(roomy, "p.bp", "v", mesh, values, config);
+    ca::BpReader probe(roomy, "p.bp");
+    for (const auto& b : probe.inq_var("v").blocks) {
+      if (!level0(b)) continue;
+      stored += static_cast<std::size_t>(b.stored_bytes);
+      if (b.kind == ca::BlockKind::kDelta) {
+        raw_delta += static_cast<std::size_t>(b.raw_bytes);
+      }
+    }
+  }
+  ASSERT_LT(stored, raw_delta);
+
+  auto tiers = three_tiers(stored);
+  cc::refactor_and_write(tiers, "p.bp", "v", mesh, values, config);
+  ca::BpReader reader(tiers, "p.bp");
+  std::size_t placed = 0;
+  for (const auto& b : reader.inq_var("v").blocks) {
+    if (!level0(b)) continue;
+    EXPECT_EQ(tiers.find(b.object_key), std::optional<std::size_t>(2))
+        << ca::to_string(b.kind);
+    ++placed;
+  }
+  EXPECT_EQ(placed, 2u);
+}
+
+TEST(Refactorer, RejectsACascadeWithoutCollapseLogs) {
+  auto tiers = big_two_tiers();
+  const auto mesh = cm::make_annulus_mesh(8, 40, 0.5, 1.0, 0.1, 3);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  cm::CascadeOptions copt;
+  copt.levels = config.levels;
+  auto cascade = cm::build_cascade(mesh, smooth_field(mesh), copt);
+  const auto logs = cascade.logs;
+  cascade.logs.pop_back();
+  EXPECT_THROW(cc::refactor_and_write(tiers, "c.bp", "v", cascade, config),
+               canopus::Error);
+  // The rejected write published no container.
+  EXPECT_THROW(ca::BpReader(tiers, "c.bp"), canopus::Error);
+  cascade.logs = logs;
+  cc::refactor_and_write(tiers, "c.bp", "v", cascade, config);
+  cc::ProgressiveReader reader(tiers, "c.bp", "v");
+  reader.refine_to(0);
+  EXPECT_TRUE(reader.current_mesh() == mesh);
 }
 
 TEST(Refactorer, PrebuiltCascadeMatchesFromScratchRefactor) {

@@ -491,7 +491,9 @@ TEST(FailureInjection, CorruptDeltaPayloadSurfacesAsError) {
   const auto info = meta.inq_var("v");
   const auto* rec = info.block(canopus::adios::BlockKind::kDelta, 0);
   ASSERT_NE(rec, nullptr);
-  tiers.write_to(rec->tier, rec->object_key, blob(rec->stored_bytes, 99));
+  const auto where = tiers.find(rec->object_key);
+  ASSERT_TRUE(where.has_value());
+  tiers.write_to(*where, rec->object_key, blob(rec->stored_bytes, 99));
   cc::ProgressiveReader reader(tiers, "corrupt.bp", "v");
   EXPECT_THROW(reader.refine(), canopus::Error);
 }

@@ -16,7 +16,6 @@
 
 #include "core/canopus.hpp"
 #include "core/config.hpp"
-#include "mesh/cascade.hpp"
 #include "mesh/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -468,32 +467,6 @@ TEST(Pipeline, RejectsDecimatingAnEmptyMesh) {
     EXPECT_EQ(pipeline.write(w).code, StatusCode::kInvalidArgument)
         << "priority " << static_cast<int>(priority);
   }
-}
-
-TEST(Pipeline, RejectsACascadeWithoutCollapseLogs) {
-  auto tiers = two_tiers();
-  Pipeline pipeline(tiers);
-  const auto mesh = cm::make_annulus_mesh(8, 40, 0.5, 1.0, 0.1, 3);
-  cm::CascadeOptions copt;
-  copt.levels = 3;
-  auto cascade = cm::build_cascade(mesh, smooth_field(mesh), copt);
-  WriteRequest w;
-  w.path = "c.bp";
-  w.var = "v";
-  w.cascade = &cascade;
-  w.config.levels = 3;
-  const auto logs = cascade.logs;
-  cascade.logs.pop_back();
-  EXPECT_EQ(pipeline.write(w).code, StatusCode::kInvalidArgument);
-  ReadRequest r;
-  r.path = "c.bp";
-  r.var = "v";
-  ReadResult result;
-  EXPECT_EQ(pipeline.read(r, &result).code, StatusCode::kNotFound);
-  cascade.logs = logs;
-  ASSERT_TRUE(pipeline.write(w).ok());
-  ASSERT_TRUE(pipeline.read(r, &result).ok());
-  EXPECT_TRUE(result.mesh == mesh);
 }
 
 TEST(Pipeline, RoundTripMatchesLegacyApiBitwise) {

@@ -395,6 +395,41 @@ TEST(CostModel, CacheResidencyWaivesEstimatedIo) {
   }
 }
 
+TEST(CostModel, CachedDecodedArrayStillChargesTheBlobFetch) {
+  // The reader fetches a chunk's blob even when its decoded array is cached,
+  // so only a resident blob makes the chunk's I/O free. Under LRU pressure
+  // the blobs go first: decoding touches an array after the fetch touched
+  // its blob.
+  Dataset data;
+  auto cache = std::make_shared<canopus::cache::BlockCache>(
+      canopus::cache::CacheConfig{});
+  data.tiers.attach_block_cache(cache);
+  const auto geometry = cc::GeometryCache::load(data.tiers, "d.bp", "v");
+  std::size_t invalidated = 0;
+  {
+    cc::ProgressiveReader warm(data.tiers, "d.bp", "v", &geometry);
+    warm.refine_to(0);
+    for (const auto& b : warm.var_info().blocks) {
+      if (b.kind == canopus::adios::BlockKind::kDelta && b.level == 0) {
+        cache->invalidate(b.object_key);
+        ++invalidated;
+      }
+    }
+  }
+  ASSERT_EQ(invalidated, refactor_config().delta_chunks);
+
+  cc::ProgressiveReader reader(data.tiers, "d.bp", "v", &geometry);
+  const auto model = cv::CostModel::build(data.tiers, reader);
+  const auto level1 = reader.refine();
+  const auto level0 = reader.refine();
+  ASSERT_EQ(reader.current_level(), 0u);
+  EXPECT_EQ(level1.io_seconds, 0.0);
+  EXPECT_EQ(model.step(1).io_seconds, 0.0);
+  EXPECT_GT(level0.io_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(model.step(0).io_seconds, level0.io_seconds);
+  EXPECT_EQ(model.step(0).cached_blocks, 0u);
+}
+
 TEST(CostModel, CalibrationEwmaTracksObservedThroughput) {
   cv::Calibration calibration;
   EXPECT_DOUBLE_EQ(calibration.compute_seconds_per_byte(),

@@ -1,9 +1,9 @@
 // Tests for the workload-adaptive auto-tiering loop (src/tiering): the
 // decayed HeatTracker, the TierAdvisor's hysteresis/cooldown policy,
 // promotion under capacity pressure (coldest-first room making, standalone
-// and on a fabric node), predicted-residency re-stamping (planned cost ==
-// achieved cost), the <tiering> config block, and heat survival across
-// fabric topology changes.
+// and on a fabric node), plans that price live residency after advisor moves
+// and rewrites, the <tiering> config block, and heat survival across fabric
+// topology changes.
 //
 // Randomized sweeps derive their seeds from CANOPUS_TEST_SEED (see
 // tests/test_support.hpp) and print the seed on failure.
@@ -201,8 +201,6 @@ TEST(TierAdvisor, PromotesHotDeltaLevelThenStabilizes) {
   EXPECT_GE(advisor.tick(), 1u);
   for (const auto& key : keys) {
     EXPECT_EQ(tiers.find(key), std::optional<std::size_t>(0)) << key;
-    // The plan was re-stamped as each migration landed.
-    EXPECT_EQ(advisor.predicted_tier(key), std::optional<std::size_t>(0));
   }
   const auto after_rise = advisor.report();
   EXPECT_GE(after_rise.promotions, 2u);
@@ -243,9 +241,6 @@ TEST(TierAdvisor, FaultingSourceTierSkipsPromotionWithoutThrowing) {
   EXPECT_GT(after.skipped_capacity, before.skipped_capacity);
   for (const auto& key : keys) {
     EXPECT_EQ(tiers.find(key), std::optional<std::size_t>(2)) << key;
-    // The published plan was rolled back to actual residency.
-    EXPECT_EQ(advisor.predicted_tier(key), std::optional<std::size_t>(2))
-        << key;
   }
 }
 
@@ -482,8 +477,6 @@ TEST(TierAdvisor, PromotionMakesRoomColdestFirst) {
       rig.advisor->heat().record(hot_key, 10.0);
       EXPECT_GE(rig.advisor->tick(), 1u);
       EXPECT_EQ(rig.h->find(hot_key), std::optional<std::size_t>(0));
-      EXPECT_EQ(rig.advisor->predicted_tier(hot_key),
-                std::optional<std::size_t>(0));
       EXPECT_EQ(rig.h->find("cold"), std::optional<std::size_t>(1));
       EXPECT_EQ(rig.h->find("warm"), std::optional<std::size_t>(1));
       EXPECT_EQ(rig.h->find("hot"), std::optional<std::size_t>(0));
@@ -495,7 +488,7 @@ TEST(TierAdvisor, PromotionMakesRoomColdestFirst) {
     }
     {
       // Lower tiers full: no victim can move, so the promotion is skipped,
-      // the plan matches live residency, and nothing throws or is lost.
+      // and nothing throws or is lost.
       auto rig = make_rig(input, staging, {hot_key}, fast, fillers,
                           /*lower_full=*/true);
       rig.advisor->heat().record(hot_key, 10.0);
@@ -506,7 +499,6 @@ TEST(TierAdvisor, PromotionMakesRoomColdestFirst) {
       EXPECT_EQ(after.promotions, before.promotions);
       EXPECT_EQ(after.evictions, 0u);
       EXPECT_EQ(rig.h->find(hot_key), std::optional<std::size_t>(1));
-      EXPECT_EQ(rig.advisor->predicted_tier(hot_key), rig.h->find(hot_key));
       expect_bytes_intact(rig);
     }
   }
@@ -612,39 +604,76 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   EXPECT_DOUBLE_EQ(after, planned_io(fresh));
 }
 
-TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
-  auto tiers = three_tiers();
+TEST(StaleResidency, RewriteAfterPromotionPlansAtTheLiveTier) {
+  // Tier 2 pays half a second per read, so a plan that prices the level-0
+  // deltas anywhere else is off by far more than host jitter.
+  cs::TierSpec lustre = cs::lustre_spec(1 << 30);
+  lustre.read_latency = 0.5;
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::ssd_spec(128 << 20), lustre});
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  const auto values = smooth_field(mesh);
+  canopus::Options options;
+  options.tiering = test_policy();  // enabled=false: the test drives ticks
+  canopus::Pipeline pipeline(tiers, options);
+  canopus::WriteRequest write;
+  write.path = "d.bp";
+  write.var = "v";
+  write.mesh = &mesh;
+  write.values = &values;
+  write.config = chunked_config();
+  ASSERT_TRUE(pipeline.write(write).ok());
 
-  ct::TierAdvisor advisor(test_policy());
-  advisor.watch(tiers);
-
-  const auto keys = delta_keys(tiers, "d.bp", "v", 1);
+  // The advisor promotes the hot level-0 deltas from tier 2 to tier 0. The
+  // other groups sit inside the hysteresis band, so nothing else moves.
+  ct::TierAdvisor& advisor = pipeline.tier_advisor();
+  ASSERT_TRUE(advisor.register_container("d.bp"));
+  const auto keys = delta_keys(tiers, "d.bp", "v", 0);
   ASSERT_FALSE(keys.empty());
-  EXPECT_EQ(advisor.predicted_tier(keys.front()), std::nullopt);
-
-  // Any observed migration — advisor promotion, demotion or room-making
-  // eviction, or a plain migrate — re-stamps the prediction to the achieved
-  // placement.
-  tiers.migrate(keys.front(), 2);
-  EXPECT_EQ(advisor.predicted_tier(keys.front()),
-            std::optional<std::size_t>(2));
-  tiers.migrate(keys.front(), 0);
-  EXPECT_EQ(advisor.predicted_tier(keys.front()),
-            std::optional<std::size_t>(0));
-
-  // With predictions in line with live residency, an advisor-aware cost
-  // model and a plain one agree exactly: planned cost is achieved cost.
-  cc::ProgressiveReader reader(tiers, "d.bp", "v");
-  const auto with = cv::CostModel::build(tiers, reader, nullptr, &advisor);
-  const auto without = cv::CostModel::build(tiers, reader, nullptr, nullptr);
-  ASSERT_EQ(with.steps().size(), without.steps().size());
-  for (std::size_t i = 0; i < with.steps().size(); ++i) {
-    EXPECT_DOUBLE_EQ(with.steps()[i].io_seconds, without.steps()[i].io_seconds)
-        << "level " << i;
+  {
+    const ca::BpReader reader(tiers, "d.bp");
+    for (const auto& b : reader.inq_var("v").blocks) {
+      const bool hot = b.kind == ca::BlockKind::kDelta && b.level == 0;
+      advisor.heat().record(b.object_key, hot ? 10.0 : 2.0);
+    }
   }
+  for (const auto& key : keys) {
+    ASSERT_EQ(tiers.find(key), std::optional<std::size_t>(2)) << key;
+  }
+  advisor.tick();
+  advisor.tick();
+  for (const auto& key : keys) {
+    ASSERT_EQ(tiers.find(key), std::optional<std::size_t>(0)) << key;
+  }
+
+  // Rewriting the container places the level on tier 2 again.
+  ASSERT_TRUE(pipeline.write(write).ok());
+  for (const auto& key : keys) {
+    ASSERT_EQ(tiers.find(key), std::optional<std::size_t>(2)) << key;
+  }
+
+  // The budget covers the open, the level-1 step and a quarter second: far
+  // more than the level-0 step costs on tier 0, far less than on tier 2.
+  const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
+  double budget = 0.0;
+  {
+    cc::ProgressiveReader probe(tiers, "d.bp", "v", &geometry);
+    const auto model = cv::CostModel::build(tiers, probe);
+    ASSERT_GT(model.step(0).io_seconds, 1.0);
+    budget = probe.cumulative().total() + model.step(1).total() + 0.25;
+  }
+  cv::QueryRequest query;
+  query.path = "d.bp";
+  query.var = "v";
+  query.target_level = 0;
+  query.deadline_seconds = budget;
+  query.geometry = &geometry;
+  cv::QueryResult result;
+  const Status status = pipeline.submit_query(query, &result);
+  ASSERT_TRUE(status.usable()) << status.to_string();
+  EXPECT_EQ(result.planned_level, 1u);
+  EXPECT_EQ(result.achieved_level, 1u);
+  EXPECT_LE(result.timings.total(), budget);
 }
 
 // -------------------------------------------------- bitwise invisibility --
