@@ -22,14 +22,11 @@ constexpr std::size_t kBlock = detail::kZfpBlock;
 // Fixed-point budget: |q| < 2^kQBits after scaling, leaving headroom for the
 // transform's detail coefficients (|d| <= 2 * max|q|) inside int64.
 constexpr int kQBits = 60;
-// Plane-truncation safety: dropping planes below p gives per-coefficient
-// error < 2^p; the inverse lifting amplifies it by at most 1.5x per level
-// over log2(64) = 6 levels (1.5^6 ~ 11.4), so 4 extra planes (16x) below the
-// naive cutoff bound the worst case. Property tests in compress_test.cpp
-// verify the bound across smooth/rough/mixed-exponent signals.
-constexpr int kSafetyPlanes = 4;
 
-enum class BlockMode : std::uint8_t { kAllZero = 0, kNormal = 1, kRaw = 2 };
+// A block's first metadata byte: all zero, raw, or kCoded + p for a block
+// coded down to bit plane p. Folding the stored plane into this byte keeps a
+// coded block's metadata at 4 bytes (mode, emax, top plane).
+enum BlockMode : std::uint8_t { kAllZero = 0, kRaw = 1, kCoded = 2 };
 
 /// One forward lifting stage over a[0..len): pair (even, odd), emit sums then
 /// details. Shared by the scalar path and the vector path's short tails.
@@ -139,23 +136,54 @@ __attribute__((target("avx2"))) void inverse_transform_avx2(std::int64_t* a) {
 }
 #endif  // CANOPUS_SIMD_X86
 
-void forward_transform(std::array<std::int64_t, kBlock>& a) {
-  detail::forward_transform64(a.data());
+/// The decoder's reconstruction of a block's first `n` values from its signed
+/// coefficients: inverse lifting, then back from fixed point. The encoder's
+/// plane check runs it too, so the bound is checked on the doubles a reader
+/// gets.
+void rebuild(std::array<std::int64_t, kBlock>& q, int emax, std::size_t n,
+             double* out) {
+  detail::inverse_transform64(q.data());
+  const double inv_scale = std::ldexp(1.0, emax - kQBits);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(q[i]) * inv_scale;
+  }
 }
 
-void inverse_transform(std::array<std::int64_t, kBlock>& a) {
-  detail::inverse_transform64(a.data());
-}
-
-/// Computes the lowest encoded bit plane for this block. Both sides derive it
-/// from (tolerance, emax) so it is never stored.
-int min_plane(double tolerance, int emax) {
+/// The lowest bit plane to code so that every one of `vals` decodes within
+/// `tolerance`, or -1 when even plane 0 does not (the block is then stored
+/// raw). Planes are tried from one above the tolerance's own plane downward,
+/// each by rebuilding the block as the decoder would from planes
+/// top_plane..p; the first that holds the bound is kept. An error bound <= 0
+/// keeps every plane unchecked.
+int lowest_plane(std::span<const double> vals, double tolerance, int emax,
+                 const std::array<std::int64_t, kBlock>& coeffs,
+                 const std::array<std::uint64_t, kBlock>& u, int top_plane) {
   if (!(tolerance > 0.0)) return 0;
-  // q = x * 2^(kQBits - emax); tolerance in q units is tol * 2^(kQBits-emax).
+  // q = x * 2^(kQBits - emax); the tolerance in q units is tol_q.
   const double tol_q = std::ldexp(tolerance, kQBits - emax);
-  if (tol_q <= 1.0) return 0;
-  const int p = static_cast<int>(std::floor(std::log2(tol_q))) - kSafetyPlanes;
-  return std::clamp(p, 0, 62);
+  const int start =
+      tol_q >= 1.0 ? std::min(std::ilogb(tol_q), top_plane) + 1 : 0;
+  std::array<std::int64_t, kBlock> q{};
+  std::array<double, kBlock> rec{};
+  for (int p = start; p >= 0; --p) {
+    const std::uint64_t keep = ~std::uint64_t{0} << p;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const auto mag = static_cast<std::int64_t>(u[i] & keep);
+      q[i] = coeffs[i] < 0 ? -mag : mag;
+    }
+    rebuild(q, emax, vals.size(), rec.data());
+    bool holds = true;
+    for (std::size_t i = 0; i < vals.size() && holds; ++i) {
+      holds = std::abs(rec[i] - vals[i]) <= tolerance;
+    }
+    if (holds) return p;
+  }
+  return -1;
+}
+
+void put_raw(std::span<const double> vals, util::ByteWriter& out) {
+  out.put(static_cast<std::uint8_t>(kRaw));
+  out.put_bytes(vals.data(), vals.size() * sizeof(double));
 }
 
 void encode_block(std::span<const double> vals, double tolerance,
@@ -170,27 +198,23 @@ void encode_block(std::span<const double> vals, double tolerance,
     }
     maxabs = std::max(maxabs, std::abs(v));
   }
-  if (!finite) {
-    out.put(static_cast<std::uint8_t>(BlockMode::kRaw));
-    out.put_bytes(vals.data(), vals.size() * sizeof(double));
-    return;
-  }
+  if (!finite) return put_raw(vals, out);
   if (maxabs == 0.0) {
-    out.put(static_cast<std::uint8_t>(BlockMode::kAllZero));
+    out.put(static_cast<std::uint8_t>(kAllZero));
     return;
   }
-  out.put(static_cast<std::uint8_t>(BlockMode::kNormal));
   const int emax = std::ilogb(maxabs) + 1;  // maxabs < 2^emax
-  out.put(static_cast<std::int16_t>(emax));
+  const double scale = std::ldexp(1.0, kQBits - emax);
+  // Below ~2^-964 the scale itself overflows: no fixed point to code in.
+  if (!std::isfinite(scale)) return put_raw(vals, out);
 
   std::array<std::int64_t, kBlock> q{};
-  const double scale = std::ldexp(1.0, kQBits - emax);
   for (std::size_t i = 0; i < kBlock; ++i) {
     // Pad a short tail block by repeating the last value (keeps it smooth).
     const double v = i < vals.size() ? vals[i] : vals.back();
     q[i] = std::llround(v * scale);
   }
-  forward_transform(q);
+  detail::forward_transform64(q.data());
 
   // Sign-magnitude coding: bit planes carry |q|; the sign is emitted once,
   // right after a coefficient's first 1 bit. (Plain zigzag would put the sign
@@ -202,7 +226,15 @@ void encode_block(std::span<const double> vals, double tolerance,
     any |= u[i];
   }
   const int top_plane = any ? 63 - std::countl_zero(any) : 0;
-  const int pmin = min_plane(tolerance, emax);
+  const int pmin = lowest_plane(vals, tolerance, emax, q, u, top_plane);
+  if (pmin < 0) return put_raw(vals, out);
+  if (pmin > top_plane) {
+    // No plane needed: the block decodes to zeros within the bound.
+    out.put(static_cast<std::uint8_t>(kAllZero));
+    return;
+  }
+  out.put(static_cast<std::uint8_t>(kCoded + pmin));
+  out.put(static_cast<std::int16_t>(emax));
   out.put(static_cast<std::int8_t>(top_plane));
 
   std::array<bool, kBlock> sig{};
@@ -241,25 +273,29 @@ void encode_block(std::span<const double> vals, double tolerance,
   }
 }
 
-void decode_block(std::size_t n, double tolerance, util::ByteReader& in,
-                  util::BitReader& bits, std::vector<double>& out) {
-  const auto mode = static_cast<BlockMode>(in.get<std::uint8_t>());
-  if (mode == BlockMode::kRaw) {
+void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
+                  std::vector<double>& out) {
+  const auto mode = in.get<std::uint8_t>();
+  if (mode == kRaw) {
     auto raw = in.get_bytes(n * sizeof(double));
     const std::size_t base = out.size();
     out.resize(base + n);
     std::memcpy(out.data() + base, raw.data(), raw.size());
     return;
   }
-  if (mode == BlockMode::kAllZero) {
+  if (mode == kAllZero) {
     out.insert(out.end(), n, 0.0);
     return;
   }
-  CANOPUS_CHECK(mode == BlockMode::kNormal, "zfp stream corrupt (mode)");
+  const int pmin = mode - kCoded;
   const int emax = in.get<std::int16_t>();
   const int top_plane = in.get<std::int8_t>();
-  CANOPUS_CHECK(top_plane >= 0 && top_plane <= 63, "zfp stream corrupt (plane)");
-  const int pmin = min_plane(tolerance, emax);
+  // The encoder codes planes top_plane..pmin, at least one. |q| < 2^kQBits
+  // keeps every coefficient below 2^(kQBits + 1), so top_plane <= kQBits;
+  // that also keeps the inverse lifting inside int64 on any stream (each of
+  // its six stages grows a value by at most 2^kQBits).
+  CANOPUS_CHECK(top_plane >= 0 && top_plane <= kQBits && pmin <= top_plane,
+                "zfp stream corrupt (plane)");
 
   std::array<std::uint64_t, kBlock> u{};
   std::array<bool, kBlock> neg{};
@@ -295,11 +331,9 @@ void decode_block(std::size_t n, double tolerance, util::ByteReader& in,
     const auto mag = static_cast<std::int64_t>(u[i]);
     q[i] = neg[i] ? -mag : mag;
   }
-  inverse_transform(q);
-  const double inv_scale = std::ldexp(1.0, emax - kQBits);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<double>(q[i]) * inv_scale);
-  }
+  const std::size_t base = out.size();
+  out.resize(base + n);
+  rebuild(q, emax, n, out.data() + base);
 }
 
 }  // namespace
@@ -307,7 +341,6 @@ void decode_block(std::size_t n, double tolerance, util::ByteReader& in,
 util::Bytes zfp_encode(std::span<const double> values, double error_bound) {
   util::ByteWriter header;
   header.put_varint(values.size());
-  header.put(error_bound);
 
   util::ByteWriter block_meta;
   util::BitWriter bits;
@@ -323,7 +356,6 @@ util::Bytes zfp_encode(std::span<const double> values, double error_bound) {
 std::vector<double> zfp_decode(util::BytesView bytes) {
   util::ByteReader in(bytes);
   const auto count = in.get_varint();
-  const double error_bound = in.get<double>();
   const auto block_meta = in.get_vector<std::byte>();
   const auto payload = in.get_vector<std::byte>();
 
@@ -336,7 +368,7 @@ std::vector<double> zfp_decode(util::BytesView bytes) {
   out.reserve(count);
   for (std::size_t off = 0; off < count; off += kBlock) {
     const std::size_t n = std::min(kBlock, static_cast<std::size_t>(count) - off);
-    decode_block(n, error_bound, meta, bits, out);
+    decode_block(n, meta, bits, out);
   }
   return out;
 }

@@ -3,13 +3,23 @@
 // re-implemented from scratch for 1-D value streams.
 //
 // Values are processed in blocks of 64. Each block is aligned to a common
-// exponent and scaled to 64-bit fixed point, decorrelated with an integer
-// Haar lifting transform (coarse-to-fine coefficient layout), mapped to
-// unsigned magnitudes via zigzag, and entropy-coded MSB-plane-first with
-// zfp's prefix group-testing scheme. Bit planes below the requested accuracy
-// are truncated — that single knob trades size for error, and smoother input
-// (e.g. Canopus deltas) concentrates energy in fewer coefficients, which is
-// exactly the pre-conditioning effect Fig. 5 of the paper measures.
+// exponent and scaled to 60-bit fixed point, decorrelated with an integer
+// Haar lifting transform (coarse-to-fine coefficient layout), split into
+// sign and magnitude, and entropy-coded MSB-plane-first with zfp's prefix
+// group-testing scheme; a coefficient's sign follows its first 1 bit.
+// Bit planes below a block's stored lowest plane are truncated — that single
+// knob trades size for error, and smoother input (e.g. Canopus deltas)
+// concentrates energy in fewer coefficients, which is exactly the
+// pre-conditioning effect Fig. 5 of the paper measures.
+//
+// The lowest plane is chosen per block by checking, not by an a-priori
+// argument: the encoder rebuilds the block exactly as the decoder will (same
+// inverse transform, same scaling) keeping planes down to p, starting one
+// plane above the error bound's own and stepping down, and stores the first
+// p at which every value decodes within the bound in the block's mode byte
+// of metadata. A block that no plane down to 0 brings within the bound (its
+// fixed-point quantum is coarser than the bound), or that holds a non-finite
+// value, is stored raw. The decoder needs no error bound.
 //
 // An error bound <= 0 keeps every plane: reconstruction is then exact up to
 // the fixed-point quantization (relative ~1e-17), but not bit-identical, so

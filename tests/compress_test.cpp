@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/codec.hpp"
@@ -18,6 +19,7 @@
 #include "compress/rle.hpp"
 #include "compress/sz_like.hpp"
 #include "compress/zfp_like.hpp"
+#include "util/bitstream.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
@@ -357,6 +359,35 @@ TEST(Zfp, NegativeValuesRoundTrip) {
   EXPECT_LE(cu::max_abs_error(xs, dec), 1e-7);
 }
 
+// One block mixing exponents 20 binades apart: its fixed-point quantum
+// (2^-26, from the 1e10 value) is far coarser than the small values, so only
+// raw storage holds a tight bound on them.
+TEST(Zfp, BoundHeldBelowTheBlockQuantum) {
+  std::vector<double> xs(64);
+  xs[0] = 1e10;
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    xs[i] = 1e-10 * (1.0 + 0.1 * static_cast<double>(i));
+  }
+  for (double eb : {1e-9, 1e-12, 1e-15}) {
+    const auto dec = cc::zfp_decode(cc::zfp_encode(xs, eb));
+    ASSERT_EQ(dec.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_LE(std::abs(dec[i] - xs[i]), eb) << "eb=" << eb << " i=" << i;
+    }
+  }
+}
+
+// Values below ~2^-964 overflow the fixed-point scale; such a block is kept
+// verbatim rather than coded from an infinite scale.
+TEST(Zfp, BlockBelowTheFixedPointRangeStoredRaw) {
+  std::vector<double> xs(100, 0.0);
+  for (std::size_t i = 0; i < xs.size(); i += 3) {
+    xs[i] = (i % 2 ? -1e-300 : 1e-300) * static_cast<double>(i + 1);
+  }
+  const auto dec = cc::zfp_decode(cc::zfp_encode(xs, 1e-320));
+  EXPECT_EQ(dec, xs);
+}
+
 // --------------------------------------------------------------- Registry --
 
 TEST(Registry, AllNamesConstruct) {
@@ -471,6 +502,75 @@ TEST(Fuzz, BitFlippedStreamsThrowOrStayBounded) {
       }
     }
   }
+}
+
+// A block's planes must lie where the encoder writes them: the lowest in
+// 0..top_plane, the top at most 60 (coefficients stay below 2^61). Anything
+// else is corruption, not a shorter coding.
+TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
+  // One 64-value block: metadata {mode = 2 + plane, emax, top_plane}, then a
+  // payload of zero bits (every plane's group test says "no more ones").
+  const std::array<std::uint64_t, 8> zero_bits{};
+  auto stream = [&](int top_plane, int plane) {
+    cu::ByteWriter meta;
+    meta.put(static_cast<std::uint8_t>(2 + plane));
+    meta.put(std::int16_t{4});
+    meta.put(static_cast<std::int8_t>(top_plane));
+    cu::ByteWriter w;
+    w.put_varint(64);
+    w.put_vector(meta.bytes());
+    w.put_varint(sizeof zero_bits);
+    w.put_bytes(zero_bits.data(), sizeof zero_bits);
+    return w.take();
+  };
+  EXPECT_NO_THROW(cc::zfp_decode(stream(20, 20)));
+  EXPECT_NO_THROW(cc::zfp_decode(stream(20, 0)));
+  const std::pair<int, int> corrupt[] = {
+      {20, 21}, {20, 40}, {20, 253}, {61, 0}, {63, 63}};
+  for (const auto& [top_plane, plane] : corrupt) {
+    try {
+      cc::zfp_decode(stream(top_plane, plane));
+      ADD_FAILURE() << "planes " << top_plane << ".." << plane << " decoded";
+    } catch (const canopus::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("zfp stream corrupt (plane)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The largest coefficients a stream may carry (top plane 60, every bit set,
+// signs alternating) must decode without overflowing the inverse lifting,
+// and the scalar and vector paths must agree on them bit for bit.
+TEST(Fuzz, ZfpExtremeCoefficientsDecodeDefined) {
+  cu::BitWriter bits;
+  for (int p = 60; p >= 0; --p) {
+    for (std::size_t i = 0; i < cc::detail::kZfpBlock; ++i) {
+      if (p == 60) bits.write_bit(true);   // group test: a 1 remains
+      bits.write_bit(true);                // coefficient i's bit
+      if (p == 60) bits.write_bit(i % 2);  // its sign, after its first 1
+    }
+  }
+  cu::ByteWriter meta;
+  meta.put(std::uint8_t{2});  // coded down to plane 0
+  meta.put(std::int16_t{0});
+  meta.put(std::int8_t{60});
+  cu::ByteWriter w;
+  w.put_varint(cc::detail::kZfpBlock);
+  w.put_vector(meta.bytes());
+  w.put_vector(bits.finish());
+  const auto stream = w.take();
+  std::vector<double> scalar;
+  {
+    cu::simd::ScopedForceScalar force;
+    scalar = cc::zfp_decode(stream);
+  }
+  const auto simd = cc::zfp_decode(stream);
+  ASSERT_EQ(scalar.size(), cc::detail::kZfpBlock);
+  ASSERT_EQ(simd.size(), scalar.size());
+  EXPECT_EQ(std::memcmp(scalar.data(), simd.data(),
+                        scalar.size() * sizeof(double)),
+            0);
 }
 
 // ----------------------------------------------------- simd equivalence --

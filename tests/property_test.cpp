@@ -11,13 +11,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <queue>
 #include <tuple>
 #include <vector>
 
 #include "compress/codec.hpp"
+#include "compress/zfp_like.hpp"
 #include "core/canopus.hpp"
 #include "mesh/cascade.hpp"
 #include "mesh/generators.hpp"
@@ -28,6 +31,7 @@
 #include "storage/hierarchy.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
+#include "util/bitstream.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -97,6 +101,13 @@ std::vector<double> make_signal(const std::string& family, std::size_t n) {
     }
   } else if (family == "tiny") {
     for (auto& x : xs) x = rng.normal(0.0, 1e-12);
+  } else if (family == "mixed") {
+    // Each 64-value block holds 1e10 beside values near 1e-10, so its
+    // fixed-point quantum (2^-26 ~ 1.5e-8) dwarfs all but one of them.
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto k = static_cast<double>(i % 64);
+      xs[i] = k == 0.0 ? 1e10 : 1e-10 * (1.0 + 0.1 * k);
+    }
   }
   return xs;
 }
@@ -558,19 +569,327 @@ TEST_P(CodecBoundSweep, ErrorBoundHeld) {
       << codec_name << " on " << signal << " eb=" << eb;
 }
 
+std::string codec_bound_name(
+    const ::testing::TestParamInfo<CodecBoundSweep::ParamType>& param_info) {
+  std::string c = std::get<0>(param_info.param);
+  std::replace(c.begin(), c.end(), '+', '_');
+  return c + "_" + std::get<1>(param_info.param) + "_e" +
+         std::to_string(std::lround(-std::log10(std::get<2>(param_info.param))));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     CodecsSignalsBounds, CodecBoundSweep,
     ::testing::Combine(::testing::Values("zfp", "sz", "zfp+lzss", "sz+huffman"),
                        ::testing::Values("smooth", "noisy", "spiky", "steps",
                                          "tiny"),
                        ::testing::Values(1e-1, 1e-4, 1e-8)),
-    [](const auto& param_info) {
-      std::string c = std::get<0>(param_info.param);
-      std::replace(c.begin(), c.end(), '+', '_');
-      return c + "_" + std::get<1>(param_info.param) + "_e" +
-             std::to_string(
-                 static_cast<int>(-std::log10(std::get<2>(param_info.param))));
-    });
+    codec_bound_name);
+
+// The mixed-exponent signal at bounds above its blocks' fixed-point quantum
+// and below it, where only a raw block holds the small values.
+INSTANTIATE_TEST_SUITE_P(
+    MixedExponent, CodecBoundSweep,
+    ::testing::Combine(::testing::Values("zfp", "sz", "zfp+lzss", "sz+huffman"),
+                       ::testing::Values("mixed"),
+                       ::testing::Values(1e-1, 1e-4, 1e-8, 1e-12, 1e-15)),
+    codec_bound_name);
+
+// ------------------------------------------------------ zfp plane tightness --
+
+namespace {
+
+constexpr std::size_t kZfpBlock = cp::detail::kZfpBlock;
+
+/// What the reference coded for one block, and whether the old decoder's
+/// reconstruction of it stayed within the bound.
+struct ReferenceZfpBlock {
+  std::size_t values = 0;
+  bool raw = false;
+  int coded_planes = 0;
+  bool held = true;
+};
+
+struct ReferenceZfp {
+  std::size_t stream_bytes = 0;
+  std::vector<ReferenceZfpBlock> blocks;
+};
+
+/// zfp_encode as it was before each block stored its lowest plane: the floor
+/// was derived from the bound, floor(log2(tol * 2^(60 - emax))) minus four
+/// safety planes argued from the inverse lifting's 1.5^6 amplification, and
+/// the decoder re-derived it from the bound in the stream header. Kept
+/// verbatim as the tightness reference for the verified encoder; the only
+/// addition is the per-block record, whose `held` rebuilds the block as the
+/// old decoder did.
+class ReferenceZfpEncoder {
+ public:
+  static ReferenceZfp encode(std::span<const double> values, double error_bound) {
+    cu::ByteWriter header;
+    header.put_varint(values.size());
+    header.put(error_bound);
+    cu::ByteWriter block_meta;
+    cu::BitWriter bits;
+    ReferenceZfp out;
+    for (std::size_t off = 0; off < values.size(); off += kZfpBlock) {
+      const std::size_t n = std::min(kZfpBlock, values.size() - off);
+      out.blocks.push_back(
+          encode_block(values.subspan(off, n), error_bound, block_meta, bits));
+    }
+    header.put_vector(block_meta.bytes());
+    header.put_vector(bits.finish());
+    out.stream_bytes = header.take().size();
+    return out;
+  }
+
+ private:
+  static constexpr int kQBits = 60;
+  static constexpr int kSafetyPlanes = 4;
+
+  static int min_plane(double tolerance, int emax) {
+    if (!(tolerance > 0.0)) return 0;
+    const double tol_q = std::ldexp(tolerance, kQBits - emax);
+    if (tol_q <= 1.0) return 0;
+    const int p = static_cast<int>(std::floor(std::log2(tol_q))) - kSafetyPlanes;
+    return std::clamp(p, 0, 62);
+  }
+
+  static ReferenceZfpBlock encode_block(std::span<const double> vals,
+                                        double tolerance, cu::ByteWriter& out,
+                                        cu::BitWriter& bits) {
+    ReferenceZfpBlock block;
+    block.values = vals.size();
+    double maxabs = 0.0;
+    bool finite = true;
+    for (double v : vals) {
+      if (!std::isfinite(v)) {
+        finite = false;
+        break;
+      }
+      maxabs = std::max(maxabs, std::abs(v));
+    }
+    if (!finite) {
+      out.put(std::uint8_t{2});
+      out.put_bytes(vals.data(), vals.size() * sizeof(double));
+      block.raw = true;
+      return block;
+    }
+    if (maxabs == 0.0) {
+      out.put(std::uint8_t{0});
+      return block;
+    }
+    out.put(std::uint8_t{1});
+    const int emax = std::ilogb(maxabs) + 1;
+    out.put(static_cast<std::int16_t>(emax));
+
+    std::array<std::int64_t, kZfpBlock> q{};
+    const double scale = std::ldexp(1.0, kQBits - emax);
+    for (std::size_t i = 0; i < kZfpBlock; ++i) {
+      const double v = i < vals.size() ? vals[i] : vals.back();
+      q[i] = std::llround(v * scale);
+    }
+    cp::detail::forward_transform64(q.data());
+
+    std::array<std::uint64_t, kZfpBlock> u{};
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < kZfpBlock; ++i) {
+      u[i] = static_cast<std::uint64_t>(q[i] < 0 ? -q[i] : q[i]);
+      any |= u[i];
+    }
+    const int top_plane = any ? 63 - std::countl_zero(any) : 0;
+    const int pmin = min_plane(tolerance, emax);
+    out.put(static_cast<std::int8_t>(top_plane));
+
+    std::array<bool, kZfpBlock> sig{};
+    auto emit_coeff_bit = [&](std::size_t i, int p) {
+      const bool b = (u[i] >> p) & 1u;
+      bits.write_bit(b);
+      if (b && !sig[i]) {
+        bits.write_bit(q[i] < 0);
+        sig[i] = true;
+      }
+      return b;
+    };
+    std::size_t prefix = 0;
+    for (int p = top_plane; p >= pmin; --p) {
+      for (std::size_t i = 0; i < prefix; ++i) emit_coeff_bit(i, p);
+      std::size_t i = prefix;
+      while (i < kZfpBlock) {
+        bool has = false;
+        for (std::size_t j = i; j < kZfpBlock; ++j) {
+          if ((u[j] >> p) & 1u) {
+            has = true;
+            break;
+          }
+        }
+        bits.write_bit(has);
+        if (!has) break;
+        while (!emit_coeff_bit(i++, p)) {
+        }
+        prefix = i;
+      }
+    }
+    block.coded_planes = std::max(0, top_plane - pmin + 1);
+
+    // The old decoder: magnitudes down to pmin, signs, inverse lifting, scale.
+    std::array<std::int64_t, kZfpBlock> rec{};
+    const std::uint64_t keep = pmin < 64 ? ~std::uint64_t{0} << pmin : 0;
+    for (std::size_t i = 0; i < kZfpBlock; ++i) {
+      const auto mag = static_cast<std::int64_t>(u[i] & keep);
+      rec[i] = q[i] < 0 ? -mag : mag;
+    }
+    cp::detail::inverse_transform64(rec.data());
+    const double inv_scale = std::ldexp(1.0, emax - kQBits);
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      block.held = block.held &&
+                   std::abs(static_cast<double>(rec[i]) * inv_scale - vals[i]) <=
+                       tolerance;
+    }
+    return block;
+  }
+};
+
+/// The verified stream's block metadata: a mode byte (0 all zero, 1 raw,
+/// 2 + p coded down to plane p), then emax and top plane for a coded block
+/// or the values for a raw one.
+struct VerifiedZfpBlock {
+  bool raw = false;
+  int coded_planes = 0;
+};
+
+std::vector<VerifiedZfpBlock> parse_zfp_blocks(cu::BytesView stream) {
+  cu::ByteReader in(stream);
+  const auto count = in.get_varint();
+  const auto meta_bytes = in.get_vector<std::byte>();
+  cu::ByteReader meta(meta_bytes);
+  std::vector<VerifiedZfpBlock> blocks;
+  for (std::size_t off = 0; off < count; off += kZfpBlock) {
+    const std::size_t n = std::min<std::size_t>(kZfpBlock, count - off);
+    VerifiedZfpBlock block;
+    const int mode = meta.get<std::uint8_t>();
+    if (mode == 1) {
+      meta.get_bytes(n * sizeof(double));
+      block.raw = true;
+    } else if (mode >= 2) {
+      meta.get<std::int16_t>();
+      const int top_plane = meta.get<std::int8_t>();
+      block.coded_planes = top_plane - (mode - 2) + 1;
+    }
+    blocks.push_back(block);
+  }
+  return blocks;
+}
+
+/// Tallies of one tightness run: blocks by planes saved against the
+/// reference, and raw fallbacks on blocks whose bound the reference broke.
+struct PlaneTally {
+  std::map<int, std::size_t> saved;
+  std::size_t blocks = 0;
+  std::size_t reference_broke = 0;
+  std::size_t raw_fallbacks = 0;
+
+  void print(const std::string& what) const {
+    std::cout << what << ": " << blocks << " blocks, planes kept below the "
+              << "analytic floor's count:\n";
+    for (const auto& [planes, count] : saved) {
+      std::cout << "  " << planes << " fewer: " << count << " ("
+                << 100.0 * static_cast<double>(count) /
+                       static_cast<double>(blocks)
+                << "%)\n";
+    }
+    std::cout << "  reference broke the bound on " << reference_broke
+              << ", raw fallbacks " << raw_fallbacks << "\n";
+  }
+};
+
+/// Encodes `values` both ways and checks that the verified encoder codes no
+/// more planes than the reference on every block the reference kept within
+/// the bound, and that its stream is no larger but for the raw blocks that
+/// replace ones the reference broke.
+void expect_tighter_than_reference(std::span<const double> values, double eb,
+                                   const std::string& context,
+                                   PlaneTally& tally) {
+  const auto reference = ReferenceZfpEncoder::encode(values, eb);
+  const auto stream = cp::zfp_encode(values, eb);
+  const auto blocks = parse_zfp_blocks(stream);
+  ASSERT_EQ(blocks.size(), reference.blocks.size()) << context;
+  std::size_t allowance = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto& ref = reference.blocks[b];
+    const auto& got = blocks[b];
+    ++tally.blocks;
+    if (!ref.held) {
+      ++tally.reference_broke;
+      if (got.raw) {
+        ++tally.raw_fallbacks;
+        allowance += 1 + ref.values * sizeof(double);
+      }
+      continue;
+    }
+    EXPECT_EQ(got.raw, ref.raw) << context << " block " << b;
+    EXPECT_LE(got.coded_planes, ref.coded_planes) << context << " block " << b;
+    if (!ref.raw) ++tally.saved[ref.coded_planes - got.coded_planes];
+  }
+  EXPECT_LE(stream.size(), reference.stream_bytes + allowance) << context;
+}
+
+}  // namespace
+
+TEST(ZfpPlaneTightness, SweepSignalsNeverLargerThanAnalyticFloor) {
+  PlaneTally tally;
+  for (const char* signal :
+       {"smooth", "noisy", "spiky", "steps", "tiny", "mixed"}) {
+    const auto xs = make_signal(signal, 6000);
+    for (const double eb : {1e-1, 1e-4, 1e-8, 1e-12, 1e-15}) {
+      expect_tighter_than_reference(
+          xs, eb,
+          std::string(signal) + " eb=1e-" +
+              std::to_string(std::lround(-std::log10(eb))),
+          tally);
+    }
+  }
+  tally.print("sweep signals");
+  // The analytic floor breaks only blocks whose fixed-point quantum is
+  // coarser than the bound (the mixed signal's below 1e-8, the spiky
+  // signal's spike blocks at 1e-15); each of those is stored raw instead.
+  EXPECT_GT(tally.reference_broke, 0u);
+  EXPECT_EQ(tally.raw_fallbacks, tally.reference_broke);
+}
+
+// One benchmark-size timestep's deltas (XGC1 plane, 4 levels, step 2, the
+// uniform Estimate), each level in 8 Morton chunks, at the benchmark's 1e-4.
+TEST(ZfpPlaneTightness, XgcDeltaPayloadNeverLargerThanAnalyticFloor) {
+  canopus::sim::XgcOptions xopt;
+  xopt.seed = 5000;
+  const auto ds = canopus::sim::make_xgc_dataset(xopt);
+  cm::CascadeOptions copt;
+  copt.levels = 4;
+  copt.step = 2.0;
+  const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+  const auto mode = cc::EstimateMode::kUniformThirds;
+  constexpr std::size_t kChunks = 8;
+  PlaneTally tally;
+  for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
+    const auto& fine = cascade.levels[l];
+    const auto& coarse = cascade.levels[l + 1];
+    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
+    const auto delta =
+        cc::compute_delta(coarse.mesh, coarse.values, fine.values, mapping, mode);
+    const auto order = cc::cached_spatial_order(fine.mesh);
+    cm::Field ordered(delta.size());
+    for (std::size_t pos = 0; pos < order->size(); ++pos) {
+      ordered[pos] = delta[(*order)[pos]];
+    }
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      const std::size_t start = ordered.size() * c / kChunks;
+      const std::size_t stop = ordered.size() * (c + 1) / kChunks;
+      expect_tighter_than_reference(
+          std::span<const double>(ordered).subspan(start, stop - start), 1e-4,
+          "level " + std::to_string(l) + " chunk " + std::to_string(c), tally);
+    }
+  }
+  tally.print("xgc deltas");
+  EXPECT_EQ(tally.reference_broke, 0u);
+}
 
 // ----------------------------------------------------------- delta inverse --
 
