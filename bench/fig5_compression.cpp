@@ -10,7 +10,9 @@
 // Base and deltas are only part of a stored container: each dataset also
 // gets a whole-container table by block kind (base, delta, chunk index, the
 // L0 mesh, collapse logs, mapping), summed from the block records of one
-// 4-level, 8-chunk container. Those byte counts are deterministic.
+// 4-level, 8-chunk container, and the write report's own account of the
+// container (RefactorReport: base+deltas + geometry_bytes). Those byte counts
+// are deterministic.
 
 #include <iostream>
 #include <map>
@@ -73,16 +75,17 @@ Sizes direct_sizes(const mesh::Cascade& cascade, const compress::Codec& codec,
 
 /// Stored bytes of one refactored container by block kind, from its block
 /// records (the base's replica and the metadata object are not blocks).
+/// `report` receives the write's own account of the same bytes.
 util::Table container_by_kind(const sim::Dataset& ds, const std::string& codec,
-                              double eb) {
+                              double eb, core::RefactorReport& report) {
   auto tiers = bench::make_two_tier(256ull << 20);
   core::RefactorConfig config;
   config.levels = 4;
   config.codec = codec;
   config.error_bound = eb;
   config.delta_chunks = 8;
-  core::refactor_and_write(tiers, "fig5.bp", ds.variable, ds.mesh, ds.values,
-                           config);
+  report = core::refactor_and_write(tiers, "fig5.bp", ds.variable, ds.mesh,
+                                    ds.values, config);
   const adios::BpReader reader(tiers, "fig5.bp");
   std::map<adios::BlockKind, std::pair<std::size_t, std::size_t>> kinds;
   std::size_t total = 0;
@@ -144,11 +147,15 @@ int main(int argc, char** argv) {
       t.save_csv(cli.get("csv", ".") + "/fig5" + panel + "_" + ds.name + ".csv");
     }
     std::cout << '\n';
-    container_by_kind(ds, codec->name(), eb)
+    core::RefactorReport report;
+    container_by_kind(ds, codec->name(), eb, report)
         .print(std::cout, std::string("Fig. 5") + panel + " " + ds.name +
                               ": one container by block kind (4 levels, 8 "
                               "delta chunks, uniform Estimate)");
-    std::cout << '\n';
+    std::cout << "write report: base+deltas " << report.total_stored_bytes()
+              << " + geometry " << report.geometry_bytes << " = container "
+              << report.total_stored_bytes() + report.geometry_bytes
+              << " bytes\n\n";
   }
   return 0;
 }

@@ -65,6 +65,10 @@ int main(int argc, char** argv) {
       {storage::tmpfs_spec(1 << 20), storage::lustre_spec(8ull << 30)});
   const auto report = core::refactor_and_write(tiers, "fig6.bp", "dpot",
                                                ds.mesh, ds.values, config);
+  std::cout << "container: base+deltas " << report.total_stored_bytes()
+            << " + geometry " << report.geometry_bytes << " = "
+            << report.total_stored_bytes() + report.geometry_bytes
+            << " bytes\n\n";
   const double decim_1core = report.phases.get("decimation");
   const double delta_1core = report.phases.get("delta+compress");
   const double io_shared = report.phases.get("io");

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the kernels underneath every figure:
 // codec encode/decode throughput, edge-collapse decimation, point location,
-// delta calculation/restoration, and blob detection.
+// delta calculation/restoration, blob detection, and the container
+// geometry's write and load.
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
 // google-benchmark): each vectorized hot kernel (crc32 slice-by-8, zfp
@@ -24,12 +25,15 @@
 #include "compress/sz_like.hpp"
 #include "compress/zfp_like.hpp"
 #include "core/delta.hpp"
+#include "core/geometry_cache.hpp"
+#include "core/refactorer.hpp"
 #include "mesh/cascade.hpp"
 #include "mesh/decimate.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/point_locator.hpp"
 #include "grid/structured.hpp"
 #include "sim/datasets.hpp"
+#include "storage/hierarchy.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -126,6 +130,60 @@ static void BM_BuildCascade(benchmark::State& state) {
                           static_cast<std::int64_t>(ds.mesh.vertex_count()));
 }
 BENCHMARK(BM_BuildCascade)->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/// BM_BuildCascade's timestep as one 4-level, 8-chunk container (the
+/// end-to-end benchmark's write config) in a memory-tier hierarchy.
+struct GeometryFixture {
+  GeometryFixture() {
+    sim::XgcOptions opt;
+    opt.seed = 3000;
+    const auto ds = sim::make_xgc_dataset(opt);
+    config.levels = 4;
+    config.codec = "zfp";
+    config.error_bound = 1e-4;
+    config.delta_chunks = 8;
+    mesh::CascadeOptions copt;
+    copt.levels = config.levels;
+    cascade = mesh::build_cascade(ds.mesh, ds.values, copt);
+    core::refactor_and_write(tiers, "geometry.bp", "dpot", cascade, config);
+  }
+
+  core::RefactorConfig config;
+  mesh::Cascade cascade;
+  storage::StorageHierarchy tiers{{storage::tmpfs_spec(64 << 20)}};
+};
+
+GeometryFixture& geometry_fixture() {
+  static GeometryFixture f;
+  return f;
+}
+
+}  // namespace
+
+// What a reader opened without a cache pays at open: read the L0 mesh, the
+// collapse logs and the mappings, and rebuild levels 1..3.
+static void BM_GeometryLoad(benchmark::State& state) {
+  auto& f = geometry_fixture();
+  const adios::BpReader reader(f.tiers, "geometry.bp");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::GeometryCache::load(reader, "dpot"));
+  }
+}
+BENCHMARK(BM_GeometryLoad)->Unit(benchmark::kMillisecond);
+
+// What one write pays to store its geometry: encode and place the L0 mesh
+// and the collapse logs (each iteration replaces the previous blocks).
+static void BM_WriteGeometry(benchmark::State& state) {
+  auto& f = geometry_fixture();
+  for (auto _ : state) {
+    adios::BpWriter writer(f.tiers, "write-geometry.bp");
+    benchmark::DoNotOptimize(
+        core::write_geometry(writer, f.tiers, "dpot", f.cascade, f.config));
+  }
+}
+BENCHMARK(BM_WriteGeometry)->Unit(benchmark::kMillisecond);
 
 static void BM_PointLocation(benchmark::State& state) {
   const auto& ds = xgc_small();

@@ -104,6 +104,23 @@ CanonicalCodes canonicalize(const std::array<std::uint8_t, kSymbols>& lengths) {
   return cc;
 }
 
+/// `code`'s low `len` bits in reverse order. Canonical codes are MSB-first;
+/// the LSB-first bit stream replays a reversed code in MSB order.
+std::uint32_t reversed(std::uint32_t code, unsigned len) {
+  std::uint32_t r = 0;
+  for (unsigned i = 0; i < len; ++i) r |= ((code >> i) & 1u) << (len - 1 - i);
+  return r;
+}
+
+/// Codes of up to kFastBits bits decode with one table lookup on the next
+/// kFastBits stream bits; longer codes take the canonical bit-by-bit walk.
+constexpr unsigned kFastBits = 11;
+
+struct FastEntry {
+  std::uint8_t symbol = 0;
+  std::uint8_t len = 0;  // 0: no code of <= kFastBits bits is a prefix
+};
+
 }  // namespace
 
 util::Bytes huffman_encode(util::BytesView input) {
@@ -120,23 +137,20 @@ util::Bytes huffman_encode(util::BytesView input) {
     if (l > 0) ++used;
   }
   out.put_varint(static_cast<std::uint64_t>(used));
+  std::array<std::uint32_t, kSymbols> stream_code{};
   for (int s = 0; s < kSymbols; ++s) {
     const auto l = lengths[static_cast<std::size_t>(s)];
     if (l > 0) {
       out.put(static_cast<std::uint8_t>(s));
       out.put(l);
+      stream_code[static_cast<std::size_t>(s)] =
+          reversed(cc.code[static_cast<std::size_t>(s)], l);
     }
   }
   util::BitWriter bits;
   for (std::byte b : input) {
     const auto s = static_cast<std::size_t>(b);
-    // Canonical codes are MSB-first by construction; emit bits reversed so
-    // the LSB-first bit stream replays them in MSB order on read.
-    const std::uint32_t code = cc.code[s];
-    const unsigned len = cc.len[s];
-    for (unsigned i = 0; i < len; ++i) {
-      bits.write_bit(((code >> (len - 1 - i)) & 1u) != 0);
-    }
+    bits.write_bits(stream_code[s], cc.len[s]);
   }
   out.put_vector(bits.finish());
   return out.take();
@@ -154,8 +168,9 @@ util::Bytes huffman_decode(util::BytesView input) {
     lengths[sym] = len;
   }
   const auto payload = in.get_vector<std::byte>();
+  const auto cc = canonicalize(lengths);
 
-  // Build canonical decode tables: for each length, first code and symbols.
+  // Canonical walk tables: for each length, first code and symbols.
   std::array<std::uint32_t, kMaxCodeLen + 2> first_code{};
   std::array<std::uint32_t, kMaxCodeLen + 2> first_index{};
   std::array<std::uint32_t, kMaxCodeLen + 2> level_count{};
@@ -180,12 +195,29 @@ util::Bytes huffman_decode(util::BytesView input) {
       index += level_count[l];
     }
   }
+  // Every kFastBits-bit window that starts with a short code maps to it.
+  std::array<FastEntry, std::size_t{1} << kFastBits> fast{};
+  for (int s : order) {
+    const unsigned len = lengths[static_cast<std::size_t>(s)];
+    if (len > kFastBits) continue;
+    const std::uint32_t low = reversed(cc.code[static_cast<std::size_t>(s)], len);
+    for (std::uint32_t high = 0; high < (1u << (kFastBits - len)); ++high) {
+      fast[low | (high << len)] = {static_cast<std::uint8_t>(s),
+                                   static_cast<std::uint8_t>(len)};
+    }
+  }
 
   // Each symbol consumes at least one payload bit (pad word included).
   CANOPUS_CHECK(count <= payload.size() * 8 + 64, "huffman stream corrupt (count)");
   util::BitReader bits(payload);
-  util::ByteWriter out;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  util::Bytes out(count);
+  for (auto& symbol : out) {
+    const FastEntry e = fast[bits.peek_bits(kFastBits)];
+    if (e.len > 0) {
+      bits.skip_bits(e.len);
+      symbol = static_cast<std::byte>(e.symbol);
+      continue;
+    }
     std::uint32_t code = 0;
     unsigned len = 0;
     int sym = -1;
@@ -199,9 +231,9 @@ util::Bytes huffman_decode(util::BytesView input) {
       }
     }
     CANOPUS_CHECK(sym >= 0, "huffman stream corrupt");
-    out.put(static_cast<std::uint8_t>(sym));
+    symbol = static_cast<std::byte>(sym);
   }
-  return out.take();
+  return out;
 }
 
 }  // namespace canopus::compress

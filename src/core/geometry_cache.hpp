@@ -15,6 +15,26 @@
 // kCollapseLog block: a varint count, then varint (survivor, dying) pairs in
 // level l-1's slot numbering). load() rebuilds levels 1..N-1 by replaying the
 // logs (mesh::replay_collapses), bitwise equal to the writer's cascade.
+//
+// The kMesh block numbers the vertices by rank: the order of first use in
+// triangle order, unreferenced vertices last in id order. Its sections:
+//   varint n, varint T            vertex and triangle counts
+//   permutation                   the id of each rank, ceil(log2 n) bits
+//                                 each, LSB-first in 64-bit words
+//   varint len, Huffman stream    3T corner symbols, in triangle and corner
+//                                 order: 0 a new rank (the next unused);
+//                                 1..3 corner k-1 of the previous triangle;
+//                                 4..11 slot s-4 of an 8-entry list of the
+//                                 most recently used ranks; 12 a rank given
+//                                 by its distance from the newest rank
+//   varint len, Huffman stream    those distances, as varints
+//   varint len, FPC stream        x of every rank
+//   varint len, FPC stream        y of every rank
+//   uint32                        CRC-32 of everything before it
+// Every corner moves its rank to the front of the recent list. The CRC makes
+// a flipped bit an error rather than a different mesh: coordinate residuals
+// and Huffman payloads have no redundancy of their own. There is one layout
+// and one decoder; containers do not outlive the binary that wrote them.
 
 #include <memory>
 #include <string>
@@ -42,6 +62,14 @@ std::size_t container_levels(const adios::BpReader& reader);
 /// returned vector is immutable and shared.
 std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
     const mesh::TriMesh& mesh);
+
+/// The kMesh block of `mesh` (layout above).
+util::Bytes encode_mesh_block(const mesh::TriMesh& mesh);
+
+/// The mesh a kMesh block holds, bitwise as encoded: vertex ids, triangle
+/// order and corner order. Every count is bounded by its section; a
+/// malformed block throws canopus::Error.
+mesh::TriMesh decode_mesh_block(util::BytesView block);
 
 /// Writes the geometry of `cascade` as `var`: the L0 mesh and one collapse
 /// log per pass (layout above), each block with the tier hint of its level

@@ -179,12 +179,14 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
                                        prepared.level, prepared.index_bytes,
                                        hint);
     report.phases.add("io", t.io_sim_seconds);
+    report.geometry_bytes += t.bytes_written;
   }
   report.products.push_back(std::move(product));
 
   const auto mt = writer.write_opaque(var, adios::BlockKind::kMapping,
                                       prepared.level, prepared.map_bytes, hint);
   report.phases.add("io", mt.io_sim_seconds);
+  report.geometry_bytes += mt.bytes_written;
 }
 
 }  // namespace
@@ -235,6 +237,7 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   }
   report.products = std::move(pipeline_report.products);
   report.level_vertices = std::move(pipeline_report.level_vertices);
+  report.geometry_bytes = pipeline_report.geometry_bytes;
   return report;
 }
 
@@ -323,6 +326,7 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   // rebuild every coarser level (GeometryCache::load).
   const auto geometry = write_geometry(writer, hierarchy, var, cascade, config);
   report.phases.add("io", geometry.io_sim_seconds);
+  report.geometry_bytes += geometry.bytes_written;
 
   writer.close();
   return report;

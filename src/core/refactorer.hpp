@@ -40,7 +40,11 @@ struct RefactorReport {
   std::vector<ProductSize> products;
   /// Vertex counts per level, finest first.
   std::vector<std::size_t> level_vertices;
+  /// Stored bytes of the L0 mesh, collapse-log, mapping and chunk-index
+  /// blocks. The whole container is total_stored_bytes() + geometry_bytes.
+  std::size_t geometry_bytes = 0;
 
+  /// Base and deltas only: the products Fig. 5 compares.
   std::size_t total_raw_bytes() const;
   std::size_t total_stored_bytes() const;
 };

@@ -103,50 +103,6 @@ std::vector<Edge> TriMesh::boundary_edges() const {
   return out;
 }
 
-void TriMesh::serialize(util::ByteWriter& out) const {
-  out.put_varint(vertices_.size());
-  for (const auto& v : vertices_) {
-    out.put(v.x);
-    out.put(v.y);
-  }
-  out.put_varint(triangles_.size());
-  for (const auto& t : triangles_) {
-    out.put_varint(t.v[0]);
-    out.put_varint(t.v[1]);
-    out.put_varint(t.v[2]);
-  }
-}
-
-TriMesh TriMesh::deserialize(util::ByteReader& in) {
-  const auto nv = in.get_varint();
-  CANOPUS_CHECK(nv <= in.remaining() / (2 * sizeof(double)),
-                "mesh block: " + std::to_string(nv) + " vertices in " +
-                    std::to_string(in.remaining()) + " bytes");
-  std::vector<Vec2> vertices;
-  vertices.reserve(nv);
-  for (std::uint64_t i = 0; i < nv; ++i) {
-    Vec2 v;
-    v.x = in.get<double>();
-    v.y = in.get<double>();
-    vertices.push_back(v);
-  }
-  const auto nt = in.get_varint();
-  // A triangle takes at least one varint byte per corner.
-  CANOPUS_CHECK(nt <= in.remaining() / 3,
-                "mesh block: " + std::to_string(nt) + " triangles in " +
-                    std::to_string(in.remaining()) + " bytes");
-  std::vector<Triangle> triangles;
-  triangles.reserve(nt);
-  for (std::uint64_t i = 0; i < nt; ++i) {
-    Triangle t;
-    t.v[0] = static_cast<VertexId>(in.get_varint());
-    t.v[1] = static_cast<VertexId>(in.get_varint());
-    t.v[2] = static_cast<VertexId>(in.get_varint());
-    triangles.push_back(t);
-  }
-  return TriMesh(std::move(vertices), std::move(triangles));
-}
-
 namespace {
 /// Interleaves the low 16 bits of x and y into a 32-bit Morton key.
 std::uint32_t morton(std::uint16_t x, std::uint16_t y) {

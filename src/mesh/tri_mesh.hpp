@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mesh/geometry.hpp"
-#include "util/byte_buffer.hpp"
 
 namespace canopus::mesh {
 
@@ -60,10 +59,6 @@ class TriMesh {
 
   /// Edges that belong to exactly one triangle.
   std::vector<Edge> boundary_edges() const;
-
-  /// Serialization for embedding meshes in BP containers.
-  void serialize(util::ByteWriter& out) const;
-  static TriMesh deserialize(util::ByteReader& in);
 
   bool operator==(const TriMesh& o) const {
     return vertices_ == o.vertices_ && triangles_ == o.triangles_;

@@ -5,7 +5,9 @@
 // words into a byte vector. The reader mirrors the layout and throws on
 // overrun.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -76,7 +78,7 @@ class BitReader {
       const unsigned take = std::min(nbits - got, fill_);
       const std::uint64_t mask = (take < 64) ? ((1ull << take) - 1) : ~0ull;
       out |= (acc_ & mask) << got;
-      acc_ >>= take;
+      acc_ = (take < 64) ? acc_ >> take : 0;
       fill_ -= take;
       got += take;
     }
@@ -84,6 +86,32 @@ class BitReader {
   }
 
   bool read_bit() { return read_bits(1) != 0; }
+
+  /// The next `nbits` (<= 32) bits without consuming them, first bit
+  /// lowest. Bits past the end of the stream read as zero; only consuming
+  /// them throws.
+  std::uint64_t peek_bits(unsigned nbits) const {
+    CANOPUS_ASSERT(nbits <= 32);
+    const std::uint64_t mask = (1ull << nbits) - 1;
+    if (fill_ >= nbits) return acc_ & mask;
+    std::uint64_t next = 0;
+    const std::size_t byte_off = word_index_ * sizeof(std::uint64_t);
+    if (byte_off < bytes_.size()) {
+      std::memcpy(&next, bytes_.data() + byte_off,
+                  std::min(sizeof(std::uint64_t), bytes_.size() - byte_off));
+    }
+    return (acc_ | (next << fill_)) & mask;
+  }
+
+  /// Consumes `nbits` bits (typically ones just peeked).
+  void skip_bits(unsigned nbits) {
+    if (nbits < fill_) {
+      acc_ >>= nbits;
+      fill_ -= nbits;
+    } else {
+      read_bits(nbits);
+    }
+  }
 
   std::uint32_t read_unary() {
     std::uint32_t n = 0;
@@ -106,7 +134,7 @@ class BitReader {
   }
 
   BytesView bytes_;
-  std::uint64_t acc_ = 0;
+  std::uint64_t acc_ = 0;  // the next fill_ bits, lowest first; zeros above
   unsigned fill_ = 0;
   std::size_t word_index_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "adios/bp.hpp"
+#include "core/geometry_cache.hpp"
 #include "mesh/generators.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
@@ -146,17 +147,16 @@ TEST(Bp, FullHintedTierFallsBackToBypassPlacement) {
 TEST(Bp, OpaqueMeshBlockRoundTrip) {
   auto h = two_tiers();
   const auto mesh = cm::make_annulus_mesh(4, 24, 0.5, 1.0, 0.1, 2);
-  cu::ByteWriter mesh_bytes;
-  mesh.serialize(mesh_bytes);
+  const auto mesh_bytes = canopus::core::encode_mesh_block(mesh);
   {
     ca::BpWriter w(h, "meshy.bp");
-    w.write_opaque("dpot", ca::BlockKind::kMesh, 1, mesh_bytes.view());
+    w.write_opaque("dpot", ca::BlockKind::kMesh, 1, mesh_bytes);
     w.close();
   }
   ca::BpReader r(h, "meshy.bp");
   const auto raw = r.read_opaque("dpot", ca::BlockKind::kMesh, 1);
-  cu::ByteReader br(raw);
-  EXPECT_TRUE(cm::TriMesh::deserialize(br) == mesh);
+  EXPECT_EQ(raw, mesh_bytes);
+  EXPECT_TRUE(canopus::core::decode_mesh_block(raw) == mesh);
   // Opaque blocks refuse the double-read path.
   EXPECT_THROW(r.read_doubles("dpot", ca::BlockKind::kMesh, 1), canopus::Error);
 }

@@ -8,6 +8,7 @@
 #include "analytics/blob.hpp"
 #include "analytics/raster.hpp"
 #include "mesh/generators.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace an = canopus::analytics;

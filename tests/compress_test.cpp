@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "compress/sz_like.hpp"
 #include "compress/zfp_like.hpp"
 #include "util/bitstream.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
@@ -104,6 +106,29 @@ TEST(Huffman, RandomRoundTripSweep) {
     for (auto& b : input) b = static_cast<std::byte>(rng.uniform_index(256));
     EXPECT_EQ(cc::huffman_decode(cc::huffman_encode(input)), input)
         << "trial " << trial;
+  }
+}
+
+// The table-driven coder writes the stream the bit-at-a-time one did, and
+// reads it back: CRC-32s of its output, recorded before the rewrite, for a
+// uniform input, a skewed one whose rare symbols take codes longer than the
+// decoder's lookup window, and a single-symbol run.
+TEST(Huffman, StreamBytesArePinned) {
+  cu::Bytes uniform(4096);
+  cu::Rng rng(101);
+  for (auto& b : uniform) b = static_cast<std::byte>(rng.uniform_index(256));
+  cu::Bytes skewed(1 << 16);
+  rng.reseed(102);
+  for (auto& b : skewed) {
+    b = static_cast<std::byte>(std::countr_zero(rng.next_u64() | (1ull << 40)));
+  }
+  const cu::Bytes single(1000, std::byte{0x41});
+  const std::array<std::pair<const cu::Bytes*, std::uint32_t>, 3> pinned{
+      {{&uniform, 0x6069cfe1u}, {&skewed, 0x7786da66u}, {&single, 0xda18a46eu}}};
+  for (const auto& [input, crc] : pinned) {
+    const auto enc = cc::huffman_encode(*input);
+    EXPECT_EQ(cu::Crc32::compute(enc), crc) << input->size() << " symbols";
+    EXPECT_EQ(cc::huffman_decode(enc), *input);
   }
 }
 

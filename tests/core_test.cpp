@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
 
+#include "compress/fpc.hpp"
+#include "compress/huffman.hpp"
 #include "core/canopus.hpp"
 #include "mesh/cascade.hpp"
 #include "mesh/generators.hpp"
@@ -19,9 +22,14 @@
 #include "reference_mapping.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/bitstream.hpp"
+#include "util/crc32.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
+namespace cz = canopus::compress;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace ca = canopus::adios;
@@ -42,6 +50,57 @@ cm::Field smooth_field(const cm::TriMesh& mesh) {
 cs::StorageHierarchy big_two_tiers() {
   return cs::StorageHierarchy(
       {cs::tmpfs_spec(256 << 20), cs::lustre_spec(1 << 30)});
+}
+
+/// `body` followed by its CRC-32: a kMesh block's seal.
+cu::Bytes sealed(cu::BytesView body) {
+  cu::ByteWriter w;
+  w.put_bytes(body);
+  w.put(cu::Crc32::compute(body));
+  return w.take();
+}
+
+/// A kMesh block assembled section by section in the layout that
+/// core/geometry_cache.hpp documents, so a malformed case states exactly
+/// what its block holds. The defaults are the block of mesh_block_mesh().
+struct MeshBlockSpec {
+  std::uint64_t n = 5;
+  std::uint64_t triangles = 2;
+  std::vector<std::uint64_t> perm{0, 1, 2, 3, 4};
+  std::vector<std::uint8_t> symbols{0, 0, 0, 1, 3, 0};
+  std::vector<std::uint64_t> distances;
+  std::vector<double> x{0.0, 1.0, 1.0, 0.0, 2.0};
+  std::vector<double> y{0.0, 0.0, 1.0, 1.0, 2.0};
+
+  cu::Bytes body() const {
+    cu::ByteWriter w;
+    w.put_varint(n);
+    w.put_varint(triangles);
+    cu::BitWriter ids;
+    const auto width = n > 1 ? static_cast<unsigned>(std::bit_width(n - 1)) : 0u;
+    for (const auto id : perm) ids.write_bits(id, width);
+    w.put_bytes(ids.finish());
+    const auto section = [&w](const cu::Bytes& bytes) {
+      w.put_varint(bytes.size());
+      w.put_bytes(bytes);
+    };
+    cu::Bytes corner;
+    for (const auto c : symbols) corner.push_back(static_cast<std::byte>(c));
+    section(cz::huffman_encode(corner));
+    cu::ByteWriter d;
+    for (const auto v : distances) d.put_varint(v);
+    section(cz::huffman_encode(d.view()));
+    section(cz::fpc_encode(x));
+    section(cz::fpc_encode(y));
+    return w.take();
+  }
+  cu::Bytes block() const { return sealed(body()); }
+};
+
+/// Two triangles over four of five vertices; vertex 4 is unreferenced.
+cm::TriMesh mesh_block_mesh() {
+  return cm::TriMesh({{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {2.0, 2.0}},
+                     {{{0, 1, 2}}, {{0, 2, 3}}});
 }
 
 }  // namespace
@@ -822,22 +881,15 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
 }
 
 TEST(Decoders, MeshCountBeyondBlockThrowsError) {
-  for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
-    SCOPED_TRACE(n);
-    cu::ByteWriter vertices;
-    vertices.put_varint(n);
-    vertices.put(0.0);
-    vertices.put(1.0);
-    cu::ByteReader rv(vertices.view());
-    EXPECT_THROW(cm::TriMesh::deserialize(rv), canopus::Error);
-
-    cu::ByteWriter triangles;
-    triangles.put_varint(3);
-    for (const double c : {0.0, 0.0, 1.0, 0.0, 0.0, 1.0}) triangles.put(c);
-    triangles.put_varint(n);
-    for (const std::uint64_t v : {0, 1, 2}) triangles.put_varint(v);
-    cu::ByteReader rt(triangles.view());
-    EXPECT_THROW(cm::TriMesh::deserialize(rt), canopus::Error);
+  ASSERT_TRUE(cc::decode_mesh_block(MeshBlockSpec{}.block()) == mesh_block_mesh());
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
+    SCOPED_TRACE(count);
+    MeshBlockSpec vertices;
+    vertices.n = count;
+    EXPECT_THROW(cc::decode_mesh_block(vertices.block()), canopus::Error);
+    MeshBlockSpec triangles;
+    triangles.triangles = count;
+    EXPECT_THROW(cc::decode_mesh_block(triangles.block()), canopus::Error);
   }
 }
 
@@ -938,6 +990,237 @@ TEST(Decoders, MalformedCollapseLogThrowsErrorNamingTheBlock) {
     EXPECT_TRUE(names_block([&] { cc::GeometryCache::load(tiers, path, "v"); }));
     EXPECT_TRUE(names_block([&] { cc::ProgressiveReader(tiers, path, "v"); }));
   }
+}
+
+// A kMesh block that is cut short, has a bit flipped, or holds sections
+// that contradict each other is rejected, naming the block, by the loader
+// and by a reader opened without a cache.
+TEST(Decoders, MalformedMeshBlockThrowsErrorNamingTheBlock) {
+  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
+  auto tiers = big_two_tiers();
+  cc::RefactorConfig config;
+  config.levels = 2;
+  config.codec = "raw";
+  config.delta_chunks = 1;
+  cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
+  const ca::BpReader ok(tiers, "ok.bp");
+  const auto good = ok.read_opaque("v", ca::BlockKind::kMesh, 0);
+  ASSERT_TRUE(cc::decode_mesh_block(good) == mesh);
+  const auto rejected = [&](cu::BytesView block) {
+    {
+      ca::BpWriter writer(tiers, "bad.bp");
+      writer.set_attribute("levels", "2");
+      writer.write_opaque("v", ca::BlockKind::kMesh, 0, block);
+      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
+                          ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
+      writer.write_opaque("v", ca::BlockKind::kMapping, 0,
+                          ok.read_opaque("v", ca::BlockKind::kMapping, 0));
+      writer.write_doubles("v", ca::BlockKind::kBase, 1,
+                           ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
+                           0.0);
+      writer.write_doubles("v", ca::BlockKind::kDelta, 0,
+                           ok.read_doubles("v", ca::BlockKind::kDelta, 0), "raw",
+                           0.0);
+      writer.close();
+    }
+    const auto names_block = [](const std::function<void()>& open) {
+      try {
+        open();
+      } catch (const canopus::Error& e) {
+        return std::string(e.what()).find("mesh block of 'v' at level 0") !=
+               std::string::npos;
+      }
+      return false;
+    };
+    return names_block([&] { cc::GeometryCache::load(tiers, "bad.bp", "v"); }) &&
+           names_block([&] { cc::ProgressiveReader(tiers, "bad.bp", "v"); });
+  };
+
+  // Truncation at every section boundary: as cut (the seal is gone) and
+  // resealed (the sections themselves run short).
+  std::vector<std::size_t> cuts{0};
+  {
+    cu::ByteReader r(good);
+    const auto n = r.get_varint();
+    cuts.push_back(r.position());
+    r.get_varint();
+    cuts.push_back(r.position());
+    const auto width = static_cast<unsigned>(std::bit_width(n - 1));
+    r.get_bytes((n * width + 63) / 64 * 8);
+    cuts.push_back(r.position());
+    for (int section = 0; section < 4; ++section) {
+      const auto len = r.get_varint();
+      cuts.push_back(r.position());
+      r.get_bytes(len);
+      cuts.push_back(r.position());
+    }
+    ASSERT_EQ(r.remaining(), sizeof(std::uint32_t));
+  }
+  for (const auto cut : cuts) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const auto prefix = cu::BytesView(good).first(cut);
+    EXPECT_TRUE(rejected(prefix));
+    if (cut + sizeof(std::uint32_t) < good.size()) {
+      EXPECT_TRUE(rejected(sealed(prefix)));
+    }
+  }
+
+  cu::Rng rng(ct::test_seed() ^ 0x3e5bu);
+  for (int flip = 0; flip < 200; ++flip) {
+    auto bytes = good;
+    const auto bit = rng.uniform_index(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    SCOPED_TRACE("bit " + std::to_string(bit) + " flipped");
+    EXPECT_TRUE(rejected(bytes));
+  }
+
+  // Sections that contradict each other, sealed as a writer would.
+  EXPECT_FALSE(rejected(MeshBlockSpec{}.block()));
+  // Each names what is wrong with it.
+  struct Case {
+    std::string what;
+    std::string message;
+    MeshBlockSpec spec;
+  };
+  std::vector<Case> cases;
+  const auto with = [&](std::string what, std::string message, auto edit) {
+    MeshBlockSpec spec;
+    edit(spec);
+    cases.push_back({std::move(what), std::move(message), std::move(spec)});
+  };
+  with("permutation id repeats", "permutation id 1 repeats",
+       [](auto& s) { s.perm = {0, 1, 1, 3, 4}; });
+  with("permutation id past n", "permutation id 7 past 5",
+       [](auto& s) { s.perm = {0, 1, 2, 3, 7}; });
+  with("previous-triangle corner on triangle 0", "on triangle 0",
+       [](auto& s) { s.symbols = {1, 0, 0, 1, 3, 0}; });
+  with("recent slot not filled yet", "recent slot 2 of 2 filled",
+       [](auto& s) { s.symbols = {0, 0, 6, 1, 3, 0}; });
+  with("distance past the newest rank", "distance 3 past the newest rank",
+       [](auto& s) {
+         s.symbols = {0, 0, 0, 12, 3, 0};
+         s.distances = {3};
+       });
+  with("unknown corner symbol", "corner symbol 13",
+       [](auto& s) { s.symbols = {0, 0, 13, 1, 3, 0}; });
+  with("more new ranks than vertices", "more new vertices than the 5",
+       [](auto& s) { s.symbols = {0, 0, 0, 0, 0, 0}; });
+  with("distance stream outlasts its corners", "distance stream longer",
+       [](auto& s) { s.distances = {0}; });
+  with("corner stream shorter than 3T", "5 corner symbols for 2 triangles",
+       [](auto& s) { s.symbols = {0, 0, 0, 1, 3}; });
+  with("corner stream longer than 3T", "7 corner symbols for 2 triangles",
+       [](auto& s) { s.symbols = {0, 0, 0, 1, 3, 0, 0}; });
+  with("x stream shorter than n", "coordinate stream of 4 values for 5",
+       [](auto& s) { s.x.pop_back(); });
+  with("y stream longer than n", "coordinate stream of 6 values for 5",
+       [](auto& s) { s.y.push_back(3.0); });
+  with("n past its permutation section", "1000 vertices in",
+       [](auto& s) { s.n = 1000; });
+  with("T past its corner section", "1099511627776 triangles in",
+       [](auto& s) { s.triangles = std::uint64_t{1} << 40; });
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    try {
+      cc::decode_mesh_block(c.spec.block());
+      ADD_FAILURE() << "decoded";
+    } catch (const canopus::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(rejected(c.spec.block()));
+  }
+  auto trailing = MeshBlockSpec{}.body();
+  trailing.push_back(std::byte{0});
+  EXPECT_TRUE(rejected(sealed(trailing)));
+}
+
+// --------------------------------------------------------------- mesh block --
+
+namespace {
+
+/// `mesh` with its triangles in a seeded random order (Fisher-Yates).
+cm::TriMesh shuffled_triangles(const cm::TriMesh& mesh, std::uint64_t seed) {
+  auto tris = mesh.triangles();
+  cu::Rng rng(seed);
+  for (std::size_t i = tris.size(); i > 1; --i) {
+    std::swap(tris[i - 1], tris[rng.uniform_index(i)]);
+  }
+  return cm::TriMesh(mesh.vertices(), std::move(tris));
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Bytes of the retired raw layout: varint n, 16 bytes per vertex, varint
+/// T, a varint per corner.
+std::size_t retired_size(const cm::TriMesh& mesh) {
+  std::size_t n = varint_size(mesh.vertex_count()) + 16 * mesh.vertex_count() +
+                  varint_size(mesh.triangle_count());
+  for (const auto& t : mesh.triangles()) {
+    for (const auto v : t.v) n += varint_size(v);
+  }
+  return n;
+}
+
+/// A strip of n vertices with triangle (i, i+1, i+2) for each i, its
+/// vertex ids shuffled.
+cm::TriMesh strip_mesh(std::size_t n, std::uint64_t seed) {
+  std::vector<cm::Vec2> vertices;
+  std::vector<cm::Triangle> tris;
+  for (std::size_t i = 0; i < n; ++i) {
+    vertices.push_back({static_cast<double>(i / 2), static_cast<double>(i % 2)});
+    if (i >= 2) {
+      tris.push_back({{static_cast<cm::VertexId>(i - 2),
+                       static_cast<cm::VertexId>(i - 1),
+                       static_cast<cm::VertexId>(i)}});
+    }
+  }
+  return cm::shuffle_vertices(cm::TriMesh(std::move(vertices), std::move(tris)),
+                              seed);
+}
+
+}  // namespace
+
+// The block holds every dataset's mesh bitwise, in generator triangle
+// order and shuffled; shuffled triangles defeat the corner coder, yet the
+// block stays no larger than the retired raw layout.
+TEST(MeshBlock, RoundTripIsBitwiseOnEveryDataset) {
+  for (const double scale : {0.05, 0.25, 1.0}) {
+    for (const auto& ds : canopus::sim::all_datasets(scale)) {
+      SCOPED_TRACE(ds.name + " at scale " + std::to_string(scale));
+      const auto block = cc::encode_mesh_block(ds.mesh);
+      EXPECT_TRUE(cc::decode_mesh_block(block) == ds.mesh);
+      EXPECT_LT(block.size(), retired_size(ds.mesh));
+      const auto shuffled = shuffled_triangles(ds.mesh, ct::test_seed() + 7);
+      const auto worst = cc::encode_mesh_block(shuffled);
+      EXPECT_TRUE(cc::decode_mesh_block(worst) == shuffled);
+      EXPECT_LE(worst.size(), retired_size(shuffled));
+    }
+  }
+}
+
+TEST(MeshBlock, RoundTripEdgeCases) {
+  std::vector<std::pair<std::string, cm::TriMesh>> meshes;
+  meshes.emplace_back("empty", cm::TriMesh());
+  meshes.emplace_back("one vertex", cm::TriMesh({{0.5, 0.25}}, {}));
+  meshes.emplace_back("unreferenced vertices", mesh_block_mesh());
+  meshes.emplace_back("lone triangle",
+                      cm::TriMesh({{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}}, {{{2, 0, 1}}}));
+  for (unsigned k = 1; k <= 13; ++k) {
+    for (const std::size_t n : {std::size_t{1} << k, (std::size_t{1} << k) + 1}) {
+      meshes.emplace_back(std::to_string(n) + "-vertex strip", strip_mesh(n, k));
+    }
+  }
+  for (const auto& [what, mesh] : meshes) {
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(cc::decode_mesh_block(cc::encode_mesh_block(mesh)) == mesh);
+  }
+  // The block of the unreferenced-vertices mesh is the documented layout.
+  EXPECT_EQ(cc::encode_mesh_block(mesh_block_mesh()), MeshBlockSpec{}.block());
 }
 
 // ---------------------------------------------------------- collapse replay --

@@ -117,6 +117,37 @@ TEST(BitStream, CrossWordBoundary) {
   }
 }
 
+// peek_bits shows what the next reads will return without consuming it,
+// with zeros past the end; only consuming past the end throws.
+TEST(BitStream, PeekThenSkip) {
+  cu::BitWriter w;
+  for (int i = 0; i < 40; ++i) w.write_bits(static_cast<std::uint64_t>(i), 7);
+  const auto bytes = w.finish();  // 280 bits in five words
+  cu::BitReader r(bytes);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::uint64_t next = i + 1 < 40 ? (i + 1) & 0xF : 0;
+    EXPECT_EQ(r.peek_bits(11), i | (next << 7)) << "field " << i;
+    EXPECT_EQ(r.peek_bits(7), i);
+    r.skip_bits(7);
+  }
+  EXPECT_EQ(r.peek_bits(32), 0u);
+  r.skip_bits(32);
+  EXPECT_EQ(r.peek_bits(32), 0u);  // 8 pad bits, then past the end
+  EXPECT_THROW(r.skip_bits(16), canopus::Error);
+}
+
+TEST(BitStream, PeekAfterAWholeWordRead) {
+  cu::BitWriter w;
+  w.write_bits(~0ull, 64);
+  w.write_bits(0x15, 5);
+  const auto bytes = w.finish();
+  cu::BitReader r(bytes);
+  EXPECT_EQ(r.read_bits(64), ~0ull);
+  EXPECT_EQ(r.peek_bits(8), 0x15u);
+  r.skip_bits(5);
+  EXPECT_EQ(r.read_bits(5), 0u);
+}
+
 TEST(BitStream, UnaryCodes) {
   cu::BitWriter w;
   for (std::uint32_t n : {0u, 1u, 5u, 40u, 100u}) w.write_unary(n);
