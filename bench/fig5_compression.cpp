@@ -7,6 +7,11 @@
 // Also reports encode+decode wall time per approach, backing the paper's
 // "both cases result in similar compression speed" observation.
 //
+// The run is a gate on the paper's C1: it exits nonzero unless Canopus is
+// smaller than direct compression at 2, 3 and 4 levels on every dataset, and
+// unless every stream it decodes lies within the error bound of the values
+// it was encoded from.
+//
 // Base and deltas are only part of a stored container: each dataset also
 // gets a whole-container table by block kind (base, delta, chunk index, the
 // L0 mesh, collapse logs, mapping), summed from the block records of one
@@ -14,13 +19,17 @@
 // container (RefactorReport: base+deltas + geometry_bytes). Those byte counts
 // are deterministic.
 
+#include <algorithm>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "compress/codec.hpp"
 #include "core/delta.hpp"
 #include "mesh/cascade.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 using namespace canopus;
@@ -31,45 +40,51 @@ struct Sizes {
   std::size_t stored = 0;
   double encode_s = 0.0;
   double decode_s = 0.0;
+  double max_error = 0.0;  // over every decoded stream
 };
 
-Sizes canopus_sizes(const mesh::Cascade& cascade, const compress::Codec& codec,
-                    double eb) {
+/// Encodes each of `fields` (timed), decodes every stream (timed), and
+/// records the stored bytes and the largest decode error.
+Sizes code_all(const std::vector<mesh::Field>& fields,
+               const compress::Codec& codec, double eb) {
   Sizes out;
   util::WallTimer t;
   std::vector<util::Bytes> streams;
-  streams.push_back(codec.encode(cascade.levels.back().values, eb));
+  for (const auto& f : fields) streams.push_back(codec.encode(f, eb));
+  out.encode_s = t.seconds();
+  for (const auto& s : streams) out.stored += s.size();
+  std::vector<std::vector<double>> decoded;
+  t.reset();
+  for (const auto& s : streams) decoded.push_back(codec.decode(s));
+  out.decode_s = t.seconds();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const double err = decoded[i].size() == fields[i].size()
+                           ? util::max_abs_error(fields[i], decoded[i])
+                           : std::numeric_limits<double>::infinity();
+    out.max_error = std::max(out.max_error, err);
+  }
+  return out;
+}
+
+/// Canopus's products: the base level, then delta^{l-(l+1)} coarse to fine.
+std::vector<mesh::Field> canopus_products(const mesh::Cascade& cascade) {
+  std::vector<mesh::Field> out{cascade.levels.back().values};
   for (std::size_t l = cascade.level_count() - 1; l-- > 0;) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
     const auto mapping = core::build_mapping(
         fine.mesh, coarse.mesh, core::EstimateMode::kUniformThirds);
-    const auto delta = core::compute_delta(coarse.mesh, coarse.values,
-                                           fine.values, mapping,
-                                           core::EstimateMode::kUniformThirds);
-    streams.push_back(codec.encode(delta, eb));
+    out.push_back(core::compute_delta(coarse.mesh, coarse.values, fine.values,
+                                      mapping,
+                                      core::EstimateMode::kUniformThirds));
   }
-  out.encode_s = t.seconds();
-  for (const auto& s : streams) out.stored += s.size();
-  t.reset();
-  for (const auto& s : streams) codec.decode(s);
-  out.decode_s = t.seconds();
   return out;
 }
 
-Sizes direct_sizes(const mesh::Cascade& cascade, const compress::Codec& codec,
-                   double eb) {
-  Sizes out;
-  util::WallTimer t;
-  std::vector<util::Bytes> streams;
-  for (const auto& level : cascade.levels) {
-    streams.push_back(codec.encode(level.values, eb));
-  }
-  out.encode_s = t.seconds();
-  for (const auto& s : streams) out.stored += s.size();
-  t.reset();
-  for (const auto& s : streams) codec.decode(s);
-  out.decode_s = t.seconds();
+/// Direct compression's products: every level on its own.
+std::vector<mesh::Field> direct_products(const mesh::Cascade& cascade) {
+  std::vector<mesh::Field> out;
+  for (const auto& level : cascade.levels) out.push_back(level.values);
   return out;
 }
 
@@ -121,6 +136,7 @@ int main(int argc, char** argv) {
   std::cout << "Figure 5: Canopus vs direct compression (codec="
             << codec->name() << ", abs error bound=" << eb << ")\n\n";
 
+  std::vector<std::string> failures;
   for (const auto& ds : sim::all_datasets(scale)) {
     const std::size_t raw = ds.values.size() * sizeof(double);
     util::Table t({"total-levels", "direct", "canopus", "improvement",
@@ -130,10 +146,25 @@ int main(int argc, char** argv) {
       mesh::CascadeOptions copt;
       copt.levels = n;
       const auto cascade = mesh::build_cascade(ds.mesh, ds.values, copt);
-      const auto d = direct_sizes(cascade, *codec, eb);
-      const auto c = canopus_sizes(cascade, *codec, eb);
+      const auto d = code_all(direct_products(cascade), *codec, eb);
+      // Canopus's encode time includes computing its deltas.
+      util::WallTimer delta_timer;
+      const auto products = canopus_products(cascade);
+      const double delta_s = delta_timer.seconds();
+      auto c = code_all(products, *codec, eb);
+      c.encode_s += delta_s;
       const double dn = static_cast<double>(d.stored) / static_cast<double>(raw);
       const double cn = static_cast<double>(c.stored) / static_cast<double>(raw);
+      const std::string where = ds.name + " at " + std::to_string(n) + " levels";
+      if (n >= 2 && c.stored >= d.stored) {
+        failures.push_back(where + ": canopus " + std::to_string(c.stored) +
+                           " bytes, direct " + std::to_string(d.stored));
+      }
+      if (const double err = std::max(c.max_error, d.max_error); !(err <= eb)) {
+        std::ostringstream msg;
+        msg << where << ": a stream decoded " << err << " off, bound " << eb;
+        failures.push_back(msg.str());
+      }
       t.add_row({std::to_string(n), util::Table::num(dn, 4),
                  util::Table::num(cn, 4),
                  util::Table::pct(dn > 0 ? (dn - cn) / dn : 0.0),
@@ -157,5 +188,12 @@ int main(int argc, char** argv) {
               << report.total_stored_bytes() + report.geometry_bytes
               << " bytes\n\n";
   }
+  if (!failures.empty()) {
+    std::cout << "C1 gate FAILED:\n";
+    for (const auto& f : failures) std::cout << "  " << f << '\n';
+    return 1;
+  }
+  std::cout << "C1 gate passed: canopus smaller than direct at 2-4 levels on "
+               "every dataset, every stream within the bound\n";
   return 0;
 }

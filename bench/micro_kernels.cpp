@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the kernels underneath every figure:
-// codec encode/decode throughput, edge-collapse decimation, point location,
-// delta calculation/restoration, blob detection, and the container
+// codec encode/decode throughput, a timestep's base and delta streams coded
+// and decoded as a write and a read do, edge-collapse decimation, point
+// location, delta calculation/restoration, blob detection, and the container
 // geometry's write and load.
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
@@ -184,6 +185,70 @@ static void BM_WriteGeometry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WriteGeometry)->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/// What prepare_level hands the codec for BM_BuildCascade's timestep: the
+/// base level's values, then each delta level (coarse to fine) in Morton
+/// order, cut into the config's 8 chunks.
+const std::vector<mesh::Field>& timestep_payload() {
+  static const std::vector<mesh::Field> payload = [] {
+    const auto& f = geometry_fixture();
+    const auto& levels = f.cascade.levels;
+    std::vector<mesh::Field> out{levels.back().values};
+    for (std::size_t l = levels.size() - 1; l-- > 0;) {
+      const auto mapping = core::build_mapping(
+          levels[l].mesh, levels[l + 1].mesh, f.config.estimate);
+      const auto delta =
+          core::compute_delta(levels[l + 1].mesh, levels[l + 1].values,
+                              levels[l].values, mapping, f.config.estimate);
+      const auto order = core::cached_spatial_order(levels[l].mesh);
+      const std::size_t n = delta.size();
+      const std::size_t chunks = f.config.delta_chunks;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        mesh::Field chunk;
+        for (std::size_t pos = n * c / chunks; pos < n * (c + 1) / chunks; ++pos) {
+          chunk.push_back(delta[(*order)[pos]]);
+        }
+        out.push_back(std::move(chunk));
+      }
+    }
+    return out;
+  }();
+  return payload;
+}
+
+}  // namespace
+
+// What one write pays to code its base and deltas (25 zfp streams at 1e-4);
+// BM_CodecEncode/zfp times a smooth signal instead, which codes differently.
+static void BM_EncodeDeltas(benchmark::State& state) {
+  const auto& payload = timestep_payload();
+  const auto codec = compress::make_codec("zfp");
+  const double eb = geometry_fixture().config.error_bound;
+  for (auto _ : state) {
+    for (const auto& values : payload) {
+      benchmark::DoNotOptimize(codec->encode(values, eb));
+    }
+  }
+}
+BENCHMARK(BM_EncodeDeltas)->Unit(benchmark::kMillisecond);
+
+// What a full-accuracy read pays to decode the same 25 streams.
+static void BM_DecodeDeltas(benchmark::State& state) {
+  const auto codec = compress::make_codec("zfp");
+  const double eb = geometry_fixture().config.error_bound;
+  std::vector<util::Bytes> streams;
+  for (const auto& values : timestep_payload()) {
+    streams.push_back(codec->encode(values, eb));
+  }
+  for (auto _ : state) {
+    for (const auto& stream : streams) {
+      benchmark::DoNotOptimize(codec->decode(stream));
+    }
+  }
+}
+BENCHMARK(BM_DecodeDeltas)->Unit(benchmark::kMillisecond);
 
 static void BM_PointLocation(benchmark::State& state) {
   const auto& ds = xgc_small();

@@ -9,7 +9,7 @@
 //   sz    - predictive quantization + Huffman, error-bounded (lossy)
 //   fpc   - FCM/DFCM predictor + leading-zero coding (lossless)
 //   lzss  - dictionary coder over raw bytes (lossless)
-//   huffman, rle, raw - entropy / trivial stages (lossless)
+//   huffman, raw  - entropy / trivial stages (lossless)
 //
 // Lossy codecs honor an absolute error bound; lossless codecs ignore it.
 // Every encoded stream is self-describing: decode() needs only the bytes.
@@ -46,13 +46,5 @@ CodecPtr make_codec(const std::string& name);
 
 /// Names available to make_codec, sorted.
 std::vector<std::string> codec_names();
-
-/// Compression ratio helper: uncompressed bytes / compressed bytes.
-inline double ratio(std::size_t original_values, std::size_t compressed_bytes) {
-  return compressed_bytes == 0
-             ? 0.0
-             : static_cast<double>(original_values * sizeof(double)) /
-                   static_cast<double>(compressed_bytes);
-}
 
 }  // namespace canopus::compress

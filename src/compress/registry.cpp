@@ -1,7 +1,8 @@
 // Codec registry: adapts the standalone compressors to the Codec interface
 // and exposes them by name. Byte-oriented lossless stages (lzss, huffman,
-// rle, raw) treat the doubles as an 8-byte-per-value stream.
+// raw) treat the doubles as an 8-byte-per-value stream.
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -10,7 +11,6 @@
 #include "compress/fpc.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzss.hpp"
-#include "compress/rle.hpp"
 #include "compress/sz_like.hpp"
 #include "compress/zfp_like.hpp"
 #include "util/assert.hpp"
@@ -55,12 +55,31 @@ class FpcCodec final : public Codec {
   }
 };
 
-/// Adapts a lossless bytes->bytes transform into a double codec.
+/// A lossless bytes->bytes transform: a codec on its own (over the values'
+/// bytes) and a stage after any double codec.
+struct ByteStage {
+  util::Bytes (*encode)(util::BytesView);
+  util::Bytes (*decode)(util::BytesView);
+};
+
+util::Bytes identity(util::BytesView in) {
+  return util::Bytes(in.begin(), in.end());
+}
+
+/// The byte stages a "head+stage" chain may name.
+const std::map<std::string, ByteStage>& byte_stages() {
+  static const std::map<std::string, ByteStage> map = {
+      {"lzss", {lzss_encode, lzss_decode}},
+      {"huffman", {huffman_encode, huffman_decode}},
+  };
+  return map;
+}
+
+/// Adapts a byte stage into a double codec.
 class ByteStageCodec final : public Codec {
  public:
-  using Fn = std::function<util::Bytes(util::BytesView)>;
-  ByteStageCodec(std::string codec_name, Fn enc, Fn dec)
-      : name_(std::move(codec_name)), enc_(std::move(enc)), dec_(std::move(dec)) {}
+  ByteStageCodec(std::string codec_name, ByteStage stage)
+      : name_(std::move(codec_name)), stage_(stage) {}
 
   std::string name() const override { return name_; }
   bool lossless() const override { return true; }
@@ -68,69 +87,49 @@ class ByteStageCodec final : public Codec {
   util::Bytes encode(std::span<const double> values, double /*bound*/) const override {
     util::BytesView raw(reinterpret_cast<const std::byte*>(values.data()),
                         values.size() * sizeof(double));
-    return enc_(raw);
+    return stage_.encode(raw);
   }
   std::vector<double> decode(util::BytesView bytes) const override {
-    const util::Bytes raw = dec_(bytes);
-    return util::from_bytes<double>(raw);
+    return util::from_bytes<double>(stage_.decode(bytes));
   }
 
  private:
   std::string name_;
-  Fn enc_, dec_;
+  ByteStage stage_;
 };
 
-util::Bytes identity(util::BytesView in) {
-  return util::Bytes(in.begin(), in.end());
-}
-
 /// Chains a double codec with lossless byte stages: "zfp+lzss" runs zfp's
-/// output through lzss; "fpc+rle+huffman" stacks two entropy stages. The
-/// chain is lossless iff the head codec is.
+/// output through lzss; "fpc+lzss+huffman" stacks two. The chain is lossless
+/// iff the head codec is.
 class PipelineCodec final : public Codec {
  public:
   PipelineCodec(std::string full_name, CodecPtr head,
-                std::vector<std::string> stage_names)
+                std::vector<ByteStage> stages)
       : name_(std::move(full_name)),
         head_(std::move(head)),
-        stages_(std::move(stage_names)) {}
+        stages_(std::move(stages)) {}
 
   std::string name() const override { return name_; }
   bool lossless() const override { return head_->lossless(); }
 
   util::Bytes encode(std::span<const double> values, double bound) const override {
     util::Bytes data = head_->encode(values, bound);
-    for (const auto& stage : stages_) {
-      data = stage_encode(stage, data);
-    }
+    for (const auto& stage : stages_) data = stage.encode(data);
     return data;
   }
 
   std::vector<double> decode(util::BytesView bytes) const override {
     util::Bytes data(bytes.begin(), bytes.end());
     for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
-      data = stage_decode(*it, data);
+      data = it->decode(data);
     }
     return head_->decode(data);
   }
 
  private:
-  static util::Bytes stage_encode(const std::string& stage, util::BytesView in) {
-    if (stage == "lzss") return lzss_encode(in);
-    if (stage == "huffman") return huffman_encode(in);
-    if (stage == "rle") return rle_encode(in);
-    throw Error("unknown pipeline stage: " + stage);
-  }
-  static util::Bytes stage_decode(const std::string& stage, util::BytesView in) {
-    if (stage == "lzss") return lzss_decode(in);
-    if (stage == "huffman") return huffman_decode(in);
-    if (stage == "rle") return rle_decode(in);
-    throw Error("unknown pipeline stage: " + stage);
-  }
-
   std::string name_;
   CodecPtr head_;
-  std::vector<std::string> stages_;
+  std::vector<ByteStage> stages_;
 };
 
 using Factory = std::function<CodecPtr()>;
@@ -140,24 +139,10 @@ const std::map<std::string, Factory>& factories() {
       {"zfp", [] { return CodecPtr(std::make_unique<ZfpCodec>()); }},
       {"sz", [] { return CodecPtr(std::make_unique<SzCodec>()); }},
       {"fpc", [] { return CodecPtr(std::make_unique<FpcCodec>()); }},
-      {"lzss",
-       [] {
-         return CodecPtr(std::make_unique<ByteStageCodec>("lzss", lzss_encode,
-                                                          lzss_decode));
-       }},
-      {"huffman",
-       [] {
-         return CodecPtr(std::make_unique<ByteStageCodec>(
-             "huffman", huffman_encode, huffman_decode));
-       }},
-      {"rle",
-       [] {
-         return CodecPtr(std::make_unique<ByteStageCodec>("rle", rle_encode,
-                                                          rle_decode));
-       }},
       {"raw",
        [] {
-         return CodecPtr(std::make_unique<ByteStageCodec>("raw", identity, identity));
+         return CodecPtr(std::make_unique<ByteStageCodec>(
+             "raw", ByteStage{identity, identity}));
        }},
   };
   return map;
@@ -171,19 +156,22 @@ CodecPtr make_codec(const std::string& name) {
   if (plus != std::string::npos) {
     const std::string head_name = name.substr(0, plus);
     CodecPtr head = make_codec(head_name);
-    std::vector<std::string> stages;
+    std::vector<ByteStage> stages;
     std::size_t pos = plus + 1;
     while (pos <= name.size()) {
       const auto next = name.find('+', pos);
-      const auto stage = name.substr(pos, next - pos);
-      CANOPUS_CHECK(stage == "lzss" || stage == "huffman" || stage == "rle",
-                    "unknown pipeline stage: " + stage);
-      stages.push_back(stage);
+      const auto stage = byte_stages().find(name.substr(pos, next - pos));
+      CANOPUS_CHECK(stage != byte_stages().end(),
+                    "unknown pipeline stage: " + name.substr(pos, next - pos));
+      stages.push_back(stage->second);
       if (next == std::string::npos) break;
       pos = next + 1;
     }
     CANOPUS_CHECK(!stages.empty(), "empty pipeline stage in codec: " + name);
     return std::make_unique<PipelineCodec>(name, std::move(head), std::move(stages));
+  }
+  if (const auto stage = byte_stages().find(name); stage != byte_stages().end()) {
+    return std::make_unique<ByteStageCodec>(name, stage->second);
   }
   auto it = factories().find(name);
   CANOPUS_CHECK(it != factories().end(), "unknown codec: " + name);
@@ -193,6 +181,8 @@ CodecPtr make_codec(const std::string& name) {
 std::vector<std::string> codec_names() {
   std::vector<std::string> names;
   for (const auto& [name, _] : factories()) names.push_back(name);
+  for (const auto& [name, _] : byte_stages()) names.push_back(name);
+  std::sort(names.begin(), names.end());
   return names;
 }
 

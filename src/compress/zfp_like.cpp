@@ -23,10 +23,15 @@ constexpr std::size_t kBlock = detail::kZfpBlock;
 // transform's detail coefficients (|d| <= 2 * max|q|) inside int64.
 constexpr int kQBits = 60;
 
-// A block's first metadata byte: all zero, raw, or kCoded + p for a block
-// coded down to bit plane p. Folding the stored plane into this byte keeps a
-// coded block's metadata at 4 bytes (mode, emax, top plane).
-enum BlockMode : std::uint8_t { kAllZero = 0, kRaw = 1, kCoded = 2 };
+// A block's first metadata byte: all zero, raw, or kLifted / kPlain + p for
+// a block coded with / without the lifting down to plane p (0..kQBits).
+// Folding the plane into this byte keeps a coded block's metadata at 4 bytes.
+enum BlockMode : std::uint8_t {
+  kAllZero,
+  kRaw,
+  kLifted,
+  kPlain = kLifted + kQBits + 1,
+};
 
 /// One forward lifting stage over a[0..len): pair (even, odd), emit sums then
 /// details. Shared by the scalar path and the vector path's short tails.
@@ -137,128 +142,132 @@ __attribute__((target("avx2"))) void inverse_transform_avx2(std::int64_t* a) {
 #endif  // CANOPUS_SIMD_X86
 
 /// The decoder's reconstruction of a block's first `n` values from its signed
-/// coefficients: inverse lifting, then back from fixed point. The encoder's
-/// plane check runs it too, so the bound is checked on the doubles a reader
-/// gets.
-void rebuild(std::array<std::int64_t, kBlock>& q, int emax, std::size_t n,
-             double* out) {
-  detail::inverse_transform64(q.data());
+/// coefficients: inverse lifting for a lifted block, then back from fixed
+/// point. The encoder's plane check runs it too, so the bound is checked on
+/// the doubles a reader gets.
+void rebuild(std::array<std::int64_t, kBlock>& q, bool lifted, int emax,
+             std::size_t n, double* out) {
+  if (lifted) detail::inverse_transform64(q.data());
   const double inv_scale = std::ldexp(1.0, emax - kQBits);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<double>(q[i]) * inv_scale;
   }
 }
 
-/// The lowest bit plane to code so that every one of `vals` decodes within
-/// `tolerance`, or -1 when even plane 0 does not (the block is then stored
-/// raw). Planes are tried from one above the tolerance's own plane downward,
-/// each by rebuilding the block as the decoder would from planes
-/// top_plane..p; the first that holds the bound is kept. An error bound <= 0
-/// keeps every plane unchecked.
-int lowest_plane(std::span<const double> vals, double tolerance, int emax,
-                 const std::array<std::int64_t, kBlock>& coeffs,
-                 const std::array<std::uint64_t, kBlock>& u, int top_plane) {
-  if (!(tolerance > 0.0)) return 0;
+/// `mag` rounded to the nearest multiple of 2^p, halves up.
+std::uint64_t round_to_plane(std::uint64_t mag, int p) {
+  return (mag + ((std::uint64_t{1} << p) >> 1)) >> p << p;
+}
+
+/// One way to code a block: its signed fixed-point coefficients, through the
+/// Haar lifting or with no transform, and the plan checked for them. `plane`
+/// is the lowest coded plane (-1 when no plane holds the bound), `mags` the
+/// coefficient magnitudes rounded to it, `top_plane` their highest set bit
+/// and `bits` the payload the embedded coder spends on them.
+struct Candidate {
+  bool lifted = false;
+  std::array<std::int64_t, kBlock> coeffs{};
+  std::array<std::uint64_t, kBlock> mags{};
+  int plane = -1;
+  int top_plane = 0;
+  std::size_t bits = 0;
+};
+
+/// Sets c.plane, c.mags and c.top_plane: planes are tried from one above the
+/// tolerance's own plane downward, each by rounding every magnitude to it and
+/// rebuilding the block as the decoder would; the first at which every one of
+/// `vals` decodes within `tolerance` is kept. A plane that rounds every
+/// magnitude to zero cannot hold (the block has a value beyond the bound), and
+/// one whose rounding carries a magnitude to 2^(kQBits + 1) is skipped, so a
+/// stored top plane never exceeds kQBits. An error bound <= 0 keeps every
+/// plane unchecked.
+void choose_plane(Candidate& c, std::span<const double> vals, double tolerance,
+                  int emax) {
+  const bool checked = tolerance > 0.0;
   // q = x * 2^(kQBits - emax); the tolerance in q units is tol_q.
   const double tol_q = std::ldexp(tolerance, kQBits - emax);
-  const int start =
-      tol_q >= 1.0 ? std::min(std::ilogb(tol_q), top_plane) + 1 : 0;
   std::array<std::int64_t, kBlock> q{};
   std::array<double, kBlock> rec{};
+  const int start = checked && tol_q >= 1.0 ? std::ilogb(tol_q) + 1 : 0;
   for (int p = start; p >= 0; --p) {
-    const std::uint64_t keep = ~std::uint64_t{0} << p;
+    std::uint64_t kept = 0;
     for (std::size_t i = 0; i < kBlock; ++i) {
-      const auto mag = static_cast<std::int64_t>(u[i] & keep);
-      q[i] = coeffs[i] < 0 ? -mag : mag;
+      const auto mag = static_cast<std::uint64_t>(std::abs(c.coeffs[i]));
+      c.mags[i] = round_to_plane(mag, p);
+      kept |= c.mags[i];
     }
-    rebuild(q, emax, vals.size(), rec.data());
+    if (kept == 0 || kept >> (kQBits + 1)) continue;
     bool holds = true;
-    for (std::size_t i = 0; i < vals.size() && holds; ++i) {
-      holds = std::abs(rec[i] - vals[i]) <= tolerance;
+    if (checked) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const auto mag = static_cast<std::int64_t>(c.mags[i]);
+        q[i] = c.coeffs[i] < 0 ? -mag : mag;
+      }
+      rebuild(q, c.lifted, emax, vals.size(), rec.data());
+      for (std::size_t i = 0; i < vals.size() && holds; ++i) {
+        holds = std::abs(rec[i] - vals[i]) <= tolerance;
+      }
     }
-    if (holds) return p;
+    if (holds) {
+      c.plane = p;
+      c.top_plane = 63 - std::countl_zero(kept);
+      return;
+    }
   }
-  return -1;
 }
 
-void put_raw(std::span<const double> vals, util::ByteWriter& out) {
-  out.put(static_cast<std::uint8_t>(kRaw));
-  out.put_bytes(vals.data(), vals.size() * sizeof(double));
+/// The payload bits emit_planes spends on c, counted without coding. Per
+/// plane p the coder writes one bit per coefficient already in the prefix,
+/// then extends the prefix past every coefficient whose first 1 bit is
+/// plane p (one group-test bit and the bits up to it each), then one
+/// group-test 0 unless the prefix covers the block; each coefficient's sign
+/// follows its first 1 bit once. So only where each coefficient's top bit
+/// lies matters.
+std::size_t count_bits(const Candidate& c) {
+  std::array<std::uint64_t, 64> first_one{};  // coefficients by top bit
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    if (c.mags[i] == 0) continue;
+    first_one[63 - std::countl_zero(c.mags[i])] |= std::uint64_t{1} << i;
+    ++bits;  // its sign
+  }
+  std::size_t prefix = 0;
+  for (int p = c.top_plane; p >= c.plane; --p) {
+    const std::uint64_t fresh = prefix < kBlock ? first_one[p] >> prefix : 0;
+    if (fresh) {
+      bits += static_cast<std::size_t>(std::popcount(fresh));
+      prefix = kBlock - static_cast<std::size_t>(std::countl_zero(first_one[p]));
+    }
+    bits += prefix + (prefix < kBlock ? 1 : 0);
+  }
+  return bits;
 }
 
-void encode_block(std::span<const double> vals, double tolerance,
-                  util::ByteWriter& out, util::BitWriter& bits) {
-  CANOPUS_ASSERT(!vals.empty() && vals.size() <= kBlock);
-  double maxabs = 0.0;
-  bool finite = true;
-  for (double v : vals) {
-    if (!std::isfinite(v)) {
-      finite = false;
-      break;
-    }
-    maxabs = std::max(maxabs, std::abs(v));
-  }
-  if (!finite) return put_raw(vals, out);
-  if (maxabs == 0.0) {
-    out.put(static_cast<std::uint8_t>(kAllZero));
-    return;
-  }
-  const int emax = std::ilogb(maxabs) + 1;  // maxabs < 2^emax
-  const double scale = std::ldexp(1.0, kQBits - emax);
-  // Below ~2^-964 the scale itself overflows: no fixed point to code in.
-  if (!std::isfinite(scale)) return put_raw(vals, out);
-
-  std::array<std::int64_t, kBlock> q{};
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    // Pad a short tail block by repeating the last value (keeps it smooth).
-    const double v = i < vals.size() ? vals[i] : vals.back();
-    q[i] = std::llround(v * scale);
-  }
-  detail::forward_transform64(q.data());
-
-  // Sign-magnitude coding: bit planes carry |q|; the sign is emitted once,
-  // right after a coefficient's first 1 bit. (Plain zigzag would put the sign
-  // in the lowest bit, which plane truncation destroys.)
-  std::array<std::uint64_t, kBlock> u{};
-  std::uint64_t any = 0;
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    u[i] = static_cast<std::uint64_t>(q[i] < 0 ? -q[i] : q[i]);
-    any |= u[i];
-  }
-  const int top_plane = any ? 63 - std::countl_zero(any) : 0;
-  const int pmin = lowest_plane(vals, tolerance, emax, q, u, top_plane);
-  if (pmin < 0) return put_raw(vals, out);
-  if (pmin > top_plane) {
-    // No plane needed: the block decodes to zeros within the bound.
-    out.put(static_cast<std::uint8_t>(kAllZero));
-    return;
-  }
-  out.put(static_cast<std::uint8_t>(kCoded + pmin));
-  out.put(static_cast<std::int16_t>(emax));
-  out.put(static_cast<std::int8_t>(top_plane));
-
+/// Embedded coding of c's magnitudes, MSB plane first, with sign-magnitude
+/// coefficients: the sign is emitted once, right after a coefficient's first
+/// 1 bit. (Zigzag coding would put the sign in the lowest bit, which dropping
+/// planes destroys.) `prefix` is the number of leading coefficients already
+/// inside the coded region; it only grows. Per plane we emit bits for the
+/// prefix, then group-test the remainder.
+void emit_planes(const Candidate& c, util::BitWriter& bits) {
   std::array<bool, kBlock> sig{};
   auto emit_coeff_bit = [&](std::size_t i, int p) {
-    const bool b = (u[i] >> p) & 1u;
+    const bool b = (c.mags[i] >> p) & 1u;
     bits.write_bit(b);
     if (b && !sig[i]) {
-      bits.write_bit(q[i] < 0);
+      bits.write_bit(c.coeffs[i] < 0);
       sig[i] = true;
     }
     return b;
   };
-
-  // Embedded coding, MSB plane first. `prefix` is the number of leading
-  // coefficients already inside the coded region; it only grows. Per plane we
-  // emit bits for the prefix, then group-test the remainder.
   std::size_t prefix = 0;
-  for (int p = top_plane; p >= pmin; --p) {
+  for (int p = c.top_plane; p >= c.plane; --p) {
     for (std::size_t i = 0; i < prefix; ++i) emit_coeff_bit(i, p);
     std::size_t i = prefix;
     while (i < kBlock) {
       bool has = false;
       for (std::size_t j = i; j < kBlock; ++j) {
-        if ((u[j] >> p) & 1u) {
+        if ((c.mags[j] >> p) & 1u) {
           has = true;
           break;
         }
@@ -271,6 +280,71 @@ void encode_block(std::span<const double> vals, double tolerance,
       prefix = i;
     }
   }
+}
+
+/// What encode_block decides before it writes anything: kAllZero or kRaw
+/// for a block that needs no coding or has no fixed point to code in, else
+/// kLifted with the block's exponent and both candidates planned.
+BlockMode plan_block(std::span<const double> vals, double tolerance, int& emax,
+                     std::array<Candidate, 2>& candidates) {
+  CANOPUS_ASSERT(!vals.empty() && vals.size() <= kBlock);
+  double maxabs = 0.0;
+  for (double v : vals) {
+    if (!std::isfinite(v)) return kRaw;
+    maxabs = std::max(maxabs, std::abs(v));
+  }
+  // Zeros decode within the bound of every value: nothing to code.
+  if (maxabs == 0.0 || maxabs <= tolerance) return kAllZero;
+  emax = std::ilogb(maxabs) + 1;  // maxabs < 2^emax
+  const double scale = std::ldexp(1.0, kQBits - emax);
+  // Below ~2^-964 the scale itself overflows: no fixed point to code in.
+  if (!std::isfinite(scale)) return kRaw;
+
+  auto& [lifted, plain] = candidates;
+  lifted.lifted = true;
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    // Pad a short tail block with zeros when untransformed (they cost no
+    // group tests) and by repeating the last value when lifted (keeps it
+    // smooth).
+    plain.coeffs[i] = i < vals.size() ? std::llround(vals[i] * scale) : 0;
+    lifted.coeffs[i] =
+        i < vals.size() ? plain.coeffs[i] : plain.coeffs[vals.size() - 1];
+  }
+  detail::forward_transform64(lifted.coeffs.data());
+  for (Candidate& c : candidates) {
+    choose_plane(c, vals, tolerance, emax);
+    if (c.plane >= 0) c.bits = count_bits(c);
+  }
+  return kLifted;
+}
+
+void put_raw(std::span<const double> vals, util::ByteWriter& out) {
+  out.put(static_cast<std::uint8_t>(kRaw));
+  out.put_bytes(vals.data(), vals.size() * sizeof(double));
+}
+
+void encode_block(std::span<const double> vals, double tolerance,
+                  util::ByteWriter& out, util::BitWriter& bits) {
+  int emax = 0;
+  std::array<Candidate, 2> candidates;
+  const BlockMode planned = plan_block(vals, tolerance, emax, candidates);
+  if (planned == kRaw) return put_raw(vals, out);
+  if (planned == kAllZero) {
+    out.put(static_cast<std::uint8_t>(kAllZero));
+    return;
+  }
+  // The cheaper candidate that holds the bound; plain on a tie, as it
+  // decodes without the inverse lifting.
+  const Candidate* best = nullptr;
+  for (const Candidate* c : {&candidates[1], &candidates[0]}) {
+    if (c->plane >= 0 && (!best || c->bits < best->bits)) best = c;
+  }
+  if (!best) return put_raw(vals, out);
+  out.put(static_cast<std::uint8_t>((best->lifted ? kLifted : kPlain) +
+                                    best->plane));
+  out.put(static_cast<std::int16_t>(emax));
+  out.put(static_cast<std::int8_t>(best->top_plane));
+  emit_planes(*best, bits);
 }
 
 void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
@@ -287,13 +361,15 @@ void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
     out.insert(out.end(), n, 0.0);
     return;
   }
-  const int pmin = mode - kCoded;
+  const bool lifted = mode < kPlain;
+  const int pmin = mode - (lifted ? kLifted : kPlain);
   const int emax = in.get<std::int16_t>();
   const int top_plane = in.get<std::int8_t>();
-  // The encoder codes planes top_plane..pmin, at least one. |q| < 2^kQBits
-  // keeps every coefficient below 2^(kQBits + 1), so top_plane <= kQBits;
-  // that also keeps the inverse lifting inside int64 on any stream (each of
-  // its six stages grows a value by at most 2^kQBits).
+  // The encoder codes planes top_plane..pmin, at least one, and keeps every
+  // rounded magnitude below 2^(kQBits + 1), so top_plane <= kQBits (which
+  // also rejects every mode above kPlain + kQBits). That keeps the inverse
+  // lifting inside int64 on any stream: each of its six stages grows a value
+  // by at most 2^kQBits.
   CANOPUS_CHECK(top_plane >= 0 && top_plane <= kQBits && pmin <= top_plane,
                 "zfp stream corrupt (plane)");
 
@@ -333,7 +409,7 @@ void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
   }
   const std::size_t base = out.size();
   out.resize(base + n);
-  rebuild(q, emax, n, out.data() + base);
+  rebuild(q, lifted, emax, n, out.data() + base);
 }
 
 }  // namespace
@@ -359,8 +435,9 @@ std::vector<double> zfp_decode(util::BytesView bytes) {
   const auto block_meta = in.get_vector<std::byte>();
   const auto payload = in.get_vector<std::byte>();
 
-  // Every block contributed at least its mode byte to the metadata stream.
-  CANOPUS_CHECK((count + kBlock - 1) / kBlock <= block_meta.size(),
+  // Every block contributed at least its mode byte to the metadata stream
+  // (a block count without the sum that rounds it up, which would wrap).
+  CANOPUS_CHECK(count / kBlock + (count % kBlock != 0) <= block_meta.size(),
                 "zfp stream corrupt (count)");
   util::ByteReader meta(block_meta);
   util::BitReader bits(payload);
@@ -374,6 +451,22 @@ std::vector<double> zfp_decode(util::BytesView bytes) {
 }
 
 namespace detail {
+
+std::array<ZfpCandidateBits, 2> zfp_candidate_bits(std::span<const double> block,
+                                                   double error_bound) {
+  int emax = 0;
+  std::array<Candidate, 2> candidates;
+  std::array<ZfpCandidateBits, 2> out{};
+  if (plan_block(block, error_bound, emax, candidates) != kLifted) return out;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Candidate& c = candidates[k];
+    if (c.plane < 0) continue;
+    util::BitWriter bits;
+    emit_planes(c, bits);
+    out[k] = {true, c.bits, bits.bit_count()};
+  }
+  return out;
+}
 
 void forward_transform64(std::int64_t* a) {
 #if CANOPUS_SIMD_X86

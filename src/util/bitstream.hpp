@@ -35,6 +35,9 @@ class BitWriter {
 
   void write_bit(bool b) { write_bits(b ? 1u : 0u, 1); }
 
+  /// Bits written so far.
+  std::size_t bit_count() const { return words_.size() * 64 + fill_; }
+
   /// Elias-gamma-style unary+binary code for small non-negative integers.
   void write_unary(std::uint32_t n) {
     while (n >= 32) {

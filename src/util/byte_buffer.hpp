@@ -103,7 +103,8 @@ class ByteReader {
   }
 
   BytesView get_bytes(std::size_t n) {
-    CANOPUS_CHECK(pos_ + n <= view_.size(), "byte stream truncated");
+    // Against what remains: pos_ + n wraps for a length near 2^64.
+    CANOPUS_CHECK(n <= view_.size() - pos_, "byte stream truncated");
     auto out = view_.subspan(pos_, n);
     pos_ += n;
     return out;

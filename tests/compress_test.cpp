@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "compress/fpc.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzss.hpp"
-#include "compress/rle.hpp"
 #include "compress/sz_like.hpp"
 #include "compress/zfp_like.hpp"
 #include "util/bitstream.hpp"
@@ -173,31 +173,6 @@ TEST(Lzss, OverlappingMatchReplay) {
   // 'aaaa...' forces matches whose source overlaps the output cursor.
   const cu::Bytes input(500, std::byte{'a'});
   EXPECT_EQ(cc::lzss_decode(cc::lzss_encode(input)), input);
-}
-
-// -------------------------------------------------------------------- RLE --
-
-TEST(Rle, RoundTripRuns) {
-  cu::Bytes input;
-  input.insert(input.end(), 100, std::byte{1});
-  input.insert(input.end(), 1, std::byte{2});
-  input.insert(input.end(), 50, std::byte{3});
-  const auto enc = cc::rle_encode(input);
-  EXPECT_LT(enc.size(), 16u);
-  EXPECT_EQ(cc::rle_decode(enc), input);
-}
-
-TEST(Rle, RoundTripEmpty) {
-  const cu::Bytes empty;
-  EXPECT_EQ(cc::rle_decode(cc::rle_encode(empty)), empty);
-}
-
-TEST(Rle, CorruptStreamThrows) {
-  cu::ByteWriter w;
-  w.put_varint(10);   // claims 10 bytes
-  w.put_varint(100);  // run longer than total
-  w.put(std::byte{1});
-  EXPECT_THROW(cc::rle_decode(w.view()), canopus::Error);
 }
 
 // -------------------------------------------------------------------- FPC --
@@ -413,6 +388,93 @@ TEST(Zfp, BlockBelowTheFixedPointRangeStoredRaw) {
   EXPECT_EQ(dec, xs);
 }
 
+// Rounding a magnitude just below 2^61 to a coarse plane would carry it to
+// 2^61, past the top plane 60 the decoder accepts. A block of +a then -a
+// (a = 1 - 2^-40, so |q| = 2^60 - 2^20) puts 2^61 - 2^21 in its coarsest
+// lifting detail and nothing else in its coefficients, so lifting stays far
+// cheaper than no transform, but every plane from 22 up would carry: the
+// encoder must code it lifted down to plane 21 with top plane 60.
+TEST(Zfp, RoundingNeverCarriesPastTopPlane60) {
+  const double a = 1.0 - std::ldexp(1.0, -40);
+  std::vector<double> xs(64, a);
+  std::fill(xs.begin() + 32, xs.end(), -a);
+  const auto enc = cc::zfp_encode(xs, 0.1);
+  cu::ByteReader in(enc);
+  in.get_varint();
+  const auto meta = in.get_vector<std::uint8_t>();
+  ASSERT_EQ(meta.size(), 4u);      // mode, emax (int16), top plane
+  EXPECT_EQ(meta[0], 2 + 21);      // lifted, down to plane 21
+  EXPECT_EQ(meta[3], 60);
+  const auto dec = cc::zfp_decode(enc);
+  ASSERT_EQ(dec.size(), xs.size());
+  EXPECT_LE(cu::max_abs_error(xs, dec), 0.1);
+}
+
+// Streams written before blocks could skip the lifting hold only lifted
+// blocks (mode 2 + p, emax, top plane, then planes top..p group-tested, each
+// sign after its coefficient's first 1 bit), and must still decode: this one,
+// built by hand, decodes to the values the inverse lifting gives its
+// coefficients, a DC of 1000 and five details coded down to plane 3.
+TEST(Zfp, HandBuiltLiftedBlockDecodesToPinnedValues) {
+  constexpr std::size_t kBlock = cc::detail::kZfpBlock;
+  std::array<std::int64_t, kBlock> coeffs{};
+  coeffs[0] = 1000;
+  coeffs[1] = -96;
+  coeffs[2] = 40;
+  coeffs[5] = 24;
+  coeffs[33] = -8;
+  coeffs[63] = 16;
+  constexpr int kTop = 9;  // 1000 < 2^10
+  constexpr int kLow = 3;  // every magnitude is a multiple of 8
+  cu::BitWriter bits;
+  std::array<bool, kBlock> sig{};
+  auto put_bit = [&](std::size_t i, int p) {
+    const std::uint64_t mag = static_cast<std::uint64_t>(std::abs(coeffs[i]));
+    const bool b = (mag >> p) & 1u;
+    bits.write_bit(b);
+    if (b && !sig[i]) {
+      bits.write_bit(coeffs[i] < 0);
+      sig[i] = true;
+    }
+    return b;
+  };
+  std::size_t prefix = 0;
+  for (int p = kTop; p >= kLow; --p) {
+    for (std::size_t i = 0; i < prefix; ++i) put_bit(i, p);
+    std::size_t i = prefix;
+    while (i < kBlock) {
+      bool has = false;
+      for (std::size_t j = i; j < kBlock && !has; ++j) {
+        has = (static_cast<std::uint64_t>(std::abs(coeffs[j])) >> p) & 1u;
+      }
+      bits.write_bit(has);
+      if (!has) break;
+      while (!put_bit(i++, p)) {
+      }
+      prefix = i;
+    }
+  }
+  cu::ByteWriter meta;
+  meta.put(static_cast<std::uint8_t>(2 + kLow));
+  meta.put(std::int16_t{60});  // fixed point scale 2^0: values are integers
+  meta.put(static_cast<std::int8_t>(kTop));
+  cu::ByteWriter w;
+  w.put_varint(kBlock);
+  w.put_vector(meta.bytes());
+  w.put_vector(bits.finish());
+
+  // What the inverse lifting rebuilds from those coefficients.
+  std::vector<double> expected(kBlock, 1048.0);
+  std::fill(expected.begin(), expected.begin() + 16, 972.0);
+  std::fill(expected.begin() + 16, expected.begin() + 24, 944.0);
+  std::fill(expected.begin() + 24, expected.begin() + 32, 920.0);
+  expected[2] = 968.0;
+  expected[3] = 976.0;
+  expected[62] = 1056.0;
+  expected[63] = 1040.0;
+  EXPECT_EQ(cc::zfp_decode(w.view()), expected);
+}
+
 // --------------------------------------------------------------- Registry --
 
 TEST(Registry, AllNamesConstruct) {
@@ -429,7 +491,7 @@ TEST(Registry, UnknownNameThrows) {
 
 TEST(Registry, ExpectedCodecsPresent) {
   const auto names = cc::codec_names();
-  for (const char* expected : {"zfp", "sz", "fpc", "lzss", "huffman", "rle", "raw"}) {
+  for (const char* expected : {"zfp", "sz", "fpc", "lzss", "huffman", "raw"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -458,7 +520,7 @@ TEST_P(CodecProperty, RoundTripWithinBound) {
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsVariousSizes, CodecProperty,
     ::testing::Combine(::testing::Values("zfp", "sz", "fpc", "lzss", "huffman",
-                                         "rle", "raw"),
+                                         "raw"),
                        ::testing::Values(std::size_t{0}, std::size_t{1},
                                          std::size_t{64}, std::size_t{1000},
                                          std::size_t{4097})),
@@ -477,7 +539,7 @@ TEST(Fuzz, DecodersSurviveGarbage) {
   for (int trial = 0; trial < 300; ++trial) {
     cu::Bytes garbage(100 + rng.uniform_index(4000));
     for (auto& b : garbage) b = static_cast<std::byte>(rng.uniform_index(256));
-    for (const char* name : {"zfp", "sz", "fpc", "lzss", "huffman", "rle"}) {
+    for (const char* name : {"zfp", "sz", "fpc", "lzss", "huffman"}) {
       const auto codec = cc::make_codec(name);
       try {
         const auto out = codec->decode(garbage);
@@ -493,7 +555,7 @@ TEST(Fuzz, DecodersSurviveGarbage) {
 
 TEST(Fuzz, TruncatedValidStreamsThrowNotCrash) {
   const auto xs = smooth_signal(3000);
-  for (const char* name : {"zfp", "sz", "fpc", "lzss", "huffman", "rle"}) {
+  for (const char* name : {"zfp", "sz", "fpc", "lzss", "huffman"}) {
     const auto codec = cc::make_codec(name);
     const auto enc = codec->encode(xs, 1e-4);
     for (std::size_t cut : {std::size_t{1}, enc.size() / 4, enc.size() / 2,
@@ -530,15 +592,17 @@ TEST(Fuzz, BitFlippedStreamsThrowOrStayBounded) {
 }
 
 // A block's planes must lie where the encoder writes them: the lowest in
-// 0..top_plane, the top at most 60 (coefficients stay below 2^61). Anything
-// else is corruption, not a shorter coding.
+// 0..top_plane, the top at most 60 (coefficients stay below 2^61), for
+// lifted (mode 2 + plane) and untransformed (mode 63 + plane) blocks alike.
+// Anything else, modes from 124 up among it, is corruption, not a shorter
+// coding.
 TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
-  // One 64-value block: metadata {mode = 2 + plane, emax, top_plane}, then a
-  // payload of zero bits (every plane's group test says "no more ones").
+  // One 64-value block: metadata {mode, emax, top_plane}, then a payload of
+  // zero bits (every plane's group test says "no more ones").
   const std::array<std::uint64_t, 8> zero_bits{};
-  auto stream = [&](int top_plane, int plane) {
+  auto stream = [&](int mode, int top_plane) {
     cu::ByteWriter meta;
-    meta.put(static_cast<std::uint8_t>(2 + plane));
+    meta.put(static_cast<std::uint8_t>(mode));
     meta.put(std::int16_t{4});
     meta.put(static_cast<std::int8_t>(top_plane));
     cu::ByteWriter w;
@@ -548,14 +612,24 @@ TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
     w.put_bytes(zero_bits.data(), sizeof zero_bits);
     return w.take();
   };
-  EXPECT_NO_THROW(cc::zfp_decode(stream(20, 20)));
-  EXPECT_NO_THROW(cc::zfp_decode(stream(20, 0)));
+  const auto lifted = [](int plane) { return 2 + plane; };
+  const auto plain = [](int plane) { return 63 + plane; };
+  for (const auto& [mode, top_plane] : {std::pair{lifted(20), 20},
+                                        {lifted(0), 20},
+                                        {plain(20), 20},
+                                        {plain(0), 20},
+                                        {plain(60), 60}}) {
+    EXPECT_NO_THROW(cc::zfp_decode(stream(mode, top_plane)))
+        << "mode " << mode << " top " << top_plane;
+  }
   const std::pair<int, int> corrupt[] = {
-      {20, 21}, {20, 40}, {20, 253}, {61, 0}, {63, 63}};
-  for (const auto& [top_plane, plane] : corrupt) {
+      {lifted(21), 20}, {lifted(40), 20}, {lifted(253), 20}, {lifted(0), 61},
+      {lifted(63), 63}, {plain(21), 20},  {plain(40), 20},   {plain(0), 61},
+      {plain(61), 60},  {plain(61), 20}};
+  for (const auto& [mode, top_plane] : corrupt) {
     try {
-      cc::zfp_decode(stream(top_plane, plane));
-      ADD_FAILURE() << "planes " << top_plane << ".." << plane << " decoded";
+      cc::zfp_decode(stream(mode, top_plane));
+      ADD_FAILURE() << "mode " << mode << " top " << top_plane << " decoded";
     } catch (const canopus::Error& e) {
       EXPECT_NE(std::string(e.what()).find("zfp stream corrupt (plane)"),
                 std::string::npos)
@@ -566,22 +640,26 @@ TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
 
 // The largest coefficients a stream may carry (top plane 60, every bit set,
 // signs alternating) must decode without overflowing the inverse lifting,
-// and the scalar and vector paths must agree on them bit for bit.
+// and the scalar and vector paths must agree on them bit for bit. The same
+// coefficients in an untransformed block decode to the values themselves.
 TEST(Fuzz, ZfpExtremeCoefficientsDecodeDefined) {
+  constexpr std::size_t kBlock = cc::detail::kZfpBlock;
   cu::BitWriter bits;
-  for (int p = 60; p >= 0; --p) {
-    for (std::size_t i = 0; i < cc::detail::kZfpBlock; ++i) {
-      if (p == 60) bits.write_bit(true);   // group test: a 1 remains
-      bits.write_bit(true);                // coefficient i's bit
-      if (p == 60) bits.write_bit(i % 2);  // its sign, after its first 1
-    }
-  }
   cu::ByteWriter meta;
-  meta.put(std::uint8_t{2});  // coded down to plane 0
-  meta.put(std::int16_t{0});
-  meta.put(std::int8_t{60});
+  for (const std::uint8_t mode : {2, 63}) {  // lifted, then plain; plane 0
+    for (int p = 60; p >= 0; --p) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        if (p == 60) bits.write_bit(true);   // group test: a 1 remains
+        bits.write_bit(true);                // coefficient i's bit
+        if (p == 60) bits.write_bit(i % 2);  // its sign, after its first 1
+      }
+    }
+    meta.put(mode);
+    meta.put(std::int16_t{0});
+    meta.put(std::int8_t{60});
+  }
   cu::ByteWriter w;
-  w.put_varint(cc::detail::kZfpBlock);
+  w.put_varint(2 * kBlock);
   w.put_vector(meta.bytes());
   w.put_vector(bits.finish());
   const auto stream = w.take();
@@ -591,11 +669,36 @@ TEST(Fuzz, ZfpExtremeCoefficientsDecodeDefined) {
     scalar = cc::zfp_decode(stream);
   }
   const auto simd = cc::zfp_decode(stream);
-  ASSERT_EQ(scalar.size(), cc::detail::kZfpBlock);
+  ASSERT_EQ(scalar.size(), 2 * kBlock);
   ASSERT_EQ(simd.size(), scalar.size());
   EXPECT_EQ(std::memcmp(scalar.data(), simd.data(),
                         scalar.size() * sizeof(double)),
             0);
+  // (2^61 - 1) * 2^-60 rounds to 2.
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    EXPECT_EQ(simd[kBlock + i], i % 2 ? -2.0 : 2.0) << i;
+  }
+}
+
+// A declared length near 2^64 must fail its bound check, not wrap past it:
+// zfp value counts whose block count rounds up past 2^64, and string lengths
+// that wrap the reader's position.
+TEST(Fuzz, DeclaredLengthsNearTwoToThe64Throw) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t count : {kMax, kMax - 62}) {
+    cu::ByteWriter w;
+    w.put_varint(count);
+    w.put_vector(cu::Bytes(4));  // four blocks' worth of mode bytes
+    w.put_vector(cu::Bytes{});
+    EXPECT_THROW(cc::zfp_decode(w.view()), canopus::Error) << count;
+  }
+  for (const std::uint64_t length : {kMax, kMax - 5}) {
+    cu::ByteWriter w;
+    w.put_varint(length);
+    w.put_bytes("abcd", 4);
+    cu::ByteReader in(w.view());
+    EXPECT_THROW(in.get_string(), canopus::Error) << length;
+  }
 }
 
 // ----------------------------------------------------- simd equivalence --

@@ -429,7 +429,7 @@ TEST(Pipelines, ComposedRoundTripWithinBound) {
   const auto mesh = cm::make_rect_mesh(30, 30, 1.0, 1.0, 0.1, 29);
   const auto values = wave_field(mesh);
   for (const char* name : {"zfp+lzss", "sz+lzss", "fpc+huffman",
-                           "fpc+rle+huffman", "raw+lzss"}) {
+                           "fpc+lzss+huffman", "raw+lzss"}) {
     const auto codec = cp::make_codec(name);
     EXPECT_EQ(codec->name(), name);
     const double eb = 1e-5;

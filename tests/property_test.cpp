@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "test_support.hpp"
 #include "util/assert.hpp"
 #include "util/bitstream.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -748,13 +750,18 @@ class ReferenceZfpEncoder {
   }
 };
 
+/// How the verified stream stored a block.
+enum class ZfpKind { kZero, kRaw, kLifted, kPlain };
+
 /// The verified stream's block metadata: a mode byte (0 all zero, 1 raw,
-/// 2 + p coded down to plane p), then emax and top plane for a coded block
-/// or the values for a raw one.
+/// 2 + p lifted down to plane p, 63 + p untransformed down to plane p), then
+/// emax and top plane for a coded block or the values for a raw one.
 struct VerifiedZfpBlock {
-  bool raw = false;
+  ZfpKind kind = ZfpKind::kZero;
   int coded_planes = 0;
 };
+
+constexpr int kZfpPlainMode = 63;
 
 std::vector<VerifiedZfpBlock> parse_zfp_blocks(cu::BytesView stream) {
   cu::ByteReader in(stream);
@@ -768,33 +775,47 @@ std::vector<VerifiedZfpBlock> parse_zfp_blocks(cu::BytesView stream) {
     const int mode = meta.get<std::uint8_t>();
     if (mode == 1) {
       meta.get_bytes(n * sizeof(double));
-      block.raw = true;
+      block.kind = ZfpKind::kRaw;
     } else if (mode >= 2) {
+      const bool plain = mode >= kZfpPlainMode;
+      block.kind = plain ? ZfpKind::kPlain : ZfpKind::kLifted;
       meta.get<std::int16_t>();
       const int top_plane = meta.get<std::int8_t>();
-      block.coded_planes = top_plane - (mode - 2) + 1;
+      block.coded_planes = top_plane - (mode - (plain ? kZfpPlainMode : 2)) + 1;
     }
     blocks.push_back(block);
   }
   return blocks;
 }
 
-/// Tallies of one tightness run: blocks by planes saved against the
-/// reference, and raw fallbacks on blocks whose bound the reference broke.
+/// Blocks of one kind in a zfp stream.
+std::size_t count_kind(cu::BytesView stream, ZfpKind kind) {
+  const auto blocks = parse_zfp_blocks(stream);
+  return static_cast<std::size_t>(
+      std::count_if(blocks.begin(), blocks.end(),
+                    [kind](const VerifiedZfpBlock& b) { return b.kind == kind; }));
+}
+
+/// Tallies of one tightness run: lifted blocks by planes saved against the
+/// reference, untransformed blocks, and raw fallbacks on blocks whose bound
+/// the reference broke.
 struct PlaneTally {
   std::map<int, std::size_t> saved;
   std::size_t blocks = 0;
+  std::size_t plain = 0;
   std::size_t reference_broke = 0;
   std::size_t raw_fallbacks = 0;
 
   void print(const std::string& what) const {
-    std::cout << what << ": " << blocks << " blocks, planes kept below the "
-              << "analytic floor's count:\n";
+    const auto share = [this](std::size_t count) {
+      return 100.0 * static_cast<double>(count) / static_cast<double>(blocks);
+    };
+    std::cout << what << ": " << blocks << " blocks, " << plain
+              << " untransformed (" << share(plain) << "%); lifted blocks by "
+              << "planes kept below the analytic floor's count:\n";
     for (const auto& [planes, count] : saved) {
       std::cout << "  " << planes << " fewer: " << count << " ("
-                << 100.0 * static_cast<double>(count) /
-                       static_cast<double>(blocks)
-                << "%)\n";
+                << share(count) << "%)\n";
     }
     std::cout << "  reference broke the bound on " << reference_broke
               << ", raw fallbacks " << raw_fallbacks << "\n";
@@ -802,9 +823,11 @@ struct PlaneTally {
 };
 
 /// Encodes `values` both ways and checks that the verified encoder codes no
-/// more planes than the reference on every block the reference kept within
-/// the bound, and that its stream is no larger but for the raw blocks that
-/// replace ones the reference broke.
+/// more planes than the reference on every lifted block the reference kept
+/// within the bound (an untransformed block is not comparable plane for
+/// plane), that it stores raw exactly the blocks the reference did, and that
+/// its stream is no larger but for the raw blocks that replace ones the
+/// reference broke.
 void expect_tighter_than_reference(std::span<const double> values, double eb,
                                    const std::string& context,
                                    PlaneTally& tally) {
@@ -817,19 +840,63 @@ void expect_tighter_than_reference(std::span<const double> values, double eb,
     const auto& ref = reference.blocks[b];
     const auto& got = blocks[b];
     ++tally.blocks;
+    if (got.kind == ZfpKind::kLifted || got.kind == ZfpKind::kPlain) {
+      EXPECT_GE(got.coded_planes, 1) << context << " block " << b;
+    }
+    if (got.kind == ZfpKind::kPlain) ++tally.plain;
     if (!ref.held) {
       ++tally.reference_broke;
-      if (got.raw) {
+      if (got.kind == ZfpKind::kRaw) {
         ++tally.raw_fallbacks;
         allowance += 1 + ref.values * sizeof(double);
       }
       continue;
     }
-    EXPECT_EQ(got.raw, ref.raw) << context << " block " << b;
-    EXPECT_LE(got.coded_planes, ref.coded_planes) << context << " block " << b;
-    if (!ref.raw) ++tally.saved[ref.coded_planes - got.coded_planes];
+    EXPECT_EQ(got.kind == ZfpKind::kRaw, ref.raw) << context << " block " << b;
+    if (got.kind == ZfpKind::kLifted) {
+      EXPECT_LE(got.coded_planes, ref.coded_planes) << context << " block " << b;
+      ++tally.saved[ref.coded_planes - got.coded_planes];
+    }
   }
   EXPECT_LE(stream.size(), reference.stream_bytes + allowance) << context;
+}
+
+/// One benchmark-size timestep's deltas (XGC1 plane, seed 5000, 4 levels,
+/// step 2, the uniform Estimate), each level in Morton order and cut into 8
+/// chunks, finest level first: the codec input of the benchmark's write.
+const std::vector<cm::Field>& xgc_delta_chunks() {
+  static const std::vector<cm::Field> chunks = [] {
+    canopus::sim::XgcOptions xopt;
+    xopt.seed = 5000;
+    const auto ds = canopus::sim::make_xgc_dataset(xopt);
+    cm::CascadeOptions copt;
+    copt.levels = 4;
+    copt.step = 2.0;
+    const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+    const auto mode = cc::EstimateMode::kUniformThirds;
+    constexpr std::size_t kChunks = 8;
+    std::vector<cm::Field> out;
+    for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
+      const auto& fine = cascade.levels[l];
+      const auto& coarse = cascade.levels[l + 1];
+      const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
+      const auto delta = cc::compute_delta(coarse.mesh, coarse.values,
+                                           fine.values, mapping, mode);
+      const auto order = cc::cached_spatial_order(fine.mesh);
+      cm::Field ordered(delta.size());
+      for (std::size_t pos = 0; pos < order->size(); ++pos) {
+        ordered[pos] = delta[(*order)[pos]];
+      }
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        const std::size_t start = ordered.size() * c / kChunks;
+        const std::size_t stop = ordered.size() * (c + 1) / kChunks;
+        out.emplace_back(ordered.begin() + static_cast<std::ptrdiff_t>(start),
+                         ordered.begin() + static_cast<std::ptrdiff_t>(stop));
+      }
+    }
+    return out;
+  }();
+  return chunks;
 }
 
 }  // namespace
@@ -855,40 +922,82 @@ TEST(ZfpPlaneTightness, SweepSignalsNeverLargerThanAnalyticFloor) {
   EXPECT_EQ(tally.raw_fallbacks, tally.reference_broke);
 }
 
-// One benchmark-size timestep's deltas (XGC1 plane, 4 levels, step 2, the
-// uniform Estimate), each level in 8 Morton chunks, at the benchmark's 1e-4.
+// One benchmark-size timestep's deltas at the benchmark's 1e-4.
 TEST(ZfpPlaneTightness, XgcDeltaPayloadNeverLargerThanAnalyticFloor) {
-  canopus::sim::XgcOptions xopt;
-  xopt.seed = 5000;
-  const auto ds = canopus::sim::make_xgc_dataset(xopt);
-  cm::CascadeOptions copt;
-  copt.levels = 4;
-  copt.step = 2.0;
-  const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
-  const auto mode = cc::EstimateMode::kUniformThirds;
-  constexpr std::size_t kChunks = 8;
   PlaneTally tally;
-  for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
-    const auto& fine = cascade.levels[l];
-    const auto& coarse = cascade.levels[l + 1];
-    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
-    const auto delta =
-        cc::compute_delta(coarse.mesh, coarse.values, fine.values, mapping, mode);
-    const auto order = cc::cached_spatial_order(fine.mesh);
-    cm::Field ordered(delta.size());
-    for (std::size_t pos = 0; pos < order->size(); ++pos) {
-      ordered[pos] = delta[(*order)[pos]];
-    }
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      const std::size_t start = ordered.size() * c / kChunks;
-      const std::size_t stop = ordered.size() * (c + 1) / kChunks;
-      expect_tighter_than_reference(
-          std::span<const double>(ordered).subspan(start, stop - start), 1e-4,
-          "level " + std::to_string(l) + " chunk " + std::to_string(c), tally);
-    }
+  const auto& chunks = xgc_delta_chunks();
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    expect_tighter_than_reference(chunks[c], 1e-4,
+                                  "level " + std::to_string(c / 8) + " chunk " +
+                                      std::to_string(c % 8),
+                                  tally);
   }
   tally.print("xgc deltas");
   EXPECT_EQ(tally.reference_broke, 0u);
+}
+
+// ----------------------------------------------------------- zfp candidates --
+
+// The encoder chooses between a block's lifted and untransformed codings by
+// payload bits it counts without coding either; the count must be exactly
+// what coding the candidate writes.
+TEST(ZfpCandidates, CountedBitsEqualEmittedBits) {
+  std::size_t compared[2] = {0, 0};
+  for (const char* signal :
+       {"smooth", "noisy", "spiky", "steps", "tiny", "mixed"}) {
+    const auto xs = make_signal(signal, 6000);
+    for (const double eb : {1e-1, 1e-4, 1e-8, 1e-12, 1e-15, 0.0}) {
+      for (std::size_t off = 0; off < xs.size(); off += kZfpBlock) {
+        const auto block = std::span<const double>(xs).subspan(
+            off, std::min(kZfpBlock, xs.size() - off));
+        const auto bits = cp::detail::zfp_candidate_bits(block, eb);
+        for (std::size_t k = 0; k < 2; ++k) {
+          if (!bits[k].held) continue;
+          ++compared[k];
+          EXPECT_EQ(bits[k].counted, bits[k].emitted)
+              << signal << " eb=" << eb << " block " << off / kZfpBlock
+              << (k == 0 ? " lifted" : " untransformed");
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared[0], 2000u);
+  EXPECT_GT(compared[1], 2000u);
+}
+
+// Deltas code mostly untransformed, smooth data mostly through the lifting.
+TEST(ZfpCandidates, XgcDeltasCodeMostlyPlainSmoothSignalMostlyLifted) {
+  std::size_t plain = 0;
+  std::size_t blocks = 0;
+  for (const auto& chunk : xgc_delta_chunks()) {
+    const auto stream = cp::zfp_encode(chunk, 1e-4);
+    plain += count_kind(stream, ZfpKind::kPlain);
+    blocks += parse_zfp_blocks(stream).size();
+  }
+  EXPECT_GE(10 * plain, 9 * blocks) << plain << " of " << blocks;
+
+  const auto smooth = cp::zfp_encode(make_signal("smooth", 6000), 1e-4);
+  const std::size_t lifted = count_kind(smooth, ZfpKind::kLifted);
+  const std::size_t smooth_blocks = parse_zfp_blocks(smooth).size();
+  EXPECT_GE(10 * lifted, 9 * smooth_blocks) << lifted << " of " << smooth_blocks;
+}
+
+// The bytes both of those streams code to, as Huffman.StreamBytesArePinned
+// pins its own: the XGC delta chunks' streams back to back, and the smooth
+// signal's. Both inputs come through std::sin and friends, so the pins
+// assume a libm that reproduces them bit for bit; a mismatch on another libm
+// is a determinism finding before it is a codec change.
+TEST(ZfpCandidates, StreamBytesArePinned) {
+  cu::Bytes deltas;
+  for (const auto& chunk : xgc_delta_chunks()) {
+    const auto stream = cp::zfp_encode(chunk, 1e-4);
+    deltas.insert(deltas.end(), stream.begin(), stream.end());
+  }
+  const auto smooth = cp::zfp_encode(make_signal("smooth", 6000), 1e-4);
+  EXPECT_EQ(deltas.size(), 40520u);
+  EXPECT_EQ(cu::Crc32::compute(deltas), 0x69f77751u);
+  EXPECT_EQ(smooth.size(), 10342u);
+  EXPECT_EQ(cu::Crc32::compute(smooth), 0xa3608574u);
 }
 
 // ----------------------------------------------------------- delta inverse --
