@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     const double queueing =
         1.0 + static_cast<double>(clients) / serve_config.workers;
     deadline = 4.0 * queueing *
-               (probe->cumulative().total() +
+               (serve::CostModel::charged(*probe) +
                 model.cost_between(probe->current_level(), 0));
   }
 

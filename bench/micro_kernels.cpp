@@ -5,9 +5,8 @@
 // geometry's write and load.
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
-// google-benchmark): each vectorized hot kernel (crc32 slice-by-8, zfp
-// forward/inverse block transform, sz dequantization) runs both with
-// util::simd forced scalar and with the runtime dispatch active, verifies
+// google-benchmark): each vectorized hot kernel (crc32 slice-by-8, sz
+// dequantization) runs both with util::simd forced scalar and with the runtime dispatch active, verifies
 // the outputs are bitwise-identical, and reports best-of-N throughput. `--json` emits the table as JSON; `--min-speedup=R`
 // fails (nonzero exit) if any vectorized kernel falls below R, and — when a
 // vector ISA is active — at least two kernels must clear 2x.
@@ -24,7 +23,6 @@
 #include "analytics/raster.hpp"
 #include "compress/codec.hpp"
 #include "compress/sz_like.hpp"
-#include "compress/zfp_like.hpp"
 #include "core/delta.hpp"
 #include "core/geometry_cache.hpp"
 #include "core/refactorer.hpp"
@@ -440,50 +438,9 @@ int run_compare(bool json, double min_speedup) {
     }));
   }
 
-  // The transform/dequant kernels use L2-resident working sets with an inner
-  // repeat loop: the compare measures the kernels themselves, not DRAM
-  // bandwidth (which caps both paths at the same number).
-  {  // zfp-like forward Haar lifting over 64-sample blocks.
-    const std::size_t n = (1u << 15);  // 512 blocks, 256 KiB
-    const int iters = 32;
-    std::vector<std::int64_t> base(n), work(n);
-    for (auto& v : base) {
-      v = static_cast<std::int64_t>(rng.next_u64() >> 20) - (1ll << 43);
-    }
-    auto fwd = [&] {
-      for (int it = 0; it < iters; ++it) {
-        work = base;
-        for (std::size_t b = 0; b < n; b += compress::detail::kZfpBlock) {
-          compress::detail::forward_transform64(work.data() + b);
-        }
-      }
-    };
-    rows.push_back(compare_kernel("zfp_fwd_transform",
-                                  iters * n * sizeof(std::int64_t), fwd, [&] {
-                                    return bytes_of(work.data(),
-                                                    n * sizeof(std::int64_t));
-                                  }, 15));
-    // Inverse over the transformed blocks (round-trips back to `base`).
-    const std::vector<std::int64_t> coeffs = [&] {
-      util::simd::ScopedForceScalar scalar;
-      fwd();
-      return work;
-    }();
-    auto inv = [&] {
-      for (int it = 0; it < iters; ++it) {
-        work = coeffs;
-        for (std::size_t b = 0; b < n; b += compress::detail::kZfpBlock) {
-          compress::detail::inverse_transform64(work.data() + b);
-        }
-      }
-    };
-    rows.push_back(compare_kernel("zfp_inv_transform",
-                                  iters * n * sizeof(std::int64_t), inv, [&] {
-                                    return bytes_of(work.data(),
-                                                    n * sizeof(std::int64_t));
-                                  }, 15));
-  }
-
+  // The dequant kernel uses an L2-resident working set with an inner repeat
+  // loop: the compare measures the kernel itself, not DRAM bandwidth (which
+  // caps both paths at the same number).
   {  // sz-like dequantization: zigzag decode + int->double scale.
     const std::size_t n = (1u << 14);  // 256 KiB codes + out
     const int iters = 256;

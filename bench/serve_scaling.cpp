@@ -16,9 +16,11 @@
 // One client in four is high-priority (priority 8) — the "urgent dashboard"
 // stream whose p99 the scheduler must protect under overload.
 //
-// Latency accounting is the repo's deterministic retrieval cost
-// (RetrievalTimings::total(): simulated tier I/O + measured compute); the
-// scheduled runs add the real wall time spent queued. Exit is non-zero
+// Latency accounting is the retrieval cost the repo reports
+// (RetrievalTimings::total(): simulated tier I/O + measured decode and
+// restore wall time); the scheduled runs add the real wall time spent
+// queued. The deadline is on the scheduler's own clock, simulated I/O plus
+// the per-value compute price (serve::CostModel::charged). Exit is non-zero
 // unless every acceptance criterion holds:
 //
 //   * zero unbounded queuing: every query resolved, max queue depth never
@@ -238,18 +240,19 @@ int main(int argc, char** argv) {
   rreq.var = ds.variable;
   rreq.geometry = &geometry;
 
-  // Probe the deterministic cost envelope: the base retrieval plus the
-  // planner's estimate of the full base->L0 refinement. The auto deadline
-  // covers the base and ~40 % of the refinement work, so under overload the
-  // scheduler must degrade a meaningful fraction of queries instead of
-  // letting everyone refine greedily.
+  // Probe the deterministic cost envelope on the scheduler's clock: the
+  // open's charge plus the planner's estimate of the full base->L0
+  // refinement. The auto deadline covers the base and ~40 % of the
+  // refinement work, so under overload the scheduler must degrade a
+  // meaningful fraction of queries instead of letting everyone refine
+  // greedily.
   double base_cost = 0.0;
   double full_refine_cost = 0.0;
   {
     std::unique_ptr<core::ProgressiveReader> probe;
     const auto st = pipeline.open(rreq, &probe);
     if (!st.ok()) throw Error("probe open failed: " + st.to_string());
-    base_cost = probe->cumulative().total();
+    base_cost = serve::CostModel::charged(*probe);
     const auto model = serve::CostModel::build(tiers, *probe);
     full_refine_cost = model.cost_between(probe->current_level(), 0);
   }

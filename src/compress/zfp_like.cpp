@@ -8,11 +8,6 @@
 
 #include "util/assert.hpp"
 #include "util/bitstream.hpp"
-#include "util/simd.hpp"
-
-#if CANOPUS_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace canopus::compress {
 
@@ -34,8 +29,8 @@ enum BlockMode : std::uint8_t {
 };
 
 /// One forward lifting stage over a[0..len): pair (even, odd), emit sums then
-/// details. Shared by the scalar path and the vector path's short tails.
-void forward_stage_scalar(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
+/// details.
+void forward_stage(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < half; ++i) {
     const std::int64_t x = a[2 * i];
@@ -48,7 +43,7 @@ void forward_stage_scalar(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
   std::copy(tmp, tmp + len, a);
 }
 
-void inverse_stage_scalar(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
+void inverse_stage(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < half; ++i) {
     const std::int64_t s = a[i];
@@ -60,86 +55,6 @@ void inverse_stage_scalar(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
   }
   std::copy(tmp, tmp + len, a);
 }
-
-void forward_transform_scalar(std::int64_t* a) {
-  std::int64_t tmp[kBlock];
-  for (std::size_t len = kBlock; len >= 2; len /= 2) {
-    forward_stage_scalar(a, tmp, len);
-  }
-}
-
-void inverse_transform_scalar(std::int64_t* a) {
-  std::int64_t tmp[kBlock];
-  for (std::size_t len = 2; len <= kBlock; len *= 2) {
-    inverse_stage_scalar(a, tmp, len);
-  }
-}
-
-#if CANOPUS_SIMD_X86
-// AVX2 lifting: four (even, odd) pairs per step. All operations are 64-bit
-// integer adds/subs plus an emulated arithmetic shift-right-by-one (AVX2 has
-// no _mm256_srai_epi64), so every lane computes exactly the scalar
-// expression and the transforms stay bitwise-identical and exactly
-// invertible. Stages of length >= 8 vectorize; the len=4 and len=2 tails run
-// the scalar pair loop.
-
-__attribute__((target("avx2"))) inline __m256i sra1_epi64(__m256i v) {
-  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
-  return _mm256_or_si256(_mm256_srli_epi64(v, 1), _mm256_and_si256(v, sign));
-}
-
-__attribute__((target("avx2"))) void forward_transform_avx2(std::int64_t* a) {
-  alignas(32) std::int64_t tmp[kBlock];
-  for (std::size_t len = kBlock; len >= 8; len /= 2) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < half; i += 4) {
-      const __m256i v0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 2 * i));
-      const __m256i v1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 2 * i + 4));
-      // Deinterleave (a[2i], a[2i+1], ...) into even/odd quadruples.
-      const __m256i ev = _mm256_permute4x64_epi64(
-          _mm256_unpacklo_epi64(v0, v1), 0b11011000);
-      const __m256i od = _mm256_permute4x64_epi64(
-          _mm256_unpackhi_epi64(v0, v1), 0b11011000);
-      const __m256i d = _mm256_sub_epi64(ev, od);
-      const __m256i s = _mm256_add_epi64(od, sra1_epi64(d));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + i), s);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + half + i), d);
-    }
-    std::copy(tmp, tmp + len, a);
-  }
-  for (std::size_t len = 4; len >= 2; len /= 2) {
-    forward_stage_scalar(a, tmp, len);
-  }
-}
-
-__attribute__((target("avx2"))) void inverse_transform_avx2(std::int64_t* a) {
-  alignas(32) std::int64_t tmp[kBlock];
-  for (std::size_t len = 2; len <= 4; len *= 2) {
-    inverse_stage_scalar(a, tmp, len);
-  }
-  for (std::size_t len = 8; len <= kBlock; len *= 2) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < half; i += 4) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      const __m256i d =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + half + i));
-      const __m256i y = _mm256_sub_epi64(s, sra1_epi64(d));
-      const __m256i x = _mm256_add_epi64(y, d);
-      // Re-interleave (x0, y0, x1, y1, ...).
-      const __m256i lo = _mm256_unpacklo_epi64(x, y);  // x0 y0 x2 y2
-      const __m256i hi = _mm256_unpackhi_epi64(x, y);  // x1 y1 x3 y3
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 2 * i),
-                         _mm256_permute2x128_si256(lo, hi, 0x20));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 2 * i + 4),
-                         _mm256_permute2x128_si256(lo, hi, 0x31));
-    }
-    std::copy(tmp, tmp + len, a);
-  }
-}
-#endif  // CANOPUS_SIMD_X86
 
 /// The decoder's reconstruction of a block's first `n` values from its signed
 /// coefficients: inverse lifting for a lifted block, then back from fixed
@@ -469,23 +384,17 @@ std::array<ZfpCandidateBits, 2> zfp_candidate_bits(std::span<const double> block
 }
 
 void forward_transform64(std::int64_t* a) {
-#if CANOPUS_SIMD_X86
-  if (util::simd::use_avx2()) {
-    forward_transform_avx2(a);
-    return;
+  std::int64_t tmp[kBlock];
+  for (std::size_t len = kBlock; len >= 2; len /= 2) {
+    forward_stage(a, tmp, len);
   }
-#endif
-  forward_transform_scalar(a);
 }
 
 void inverse_transform64(std::int64_t* a) {
-#if CANOPUS_SIMD_X86
-  if (util::simd::use_avx2()) {
-    inverse_transform_avx2(a);
-    return;
+  std::int64_t tmp[kBlock];
+  for (std::size_t len = 2; len <= kBlock; len *= 2) {
+    inverse_stage(a, tmp, len);
   }
-#endif
-  inverse_transform_scalar(a);
 }
 
 }  // namespace detail

@@ -46,10 +46,8 @@ namespace detail {
 inline constexpr std::size_t kZfpBlock = 64;
 
 /// Forward/inverse integer Haar lifting over one 64-coefficient block, in
-/// place. Dispatches to the AVX2 lane variant when util::simd allows it;
-/// both paths are exactly invertible and bitwise-identical. Exposed so
-/// micro_kernels can time the transform alone (inside zfp_encode it is
-/// diluted by the bit-plane coder) and compress_test can pin scalar == simd.
+/// place; the inverse undoes the forward exactly. Exposed so tests can
+/// check that round trip and the plane choice against a reference encoder.
 void forward_transform64(std::int64_t* a);
 void inverse_transform64(std::int64_t* a);
 

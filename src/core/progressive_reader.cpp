@@ -99,6 +99,7 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
   values_ = reader_.read_doubles(var_, adios::BlockKind::kBase, current_level_,
                                  &data_t);
   cumulative_.charge(data_t);
+  cumulative_.values_decoded += values_.size();
   if (!geometry_) {
     owned_geometry_ = GeometryCache::load(reader_, var_, &cumulative_);
     geometry_ = &*owned_geometry_;
@@ -181,16 +182,18 @@ std::vector<cache::BlockCache::ArrayPtr> ProgressiveReader::decode_level(
   cache::BlockCache* cache = hierarchy_.block_cache();
   std::vector<cache::BlockCache::ArrayPtr> parts(chunks.size());
   std::vector<double> decode_seconds(chunks.size(), 0.0);
+  std::vector<std::size_t> decoded(chunks.size(), 0);
   pool().parallel_for(0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
       const auto& rc = chunks[c];
       const auto decode = [&] {
+        decoded[c] = rc.record.value_count;
         return adios::BpReader::decode_chunk(rc.record, rc.payload,
                                              &decode_seconds[c]);
       };
       // Single-flight means exactly one session pays a cached decode; only
-      // that leader's wall time lands in decode_seconds (hits charge zero,
-      // like cached I/O).
+      // that leader's wall time and values land in the step (hits charge
+      // zero, like cached I/O).
       parts[c] = cache != nullptr
                      ? cache
                            ->get_or_load_array(
@@ -201,7 +204,10 @@ std::vector<cache::BlockCache::ArrayPtr> ProgressiveReader::decode_level(
                      : std::make_shared<const std::vector<double>>(decode());
     }
   });
-  for (const double s : decode_seconds) step.decompress_seconds += s;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    step.decompress_seconds += decode_seconds[c];
+    step.values_decoded += decoded[c];
+  }
   return parts;
 }
 

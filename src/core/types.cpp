@@ -15,6 +15,7 @@ RetrievalTimings& RetrievalTimings::operator+=(const RetrievalTimings& o) {
   corruptions_detected += o.corruptions_detected;
   replica_reads += o.replica_reads;
   degraded_steps += o.degraded_steps;
+  values_decoded += o.values_decoded;
   return *this;
 }
 

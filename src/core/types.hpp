@@ -64,6 +64,9 @@ struct RetrievalTimings {
   std::size_t corruptions_detected = 0;  // CRC failures among those
   std::size_t replica_reads = 0;         // reads served by a replica copy
   std::size_t degraded_steps = 0;        // refine() calls that gave up
+  /// Values decoded from stored blocks; a decoded array served by the block
+  /// cache decodes none. serve::CostModel::charged prices them.
+  std::size_t values_decoded = 0;
 
   double total() const { return io_seconds + decompress_seconds + restore_seconds; }
   RetrievalTimings& operator+=(const RetrievalTimings& o);

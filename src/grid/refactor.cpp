@@ -104,6 +104,7 @@ GridProgressiveReader::GridProgressiveReader(storage::StorageHierarchy& hierarch
   cumulative_.io_seconds = shapes_t.io_sim_seconds + data_t.io_sim_seconds;
   cumulative_.decompress_seconds = data_t.decompress_seconds;
   cumulative_.bytes_read = shapes_t.bytes_read + data_t.bytes_read;
+  cumulative_.values_decoded = values_.size();
 }
 
 double GridProgressiveReader::decimation_ratio() const {
@@ -121,6 +122,7 @@ core::RetrievalTimings GridProgressiveReader::refine() {
   step.io_seconds = delta_t.io_sim_seconds;
   step.decompress_seconds = delta_t.decompress_seconds;
   step.bytes_read = delta_t.bytes_read;
+  step.values_decoded = delta.size();
 
   util::WallTimer t;
   values_ = restore_grid_level(shapes_[next], delta, shapes_[current_level_],

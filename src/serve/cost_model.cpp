@@ -6,20 +6,8 @@
 
 namespace canopus::serve {
 
-void Calibration::observe_compute(std::size_t bytes, double seconds) {
-  if (bytes == 0 || !(seconds > 0.0)) return;
-  const double sample = seconds / static_cast<double>(bytes);
-  double current = ewma_.load(std::memory_order_relaxed);
-  double next = 0.0;
-  do {
-    next = 0.8 * current + 0.2 * sample;
-  } while (!ewma_.compare_exchange_weak(current, next,
-                                        std::memory_order_relaxed));
-}
-
 CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
-                           const core::ProgressiveReader& reader,
-                           const Calibration* calibration) {
+                           const core::ProgressiveReader& reader) {
   CostModel model;
   const std::size_t levels = reader.level_count();
   if (levels <= 1) return model;
@@ -28,9 +16,6 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
     model.steps_[l].level = l;
   }
 
-  const double seconds_per_byte = calibration != nullptr
-                                      ? calibration->compute_seconds_per_byte()
-                                      : Calibration::kPriorSecondsPerByte;
   const cache::BlockCache* cache = hierarchy.block_cache();
   const adios::VarInfo info = reader.var_info();
   for (const auto& b : info.blocks) {
@@ -65,10 +50,16 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
     }
     if (!residency.decoded) {
       step.compute_seconds +=
-          seconds_per_byte * static_cast<double>(b.stored_bytes);
+          kComputeSecondsPerValue * static_cast<double>(b.value_count);
     }
   }
   return model;
+}
+
+double CostModel::charged(const core::ProgressiveReader& reader) {
+  const core::RetrievalTimings& spent = reader.cumulative();
+  return spent.io_seconds +
+         kComputeSecondsPerValue * static_cast<double>(spent.values_decoded);
 }
 
 const LevelCostEstimate& CostModel::step(std::uint32_t level) const {

@@ -15,17 +15,19 @@
 //      skips the work (BlockCache::probe): a resident blob waives the I/O,
 //      since the reader always fetches the blob, and a resident decoded
 //      array waives the decode.
-//   3. Observed compute — per scheduler, an EWMA of measured decode+restore
-//      seconds per stored byte replaces the built-in prior as queries
-//      complete. I/O is priced from the envelope alone: observability
-//      records what happened and never steers a plan.
+//   3. The per-value compute price — kComputeSecondsPerValue per value a
+//      step decodes (BlockRecord::value_count), standing in for decode plus
+//      restore. A fixed price, so the budget reads one clock: simulated I/O
+//      plus the per-value compute price, never a wall-clock second, and a
+//      plan depends on neither host load nor what observability records.
 //
 // The model is a pure planning artifact: building it performs no tier reads
 // and leaves the cache untouched. Execution then re-checks the remaining
-// budget before every step (ProgressiveReader::refine_while), so a plan that
-// turns out optimistic degrades gracefully instead of blowing the deadline.
+// budget before every step (ProgressiveReader::refine_while) against
+// charged(), what the reader has cost so far on the same clock, so a plan
+// that turns out optimistic degrades gracefully instead of blowing the
+// deadline.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,42 +41,35 @@ namespace canopus::serve {
 struct LevelCostEstimate {
   std::uint32_t level = 0;
   double io_seconds = 0.0;       // simulated tier fetches of the step's blocks
-  double compute_seconds = 0.0;  // decode + restore estimate (wall)
+  double compute_seconds = 0.0;  // priced decode + restore of its values
   std::size_t bytes = 0;         // stored bytes the step covers
   std::size_t cached_blocks = 0; // blocks whose blob the cache holds
   double total() const { return io_seconds + compute_seconds; }
 };
 
-/// Observed-throughput calibration shared by every query of one scheduler.
-/// Thread-safe: workers feed it after each executed query.
-class Calibration {
- public:
-  /// Decode+restore throughput prior until real queries are observed
-  /// (~250 MB/s of stored bytes — deliberately conservative).
-  static constexpr double kPriorSecondsPerByte = 4e-9;
-
-  /// Folds one query's measured compute time over `bytes` stored bytes into
-  /// the EWMA.
-  void observe_compute(std::size_t bytes, double seconds);
-
-  /// Current estimate of decode+restore seconds per stored byte.
-  double compute_seconds_per_byte() const {
-    return ewma_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> ewma_{kPriorSecondsPerByte};
-};
-
 class CostModel {
  public:
+  /// Price of decoding and restoring one value. Timed over the benchmark's
+  /// XGC container (decode plus restore, reader with its geometry, io depth
+  /// 1) on two 4-vCPU x86-64 guests: the L0 step took 1.16-1.70 ms for
+  /// 20,800 values, L1 0.63-0.91 ms for 10,400 and L2 0.33-0.50 ms for
+  /// 5,200, about 65-90 ns per value. Priced per value, not per stored
+  /// byte: the work scales with the values, however well the codec packs
+  /// them.
+  static constexpr double kComputeSecondsPerValue = 8e-8;
+
   /// Builds per-level step estimates for the variable `reader` has open.
-  /// `calibration` may be null (the compute prior applies). Blocks are
-  /// priced where they live when the model is built: a plan built while a
-  /// tier advisor moves them prices the tier before the move.
+  /// Blocks are priced where they live when the model is built: a plan
+  /// built while a tier advisor moves them prices the tier before the move.
   static CostModel build(storage::StorageHierarchy& hierarchy,
-                         const core::ProgressiveReader& reader,
-                         const Calibration* calibration = nullptr);
+                         const core::ProgressiveReader& reader);
+
+  /// What `reader` has cost so far on the budget's clock: its simulated I/O,
+  /// the open included, plus kComputeSecondsPerValue per value it decoded
+  /// (the base, then each step's deltas; a decoded array the cache served
+  /// is free, as the model prices it). A cacheless open's geometry load is
+  /// charged its reads only.
+  static double charged(const core::ProgressiveReader& reader);
 
   /// One entry per refinable level, index = target level (0 .. levels-2).
   const std::vector<LevelCostEstimate>& steps() const { return steps_; }

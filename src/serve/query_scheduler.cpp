@@ -285,14 +285,12 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
       return remote != nullptr ? remote->topology_epoch() : 0;
     };
     std::uint64_t model_epoch = topology_epoch();
-    CostModel model =
-        CostModel::build(*hierarchy, reader, &calibration_);
-    const core::RetrievalTimings at_open = reader.cumulative();
-    // The base retrieval already spent part of the budget; plan the reachable
-    // level with what is left. Even a budget the base alone exceeded serves
-    // the base — the elastic floor is "always answer something".
+    CostModel model = CostModel::build(*hierarchy, reader);
+    // The open already spent part of the budget; plan the reachable level
+    // with what is left. Even a budget the open alone exceeded serves the
+    // base — the elastic floor is "always answer something".
     const std::uint32_t planned = model.reachable_level(
-        reader.current_level(), deadline - at_open.total(), target);
+        reader.current_level(), deadline - CostModel::charged(reader), target);
 
     const bool rmse_mode = request.rmse_threshold.has_value();
     const double rmse_threshold = request.rmse_threshold.value_or(0.0);
@@ -302,29 +300,24 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
           *reader.last_delta_rms() < rmse_threshold) {
         return false;  // accuracy criterion met
       }
-      // Re-check the budget before every step with the calibrated estimate:
-      // a plan that turned out optimistic stops early instead of blowing
-      // the deadline. When the topology moved underneath the query (a node
+      // Re-check the budget before every step on the plan's clock: a plan
+      // that turned out optimistic stops early instead of blowing the
+      // deadline. When the topology moved underneath the query (a node
       // attach or detach committed a new epoch), rebuild the model
       // first so remaining steps are priced at the blocks' new homes.
       if (const std::uint64_t now_epoch = topology_epoch();
           now_epoch != model_epoch) {
-        model = CostModel::build(*hierarchy, reader, &calibration_);
+        model = CostModel::build(*hierarchy, reader);
         model_epoch = now_epoch;
         count_serve("replans");
       }
       const double step_cost = next < model.steps().size()
                                    ? model.step(next).total()
                                    : 0.0;
-      return reader.cumulative().total() + step_cost <= deadline;
+      return CostModel::charged(reader) + step_cost <= deadline;
     });
 
-    const core::RetrievalTimings done = reader.cumulative();
-    calibration_.observe_compute(
-        done.bytes_read - at_open.bytes_read,
-        (done.decompress_seconds + done.restore_seconds) -
-            (at_open.decompress_seconds + at_open.restore_seconds));
-
+    const core::RetrievalTimings& done = reader.cumulative();
     out.result.values = reader.values();
     out.result.mesh = reader.current_mesh();
     out.result.achieved_level = reader.current_level();
@@ -332,6 +325,7 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
     out.result.target_level = target;
     out.result.delta_rms = reader.last_delta_rms().value_or(0.0);
     out.result.deadline_seconds = deadline;
+    out.result.charged_seconds = CostModel::charged(reader);
     out.result.timings = done;
     out.result.topology_epoch = model_epoch;
 

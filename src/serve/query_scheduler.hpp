@@ -13,14 +13,13 @@
 //     StatusCode::kOverloaded. Backpressure instead of unbounded queuing:
 //     under overload, latency stays bounded and clients learn to back off.
 //   * Deadline planning. Each admitted query gets a retrieval-cost budget
-//     (its deadline, in RetrievalTimings::total() seconds — simulated tier
-//     I/O plus measured wall-clock decode and restore time). A per-level
-//     CostModel (serve/cost_model.hpp) built from product metadata, live
-//     residency, cache residency and each tier's deterministic envelope
-//     plans the reachable level before any delta is fetched. Its I/O
-//     estimate is machine-independent; its compute estimate is an EWMA of
-//     measured wall time, so how deep a query refines can vary with host
-//     speed and load.
+//     (its deadline, in seconds of simulated I/O plus the per-value compute
+//     price — CostModel::charged). A per-level CostModel
+//     (serve/cost_model.hpp) built from product metadata, live residency,
+//     cache residency and each tier's deterministic envelope plans the
+//     reachable level before any delta is fetched. No decision reads a
+//     wall-clock second, so how deep a query refines depends neither on
+//     host speed nor on load.
 //   * Elastic degradation. Execution re-checks the remaining budget before
 //     every refinement step (ProgressiveReader::refine_while). When the
 //     deadline stops refinement above the target level the query still
@@ -69,8 +68,8 @@ struct QueryRequest {
   /// drops below this threshold (must be finite). When set it replaces
   /// target_level as the stop criterion; the deadline still caps the work.
   std::optional<double> rmse_threshold;
-  /// Retrieval-cost budget in seconds (RetrievalTimings::total(): simulated
-  /// tier I/O + measured compute). Unset: ServeConfig default. Must be
+  /// Retrieval-cost budget in seconds of simulated I/O plus the per-value
+  /// compute price (CostModel::charged). Unset: ServeConfig default. Must be
   /// finite and > 0.
   std::optional<double> deadline_seconds;
   /// Larger = more urgent. Any int; 0 is the neutral default.
@@ -92,7 +91,12 @@ struct QueryResult {
   /// degradation policy reports (0 when no refinement ran).
   double delta_rms = 0.0;
   double deadline_seconds = 0.0;    // the budget the query ran under
-  core::RetrievalTimings timings;   // actual retrieval cost (incl. base)
+  /// CostModel::charged at completion: what the query cost on the budget's
+  /// clock, the open included.
+  double charged_seconds = 0.0;
+  /// What the retrieval took, wall-clock decode and restore included (a
+  /// report; no serve decision reads it).
+  core::RetrievalTimings timings;
   double queue_seconds = 0.0;       // wall time spent waiting for a worker
   std::uint64_t dispatch_order = 0; // global execution sequence (1-based)
   /// Fabric node the query was dispatched to (-1 = the scheduler's own
@@ -198,7 +202,6 @@ class QueryScheduler {
   util::ThreadPool* session_pool_;  // not owned; may be null
   std::atomic<fabric::Fabric*> fabric_{nullptr};  // not owned; may be null
   std::atomic<tiering::TierAdvisor*> advisor_{nullptr};  // not owned; may be null
-  Calibration calibration_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

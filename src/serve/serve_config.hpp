@@ -27,8 +27,8 @@ struct ServeConfig {
   std::size_t queue_limit = 32;
 
   /// Retrieval-cost budget applied when a QueryRequest names no deadline of
-  /// its own, in seconds on the retrieval clock (simulated tier I/O plus
-  /// measured decompress/restore wall time — RetrievalTimings::total()).
+  /// its own, in seconds of simulated I/O plus the per-value compute price
+  /// (CostModel::charged).
   double default_deadline_seconds = 0.25;
 
   /// Priority points a waiting query gains per second of queue time.

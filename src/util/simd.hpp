@@ -1,6 +1,6 @@
 #pragma once
-// Runtime SIMD dispatch for the hot kernels (the zfp-like block transform,
-// sz-like code reconstruction, CRC-32 slicing).
+// Runtime SIMD dispatch for the hot kernels (sz-like code reconstruction,
+// CRC-32 slicing).
 //
 // Policy: a kernel gets a vector variant only when the lanes compute the
 // exact same IEEE/integer operations in the same order as the scalar loop, so

@@ -353,7 +353,7 @@ TEST(Fabric, CostModelChargesRemoteEnvelopeForNonResidentChunks) {
   {
     cc::ProgressiveReader probe(home, "d.bp", "v");
     coarsest = probe.current_level();
-    base_total = probe.cumulative().total();
+    base_total = cv::CostModel::charged(probe);
     const auto model = cv::CostModel::build(home, probe);
     // Every refinement step has 8 Morton-range chunks, at most 2 of them on
     // node 0: its planned I/O must include at least one 5 s network hop.

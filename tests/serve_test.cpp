@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "serve/query_scheduler.hpp"
 #include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace cc = canopus::core;
@@ -121,66 +123,58 @@ TEST(QueryScheduler, GenerousDeadlineReachesTargetBitwise) {
 }
 
 TEST(QueryScheduler, TightDeadlineDegradesToCoarserLevelBitwise) {
-  // The ssd tier holds the first step's delta chunks. Its round trip is
-  // slowed to 50 ms so that the deadline below sits tens of simulated
-  // milliseconds clear of both the open and the first step, far beyond the
-  // wall-clock time the budget also counts (the base decode and, without a
-  // GeometryCache, the geometry load at open).
-  cs::TierSpec ssd = cs::ssd_spec(128 << 20);
-  ssd.read_latency = 0.05;
-  cs::StorageHierarchy tiers(
-      {cs::tmpfs_spec(64 << 20), ssd, cs::lustre_spec(1 << 30)});
-  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         refactor_config());
-
-  // Probe the deterministic base cost and the first step's simulated I/O.
-  double base_total = 0.0;
-  double first_step_io = 0.0;
+  Dataset data;
+  // Probe the open's charge (no GeometryCache: the geometry reads count) and
+  // the first step's price, both on the budget's clock.
+  double open_charge = 0.0;
+  double first_step = 0.0;
   std::uint32_t coarsest = 0;
   {
-    cc::ProgressiveReader probe(tiers, "d.bp", "v");
-    base_total = probe.cumulative().total();
+    cc::ProgressiveReader probe(data.tiers, "d.bp", "v");
+    open_charge = cv::CostModel::charged(probe);
     coarsest = probe.current_level();
-    const auto model = cv::CostModel::build(tiers, probe);
-    first_step_io = model.step(coarsest - 1).io_seconds;
+    const auto model = cv::CostModel::build(data.tiers, probe);
+    first_step = model.step(coarsest - 1).total();
   }
-  ASSERT_GT(first_step_io, 0.0);
+  ASSERT_GT(first_step, 0.0);
 
-  // A budget that covers the base but only a sliver of the first refinement
-  // step: the query must answer with the coarser field, degraded.
-  cv::QueryScheduler scheduler(tiers, {}, {});
-  cv::QueryRequest request = query();
-  request.target_level = 0;
-  request.deadline_seconds = base_total + 0.25 * first_step_io;
-  cv::QueryResult result;
-  const Status status = scheduler.execute(request, &result);
+  // 1 us short of the first step serves the base; 1 us past it buys exactly
+  // that step. Both fall short of the target, so both answer degraded.
+  cv::QueryScheduler scheduler(data.tiers, {}, {});
+  for (const double margin : {-1e-6, 1e-6}) {
+    const std::uint32_t expected = margin < 0 ? coarsest : coarsest - 1;
+    cv::QueryRequest request = query();
+    request.target_level = 0;
+    request.deadline_seconds = open_charge + first_step + margin;
+    cv::QueryResult result;
+    const Status status = scheduler.execute(request, &result);
 
-  EXPECT_EQ(status.code, StatusCode::kDegraded);
-  EXPECT_TRUE(status.degraded);
-  EXPECT_TRUE(status.usable());
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(status.detail.empty());
-  EXPECT_GT(result.achieved_level, 0u);
-  EXPECT_EQ(result.achieved_level, result.planned_level);
-  EXPECT_LE(result.timings.total(), *request.deadline_seconds);
+    EXPECT_EQ(status.code, StatusCode::kDegraded) << margin;
+    EXPECT_TRUE(status.degraded);
+    EXPECT_TRUE(status.usable());
+    EXPECT_FALSE(status.ok());
+    EXPECT_FALSE(status.detail.empty());
+    EXPECT_EQ(result.achieved_level, expected) << margin;
+    EXPECT_EQ(result.achieved_level, result.planned_level);
+    EXPECT_LE(result.charged_seconds, *request.deadline_seconds);
 
-  // Elastic degradation serves the exact field of that coarser level.
-  canopus::Pipeline pipeline(tiers);
-  canopus::ReadRequest rreq;
-  rreq.path = "d.bp";
-  rreq.var = "v";
-  rreq.target_level = result.achieved_level;
-  canopus::ReadResult reference;
-  ASSERT_TRUE(pipeline.read(rreq, &reference).ok());
-  ASSERT_EQ(reference.level, result.achieved_level);
-  ASSERT_EQ(result.values.size(), reference.values.size());
-  for (std::size_t i = 0; i < result.values.size(); ++i) {
-    ASSERT_EQ(result.values[i], reference.values[i]) << "vertex " << i;
+    // Elastic degradation serves the exact field of that coarser level.
+    canopus::Pipeline pipeline(data.tiers);
+    canopus::ReadRequest rreq;
+    rreq.path = "d.bp";
+    rreq.var = "v";
+    rreq.target_level = result.achieved_level;
+    canopus::ReadResult reference;
+    ASSERT_TRUE(pipeline.read(rreq, &reference).ok());
+    ASSERT_EQ(reference.level, result.achieved_level);
+    ASSERT_EQ(result.values.size(), reference.values.size());
+    for (std::size_t i = 0; i < result.values.size(); ++i) {
+      ASSERT_EQ(result.values[i], reference.values[i]) << "vertex " << i;
+    }
   }
 
-  EXPECT_EQ(scheduler.stats().degraded, 1u);
-  EXPECT_EQ(scheduler.stats().completed, 1u);
+  EXPECT_EQ(scheduler.stats().degraded, 2u);
+  EXPECT_EQ(scheduler.stats().completed, 2u);
 }
 
 TEST(QueryScheduler, RmseThresholdStopsEarly) {
@@ -430,52 +424,29 @@ TEST(CostModel, CachedDecodedArrayStillChargesTheBlobFetch) {
   EXPECT_EQ(model.step(0).cached_blocks, 0u);
 }
 
-TEST(CostModel, CalibrationEwmaTracksObservedThroughput) {
-  cv::Calibration calibration;
-  EXPECT_DOUBLE_EQ(calibration.compute_seconds_per_byte(),
-                   cv::Calibration::kPriorSecondsPerByte);
-  // Feed a consistently slower signal; the EWMA must move toward it and the
-  // degenerate samples must be ignored.
-  calibration.observe_compute(0, 1.0);
-  calibration.observe_compute(1000, 0.0);
-  EXPECT_DOUBLE_EQ(calibration.compute_seconds_per_byte(),
-                   cv::Calibration::kPriorSecondsPerByte);
-  const double slow = 1e-6;  // 1 MB/s
-  for (int i = 0; i < 64; ++i) {
-    calibration.observe_compute(1 << 20, slow * (1 << 20));
-  }
-  EXPECT_GT(calibration.compute_seconds_per_byte(),
-            100 * cv::Calibration::kPriorSecondsPerByte);
-  EXPECT_LE(calibration.compute_seconds_per_byte(), slow * 1.01);
-}
-
 // Observability records what happened and never steers a plan: one seeded
 // query sequence against a lustre tier with latency spikes must plan, reach
-// and serve the same levels, bit for bit, with tracing off and on. The lustre
-// round trip is slowed to 0.5 s so that deadlines sit hundreds of simulated
-// milliseconds clear of each step boundary, far beyond the wall-clock decode
-// time the budget also counts (even under sanitizers): only a plan that read
-// the observed latencies could move.
+// and serve the same levels, bit for bit, with tracing off and on. Each
+// deadline sits 1 us to either side of a step boundary on the budget's
+// clock, so a plan that priced any step from the observed latencies would
+// move.
 TEST(CostModel, ObservabilityNeverSteersPlans) {
-  cs::TierSpec lustre = cs::lustre_spec(1 << 30);
-  lustre.read_latency = 0.5;
-  cs::StorageHierarchy tiers(
-      {cs::tmpfs_spec(64 << 20), cs::ssd_spec(128 << 20), lustre});
-  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         refactor_config());
+  Dataset data;
+  cs::StorageHierarchy& tiers = data.tiers;
   // Preloaded geometry keeps the L0 mesh's lustre read out of every open, so
   // the spikes land on delta reads only.
   const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
-  double base_total = 0.0;
-  double refine_cost = 0.0;
+  double open_charge = 0.0;
+  double ssd_step = 0.0;
+  double lustre_step = 0.0;
   {
     cc::ProgressiveReader probe(tiers, "d.bp", "v", &geometry);
-    base_total = probe.cumulative().total();
-    refine_cost = cv::CostModel::build(tiers, probe)
-                      .cost_between(probe.current_level(), 0);
+    open_charge = cv::CostModel::charged(probe);
+    const auto model = cv::CostModel::build(tiers, probe);
+    ASSERT_EQ(probe.current_level(), 2u);
+    ssd_step = model.step(1).total();
+    lustre_step = model.step(0).total();
   }
-  ASSERT_GT(refine_cost, 1.0);
 
   struct Served {
     std::uint32_t planned = 0;
@@ -499,10 +470,13 @@ TEST(CostModel, ObservabilityNeverSteersPlans) {
     std::vector<Served> served;
     for (int q = 0; q < 30; ++q) {
       cv::QueryRequest request = to_full;
-      // Half the refine cost affords the cheap ssd step only; 1.2x affords
-      // both, but not if the lustre step were priced 20% higher.
-      const double share = rng.uniform_index(2) == 0 ? 0.5 : 1.2;
-      request.deadline_seconds = base_total + share * refine_cost;
+      // The boundary after the ssd step or after both steps, 1 us short of
+      // it or 1 us past it.
+      const double boundary =
+          open_charge + ssd_step +
+          (rng.uniform_index(2) == 0 ? 0.0 : lustre_step);
+      request.deadline_seconds =
+          boundary + (rng.uniform_index(2) == 0 ? -1e-6 : 1e-6);
       cv::QueryResult result;
       EXPECT_TRUE(scheduler.execute(request, &result).usable()) << q;
       served.push_back({result.planned_level, result.achieved_level,
@@ -521,11 +495,112 @@ TEST(CostModel, ObservabilityNeverSteersPlans) {
     EXPECT_EQ(traced[q].planned, quiet[q].planned) << "query " << q;
     EXPECT_EQ(traced[q].achieved, quiet[q].achieved) << "query " << q;
     EXPECT_EQ(traced[q].values, quiet[q].values) << "query " << q;
+    EXPECT_EQ(quiet[q].achieved, quiet[q].planned) << "query " << q;
     levels.insert(quiet[q].achieved);
   }
-  // The sequence exercises both outcomes: stopped after the ssd step, and
-  // refined through the spiking lustre step.
-  EXPECT_EQ(levels, (std::set<std::uint32_t>{0, 1}));
+  // The sequence exercises every outcome: the base, stopped after the ssd
+  // step, and refined through the spiking lustre step.
+  EXPECT_EQ(levels, (std::set<std::uint32_t>{0, 1, 2}));
+}
+
+// The serve gate: a plan reads one clock. 64 seeded queries whose deadlines
+// sit 1 us to either side of a level boundary on the budget's clock get the
+// same planned level, achieved level and charge, bit for bit, at 1 and 4
+// workers with observability off and on; each reaches the level the cost
+// model alone predicts and stays inside its deadline.
+TEST(QueryScheduler, PlansReadOneClockAtAnyWorkerCount) {
+  Dataset data;
+  const auto geometry = cc::GeometryCache::load(data.tiers, "d.bp", "v");
+  // charge[k]: what a probe reader has been charged standing at level
+  // coarsest - k.
+  std::vector<double> charge;
+  std::uint32_t coarsest = 0;
+  cv::CostModel model;
+  {
+    cc::ProgressiveReader probe(data.tiers, "d.bp", "v", &geometry);
+    coarsest = probe.current_level();
+    model = cv::CostModel::build(data.tiers, probe);
+    charge.push_back(cv::CostModel::charged(probe));
+    while (!probe.at_full_accuracy()) {
+      probe.refine();
+      charge.push_back(cv::CostModel::charged(probe));
+    }
+  }
+  ASSERT_EQ(charge.size(), coarsest + 1u);
+
+  const std::uint64_t seed = canopus::test::test_seed();
+  SCOPED_TRACE("CANOPUS_TEST_SEED=" + std::to_string(seed));
+  canopus::util::Rng rng(seed + 41);
+  std::vector<double> deadlines;
+  std::vector<std::uint32_t> expected;
+  for (int q = 0; q < 64; ++q) {
+    // 1 us past the open, or 1 us to either side of a later boundary (1 us
+    // short of the open would leave even the base over budget).
+    const auto k = rng.uniform_index(charge.size());
+    const double margin =
+        k == 0 || rng.uniform_index(2) == 0 ? 1e-6 : -1e-6;
+    deadlines.push_back(charge[k] + margin);
+    expected.push_back(
+        model.reachable_level(coarsest, deadlines.back() - charge[0], 0));
+    EXPECT_EQ(expected.back(), margin > 0 ? coarsest - k : coarsest - k + 1)
+        << "query " << q;
+  }
+
+  struct Served {
+    std::uint32_t planned = 0;
+    std::uint32_t achieved = 0;
+    double charged = 0.0;
+  };
+  const auto run = [&](std::size_t workers, bool observe) {
+    canopus::obs::MetricsRegistry::global().reset();
+    canopus::obs::set_enabled(observe);
+    cv::ServeConfig config;
+    config.workers = workers;
+    config.queue_limit = deadlines.size();
+    cv::QueryScheduler scheduler(data.tiers, config, {});
+    scheduler.pause();  // every query queued before the first dispatch
+    std::vector<std::future<cv::QueryOutcome>> futures;
+    for (const double deadline : deadlines) {
+      cv::QueryRequest request = query();
+      request.target_level = 0;
+      request.deadline_seconds = deadline;
+      request.geometry = &geometry;
+      futures.push_back(scheduler.submit(request));
+    }
+    scheduler.resume();
+    std::vector<Served> served;
+    for (auto& f : futures) {
+      const cv::QueryOutcome outcome = f.get();
+      EXPECT_TRUE(outcome.status.usable()) << outcome.status.to_string();
+      served.push_back({outcome.result.planned_level,
+                        outcome.result.achieved_level,
+                        outcome.result.charged_seconds});
+    }
+    canopus::obs::set_enabled(false);
+    return served;
+  };
+
+  const auto reference = run(1, false);
+  for (std::size_t q = 0; q < reference.size(); ++q) {
+    EXPECT_EQ(reference[q].planned, expected[q]) << "query " << q;
+    EXPECT_EQ(reference[q].achieved, reference[q].planned) << "query " << q;
+    EXPECT_LE(reference[q].charged, deadlines[q]) << "query " << q;
+  }
+  for (const auto& [workers, observe] :
+       {std::pair<std::size_t, bool>{1, true}, {4, false}, {4, true}}) {
+    const auto served = run(workers, observe);
+    ASSERT_EQ(served.size(), reference.size());
+    for (std::size_t q = 0; q < served.size(); ++q) {
+      EXPECT_EQ(served[q].planned, reference[q].planned)
+          << workers << " workers, observe " << observe << ", query " << q;
+      EXPECT_EQ(served[q].achieved, reference[q].achieved)
+          << workers << " workers, observe " << observe << ", query " << q;
+      EXPECT_EQ(std::memcmp(&served[q].charged, &reference[q].charged,
+                            sizeof(double)),
+                0)
+          << workers << " workers, observe " << observe << ", query " << q;
+    }
+  }
 }
 
 // ------------------------------------------------------------ concurrency --
