@@ -16,12 +16,17 @@ using namespace canopus;
 
 namespace {
 
+/// The write report of one config variation.
+core::RefactorReport write_report(const sim::Dataset& ds,
+                                  const core::RefactorConfig& cfg) {
+  auto tiers = bench::make_two_tier(8 << 20);
+  return core::refactor_and_write(tiers, "a.bp", ds.variable, ds.mesh,
+                                  ds.values, cfg);
+}
+
 /// Total compressed size of base + deltas for a config variation.
 std::size_t stored_size(const sim::Dataset& ds, const core::RefactorConfig& cfg) {
-  auto tiers = bench::make_two_tier(8 << 20);
-  const auto report = core::refactor_and_write(tiers, "a.bp", ds.variable,
-                                               ds.mesh, ds.values, cfg);
-  return report.total_stored_bytes();
+  return write_report(ds, cfg).total_stored_bytes();
 }
 
 }  // namespace
@@ -41,28 +46,31 @@ int main(int argc, char** argv) {
 
   // ---- 1. Estimate(.) weighting. -----------------------------------------
   {
-    util::Table t({"estimate", "stored-bytes", "normalized", "delta-stddev"});
+    // Geometry bytes are the same in every mode: no mode stores weights.
+    util::Table t({"estimate", "stored-bytes", "normalized", "delta-stddev",
+                   "geometry-bytes"});
     for (auto mode : {core::EstimateMode::kUniformThirds,
                       core::EstimateMode::kBarycentric,
                       core::EstimateMode::kNearestVertex}) {
       auto cfg = base_cfg;
       cfg.estimate = mode;
-      const auto stored = stored_size(ds, cfg);
+      const auto report = write_report(ds, cfg);
+      const auto stored = report.total_stored_bytes();
       // Delta smoothness for this mode, measured on the first delta.
       mesh::CascadeOptions copt;
       copt.levels = 2;
       const auto cascade = mesh::build_cascade(ds.mesh, ds.values, copt);
-      const auto mapping =
-          core::build_mapping(cascade.levels[0].mesh, cascade.levels[1].mesh,
-                              mode);
-      const auto delta =
-          core::compute_delta(cascade.levels[1].mesh, cascade.levels[1].values,
-                              cascade.levels[0].values, mapping, mode);
+      const auto mapping = core::build_mapping(cascade.levels[0].mesh,
+                                               cascade.levels[1].mesh);
+      const auto delta = core::compute_delta(
+          cascade.levels[1].mesh, cascade.levels[1].values,
+          cascade.levels[0].mesh, cascade.levels[0].values, mapping, mode);
       util::RunningStats rs;
       rs.add(delta);
       t.add_row({core::to_string(mode), std::to_string(stored),
                  util::Table::num(static_cast<double>(stored) / raw, 4),
-                 util::Table::num(rs.stddev(), 5)});
+                 util::Table::num(rs.stddev(), 5),
+                 std::to_string(report.geometry_bytes)});
     }
     t.print(std::cout, "Ablation 1: Estimate(.) weighting");
     std::cout << '\n';

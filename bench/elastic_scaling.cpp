@@ -161,13 +161,10 @@ int main(int argc, char** argv) {
     const auto st = pipeline.open(probe_request, &probe);
     if (!st.ok()) throw Error("probe open failed: " + st.to_string());
     const auto model = serve::CostModel::build(fabric.node(0), *probe);
-    // 4x the retrieval envelope, widened by the client/worker ratio so queue
-    // wait under the closed load does not force blanket degradation.
-    const double queueing =
-        1.0 + static_cast<double>(clients) / serve_config.workers;
-    deadline = 4.0 * queueing *
-               (serve::CostModel::charged(*probe) +
-                model.cost_between(probe->current_level(), 0));
+    // The scheduler charges a query its retrieval only, never its queue
+    // wait, so the closed load's client/worker ratio does not widen it.
+    deadline = 4.0 * (serve::CostModel::charged(*probe) +
+                      model.cost_between(probe->current_level(), 0));
   }
 
   std::cout << "workload: xgc1 dpot plane, " << ds.values.size() << " values ("

@@ -49,16 +49,14 @@ int main(int argc, char** argv) {
     const auto cascade = mesh::build_cascade(ds.mesh, ds.values, copt);
 
     const auto map01 =
-        core::build_mapping(cascade.levels[0].mesh, cascade.levels[1].mesh,
-                            core::EstimateMode::kUniformThirds);
+        core::build_mapping(cascade.levels[0].mesh, cascade.levels[1].mesh);
     const auto map12 =
-        core::build_mapping(cascade.levels[1].mesh, cascade.levels[2].mesh,
-                            core::EstimateMode::kUniformThirds);
+        core::build_mapping(cascade.levels[1].mesh, cascade.levels[2].mesh);
     const auto delta01 = core::compute_delta(
-        cascade.levels[1].mesh, cascade.levels[1].values,
+        cascade.levels[1].mesh, cascade.levels[1].values, cascade.levels[0].mesh,
         cascade.levels[0].values, map01, core::EstimateMode::kUniformThirds);
     const auto delta12 = core::compute_delta(
-        cascade.levels[2].mesh, cascade.levels[2].values,
+        cascade.levels[2].mesh, cascade.levels[2].values, cascade.levels[1].mesh,
         cascade.levels[1].values, map12, core::EstimateMode::kUniformThirds);
 
     util::Table t({"product", "vertices", "stddev", "total-variation"});

@@ -195,11 +195,11 @@ const std::vector<mesh::Field>& timestep_payload() {
     const auto& levels = f.cascade.levels;
     std::vector<mesh::Field> out{levels.back().values};
     for (std::size_t l = levels.size() - 1; l-- > 0;) {
-      const auto mapping = core::build_mapping(
-          levels[l].mesh, levels[l + 1].mesh, f.config.estimate);
-      const auto delta =
-          core::compute_delta(levels[l + 1].mesh, levels[l + 1].values,
-                              levels[l].values, mapping, f.config.estimate);
+      const auto mapping =
+          core::build_mapping(levels[l].mesh, levels[l + 1].mesh);
+      const auto delta = core::compute_delta(
+          levels[l + 1].mesh, levels[l + 1].values, levels[l].mesh,
+          levels[l].values, mapping, f.config.estimate);
       const auto order = core::cached_spatial_order(levels[l].mesh);
       const std::size_t n = delta.size();
       const std::size_t chunks = f.config.delta_chunks;
@@ -275,33 +275,38 @@ static void BM_BuildMapping(benchmark::State& state) {
   const auto& fine = cascade.levels[0].mesh;
   const auto& coarse = cascade.levels[1].mesh;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_mapping(fine, coarse, core::EstimateMode::kUniformThirds));
+    benchmark::DoNotOptimize(core::build_mapping(fine, coarse));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fine.vertex_count()));
 }
 BENCHMARK(BM_BuildMapping)->Unit(benchmark::kMillisecond);
 
-static void BM_DeltaAndRestore(benchmark::State& state) {
+// Per Estimate mode, on one worker so the time is the per-vertex cost: the
+// barycentric Estimate derives each fine vertex's weights from geometry on
+// both passes, uniform reads only the triangle.
+static void BM_DeltaAndRestore(benchmark::State& state, core::EstimateMode mode) {
   const auto& ds = xgc_small();
   mesh::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = mesh::decimate(ds.mesh, ds.values, opt);
-  const auto mapping = core::build_mapping(ds.mesh, coarse.mesh,
-                                           core::EstimateMode::kUniformThirds);
+  const auto mapping = core::build_mapping(ds.mesh, coarse.mesh);
+  util::ThreadPool pool(1);
   for (auto _ : state) {
-    const auto delta =
-        core::compute_delta(coarse.mesh, coarse.values, ds.values, mapping,
-                            core::EstimateMode::kUniformThirds);
-    benchmark::DoNotOptimize(
-        core::restore_level(coarse.mesh, coarse.values, delta, mapping,
-                            core::EstimateMode::kUniformThirds));
+    const auto delta = core::compute_delta(coarse.mesh, coarse.values, ds.mesh,
+                                           ds.values, mapping, mode, &pool);
+    benchmark::DoNotOptimize(core::restore_level(
+        coarse.mesh, coarse.values, ds.mesh, delta, mapping, mode, &pool));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ds.mesh.vertex_count()));
 }
-BENCHMARK(BM_DeltaAndRestore)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DeltaAndRestore, uniform, core::EstimateMode::kUniformThirds)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaAndRestore, barycentric, core::EstimateMode::kBarycentric)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_BlobDetection(benchmark::State& state) {
   const auto& ds = xgc_small();

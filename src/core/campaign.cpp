@@ -59,8 +59,8 @@ CampaignReport write_variable_group(
 
   std::vector<VertexMapping> mappings;  // mappings[l]: level l from level l+1
   for (std::size_t l = 0; l + 1 < N; ++l) {
-    mappings.push_back(build_mapping(cascade.levels[l].mesh,
-                                     cascade.levels[l + 1].mesh, rc.estimate));
+    mappings.push_back(
+        build_mapping(cascade.levels[l].mesh, cascade.levels[l + 1].mesh));
   }
   report.geometry_seconds = geometry_timer.seconds();
 
@@ -107,8 +107,8 @@ CampaignReport write_variable_group(
       out.deltas.resize(N >= 1 ? N - 1 : 0);
       for (std::size_t l = 0; l + 1 < N; ++l) {
         const auto delta = compute_delta(
-            cascade.levels[l + 1].mesh, level_values[l + 1], level_values[l],
-            mappings[l], rc.estimate);
+            cascade.levels[l + 1].mesh, level_values[l + 1],
+            cascade.levels[l].mesh, level_values[l], mappings[l], rc.estimate);
         out.deltas[l] = codec->encode(delta, rc.error_bound);
       }
     }

@@ -15,7 +15,7 @@
 //             backend="file" root="/tmp/archive"/>
 //     </storage>
 //     <refactor levels="3" step="2" codec="zfp" error-bound="1e-6"
-//               estimate="uniform" priority="shortest"
+//               estimate="barycentric" priority="shortest"
 //               tiered-placement="true"/>
 //     <threads>4</threads>
 //     <pipeline overlap="true" read-ahead="true"/>
@@ -56,6 +56,10 @@
 // Pipeline::load(config) hands those options to a hierarchy built from the
 // tiers, plus a fresh FaultInjector from the <faults> plan, so every load
 // gets its own fault stream.
+//
+// <refactor estimate> picks the Estimate: "barycentric" (the default,
+// linear interpolation of the coarse level), "uniform" (the paper's 1/3)
+// or "nearest".
 //
 // Each <faults><tier name="..."> child names a configured tier and sets its
 // failure probabilities (read-error, write-error, corrupt, latency-spike in

@@ -16,27 +16,27 @@ namespace canopus::core {
 
 /// Builds the fine-vertex -> coarse-triangle mapping by point location in the
 /// coarse mesh (the index Canopus persists to avoid the O(n^2) brute force).
-/// The mapping holds float32 weights only when `mode` reads them
-/// (estimate_reads_weights). `pool` selects the worker pool for the
-/// per-vertex fan-out (nullptr = the process-global pool); results are
-/// identical for any pool.
+/// `pool` selects the worker pool for the per-vertex fan-out (nullptr = the
+/// process-global pool); results are identical for any pool.
 VertexMapping build_mapping(const mesh::TriMesh& fine, const mesh::TriMesh& coarse,
-                            EstimateMode mode, util::ThreadPool* pool = nullptr);
+                            util::ThreadPool* pool = nullptr);
 
 /// Algorithm 2: delta between a fine level and its estimate from the coarse
-/// level. `fine_values` has one entry per mapping entry; a weight-reading
-/// mode needs a mapping with weights (canopus::Error otherwise). Per-vertex
-/// work fans out on `pool` (nullptr = global); the output is
-/// bitwise-identical to the serial loop for any worker count.
+/// level. `mapping` maps `fine`'s vertices into `coarse`; the weight-reading
+/// modes take mesh::location_weights of each fine vertex in its triangle,
+/// the weights PointLocator::locate gave it. Per-vertex work fans out on
+/// `pool` (nullptr = global); the output is bitwise-identical to the serial
+/// loop for any worker count.
 mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::Field& fine_values, const VertexMapping& mapping,
-                          EstimateMode mode, util::ThreadPool* pool = nullptr);
+                          const mesh::TriMesh& fine, const mesh::Field& fine_values,
+                          const VertexMapping& mapping, EstimateMode mode,
+                          util::ThreadPool* pool = nullptr);
 
 /// Algorithm 3: restore the fine level from the coarse level plus a delta.
-/// Same mapping requirement as compute_delta; parallel like it, with the
-/// same determinism guarantee.
+/// Same inputs as compute_delta, with the same determinism guarantee.
 mesh::Field restore_level(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::Field& delta, const VertexMapping& mapping,
-                          EstimateMode mode, util::ThreadPool* pool = nullptr);
+                          const mesh::TriMesh& fine, const mesh::Field& delta,
+                          const VertexMapping& mapping, EstimateMode mode,
+                          util::ThreadPool* pool = nullptr);
 
 }  // namespace canopus::core

@@ -407,9 +407,15 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
   for (std::uint32_t l = 0; l + 1 < levels; ++l) {
     const auto raw =
         read_charged(reader, var, adios::BlockKind::kMapping, l, charged);
-    util::ByteReader br(raw);
-    cache.mappings.push_back(VertexMapping::deserialize(
-        br, cache.meshes[l].vertex_count(), cache.meshes[l + 1].triangle_count()));
+    try {
+      util::ByteReader br(raw);
+      cache.mappings.push_back(VertexMapping::deserialize(
+          br, cache.meshes[l].vertex_count(),
+          cache.meshes[l + 1].triangle_count()));
+    } catch (const Error& e) {
+      throw Error("mapping block of '" + var + "' at level " +
+                  std::to_string(l) + ": " + e.what());
+    }
   }
   cache.orders.reserve(cache.meshes.size());
   for (const auto& m : cache.meshes) {

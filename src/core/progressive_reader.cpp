@@ -216,7 +216,8 @@ void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
   CANOPUS_SPAN("read.restore", {{"level", next}});
   util::WallTimer t;
   if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
-  values_ = restore_level(geometry_->meshes[current_level_], values_, delta,
+  values_ = restore_level(geometry_->meshes[current_level_], values_,
+                          geometry_->meshes[next], delta,
                           geometry_->mappings[next], estimate_, &pool());
   step.restore_seconds += t.seconds();
 }

@@ -55,9 +55,9 @@ PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
   {
     CANOPUS_SPAN("refactor.delta", {{"level", out.level}});
     util::WallTimer t;
-    mapping = build_mapping(fine.mesh, coarse.mesh, config.estimate, &pool);
-    delta = compute_delta(coarse.mesh, coarse.values, fine.values, mapping,
-                          config.estimate, &pool);
+    mapping = build_mapping(fine.mesh, coarse.mesh, &pool);
+    delta = compute_delta(coarse.mesh, coarse.values, fine.mesh, fine.values,
+                          mapping, config.estimate, &pool);
     out.compute_seconds = t.seconds();
   }
   out.raw_bytes = delta.size() * sizeof(double);

@@ -52,60 +52,40 @@ EstimateMode estimate_mode_from_string(const std::string& s) {
   throw Error("unknown estimate mode: " + s);
 }
 
-bool estimate_reads_weights(EstimateMode mode) {
-  return mode != EstimateMode::kUniformThirds;
-}
-
 namespace {
-// Layout byte, the first byte of a mapping block.
-constexpr std::uint8_t kTriangles = 0;  // varint triangle per entry
-constexpr std::uint8_t kWeighted = 1;   // varint triangle, float32 w0, w1
+// Layout byte, the first byte of a mapping block: a varint triangle per
+// entry.
+constexpr std::uint8_t kTriangles = 0;
 }  // namespace
 
 void VertexMapping::serialize(util::ByteWriter& out) const {
-  CANOPUS_ASSERT(weights.empty() || weights.size() == triangle.size());
-  const bool weighted = !weights.empty();
-  out.put(weighted ? kWeighted : kTriangles);
+  out.put(kTriangles);
   out.put_varint(triangle.size());
-  for (std::size_t i = 0; i < triangle.size(); ++i) {
-    out.put_varint(triangle[i]);
-    if (weighted) {
-      out.put(weights[i][0]);
-      out.put(weights[i][1]);
-    }
-  }
+  for (const auto t : triangle) out.put_varint(t);
 }
 
 VertexMapping VertexMapping::deserialize(util::ByteReader& in,
                                          std::size_t fine_vertices,
                                          std::size_t coarse_triangles) {
   const auto layout = in.get<std::uint8_t>();
-  CANOPUS_CHECK(layout == kTriangles || layout == kWeighted,
-                "mapping block: unknown layout " + std::to_string(layout));
-  const bool weighted = layout == kWeighted;
+  CANOPUS_CHECK(layout == kTriangles,
+                "unknown layout " + std::to_string(layout));
   const auto n = in.get_varint();
   CANOPUS_CHECK(n == fine_vertices,
-                "mapping block: " + std::to_string(n) + " entries for " +
+                std::to_string(n) + " entries for " +
                     std::to_string(fine_vertices) + " fine vertices");
-  // Every entry takes at least one varint byte, plus 8 with weights.
-  const std::size_t entry_bytes = weighted ? 1 + 2 * sizeof(float) : 1;
-  CANOPUS_CHECK(n <= in.remaining() / entry_bytes,
-                "mapping block: " + std::to_string(n) + " entries in " +
-                    std::to_string(in.remaining()) + " bytes");
+  // Every entry takes at least one varint byte.
+  CANOPUS_CHECK(n <= in.remaining(), std::to_string(n) + " entries in " +
+                                         std::to_string(in.remaining()) +
+                                         " bytes");
   VertexMapping m;
   m.triangle.reserve(n);
-  if (weighted) m.weights.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto t = in.get_varint();
     CANOPUS_CHECK(t < coarse_triangles,
-                  "mapping block: triangle " + std::to_string(t) + " of " +
+                  "triangle " + std::to_string(t) + " of " +
                       std::to_string(coarse_triangles) + " coarse triangles");
     m.triangle.push_back(static_cast<std::uint32_t>(t));
-    if (weighted) {
-      const float w0 = in.get<float>();
-      const float w1 = in.get<float>();
-      m.weights.push_back({w0, w1});
-    }
   }
   return m;
 }

@@ -2,7 +2,6 @@
 // Core Canopus types: refactoring configuration and the persisted
 // fine-vertex -> coarse-triangle mapping.
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,11 +21,13 @@ namespace canopus::core {
 
 /// How Estimate(.) (Eq. 2) combines the three coarse-triangle corner values
 /// to predict a fine vertex. The paper uses uniform alpha=beta=gamma=1/3 and
-/// leaves the optimal form open; the alternatives feed the ablation bench.
+/// leaves the optimal form open. Barycentric weights, piecewise-linear
+/// interpolation of the coarse level, store smaller deltas and are the
+/// default; the weights are derived from geometry, never stored.
 enum class EstimateMode : std::uint8_t {
-  kUniformThirds = 0,  // paper default
-  kBarycentric = 1,    // true barycentric weights of the fine vertex
-  kNearestVertex = 2,  // copy the closest corner
+  kUniformThirds = 0,  // the paper's 1/3
+  kBarycentric = 1,    // mesh::location_weights of the fine vertex (default)
+  kNearestVertex = 2,  // copy the corner of largest weight
 };
 
 std::string to_string(EstimateMode mode);
@@ -90,7 +91,7 @@ struct RefactorConfig {
   std::string codec = "zfp";
   /// Absolute error bound handed to the codec for each product.
   double error_bound = 0.0;
-  EstimateMode estimate = EstimateMode::kUniformThirds;
+  EstimateMode estimate = EstimateMode::kBarycentric;
   /// Pin products to tiers by level (paper's Fig. 1 layout: base on the
   /// fastest tier, finer deltas further down). When false, every product
   /// takes the generic fastest-fit path.
@@ -129,41 +130,23 @@ struct ChunkIndex {
   static ChunkIndex deserialize(util::ByteReader& in);
 };
 
-/// True when Estimate(.) under `mode` reads barycentric weights
-/// (barycentric, nearest-vertex); uniform thirds reads only the triangle.
-bool estimate_reads_weights(EstimateMode mode);
-
-/// For every vertex of the fine level: the containing coarse triangle and,
-/// only when the container's Estimate reads them, its barycentric weights
-/// there. Stored in BP metadata during refactoring and reused to accelerate
-/// restoration (Section III-E2).
-///
-/// Weights are float32, the precision they are persisted at; build_mapping
-/// rounds them before any delta is computed, so the reader decodes exactly
-/// the weights the writer used. Only w0 and w1 are held: w2 = 1 - w0 - w1 is
-/// derived where it is read (the affine constraint of Eq. 3).
+/// For every vertex of the fine level, the containing coarse triangle.
+/// Stored in BP metadata during refactoring and reused to accelerate
+/// restoration (Section III-E2). Estimate's weights are not stored: they are
+/// mesh::location_weights of the fine vertex in its triangle, derived from
+/// geometry that writer and reader hold bitwise.
 struct VertexMapping {
-  std::vector<std::uint32_t> triangle;         // coarse triangle per vertex
-  std::vector<std::array<float, 2>> weights;   // (w0, w1) per vertex, or empty
+  std::vector<std::uint32_t> triangle;  // coarse triangle per vertex
 
   std::size_t size() const { return triangle.size(); }
-  /// One weight pair per fine vertex, as the weight-reading modes need.
-  bool has_weights() const { return weights.size() == triangle.size(); }
 
-  /// All three barycentric weights of fine vertex `v` (requires has_weights).
-  std::array<double, 3> weights_of(std::size_t v) const {
-    const double w0 = weights[v][0];
-    const double w1 = weights[v][1];
-    return {w0, w1, 1.0 - w0 - w1};
-  }
-
-  /// A block is a layout byte (0 = triangles, 1 = triangles + float32 w0,
-  /// w1), the varint entry count, then per entry a varint triangle id and,
-  /// in layout 1, the two weights.
+  /// A block is a layout byte (0), the varint entry count, then a varint
+  /// triangle id per entry.
   void serialize(util::ByteWriter& out) const;
   /// Decodes the mapping of a `fine_vertices`-vertex level into a
   /// `coarse_triangles`-triangle level; throws canopus::Error when the
-  /// block's count or any triangle id does not fit those meshes.
+  /// layout byte is not 0 or the block's count or any triangle id does not
+  /// fit those meshes.
   static VertexMapping deserialize(util::ByteReader& in, std::size_t fine_vertices,
                                    std::size_t coarse_triangles);
 };

@@ -70,11 +70,9 @@ std::optional<Location> PointLocator::try_locate(Vec2 p) const {
   for (std::size_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
     const TriangleId t = cell_tris_[k];
     const auto& tri = mesh_.triangle(t);
+    // Inside, location_weights returns these raw weights.
     const auto w = barycentric(p, verts[tri.v[0]], verts[tri.v[1]], verts[tri.v[2]]);
-    constexpr double eps = 1e-10;
-    if (w[0] >= -eps && w[1] >= -eps && w[2] >= -eps) {
-      return Location{t, w, true};
-    }
+    if (within_triangle(w)) return Location{t, w, true};
   }
   return std::nullopt;
 }
@@ -85,9 +83,10 @@ Location PointLocator::locate(Vec2 p) const {
 }
 
 Location PointLocator::nearest_fallback(Vec2 p) const {
-  // Visits cells in Chebyshev rings around p's cell. A triangle's clamped
-  // projection is a convex combination of its corners, so it lies in the
-  // triangle's bounding box and hence in a cell the triangle is bucketed in.
+  // Visits cells in Chebyshev rings around p's cell. A triangle's projection
+  // is a convex combination of its corners (or p itself, when p is within
+  // kLocateTolerance of it), so it lies in the triangle's bounding box, up to
+  // the rounding slack, and hence in a cell the triangle is bucketed in.
   // Once every unvisited cell is farther from p than the best projection so
   // far, no unvisited triangle can beat or tie it. The answer therefore equals
   // a scan of all triangles in id order keeping the first strict minimum.
@@ -97,16 +96,13 @@ Location PointLocator::nearest_fallback(Vec2 p) const {
   auto consider = [&](TriangleId t) {
     const auto& tri = mesh_.triangle(t);
     const Vec2 a = verts[tri.v[0]], b = verts[tri.v[1]], c = verts[tri.v[2]];
-    auto w = barycentric(p, a, b, c);
-    // Clamp negative weights to zero and renormalize: projects p into the
-    // triangle along barycentric axes (adequate for near-boundary points).
-    for (double& wi : w) wi = std::max(0.0, wi);
-    const double sum = w[0] + w[1] + w[2];
-    if (sum <= 0.0) return;
-    for (double& wi : w) wi /= sum;
+    // Projects p into the triangle along barycentric axes (adequate for
+    // near-boundary points).
+    const auto w = location_weights(p, a, b, c);
     const Vec2 proj = a * w[0] + b * w[1] + c * w[2];
     const double d2 = (proj - p).norm2();
-    // NaN and infinite distances never win; equal ones go to the lowest id.
+    // NaN distances (no weight left after clamping) and infinite ones never
+    // win; equal ones go to the lowest id.
     if (!std::isfinite(d2)) return;
     if (d2 < best_d2 || (d2 == best_d2 && t < best.triangle)) {
       best_d2 = d2;

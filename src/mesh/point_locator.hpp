@@ -10,6 +10,8 @@
 // collapses shrink away) are answered by a ring search over the same grid
 // that stops once no unvisited cell can hold a nearer projection.
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -18,7 +20,32 @@
 
 namespace canopus::mesh {
 
-/// Result of a point query: containing triangle plus barycentric weights.
+/// Barycentric slack of point location: p lies in a triangle when none of
+/// its weights there is below -kLocateTolerance.
+inline constexpr double kLocateTolerance = 1e-10;
+
+/// True when barycentric weights `w` place their point in the triangle.
+inline bool within_triangle(const std::array<double, 3>& w) {
+  return w[0] >= -kLocateTolerance && w[1] >= -kLocateTolerance &&
+         w[2] >= -kLocateTolerance;
+}
+
+/// The weights point location gives p in triangle (a, b, c): barycentric(p,
+/// a, b, c) when p lies in the triangle, otherwise those clamped at zero and
+/// renormalized, which projects p into the triangle along barycentric axes.
+/// A pure function of the four points, so the writer and the reader of a
+/// mapping derive the same bits from the same geometry. A triangle that
+/// leaves no weight after clamping yields NaN weights.
+inline std::array<double, 3> location_weights(Vec2 p, Vec2 a, Vec2 b, Vec2 c) {
+  auto w = barycentric(p, a, b, c);
+  if (within_triangle(w)) return w;
+  for (double& wi : w) wi = std::max(0.0, wi);
+  const double sum = w[0] + w[1] + w[2];
+  for (double& wi : w) wi /= sum;
+  return w;
+}
+
+/// Result of a point query: containing triangle plus its location_weights.
 struct Location {
   TriangleId triangle = static_cast<TriangleId>(-1);
   std::array<double, 3> weights{0.0, 0.0, 0.0};

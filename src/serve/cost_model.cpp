@@ -17,7 +17,7 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
   }
 
   const cache::BlockCache* cache = hierarchy.block_cache();
-  const adios::VarInfo info = reader.var_info();
+  const adios::VarInfo& info = reader.var_info();
   for (const auto& b : info.blocks) {
     if (b.level >= model.steps_.size()) continue;  // base-level blocks
     // A step reads delta chunks only: every reader holds its geometry from

@@ -118,11 +118,11 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(fine_mesh, fine_values, opt);
 
-  const auto mapping = cc::build_mapping(fine_mesh, coarse.mesh, GetParam());
-  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine_values,
-                                       mapping, GetParam());
-  const auto restored = cc::restore_level(coarse.mesh, coarse.values, delta,
-                                          mapping, GetParam());
+  const auto mapping = cc::build_mapping(fine_mesh, coarse.mesh);
+  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine_mesh,
+                                       fine_values, mapping, GetParam());
+  const auto restored = cc::restore_level(coarse.mesh, coarse.values, fine_mesh,
+                                          delta, mapping, GetParam());
   ASSERT_EQ(restored.size(), fine_values.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
     EXPECT_DOUBLE_EQ(restored[i], fine_values[i]) << "vertex " << i;
@@ -130,8 +130,9 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
 }
 
 // Containers of every Estimate mode hold the deltas and restore the fields
-// that the reference mapping (three double weights per fine vertex) gives,
-// bit for bit, on the GeometryCache path and the on-demand path.
+// that the reference mapping (the locator's three double weights per fine
+// vertex) gives, bit for bit, on the GeometryCache path and the on-demand
+// path.
 TEST_P(DeltaRestore, WriterDeltasMatchReferenceMapping) {
   // The raw codec stores each computed delta as it is.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
@@ -173,14 +174,20 @@ TEST_P(DeltaRestore, RestoredLevelsMatchReferenceOnEveryReadPath) {
     const auto expected =
         ct::reference_levels(tiers, "r.bp", "v", "v", GetParam());
     const auto geometry = cc::GeometryCache::load(tiers, "r.bp", "v");
-    cc::ProgressiveReader cached(tiers, "r.bp", "v", &geometry);
-    cc::ProgressiveReader on_demand(tiers, "r.bp", "v");
-    for (std::uint32_t l = config.levels; l-- > 0;) {
-      cached.refine_to(l);
-      on_demand.refine_to(l);
-      EXPECT_TRUE(ct::same_bits(cached.values(), expected[l])) << "level " << l;
-      EXPECT_TRUE(ct::same_bits(on_demand.values(), expected[l]))
-          << "level " << l;
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      cc::ReaderOptions options;
+      options.parallel.threads = threads;
+      cc::ProgressiveReader cached(tiers, "r.bp", "v", &geometry, options);
+      cc::ProgressiveReader on_demand(tiers, "r.bp", "v", nullptr, options);
+      for (std::uint32_t l = config.levels; l-- > 0;) {
+        cached.refine_to(l);
+        on_demand.refine_to(l);
+        EXPECT_TRUE(ct::same_bits(cached.values(), expected[l]))
+            << "level " << l;
+        EXPECT_TRUE(ct::same_bits(on_demand.values(), expected[l]))
+            << "level " << l;
+      }
     }
   }
 }
@@ -199,9 +206,8 @@ TEST(Delta, DeltasAreSmootherThanLevels) {
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, values, opt);
-  const auto mapping =
-      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kBarycentric);
-  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, values,
+  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, mesh, values,
                                        mapping, cc::EstimateMode::kBarycentric);
   cu::RunningStats level_stats, delta_stats;
   level_stats.add(values);
@@ -221,12 +227,11 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, f, opt);
-  const auto mapping =
-      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kBarycentric);
-  const auto d_bary = cc::compute_delta(coarse.mesh, coarse.values, f, mapping,
-                                        cc::EstimateMode::kBarycentric);
-  const auto d_unif = cc::compute_delta(coarse.mesh, coarse.values, f, mapping,
-                                        cc::EstimateMode::kUniformThirds);
+  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  const auto d_bary = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
+                                        mapping, cc::EstimateMode::kBarycentric);
+  const auto d_unif = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
+                                        mapping, cc::EstimateMode::kUniformThirds);
   cu::RunningStats bary, unif;
   for (double x : d_bary) bary.add(std::abs(x));
   for (double x : d_unif) unif.add(std::abs(x));
@@ -234,81 +239,76 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
 }
 
 TEST(Delta, MappingSerializationRoundTrip) {
-  // The codec is exact: triangles and float32 weights come back bit for
-  // bit, and only the weight-reading modes carry weights at all. Against
-  // the reference (three double weights per entry, always stored), every
-  // mode keeps its triangles, a weighted block is the reference block
-  // behind a layout byte, and a weightless one is 8 bytes per entry
-  // shorter.
+  // The codec is exact: the triangles come back as built, and they are the
+  // reference's. A block is the layout byte 0 and then the reference's
+  // triangles; no Estimate mode adds anything to it.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
   cm::DecimateOptions opt;
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, smooth_field(mesh), opt);
   const auto reference = ct::reference_build_mapping(mesh, coarse.mesh);
   cu::ByteWriter reference_block;
-  reference.serialize(reference_block);
-  for (auto mode : {cc::EstimateMode::kUniformThirds,
-                    cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
-    SCOPED_TRACE(cc::to_string(mode));
-    const bool weighted = cc::estimate_reads_weights(mode);
-    const auto mapping = cc::build_mapping(mesh, coarse.mesh, mode);
-    EXPECT_EQ(mapping.triangle, reference.triangle);
-    EXPECT_EQ(mapping.weights.empty(), !weighted);
-    for (std::size_t v = 0; v < mapping.weights.size(); ++v) {
-      const auto w = mapping.weights_of(v);
-      ASSERT_EQ(std::memcmp(w.data(), reference.weights[v].data(), sizeof w), 0)
-          << "vertex " << v;
-    }
+  reference.serialize_triangles(reference_block);
+  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  EXPECT_EQ(mapping.triangle, reference.triangle);
 
-    cu::ByteWriter w;
-    mapping.serialize(w);
-    if (weighted) {
-      ASSERT_EQ(w.size(), reference_block.size() + 1);
-      EXPECT_EQ(std::memcmp(w.view().data() + 1, reference_block.view().data(),
-                            reference_block.size()),
-                0);
-    } else {
-      EXPECT_EQ(w.size(), reference_block.size() + 1 - 8 * mesh.vertex_count());
-    }
+  cu::ByteWriter w;
+  mapping.serialize(w);
+  ASSERT_EQ(w.size(), reference_block.size() + 1);
+  EXPECT_EQ(w.view()[0], std::byte{0});
+  EXPECT_EQ(std::memcmp(w.view().data() + 1, reference_block.view().data(),
+                        reference_block.size()),
+            0);
 
-    cu::ByteReader r(w.view());
-    const auto copy = cc::VertexMapping::deserialize(
-        r, mesh.vertex_count(), coarse.mesh.triangle_count());
-    EXPECT_TRUE(r.exhausted());
-    EXPECT_EQ(copy.triangle, mapping.triangle);
-    ASSERT_EQ(copy.weights.size(), mapping.weights.size());
-    for (std::size_t v = 0; v < mapping.weights.size(); ++v) {
-      ASSERT_EQ(std::memcmp(copy.weights[v].data(), mapping.weights[v].data(),
-                            sizeof(mapping.weights[v])),
-                0)
-          << "vertex " << v;
-    }
-  }
+  cu::ByteReader r(w.view());
+  const auto copy = cc::VertexMapping::deserialize(
+      r, mesh.vertex_count(), coarse.mesh.triangle_count());
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(copy.triangle, mapping.triangle);
 }
 
-TEST(Delta, WeightlessMappingRejectedByWeightReadingModes) {
-  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
-  const auto values = smooth_field(mesh);
-  cm::DecimateOptions opt;
-  opt.ratio = 2.0;
-  const auto coarse = cm::decimate(mesh, values, opt);
-  const auto mapping =
-      cc::build_mapping(mesh, coarse.mesh, cc::EstimateMode::kUniformThirds);
-  ASSERT_FALSE(mapping.has_weights());
-  const cm::Field delta(mapping.size(), 0.0);
-  for (auto mode : {cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
-    SCOPED_TRACE(cc::to_string(mode));
-    EXPECT_THROW(cc::compute_delta(coarse.mesh, coarse.values, values, mapping,
-                                   mode),
-                 canopus::Error);
-    EXPECT_THROW(cc::restore_level(coarse.mesh, coarse.values, delta, mapping,
-                                   mode),
-                 canopus::Error);
+// The weights Estimate derives for a fine vertex, mesh::location_weights in
+// the triangle the mapping names, are the weights PointLocator::locate
+// gave it, bit for bit: on every level of 4-level cascades of the three
+// datasets (rim vertices there take the nearest-triangle fallback) and of
+// an unjittered grid. A vertex on a coarse edge or corner is an exact tie
+// between the triangles that share it, which the locator breaks by id.
+TEST(Delta, DerivedWeightsAreTheLocatorsBitwise) {
+  auto meshes = canopus::sim::all_datasets(1.0);
+  const auto grid = cm::make_rect_mesh(24, 24, 1.0, 1.0, 0.0, 1);
+  meshes.push_back({"grid", "v", grid, smooth_field(grid)});
+  for (const auto& ds : meshes) {
+    SCOPED_TRACE(ds.name);
+    cm::CascadeOptions copt;
+    copt.levels = 4;
+    const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+    std::size_t fallbacks = 0, ties = 0;
+    for (std::size_t l = 0; l + 1 < copt.levels; ++l) {
+      const auto& fine = cascade.levels[l].mesh;
+      const auto& coarse = cascade.levels[l + 1].mesh;
+      const cm::PointLocator locator(coarse);
+      const auto mapping = cc::build_mapping(fine, coarse);
+      ASSERT_EQ(mapping.size(), fine.vertex_count());
+      for (cm::VertexId v = 0; v < fine.vertex_count(); ++v) {
+        const auto loc = locator.locate(fine.vertex(v));
+        ASSERT_EQ(mapping.triangle[v], loc.triangle) << "level " << l;
+        const auto& tri = coarse.triangle(loc.triangle);
+        const auto w = cm::location_weights(
+            fine.vertex(v), coarse.vertex(tri.v[0]), coarse.vertex(tri.v[1]),
+            coarse.vertex(tri.v[2]));
+        ASSERT_EQ(std::memcmp(w.data(), loc.weights.data(), sizeof w), 0)
+            << "level " << l << " vertex " << v;
+        if (!loc.exact) ++fallbacks;
+        if (loc.exact && std::find(w.begin(), w.end(), 0.0) != w.end()) {
+          ++ties;
+        }
+      }
+    }
+    EXPECT_GT(ties, 0u);
+    if (ds.name != "grid") {
+      EXPECT_GT(fallbacks, 0u);
+    }
   }
-  EXPECT_NO_THROW(cc::restore_level(coarse.mesh, coarse.values, delta, mapping,
-                                    cc::EstimateMode::kUniformThirds));
 }
 
 TEST(Delta, EstimateModeStringsRoundTrip) {
@@ -379,6 +379,7 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
   cc::RefactorConfig config;
   config.levels = 2;
   config.delta_chunks = 4;
+  config.estimate = cc::EstimateMode::kUniformThirds;
   config.tiered_placement = false;  // let fastest-fit place
   // Probe with room everywhere for the stored size of every block. The base
   // is written first (its replica goes below it), then delta chunks 0..3.
@@ -397,6 +398,7 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
   }
   // Tier 0 holds the base and chunks 0, 1 and 3: chunk 2 does not fit the
   // room left after chunk 1 and spills, and the smaller chunk 3 fills it.
+  // (Chunk sizes of the uniform Estimate; barycentric's chunk 3 is larger.)
   ASSERT_LT(chunk[3], chunk[2]);
   cs::StorageHierarchy tiers(
       {cs::tmpfs_spec(base + chunk[0] + chunk[1] + chunk[3]),
@@ -810,41 +812,33 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
     cu::ByteWriter w;
     w.put(layout);
     w.put_varint(count);
-    for (const auto id : ids) {
-      w.put_varint(id);
-      if (layout == 1) {
-        w.put(0.25f);
-        w.put(0.5f);
-      }
-    }
+    for (const auto id : ids) w.put_varint(id);
     return w.take();
   };
   const auto decode = [](const cu::Bytes& bytes) {
     cu::ByteReader r(bytes);
     return cc::VertexMapping::deserialize(r, 4, 2);
   };
-  for (const std::uint8_t layout : {0, 1}) {
-    SCOPED_TRACE("layout " + std::to_string(layout));
-    EXPECT_EQ(decode(block(layout, 4, {0, 1, 1, 0})).weights.size(),
-              layout == 1 ? 4u : 0u);
-    // A whole block for another level, counts past the block, a block
-    // that ends early.
-    EXPECT_THROW(decode(block(layout, 5, {0, 1, 1, 0, 0})), canopus::Error);
-    EXPECT_THROW(decode(block(layout, std::uint64_t{1} << 40, {1})),
-                 canopus::Error);
-    EXPECT_THROW(decode(block(layout, std::uint64_t{1} << 61, {1})),
-                 canopus::Error);
-    EXPECT_THROW(decode(block(layout, 4, {1})), canopus::Error);
-    // Triangle ids past the coarse level's triangles, small and wide.
-    EXPECT_THROW(decode(block(layout, 4, {0, 1, 2, 0})), canopus::Error);
-    EXPECT_THROW(decode(block(layout, 4, {0, 1, std::uint64_t{1} << 33, 0})),
-                 canopus::Error);
+  EXPECT_EQ(decode(block(0, 4, {0, 1, 1, 0})).size(), 4u);
+  // A whole block for another level, counts past the block, a block that
+  // ends early.
+  EXPECT_THROW(decode(block(0, 5, {0, 1, 1, 0, 0})), canopus::Error);
+  EXPECT_THROW(decode(block(0, std::uint64_t{1} << 40, {1})), canopus::Error);
+  EXPECT_THROW(decode(block(0, std::uint64_t{1} << 61, {1})), canopus::Error);
+  EXPECT_THROW(decode(block(0, 4, {1})), canopus::Error);
+  // Triangle ids past the coarse level's triangles, small and wide.
+  EXPECT_THROW(decode(block(0, 4, {0, 1, 2, 0})), canopus::Error);
+  EXPECT_THROW(decode(block(0, 4, {0, 1, std::uint64_t{1} << 33, 0})),
+               canopus::Error);
+  // Any layout but 0, the retired weighted layout 1 included.
+  for (const std::uint8_t layout : {1, 2, 7, 255}) {
+    EXPECT_THROW(decode(block(layout, 4, {0, 1, 1, 0})), canopus::Error);
   }
-  EXPECT_THROW(decode(block(7, 4, {0, 0, 0, 0})), canopus::Error);
 
-  // In a container, a mapping that names a triangle past the coarse mesh:
-  // the loader rejects the block instead of reading past the mesh, whether
-  // called directly or by a reader opened without a cache.
+  // In a container, a mapping block that names a triangle past the coarse
+  // mesh or carries a layout byte other than 0: the loader rejects the
+  // block, naming it, instead of reading past the mesh or guessing at
+  // weights, whether called directly or by a reader opened without a cache.
   const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
   auto tiers = big_two_tiers();
   cc::RefactorConfig config;
@@ -854,30 +848,64 @@ TEST(Decoders, MappingCountBeyondBlockThrowsError) {
   cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
   const ca::BpReader ok(tiers, "ok.bp");
   const auto meshes = ct::stored_meshes(ok, "v");
-  cc::VertexMapping crafted;
-  crafted.triangle.assign(meshes[0].vertex_count(), 0);
-  crafted.triangle.back() =
+  const auto stored = ok.read_opaque("v", ca::BlockKind::kMapping, 0);
+  cc::VertexMapping past_the_mesh;
+  past_the_mesh.triangle.assign(meshes[0].vertex_count(), 0);
+  past_the_mesh.triangle.back() =
       static_cast<std::uint32_t>(meshes[1].triangle_count());
-  cu::ByteWriter mapping;
-  crafted.serialize(mapping);
-  {
-    ca::BpWriter writer(tiers, "bad.bp");
-    writer.set_attribute("levels", "2");
-    writer.write_opaque("v", ca::BlockKind::kMesh, 0,
-                        ok.read_opaque("v", ca::BlockKind::kMesh, 0));
-    writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
-                        ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
-    writer.write_opaque("v", ca::BlockKind::kMapping, 0, mapping.view());
-    writer.write_doubles("v", ca::BlockKind::kBase, 1,
-                         ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
-                         0.0);
-    writer.write_doubles("v", ca::BlockKind::kDelta, 0,
-                         ok.read_doubles("v", ca::BlockKind::kDelta, 0), "raw",
-                         0.0);
-    writer.close();
+  cu::ByteWriter past_the_mesh_block;
+  past_the_mesh.serialize(past_the_mesh_block);
+  std::vector<std::pair<std::string, cu::Bytes>> cases = {
+      {"triangle past the coarse mesh", past_the_mesh_block.take()}};
+  for (const std::uint8_t layout : {1, 2, 255}) {
+    // The stored block, triangles intact, under another layout byte; layout
+    // 1 also with the two float32 weights per entry it used to carry.
+    auto relabeled = stored;
+    relabeled[0] = std::byte{layout};
+    cases.emplace_back("layout " + std::to_string(layout), relabeled);
+    if (layout != 1) continue;
+    cu::ByteWriter weighted;
+    weighted.put(layout);
+    weighted.put_varint(meshes[0].vertex_count());
+    for (cm::VertexId v = 0; v < meshes[0].vertex_count(); ++v) {
+      weighted.put_varint(0);
+      weighted.put(0.25f);
+      weighted.put(0.5f);
+    }
+    cases.emplace_back("layout 1 with weights", weighted.take());
   }
-  EXPECT_THROW(cc::GeometryCache::load(tiers, "bad.bp", "v"), canopus::Error);
-  EXPECT_THROW(cc::ProgressiveReader(tiers, "bad.bp", "v"), canopus::Error);
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto& [what, bytes] = cases[k];
+    SCOPED_TRACE(what);
+    const std::string path = "bad" + std::to_string(k) + ".bp";
+    {
+      ca::BpWriter writer(tiers, path);
+      writer.set_attribute("levels", "2");
+      writer.write_opaque("v", ca::BlockKind::kMesh, 0,
+                          ok.read_opaque("v", ca::BlockKind::kMesh, 0));
+      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
+                          ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
+      writer.write_opaque("v", ca::BlockKind::kMapping, 0, bytes);
+      writer.write_doubles("v", ca::BlockKind::kBase, 1,
+                           ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
+                           0.0);
+      writer.write_doubles("v", ca::BlockKind::kDelta, 0,
+                           ok.read_doubles("v", ca::BlockKind::kDelta, 0), "raw",
+                           0.0);
+      writer.close();
+    }
+    const auto names_block = [](const std::function<void()>& open) {
+      try {
+        open();
+      } catch (const canopus::Error& e) {
+        return std::string(e.what()).find("mapping block of 'v' at level 0") !=
+               std::string::npos;
+      }
+      return false;
+    };
+    EXPECT_TRUE(names_block([&] { cc::GeometryCache::load(tiers, path, "v"); }));
+    EXPECT_TRUE(names_block([&] { cc::ProgressiveReader(tiers, path, "v"); }));
+  }
 }
 
 TEST(Decoders, MeshCountBeyondBlockThrowsError) {

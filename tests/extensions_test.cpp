@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "compress/codec.hpp"
 #include "compress/huffman.hpp"
@@ -287,8 +288,8 @@ TEST(Campaign, EmptyTimestepsThrow) {
 
 TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
   // The campaign's one-time mappings give the deltas and restored fields of
-  // the reference mapping (three double weights per fine vertex), bit for
-  // bit. The raw codec stores each delta as computed.
+  // the reference mapping (the locator's three double weights per fine
+  // vertex), bit for bit. The raw codec stores each delta as computed.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 13);
   std::vector<cm::Field> steps;
   for (int t = 0; t < 3; ++t) steps.push_back(wave_field(mesh, 0.3 * t));
@@ -340,11 +341,13 @@ TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
 
 // ---------------------------------------------------------- geometry cache --
 
-TEST(GeometryCache, MappingsHoldWeightsOnlyWhenEstimateReadsThem) {
-  // A uniform container's mappings are a triangle per fine vertex; a
-  // weight-reading mode adds one float pair per fine vertex. Both writers.
+TEST(GeometryCache, MappingBlocksAreIdenticalAcrossEstimateModes) {
+  // Every Estimate mode stores the same mapping blocks, a triangle id per
+  // fine vertex: the weight-reading modes derive their weights from
+  // geometry. Both writers; the cache holds the triangles and nothing else.
   const auto mesh = cm::make_disk_mesh(10, 48, 1.0, 0.1, 23);
   const std::vector<cm::Field> steps{wave_field(mesh)};
+  std::map<std::string, std::vector<cu::Bytes>> uniform_blocks;
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
                     cc::EstimateMode::kNearestVertex}) {
@@ -358,18 +361,27 @@ TEST(GeometryCache, MappingsHoldWeightsOnlyWhenEstimateReadsThem) {
     cc::write_campaign(tiers, "c.bp", "v", mesh, steps, config);
     for (const char* path : {"w.bp", "c.bp"}) {
       SCOPED_TRACE(path);
+      const canopus::adios::BpReader reader(tiers, path);
+      std::vector<cu::Bytes> blocks;
+      for (std::uint32_t l = 0; l < 2; ++l) {
+        blocks.push_back(
+            reader.read_opaque("v", canopus::adios::BlockKind::kMapping, l));
+      }
+      if (mode == cc::EstimateMode::kUniformThirds) {
+        uniform_blocks[path] = blocks;
+      } else {
+        EXPECT_EQ(blocks, uniform_blocks.at(path));
+      }
       const auto geometry = cc::GeometryCache::load(tiers, path, "v");
       ASSERT_EQ(geometry.mappings.size(), 2u);
       for (std::size_t l = 0; l < 2; ++l) {
-        const auto& m = geometry.mappings[l];
-        EXPECT_EQ(m.size(), geometry.meshes[l].vertex_count());
-        EXPECT_EQ(m.weights.size(),
-                  cc::estimate_reads_weights(mode) ? m.size() : 0u);
+        EXPECT_EQ(geometry.mappings[l].size(), geometry.meshes[l].vertex_count());
       }
     }
   }
-  static_assert(sizeof(decltype(cc::VertexMapping::weights)::value_type) ==
-                2 * sizeof(float));
+  static_assert(sizeof(cc::VertexMapping) ==
+                sizeof(decltype(cc::VertexMapping::triangle)));
+  static_assert(sizeof(decltype(cc::VertexMapping::triangle)::value_type) == 4);
 }
 
 TEST(GeometryCache, MatchesOnDemandReads) {

@@ -879,8 +879,8 @@ const std::vector<cm::Field>& xgc_delta_chunks() {
     for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
       const auto& fine = cascade.levels[l];
       const auto& coarse = cascade.levels[l + 1];
-      const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
-      const auto delta = cc::compute_delta(coarse.mesh, coarse.values,
+      const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
+      const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine.mesh,
                                            fine.values, mapping, mode);
       const auto order = cc::cached_spatial_order(fine.mesh);
       cm::Field ordered(delta.size());
@@ -1016,11 +1016,11 @@ TEST_P(DeltaInverseSweep, RestoreInvertsDeltaAcrossTwoLevels) {
   for (std::size_t l = 0; l + 1 < 3; ++l) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
-    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh, mode);
-    const auto delta =
-        cc::compute_delta(coarse.mesh, coarse.values, fine.values, mapping, mode);
-    const auto restored =
-        cc::restore_level(coarse.mesh, coarse.values, delta, mapping, mode);
+    const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
+    const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine.mesh,
+                                         fine.values, mapping, mode);
+    const auto restored = cc::restore_level(coarse.mesh, coarse.values,
+                                            fine.mesh, delta, mapping, mode);
     ASSERT_EQ(restored.size(), fine.values.size());
     EXPECT_LE(cu::max_abs_error(fine.values, restored), 1e-13)
         << family << " level " << l;
@@ -1045,7 +1045,9 @@ namespace {
 /// PointLocator as it was before its grid became CSR arrays and its
 /// nearest-triangle fallback a ring search: one vector per grid cell and a
 /// linear scan over every triangle. Kept as the reference the locator must
-/// match bit for bit.
+/// match bit for bit. Its fallback weighs each triangle by the rule of
+/// mesh::location_weights: raw weights when the point lies in the triangle
+/// within the 1e-10 tolerance, clamped and renormalized otherwise.
 class ReferenceLocator {
  public:
   explicit ReferenceLocator(const cm::TriMesh& mesh) : mesh_(mesh) {
@@ -1099,10 +1101,13 @@ class ReferenceLocator {
       const auto& tri = mesh_.triangle(t);
       const cm::Vec2 a = verts[tri.v[0]], b = verts[tri.v[1]], c = verts[tri.v[2]];
       auto w = cm::barycentric(p, a, b, c);
-      for (double& wi : w) wi = std::max(0.0, wi);
-      const double sum = w[0] + w[1] + w[2];
-      if (sum <= 0.0) continue;
-      for (double& wi : w) wi /= sum;
+      constexpr double eps = 1e-10;
+      if (!(w[0] >= -eps && w[1] >= -eps && w[2] >= -eps)) {
+        for (double& wi : w) wi = std::max(0.0, wi);
+        const double sum = w[0] + w[1] + w[2];
+        if (sum <= 0.0) continue;
+        for (double& wi : w) wi /= sum;
+      }
       const cm::Vec2 proj = a * w[0] + b * w[1] + c * w[2];
       const double d2 = (proj - p).norm2();
       if (d2 < best_d2) {

@@ -1,8 +1,9 @@
 #pragma once
 // The restoration mapping as it was when every entry held three double
-// weights, whatever the Estimate mode: its block encoder and decoder and its
-// Estimate, copied verbatim. The mapping codec and every restored field are
-// compared against it bit for bit.
+// weights, whatever the Estimate mode: its triangles and its uniform
+// Estimate, copied verbatim. Its weights are PointLocator::locate's, in
+// double; the weight-reading Estimates read them as they are. Every
+// restored field is compared against it bit for bit.
 //
 // reference_levels() restores a container's variable level by level from
 // its stored base and deltas with this mapping, so a reader's fields can be
@@ -32,39 +33,16 @@ struct ReferenceMapping {
 
   std::size_t size() const { return triangle.size(); }
 
-  void serialize(util::ByteWriter& out) const {
-    CANOPUS_ASSERT(triangle.size() == weights.size());
+  /// The triangles as a block stores them after its layout byte: the
+  /// varint entry count, then a varint triangle id per entry.
+  void serialize_triangles(util::ByteWriter& out) const {
     out.put_varint(triangle.size());
-    for (std::size_t i = 0; i < triangle.size(); ++i) {
-      out.put_varint(triangle[i]);
-      // float32 weights (the mapping is quantized at build time, so this is
-      // exact); the third weight is implied by the affine constraint.
-      out.put(static_cast<float>(weights[i][0]));
-      out.put(static_cast<float>(weights[i][1]));
-    }
-  }
-
-  static ReferenceMapping deserialize(util::ByteReader& in) {
-    ReferenceMapping m;
-    const auto n = in.get_varint();
-    m.triangle.reserve(n);
-    m.weights.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      m.triangle.push_back(static_cast<std::uint32_t>(in.get_varint()));
-      const double w0 = static_cast<double>(in.get<float>());
-      const double w1 = static_cast<double>(in.get<float>());
-      m.weights.push_back({w0, w1, 1.0 - w0 - w1});
-    }
-    return m;
+    for (const auto t : triangle) out.put_varint(t);
   }
 };
 
-/// The mapping as the original reader decoded it: located serially (the
-/// parallel builder fills the same entries), then taken through the block
-/// codec. The original builder rounded the weights in place instead, with
-/// w = double(float(w)); GCC 12's SLP vectorizer can drop that in-place
-/// round trip at -O2/-O3, leaving some weights at double precision, so the
-/// codec is the one faithful copy of what the writer meant to use.
+/// The mapping located serially (the parallel builder fills the same
+/// entries), with the locator's weights as it returns them.
 inline ReferenceMapping reference_build_mapping(const mesh::TriMesh& fine,
                                                 const mesh::TriMesh& coarse) {
   const mesh::PointLocator locator(coarse);
@@ -76,10 +54,7 @@ inline ReferenceMapping reference_build_mapping(const mesh::TriMesh& fine,
     located.triangle[v] = loc.triangle;
     located.weights[v] = loc.weights;
   }
-  util::ByteWriter block;
-  located.serialize(block);
-  util::ByteReader in(block.view());
-  return ReferenceMapping::deserialize(in);
+  return located;
 }
 
 inline double reference_estimate(const mesh::TriMesh& coarse,

@@ -224,10 +224,10 @@ TEST(RoiRefine, WorksWithGeometryCache) {
 }
 
 TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
-  // A regional step restores the reference mapping's bits (three double
-  // weights per fine vertex) with the unfetched chunks at zero, and the
-  // backfill then lands on the reference's full level, on the GeometryCache
-  // path and the on-demand path alike.
+  // A regional step restores the reference mapping's bits (the locator's
+  // three double weights per fine vertex) with the unfetched chunks at zero,
+  // and the backfill then lands on the reference's full level, on the
+  // GeometryCache path and the on-demand path alike, at 1 and 4 threads.
   const auto mesh = cm::shuffle_vertices(
       cm::make_annulus_mesh(14, 84, 0.5, 1.0, 0.1, 23), 6);
   const cm::Aabb roi{{0.6, -0.2}, {1.0, 0.2}};
@@ -257,16 +257,21 @@ TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
         ct::reference_build_mapping(meshes[1], meshes[2]), mode);
 
     const auto geometry = cc::GeometryCache::load(h, "eq.bp", "v");
-    cc::ProgressiveReader cached(h, "eq.bp", "v", &geometry);
-    cc::ProgressiveReader on_demand(h, "eq.bp", "v");
-    for (auto* reader : {&cached, &on_demand}) {
-      SCOPED_TRACE(reader == &cached ? "geometry cache" : "on demand");
-      reader->refine_region(roi);
-      ASSERT_TRUE(reader->partially_refined());
-      EXPECT_TRUE(ct::same_bits(reader->values(), regional));
-      reader->refine();  // backfills level 1, then restores level 0
-      EXPECT_FALSE(reader->partially_refined());
-      EXPECT_TRUE(ct::same_bits(reader->values(), expected[0]));
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      cc::ReaderOptions options;
+      options.parallel.threads = threads;
+      cc::ProgressiveReader cached(h, "eq.bp", "v", &geometry, options);
+      cc::ProgressiveReader on_demand(h, "eq.bp", "v", nullptr, options);
+      for (auto* reader : {&cached, &on_demand}) {
+        SCOPED_TRACE(reader == &cached ? "geometry cache" : "on demand");
+        reader->refine_region(roi);
+        ASSERT_TRUE(reader->partially_refined());
+        EXPECT_TRUE(ct::same_bits(reader->values(), regional));
+        reader->refine();  // backfills level 1, then restores level 0
+        EXPECT_FALSE(reader->partially_refined());
+        EXPECT_TRUE(ct::same_bits(reader->values(), expected[0]));
+      }
     }
   }
 }
