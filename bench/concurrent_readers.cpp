@@ -269,13 +269,14 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
   }
 
   // Size each node's fast tier to ~1.35x its shard of the refactored
-  // payload, from the measured payload alone: the 1-node baseline
-  // (identical hardware) holds at most ~1.35/N of the payload on its one
-  // fast tier and overflows the rest to the contended PFS, while an N-node
-  // fabric holds nearly every primary in aggregate fast memory (the
-  // replicated metadata object and uneven shards take some of the
-  // headroom: 47 of 49 primaries on the default dataset). With no floor,
-  // no payload is small enough to fit the baseline whole.
+  // payload, plus the container's metadata object, which every node holds
+  // on its fast tier: the 1-node baseline (identical hardware) holds at most
+  // ~1.35/N of the payload on its one fast tier and overflows the rest to the
+  // contended PFS, while an N-node fabric holds nearly every primary in
+  // aggregate fast memory (uneven shards take some of the headroom: 47 of 49
+  // primaries on the default dataset, against 18 on one node). With no
+  // floor, no payload is small enough to fit the baseline whole; counting the
+  // metadata keeps a smaller payload from shrinking the headroom it leaves.
   std::size_t sharded_bytes = 0;
   {
     adios::BpReader scan(staging, "run.bp");
@@ -289,13 +290,19 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
       }
     }
   }
-  const auto fast_capacity = static_cast<std::size_t>(
-      1.35 * static_cast<double>(sharded_bytes) / static_cast<double>(nodes));
+  const std::string meta_key = adios::metadata_key("run.bp");
+  const std::size_t meta_bytes =
+      staging.tier(*staging.find(meta_key)).object_size(meta_key);
+  const auto fast_capacity =
+      static_cast<std::size_t>(1.35 * static_cast<double>(sharded_bytes) /
+                               static_cast<double>(nodes)) +
+      meta_bytes;
   const std::size_t cache_mb_per_node =
       std::max<std::size_t>(1, opt.cache_mb / nodes);
   std::cout << "refactored payload " << sharded_bytes / 1024
-            << " KiB sharded; per-node fast tier " << fast_capacity / 1024
-            << " KiB, per-node cache " << cache_mb_per_node << " MiB\n\n";
+            << " KiB sharded, metadata " << meta_bytes << " B; per-node fast tier "
+            << fast_capacity / 1024 << " KiB, per-node cache "
+            << cache_mb_per_node << " MiB\n\n";
 
   const auto single =
       run_fabric_config(ds, opt, staging, 1, fast_capacity, cache_mb_per_node);

@@ -20,8 +20,16 @@
 // 4-level, 8-chunk container, and the write report's own account of the
 // container (RefactorReport: base+deltas + geometry_bytes). Those byte counts
 // are deterministic.
+//
+// `--json` prints only the deterministic columns, as JSON on stdout: per
+// dataset the normalized sizes (direct, canopus, canopus-uniform) at each
+// level count, the container's blocks and bytes by kind and the write
+// report; no wall time. bench/BENCH_fig5.json is that output, and CI fails
+// when a build prints anything else. The gate still runs; its failures go to
+// stderr.
 
 #include <algorithm>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -89,40 +97,52 @@ std::vector<mesh::Field> direct_products(const mesh::Cascade& cascade) {
   return out;
 }
 
-/// Stored bytes of one refactored container by block kind, from its block
-/// records (the base's replica and the metadata object are not blocks).
-/// `report` receives the write's own account of the same bytes.
-util::Table container_by_kind(const sim::Dataset& ds, const std::string& codec,
-                              double eb, core::RefactorReport& report) {
+/// Stored blocks and bytes of one refactored container by block kind, from
+/// its block records (the base's replica and the metadata object are not
+/// blocks), and the write's own account of the same bytes.
+struct Container {
+  std::vector<std::tuple<adios::BlockKind, std::size_t, std::size_t>> kinds;
+  std::size_t total = 0;
+  core::RefactorReport report;
+};
+
+Container container_by_kind(const sim::Dataset& ds, const std::string& codec,
+                            double eb) {
   auto tiers = bench::make_two_tier(256ull << 20);
   core::RefactorConfig config;
   config.levels = 4;
   config.codec = codec;
   config.error_bound = eb;
   config.delta_chunks = 8;
-  report = core::refactor_and_write(tiers, "fig5.bp", ds.variable, ds.mesh,
-                                    ds.values, config);
+  Container out;
+  out.report = core::refactor_and_write(tiers, "fig5.bp", ds.variable, ds.mesh,
+                                        ds.values, config);
   const adios::BpReader reader(tiers, "fig5.bp");
   std::map<adios::BlockKind, std::pair<std::size_t, std::size_t>> kinds;
-  std::size_t total = 0;
   for (const auto& b : reader.inq_var(ds.variable).blocks) {
     auto& [blocks, bytes] = kinds[b.kind];
     ++blocks;
     bytes += b.stored_bytes;
-    total += b.stored_bytes;
+    out.total += b.stored_bytes;
   }
-  util::Table t({"block kind", "blocks", "bytes", "share"});
   for (const auto kind : {adios::BlockKind::kBase, adios::BlockKind::kDelta,
                           adios::BlockKind::kChunkIndex, adios::BlockKind::kMesh,
                           adios::BlockKind::kCollapseLog,
                           adios::BlockKind::kMapping}) {
-    const auto [blocks, bytes] = kinds[kind];
+    out.kinds.emplace_back(kind, kinds[kind].first, kinds[kind].second);
+  }
+  return out;
+}
+
+util::Table kind_table(const Container& c) {
+  util::Table t({"block kind", "blocks", "bytes", "share"});
+  for (const auto& [kind, blocks, bytes] : c.kinds) {
     t.add_row({adios::to_string(kind), std::to_string(blocks),
                std::to_string(bytes),
                util::Table::pct(static_cast<double>(bytes) /
-                                static_cast<double>(total))});
+                                static_cast<double>(c.total))});
   }
-  t.add_row({"total", "", std::to_string(total), util::Table::pct(1.0)});
+  t.add_row({"total", "", std::to_string(c.total), util::Table::pct(1.0)});
   return t;
 }
 
@@ -133,13 +153,25 @@ int main(int argc, char** argv) {
   const double scale = cli.get_double("scale", 1.0);
   const double eb = cli.get_double("eb", 1e-3);
   const auto codec = compress::make_codec(cli.get("codec", "zfp"));
+  const bool json = cli.has("json");
+  // The tables go to stdout, or nowhere under --json.
+  std::ostream sink(nullptr);
+  std::ostream& out = json ? sink : std::cout;
+  std::ostringstream js;
+  js << std::fixed << std::setprecision(6);
+  js << "{\"bench\": \"fig5_compression\", \"codec\": \"" << codec->name()
+     << "\", \"error_bound\": " << eb << ",\n \"datasets\": [";
 
-  std::cout << "Figure 5: Canopus vs direct compression (codec="
-            << codec->name() << ", abs error bound=" << eb << ")\n\n";
+  out << "Figure 5: Canopus vs direct compression (codec=" << codec->name()
+      << ", abs error bound=" << eb << ")\n\n";
 
   std::vector<std::string> failures;
+  const char* dataset_sep = "\n  ";
   for (const auto& ds : sim::all_datasets(scale)) {
     const std::size_t raw = ds.values.size() * sizeof(double);
+    js << dataset_sep << "{\"name\": \"" << ds.name << "\", \"raw_bytes\": " << raw
+       << ",\n   \"normalized\": [";
+    dataset_sep = ",\n  ";
     util::Table t({"total-levels", "direct", "canopus", "improvement",
                    "canopus-uniform", "improvement-uniform", "direct-enc(s)",
                    "canopus-enc(s)", "direct-dec(s)", "canopus-dec(s)"});
@@ -181,6 +213,9 @@ int main(int argc, char** argv) {
       const auto gain = [&](const Sizes& sizes) {
         return util::Table::pct(dn > 0 ? (dn - normalized(sizes)) / dn : 0.0);
       };
+      js << (n > 1 ? ",\n    " : "\n    ") << "{\"levels\": " << n
+         << ", \"direct\": " << dn << ", \"canopus\": " << normalized(c)
+         << ", \"canopus_uniform\": " << normalized(u) << "}";
       t.add_row({std::to_string(n), util::Table::num(dn, 4),
                  util::Table::num(normalized(c), 4), gain(c),
                  util::Table::num(normalized(u), 4), gain(u),
@@ -188,28 +223,38 @@ int main(int argc, char** argv) {
                  util::Table::num(d.decode_s, 4), util::Table::num(c.decode_s, 4)});
     }
     const char panel = ds.name == "xgc1" ? 'a' : ds.name == "genasis" ? 'b' : 'c';
-    t.print(std::cout, std::string("Fig. 5") + panel + " " + ds.name + " (" +
-                           ds.variable + "), normalized size vs total levels");
+    t.print(out, std::string("Fig. 5") + panel + " " + ds.name + " (" +
+                     ds.variable + "), normalized size vs total levels");
     if (cli.has("csv")) {
       t.save_csv(cli.get("csv", ".") + "/fig5" + panel + "_" + ds.name + ".csv");
     }
-    std::cout << '\n';
-    core::RefactorReport report;
-    container_by_kind(ds, codec->name(), eb, report)
-        .print(std::cout, std::string("Fig. 5") + panel + " " + ds.name +
-                              ": one container by block kind (4 levels, 8 "
-                              "delta chunks, default Estimate)");
-    std::cout << "write report: base+deltas " << report.total_stored_bytes()
-              << " + geometry " << report.geometry_bytes << " = container "
-              << report.total_stored_bytes() + report.geometry_bytes
-              << " bytes\n\n";
+    out << '\n';
+    const auto container = container_by_kind(ds, codec->name(), eb);
+    const auto& report = container.report;
+    kind_table(container).print(
+        out, std::string("Fig. 5") + panel + " " + ds.name +
+                 ": one container by block kind (4 levels, 8 delta chunks, "
+                 "default Estimate)");
+    out << "write report: base+deltas " << report.total_stored_bytes()
+        << " + geometry " << report.geometry_bytes << " = container "
+        << report.total_stored_bytes() + report.geometry_bytes << " bytes\n\n";
+    js << "],\n   \"container\": {";
+    for (const auto& [kind, blocks, bytes] : container.kinds) {
+      js << "\"" << adios::to_string(kind) << "\": {\"blocks\": " << blocks
+         << ", \"bytes\": " << bytes << "}, ";
+    }
+    js << "\"total\": " << container.total << "},\n   \"write_report\": "
+       << "{\"base_deltas\": " << report.total_stored_bytes()
+       << ", \"geometry\": " << report.geometry_bytes << "}}";
   }
+  if (json) std::cout << js.str() << "\n]}\n";
+  std::ostream& verdict = json ? std::cerr : std::cout;
   if (!failures.empty()) {
-    std::cout << "C1 gate FAILED:\n";
-    for (const auto& f : failures) std::cout << "  " << f << '\n';
+    verdict << "C1 gate FAILED:\n";
+    for (const auto& f : failures) verdict << "  " << f << '\n';
     return 1;
   }
-  std::cout << "C1 gate passed: canopus smaller than direct at 2-4 levels on "
-               "every dataset, every stream within the bound\n";
+  verdict << "C1 gate passed: canopus smaller than direct at 2-4 levels on "
+             "every dataset, every stream within the bound\n";
   return 0;
 }

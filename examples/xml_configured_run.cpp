@@ -37,7 +37,7 @@ const char* kDefaultConfig = R"(<canopus-config>
     <tier preset="ssd"    capacity="16MiB"/>
     <tier preset="lustre" capacity="4GiB" read-bw="150MB/s" read-latency="6ms"/>
   </storage>
-  <refactor levels="4" codec="zfp+lzss" error-bound="1e-5"
+  <refactor levels="4" codec="zfp" error-bound="1e-5"
             estimate="barycentric" priority="shortest"/>
   <faults seed="2">
     <tier name="lustre" read-error="0.05" corrupt="0.005"

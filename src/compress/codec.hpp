@@ -5,7 +5,7 @@
 // pluggable floating-point compressor; the paper ships ZFP and plans SZ/FPC.
 // All our codecs are implemented from scratch:
 //
-//   zfp   - transform + embedded bit-plane coder, fixed-accuracy (lossy)
+//   zfp   - lifted bit planes or quantized Rice codes, fixed-accuracy (lossy)
 //   sz    - predictive quantization + Huffman, error-bounded (lossy)
 //   fpc   - FCM/DFCM predictor + leading-zero coding (lossless)
 //   lzss  - dictionary coder over raw bytes (lossless)

@@ -2,7 +2,6 @@
 // and exposes them by name. Byte-oriented lossless stages (lzss, huffman,
 // raw) treat the doubles as an 8-byte-per-value stream.
 
-#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -55,8 +54,7 @@ class FpcCodec final : public Codec {
   }
 };
 
-/// A lossless bytes->bytes transform: a codec on its own (over the values'
-/// bytes) and a stage after any double codec.
+/// A lossless bytes->bytes transform, a codec over the values' bytes.
 struct ByteStage {
   util::Bytes (*encode)(util::BytesView);
   util::Bytes (*decode)(util::BytesView);
@@ -64,15 +62,6 @@ struct ByteStage {
 
 util::Bytes identity(util::BytesView in) {
   return util::Bytes(in.begin(), in.end());
-}
-
-/// The byte stages a "head+stage" chain may name.
-const std::map<std::string, ByteStage>& byte_stages() {
-  static const std::map<std::string, ByteStage> map = {
-      {"lzss", {lzss_encode, lzss_decode}},
-      {"huffman", {huffman_encode, huffman_decode}},
-  };
-  return map;
 }
 
 /// Adapts a byte stage into a double codec.
@@ -98,52 +87,20 @@ class ByteStageCodec final : public Codec {
   ByteStage stage_;
 };
 
-/// Chains a double codec with lossless byte stages: "zfp+lzss" runs zfp's
-/// output through lzss; "fpc+lzss+huffman" stacks two. The chain is lossless
-/// iff the head codec is.
-class PipelineCodec final : public Codec {
- public:
-  PipelineCodec(std::string full_name, CodecPtr head,
-                std::vector<ByteStage> stages)
-      : name_(std::move(full_name)),
-        head_(std::move(head)),
-        stages_(std::move(stages)) {}
-
-  std::string name() const override { return name_; }
-  bool lossless() const override { return head_->lossless(); }
-
-  util::Bytes encode(std::span<const double> values, double bound) const override {
-    util::Bytes data = head_->encode(values, bound);
-    for (const auto& stage : stages_) data = stage.encode(data);
-    return data;
-  }
-
-  std::vector<double> decode(util::BytesView bytes) const override {
-    util::Bytes data(bytes.begin(), bytes.end());
-    for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
-      data = it->decode(data);
-    }
-    return head_->decode(data);
-  }
-
- private:
-  std::string name_;
-  CodecPtr head_;
-  std::vector<ByteStage> stages_;
-};
-
 using Factory = std::function<CodecPtr()>;
+
+Factory byte_codec(const std::string& name, ByteStage stage) {
+  return [=] { return CodecPtr(std::make_unique<ByteStageCodec>(name, stage)); };
+}
 
 const std::map<std::string, Factory>& factories() {
   static const std::map<std::string, Factory> map = {
       {"zfp", [] { return CodecPtr(std::make_unique<ZfpCodec>()); }},
       {"sz", [] { return CodecPtr(std::make_unique<SzCodec>()); }},
       {"fpc", [] { return CodecPtr(std::make_unique<FpcCodec>()); }},
-      {"raw",
-       [] {
-         return CodecPtr(std::make_unique<ByteStageCodec>(
-             "raw", ByteStage{identity, identity}));
-       }},
+      {"lzss", byte_codec("lzss", {lzss_encode, lzss_decode})},
+      {"huffman", byte_codec("huffman", {huffman_encode, huffman_decode})},
+      {"raw", byte_codec("raw", {identity, identity})},
   };
   return map;
 }
@@ -151,28 +108,6 @@ const std::map<std::string, Factory>& factories() {
 }  // namespace
 
 CodecPtr make_codec(const std::string& name) {
-  // "head+stage+stage" composes a double codec with lossless byte stages.
-  const auto plus = name.find('+');
-  if (plus != std::string::npos) {
-    const std::string head_name = name.substr(0, plus);
-    CodecPtr head = make_codec(head_name);
-    std::vector<ByteStage> stages;
-    std::size_t pos = plus + 1;
-    while (pos <= name.size()) {
-      const auto next = name.find('+', pos);
-      const auto stage = byte_stages().find(name.substr(pos, next - pos));
-      CANOPUS_CHECK(stage != byte_stages().end(),
-                    "unknown pipeline stage: " + name.substr(pos, next - pos));
-      stages.push_back(stage->second);
-      if (next == std::string::npos) break;
-      pos = next + 1;
-    }
-    CANOPUS_CHECK(!stages.empty(), "empty pipeline stage in codec: " + name);
-    return std::make_unique<PipelineCodec>(name, std::move(head), std::move(stages));
-  }
-  if (const auto stage = byte_stages().find(name); stage != byte_stages().end()) {
-    return std::make_unique<ByteStageCodec>(name, stage->second);
-  }
   auto it = factories().find(name);
   CANOPUS_CHECK(it != factories().end(), "unknown codec: " + name);
   return it->second();
@@ -180,9 +115,7 @@ CodecPtr make_codec(const std::string& name) {
 
 std::vector<std::string> codec_names() {
   std::vector<std::string> names;
-  for (const auto& [name, _] : factories()) names.push_back(name);
-  for (const auto& [name, _] : byte_stages()) names.push_back(name);
-  std::sort(names.begin(), names.end());
+  for (const auto& [name, _] : factories()) names.push_back(name);  // sorted
   return names;
 }
 

@@ -17,15 +17,21 @@ constexpr std::size_t kBlock = detail::kZfpBlock;
 // Fixed-point budget: |q| < 2^kQBits after scaling, leaving headroom for the
 // transform's detail coefficients (|d| <= 2 * max|q|) inside int64.
 constexpr int kQBits = 60;
+// A Rice block's indices: |q| <= 2^52 keeps q exact in a double, so a zigzag
+// index is at most 2^53, and the fewest-bits k at most 53 (at k = 54 every
+// quotient is 0, and k = 53 costs no more).
+constexpr std::uint64_t kMaxIndex = std::uint64_t{1} << 53;
+constexpr int kMaxRiceK = 53;
 
-// A block's first metadata byte: all zero, raw, or kLifted / kPlain + p for
-// a block coded with / without the lifting down to plane p (0..kQBits).
-// Folding the plane into this byte keeps a coded block's metadata at 4 bytes.
+// A block's first metadata byte: all zero, raw, kLifted + p for a block
+// lifted and coded down to plane p (0..kQBits), or kRice + k for one
+// quantized and Rice-coded with parameter k (0..kMaxRiceK). Modes 63..123
+// held untransformed bit planes in a retired layout and are corrupt.
 enum BlockMode : std::uint8_t {
   kAllZero,
   kRaw,
   kLifted,
-  kPlain = kLifted + kQBits + 1,
+  kRice = 124,
 };
 
 /// One forward lifting stage over a[0..len): pair (even, odd), emit sums then
@@ -56,13 +62,13 @@ void inverse_stage(std::int64_t* a, std::int64_t* tmp, std::size_t len) {
   std::copy(tmp, tmp + len, a);
 }
 
-/// The decoder's reconstruction of a block's first `n` values from its signed
-/// coefficients: inverse lifting for a lifted block, then back from fixed
-/// point. The encoder's plane check runs it too, so the bound is checked on
-/// the doubles a reader gets.
-void rebuild(std::array<std::int64_t, kBlock>& q, bool lifted, int emax,
-             std::size_t n, double* out) {
-  if (lifted) detail::inverse_transform64(q.data());
+/// The decoder's reconstruction of a lifted block's first `n` values from its
+/// signed coefficients: inverse lifting, then back from fixed point. The
+/// encoder's plane check runs it too, so the bound is checked on the doubles
+/// a reader gets.
+void rebuild(std::array<std::int64_t, kBlock>& q, int emax, std::size_t n,
+             double* out) {
+  detail::inverse_transform64(q.data());
   const double inv_scale = std::ldexp(1.0, emax - kQBits);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<double>(q[i]) * inv_scale;
@@ -74,17 +80,26 @@ std::uint64_t round_to_plane(std::uint64_t mag, int p) {
   return (mag + ((std::uint64_t{1} << p) >> 1)) >> p << p;
 }
 
-/// One way to code a block: its signed fixed-point coefficients, through the
-/// Haar lifting or with no transform, and the plan checked for them. `plane`
-/// is the lowest coded plane (-1 when no plane holds the bound), `mags` the
-/// coefficient magnitudes rounded to it, `top_plane` their highest set bit
-/// and `bits` the payload the embedded coder spends on them.
-struct Candidate {
-  bool lifted = false;
+/// The lifted candidate: the block's signed fixed-point coefficients after the
+/// Haar lifting, and the plan checked for them. `plane` is the lowest coded
+/// plane (-1 when no plane holds the bound), `mags` the coefficient
+/// magnitudes rounded to it, `top_plane` their highest set bit and `bits` the
+/// payload the embedded coder spends on them.
+struct Lifted {
   std::array<std::int64_t, kBlock> coeffs{};
   std::array<std::uint64_t, kBlock> mags{};
   int plane = -1;
   int top_plane = 0;
+  std::size_t bits = 0;
+};
+
+/// The quantize-and-Rice candidate: each value's zigzagged index, and the
+/// Rice parameter `k` that codes them in the fewest `bits` (-1 when some
+/// value cannot take an index).
+struct Rice {
+  std::array<std::uint64_t, kBlock> index{};
+  std::size_t n = 0;
+  int k = -1;
   std::size_t bits = 0;
 };
 
@@ -96,7 +111,7 @@ struct Candidate {
 /// one whose rounding carries a magnitude to 2^(kQBits + 1) is skipped, so a
 /// stored top plane never exceeds kQBits. An error bound <= 0 keeps every
 /// plane unchecked.
-void choose_plane(Candidate& c, std::span<const double> vals, double tolerance,
+void choose_plane(Lifted& c, std::span<const double> vals, double tolerance,
                   int emax) {
   const bool checked = tolerance > 0.0;
   // q = x * 2^(kQBits - emax); the tolerance in q units is tol_q.
@@ -118,7 +133,7 @@ void choose_plane(Candidate& c, std::span<const double> vals, double tolerance,
         const auto mag = static_cast<std::int64_t>(c.mags[i]);
         q[i] = c.coeffs[i] < 0 ? -mag : mag;
       }
-      rebuild(q, c.lifted, emax, vals.size(), rec.data());
+      rebuild(q, emax, vals.size(), rec.data());
       for (std::size_t i = 0; i < vals.size() && holds; ++i) {
         holds = std::abs(rec[i] - vals[i]) <= tolerance;
       }
@@ -138,7 +153,7 @@ void choose_plane(Candidate& c, std::span<const double> vals, double tolerance,
 /// group-test 0 unless the prefix covers the block; each coefficient's sign
 /// follows its first 1 bit once. So only where each coefficient's top bit
 /// lies matters.
-std::size_t count_bits(const Candidate& c) {
+std::size_t count_bits(const Lifted& c) {
   std::array<std::uint64_t, 64> first_one{};  // coefficients by top bit
   std::size_t bits = 0;
   for (std::size_t i = 0; i < kBlock; ++i) {
@@ -164,15 +179,11 @@ std::size_t count_bits(const Candidate& c) {
 /// planes destroys.) `prefix` is the number of leading coefficients already
 /// inside the coded region; it only grows. Per plane we emit bits for the
 /// prefix, then group-test the remainder.
-void emit_planes(const Candidate& c, util::BitWriter& bits) {
-  std::array<bool, kBlock> sig{};
+void emit_planes(const Lifted& c, util::BitWriter& bits) {
   auto emit_coeff_bit = [&](std::size_t i, int p) {
     const bool b = (c.mags[i] >> p) & 1u;
     bits.write_bit(b);
-    if (b && !sig[i]) {
-      bits.write_bit(c.coeffs[i] < 0);
-      sig[i] = true;
-    }
+    if (b && c.mags[i] >> p == 1) bits.write_bit(c.coeffs[i] < 0);  // first 1
     return b;
   };
   std::size_t prefix = 0;
@@ -197,11 +208,54 @@ void emit_planes(const Candidate& c, util::BitWriter& bits) {
   }
 }
 
-/// What encode_block decides before it writes anything: kAllZero or kRaw
-/// for a block that needs no coding or has no fixed point to code in, else
-/// kLifted with the block's exponent and both candidates planned.
+/// The bits Rice coding r's indices with parameter k spends: each index z
+/// codes as z >> k in unary (that many zeros, then a one) and its low k bits.
+std::size_t rice_bits(const Rice& r, int k) {
+  std::size_t bits = r.n * static_cast<std::size_t>(k + 1);
+  for (std::size_t i = 0; i < r.n; ++i) bits += r.index[i] >> k;
+  return bits;
+}
+
+/// Plans r, unless some value's index q = round(v / step), step = 2 *
+/// tolerance, exceeds 2^52 in magnitude or q * step, computed as the decoder
+/// does, lies more than `tolerance` from v. The bits are convex in k (each
+/// step up saves sum(ceil((z >> k) / 2)) - n, which only falls), so the first
+/// k whose successor costs no fewer is the smallest that minimizes them.
+void plan_rice(Rice& r, std::span<const double> vals, double tolerance) {
+  const double step = 2.0 * tolerance;
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    const double q = std::round(vals[i] / step);
+    if (!(std::abs(q) <= 0x1p52 && std::abs(q * step - vals[i]) <= tolerance)) {
+      return;
+    }
+    const auto u = static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
+    r.index[i] = (u << 1) ^ (q < 0 ? ~std::uint64_t{0} : 0);
+  }
+  r.n = vals.size();
+  r.k = 0;
+  r.bits = rice_bits(r, 0);
+  while (r.k < kMaxRiceK) {
+    const std::size_t next = rice_bits(r, r.k + 1);
+    if (next >= r.bits) break;
+    r.bits = next;
+    ++r.k;
+  }
+}
+
+void emit_rice(const Rice& r, util::BitWriter& bits) {
+  for (std::size_t i = 0; i < r.n; ++i) {
+    bits.write_unary(static_cast<std::uint32_t>(r.index[i] >> r.k));
+    bits.write_bits(r.index[i], static_cast<unsigned>(r.k));
+  }
+}
+
+/// What encode_block decides before it writes anything: kAllZero for a block
+/// within the bound of zero, kRaw for one with a non-finite value or that no
+/// candidate holds, else the holding candidate with fewer bits, counting a
+/// lifted block's exponent and top plane bytes; kRice on a tie, as it decodes
+/// without the inverse lifting.
 BlockMode plan_block(std::span<const double> vals, double tolerance, int& emax,
-                     std::array<Candidate, 2>& candidates) {
+                     Lifted& lifted, Rice& rice) {
   CANOPUS_ASSERT(!vals.empty() && vals.size() <= kBlock);
   double maxabs = 0.0;
   for (double v : vals) {
@@ -210,64 +264,53 @@ BlockMode plan_block(std::span<const double> vals, double tolerance, int& emax,
   }
   // Zeros decode within the bound of every value: nothing to code.
   if (maxabs == 0.0 || maxabs <= tolerance) return kAllZero;
+  if (tolerance > 0.0) plan_rice(rice, vals, tolerance);
   emax = std::ilogb(maxabs) + 1;  // maxabs < 2^emax
   const double scale = std::ldexp(1.0, kQBits - emax);
-  // Below ~2^-964 the scale itself overflows: no fixed point to code in.
-  if (!std::isfinite(scale)) return kRaw;
-
-  auto& [lifted, plain] = candidates;
-  lifted.lifted = true;
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    // Pad a short tail block with zeros when untransformed (they cost no
-    // group tests) and by repeating the last value when lifted (keeps it
-    // smooth).
-    plain.coeffs[i] = i < vals.size() ? std::llround(vals[i] * scale) : 0;
-    lifted.coeffs[i] =
-        i < vals.size() ? plain.coeffs[i] : plain.coeffs[vals.size() - 1];
+  if (std::isfinite(scale)) {  // below ~2^-964 it overflows
+    // Pad a short tail block by repeating its last value (keeps it smooth).
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      lifted.coeffs[i] = std::llround(vals[std::min(i, vals.size() - 1)] * scale);
+    }
+    detail::forward_transform64(lifted.coeffs.data());
+    choose_plane(lifted, vals, tolerance, emax);
+    if (lifted.plane >= 0) lifted.bits = count_bits(lifted);
   }
-  detail::forward_transform64(lifted.coeffs.data());
-  for (Candidate& c : candidates) {
-    choose_plane(c, vals, tolerance, emax);
-    if (c.plane >= 0) c.bits = count_bits(c);
+  const bool lifts = lifted.plane >= 0;
+  if (rice.k >= 0 && (!lifts || rice.bits <= lifted.bits + 24)) {
+    return kRice;
   }
-  return kLifted;
-}
-
-void put_raw(std::span<const double> vals, util::ByteWriter& out) {
-  out.put(static_cast<std::uint8_t>(kRaw));
-  out.put_bytes(vals.data(), vals.size() * sizeof(double));
+  return lifts ? kLifted : kRaw;
 }
 
 void encode_block(std::span<const double> vals, double tolerance,
                   util::ByteWriter& out, util::BitWriter& bits) {
   int emax = 0;
-  std::array<Candidate, 2> candidates;
-  const BlockMode planned = plan_block(vals, tolerance, emax, candidates);
-  if (planned == kRaw) return put_raw(vals, out);
-  if (planned == kAllZero) {
-    out.put(static_cast<std::uint8_t>(kAllZero));
-    return;
+  Lifted lifted;
+  Rice rice;
+  switch (plan_block(vals, tolerance, emax, lifted, rice)) {
+    case kAllZero:
+      return out.put(static_cast<std::uint8_t>(kAllZero));
+    case kRaw:
+      out.put(static_cast<std::uint8_t>(kRaw));
+      return out.put_bytes(vals.data(), vals.size() * sizeof(double));
+    case kRice:
+      out.put(static_cast<std::uint8_t>(kRice + rice.k));
+      return emit_rice(rice, bits);
+    case kLifted:
+      out.put(static_cast<std::uint8_t>(kLifted + lifted.plane));
+      out.put(static_cast<std::int16_t>(emax));
+      out.put(static_cast<std::int8_t>(lifted.top_plane));
+      return emit_planes(lifted, bits);
   }
-  // The cheaper candidate that holds the bound; plain on a tie, as it
-  // decodes without the inverse lifting.
-  const Candidate* best = nullptr;
-  for (const Candidate* c : {&candidates[1], &candidates[0]}) {
-    if (c->plane >= 0 && (!best || c->bits < best->bits)) best = c;
-  }
-  if (!best) return put_raw(vals, out);
-  out.put(static_cast<std::uint8_t>((best->lifted ? kLifted : kPlain) +
-                                    best->plane));
-  out.put(static_cast<std::int16_t>(emax));
-  out.put(static_cast<std::int8_t>(best->top_plane));
-  emit_planes(*best, bits);
 }
 
-void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
-                  std::vector<double>& out) {
+void decode_block(std::size_t n, double step, util::ByteReader& in,
+                  util::BitReader& bits, std::vector<double>& out) {
   const auto mode = in.get<std::uint8_t>();
+  const std::size_t base = out.size();
   if (mode == kRaw) {
     auto raw = in.get_bytes(n * sizeof(double));
-    const std::size_t base = out.size();
     out.resize(base + n);
     std::memcpy(out.data() + base, raw.data(), raw.size());
     return;
@@ -276,30 +319,37 @@ void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
     out.insert(out.end(), n, 0.0);
     return;
   }
-  const bool lifted = mode < kPlain;
-  const int pmin = mode - (lifted ? kLifted : kPlain);
+  if (mode >= kRice) {  // each index: unary quotient, then its low k bits
+    const int k = mode - kRice;
+    CANOPUS_CHECK(k <= kMaxRiceK, "zfp stream corrupt (rice parameter)");
+    CANOPUS_CHECK(std::isfinite(step) && step > 0.0, "zfp stream corrupt (rice bound)");
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t quot = bits.read_unary();
+      const std::uint64_t z =
+          quot <= kMaxIndex >> k ? (quot << k) | bits.read_bits(k) : ~std::uint64_t{0};
+      CANOPUS_CHECK(z <= kMaxIndex, "zfp stream corrupt (rice index)");
+      const auto q = static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
+      out.push_back(static_cast<double>(q) * step);
+    }
+    return;
+  }
+  const int pmin = mode - kLifted;
   const int emax = in.get<std::int16_t>();
   const int top_plane = in.get<std::int8_t>();
   // The encoder codes planes top_plane..pmin, at least one, and keeps every
   // rounded magnitude below 2^(kQBits + 1), so top_plane <= kQBits (which
-  // also rejects every mode above kPlain + kQBits). That keeps the inverse
-  // lifting inside int64 on any stream: each of its six stages grows a value
-  // by at most 2^kQBits.
+  // also rejects every retired mode from kLifted + kQBits + 1 up). That keeps
+  // the inverse lifting inside int64 on any stream: each of its six stages
+  // grows a value by at most 2^kQBits.
   CANOPUS_CHECK(top_plane >= 0 && top_plane <= kQBits && pmin <= top_plane,
                 "zfp stream corrupt (plane)");
 
   std::array<std::uint64_t, kBlock> u{};
   std::array<bool, kBlock> neg{};
-  std::array<bool, kBlock> sig{};
   auto read_coeff_bit = [&](std::size_t i, int p) {
     const bool b = bits.read_bit();
-    if (b) {
-      u[i] |= std::uint64_t{1} << p;
-      if (!sig[i]) {
-        neg[i] = bits.read_bit();
-        sig[i] = true;
-      }
-    }
+    if (b && u[i] == 0) neg[i] = bits.read_bit();  // its first 1
+    if (b) u[i] |= std::uint64_t{1} << p;
     return b;
   };
 
@@ -322,9 +372,8 @@ void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
     const auto mag = static_cast<std::int64_t>(u[i]);
     q[i] = neg[i] ? -mag : mag;
   }
-  const std::size_t base = out.size();
   out.resize(base + n);
-  rebuild(q, lifted, emax, n, out.data() + base);
+  rebuild(q, emax, n, out.data() + base);
 }
 
 }  // namespace
@@ -332,6 +381,7 @@ void decode_block(std::size_t n, util::ByteReader& in, util::BitReader& bits,
 util::Bytes zfp_encode(std::span<const double> values, double error_bound) {
   util::ByteWriter header;
   header.put_varint(values.size());
+  header.put(error_bound);
 
   util::ByteWriter block_meta;
   util::BitWriter bits;
@@ -347,6 +397,7 @@ util::Bytes zfp_encode(std::span<const double> values, double error_bound) {
 std::vector<double> zfp_decode(util::BytesView bytes) {
   util::ByteReader in(bytes);
   const auto count = in.get_varint();
+  const double step = 2.0 * in.get<double>();
   const auto block_meta = in.get_vector<std::byte>();
   const auto payload = in.get_vector<std::byte>();
 
@@ -360,7 +411,7 @@ std::vector<double> zfp_decode(util::BytesView bytes) {
   out.reserve(count);
   for (std::size_t off = 0; off < count; off += kBlock) {
     const std::size_t n = std::min(kBlock, static_cast<std::size_t>(count) - off);
-    decode_block(n, meta, bits, out);
+    decode_block(n, step, meta, bits, out);
   }
   return out;
 }
@@ -370,15 +421,19 @@ namespace detail {
 std::array<ZfpCandidateBits, 2> zfp_candidate_bits(std::span<const double> block,
                                                    double error_bound) {
   int emax = 0;
-  std::array<Candidate, 2> candidates;
+  Lifted lifted;
+  Rice rice;
+  plan_block(block, error_bound, emax, lifted, rice);
   std::array<ZfpCandidateBits, 2> out{};
-  if (plan_block(block, error_bound, emax, candidates) != kLifted) return out;
-  for (std::size_t k = 0; k < 2; ++k) {
-    const Candidate& c = candidates[k];
-    if (c.plane < 0) continue;
+  if (lifted.plane >= 0) {
     util::BitWriter bits;
-    emit_planes(c, bits);
-    out[k] = {true, c.bits, bits.bit_count()};
+    emit_planes(lifted, bits);
+    out[0] = {true, lifted.bits, bits.bit_count()};
+  }
+  if (rice.k >= 0) {
+    util::BitWriter bits;
+    emit_rice(rice, bits);
+    out[1] = {true, rice.bits, bits.bit_count()};
   }
   return out;
 }

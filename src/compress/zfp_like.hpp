@@ -2,33 +2,36 @@
 // ZFP-style fixed-accuracy codec (Lindstrom, TVCG 2014 lineage),
 // re-implemented from scratch for 1-D value streams.
 //
-// Values are processed in blocks of 64. Each block is aligned to a common
-// exponent, scaled to 60-bit fixed point, and coded one of two ways: through
-// an integer Haar lifting transform (coarse-to-fine coefficient layout), or
-// with no transform. Either way the coefficients are split into sign and
-// magnitude and entropy-coded MSB-plane-first with zfp's prefix group-testing
-// scheme; a coefficient's sign follows its first 1 bit. Planes below a
-// block's lowest plane p are dropped, each magnitude rounded to the nearest
-// multiple of 2^p. The encoder plans both codings and keeps whichever costs
-// fewer payload bits, counted without coding either. Lifting pays on smooth
-// input; Canopus deltas, already multilevel coefficients (which MGARD
-// quantizes directly), mostly code smaller untransformed.
+// Values are processed in blocks of 64, each coded whichever of two ways the
+// encoder counts as fewer bits, without coding either:
+//   - lifted: aligned to a common exponent, scaled to 60-bit fixed point and
+//     run through an integer Haar lifting (coarse-to-fine coefficients),
+//     then coded MSB-plane-first with zfp's prefix group tests, a sign after
+//     its coefficient's first 1 bit. Planes below the block's lowest plane p
+//     are dropped, magnitudes rounded to multiples of 2^p. Its exponent and
+//     top plane (3 metadata bytes) count against it.
+//   - quantized: each value v becomes q = round(v / 2e) for the bound e, and
+//     the zigzagged indices are Rice-coded (quotient by 2^k in unary, then k
+//     low bits) with the k that minimizes the block's bits: MGARD's uniform
+//     quantization of multilevel coefficients (arXiv 2105.12764), which
+//     Canopus deltas are. Smooth input keeps the lifting.
+// Both are checked on the decoder's own reconstruction: p is the first plane,
+// from one above the bound's own down, at which every value decodes within
+// the bound (skipping a plane whose rounding carries a magnitude to 2^61);
+// a block is quantized only if every |q| <= 2^52 and every q * 2e lies within
+// the bound. A block within the bound of zero is stored all zero; one that
+// neither holds (its fixed-point quantum coarser than the bound, its indices
+// out of range) or that holds a non-finite value is stored raw. A bound <= 0
+// codes lifted only, keeping every plane: exact up to the fixed-point
+// quantization (relative ~1e-17), but not bit-identical, so the codec always
+// reports itself lossy.
 //
-// Each candidate's p is checked, not derived: the encoder rebuilds the block
-// exactly as the decoder will, starting one plane above the error bound's own
-// and stepping down, and keeps the first p at which every value decodes
-// within the bound (skipping a plane whose rounding would carry a magnitude
-// to 2^61). A block whose values all lie within the bound of zero is stored
-// all zero; one that no candidate brings within the bound at plane 0 (its
-// fixed-point quantum is coarser than the bound), or that holds a non-finite
-// value, is stored raw. A block's metadata starts with its mode byte: 0 all
-// zero, 1 raw, 2 + p lifted, 63 + p untransformed (p <= 60; 124 and up are
-// corrupt), a coded block's followed by its exponent (int16) and top plane
-// (int8). The decoder needs no error bound.
-//
-// An error bound <= 0 keeps every plane: reconstruction is then exact up to
-// the fixed-point quantization (relative ~1e-17), but not bit-identical, so
-// the codec always reports itself lossy.
+// Stream: varint value count, the bound as a double (the decoder's step is
+// exactly 2 * bound), block metadata, bit payload. A block's metadata starts
+// with its mode byte: 0 all zero, 1 raw (values follow), 2 + p lifted (p <=
+// 60; exponent int16 and top plane int8 follow), 124 + k quantized (k <=
+// 53). Modes 63..123 held a retired untransformed layout; they, and anything
+// else the encoder never writes, throw `zfp stream corrupt`.
 
 #include <array>
 #include <span>
@@ -51,8 +54,8 @@ inline constexpr std::size_t kZfpBlock = 64;
 void forward_transform64(std::int64_t* a);
 void inverse_transform64(std::int64_t* a);
 
-/// One candidate coding of a block as zfp_encode plans it: whether a plane
-/// holds the bound, and the payload bits it counted and that coding writes.
+/// One candidate coding of a block as zfp_encode plans it: whether it holds
+/// the bound, and the payload bits it counted and that coding writes.
 struct ZfpCandidateBits {
   bool held = false;
   std::size_t counted = 0;
@@ -60,8 +63,8 @@ struct ZfpCandidateBits {
 };
 
 /// Both candidates of one block of at most kZfpBlock values, [0] lifted and
-/// [1] untransformed, so tests can check the encoder's count (a block stored
-/// all zero or raw unplanned reads unheld twice).
+/// [1] quantized and Rice-coded, so tests can check the encoder's count (a
+/// block stored all zero or raw unplanned reads unheld twice).
 std::array<ZfpCandidateBits, 2> zfp_candidate_bits(std::span<const double> block,
                                                    double error_bound);
 }  // namespace detail

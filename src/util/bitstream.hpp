@@ -1,11 +1,13 @@
 #pragma once
-// Bit-granular I/O used by the entropy coders and the ZFP-like bit-plane codec.
+// Bit-granular I/O used by the entropy coders and the ZFP-like codec's bit
+// planes and Rice codes.
 //
 // Bits are packed LSB-first within each 64-bit word; the writer flushes whole
 // words into a byte vector. The reader mirrors the layout and throws on
 // overrun.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -38,7 +40,7 @@ class BitWriter {
   /// Bits written so far.
   std::size_t bit_count() const { return words_.size() * 64 + fill_; }
 
-  /// Elias-gamma-style unary+binary code for small non-negative integers.
+  /// Unary code: `n` zero bits, then a 1.
   void write_unary(std::uint32_t n) {
     while (n >= 32) {
       write_bits(0, 32);
@@ -73,6 +75,12 @@ class BitReader {
 
   std::uint64_t read_bits(unsigned nbits) {
     CANOPUS_ASSERT(nbits <= 64);
+    if (nbits < fill_) {  // all buffered; nbits < 64
+      const std::uint64_t out = acc_ & ((1ull << nbits) - 1);
+      acc_ >>= nbits;
+      fill_ -= nbits;
+      return out;
+    }
     if (nbits == 0) return 0;
     std::uint64_t out = 0;
     unsigned got = 0;
@@ -88,7 +96,13 @@ class BitReader {
     return out;
   }
 
-  bool read_bit() { return read_bits(1) != 0; }
+  bool read_bit() {
+    if (fill_ == 0) refill();
+    const bool b = acc_ & 1u;
+    acc_ >>= 1;
+    --fill_;
+    return b;
+  }
 
   /// The next `nbits` (<= 32) bits without consuming them, first bit
   /// lowest. Bits past the end of the stream read as zero; only consuming
@@ -116,13 +130,24 @@ class BitReader {
     }
   }
 
+  /// Reads write_unary's code: counts the zeros before the next 1 bit a
+  /// buffered word at a time, and consumes them and the 1.
   std::uint32_t read_unary() {
     std::uint32_t n = 0;
-    while (!read_bit()) {
-      ++n;
+    for (;;) {
+      if (fill_ == 0) refill();
+      if (acc_ != 0) {  // bits above fill_ are zero, so the 1 is buffered
+        const auto zeros = static_cast<unsigned>(std::countr_zero(acc_));
+        n += zeros;
+        CANOPUS_CHECK(n < (1u << 24), "unary code runaway");
+        acc_ = zeros < 63 ? acc_ >> (zeros + 1) : 0;
+        fill_ -= zeros + 1;
+        return n;
+      }
+      n += fill_;
+      fill_ = 0;
       CANOPUS_CHECK(n < (1u << 24), "unary code runaway");
     }
-    return n;
   }
 
  private:

@@ -392,15 +392,19 @@ TEST(Zfp, BlockBelowTheFixedPointRangeStoredRaw) {
 // 2^61, past the top plane 60 the decoder accepts. A block of +a then -a
 // (a = 1 - 2^-40, so |q| = 2^60 - 2^20) puts 2^61 - 2^21 in its coarsest
 // lifting detail and nothing else in its coefficients, so lifting stays far
-// cheaper than no transform, but every plane from 22 up would carry: the
-// encoder must code it lifted down to plane 21 with top plane 60.
+// cheaper than quantizing every value, but every plane from 22 up would
+// carry: the encoder must code it lifted down to plane 21 with top plane 60.
 TEST(Zfp, RoundingNeverCarriesPastTopPlane60) {
   const double a = 1.0 - std::ldexp(1.0, -40);
   std::vector<double> xs(64, a);
   std::fill(xs.begin() + 32, xs.end(), -a);
+  const auto bits = cc::detail::zfp_candidate_bits(xs, 0.1);
+  ASSERT_TRUE(bits[0].held && bits[1].held);
+  EXPECT_LT(bits[0].counted + 24, bits[1].counted);  // + emax and top plane
   const auto enc = cc::zfp_encode(xs, 0.1);
   cu::ByteReader in(enc);
   in.get_varint();
+  EXPECT_EQ(in.get<double>(), 0.1);
   const auto meta = in.get_vector<std::uint8_t>();
   ASSERT_EQ(meta.size(), 4u);      // mode, emax (int16), top plane
   EXPECT_EQ(meta[0], 2 + 21);      // lifted, down to plane 21
@@ -410,11 +414,11 @@ TEST(Zfp, RoundingNeverCarriesPastTopPlane60) {
   EXPECT_LE(cu::max_abs_error(xs, dec), 0.1);
 }
 
-// Streams written before blocks could skip the lifting hold only lifted
-// blocks (mode 2 + p, emax, top plane, then planes top..p group-tested, each
-// sign after its coefficient's first 1 bit), and must still decode: this one,
-// built by hand, decodes to the values the inverse lifting gives its
-// coefficients, a DC of 1000 and five details coded down to plane 3.
+// A lifted block (mode 2 + p, emax, top plane, then planes top..p
+// group-tested, each sign after its coefficient's first 1 bit), built by
+// hand, decodes to the values the inverse lifting gives its coefficients: a
+// DC of 1000 and five details coded down to plane 3. Its stream's bound
+// plays no part in a lifted block.
 TEST(Zfp, HandBuiltLiftedBlockDecodesToPinnedValues) {
   constexpr std::size_t kBlock = cc::detail::kZfpBlock;
   std::array<std::int64_t, kBlock> coeffs{};
@@ -460,6 +464,7 @@ TEST(Zfp, HandBuiltLiftedBlockDecodesToPinnedValues) {
   meta.put(static_cast<std::int8_t>(kTop));
   cu::ByteWriter w;
   w.put_varint(kBlock);
+  w.put(0.0);  // the bound
   w.put_vector(meta.bytes());
   w.put_vector(bits.finish());
 
@@ -472,6 +477,29 @@ TEST(Zfp, HandBuiltLiftedBlockDecodesToPinnedValues) {
   expected[3] = 976.0;
   expected[62] = 1056.0;
   expected[63] = 1040.0;
+  EXPECT_EQ(cc::zfp_decode(w.view()), expected);
+}
+
+// A quantized block (mode 124 + k, then per value its zigzagged index's
+// quotient by 2^k in unary and its low k bits), built by hand, decodes to
+// index times the step, twice the stream's bound. Eight values of a tail
+// block, k = 2.
+TEST(Zfp, HandBuiltRiceBlockDecodesToPinnedValues) {
+  const std::uint64_t zigzag[] = {0, 1, 2, 3, 4, 7, 8, 13};
+  constexpr unsigned kK = 2;
+  cu::BitWriter bits;
+  for (const std::uint64_t z : zigzag) {
+    bits.write_unary(static_cast<std::uint32_t>(z >> kK));
+    bits.write_bits(z, kK);
+  }
+  cu::ByteWriter meta;
+  meta.put(static_cast<std::uint8_t>(124 + kK));
+  cu::ByteWriter w;
+  w.put_varint(std::size(zigzag));
+  w.put(0.25);  // the bound: a step of 0.5
+  w.put_vector(meta.bytes());
+  w.put_vector(bits.finish());
+  const std::vector<double> expected = {0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -3.5};
   EXPECT_EQ(cc::zfp_decode(w.view()), expected);
 }
 
@@ -591,11 +619,11 @@ TEST(Fuzz, BitFlippedStreamsThrowOrStayBounded) {
   }
 }
 
-// A block's planes must lie where the encoder writes them: the lowest in
-// 0..top_plane, the top at most 60 (coefficients stay below 2^61), for
-// lifted (mode 2 + plane) and untransformed (mode 63 + plane) blocks alike.
-// Anything else, modes from 124 up among it, is corruption, not a shorter
-// coding.
+// A lifted block's planes must lie where the encoder writes them: the lowest
+// in 0..top_plane, the top at most 60 (coefficients stay below 2^61). Modes
+// 63..123, which a retired layout spent on untransformed planes, lie above
+// every plane a lifted block may stop at. Anything else is corruption, not a
+// shorter coding.
 TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
   // One 64-value block: metadata {mode, emax, top_plane}, then a payload of
   // zero bits (every plane's group test says "no more ones").
@@ -607,25 +635,22 @@ TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
     meta.put(static_cast<std::int8_t>(top_plane));
     cu::ByteWriter w;
     w.put_varint(64);
+    w.put(1e-3);
     w.put_vector(meta.bytes());
     w.put_varint(sizeof zero_bits);
     w.put_bytes(zero_bits.data(), sizeof zero_bits);
     return w.take();
   };
   const auto lifted = [](int plane) { return 2 + plane; };
-  const auto plain = [](int plane) { return 63 + plane; };
   for (const auto& [mode, top_plane] : {std::pair{lifted(20), 20},
                                         {lifted(0), 20},
-                                        {plain(20), 20},
-                                        {plain(0), 20},
-                                        {plain(60), 60}}) {
+                                        {lifted(60), 60}}) {
     EXPECT_NO_THROW(cc::zfp_decode(stream(mode, top_plane)))
         << "mode " << mode << " top " << top_plane;
   }
   const std::pair<int, int> corrupt[] = {
-      {lifted(21), 20}, {lifted(40), 20}, {lifted(253), 20}, {lifted(0), 61},
-      {lifted(63), 63}, {plain(21), 20},  {plain(40), 20},   {plain(0), 61},
-      {plain(61), 60},  {plain(61), 20}};
+      {lifted(21), 20}, {lifted(40), 20}, {lifted(0), 61}, {lifted(63), 63},
+      {63, 20},         {63, 60},         {83, 20},        {123, 60}};
   for (const auto& [mode, top_plane] : corrupt) {
     try {
       cc::zfp_decode(stream(mode, top_plane));
@@ -638,28 +663,92 @@ TEST(Fuzz, ZfpStoredPlaneOutsideEncoderRangeThrows) {
   }
 }
 
+// A quantized block must lie where the encoder writes it: k at most 53
+// (modes 124..177), every zigzagged index at most 2^53 (|q| <= 2^52), and a
+// step of twice a bound that is finite and > 0. Each of those the decoder
+// checks; a stream past one is corrupt.
+TEST(Fuzz, ZfpRiceBlockOutsideEncoderRangeThrows) {
+  struct Row {
+    int mode;
+    double bound;
+    std::uint32_t quotient;  // every one of the block's 8 indices
+    std::uint64_t low_bits;
+    const char* error;  // nullptr: decodes
+  };
+  const Row rows[] = {
+      {124 + 53, 0.5, 1, 0, nullptr},  // index 2^53: q = 2^52
+      {124 + 0, 1e-3, 5, 0, nullptr},
+      {124 + 54, 0.5, 0, 0, "zfp stream corrupt (rice parameter)"},
+      {255, 0.5, 0, 0, "zfp stream corrupt (rice parameter)"},
+      {124 + 50, 0.5, 9, 0, "zfp stream corrupt (rice index)"},
+      {124 + 50, 0.5, 8, 1, "zfp stream corrupt (rice index)"},  // 2^53 + 1
+      {124 + 53, 0.5, 2, 0, "zfp stream corrupt (rice index)"},
+      {124 + 3, 0.0, 1, 0, "zfp stream corrupt (rice bound)"},
+      {124 + 3, -1.0, 1, 0, "zfp stream corrupt (rice bound)"},
+      {124 + 3, std::numeric_limits<double>::quiet_NaN(), 1, 0,
+       "zfp stream corrupt (rice bound)"},
+      {124 + 3, std::numeric_limits<double>::infinity(), 1, 0,
+       "zfp stream corrupt (rice bound)"},
+      {124 + 3, 1e308, 1, 0, "zfp stream corrupt (rice bound)"},  // step inf
+  };
+  for (const Row& row : rows) {
+    const unsigned k = static_cast<unsigned>(std::min(row.mode - 124, 64));
+    cu::BitWriter bits;
+    for (int i = 0; i < 8; ++i) {
+      bits.write_unary(row.quotient);
+      bits.write_bits(row.low_bits, k);
+    }
+    cu::ByteWriter w;
+    w.put_varint(8);
+    w.put(row.bound);
+    w.put_vector(cu::Bytes{static_cast<std::byte>(row.mode)});
+    w.put_vector(bits.finish());
+    const std::string context = "mode " + std::to_string(row.mode) +
+                                " bound " + std::to_string(row.bound) +
+                                " quotient " + std::to_string(row.quotient);
+    if (!row.error) {
+      const auto decoded = cc::zfp_decode(w.view());
+      ASSERT_EQ(decoded.size(), 8u) << context;
+      EXPECT_TRUE(std::isfinite(decoded[0])) << context;
+      continue;
+    }
+    try {
+      cc::zfp_decode(w.view());
+      ADD_FAILURE() << context << " decoded";
+    } catch (const canopus::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << context << ": " << e.what();
+    }
+  }
+}
+
 // The largest coefficients a stream may carry (top plane 60, every bit set,
-// signs alternating) must decode without overflowing the inverse lifting.
-// The same coefficients in an untransformed block decode to the values
-// themselves.
+// signs alternating) must decode without overflowing the inverse lifting;
+// the largest indices a quantized block may carry (2^53 and 2^53 - 1 at
+// k = 53) decode to +-2^52 steps exactly.
 TEST(Fuzz, ZfpExtremeCoefficientsDecodeDefined) {
   constexpr std::size_t kBlock = cc::detail::kZfpBlock;
   cu::BitWriter bits;
   cu::ByteWriter meta;
-  for (const std::uint8_t mode : {2, 63}) {  // lifted, then plain; plane 0
-    for (int p = 60; p >= 0; --p) {
-      for (std::size_t i = 0; i < kBlock; ++i) {
-        if (p == 60) bits.write_bit(true);   // group test: a 1 remains
-        bits.write_bit(true);                // coefficient i's bit
-        if (p == 60) bits.write_bit(i % 2);  // its sign, after its first 1
-      }
+  for (int p = 60; p >= 0; --p) {  // lifted down to plane 0
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      if (p == 60) bits.write_bit(true);   // group test: a 1 remains
+      bits.write_bit(true);                // coefficient i's bit
+      if (p == 60) bits.write_bit(i % 2);  // its sign, after its first 1
     }
-    meta.put(mode);
-    meta.put(std::int16_t{0});
-    meta.put(std::int8_t{60});
   }
+  meta.put(std::uint8_t{2});
+  meta.put(std::int16_t{0});
+  meta.put(std::int8_t{60});
+  for (std::size_t i = 0; i < kBlock; ++i) {  // quantized, k = 53
+    const std::uint64_t index = (std::uint64_t{1} << 53) - i % 2;
+    bits.write_unary(static_cast<std::uint32_t>(index >> 53));
+    bits.write_bits(index, 53);
+  }
+  meta.put(std::uint8_t{124 + 53});
   cu::ByteWriter w;
   w.put_varint(2 * kBlock);
+  w.put(0.5);  // a step of 1
   w.put_vector(meta.bytes());
   w.put_vector(bits.finish());
   const auto decoded = cc::zfp_decode(w.take());
@@ -667,9 +756,8 @@ TEST(Fuzz, ZfpExtremeCoefficientsDecodeDefined) {
   for (std::size_t i = 0; i < kBlock; ++i) {
     EXPECT_TRUE(std::isfinite(decoded[i])) << i;
   }
-  // (2^61 - 1) * 2^-60 rounds to 2.
   for (std::size_t i = 0; i < kBlock; ++i) {
-    EXPECT_EQ(decoded[kBlock + i], i % 2 ? -2.0 : 2.0) << i;
+    EXPECT_EQ(decoded[kBlock + i], i % 2 ? -0x1p52 : 0x1p52) << i;
   }
 }
 
@@ -681,6 +769,7 @@ TEST(Fuzz, DeclaredLengthsNearTwoToThe64Throw) {
   for (const std::uint64_t count : {kMax, kMax - 62}) {
     cu::ByteWriter w;
     w.put_varint(count);
+    w.put(1e-3);
     w.put_vector(cu::Bytes(4));  // four blocks' worth of mode bytes
     w.put_vector(cu::Bytes{});
     EXPECT_THROW(cc::zfp_decode(w.view()), canopus::Error) << count;

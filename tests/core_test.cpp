@@ -376,10 +376,16 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
   // list every chunk's tier (matching the container index) and report the
   // slowest of them — not whichever tier the last chunk happened to get.
   const auto mesh = cm::make_rect_mesh(43, 43, 1.0, 1.0, 0.1, 13);
+  // Flat where the last Morton chunk lies (x, y > 0.5), so that chunk codes
+  // smaller than the others under any bounded codec and Estimate.
+  auto values = smooth_field(mesh);
+  for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
+    if (mesh.vertex(v).x > 0.5 && mesh.vertex(v).y > 0.5) values[v] = 1.0;
+  }
   cc::RefactorConfig config;
   config.levels = 2;
   config.delta_chunks = 4;
-  config.estimate = cc::EstimateMode::kUniformThirds;
+  config.error_bound = 1e-6;
   config.tiered_placement = false;  // let fastest-fit place
   // Probe with room everywhere for the stored size of every block. The base
   // is written first (its replica goes below it), then delta chunks 0..3.
@@ -387,8 +393,7 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
   std::vector<std::size_t> chunk(4, 0);
   {
     auto roomy = big_two_tiers();
-    cc::refactor_and_write(roomy, "probe.bp", "v", mesh, smooth_field(mesh),
-                           config);
+    cc::refactor_and_write(roomy, "probe.bp", "v", mesh, values, config);
     ca::BpReader probe(roomy, "probe.bp");
     for (const auto& b : probe.inq_var("v").blocks) {
       const auto n = static_cast<std::size_t>(b.stored_bytes);
@@ -396,15 +401,24 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
       if (b.kind == ca::BlockKind::kDelta) chunk.at(b.chunk) = n;
     }
   }
-  // Tier 0 holds the base and chunks 0, 1 and 3: chunk 2 does not fit the
-  // room left after chunk 1 and spills, and the smaller chunk 3 fills it.
-  // (Chunk sizes of the uniform Estimate; barycentric's chunk 3 is larger.)
-  ASSERT_LT(chunk[3], chunk[2]);
-  cs::StorageHierarchy tiers(
-      {cs::tmpfs_spec(base + chunk[0] + chunk[1] + chunk[3]),
-       cs::ssd_spec(64 << 20), cs::lustre_spec(1 << 30)});
-  const auto report = cc::refactor_and_write(tiers, "ff.bp", "v", mesh,
-                                             smooth_field(mesh), config);
+  // Tier 0 holds the base, the chunks before `spill` and the last chunk: each
+  // chunk from `spill` to the one before the last is larger than the last, so
+  // none fits the room the last one then fills.
+  const std::size_t last = chunk.size() - 1;
+  std::size_t spill = last;
+  while (spill > 0 && chunk[spill - 1] > chunk[last]) --spill;
+  ASSERT_LT(spill, last) << "the chunk before the last is no larger than it";
+  std::size_t fast = base + chunk[last];
+  std::vector<std::uint32_t> expected(chunk.size(), 1);
+  expected[last] = 0;
+  for (std::size_t c = 0; c < spill; ++c) {
+    fast += chunk[c];
+    expected[c] = 0;
+  }
+  cs::StorageHierarchy tiers({cs::tmpfs_spec(fast), cs::ssd_spec(64 << 20),
+                              cs::lustre_spec(1 << 30)});
+  const auto report =
+      cc::refactor_and_write(tiers, "ff.bp", "v", mesh, values, config);
 
   ca::BpReader reader(tiers, "ff.bp");
   const auto info = reader.inq_var("v");
@@ -424,8 +438,7 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
         }
       }
       // The spill scatters the delta, and the last chunk is not the slowest.
-      EXPECT_EQ(p.chunk_tiers, (std::vector<std::uint32_t>{0, 0, 1, 0}))
-          << p.name;
+      EXPECT_EQ(p.chunk_tiers, expected) << p.name;
       EXPECT_NE(p.tier, p.chunk_tiers.back()) << p.name;
     }
   }

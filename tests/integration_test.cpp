@@ -9,16 +9,20 @@
 #include <filesystem>
 #include <memory>
 
+#include "adios/bp.hpp"
 #include "analytics/blob.hpp"
 #include "analytics/raster.hpp"
+#include "compress/lzss.hpp"
 #include "core/canopus.hpp"
 #include "mesh/validate.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
 
+namespace ad = canopus::adios;
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
+namespace cp = canopus::compress;
 namespace cs = canopus::storage;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
@@ -48,24 +52,44 @@ si::Dataset small_dataset(const std::string& name) {
 }  // namespace
 
 // Sweep: every dataset x codec x level count survives the full round trip
-// within the accumulated error budget.
+// within the accumulated error budget. A "zfp+lzss" row writes with zfp and
+// carries every stored base and delta payload through the standalone lzss
+// byte coder, which must hand it back unchanged.
 class FullPipeline
     : public ::testing::TestWithParam<
           std::tuple<std::string, std::string, std::size_t>> {};
 
 TEST_P(FullPipeline, WriteReadRestoreWithinBudget) {
-  const auto& [dataset_name, codec, levels] = GetParam();
+  const auto& [dataset_name, codec_name, levels] = GetParam();
+  const auto plus = codec_name.find('+');
   const auto ds = small_dataset(dataset_name);
   cs::StorageHierarchy tiers(
       {cs::tmpfs_spec(8 << 20), cs::lustre_spec(1 << 30)});
   cc::RefactorConfig config;
   config.levels = levels;
-  config.codec = codec;
+  config.codec = codec_name.substr(0, plus);
   config.error_bound = 1e-5;
   const auto report = cc::refactor_and_write(tiers, "it.bp", ds.variable,
                                              ds.mesh, ds.values, config);
   EXPECT_EQ(report.products.size(), levels);
   EXPECT_EQ(report.level_vertices.size(), levels);
+
+  if (plus != std::string::npos) {
+    ASSERT_EQ(codec_name.substr(plus + 1), "lzss");
+    std::size_t carried = 0;
+    for (const auto& block : ad::BpReader(tiers, "it.bp").inq_var(ds.variable).blocks) {
+      if (block.kind != ad::BlockKind::kBase && block.kind != ad::BlockKind::kDelta) {
+        continue;
+      }
+      EXPECT_EQ(block.codec, config.codec);
+      cu::Bytes payload;
+      tiers.read(block.object_key, payload);
+      EXPECT_EQ(cp::lzss_decode(cp::lzss_encode(payload)), payload)
+          << block.object_key;
+      ++carried;
+    }
+    EXPECT_EQ(carried, levels);
+  }
 
   cc::ProgressiveReader reader(tiers, "it.bp", ds.variable);
   EXPECT_EQ(reader.level_count(), levels);

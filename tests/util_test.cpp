@@ -156,6 +156,48 @@ TEST(BitStream, UnaryCodes) {
   for (std::uint32_t n : {0u, 1u, 5u, 40u, 100u}) EXPECT_EQ(r.read_unary(), n);
 }
 
+// read_unary counts a run a buffered word at a time: runs that end on,
+// just before and just past a word boundary, and ones spanning several
+// words, from every offset into a word, interleaved with plain fields.
+TEST(BitStream, UnaryRunsAcrossWordBoundaries) {
+  const std::uint32_t runs[] = {0, 63, 64, 65, 200};
+  for (const unsigned offset : {0u, 1u, 37u, 63u}) {
+    cu::BitWriter w;
+    w.write_bits(~0ull, offset);
+    for (const std::uint32_t n : runs) {
+      w.write_unary(n);
+      w.write_bits(0x5, 3);
+    }
+    const auto bytes = w.finish();
+    cu::BitReader r(bytes);
+    EXPECT_EQ(r.read_bits(offset), offset ? ~0ull >> (64 - offset) : 0u);
+    for (const std::uint32_t n : runs) {
+      EXPECT_EQ(r.read_unary(), n) << "offset " << offset;
+      EXPECT_EQ(r.read_bits(3), 0x5u) << "offset " << offset << " run " << n;
+    }
+  }
+}
+
+// A run of zeros that reaches the end of the stream has no terminating 1.
+TEST(BitStream, UnaryRunPastTheEndThrows) {
+  cu::BitWriter w;
+  w.write_bits(0x3, 2);
+  w.write_bits(0, 64);
+  w.write_bits(0, 36);
+  const auto bytes = w.finish();  // two words, all zero after the first 2 bits
+  cu::BitReader r(bytes);
+  EXPECT_EQ(r.read_unary(), 0u);
+  EXPECT_EQ(r.read_unary(), 0u);
+  try {
+    r.read_unary();
+    ADD_FAILURE() << "a run past the end decoded";
+  } catch (const canopus::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bit stream exhausted"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   cu::Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
