@@ -1,10 +1,13 @@
 // Ablations over the design choices DESIGN.md section 6 calls out:
-//   1. Estimate(.) weighting (Eq. 2): uniform 1/3 vs barycentric vs nearest.
+//   1. Estimate(.) weighting (Eq. 2): uniform 1/3 vs barycentric vs gradient.
+//      A gate: exits nonzero unless stored bytes order gradient < barycentric
+//      < uniform.
 //   2. Edge-collapse priority: shortest-first vs random vs gradient-weighted.
 //   3. Delta codec: zfp vs sz vs fpc vs lzss.
 //   4. Placement: fastest-fit hierarchy vs everything-on-PFS.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "compress/codec.hpp"
@@ -43,19 +46,22 @@ int main(int argc, char** argv) {
   base_cfg.levels = 3;
   base_cfg.codec = "zfp";
   base_cfg.error_bound = eb;
+  bool failed = false;
 
   // ---- 1. Estimate(.) weighting. -----------------------------------------
   {
     // Geometry bytes are the same in every mode: no mode stores weights.
     util::Table t({"estimate", "stored-bytes", "normalized", "delta-stddev",
                    "geometry-bytes"});
+    std::vector<std::size_t> bytes;
     for (auto mode : {core::EstimateMode::kUniformThirds,
                       core::EstimateMode::kBarycentric,
-                      core::EstimateMode::kNearestVertex}) {
+                      core::EstimateMode::kGradient}) {
       auto cfg = base_cfg;
       cfg.estimate = mode;
       const auto report = write_report(ds, cfg);
       const auto stored = report.total_stored_bytes();
+      bytes.push_back(stored);
       // Delta smoothness for this mode, measured on the first delta.
       mesh::CascadeOptions copt;
       copt.levels = 2;
@@ -74,6 +80,11 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout, "Ablation 1: Estimate(.) weighting");
     std::cout << '\n';
+    if (!(bytes[2] < bytes[1] && bytes[1] < bytes[0])) {
+      std::cout << "Ablation 1 FAILED: stored bytes must order gradient < "
+                   "barycentric < uniform\n";
+      failed = true;
+    }
   }
 
   // ---- 2. Edge-collapse priority. ----------------------------------------
@@ -166,5 +177,5 @@ int main(int argc, char** argv) {
             "Ablation 5: delta chunk granularity (ROI selectivity vs per-chunk "
             "overhead)");
   }
-  return 0;
+  return failed ? 1 : 0;
 }

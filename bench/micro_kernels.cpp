@@ -186,29 +186,28 @@ BENCHMARK(BM_WriteGeometry)->Unit(benchmark::kMillisecond);
 
 namespace {
 
-/// What prepare_level hands the codec for BM_BuildCascade's timestep: the
-/// base level's values, then each delta level (coarse to fine) in Morton
-/// order, cut into the config's 8 chunks.
+/// What the writer's closed loop hands the codec for BM_BuildCascade's
+/// timestep: the base level's values, then each delta level (coarse to
+/// fine, each against the level a reader restores) in Morton order, cut into
+/// the config's 8 chunks.
 const std::vector<mesh::Field>& timestep_payload() {
   static const std::vector<mesh::Field> payload = [] {
     const auto& f = geometry_fixture();
     const auto& levels = f.cascade.levels;
+    core::ClosedLoop loop(f.config.codec, f.config.error_bound,
+                          f.config.estimate);
+    loop.code_base(levels.back().values);
     std::vector<mesh::Field> out{levels.back().values};
     for (std::size_t l = levels.size() - 1; l-- > 0;) {
       const auto mapping =
           core::build_mapping(levels[l].mesh, levels[l + 1].mesh);
-      const auto delta = core::compute_delta(
-          levels[l + 1].mesh, levels[l + 1].values, levels[l].mesh,
-          levels[l].values, mapping, f.config.estimate);
       const auto order = core::cached_spatial_order(levels[l].mesh);
-      const std::size_t n = delta.size();
-      const std::size_t chunks = f.config.delta_chunks;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        mesh::Field chunk;
-        for (std::size_t pos = n * c / chunks; pos < n * (c + 1) / chunks; ++pos) {
-          chunk.push_back(delta[(*order)[pos]]);
-        }
-        out.push_back(std::move(chunk));
+      const auto coded =
+          loop.code_delta(levels[l + 1].mesh, levels[l].mesh, levels[l].values,
+                          mapping, f.config.delta_chunks, order.get());
+      for (std::size_t c = 0; c + 1 < coded.bounds.size(); ++c) {
+        out.emplace_back(coded.values.begin() + coded.bounds[c],
+                         coded.values.begin() + coded.bounds[c + 1]);
       }
     }
     return out;
@@ -284,7 +283,9 @@ BENCHMARK(BM_BuildMapping)->Unit(benchmark::kMillisecond);
 
 // Per Estimate mode, on one worker so the time is the per-vertex cost: the
 // barycentric Estimate derives each fine vertex's weights from geometry on
-// both passes, uniform reads only the triangle.
+// both passes, uniform reads only the triangle, and the gradient Estimate
+// adds one pass over the coarse triangles per call and three corner
+// extensions per vertex.
 static void BM_DeltaAndRestore(benchmark::State& state, core::EstimateMode mode) {
   const auto& ds = xgc_small();
   mesh::DecimateOptions opt;
@@ -305,6 +306,9 @@ BENCHMARK_CAPTURE(BM_DeltaAndRestore, uniform, core::EstimateMode::kUniformThird
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_DeltaAndRestore, barycentric, core::EstimateMode::kBarycentric)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaAndRestore, gradient, core::EstimateMode::kGradient)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

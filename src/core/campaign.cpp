@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "adios/bp.hpp"
-#include "compress/codec.hpp"
 #include "core/delta.hpp"
 #include "core/geometry_cache.hpp"
 #include "mesh/cascade.hpp"
@@ -91,7 +90,6 @@ CampaignReport write_variable_group(
   std::vector<TimestepProducts> products(variables.size());
   util::ThreadPool pool(config.threads);
   pool.parallel_for(0, variables.size(), [&](std::size_t lo, std::size_t hi) {
-    const auto codec = compress::make_codec(rc.codec);
     for (std::size_t t = lo; t < hi; ++t) {
       // Decimate by replaying the recorded collapse sequences.
       std::vector<mesh::Field> level_values;
@@ -102,14 +100,18 @@ CampaignReport write_variable_group(
             cascade.logs[l - 1], recipes[l - 1].survivor_slots,
             level_values.back()));
       }
+      // Base, then deltas coarse to fine, each against the level a reader
+      // of this timestep will restore. The loop's own loops run inline on
+      // this worker: the parallelism is across timesteps.
       auto& out = products[t];
-      out.base = codec->encode(level_values[N - 1], rc.error_bound);
-      out.deltas.resize(N >= 1 ? N - 1 : 0);
-      for (std::size_t l = 0; l + 1 < N; ++l) {
-        const auto delta = compute_delta(
-            cascade.levels[l + 1].mesh, level_values[l + 1],
-            cascade.levels[l].mesh, level_values[l], mappings[l], rc.estimate);
-        out.deltas[l] = codec->encode(delta, rc.error_bound);
+      ClosedLoop loop(rc.codec, rc.error_bound, rc.estimate, &pool);
+      out.base = loop.code_base(level_values[N - 1]);
+      out.deltas.resize(N - 1);
+      for (std::size_t l = N - 1; l-- > 0;) {
+        out.deltas[l] = std::move(
+            loop.code_delta(cascade.levels[l + 1].mesh, cascade.levels[l].mesh,
+                            level_values[l], mappings[l])
+                .chunks[0]);
       }
     }
   });

@@ -57,9 +57,11 @@
 // tiers, plus a fresh FaultInjector from the <faults> plan, so every load
 // gets its own fault stream.
 //
-// <refactor estimate> picks the Estimate: "barycentric" (the default,
-// linear interpolation of the coarse level), "uniform" (the paper's 1/3)
-// or "nearest".
+// <refactor estimate> picks the Estimate: "gradient" (the default: linear
+// interpolation of the coarse level over corner values each extended by 3/4
+// of its first-order Taylor term, the corner gradients taken from the coarse
+// level), "barycentric" (linear interpolation alone) or "uniform" (the
+// paper's 1/3). Any other name fails the load.
 //
 // Each <faults><tier name="..."> child names a configured tier and sets its
 // failure probabilities (read-error, write-error, corrupt, latency-spike in

@@ -4,8 +4,13 @@
 //   delta^{l-(l+1)}_x = L^l_x - Estimate(L^{l+1}_i, L^{l+1}_j, L^{l+1}_k)
 //
 // where (i, j, k) is the coarse triangle containing fine vertex x and
-// Estimate is an affine combination of its corner values. Restoration is the
-// exact inverse, so base + deltas reproduces the fine level up to codec loss.
+// Estimate is an affine combination of coarse values: its corners', and
+// under the gradient Estimate also their neighbours' through the corner
+// gradients (EstimateMode). Restoration is the exact inverse, so base +
+// deltas reproduces the fine level up to codec loss.
+
+#include <cstdint>
+#include <vector>
 
 #include "core/types.hpp"
 #include "mesh/point_locator.hpp"
@@ -31,6 +36,16 @@ mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse
                           const mesh::TriMesh& fine, const mesh::Field& fine_values,
                           const VertexMapping& mapping, EstimateMode mode,
                           util::ThreadPool* pool = nullptr);
+
+/// The coarse vertices whose values Estimate reads to predict the fine
+/// vertices `fine` marks (one entry per fine vertex, nonzero = marked): the
+/// corners of each one's mapped triangle and, under the gradient Estimate,
+/// every vertex of a triangle that uses such a corner (the inputs of the
+/// corner's gradient). One entry per coarse vertex, 1 = read.
+std::vector<std::uint8_t> estimate_support(const mesh::TriMesh& coarse,
+                                           const VertexMapping& mapping,
+                                           EstimateMode mode,
+                                           const std::vector<std::uint8_t>& fine);
 
 /// Algorithm 3: restore the fine level from the coarse level plus a delta.
 /// Same inputs as compute_delta, with the same determinism guarantee.

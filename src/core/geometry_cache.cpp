@@ -63,6 +63,23 @@ std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
   return memo.try_emplace(key, std::move(order)).first->second;
 }
 
+mesh::Field unpermute(const mesh::Field& stored,
+                      const std::vector<mesh::VertexId>& order,
+                      util::ThreadPool& pool) {
+  CANOPUS_CHECK(stored.size() == order.size(),
+                "chunked delta size inconsistent with its mesh");
+  mesh::Field delta(stored.size());
+  pool.parallel_for(
+      0, order.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t pos = lo; pos < hi; ++pos) {
+          delta[order[pos]] = stored[pos];
+        }
+      },
+      /*grain=*/4096);
+  return delta;
+}
+
 namespace {
 
 // Corner symbols of the kMesh block (layout in the header).

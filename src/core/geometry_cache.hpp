@@ -45,6 +45,7 @@
 #include "mesh/cascade.hpp"
 #include "mesh/tri_mesh.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/thread_pool.hpp"
 
 namespace canopus::core {
 
@@ -62,6 +63,14 @@ std::size_t container_levels(const adios::BpReader& reader);
 /// returned vector is immutable and shared.
 std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
     const mesh::TriMesh& mesh);
+
+/// A chunked delta stored in Morton order `order` (stored[pos] belongs to
+/// vertex order[pos]), scattered back to vertex order. The targets are a
+/// permutation, so the fan-out on `pool` writes disjoint entries and the
+/// result is the serial loop's. Throws canopus::Error when the sizes differ.
+mesh::Field unpermute(const mesh::Field& stored,
+                      const std::vector<mesh::VertexId>& order,
+                      util::ThreadPool& pool);
 
 /// The kMesh block of `mesh` (layout above).
 util::Bytes encode_mesh_block(const mesh::TriMesh& mesh);

@@ -36,24 +36,20 @@ double rms_of(const mesh::Field& delta) {
   return std::sqrt(sum2 / static_cast<double>(delta.size()));
 }
 
-/// Spatially permuted (chunked) deltas are stored in Morton order; scatter
-/// them back to vertex order. The scatter targets are a permutation, so the
-/// pool fan-out writes disjoint entries and the result is order-independent.
-mesh::Field unpermute_delta(const mesh::Field& stored,
-                            const std::vector<mesh::VertexId>& order,
-                            util::ThreadPool& pool) {
-  CANOPUS_CHECK(stored.size() == order.size(),
-                "chunked delta size inconsistent with its mesh");
-  mesh::Field delta(stored.size());
-  pool.parallel_for(
-      0, order.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pos = lo; pos < hi; ++pos) {
-          delta[order[pos]] = stored[pos];
-        }
-      },
-      /*grain=*/4096);
-  return delta;
+/// Throws canopus::Error unless `index`'s ranges tile storage positions
+/// [0, n) in chunk order, as the writer lays them out: a regional step
+/// copies each fetched chunk to its range, and the index comes from the
+/// container.
+void check_tiling(const ChunkIndex& index, std::size_t n) {
+  std::uint64_t end = 0;
+  for (const auto& range : index.chunks) {
+    CANOPUS_CHECK(range.start == end && range.count <= n - end,
+                  "chunk index does not tile its level's " + std::to_string(n) +
+                      " vertices");
+    end += range.count;
+  }
+  CANOPUS_CHECK(end == n, "chunk index does not tile its level's " +
+                              std::to_string(n) + " vertices");
 }
 
 /// Chunk ids 0 .. count-1: every chunk of a level, in chunk order.
@@ -215,7 +211,7 @@ void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
                                      bool chunked, RetrievalTimings& step) {
   CANOPUS_SPAN("read.restore", {{"level", next}});
   util::WallTimer t;
-  if (chunked) delta = unpermute_delta(delta, geometry_->order(next), pool());
+  if (chunked) delta = unpermute(delta, geometry_->order(next), pool());
   values_ = restore_level(geometry_->meshes[current_level_], values_,
                           geometry_->meshes[next], delta,
                           geometry_->mappings[next], estimate_, &pool());
@@ -366,14 +362,52 @@ void ProgressiveReader::backfill_skipped(RetrievalTimings& step) {
   skipped_.reset();
 }
 
+std::vector<std::uint32_t> ProgressiveReader::region_chunks(
+    std::uint32_t next, const ChunkIndex& index, const mesh::Aabb& roi) const {
+  std::vector<std::uint32_t> wanted = index.intersecting(roi);  // ascending
+  if (next == 0) return wanted;
+  // read[v]: level-m vertex v must hold its full-refine value, because it
+  // lies in the ROI or a finer level's Estimate reads it. Walk up from
+  // level 0 to level `next`.
+  const auto in_roi = [&](const mesh::TriMesh& m, std::vector<std::uint8_t>& marks) {
+    for (mesh::VertexId v = 0; v < m.vertex_count(); ++v) {
+      const auto p = m.vertex(v);
+      if (p.x >= roi.lo.x && p.x <= roi.hi.x && p.y >= roi.lo.y && p.y <= roi.hi.y) {
+        marks[v] = 1;
+      }
+    }
+  };
+  std::vector<std::uint8_t> read(geometry_->meshes[0].vertex_count(), 0);
+  in_roi(geometry_->meshes[0], read);
+  for (std::uint32_t m = 0; m < next; ++m) {
+    read = estimate_support(geometry_->meshes[m + 1], geometry_->mappings[m],
+                            estimate_, read);
+    in_roi(geometry_->meshes[m + 1], read);
+  }
+  const auto& order = geometry_->order(next);
+  for (std::uint32_t c = 0; c < index.chunks.size(); ++c) {
+    const auto& range = index.chunks[c];  // within the level (check_tiling)
+    for (std::uint64_t pos = range.start; pos < range.start + range.count; ++pos) {
+      if (read[order[pos]] != 0) {
+        wanted.push_back(c);
+        break;
+      }
+    }
+  }
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  return wanted;
+}
+
 RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   CANOPUS_CHECK(current_level_ > 0, "already at full accuracy");
   const std::uint32_t next = current_level_ - 1;
   CANOPUS_SPAN("read.refine_region", {{"level", next}});
 
-  // Without a chunk index the delta is monolithic: fall back to full refine.
-  // A faulted index read, by contrast, degrades like any other failed fetch
-  // and is charged what its attempts cost.
+  // Without a chunk index the delta is monolithic: fall back to full refine,
+  // as for an index that does not tile the level. A faulted index read, by
+  // contrast, degrades like any other failed fetch and is charged what its
+  // attempts cost.
   ChunkIndex index;
   RetrievalTimings probe;
   try {
@@ -381,6 +415,7 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
                                   next, probe);
     util::ByteReader br(raw);
     index = ChunkIndex::deserialize(br);
+    check_tiling(index, geometry_->meshes[next].vertex_count());
   } catch (const storage::StorageError&) {
     return degrade(std::move(probe));
   } catch (const Error&) {
@@ -393,8 +428,7 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   double delta_rms = 0.0;
   std::vector<std::uint32_t> skipped_ids;
   try {
-    // `wanted` is ascending (index.intersecting scans chunks in order).
-    const std::vector<std::uint32_t> wanted = index.intersecting(roi);
+    const std::vector<std::uint32_t> wanted = region_chunks(next, index, roi);
     const RawChunks raw = fetch_level(next, wanted, step);
     const auto parts = decode_level(next, raw, step);
     std::size_t fine_count = 0;

@@ -203,6 +203,16 @@ class ProgressiveReader {
   /// next - 1 ahead while restoring when next - 1 >= *read_ahead_to.
   RetrievalTimings refine_step(std::optional<std::uint32_t> read_ahead_to);
 
+  /// The chunks of level `next` a regional step toward `roi` fetches, in
+  /// ascending order: those whose extent meets the ROI, and those holding a
+  /// value that the Estimates of later regional steps toward the same ROI
+  /// read on the way to restoring its vertices, level by level down to
+  /// level 0 (estimate_support). So a stack of regional steps restores every
+  /// vertex inside the ROI bitwise as full refines would.
+  std::vector<std::uint32_t> region_chunks(std::uint32_t next,
+                                           const ChunkIndex& index,
+                                           const mesh::Aabb& roi) const;
+
   /// Records a failed step: counts it, sets kDegraded, keeps reader state.
   RetrievalTimings degrade(RetrievalTimings step);
 

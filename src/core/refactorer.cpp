@@ -17,50 +17,32 @@ namespace canopus::core {
 
 namespace {
 
-/// One delta chunk, encoded on a pool worker and ready to place.
-struct PreparedChunk {
-  util::Bytes payload;
-  std::uint64_t value_count = 0;
-  double encode_seconds = 0.0;
-};
-
 /// Everything of one delta level that the compute stage produces and the
 /// committer stage consumes. Built entirely off the container, so preparing
 /// level l can overlap committing level l+1.
 struct PreparedLevel {
   std::uint32_t level = 0;
   std::size_t raw_bytes = 0;
-  std::uint32_t nchunks = 1;
-  std::vector<PreparedChunk> chunks;
-  ChunkIndex index;          // populated when nchunks > 1
-  util::Bytes index_bytes;   // serialized index (nchunks > 1)
+  std::vector<util::Bytes> chunks;  // one codec stream per chunk
+  std::vector<std::uint64_t> chunk_values;
+  util::Bytes index_bytes;   // serialized chunk index (chunked levels)
   util::Bytes map_bytes;     // serialized restoration mapping
-  double compute_seconds = 0.0;  // mapping + delta wall time
+  double compute_seconds = 0.0;  // mapping + closed-loop coding wall time
 };
 
-/// Compute stage: mapping, delta, Morton permutation, per-chunk bounding
-/// boxes, and chunk encoding — everything data-parallel fans out on `pool`,
-/// and nothing here touches the writer or the hierarchy.
+/// Compute stage: mapping, then the closed loop codes the level's delta
+/// (Morton permutation and chunk coding fan out on `pool`), then the chunk
+/// bounding boxes. Nothing here touches the writer or the hierarchy; `loop`
+/// is only ever advanced here, one level at a time.
 PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
                             const RefactorConfig& config,
-                            util::ThreadPool& pool) {
+                            util::ThreadPool& pool, ClosedLoop& loop) {
   const auto& fine = cascade.levels[l];
   const auto& coarse = cascade.levels[l + 1];
 
   PreparedLevel out;
   out.level = static_cast<std::uint32_t>(l);
-
-  VertexMapping mapping;
-  mesh::Field delta;
-  {
-    CANOPUS_SPAN("refactor.delta", {{"level", out.level}});
-    util::WallTimer t;
-    mapping = build_mapping(fine.mesh, coarse.mesh, &pool);
-    delta = compute_delta(coarse.mesh, coarse.values, fine.mesh, fine.values,
-                          mapping, config.estimate, &pool);
-    out.compute_seconds = t.seconds();
-  }
-  out.raw_bytes = delta.size() * sizeof(double);
+  out.raw_bytes = fine.values.size() * sizeof(double);
 
   // Split the delta into independently decodable chunks with spatial extents
   // so readers can fetch only a region of interest. Chunked deltas are
@@ -68,68 +50,40 @@ PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
   // (spatial_order), which both sides derive from geometry: chunks get tight
   // bounding boxes regardless of the mesh's native vertex numbering, and
   // spatial coherence also helps the codec.
-  out.nchunks =
-      std::max<std::uint32_t>(1, std::min<std::uint32_t>(
-                                     config.delta_chunks,
-                                     static_cast<std::uint32_t>(delta.size())));
-
+  const auto nchunks = std::max<std::uint32_t>(
+      1, std::min<std::uint32_t>(config.delta_chunks,
+                                 static_cast<std::uint32_t>(fine.values.size())));
   std::shared_ptr<const std::vector<mesh::VertexId>> order;
-  mesh::Field ordered;
-  if (out.nchunks > 1) {
-    order = cached_spatial_order(fine.mesh);
-    ordered.resize(delta.size());
-    pool.parallel_for(
-        0, order->size(),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t pos = lo; pos < hi; ++pos) {
-            ordered[pos] = delta[(*order)[pos]];
-          }
-        },
-        /*grain=*/4096);
-  }
-  const mesh::Field& payload = out.nchunks > 1 ? ordered : delta;
+  if (nchunks > 1) order = cached_spatial_order(fine.mesh);
 
-  // Encode every chunk (and build its bbox) concurrently; gathering futures
-  // in chunk order keeps the output sequence identical to the serial loop.
-  struct ChunkResult {
-    PreparedChunk chunk;
-    ChunkIndex::Range range;
-  };
-  std::vector<std::future<ChunkResult>> encoded;
-  encoded.reserve(out.nchunks);
-  for (std::uint32_t c = 0; c < out.nchunks; ++c) {
-    const std::size_t start = payload.size() * c / out.nchunks;
-    const std::size_t stop = payload.size() * (c + 1) / out.nchunks;
-    encoded.push_back(pool.submit([&, c, start, stop]() -> ChunkResult {
-      CANOPUS_SPAN("refactor.compress", {{"level", out.level}, {"chunk", c}});
-      ChunkResult r;
-      if (out.nchunks > 1) {
-        r.range.start = start;
-        r.range.count = stop - start;
-        r.range.bbox.lo = r.range.bbox.hi = fine.mesh.vertex((*order)[start]);
-        for (std::size_t pos = start; pos < stop; ++pos) {
-          r.range.bbox.expand(fine.mesh.vertex((*order)[pos]));
-        }
+  VertexMapping mapping;
+  CodedDelta coded;
+  {
+    CANOPUS_SPAN("refactor.delta", {{"level", out.level}});
+    util::WallTimer t;
+    mapping = build_mapping(fine.mesh, coarse.mesh, &pool);
+    coded = loop.code_delta(coarse.mesh, fine.mesh, fine.values, mapping,
+                            nchunks, order.get());
+    out.compute_seconds = t.seconds();
+  }
+  out.chunks = std::move(coded.chunks);
+  for (std::uint32_t c = 0; c < nchunks; ++c) {
+    out.chunk_values.push_back(coded.bounds[c + 1] - coded.bounds[c]);
+  }
+  if (nchunks > 1) {
+    ChunkIndex index;
+    for (std::uint32_t c = 0; c < nchunks; ++c) {
+      ChunkIndex::Range range;
+      range.start = coded.bounds[c];
+      range.count = coded.bounds[c + 1] - coded.bounds[c];
+      range.bbox.lo = range.bbox.hi = fine.mesh.vertex((*order)[range.start]);
+      for (std::size_t pos = range.start; pos < coded.bounds[c + 1]; ++pos) {
+        range.bbox.expand(fine.mesh.vertex((*order)[pos]));
       }
-      util::WallTimer t;
-      const auto codec = compress::make_codec(config.codec);
-      r.chunk.payload = codec->encode(
-          std::span<const double>(payload).subspan(start, stop - start),
-          config.error_bound);
-      r.chunk.encode_seconds = t.seconds();
-      r.chunk.value_count = stop - start;
-      return r;
-    }));
-  }
-  out.chunks.reserve(out.nchunks);
-  for (auto& f : encoded) {
-    auto r = f.get();
-    out.chunks.push_back(std::move(r.chunk));
-    if (out.nchunks > 1) out.index.chunks.push_back(r.range);
-  }
-  if (out.nchunks > 1) {
+      index.chunks.push_back(range);
+    }
     util::ByteWriter w;
-    out.index.serialize(w);
+    index.serialize(w);
     out.index_bytes.assign(w.view().begin(), w.view().end());
   }
 
@@ -156,13 +110,12 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
   product.name = "delta" + std::to_string(prepared.level);
   product.level = prepared.level;
   product.raw_bytes = prepared.raw_bytes;
-  for (std::uint32_t c = 0; c < prepared.nchunks; ++c) {
-    auto& chunk = prepared.chunks[c];
+  const auto nchunks = static_cast<std::uint32_t>(prepared.chunks.size());
+  for (std::uint32_t c = 0; c < nchunks; ++c) {
     const auto t = writer.write_precompressed_chunk(
-        var, adios::BlockKind::kDelta, prepared.level, c, prepared.nchunks,
-        chunk.payload, config.codec, config.error_bound, chunk.value_count,
-        hint);
-    report.phases.add("delta+compress", chunk.encode_seconds);
+        var, adios::BlockKind::kDelta, prepared.level, c, nchunks,
+        prepared.chunks[c], config.codec, config.error_bound,
+        prepared.chunk_values[c], hint);
     report.phases.add("io", t.io_sim_seconds);
     product.stored_bytes += t.bytes_written;
     product.chunk_tiers.push_back(t.tier);
@@ -174,7 +127,7 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
   product.tier =
       *std::max_element(product.chunk_tiers.begin(), product.chunk_tiers.end());
 
-  if (prepared.nchunks > 1) {
+  if (nchunks > 1) {
     const auto t = writer.write_opaque(var, adios::BlockKind::kChunkIndex,
                                        prepared.level, prepared.index_bytes,
                                        hint);
@@ -190,6 +143,85 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
 }
 
 }  // namespace
+
+ClosedLoop::ClosedLoop(const std::string& codec, double error_bound,
+                       EstimateMode estimate, util::ThreadPool* pool)
+    : codec_(compress::make_codec(codec)),
+      error_bound_(error_bound),
+      estimate_(estimate),
+      pool_(pool) {}
+
+util::ThreadPool& ClosedLoop::pool() const {
+  return pool_ ? *pool_ : util::ThreadPool::global();
+}
+
+util::Bytes ClosedLoop::code_base(const mesh::Field& values) {
+  auto payload = codec_->encode(values, error_bound_);
+  level_ = codec_->decode(payload);
+  return payload;
+}
+
+CodedDelta ClosedLoop::code_delta(const mesh::TriMesh& coarse,
+                                  const mesh::TriMesh& fine,
+                                  const mesh::Field& fine_values,
+                                  const VertexMapping& mapping,
+                                  std::uint32_t chunks,
+                                  const std::vector<mesh::VertexId>* order) {
+  CANOPUS_CHECK(chunks >= 1 && chunks <= std::max<std::size_t>(1, fine_values.size()),
+                "closed loop: chunk count out of range");
+  CANOPUS_CHECK(chunks == 1 || order != nullptr,
+                "closed loop: chunked deltas need a storage order");
+  CodedDelta out;
+  out.values = compute_delta(coarse, level_, fine, fine_values, mapping,
+                             estimate_, &pool());
+  if (order != nullptr) {
+    CANOPUS_CHECK(order->size() == out.values.size(),
+                  "closed loop: storage order does not match the fine mesh");
+    mesh::Field ordered(out.values.size());
+    pool().parallel_for(
+        0, order->size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t pos = lo; pos < hi; ++pos) {
+            ordered[pos] = out.values[(*order)[pos]];
+          }
+        },
+        /*grain=*/4096);
+    out.values = std::move(ordered);
+  }
+
+  // Code and decode every chunk concurrently; each writes only its own
+  // slots, so the streams and the decoded delta are the serial loop's.
+  const std::size_t n = out.values.size();
+  for (std::uint32_t c = 0; c <= chunks; ++c) {
+    out.bounds.push_back(n * c / chunks);
+  }
+  out.chunks.resize(chunks);
+  mesh::Field decoded(n);
+  pool().parallel_for(
+      0, chunks,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c) {
+          CANOPUS_SPAN("refactor.compress", {{"chunk", c}});
+          const std::size_t start = out.bounds[c];
+          const std::size_t count = out.bounds[c + 1] - start;
+          out.chunks[c] = codec_->encode(
+              std::span<const double>(out.values).subspan(start, count),
+              error_bound_);
+          const auto part = codec_->decode(out.chunks[c]);
+          CANOPUS_CHECK(part.size() == count,
+                        "closed loop: a chunk decoded to the wrong length");
+          std::copy(part.begin(), part.end(), decoded.begin() + start);
+        }
+      },
+      /*grain=*/1);
+
+  // As the reader does: scatter a chunked delta back to vertex order, then
+  // restore.
+  if (order != nullptr) decoded = unpermute(decoded, *order, pool());
+  level_ = restore_level(coarse, level_, fine, decoded, mapping, estimate_,
+                         &pool());
+  return out;
+}
 
 std::optional<std::uint32_t> tier_hint_for(
     const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
@@ -276,23 +308,27 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   const auto N = config.levels;
   const auto base_level = static_cast<std::uint32_t>(N - 1);
 
-  // Base dataset L^{N-1}.
+  // Base dataset L^{N-1}; the closed loop starts from its decode.
+  ClosedLoop loop(config.codec, config.error_bound, config.estimate, &pool);
   {
     const auto& base = cascade.levels[N - 1];
     const auto hint = tier_hint_for(config, hierarchy, base_level);
-    const auto t = writer.write_doubles(var, adios::BlockKind::kBase, base_level,
-                                        base.values, config.codec,
-                                        config.error_bound, hint);
-    report.phases.add("delta+compress", t.compress_seconds);
+    util::WallTimer timer;
+    const auto payload = loop.code_base(base.values);
+    report.phases.add("delta+compress", timer.seconds());
+    const auto t = writer.write_precompressed(
+        var, adios::BlockKind::kBase, base_level, payload, config.codec,
+        config.error_bound, base.values.size(), hint);
     report.phases.add("io", t.io_sim_seconds);
     ProductSize product{"base", base_level, base.values.size() * sizeof(double),
                         t.bytes_written, t.tier, {t.tier}};
     report.products.push_back(std::move(product));
   }
 
-  // Deltas, coarse to fine: delta^{l-(l+1)} for l = N-2 .. 0. The bounded
-  // two-stage pipeline overlaps preparing level l (mapping, delta, encode —
-  // all pool-parallel) with committing level l+1 (serialized placement):
+  // Deltas, coarse to fine: delta^{l-(l+1)} for l = N-2 .. 0, each against
+  // the loop's level. The bounded two-stage pipeline overlaps preparing
+  // level l (mapping, delta, coding — all pool-parallel) with committing
+  // level l+1 (serialized placement):
   // exactly one commit is in flight, and commits run in level order, so the
   // container ends up byte-identical to the serial pipeline's.
   std::future<void> committing;
@@ -301,7 +337,7 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   };
   try {
     for (std::size_t l = N - 1; l-- > 0;) {
-      PreparedLevel prepared = prepare_level(cascade, l, config, pool);
+      PreparedLevel prepared = prepare_level(cascade, l, config, pool, loop);
       drain();
       if (overlap) {
         committing =

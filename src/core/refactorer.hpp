@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "adios/bp.hpp"
+#include "compress/codec.hpp"
 #include "core/types.hpp"
 #include "mesh/cascade.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace canopus::core {
@@ -49,6 +51,58 @@ struct RefactorReport {
   std::size_t total_stored_bytes() const;
 };
 
+/// One level's delta as the container stores it.
+struct CodedDelta {
+  /// The delta in stored order (Morton order when chunked).
+  mesh::Field values;
+  /// Chunk c codes stored positions [bounds[c], bounds[c + 1]).
+  std::vector<std::size_t> bounds;
+  /// One codec stream per chunk, in chunk order.
+  std::vector<util::Bytes> chunks;
+};
+
+/// The writer's closed loop: SZ's rule of predicting from reconstructed
+/// data. code_base codes the base and decodes it; then each code_delta
+/// call, coarse to fine, takes the delta against the level the reader will
+/// hold, codes it, decodes it and restores the fine level with
+/// restore_level. Decode and restore are the reader's own functions, so
+/// level() is bitwise what a full refine of the container yields, and every
+/// level is within the codec's bound of the level it was coded from: codec
+/// error never compounds down the chain. Every writer codes through it.
+class ClosedLoop {
+ public:
+  /// Codes with `codec` at `error_bound` under `estimate`. Per-vertex and
+  /// per-chunk work fans out on `pool` (nullptr = the global pool); the
+  /// streams and levels are bitwise the same for any worker count.
+  ClosedLoop(const std::string& codec, double error_bound,
+             EstimateMode estimate, util::ThreadPool* pool = nullptr);
+
+  /// Codes the base level; the chain starts from its decode.
+  util::Bytes code_base(const mesh::Field& values);
+
+  /// Codes the delta of `fine_values` on `fine`, whose vertices `mapping`
+  /// places in `coarse`, against the chain's level (which lies on
+  /// `coarse`), then moves the chain to the fine level as the reader
+  /// restores it. With `order`, the delta is stored permuted into it and
+  /// split into `chunks` near-equal ranges, each coded on its own.
+  CodedDelta code_delta(const mesh::TriMesh& coarse, const mesh::TriMesh& fine,
+                        const mesh::Field& fine_values,
+                        const VertexMapping& mapping, std::uint32_t chunks = 1,
+                        const std::vector<mesh::VertexId>* order = nullptr);
+
+  /// The reader's copy of the last level coded.
+  const mesh::Field& level() const { return level_; }
+
+ private:
+  util::ThreadPool& pool() const;
+
+  compress::CodecPtr codec_;
+  double error_bound_;
+  EstimateMode estimate_;
+  util::ThreadPool* pool_;
+  mesh::Field level_;
+};
+
 /// Refactors (mesh, values) into `config.levels` accuracy levels and writes
 /// them as variable `var` into the container at `path`. The input (level 0)
 /// itself is not stored — only the base and the deltas, per Section III-C2.
@@ -57,13 +111,15 @@ struct RefactorReport {
 /// (core/pipeline.hpp), which wraps this engine behind a Status-returning
 /// request/response API. Kept callable for source compatibility.
 ///
-/// The pipeline is concurrent per config.parallel: delta chunks encode in
-/// parallel, the Morton permutation and per-chunk bounding boxes fan out on
-/// the pool, and level l's mapping+delta computation overlaps level l+1's
-/// compression commit. A single committer serializes every write into the
-/// container in the same order as the serial pipeline, so placement, the
-/// Fig. 6b phase accounting, and all stored bytes are bitwise-identical for
-/// any thread count.
+/// Base and deltas are coded through ClosedLoop, so every level of a full
+/// refine is within config.error_bound of the input's level.
+///
+/// The pipeline is concurrent per config.parallel: delta chunks code in
+/// parallel, the Morton permutation fans out on the pool, and level l's
+/// mapping, delta and coding overlap level l+1's commit. A single committer
+/// serializes every write into the container in the same order as the
+/// serial pipeline, so placement, the Fig. 6b phase accounting, and all
+/// stored bytes are bitwise-identical for any thread count.
 RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
                                   const std::string& path, const std::string& var,
                                   const mesh::TriMesh& mesh,

@@ -40,7 +40,7 @@ std::string to_string(EstimateMode mode) {
   switch (mode) {
     case EstimateMode::kUniformThirds: return "uniform";
     case EstimateMode::kBarycentric: return "barycentric";
-    case EstimateMode::kNearestVertex: return "nearest";
+    case EstimateMode::kGradient: return "gradient";
   }
   CANOPUS_UNREACHABLE("unknown estimate mode");
 }
@@ -48,7 +48,7 @@ std::string to_string(EstimateMode mode) {
 EstimateMode estimate_mode_from_string(const std::string& s) {
   if (s == "uniform") return EstimateMode::kUniformThirds;
   if (s == "barycentric") return EstimateMode::kBarycentric;
-  if (s == "nearest") return EstimateMode::kNearestVertex;
+  if (s == "gradient") return EstimateMode::kGradient;
   throw Error("unknown estimate mode: " + s);
 }
 

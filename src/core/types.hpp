@@ -19,15 +19,17 @@ struct IoResult;
 
 namespace canopus::core {
 
-/// How Estimate(.) (Eq. 2) combines the three coarse-triangle corner values
-/// to predict a fine vertex. The paper uses uniform alpha=beta=gamma=1/3 and
-/// leaves the optimal form open. Barycentric weights, piecewise-linear
-/// interpolation of the coarse level, store smaller deltas and are the
-/// default; the weights are derived from geometry, never stored.
+/// How Estimate(.) (Eq. 2) predicts a fine vertex from the coarse triangle
+/// containing it. The paper uses uniform alpha=beta=gamma=1/3 and leaves the
+/// optimal form open. Barycentric weights interpolate the coarse level
+/// linearly; the gradient Estimate, the default, also extends each corner's
+/// value by 3/4 of its first-order Taylor term, which sees the curvature
+/// linear interpolation leaves in the deltas. Weights and gradients are
+/// derived from the coarse level, never stored.
 enum class EstimateMode : std::uint8_t {
   kUniformThirds = 0,  // the paper's 1/3
-  kBarycentric = 1,    // mesh::location_weights of the fine vertex (default)
-  kNearestVertex = 2,  // copy the corner of largest weight
+  kBarycentric = 1,    // mesh::location_weights of the fine vertex
+  kGradient = 2,       // barycentric over gradient-extended corners (default)
 };
 
 std::string to_string(EstimateMode mode);
@@ -89,9 +91,11 @@ struct RefactorConfig {
   mesh::DecimateOptions decimate;
   /// Floating-point codec applied to the base and every delta.
   std::string codec = "zfp";
-  /// Absolute error bound handed to the codec for each product.
+  /// Absolute error bound handed to the codec for each product. The writer
+  /// takes each delta against the level the reader will restore, so every
+  /// level of a full refine is within it of the input's level.
   double error_bound = 0.0;
-  EstimateMode estimate = EstimateMode::kBarycentric;
+  EstimateMode estimate = EstimateMode::kGradient;
   /// Pin products to tiers by level (paper's Fig. 1 layout: base on the
   /// fastest tier, finer deltas further down). When false, every product
   /// takes the generic fastest-fit path.
@@ -103,14 +107,6 @@ struct RefactorConfig {
   std::uint32_t delta_chunks = 1;
   /// Task-engine knobs for the write pipeline.
   ParallelConfig parallel;
-
-  /// Convenience: sets error_bound so that the *accumulated* restoration
-  /// error at full accuracy stays within `total` (codec bounds add once per
-  /// product along the base + deltas chain, i.e. `levels` times).
-  RefactorConfig& set_total_error_budget(double total) {
-    error_bound = total / static_cast<double>(levels);
-    return *this;
-  }
 };
 
 /// Per-chunk vertex ranges and spatial extents of one level's delta,

@@ -134,7 +134,9 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
 // vertex) gives, bit for bit, on the GeometryCache path and the on-demand
 // path.
 TEST_P(DeltaRestore, WriterDeltasMatchReferenceMapping) {
-  // The raw codec stores each computed delta as it is.
+  // The raw codec stores each computed delta as it is. The writer takes
+  // each delta against the coarser level as the reader restores it, which
+  // the reference restores from the stored base and deltas.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
   cc::RefactorConfig config;
   config.levels = 3;
@@ -147,11 +149,12 @@ TEST_P(DeltaRestore, WriterDeltasMatchReferenceMapping) {
   auto tiers = big_two_tiers();
   cc::refactor_and_write(tiers, "w.bp", "v", cascade, config);
   const ca::BpReader reader(tiers, "w.bp");
+  const auto restored = ct::reference_levels(tiers, "w.bp", "v", "v", GetParam());
   for (std::uint32_t l = 0; l + 1 < config.levels; ++l) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
     const auto expected = ct::reference_delta(
-        coarse.mesh, coarse.values, fine.values,
+        coarse.mesh, restored[l + 1], fine.values,
         ct::reference_build_mapping(fine.mesh, coarse.mesh), GetParam());
     EXPECT_TRUE(ct::same_bits(ct::stored_delta(reader, "v", l, fine.mesh),
                               expected))
@@ -195,7 +198,7 @@ TEST_P(DeltaRestore, RestoredLevelsMatchReferenceOnEveryReadPath) {
 INSTANTIATE_TEST_SUITE_P(AllEstimateModes, DeltaRestore,
                          ::testing::Values(cc::EstimateMode::kUniformThirds,
                                            cc::EstimateMode::kBarycentric,
-                                           cc::EstimateMode::kNearestVertex),
+                                           cc::EstimateMode::kGradient),
                          [](const auto& p) { return cc::to_string(p.param); });
 
 TEST(Delta, DeltasAreSmootherThanLevels) {
@@ -236,6 +239,105 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
   for (double x : d_bary) bary.add(std::abs(x));
   for (double x : d_unif) unif.add(std::abs(x));
   EXPECT_LT(bary.mean(), unif.mean());
+}
+
+// compute_delta and restore_level under the gradient Estimate are the
+// reference's, bit for bit, at 1 and 4 workers: the coarse gradients are
+// summed in triangle order whatever the worker count.
+TEST(Delta, GradientEstimateIsTheReferenceAtAnyWorkerCount) {
+  for (const auto& ds : canopus::sim::all_datasets(0.1)) {
+    SCOPED_TRACE(ds.name);
+    cm::CascadeOptions copt;
+    copt.levels = 3;
+    const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+    for (std::size_t l = 0; l + 1 < copt.levels; ++l) {
+      const auto& fine = cascade.levels[l];
+      const auto& coarse = cascade.levels[l + 1];
+      const auto reference = ct::reference_build_mapping(fine.mesh, coarse.mesh);
+      const auto expected =
+          ct::reference_delta(coarse.mesh, coarse.values, fine.values,
+                              reference, cc::EstimateMode::kGradient);
+      const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
+      for (const std::size_t threads : {1u, 4u}) {
+        cu::ThreadPool pool(threads);
+        const auto delta =
+            cc::compute_delta(coarse.mesh, coarse.values, fine.mesh, fine.values,
+                              mapping, cc::EstimateMode::kGradient, &pool);
+        EXPECT_TRUE(ct::same_bits(delta, expected))
+            << "level " << l << " threads " << threads;
+        EXPECT_TRUE(ct::same_bits(
+            cc::restore_level(coarse.mesh, coarse.values, fine.mesh, delta,
+                              mapping, cc::EstimateMode::kGradient, &pool),
+            ct::reference_restore(coarse.mesh, coarse.values, expected,
+                                  reference, cc::EstimateMode::kGradient)))
+            << "level " << l << " threads " << threads;
+      }
+    }
+  }
+}
+
+// A linear field has the same gradient on every coarse triangle, and
+// unclamped weights place their corners' centroid on the fine vertex, so
+// the gradient terms cancel and the Estimate is the field itself: the
+// deltas are rounding. Clamped weights (rim vertices outside the coarse
+// mesh) project the vertex into its triangle, and the Taylor terms then
+// extrapolate only part of the way.
+TEST(Delta, GradientEstimateReproducesLinearFields) {
+  const auto mesh = cm::make_annulus_mesh(16, 90, 0.5, 1.0, 0.15, 5);
+  cm::Field f(mesh.vertex_count());
+  for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
+    const auto p = mesh.vertex(v);
+    f[v] = 1.5 + 4.0 * p.x - 7.0 * p.y;
+  }
+  cm::DecimateOptions opt;
+  opt.ratio = 2.0;
+  const auto coarse = cm::decimate(mesh, f, opt);
+  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
+                                       mapping, cc::EstimateMode::kGradient);
+  std::size_t unclamped = 0, clamped = 0;
+  for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
+    const auto& tri = coarse.mesh.triangle(mapping.triangle[v]);
+    const auto w = cm::barycentric(mesh.vertex(v), coarse.mesh.vertex(tri.v[0]),
+                                   coarse.mesh.vertex(tri.v[1]),
+                                   coarse.mesh.vertex(tri.v[2]));
+    if (!cm::within_triangle(w)) {
+      ++clamped;
+      continue;
+    }
+    ++unclamped;
+    // |f| < 12 here: a few ulps of the values and the gradient terms.
+    EXPECT_LE(std::abs(delta[v]), 1e-13) << "vertex " << v;
+  }
+  EXPECT_GT(unclamped, 0u);
+  EXPECT_GT(clamped, 0u);
+}
+
+// Linear interpolation misses a quadratic's curvature; the gradient
+// Estimate sees it, so its deltas are smaller.
+TEST(Delta, GradientBeatsBarycentricOnQuadraticField) {
+  const auto mesh = cm::make_rect_mesh(30, 30, 1.0, 1.0, 0.2, 5);
+  cm::Field f(mesh.vertex_count());
+  for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
+    const auto p = mesh.vertex(v);
+    f[v] = 3.0 * p.x * p.x - 2.0 * p.x * p.y + 5.0 * p.y * p.y;
+  }
+  cm::DecimateOptions opt;
+  opt.ratio = 2.0;
+  const auto coarse = cm::decimate(mesh, f, opt);
+  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
+  cu::RunningStats bary, grad;
+  for (const double d :
+       cc::compute_delta(coarse.mesh, coarse.values, mesh, f, mapping,
+                         cc::EstimateMode::kBarycentric)) {
+    bary.add(std::abs(d));
+  }
+  for (const double d : cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
+                                          mapping, cc::EstimateMode::kGradient)) {
+    grad.add(std::abs(d));
+  }
+  EXPECT_LT(grad.mean(), 0.5 * bary.mean());
+  EXPECT_LT(grad.max(), bary.max());
 }
 
 TEST(Delta, MappingSerializationRoundTrip) {
@@ -314,10 +416,13 @@ TEST(Delta, DerivedWeightsAreTheLocatorsBitwise) {
 TEST(Delta, EstimateModeStringsRoundTrip) {
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
+                    cc::EstimateMode::kGradient}) {
     EXPECT_EQ(cc::estimate_mode_from_string(cc::to_string(mode)), mode);
   }
+  EXPECT_EQ(cc::RefactorConfig{}.estimate, cc::EstimateMode::kGradient);
   EXPECT_THROW(cc::estimate_mode_from_string("cubic"), canopus::Error);
+  // The retired nearest-vertex Estimate is an unknown name like any other.
+  EXPECT_THROW(cc::estimate_mode_from_string("nearest"), canopus::Error);
 }
 
 // ------------------------------------------------------------- refactorer --
@@ -615,10 +720,10 @@ TEST(ProgressiveReader, BaseThenRefineToFull) {
   reader.refine();
   EXPECT_TRUE(reader.at_full_accuracy());
   ASSERT_EQ(reader.values().size(), values.size());
-  // Error budget: one codec bound per product applied along the chain
-  // (base + 2 deltas), so <= 3 * eb.
+  // Every delta was taken against the level the reader restores, so the
+  // codec's bound holds at full accuracy as it does for the base.
   EXPECT_LE(cu::max_abs_error(values, reader.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, values));
   EXPECT_THROW(reader.refine(), canopus::Error);
 }
 
@@ -637,7 +742,7 @@ TEST(ProgressiveReader, RefineToSkipsLevels) {
   EXPECT_TRUE(reader.at_full_accuracy());
   EXPECT_GT(t.io_seconds, 0.0);
   EXPECT_LE(cu::max_abs_error(values, reader.values()),
-            4.0 * config.error_bound);
+            ct::level_bound(config.error_bound, values));
 }
 
 TEST(ProgressiveReader, LosslessChainIsExactToRounding) {
@@ -678,7 +783,8 @@ TEST(ProgressiveReader, EachRefinementImprovesAccuracy) {
     EXPECT_GT(reader.values().size(), prev);
     prev = reader.values().size();
   }
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 4 * config.error_bound);
+  EXPECT_LE(cu::max_abs_error(values, reader.values()),
+            ct::level_bound(config.error_bound, values));
 }
 
 TEST(ProgressiveReader, RefineUntilStopsEarlyOnSmoothData) {
@@ -774,6 +880,9 @@ TEST(ProgressiveReader, RestoredMeshesAreValid) {
 
 // ----------------------------------------------------------- error budget --
 
+// The writer takes every delta against the level the reader restores, so
+// the per-product bound is the bound of every level of a full refine: no
+// share of it is set aside for codec error compounding down the chain.
 TEST(ErrorBudget, TotalBudgetHeldEndToEnd) {
   auto tiers = big_two_tiers();
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 61);
@@ -781,12 +890,101 @@ TEST(ErrorBudget, TotalBudgetHeldEndToEnd) {
   cc::RefactorConfig config;
   config.levels = 4;
   config.codec = "zfp";
-  config.set_total_error_budget(1e-4);
-  EXPECT_DOUBLE_EQ(config.error_bound, 2.5e-5);
-  cc::refactor_and_write(tiers, "budget.bp", "v", mesh, values, config);
+  config.error_bound = 1e-4;
+  cm::CascadeOptions copt;
+  copt.levels = config.levels;
+  const auto cascade = cm::build_cascade(mesh, values, copt);
+  cc::refactor_and_write(tiers, "budget.bp", "v", cascade, config);
   cc::ProgressiveReader reader(tiers, "budget.bp", "v");
-  reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-4);
+  for (auto l = static_cast<std::uint32_t>(config.levels); l-- > 0;) {
+    reader.refine_to(l);
+    const auto& level = cascade.levels[l].values;
+    EXPECT_LE(cu::max_abs_error(level, reader.values()),
+              ct::level_bound(config.error_bound, level))
+        << "level " << l;
+  }
+}
+
+// The writer's chain is the reader's: after coding each level, the closed
+// loop holds bitwise the level a full refine of the container restores,
+// chunked and not, in every Estimate mode.
+TEST(ClosedLoop, WriterChainIsTheReadersBitwise) {
+  const auto ds = canopus::sim::all_datasets(0.1)[0];
+  cm::CascadeOptions copt;
+  copt.levels = 4;
+  const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+  for (const auto mode : {cc::EstimateMode::kUniformThirds,
+                          cc::EstimateMode::kBarycentric,
+                          cc::EstimateMode::kGradient}) {
+    for (const std::uint32_t chunks : {1u, 8u}) {
+      SCOPED_TRACE(cc::to_string(mode) + " chunks " + std::to_string(chunks));
+      auto tiers = big_two_tiers();
+      cc::RefactorConfig config;
+      config.levels = copt.levels;
+      config.codec = "zfp";
+      config.error_bound = 1e-4;
+      config.estimate = mode;
+      config.delta_chunks = chunks;
+      cc::refactor_and_write(tiers, "loop.bp", "v", cascade, config);
+      cc::ProgressiveReader reader(tiers, "loop.bp", "v");
+      cc::ClosedLoop loop(config.codec, config.error_bound, mode);
+      loop.code_base(cascade.levels.back().values);
+      EXPECT_TRUE(ct::same_bits(loop.level(), reader.values()));
+      for (std::size_t l = copt.levels - 1; l-- > 0;) {
+        const auto& fine = cascade.levels[l];
+        const auto order = cc::cached_spatial_order(fine.mesh);
+        loop.code_delta(cascade.levels[l + 1].mesh, fine.mesh, fine.values,
+                        cc::build_mapping(fine.mesh, cascade.levels[l + 1].mesh),
+                        chunks, chunks > 1 ? order.get() : nullptr);
+        reader.refine_to(static_cast<std::uint32_t>(l));
+        EXPECT_TRUE(ct::same_bits(loop.level(), reader.values())) << "level " << l;
+      }
+    }
+  }
+}
+
+// With a lossless codec the loop's decode is exact, and where the restore
+// is exact too the closed loop is the open loop: every stored delta is the
+// reference's taken against the input's own coarser level. The field is
+// offset by 2, so every value stays positive and within a factor of two of
+// its Estimate; value - estimate is then exact (Sterbenz), and so is
+// delta + estimate, which the full refine's bitwise levels confirm.
+TEST(ClosedLoop, LosslessDeltasAreTheOpenLoopReference) {
+  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
+  cm::Field values = smooth_field(mesh);
+  for (double& v : values) v += 2.0;
+  cm::CascadeOptions copt;
+  copt.levels = 4;
+  const auto cascade = cm::build_cascade(mesh, values, copt);
+  for (const auto mode : {cc::EstimateMode::kUniformThirds,
+                          cc::EstimateMode::kBarycentric,
+                          cc::EstimateMode::kGradient}) {
+    SCOPED_TRACE(cc::to_string(mode));
+    auto tiers = big_two_tiers();
+    cc::RefactorConfig config;
+    config.levels = copt.levels;
+    config.codec = "fpc";
+    config.estimate = mode;
+    config.delta_chunks = 4;
+    cc::refactor_and_write(tiers, "fpc.bp", "v", cascade, config);
+    const ca::BpReader raw(tiers, "fpc.bp");
+    for (std::uint32_t l = 0; l + 1 < config.levels; ++l) {
+      const auto& fine = cascade.levels[l];
+      const auto& coarse = cascade.levels[l + 1];
+      EXPECT_TRUE(ct::same_bits(
+          ct::stored_delta(raw, "v", l, fine.mesh),
+          ct::reference_delta(coarse.mesh, coarse.values, fine.values,
+                              ct::reference_build_mapping(fine.mesh, coarse.mesh),
+                              mode)))
+          << "level " << l;
+    }
+    cc::ProgressiveReader reader(tiers, "fpc.bp", "v");
+    for (auto l = static_cast<std::uint32_t>(config.levels); l-- > 0;) {
+      reader.refine_to(l);
+      EXPECT_TRUE(ct::same_bits(reader.values(), cascade.levels[l].values))
+          << "level " << l;
+    }
+  }
 }
 
 TEST(ProgressiveReader, RefineUntilValidatesThreshold) {
@@ -1285,7 +1483,7 @@ TEST(CollapseReplay, LoadedLevelsAreTheCascadeOnEveryReadPath) {
         const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
         for (const auto mode : {cc::EstimateMode::kUniformThirds,
                                 cc::EstimateMode::kBarycentric,
-                                cc::EstimateMode::kNearestVertex}) {
+                                cc::EstimateMode::kGradient}) {
           SCOPED_TRACE(cc::to_string(mode));
           auto tiers = big_two_tiers();
           cc::RefactorConfig config;

@@ -12,6 +12,7 @@
 #include "core/canopus.hpp"
 #include "mesh/generators.hpp"
 #include "reference_mapping.hpp"
+#include "test_support.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/rng.hpp"
@@ -233,7 +234,7 @@ TEST(Campaign, WritesAndReadsBackAllTimesteps) {
     reader.refine_to(0);
     ASSERT_EQ(reader.values().size(), steps[t].size()) << "t=" << t;
     EXPECT_LE(cu::max_abs_error(steps[t], reader.values()),
-              3.0 * config.refactor.error_bound)
+              ct::level_bound(config.refactor.error_bound, steps[t]))
         << "t=" << t;
   }
 }
@@ -289,13 +290,14 @@ TEST(Campaign, EmptyTimestepsThrow) {
 TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
   // The campaign's one-time mappings give the deltas and restored fields of
   // the reference mapping (the locator's three double weights per fine
-  // vertex), bit for bit. The raw codec stores each delta as computed.
+  // vertex), bit for bit. The raw codec stores each delta as computed, and
+  // each was taken against the coarser level as the reference restores it.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 13);
   std::vector<cm::Field> steps;
   for (int t = 0; t < 3; ++t) steps.push_back(wave_field(mesh, 0.3 * t));
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
+                    cc::EstimateMode::kGradient}) {
     SCOPED_TRACE(cc::to_string(mode));
     cs::StorageHierarchy tiers(
         {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
@@ -313,12 +315,14 @@ TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
     copt.decimate = config.refactor.decimate;
     const auto cascade = cm::build_cascade(mesh, steps[0], copt);
     const canopus::adios::BpReader raw(tiers, "camp.bp");
+    const auto var0 = cc::timestep_var("dpot", 0);
+    const auto restored = ct::reference_levels(tiers, "camp.bp", var0, "dpot", mode);
     for (std::uint32_t l = 0; l + 1 < copt.levels; ++l) {
       const auto& fine = cascade.levels[l];
       const auto& coarse = cascade.levels[l + 1];
       EXPECT_TRUE(ct::same_bits(
-          ct::stored_delta(raw, cc::timestep_var("dpot", 0), l, fine.mesh),
-          ct::reference_delta(coarse.mesh, coarse.values, fine.values,
+          ct::stored_delta(raw, var0, l, fine.mesh),
+          ct::reference_delta(coarse.mesh, restored[l + 1], fine.values,
                               ct::reference_build_mapping(fine.mesh, coarse.mesh),
                               mode)))
           << "level " << l;
@@ -350,7 +354,7 @@ TEST(GeometryCache, MappingBlocksAreIdenticalAcrossEstimateModes) {
   std::map<std::string, std::vector<cu::Bytes>> uniform_blocks;
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
+                    cc::EstimateMode::kGradient}) {
     SCOPED_TRACE(cc::to_string(mode));
     cs::StorageHierarchy tiers(
         {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});

@@ -28,6 +28,7 @@ namespace cc = canopus::core;
 namespace cs = canopus::storage;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -416,7 +417,7 @@ TEST(ReaderDegradation, DeadSlowTierDegradesInsteadOfThrowing) {
   EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
   EXPECT_TRUE(reader.at_full_accuracy());
   EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, ds.values));
 }
 
 TEST(ReaderDegradation, CountersMatchInjectedFaults) {
@@ -454,7 +455,7 @@ TEST(ReaderDegradation, CountersMatchInjectedFaults) {
         << "pass " << pass;
     ASSERT_TRUE(reader.at_full_accuracy()) << "pass " << pass;
     EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-              5.0 * config.error_bound)
+              ct::level_bound(config.error_bound, ds.values))
         << "pass " << pass;
     retries += reader.cumulative().retries;
     corruptions += reader.cumulative().corruptions_detected;
@@ -734,7 +735,7 @@ TEST(CacheFaults, InjectedReadErrorsAreNeverCached) {
   EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
   EXPECT_TRUE(reader.at_full_accuracy());
   EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, ds.values));
   EXPECT_GT(cache->occupancy_bytes(), occupancy_after_open);
 }
 
@@ -833,7 +834,7 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   first.refine_to(0);
   ASSERT_TRUE(first.at_full_accuracy());
   ASSERT_LE(cu::max_abs_error(ds.values, first.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, ds.values));
 
   // Phase 3: bits flip again — on EVERY tier. A fresh reader must still
   // reach full accuracy entirely from the cache, detecting zero corruption
@@ -854,7 +855,7 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   EXPECT_EQ(corrupt_all->counters().corruptions, 0u)
       << "a cached read still reached the corrupting tiers";
   EXPECT_LE(cu::max_abs_error(ds.values, second.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, ds.values));
   // And the cached-read accounting says so: zero simulated I/O for deltas.
   EXPECT_GT(cache->stats().hits, 0u);
 }
@@ -923,7 +924,7 @@ TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
       tiers.attach_fault_injector(nullptr);
       if (reader.at_full_accuracy()) {
         EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-                  5.0 * config.error_bound);
+                  ct::level_bound(config.error_bound, ds.values));
       } else {
         // Degraded, never thrown: the reader holds its last good level.
         EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
@@ -999,5 +1000,5 @@ TEST(ReaderDegradation, AsyncReaderDegradesAndRecovers) {
   EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
   EXPECT_TRUE(reader.at_full_accuracy());
   EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
-            3.0 * config.error_bound);
+            ct::level_bound(config.error_bound, ds.values));
 }

@@ -251,15 +251,22 @@ TEST(ParallelDeterminism, RefactorProductsBitwiseIdentical1VsN) {
     EXPECT_EQ(a.chunk_tiers, b.chunk_tiers);
   }
 
-  // Same bytes in the container, object by object.
+  // Same bytes in the container, object by object, with the compute/commit
+  // overlap on (4 workers) and off.
+  auto config_serial_commit = parallel_config(4);
+  config_serial_commit.parallel.pipeline = false;
+  auto tiersS = three_tiers();
+  cc::refactor_and_write(tiersS, "d.bp", "v", mesh, values, config_serial_commit);
   const auto objects1 = stored_objects(tiers1, "d.bp", "v");
-  const auto objectsN = stored_objects(tiersN, "d.bp", "v");
-  ASSERT_EQ(objects1.size(), objectsN.size());
   ASSERT_GT(objects1.size(), 0u);
-  for (const auto& [key, bytes] : objects1) {
-    const auto it = objectsN.find(key);
-    ASSERT_NE(it, objectsN.end()) << key;
-    EXPECT_EQ(bytes, it->second) << key;
+  for (auto* other : {&tiersN, &tiersS}) {
+    const auto objects = stored_objects(*other, "d.bp", "v");
+    ASSERT_EQ(objects1.size(), objects.size());
+    for (const auto& [key, bytes] : objects1) {
+      const auto it = objects.find(key);
+      ASSERT_NE(it, objects.end()) << key;
+      EXPECT_EQ(bytes, it->second) << key;
+    }
   }
 }
 

@@ -880,8 +880,10 @@ void expect_tighter_than_reference(std::span<const double> values, double eb,
 }
 
 /// One benchmark-size timestep's deltas (XGC1 plane, seed 5000, 4 levels,
-/// step 2, the uniform Estimate), each level in Morton order and cut into 8
-/// chunks, finest level first: the codec input of the benchmark's write.
+/// step 2, the uniform Estimate, each taken against the input's coarser
+/// level), each level in Morton order and cut into 8 chunks, finest level
+/// first: a fixed codec input shaped like the benchmark's write, whose own
+/// deltas now come from the gradient Estimate and the writers' closed loop.
 const std::vector<cm::Field>& xgc_delta_chunks() {
   static const std::vector<cm::Field> chunks = [] {
     canopus::sim::XgcOptions xopt;
@@ -1112,7 +1114,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("rect", "annulus", "disk", "airfoil"),
                        ::testing::Values(cc::EstimateMode::kUniformThirds,
                                          cc::EstimateMode::kBarycentric,
-                                         cc::EstimateMode::kNearestVertex)),
+                                         cc::EstimateMode::kGradient)),
     [](const auto& param_info) {
       return std::get<0>(param_info.param) + "_" +
              cc::to_string(std::get<1>(param_info.param));
@@ -1358,19 +1360,110 @@ TEST_P(RoundTripSweep, BudgetHeldUnderEstimateAndPlacementVariants) {
   cc::refactor_and_write(tiers, "rt.bp", "v", mesh, field, config);
   cc::ProgressiveReader reader(tiers, "rt.bp", "v");
   reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(field, reader.values()), 3e-6);
+  EXPECT_LE(cu::max_abs_error(field, reader.values()),
+            canopus::test::level_bound(config.error_bound, field));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     EstimatePlacement, RoundTripSweep,
     ::testing::Combine(::testing::Values(cc::EstimateMode::kUniformThirds,
                                          cc::EstimateMode::kBarycentric,
-                                         cc::EstimateMode::kNearestVertex),
+                                         cc::EstimateMode::kGradient),
                        ::testing::Bool()),
     [](const auto& param_info) {
       return cc::to_string(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_tiered" : "_flat");
     });
+
+// The writer takes every delta against the level the reader restores, so
+// every level of a full refine lies within the per-product bound of the
+// input's level: no codec error compounds down the chain. Three datasets
+// (seeded from CANOPUS_TEST_SEED) x three Estimates x two lossy codecs x
+// 2-5 levels x 1 and 8 delta chunks, at eps = 1e-4 of each field's range.
+// The allowance beyond eps is ct::level_bound's: the rounding of the
+// writer's one subtraction and the restore's one addition. With 8 chunks a
+// stack of regional steps toward a box also restores every vertex inside
+// it bitwise as the full refine does, at every level.
+TEST(ClosedLoopSweep, EveryLevelOfAFullRefineWithinTheBound) {
+  const std::uint64_t base = canopus::test::test_seed();
+  double worst = 0.0;  // largest error / eps over every level of every case
+  std::size_t cases = 0;
+  std::size_t roi_values = 0;     // vertices checked inside the region
+  std::size_t partial_steps = 0;  // regional steps that skipped chunks
+  for (const auto& ds : canopus::sim::all_datasets(0.05, 7 + base)) {
+    const auto [lo, hi] = std::minmax_element(ds.values.begin(), ds.values.end());
+    const double eps = 1e-4 * (*hi - *lo);
+    // A box a third of the domain wide, off centre.
+    const auto bounds = ds.mesh.bounds();
+    const cm::Aabb roi{
+        {bounds.lo.x + 0.5 * bounds.width(), bounds.lo.y + 0.3 * bounds.height()},
+        {bounds.lo.x + 0.8 * bounds.width(), bounds.lo.y + 0.6 * bounds.height()}};
+    for (std::size_t levels = 2; levels <= 5; ++levels) {
+      cm::CascadeOptions copt;
+      copt.levels = levels;
+      const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+      for (const auto mode : {cc::EstimateMode::kUniformThirds,
+                              cc::EstimateMode::kBarycentric,
+                              cc::EstimateMode::kGradient}) {
+        for (const char* codec : {"zfp", "sz"}) {
+          for (const std::uint32_t chunks : {1u, 8u}) {
+            SCOPED_TRACE(ds.name + " levels " + std::to_string(levels) + " " +
+                         cc::to_string(mode) + " " + codec + " chunks " +
+                         std::to_string(chunks) + " (CANOPUS_TEST_SEED=" +
+                         std::to_string(base) + ")");
+            cs::StorageHierarchy tiers(
+                {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+            cc::RefactorConfig config;
+            config.levels = levels;
+            config.codec = codec;
+            config.error_bound = eps;
+            config.estimate = mode;
+            config.delta_chunks = chunks;
+            cc::refactor_and_write(tiers, "sweep.bp", "v", cascade, config);
+            cc::ProgressiveReader reader(tiers, "sweep.bp", "v");
+            cc::ProgressiveReader regional(tiers, "sweep.bp", "v");
+            for (auto l = static_cast<std::uint32_t>(levels); l-- > 0;) {
+              if (l + 1 < levels) {
+                reader.refine_to(l);
+                regional.refine_region(roi);
+                ASSERT_EQ(regional.current_level(), l);
+                if (regional.partially_refined()) ++partial_steps;
+              }
+              const auto& level = cascade.levels[l].values;
+              const double err = cu::max_abs_error(level, reader.values());
+              EXPECT_LE(err, canopus::test::level_bound(eps, level))
+                  << "level " << l;
+              worst = std::max(worst, err / eps);
+              const auto& mesh = cascade.levels[l].mesh;
+              for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
+                const auto p = mesh.vertex(v);
+                if (p.x < roi.lo.x || p.x > roi.hi.x || p.y < roi.lo.y ||
+                    p.y > roi.hi.y) {
+                  continue;
+                }
+                ++roi_values;
+                if (std::memcmp(&regional.values()[v], &reader.values()[v],
+                                sizeof(double)) != 0) {
+                  ADD_FAILURE() << "level " << l << " vertex " << v
+                                << " differs inside the region";
+                  break;
+                }
+              }
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 144u);
+  EXPECT_GT(roi_values, 0u);
+  EXPECT_GT(partial_steps, 0u);
+  std::cout << "[closed loop] " << cases
+            << " cases, largest level error " << worst << " eps; "
+            << partial_steps << " regional steps skipped chunks, "
+            << roi_values << " region values checked\n";
+}
 
 // --------------------------------------------------------- frame integrity --
 

@@ -195,6 +195,49 @@ TEST(RoiRefine, UnchunkedVariableFallsBackToFullRefine) {
   EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-13);
 }
 
+// A chunk index is container input: one whose ranges do not tile its
+// level (here a range starting past the level, at a start that would wrap
+// an unchecked start + count) is refused, and the step falls back to a
+// full refine as it does for an unchunked variable.
+TEST(RoiRefine, ChunkIndexThatDoesNotTileFallsBackToFullRefine) {
+  const auto mesh = cm::make_rect_mesh(20, 20, 1.0, 1.0, 0.1, 19);
+  const auto values = bump_field(mesh, {0.5, 0.5}, 0.2);
+  auto h = tiers();
+  cc::RefactorConfig config;
+  config.levels = 2;
+  config.codec = "zfp";
+  config.error_bound = 1e-6;
+  config.delta_chunks = 4;
+  cc::refactor_and_write(h, "tile.bp", "v", mesh, values, config);
+  const ca::BpReader raw(h, "tile.bp");
+  const auto info = raw.inq_var("v");
+  const auto* record = info.block(ca::BlockKind::kChunkIndex, 0);
+  ASSERT_NE(record, nullptr);
+  const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 0);
+  cu::ByteReader ir(index_bytes);
+  const auto index = cc::ChunkIndex::deserialize(ir);
+  ASSERT_EQ(index.chunks.size(), 4u);
+
+  cc::ProgressiveReader full(h, "tile.bp", "v");
+  full.refine();
+  for (const std::uint64_t start : {std::uint64_t{1}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE("start " + std::to_string(start));
+    auto crafted = index;
+    crafted.chunks[1].start = start;
+    cu::ByteWriter w;
+    crafted.serialize(w);
+    const auto tier = h.find(record->object_key);
+    ASSERT_TRUE(tier.has_value());
+    h.erase(record->object_key);
+    h.write_to(*tier, record->object_key, w.view());
+    cc::ProgressiveReader reader(h, "tile.bp", "v");
+    reader.refine_region({{0.4, 0.4}, {0.6, 0.6}});
+    EXPECT_TRUE(reader.at_full_accuracy());
+    EXPECT_FALSE(reader.partially_refined());
+    EXPECT_TRUE(ct::same_bits(reader.values(), full.values()));
+  }
+}
+
 TEST(RoiRefine, WorksWithGeometryCache) {
   const auto mesh = cm::shuffle_vertices(
       cm::make_annulus_mesh(14, 84, 0.5, 1.0, 0.1, 23), 6);
@@ -228,12 +271,14 @@ TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
   // three double weights per fine vertex) with the unfetched chunks at zero,
   // and the backfill then lands on the reference's full level, on the
   // GeometryCache path and the on-demand path alike, at 1 and 4 threads.
+  // The step fetches the chunks meeting the ROI and those the level-0
+  // Estimate reads for the ROI's vertices (reference_region_chunks).
   const auto mesh = cm::shuffle_vertices(
       cm::make_annulus_mesh(14, 84, 0.5, 1.0, 0.1, 23), 6);
   const cm::Aabb roi{{0.6, -0.2}, {1.0, 0.2}};
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
-                    cc::EstimateMode::kNearestVertex}) {
+                    cc::EstimateMode::kGradient}) {
     SCOPED_TRACE(cc::to_string(mode));
     auto h = tiers();
     cc::RefactorConfig config;
@@ -250,7 +295,8 @@ TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
     const auto meshes = ct::stored_meshes(raw, "v");
     const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 1);
     cu::ByteReader ir(index_bytes);
-    const auto wanted = cc::ChunkIndex::deserialize(ir).intersecting(roi);
+    const auto wanted = ct::reference_region_chunks(
+        meshes, 1, cc::ChunkIndex::deserialize(ir), roi, mode);
     ASSERT_LT(wanted.size(), config.delta_chunks);
     const auto regional = ct::reference_restore(
         meshes[2], expected[2], ct::stored_delta(raw, "v", 1, meshes[1], &wanted),
