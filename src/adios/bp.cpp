@@ -327,10 +327,11 @@ std::vector<double> BpReader::read_doubles_chunk(const std::string& var,
 }
 
 util::Bytes BpReader::read_opaque(const std::string& var, BlockKind kind,
-                                  std::uint32_t level, ReadTiming* timing) const {
+                                  std::uint32_t level, ReadTiming* timing,
+                                  storage::Admission admission) const {
   const auto& r = find_record(var, kind, level, 0);
   util::Bytes payload;
-  const auto io = hierarchy_.read(r.object_key, payload);
+  const auto io = hierarchy_.read(r.object_key, payload, admission);
   if (timing) *timing = read_timing(io);
   return payload;
 }

@@ -190,9 +190,11 @@ class BpReader {
                                           util::BytesView payload,
                                           double* decompress_seconds = nullptr);
 
-  /// Retrieve one opaque block.
-  util::Bytes read_opaque(const std::string& var, BlockKind kind,
-                          std::uint32_t level, ReadTiming* timing = nullptr) const;
+  /// Retrieve one opaque block; `admission` as StorageHierarchy::read.
+  util::Bytes read_opaque(
+      const std::string& var, BlockKind kind, std::uint32_t level,
+      ReadTiming* timing = nullptr,
+      storage::Admission admission = storage::Admission::kAdmit) const;
 
   std::optional<std::string> attribute(const std::string& name) const;
 

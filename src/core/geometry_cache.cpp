@@ -352,10 +352,10 @@ adios::WriteTiming write_geometry(adios::BpWriter& writer,
 
 util::Bytes read_charged(const adios::BpReader& reader, const std::string& var,
                          adios::BlockKind kind, std::uint32_t level,
-                         RetrievalTimings& cost) {
+                         RetrievalTimings& cost, storage::Admission admission) {
   adios::ReadTiming t;
   try {
-    auto raw = reader.read_opaque(var, kind, level, &t);
+    auto raw = reader.read_opaque(var, kind, level, &t, admission);
     cost.charge(t);
     return raw;
   } catch (const storage::StorageError& e) {
@@ -400,7 +400,8 @@ mesh::TriMesh replay_block(util::BytesView raw, const mesh::TriMesh& input,
 
 GeometryCache GeometryCache::load(const adios::BpReader& reader,
                                   const std::string& var,
-                                  RetrievalTimings* cost) {
+                                  RetrievalTimings* cost,
+                                  storage::Admission admission) {
   util::WallTimer wall;
   RetrievalTimings local;
   RetrievalTimings& charged = cost != nullptr ? *cost : local;
@@ -409,7 +410,8 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
   GeometryCache cache;
   {
     const auto raw =
-        read_charged(reader, var, adios::BlockKind::kMesh, 0, charged);
+        read_charged(reader, var, adios::BlockKind::kMesh, 0, charged,
+                     admission);
     try {
       cache.meshes.push_back(decode_mesh_block(raw));
     } catch (const Error& e) {
@@ -418,12 +420,14 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
   }
   for (std::uint32_t l = 1; l < levels; ++l) {
     const auto raw =
-        read_charged(reader, var, adios::BlockKind::kCollapseLog, l, charged);
+        read_charged(reader, var, adios::BlockKind::kCollapseLog, l, charged,
+                     admission);
     cache.meshes.push_back(replay_block(raw, cache.meshes.back(), var, l));
   }
   for (std::uint32_t l = 0; l + 1 < levels; ++l) {
     const auto raw =
-        read_charged(reader, var, adios::BlockKind::kMapping, l, charged);
+        read_charged(reader, var, adios::BlockKind::kMapping, l, charged,
+                     admission);
     try {
       util::ByteReader br(raw);
       cache.mappings.push_back(VertexMapping::deserialize(

@@ -94,9 +94,11 @@ adios::WriteTiming write_geometry(adios::BpWriter& writer,
 /// Reads one opaque block and adds the read to `cost`. A read that gives up
 /// after the hierarchy's retries and replica fallback is charged too, with
 /// the attempts it made, before its storage::StorageError propagates.
-util::Bytes read_charged(const adios::BpReader& reader, const std::string& var,
-                         adios::BlockKind kind, std::uint32_t level,
-                         RetrievalTimings& cost);
+/// `admission` as storage::StorageHierarchy::read.
+util::Bytes read_charged(
+    const adios::BpReader& reader, const std::string& var,
+    adios::BlockKind kind, std::uint32_t level, RetrievalTimings& cost,
+    storage::Admission admission = storage::Admission::kAdmit);
 
 struct GeometryCache {
   /// meshes[l] is G^l; size = level count.
@@ -119,9 +121,16 @@ struct GeometryCache {
   /// read (I/O seconds, bytes, retries, corruptions, replica reads; a failed
   /// read too) and the load's wall time as restore_seconds. A malformed
   /// block throws canopus::Error naming it.
-  static GeometryCache load(const adios::BpReader& reader,
-                            const std::string& var,
-                            RetrievalTimings* cost = nullptr);
+  ///
+  /// By default a block-cache miss admits nothing: the caller keeps the
+  /// decoded result, and nothing reads the raw blocks again. A resident copy
+  /// still serves the read. A ProgressiveReader opened without a cache
+  /// admits them, so a later cacheless open of the container is served from
+  /// the block cache.
+  static GeometryCache load(
+      const adios::BpReader& reader, const std::string& var,
+      RetrievalTimings* cost = nullptr,
+      storage::Admission admission = storage::Admission::kSkip);
   /// Opens the container at `path` and loads `var`'s geometry from it.
   static GeometryCache load(storage::StorageHierarchy& hierarchy,
                             const std::string& path, const std::string& var,

@@ -97,7 +97,8 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
   cumulative_.charge(data_t);
   cumulative_.values_decoded += values_.size();
   if (!geometry_) {
-    owned_geometry_ = GeometryCache::load(reader_, var_, &cumulative_);
+    owned_geometry_ = GeometryCache::load(reader_, var_, &cumulative_,
+                                          storage::Admission::kAdmit);
     geometry_ = &*owned_geometry_;
   }
   CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),

@@ -388,7 +388,9 @@ RefactorReport direct_multilevel_sizes(const mesh::TriMesh& mesh,
     report.phases.time("delta+compress", [&] {
       payload = codec->encode(level.values, config.error_bound);
     });
-    report.products.push_back({"L" + std::to_string(l),
+    std::string name = "L";
+    name += std::to_string(l);
+    report.products.push_back({std::move(name),
                                static_cast<std::uint32_t>(l),
                                level.values.size() * sizeof(double),
                                payload.size(), 0, {0}});

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <queue>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace canopus::mesh {
 
@@ -20,6 +19,30 @@ namespace {
 /// mesh has the decimator's coordinates bit for bit.
 Vec2 midpoint(Vec2 a, Vec2 b) { return (a + b) * 0.5; }
 
+/// SplitMix64's output function applied to x.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// kRandom's priority (the chain decimate.hpp states).
+double random_priority(std::uint64_t seed, VertexId survivor, VertexId dying,
+                       std::uint64_t collapses) {
+  std::uint64_t h = mix64(seed);
+  h = mix64(h ^ survivor);
+  h = mix64(h ^ dying);
+  h = mix64(h ^ collapses);
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Releases a vector's storage, not just its elements.
+template <class T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
 /// Room each list starts with beyond its initial length. A collapse grows
 /// the survivor's lists by a few entries; with 8, no list of a 4-level XGC
 /// cascade relocates, so each arena keeps its initial size.
@@ -28,8 +51,9 @@ constexpr std::uint32_t kListSlack = 8;
 /// Per-vertex id lists packed into one arena. List v occupies the first
 /// `len` entries of a slot with room for `cap`; a list that fills its slot
 /// moves to the end of the arena with twice the room, leaving the old slot
-/// unused for the rest of the pass. A span from operator[] stays valid until
-/// the next push_back or insert on any list.
+/// unused for the rest of the pass. Lists are unordered sets: erase moves
+/// the last entry into the gap. A span from operator[] stays valid until
+/// the next push_back on any list.
 class ArenaLists {
  public:
   ArenaLists() = default;
@@ -38,9 +62,11 @@ class ArenaLists {
       : slots_(counts.size()) {
     std::size_t off = 0;
     for (std::size_t v = 0; v < counts.size(); ++v) {
-      slots_[v] = Slot{off, 0, counts[v] + kListSlack};
+      slots_[v] = Slot{static_cast<std::uint32_t>(off), 0, counts[v] + kListSlack};
       off += slots_[v].cap;
     }
+    CANOPUS_CHECK(off <= std::numeric_limits<std::uint32_t>::max(),
+                  "decimate: mesh too large for 32-bit list offsets");
     items_.resize(off);
   }
 
@@ -51,28 +77,20 @@ class ArenaLists {
     return {items_.data() + slots_[v].off, slots_[v].len};
   }
 
-  bool contains(std::uint32_t v, std::uint32_t x) const {
-    const auto xs = (*this)[v];
-    return std::find(xs.begin(), xs.end(), x) != xs.end();
-  }
-
   void push_back(std::uint32_t v, std::uint32_t x) {
     Slot& s = slots_[v];
     if (s.len == s.cap) {
       const std::size_t off = items_.size();
       const std::uint32_t cap = 2 * s.cap;  // never 0: every slot has slack
+      CANOPUS_CHECK(off + cap <= std::numeric_limits<std::uint32_t>::max(),
+                    "decimate: mesh too large for 32-bit list offsets");
       items_.resize(off + cap);
-      std::copy_n(items_.begin() + static_cast<std::ptrdiff_t>(s.off), s.len,
-                  items_.begin() + static_cast<std::ptrdiff_t>(off));
-      s.off = off;
+      std::copy_n(items_.begin() + s.off, s.len, items_.begin() +
+                                                     static_cast<std::ptrdiff_t>(off));
+      s.off = static_cast<std::uint32_t>(off);
       s.cap = cap;
     }
     items_[s.off + s.len++] = x;
-  }
-
-  /// Appends x unless the list already holds it.
-  void insert(std::uint32_t v, std::uint32_t x) {
-    if (!contains(v, x)) push_back(v, x);
   }
 
   /// Removes x, moving the last entry into its place.
@@ -85,7 +103,7 @@ class ArenaLists {
     }
   }
 
-  /// Drops the entries matching `pred`, keeping the others in order.
+  /// Drops the entries matching `pred`.
   template <class Pred>
   void remove_if(std::uint32_t v, Pred pred) {
     const auto xs = (*this)[v];
@@ -97,7 +115,7 @@ class ArenaLists {
 
  private:
   struct Slot {
-    std::size_t off = 0;
+    std::uint32_t off = 0;
     std::uint32_t len = 0;
     std::uint32_t cap = 0;
   };
@@ -105,95 +123,98 @@ class ArenaLists {
   std::vector<std::uint32_t> items_;
 };
 
-/// Mutable mesh scratch state for the collapse loop. Vertex slot `i` survives
-/// a collapse of edge (i, j) and is moved to the midpoint; slot `j` dies.
-struct Workspace {
-  std::vector<Vec2> pos;
-  std::vector<double> val;
-  std::vector<std::uint8_t> vertex_alive;
-  ArenaLists nbr;                         // adjacent alive vertices
-  std::vector<Triangle> tris;
-  std::vector<std::uint8_t> tri_alive;
-  ArenaLists inc;                         // incident alive triangles
-  std::vector<std::uint32_t> version;     // bumped on any change at v
-};
+using EdgeId = std::uint32_t;
 
-struct HeapEntry {
+/// EdgeRecord::slot of an edge that is not in the heap (it was rejected).
+constexpr std::uint32_t kNotQueued = std::numeric_limits<std::uint32_t>::max();
+
+/// One live edge, keyed (priority, a, b): a collapse of it keeps slot a and
+/// kills slot b. `slot` is its position in the heap.
+struct EdgeRecord {
   double priority;
   VertexId a, b;
-  std::uint32_t va_version, vb_version;
-  // Min-heap via reversed comparison in a max-priority_queue.
-  bool operator<(const HeapEntry& o) const { return priority > o.priority; }
+  std::uint32_t slot;
 };
 
-/// Entries of equal priority pop in an order set by the binary heap's
-/// layout, so the heap and the order of its pushes are part of the output:
-/// the initial edges in ascending (a, b) order, then after each collapse
-/// (i, n) for every n in nbr[i] order. Every list operation below keeps the
-/// order nbr[i] would have as a std::vector under the same operations.
+/// Edge-collapse state. Vertex slot `i` survives a collapse of edge (i, j)
+/// and moves to the midpoint; slot `j` dies. Every live edge has one record,
+/// listed under both endpoints, and sits in an addressable binary min-heap
+/// under its total key unless it was rejected; it returns to the heap when a
+/// collapse re-keys it. No output depends on the order of any list.
 class Decimator {
  public:
   Decimator(const TriMesh& mesh, const Field& values, const DecimateOptions& opt)
-      : opt_(opt), rng_(opt.seed) {
+      : opt_(opt) {
     CANOPUS_CHECK(values.size() == mesh.vertex_count(),
                   "field size does not match vertex count");
     CANOPUS_CHECK(opt.ratio >= 1.0, "decimation ratio must be >= 1");
     CANOPUS_CHECK(mesh.triangle_count() > 0, "cannot decimate an empty mesh");
-    ws_.pos = mesh.vertices();
-    ws_.val = values;
-    ws_.vertex_alive.assign(ws_.pos.size(), 1);
-    ws_.tris = mesh.triangles();
-    ws_.tri_alive.assign(ws_.tris.size(), 1);
-    ws_.version.assign(ws_.pos.size(), 0);
-    std::vector<std::uint32_t> count(ws_.pos.size(), 0);
-    for (const auto& tri : ws_.tris) {
+    pos_ = mesh.vertices();
+    val_ = values;
+    tris_ = mesh.triangles();
+    tri_alive_.assign(tris_.size(), 1);
+    if (opt.priority == EdgePriority::kGradientWeighted) {
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      value_range_ = std::max(*hi - *lo, 1e-300);
+    }
+    std::vector<std::uint32_t> count(pos_.size(), 0);
+    {
+      // The edges first, so their list is freed before the incidence lists
+      // exist: the set-up then peaks below the collapse loop.
+      const std::vector<Edge> edges = mesh.edges();
+      CANOPUS_CHECK(edges.size() < kNotQueued, "decimate: too many edges");
+      for (const auto& e : edges) {
+        ++count[e.a];
+        ++count[e.b];
+      }
+      edge_lists_ = ArenaLists(count);
+      edges_.reserve(edges.size());
+      for (const auto& e : edges) {
+        const auto id = static_cast<EdgeId>(edges_.size());
+        edges_.push_back(EdgeRecord{edge_priority(e.a, e.b), e.a, e.b, id});
+        edge_lists_.push_back(e.a, id);
+        edge_lists_.push_back(e.b, id);
+      }
+    }
+    std::fill(count.begin(), count.end(), 0);
+    for (const auto& tri : tris_) {
       for (VertexId v : tri.v) ++count[v];
     }
-    ws_.inc = ArenaLists(count);
-    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
-      for (VertexId v : ws_.tris[t].v) ws_.inc.push_back(v, t);
-    }
-    const std::vector<Edge> edges = mesh.edges();
-    std::fill(count.begin(), count.end(), 0);
-    for (const auto& e : edges) {
-      ++count[e.a];
-      ++count[e.b];
-    }
-    ws_.nbr = ArenaLists(count);
-    for (const auto& e : edges) {
-      ws_.nbr.push_back(e.a, e.b);
-      ws_.nbr.push_back(e.b, e.a);
+    inc_ = ArenaLists(count);
+    for (TriangleId t = 0; t < tris_.size(); ++t) {
+      for (VertexId v : tris_[t].v) inc_.push_back(v, t);
     }
     // Scale-aware degeneracy threshold (squared area units).
     const auto box = mesh.bounds();
     const double diag2 = box.width() * box.width() + box.height() * box.height();
     min_area2_ = 1e-14 * diag2;
-    if (opt.priority == EdgePriority::kGradientWeighted) {
-      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-      value_range_ = std::max(*hi - *lo, 1e-300);
+    heap_.resize(edges_.size());
+    std::iota(heap_.begin(), heap_.end(), EdgeId{0});
+    for (std::size_t s = heap_.size() / 2; s-- > 0;) {
+      sift_down(static_cast<std::uint32_t>(s));
     }
-    std::vector<HeapEntry> storage;
-    storage.reserve(edges.size());
-    heap_ = std::priority_queue<HeapEntry>(std::less<HeapEntry>(), std::move(storage));
-    for (const auto& e : edges) push_edge(e.a, e.b);
   }
 
   DecimateResult run() {
-    const std::size_t n0 = ws_.pos.size();
+    const std::size_t n0 = pos_.size();
     const double cut_fraction_target = 1.0 - 1.0 / opt_.ratio;
     std::size_t cut = 0;
     std::size_t rejected = 0;
     while (static_cast<double>(cut) / static_cast<double>(n0) < cut_fraction_target &&
            !heap_.empty()) {
-      const HeapEntry e = heap_.top();
-      heap_.pop();
-      if (!entry_valid(e)) continue;
-      if (try_collapse(e.a, e.b)) {
+      const EdgeId e = heap_.front();
+      unqueue(e);
+      if (try_collapse(e)) {
         ++cut;
       } else {
         ++rejected;
       }
     }
+    // Only the triangles and the moved vertices are left to read.
+    release(heap_);
+    release(edges_);
+    edge_lists_ = {};
+    inc_ = {};
     DecimateResult r = compact();
     r.achieved_ratio = static_cast<double>(n0) / static_cast<double>(r.mesh.vertex_count());
     r.collapses = cut;
@@ -202,37 +223,114 @@ class Decimator {
   }
 
  private:
-  double edge_priority(VertexId a, VertexId b) {
-    const double len = distance(ws_.pos[a], ws_.pos[b]);
+  double edge_priority(VertexId a, VertexId b) const {
+    const double len = distance(pos_[a], pos_[b]);
     switch (opt_.priority) {
       case EdgePriority::kShortestFirst:
         return len;
       case EdgePriority::kRandom:
-        return rng_.uniform();
+        return random_priority(opt_.seed, a, b, collapse_log_.size());
       case EdgePriority::kGradientWeighted:
         return len * (1.0 + opt_.gradient_weight *
-                                std::abs(ws_.val[a] - ws_.val[b]) / value_range_);
+                                std::abs(val_[a] - val_[b]) / value_range_);
     }
     CANOPUS_UNREACHABLE("unknown edge priority");
   }
 
-  void push_edge(VertexId a, VertexId b) {
-    heap_.push(HeapEntry{edge_priority(a, b), a, b, ws_.version[a], ws_.version[b]});
+  VertexId other_end(EdgeId e, VertexId v) const {
+    return edges_[e].a == v ? edges_[e].b : edges_[e].a;
   }
 
-  bool entry_valid(const HeapEntry& e) const {
-    return ws_.vertex_alive[e.a] && ws_.vertex_alive[e.b] &&
-           ws_.version[e.a] == e.va_version && ws_.version[e.b] == e.vb_version &&
-           ws_.nbr.contains(e.a, e.b);
+  bool adjacent(VertexId v, VertexId n) const {
+    for (EdgeId e : edge_lists_[v]) {
+      if (other_end(e, v) == n) return true;
+    }
+    return false;
   }
+
+  // ---- the heap: a strict total order, so its layout never shows -----------
+
+  bool before(EdgeId x, EdgeId y) const {
+    const EdgeRecord& p = edges_[x];
+    const EdgeRecord& q = edges_[y];
+    if (p.priority != q.priority) return p.priority < q.priority;
+    return p.a != q.a ? p.a < q.a : p.b < q.b;
+  }
+
+  void place(std::uint32_t slot, EdgeId e) {
+    heap_[slot] = e;
+    edges_[e].slot = slot;
+  }
+
+  void sift_up(std::uint32_t slot) {
+    const EdgeId e = heap_[slot];
+    while (slot > 0) {
+      const std::uint32_t parent = (slot - 1) / 2;
+      if (!before(e, heap_[parent])) break;
+      place(slot, heap_[parent]);
+      slot = parent;
+    }
+    place(slot, e);
+  }
+
+  void sift_down(std::uint32_t slot) {
+    const EdgeId e = heap_[slot];
+    const auto n = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = 2 * slot + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], e)) break;
+      place(slot, heap_[child]);
+      slot = child;
+    }
+    place(slot, e);
+  }
+
+  /// Restores the heap around `slot` after its entry changed.
+  void fix(std::uint32_t slot) {
+    if (slot > 0 && before(heap_[slot], heap_[(slot - 1) / 2])) {
+      sift_up(slot);
+    } else {
+      sift_down(slot);
+    }
+  }
+
+  void unqueue(EdgeId e) {
+    const std::uint32_t slot = edges_[e].slot;
+    edges_[e].slot = kNotQueued;
+    const EdgeId last = heap_.back();
+    heap_.pop_back();
+    if (last == e) return;
+    place(slot, last);
+    fix(slot);
+  }
+
+  /// Gives e the key (priority, i, n) and puts it in the heap.
+  void rekey(EdgeId e, VertexId i) {
+    EdgeRecord& r = edges_[e];
+    const VertexId n = r.a == i ? r.b : r.a;
+    r.a = i;
+    r.b = n;
+    r.priority = edge_priority(i, n);
+    if (r.slot == kNotQueued) {
+      heap_.push_back(e);
+      sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+    } else {
+      fix(r.slot);
+    }
+  }
+
+  // ---- one collapse ---------------------------------------------------------
 
   /// Link condition: the set of vertices adjacent to both endpoints must be
-  /// exactly the opposite vertices of the triangles sharing the edge.
+  /// exactly the opposite vertices of the triangles sharing the edge. Leaves
+  /// those vertices in opposite_.
   bool link_condition_ok(VertexId i, VertexId j) {
     opposite_.clear();
-    for (TriangleId t : ws_.inc[i]) {
-      if (!ws_.tri_alive[t]) continue;
-      const auto& tv = ws_.tris[t].v;
+    for (TriangleId t : inc_[i]) {
+      if (!tri_alive_[t]) continue;
+      const auto& tv = tris_[t].v;
       const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
       if (!has_j) continue;
       for (VertexId v : tv) {
@@ -240,8 +338,9 @@ class Decimator {
       }
     }
     std::size_t common = 0;
-    for (VertexId n : ws_.nbr[i]) {
-      if (ws_.nbr.contains(j, n)) {
+    for (EdgeId e : edge_lists_[i]) {
+      const VertexId n = other_end(e, i);
+      if (n != j && adjacent(j, n)) {
         ++common;
         if (std::find(opposite_.begin(), opposite_.end(), n) == opposite_.end()) {
           return false;  // shared neighbor not across the edge -> pinch
@@ -255,15 +354,15 @@ class Decimator {
   /// the collapsed endpoint moves to `m`.
   bool geometry_ok(VertexId i, VertexId j, Vec2 m) const {
     auto survives_ok = [&](VertexId endpoint) {
-      for (TriangleId t : ws_.inc[endpoint]) {
-        if (!ws_.tri_alive[t]) continue;
-        const auto& tv = ws_.tris[t].v;
+      for (TriangleId t : inc_[endpoint]) {
+        if (!tri_alive_[t]) continue;
+        const auto& tv = tris_[t].v;
         const bool has_i = tv[0] == i || tv[1] == i || tv[2] == i;
         const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
         if (has_i && has_j) continue;  // dies with the collapse
         Vec2 p[3];
         for (int k = 0; k < 3; ++k) {
-          p[k] = (tv[k] == i || tv[k] == j) ? m : ws_.pos[tv[k]];
+          p[k] = (tv[k] == i || tv[k] == j) ? m : pos_[tv[k]];
         }
         if (signed_area2(p[0], p[1], p[2]) <= min_area2_) return false;
       }
@@ -272,89 +371,98 @@ class Decimator {
     return survives_ok(i) && survives_ok(j);
   }
 
-  bool try_collapse(VertexId i, VertexId j) {
+  /// Collapses edge e = (i, j), already out of the heap, unless the link
+  /// condition or the orientation check rejects it.
+  bool try_collapse(EdgeId e) {
+    const VertexId i = edges_[e].a;
+    const VertexId j = edges_[e].b;
     if (!link_condition_ok(i, j)) return false;
-    const Vec2 m = midpoint(ws_.pos[i], ws_.pos[j]);
+    const Vec2 m = midpoint(pos_[i], pos_[j]);
     if (!geometry_ok(i, j, m)) return false;
 
     // Kill triangles containing the edge. Erasing never moves a list, so
-    // the span over inc[i] stays valid.
-    for (TriangleId t : ws_.inc[i]) {
-      if (!ws_.tri_alive[t]) continue;
-      const auto& tv = ws_.tris[t].v;
+    // the span over inc_[i] stays valid.
+    for (TriangleId t : inc_[i]) {
+      if (!tri_alive_[t]) continue;
+      const auto& tv = tris_[t].v;
       if (tv[0] == j || tv[1] == j || tv[2] == j) {
-        ws_.tri_alive[t] = 0;
+        tri_alive_[t] = 0;
         for (VertexId v : tv) {
-          if (v != i) ws_.inc.erase(v, t);
+          if (v != i) inc_.erase(v, t);
         }
       }
     }
-    ws_.inc.remove_if(i, [&](TriangleId t) { return !ws_.tri_alive[t]; });
+    inc_.remove_if(i, [&](TriangleId t) { return !tri_alive_[t]; });
 
     // Rewire triangles that referenced only j. Indexed, because pushing onto
-    // inc[i] may move the arena.
-    for (std::size_t k = 0; k < ws_.inc[j].size(); ++k) {
-      const TriangleId t = ws_.inc[j][k];
-      if (!ws_.tri_alive[t]) continue;
-      for (VertexId& v : ws_.tris[t].v) {
+    // inc_[i] may move the arena.
+    for (std::size_t k = 0; k < inc_[j].size(); ++k) {
+      const TriangleId t = inc_[j][k];
+      if (!tri_alive_[t]) continue;
+      for (VertexId& v : tris_[t].v) {
         if (v == j) v = i;
       }
-      ws_.inc.push_back(i, t);
+      inc_.push_back(i, t);
     }
-    ws_.inc.clear(j);
+    inc_.clear(j);
 
-    // Merge adjacency: neighbors of j become neighbors of i (indexed for
-    // the same reason).
-    for (std::size_t k = 0; k < ws_.nbr[j].size(); ++k) {
-      const VertexId n = ws_.nbr[j][k];
-      if (n == i) continue;
-      ws_.nbr.erase(n, j);
-      ws_.nbr.insert(n, i);
-      ws_.nbr.insert(i, n);
+    // Edges: (i, j) goes; j's edge to each common neighbour (opposite_, by
+    // the link condition) goes, since i keeps its own; j's other edges move
+    // to i, staying in their far ends' lists. Indexed for the same reason.
+    edge_lists_.erase(i, e);
+    for (std::size_t k = 0; k < edge_lists_[j].size(); ++k) {
+      const EdgeId f = edge_lists_[j][k];
+      if (f == e) continue;
+      const VertexId n = other_end(f, j);
+      if (std::find(opposite_.begin(), opposite_.end(), n) != opposite_.end()) {
+        if (edges_[f].slot != kNotQueued) unqueue(f);
+        edge_lists_.erase(n, f);
+      } else {
+        edges_[f].a = i;
+        edges_[f].b = n;
+        edge_lists_.push_back(i, f);
+      }
     }
-    ws_.nbr.erase(i, j);
-    ws_.nbr.clear(j);
+    edge_lists_.clear(j);
 
     // Move i to the midpoint, average the data (NewData = mean).
-    ws_.pos[i] = m;
-    ws_.val[i] = (ws_.val[i] + ws_.val[j]) * 0.5;
-    ws_.vertex_alive[j] = 0;
+    pos_[i] = m;
+    val_[i] = (val_[i] + val_[j]) * 0.5;
     collapse_log_.emplace_back(i, j);
 
-    // Invalidate stale heap entries and re-key every edge incident to i.
-    ++ws_.version[i];
-    ++ws_.version[j];
-    for (VertexId n : ws_.nbr[i]) push_edge(i, n);
+    // Every edge of i changed length: re-key each as (i, n).
+    for (EdgeId f : edge_lists_[i]) rekey(f, i);
     return true;
   }
 
+  /// The output level: the slots a live triangle references, in slot order,
+  /// and the live triangles in input order. A collapse can orphan a
+  /// boundary-corner vertex whose only triangle died; it is dropped.
   DecimateResult compact() {
-    std::vector<VertexId> remap(ws_.pos.size(), kInvalidVertex);
-    std::vector<Vec2> vertices;
-    Field values;
-    auto has_live_triangle = [&](VertexId v) {
-      for (TriangleId t : ws_.inc[v]) {
-        if (ws_.tri_alive[t]) return true;
-      }
-      return false;
-    };
-    // A collapse can orphan a boundary-corner vertex whose only triangle died;
-    // drop such vertices so the compacted mesh has no isolated vertices.
-    std::vector<VertexId> survivors;
-    for (VertexId v = 0; v < ws_.pos.size(); ++v) {
-      if (ws_.vertex_alive[v] && has_live_triangle(v)) {
-        remap[v] = static_cast<VertexId>(vertices.size());
-        vertices.push_back(ws_.pos[v]);
-        values.push_back(ws_.val[v]);
-        survivors.push_back(v);
-      }
+    std::vector<VertexId> remap(pos_.size(), 0);
+    std::size_t tri_count = 0;
+    for (TriangleId t = 0; t < tris_.size(); ++t) {
+      if (!tri_alive_[t]) continue;
+      ++tri_count;
+      for (VertexId v : tris_[t].v) remap[v] = 1;
     }
-    std::vector<Triangle> tris;
-    for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
-      if (!ws_.tri_alive[t]) continue;
-      Triangle tri = ws_.tris[t];
-      for (VertexId& v : tri.v) v = remap[v];
-      tris.push_back(tri);
+    const auto vertex_count =
+        static_cast<std::size_t>(std::count(remap.begin(), remap.end(), 1u));
+    std::vector<Vec2> vertices(vertex_count);
+    Field values(vertex_count);
+    std::vector<VertexId> survivors(vertex_count);
+    for (VertexId v = 0, next = 0; v < pos_.size(); ++v) {
+      if (remap[v] == 0) continue;
+      vertices[next] = pos_[v];
+      values[next] = val_[v];
+      survivors[next] = v;
+      remap[v] = next++;
+    }
+    std::vector<Triangle> tris(tri_count);
+    for (TriangleId t = 0, next = 0; t < tris_.size(); ++t) {
+      if (!tri_alive_[t]) continue;
+      for (int k = 0; k < 3; ++k) tris[next].v[k] = remap[tris_[t].v[k]];
+      ++next;
     }
     DecimateResult r;
     r.mesh = TriMesh(std::move(vertices), std::move(tris));
@@ -365,11 +473,16 @@ class Decimator {
   }
 
   DecimateOptions opt_;
-  util::Rng rng_;
-  Workspace ws_;
-  std::priority_queue<HeapEntry> heap_;
+  std::vector<Vec2> pos_;
+  std::vector<double> val_;
+  std::vector<Triangle> tris_;
+  std::vector<std::uint8_t> tri_alive_;
+  ArenaLists inc_;                    // live triangles at each vertex
+  ArenaLists edge_lists_;             // live edges at each vertex
+  std::vector<EdgeRecord> edges_;
+  std::vector<EdgeId> heap_;          // live edges not rejected since re-keyed
   CollapseLog collapse_log_;
-  std::vector<VertexId> opposite_;  // link_condition_ok scratch
+  std::vector<VertexId> opposite_;    // link_condition_ok's result
   double min_area2_ = 0.0;
   double value_range_ = 1.0;
 };

@@ -13,9 +13,12 @@
 // skipped. Decimation is local (no cross-partition communication), which is
 // what makes Canopus' refactoring embarrassingly parallel.
 //
-// Output is a deterministic function of (mesh, values, options), ties in
-// priority included: equal priorities pop in the order the binary heap's
-// layout gives them, so the order of heap pushes is part of the contract.
+// Output is a deterministic function of (mesh, values, options). Each edge
+// has an orientation (survivor, dying): (a, b) with a < b at the start, and
+// (i, n) for every edge of i once a collapse of (i, j) re-keys them. Edges
+// are tried in ascending (priority, survivor, dying) order, a total order,
+// so priority ties never depend on the layout of a heap or a list. A
+// rejected edge is tried again only after a collapse re-keys it.
 
 #include <cstdint>
 #include <utility>
@@ -29,7 +32,10 @@ namespace canopus::mesh {
 /// choice application-dependent; the alternatives feed the ablation bench).
 enum class EdgePriority {
   kShortestFirst,     // paper default: Euclidean edge length
-  kRandom,            // uniform random order
+  kRandom,            // uniform random order: the top 53 bits of
+                      // h = m(m(m(m(seed) ^ survivor) ^ dying) ^ collapses),
+                      // times 2^-53, where m is SplitMix64's output function
+                      // and `collapses` counts those committed so far
   kGradientWeighted,  // length scaled up where the field changes quickly,
                       // so smooth regions coarsen first
 };

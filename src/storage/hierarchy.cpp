@@ -118,8 +118,16 @@ bool StorageHierarchy::read_attempts(std::size_t tier, const std::string& key,
   return false;
 }
 
-IoResult StorageHierarchy::read(const std::string& key, util::Bytes& out) const {
+IoResult StorageHierarchy::read(const std::string& key, util::Bytes& out,
+                                Admission admission) const {
   if (!cache_) return read_uncached(key, out);
+  if (admission == Admission::kSkip) {
+    if (const auto blob = cache_->lookup_blob(key)) {
+      out.assign(blob->begin(), blob->end());
+      return served_from_cache(key, out.size());
+    }
+    return read_uncached(key, out);
+  }
   // Cache-fronted path. Deliberately does NOT hold mu_ here: waiters block
   // on the single-flight condition variable while the leader's loader takes
   // mu_ inside read_uncached, so holding mu_ across the cache call would
@@ -148,12 +156,17 @@ IoResult StorageHierarchy::read(const std::string& key, util::Bytes& out) const 
   // The single-flight leader pays the true tier cost; hits and piggybacked
   // waiters are served from memory at zero simulated cost.
   if (result.source == cache::BlockCache::Source::kLoaded) return leader_io;
+  return served_from_cache(key, out.size());
+}
+
+IoResult StorageHierarchy::served_from_cache(const std::string& key,
+                                             std::size_t bytes) const {
   // A cache hit is a local serve: the bytes never left this node, whichever
   // node originally faulted them in.
   if (remote_ != nullptr) remote_->note_local_hit(key);
-  if (access_listener_) access_listener_(key, out.size());
+  if (access_listener_) access_listener_(key, bytes);
   IoResult io;
-  io.bytes = out.size();
+  io.bytes = bytes;
   io.from_cache = true;
   return io;
 }

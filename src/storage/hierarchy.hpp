@@ -7,6 +7,7 @@
 // selected, exactly as Section III-D describes. The hierarchy remembers
 // which tier holds each object so retrieval is a single lookup.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -64,6 +65,13 @@ struct RetryPolicy {
   std::uint32_t max_attempts = 4;     // per copy (primary, then replica)
   double backoff_seconds = 1e-3;      // sim-clock delay before the 1st retry
   double backoff_multiplier = 2.0;    // exponential growth per retry
+};
+
+/// Whether a read that misses the block cache admits the bytes it fetched.
+/// Either way a resident copy serves the read.
+enum class Admission : std::uint8_t {
+  kAdmit,  // admit them; concurrent misses of the key share one fetch
+  kSkip,   // hand them to the caller only: it keeps a decoded form instead
 };
 
 class StorageHierarchy {
@@ -138,8 +146,10 @@ class StorageHierarchy {
   /// and whether the replica served the read; its sim_seconds include the
   /// cost of failed attempts and backoff. Throws TierIoError/IntegrityError
   /// only when every copy is exhausted; always verifies that the bytes
-  /// returned match the recorded object size.
-  IoResult read(const std::string& key, util::Bytes& out) const;
+  /// returned match the recorded object size. With a block cache attached,
+  /// `admission` says whether a miss admits what it fetched.
+  IoResult read(const std::string& key, util::Bytes& out,
+                Admission admission = Admission::kAdmit) const;
 
   /// Tier currently holding the object, or nullopt.
   std::optional<std::size_t> find(const std::string& key) const;
@@ -222,6 +232,10 @@ class StorageHierarchy {
   /// fallback. read() delegates here on a cache miss (or when no cache is
   /// attached).
   IoResult read_uncached(const std::string& key, util::Bytes& out) const;
+
+  /// The IoResult of a read the cache served: a local serve at zero
+  /// simulated cost, reported to the remote store and the listener.
+  IoResult served_from_cache(const std::string& key, std::size_t bytes) const;
 
   /// After remote resolution of a local miss failed with `remote_error`:
   /// a migration can move `key` onto this node between the miss and the

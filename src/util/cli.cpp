@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 namespace canopus::util {
 
@@ -12,11 +13,10 @@ Cli::Cli(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       arg.remove_prefix(2);
       const auto eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        flags_[std::string(arg)] = "1";
-      } else {
-        flags_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-      }
+      // A flag without a value reads as "1".
+      std::string value(eq == std::string_view::npos ? std::string_view("1")
+                                                     : arg.substr(eq + 1));
+      flags_.insert_or_assign(std::string(arg.substr(0, eq)), std::move(value));
     } else {
       positional_.emplace_back(arg);
     }

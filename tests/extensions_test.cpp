@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "compress/codec.hpp"
@@ -423,6 +424,78 @@ TEST(GeometryCache, MatchesOnDemandReads) {
     EXPECT_EQ(cached.values(), plain.values());
   }
   EXPECT_TRUE(plain.at_full_accuracy());
+}
+
+namespace {
+
+void expect_same_geometry(const cc::GeometryCache& got,
+                          const cc::GeometryCache& want) {
+  ASSERT_EQ(got.level_count(), want.level_count());
+  for (std::size_t l = 0; l < want.level_count(); ++l) {
+    const auto& gv = got.meshes[l].vertices();
+    const auto& wv = want.meshes[l].vertices();
+    ASSERT_EQ(gv.size(), wv.size()) << "level " << l;
+    EXPECT_EQ(std::memcmp(gv.data(), wv.data(), wv.size() * sizeof(wv[0])), 0)
+        << "level " << l;
+    EXPECT_EQ(got.meshes[l].triangles(), want.meshes[l].triangles()) << "level " << l;
+    EXPECT_EQ(got.order(l), want.order(l)) << "level " << l;
+  }
+  ASSERT_EQ(got.mappings.size(), want.mappings.size());
+  for (std::size_t l = 0; l < want.mappings.size(); ++l) {
+    EXPECT_EQ(got.mappings[l].triangle, want.mappings[l].triangle) << "level " << l;
+  }
+}
+
+}  // namespace
+
+// The public load's caller keeps the decoded geometry, so a block-cache miss
+// admits nothing; a resident copy still serves the read. A reader that loads
+// geometry at its own open admits the blocks, and later loads are served
+// from them. (Opening the container admits its metadata object, which every
+// open reads.)
+TEST(GeometryCache, LoadOnACachedHierarchyAdmitsNothing) {
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+  const auto mesh = cm::make_disk_mesh(10, 48, 1.0, 0.1, 23);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "zfp";
+  config.error_bound = 1e-5;
+  cc::refactor_and_write(tiers, "adm.bp", "v", mesh, wave_field(mesh), config);
+  const auto cacheless = cc::GeometryCache::load(tiers, "adm.bp", "v");
+
+  auto cache = std::make_shared<canopus::cache::BlockCache>();
+  tiers.attach_block_cache(cache);
+  const canopus::adios::BpReader container(tiers, "adm.bp");
+  std::vector<std::string> geometry_keys;
+  for (const auto& b : container.inq_var("v").blocks) {
+    using canopus::adios::BlockKind;
+    if (b.kind == BlockKind::kMesh || b.kind == BlockKind::kCollapseLog ||
+        b.kind == BlockKind::kMapping) {
+      geometry_keys.push_back(b.object_key);
+    }
+  }
+  ASSERT_EQ(geometry_keys.size(), 5u);  // the L0 mesh, 2 logs, 2 mappings
+  const std::size_t opened = cache->occupancy_bytes();
+  cc::RetrievalTimings cold;
+  const auto loaded = cc::GeometryCache::load(container, "v", &cold);
+  EXPECT_EQ(cache->occupancy_bytes(), opened);
+  EXPECT_GT(cold.io_seconds, 0.0);
+  expect_same_geometry(loaded, cacheless);
+  const auto by_path = cc::GeometryCache::load(tiers, "adm.bp", "v");
+  EXPECT_EQ(cache->occupancy_bytes(), opened);
+  expect_same_geometry(by_path, cacheless);
+  for (const auto& key : geometry_keys) EXPECT_FALSE(cache->contains(key)) << key;
+
+  const cc::ProgressiveReader reader(tiers, "adm.bp", "v");
+  for (const auto& key : geometry_keys) EXPECT_TRUE(cache->contains(key)) << key;
+  const std::size_t after_open = cache->occupancy_bytes();
+  cc::RetrievalTimings warm;
+  const auto served = cc::GeometryCache::load(container, "v", &warm);
+  EXPECT_EQ(cache->occupancy_bytes(), after_open);
+  EXPECT_EQ(warm.io_seconds, 0.0);
+  EXPECT_EQ(warm.bytes_read, cold.bytes_read);
+  expect_same_geometry(served, cacheless);
 }
 
 TEST(GeometryCache, MismatchedCacheRejected) {

@@ -111,11 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("xgc1", "genasis", "cfd"),
                        ::testing::Values("zfp", "sz", "fpc", "zfp+lzss"),
                        ::testing::Values(std::size_t{2}, std::size_t{4})),
-    [](const auto& info) {
-      std::string codec = std::get<1>(info.param);
+    [](const auto& param_info) {
+      std::string codec = std::get<1>(param_info.param);
       std::replace(codec.begin(), codec.end(), '+', '_');
-      return std::get<0>(info.param) + "_" + codec + "_" +
-             std::to_string(std::get<2>(info.param));
+      return std::get<0>(param_info.param) + "_" + codec + "_" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(Integration, FileBackedTiersEndToEnd) {

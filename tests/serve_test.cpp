@@ -12,7 +12,9 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/canopus.hpp"
@@ -72,10 +74,10 @@ struct Dataset {
   }
 };
 
-cv::QueryRequest query(const char* var = "v") {
+cv::QueryRequest query(std::string var = "v") {
   cv::QueryRequest request;
   request.path = "d.bp";
-  request.var = var;
+  request.var = std::move(var);
   return request;
 }
 
