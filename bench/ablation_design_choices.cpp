@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
                                                cascade.levels[1].mesh);
       const auto delta = core::compute_delta(
           cascade.levels[1].mesh, cascade.levels[1].values,
-          cascade.levels[0].mesh, cascade.levels[0].values, mapping, mode);
+          cascade.levels[0].mesh.vertices(), cascade.levels[0].values, mapping,
+          mode);
       util::RunningStats rs;
       rs.add(delta);
       t.add_row({core::to_string(mode), std::to_string(stored),

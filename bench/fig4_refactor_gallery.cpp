@@ -53,11 +53,13 @@ int main(int argc, char** argv) {
     const auto map12 =
         core::build_mapping(cascade.levels[1].mesh, cascade.levels[2].mesh);
     const auto delta01 = core::compute_delta(
-        cascade.levels[1].mesh, cascade.levels[1].values, cascade.levels[0].mesh,
-        cascade.levels[0].values, map01, core::EstimateMode::kUniformThirds);
+        cascade.levels[1].mesh, cascade.levels[1].values,
+        cascade.levels[0].mesh.vertices(), cascade.levels[0].values, map01,
+        core::EstimateMode::kUniformThirds);
     const auto delta12 = core::compute_delta(
-        cascade.levels[2].mesh, cascade.levels[2].values, cascade.levels[1].mesh,
-        cascade.levels[1].values, map12, core::EstimateMode::kUniformThirds);
+        cascade.levels[2].mesh, cascade.levels[2].values,
+        cascade.levels[1].mesh.vertices(), cascade.levels[1].values, map12,
+        core::EstimateMode::kUniformThirds);
 
     util::Table t({"product", "vertices", "stddev", "total-variation"});
     const auto add = [&](const std::string& name, const mesh::Field& f) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,7 @@ static void BM_BuildCascade(benchmark::State& state) {
   opt.step = 2.0;
   for (auto _ : state) {
     state.PauseTiming();
-    const mesh::TriMesh fresh = ds.mesh;
+    const mesh::TriMesh fresh(ds.mesh.vertices(), ds.mesh.triangles());
     state.ResumeTiming();
     benchmark::DoNotOptimize(mesh::build_cascade(fresh, ds.values, opt));
   }
@@ -171,6 +172,22 @@ static void BM_GeometryLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeometryLoad)->Unit(benchmark::kMillisecond);
+
+// What the first request for a loaded cache's level-0 mesh pays: decode its
+// triangles from the connectivity sections load() kept. Restoration never
+// makes it; rasterizing or serving level 0 does, once per cache.
+static void BM_Level0Mesh(benchmark::State& state) {
+  auto& f = geometry_fixture();
+  const adios::BpReader reader(f.tiers, "geometry.bp");
+  std::optional<core::GeometryCache> cache;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache.emplace(core::GeometryCache::load(reader, "dpot"));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cache->mesh(0).triangle_count());
+  }
+}
+BENCHMARK(BM_Level0Mesh)->Unit(benchmark::kMillisecond);
 
 // What one write pays to store its geometry: encode and place the L0 mesh
 // and the collapse logs (each iteration replaces the previous blocks).
@@ -294,10 +311,12 @@ static void BM_DeltaAndRestore(benchmark::State& state, core::EstimateMode mode)
   const auto mapping = core::build_mapping(ds.mesh, coarse.mesh);
   util::ThreadPool pool(1);
   for (auto _ : state) {
-    const auto delta = core::compute_delta(coarse.mesh, coarse.values, ds.mesh,
-                                           ds.values, mapping, mode, &pool);
-    benchmark::DoNotOptimize(core::restore_level(
-        coarse.mesh, coarse.values, ds.mesh, delta, mapping, mode, &pool));
+    const auto delta =
+        core::compute_delta(coarse.mesh, coarse.values, ds.mesh.vertices(),
+                            ds.values, mapping, mode, &pool);
+    benchmark::DoNotOptimize(
+        core::restore_level(coarse.mesh, coarse.values, ds.mesh.vertices(),
+                            delta, mapping, mode, &pool));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ds.mesh.vertex_count()));

@@ -9,11 +9,16 @@ namespace canopus::compress {
 
 namespace {
 
+/// The FCM and DFCM predictors over `tables`, zeroed at 2^table_bits
+/// entries each.
 struct Predictors {
-  explicit Predictors(unsigned table_bits)
-      : mask((std::size_t{1} << table_bits) - 1),
-        fcm(mask + 1, 0),
-        dfcm(mask + 1, 0) {}
+  Predictors(FpcTables& tables, unsigned table_bits)
+      : mask((std::size_t{1} << table_bits) - 1) {
+    tables.fcm.assign(mask + 1, 0);
+    tables.dfcm.assign(mask + 1, 0);
+    fcm = tables.fcm.data();
+    dfcm = tables.dfcm.data();
+  }
 
   std::uint64_t predict_fcm() const { return fcm[fcm_hash]; }
   std::uint64_t predict_dfcm() const { return dfcm[dfcm_hash] + last; }
@@ -28,7 +33,8 @@ struct Predictors {
   }
 
   std::size_t mask;
-  std::vector<std::uint64_t> fcm, dfcm;
+  std::uint64_t* fcm;
+  std::uint64_t* dfcm;
   std::size_t fcm_hash = 0, dfcm_hash = 0;
   std::uint64_t last = 0;
 };
@@ -51,8 +57,14 @@ inline unsigned lzb_to_code(unsigned lzb) {
 }  // namespace
 
 util::Bytes fpc_encode(std::span<const double> values, unsigned table_bits) {
+  FpcTables tables;
+  return fpc_encode(values, tables, table_bits);
+}
+
+util::Bytes fpc_encode(std::span<const double> values, FpcTables& tables,
+                       unsigned table_bits) {
   CANOPUS_CHECK(table_bits >= 4 && table_bits <= 24, "fpc table_bits out of range");
-  Predictors p(table_bits);
+  Predictors p(tables, table_bits);
   util::ByteWriter out(values.size() * 5);
   out.put_varint(values.size());
   out.put(static_cast<std::uint8_t>(table_bits));
@@ -91,12 +103,17 @@ util::Bytes fpc_encode(std::span<const double> values, unsigned table_bits) {
 }
 
 std::vector<double> fpc_decode(util::BytesView bytes) {
+  FpcTables tables;
+  return fpc_decode(bytes, tables);
+}
+
+std::vector<double> fpc_decode(util::BytesView bytes, FpcTables& tables) {
   util::ByteReader in(bytes);
   const auto count = in.get_varint();
   const auto table_bits = in.get<std::uint8_t>();
   CANOPUS_CHECK(table_bits >= 4 && table_bits <= 24, "fpc stream corrupt");
   CANOPUS_CHECK(count / 2 <= in.remaining(), "fpc stream corrupt (count)");
-  Predictors p(table_bits);
+  Predictors p(tables, table_bits);
   const auto headers = in.get_bytes((count + 1) / 2);
 
   std::vector<double> out(count);

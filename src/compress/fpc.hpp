@@ -6,6 +6,7 @@
 // prediction is XORed with the actual bits and the leading zero bytes are
 // elided. Entirely lossless, fast, and effective on smooth time series.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,8 +14,19 @@
 
 namespace canopus::compress {
 
+/// The two predictor tables, for a caller that codes several streams in a
+/// row: each call zeroes them before its stream, so the stream is bitwise
+/// the one fresh tables give, and reusing them saves a fresh allocation of
+/// 2^table_bits entries per table per stream. Not shared between threads.
+struct FpcTables {
+  std::vector<std::uint64_t> fcm, dfcm;
+};
+
 /// table_bits selects predictor table size (2^table_bits entries).
 util::Bytes fpc_encode(std::span<const double> values, unsigned table_bits = 16);
+util::Bytes fpc_encode(std::span<const double> values, FpcTables& tables,
+                       unsigned table_bits = 16);
 std::vector<double> fpc_decode(util::BytesView bytes);
+std::vector<double> fpc_decode(util::BytesView bytes, FpcTables& tables);
 
 }  // namespace canopus::compress

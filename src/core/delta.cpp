@@ -57,14 +57,14 @@ std::vector<mesh::Vec2> corner_gradients(const mesh::TriMesh& coarse,
   return sum;
 }
 
-/// Estimate(.) over one coarse level, for the fine vertices of `fine`. Only
+/// Estimate(.) over one coarse level, for the fine vertices at `fine`. Only
 /// the weight-reading modes touch geometry: they derive the weights point
 /// location gave each vertex; the gradient mode also reads the coarse
 /// gradients, computed once here.
 class Estimator {
  public:
   Estimator(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-            const mesh::TriMesh& fine, const VertexMapping& mapping,
+            std::span<const mesh::Vec2> fine, const VertexMapping& mapping,
             EstimateMode mode)
       : coarse_(coarse),
         values_(coarse_values),
@@ -88,7 +88,7 @@ class Estimator {
     if constexpr (Mode == EstimateMode::kUniformThirds) {
       return (vi + vj + vk) / 3.0;
     } else {
-      const mesh::Vec2 p = fine_.vertex(x);
+      const mesh::Vec2 p = fine_[x];
       const mesh::Vec2 pi = coarse_.vertex(tri.v[0]);
       const mesh::Vec2 pj = coarse_.vertex(tri.v[1]);
       const mesh::Vec2 pk = coarse_.vertex(tri.v[2]);
@@ -113,7 +113,7 @@ class Estimator {
  private:
   const mesh::TriMesh& coarse_;
   const mesh::Field& values_;
-  const mesh::TriMesh& fine_;
+  std::span<const mesh::Vec2> fine_;
   const VertexMapping& mapping_;
   EstimateMode mode_;
   std::vector<mesh::Vec2> gradients_;  // per coarse vertex (kGradient only)
@@ -147,10 +147,10 @@ void apply_estimate(const Estimator& estimate, const double* in, double* out,
 }
 
 void check_sizes(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                 const mesh::TriMesh& fine, const mesh::Field& fine_field,
+                 std::span<const mesh::Vec2> fine, const mesh::Field& fine_field,
                  const VertexMapping& mapping, const char* where) {
   CANOPUS_CHECK(fine_field.size() == mapping.size() &&
-                    fine.vertex_count() == mapping.size(),
+                    fine.size() == mapping.size(),
                 std::string(where) + ": fine mesh / field / mapping size mismatch");
   CANOPUS_CHECK(coarse_values.size() == coarse.vertex_count(),
                 std::string(where) + ": coarse field size mismatch");
@@ -197,7 +197,8 @@ std::vector<std::uint8_t> estimate_support(const mesh::TriMesh& coarse,
 }
 
 mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::TriMesh& fine, const mesh::Field& fine_values,
+                          std::span<const mesh::Vec2> fine,
+                          const mesh::Field& fine_values,
                           const VertexMapping& mapping, EstimateMode mode,
                           util::ThreadPool* pool) {
   check_sizes(coarse, coarse_values, fine, fine_values, mapping, "delta");
@@ -216,7 +217,7 @@ mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse
 }
 
 mesh::Field restore_level(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::TriMesh& fine, const mesh::Field& delta,
+                          std::span<const mesh::Vec2> fine, const mesh::Field& delta,
                           const VertexMapping& mapping, EstimateMode mode,
                           util::ThreadPool* pool) {
   check_sizes(coarse, coarse_values, fine, delta, mapping, "restore");

@@ -10,6 +10,7 @@
 // deltas reproduces the fine level up to codec loss.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -27,13 +28,15 @@ VertexMapping build_mapping(const mesh::TriMesh& fine, const mesh::TriMesh& coar
                             util::ThreadPool* pool = nullptr);
 
 /// Algorithm 2: delta between a fine level and its estimate from the coarse
-/// level. `mapping` maps `fine`'s vertices into `coarse`; the weight-reading
-/// modes take mesh::location_weights of each fine vertex in its triangle,
-/// the weights PointLocator::locate gave it. Per-vertex work fans out on
-/// `pool` (nullptr = global); the output is bitwise-identical to the serial
-/// loop for any worker count.
+/// level. `fine` is the fine level's vertex positions: Estimate reads no
+/// fine triangle. `mapping` maps the fine vertices into `coarse`; the
+/// weight-reading modes take mesh::location_weights of each fine vertex in
+/// its triangle, the weights PointLocator::locate gave it. Per-vertex work
+/// fans out on `pool` (nullptr = global); the output is bitwise-identical to
+/// the serial loop for any worker count.
 mesh::Field compute_delta(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::TriMesh& fine, const mesh::Field& fine_values,
+                          std::span<const mesh::Vec2> fine,
+                          const mesh::Field& fine_values,
                           const VertexMapping& mapping, EstimateMode mode,
                           util::ThreadPool* pool = nullptr);
 
@@ -50,7 +53,7 @@ std::vector<std::uint8_t> estimate_support(const mesh::TriMesh& coarse,
 /// Algorithm 3: restore the fine level from the coarse level plus a delta.
 /// Same inputs as compute_delta, with the same determinism guarantee.
 mesh::Field restore_level(const mesh::TriMesh& coarse, const mesh::Field& coarse_values,
-                          const mesh::TriMesh& fine, const mesh::Field& delta,
+                          std::span<const mesh::Vec2> fine, const mesh::Field& delta,
                           const VertexMapping& mapping, EstimateMode mode,
                           util::ThreadPool* pool = nullptr);
 

@@ -14,6 +14,8 @@
 #include "compress/fpc.hpp"
 #include "compress/huffman.hpp"
 #include "core/refactorer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/bitstream.hpp"
 #include "util/crc32.hpp"
@@ -201,21 +203,36 @@ util::Bytes encode_mesh_block(const mesh::TriMesh& m) {
   }
   put_section(out, compress::huffman_encode(symbols));
   put_section(out, compress::huffman_encode(distances.view()));
-  put_section(out, compress::fpc_encode(rank_coordinates(m, perm, &mesh::Vec2::x)));
-  put_section(out, compress::fpc_encode(rank_coordinates(m, perm, &mesh::Vec2::y)));
+  compress::FpcTables tables;  // one pair for both coordinate streams
+  for (double mesh::Vec2::*axis : {&mesh::Vec2::x, &mesh::Vec2::y}) {
+    put_section(out, compress::fpc_encode(rank_coordinates(m, perm, axis), tables));
+  }
   out.put(util::Crc32::compute(out.view()));
   return out.take();
 }
 
-mesh::TriMesh decode_mesh_block(util::BytesView block) {
+namespace {
+
+/// A kMesh block's bytes before its CRC, once the CRC matches them.
+util::BytesView checked_body(util::BytesView block) {
   CANOPUS_CHECK(block.size() >= sizeof(std::uint32_t),
                 std::to_string(block.size()) + " bytes");
   const auto body = block.first(block.size() - sizeof(std::uint32_t));
   std::uint32_t crc = 0;
   std::memcpy(&crc, block.data() + body.size(), sizeof crc);
   CANOPUS_CHECK(util::Crc32::compute(body) == crc, "checksum mismatch");
+  return body;
+}
 
-  util::ByteReader in(body);
+/// The first sections of a kMesh block body: the counts, the permutation
+/// and the triangles the corner and distance streams give, read from `in`
+/// up to the coordinate streams.
+struct Connectivity {
+  std::vector<mesh::VertexId> perm;  // rank -> vertex id
+  std::vector<mesh::Triangle> triangles;
+};
+
+Connectivity read_connectivity(util::ByteReader& in) {
   const auto n = in.get_varint();
   const auto T = in.get_varint();
   const unsigned width = id_bits(n);
@@ -223,7 +240,9 @@ mesh::TriMesh decode_mesh_block(util::BytesView block) {
                     (width == 0 || n <= in.remaining() * 8 / width),
                 std::to_string(n) + " vertices in " +
                     std::to_string(in.remaining()) + " bytes");
-  std::vector<mesh::VertexId> perm(n);
+  Connectivity out;
+  auto& perm = out.perm;
+  perm.resize(n);
   {
     const auto words = (n * width + 63) / 64;
     util::BitReader ids(in.get_bytes(words * sizeof(std::uint64_t)));
@@ -250,7 +269,8 @@ mesh::TriMesh decode_mesh_block(util::BytesView block) {
   const auto distance_bytes = compress::huffman_decode(get_section(in, "distance"));
   util::ByteReader distances(distance_bytes);
 
-  std::vector<mesh::Triangle> triangles(T);
+  auto& triangles = out.triangles;
+  triangles.resize(T);
   RecentRanks recent;
   std::array<mesh::VertexId, 3> prev{};
   mesh::VertexId next = 0;
@@ -291,10 +311,18 @@ mesh::TriMesh decode_mesh_block(util::BytesView block) {
     prev = cur;
   }
   CANOPUS_CHECK(distances.exhausted(), "distance stream longer than its corners");
+  return out;
+}
 
+/// The coordinate streams that end a kMesh block body, read from `in`, as
+/// positions in vertex id order (`perm` maps ranks to ids).
+std::vector<mesh::Vec2> read_positions(util::ByteReader& in,
+                                       const std::vector<mesh::VertexId>& perm) {
+  const std::size_t n = perm.size();
   std::vector<mesh::Vec2> vertices(n);
+  compress::FpcTables tables;  // one pair for both coordinate streams
   for (double mesh::Vec2::*axis : {&mesh::Vec2::x, &mesh::Vec2::y}) {
-    const auto coords = compress::fpc_decode(get_section(in, "coordinate"));
+    const auto coords = compress::fpc_decode(get_section(in, "coordinate"), tables);
     CANOPUS_CHECK(coords.size() == n,
                   "coordinate stream of " + std::to_string(coords.size()) +
                       " values for " + std::to_string(n) + " vertices");
@@ -302,7 +330,16 @@ mesh::TriMesh decode_mesh_block(util::BytesView block) {
   }
   CANOPUS_CHECK(in.exhausted(), std::to_string(in.remaining()) +
                                     " bytes after the coordinates");
-  return mesh::TriMesh(std::move(vertices), std::move(triangles));
+  return vertices;
+}
+
+}  // namespace
+
+mesh::TriMesh decode_mesh_block(util::BytesView block) {
+  util::ByteReader in(checked_body(block));
+  auto connectivity = read_connectivity(in);
+  auto vertices = read_positions(in, connectivity.perm);
+  return mesh::TriMesh(std::move(vertices), std::move(connectivity.triangles));
 }
 
 std::size_t container_levels(const adios::BpReader& reader) {
@@ -398,6 +435,32 @@ mesh::TriMesh replay_block(util::BytesView raw, const mesh::TriMesh& input,
 
 }  // namespace
 
+struct GeometryCache::Level0 {
+  std::once_flag decoded;
+  /// The kMesh block's leading bytes through its distance section, which
+  /// read_connectivity decodes; emptied by the decode.
+  util::Bytes connectivity;
+  mesh::TriMesh mesh;  // set by the decode
+};
+
+const mesh::TriMesh& GeometryCache::mesh(std::size_t level) const {
+  if (level > 0) return levels_[level];
+  Level0& l0 = *level0_;
+  std::call_once(l0.decoded, [&] {
+    CANOPUS_SPAN("geometry.level0_triangles",
+                 {{"bytes", l0.connectivity.size()}});
+    util::ByteReader in(l0.connectivity);
+    auto connectivity = read_connectivity(in);
+    CANOPUS_CHECK(in.exhausted() && connectivity.perm.size() == vertex_count(0),
+                  "kept level-0 connectivity does not match its positions");
+    l0.mesh = mesh::TriMesh(levels_[0].shared_vertices(),
+                            std::move(connectivity.triangles));
+    util::Bytes().swap(l0.connectivity);
+    obs::MetricsRegistry::global().counter("geometry.level0_decodes").add(1);
+  });
+  return l0.mesh;
+}
+
 GeometryCache GeometryCache::load(const adios::BpReader& reader,
                                   const std::string& var,
                                   RetrievalTimings* cost,
@@ -408,22 +471,33 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
   const auto levels = container_levels(reader);
 
   GeometryCache cache;
+  cache.level0_ = std::make_shared<Level0>();
+  mesh::TriMesh finest;  // level 0 with its triangles, until the replay ends
   {
     const auto raw =
         read_charged(reader, var, adios::BlockKind::kMesh, 0, charged,
                      admission);
     try {
-      cache.meshes.push_back(decode_mesh_block(raw));
+      util::ByteReader in(checked_body(raw));
+      auto connectivity = read_connectivity(in);
+      cache.level0_->connectivity.assign(
+          raw.begin(), raw.begin() + static_cast<std::ptrdiff_t>(in.position()));
+      auto vertices = read_positions(in, connectivity.perm);
+      finest = mesh::TriMesh(std::move(vertices),
+                             std::move(connectivity.triangles));
     } catch (const Error& e) {
       throw Error("mesh block of '" + var + "' at level 0: " + e.what());
     }
   }
+  cache.levels_.push_back(mesh::TriMesh(finest.shared_vertices(), {}));
   for (std::uint32_t l = 1; l < levels; ++l) {
     const auto raw =
         read_charged(reader, var, adios::BlockKind::kCollapseLog, l, charged,
                      admission);
-    cache.meshes.push_back(replay_block(raw, cache.meshes.back(), var, l));
+    cache.levels_.push_back(
+        replay_block(raw, l == 1 ? finest : cache.levels_.back(), var, l));
   }
+  finest = mesh::TriMesh();  // frees level 0's triangles
   for (std::uint32_t l = 0; l + 1 < levels; ++l) {
     const auto raw =
         read_charged(reader, var, adios::BlockKind::kMapping, l, charged,
@@ -431,15 +505,14 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
     try {
       util::ByteReader br(raw);
       cache.mappings.push_back(VertexMapping::deserialize(
-          br, cache.meshes[l].vertex_count(),
-          cache.meshes[l + 1].triangle_count()));
+          br, cache.vertex_count(l), cache.levels_[l + 1].triangle_count()));
     } catch (const Error& e) {
       throw Error("mapping block of '" + var + "' at level " +
                   std::to_string(l) + ": " + e.what());
     }
   }
-  cache.orders.reserve(cache.meshes.size());
-  for (const auto& m : cache.meshes) {
+  cache.orders.reserve(levels);
+  for (const auto& m : cache.levels_) {
     cache.orders.push_back(cached_spatial_order(m));
   }
   charged.restore_seconds += wall.seconds();

@@ -100,16 +100,40 @@ util::Bytes read_charged(
     adios::BlockKind kind, std::uint32_t level, RetrievalTimings& cost,
     storage::Admission admission = storage::Admission::kAdmit);
 
-struct GeometryCache {
-  /// meshes[l] is G^l; size = level count.
-  std::vector<mesh::TriMesh> meshes;
+/// A container's geometry, loaded once and read by every reader of the
+/// timesteps written over it.
+///
+/// It holds what restoration reads. Algorithm 3 reads the coarser level's
+/// triangles and the finer level's vertex positions, so no restore reads
+/// level 0's triangles. load() decodes the whole kMesh block, because
+/// replaying the collapse logs needs them, then frees them and keeps the
+/// block's connectivity sections: its counts, the permutation and the corner
+/// and distance streams (~90 KB for the benchmark's 40,960-triangle plane,
+/// against 491,520 B of triangles). The first mesh(0) decodes the triangles
+/// from those sections and frees them; concurrent first callers share that
+/// one decode. Copies and moves share every array and the level-0 state.
+class GeometryCache {
+ public:
+  std::size_t level_count() const { return levels_.size(); }
+
+  /// G^l. mesh(0) decodes level 0's triangles on its first call, under a
+  /// once-guard; the mesh shares vertices(0)'s array. Restoration needs
+  /// vertices(0) only.
+  const mesh::TriMesh& mesh(std::size_t level) const;
+
+  /// Level l's vertex positions. Never decodes.
+  const std::vector<mesh::Vec2>& vertices(std::size_t level) const {
+    return levels_[level].vertices();
+  }
+  std::size_t vertex_count(std::size_t level) const {
+    return levels_[level].vertex_count();
+  }
+
   /// mappings[l] restores level l from level l+1; size = level count - 1.
   std::vector<VertexMapping> mappings;
-  /// orders[l] is the Morton ordering of meshes[l], prewarmed by load() via
+  /// orders[l] is the Morton ordering of level l, prewarmed by load() via
   /// cached_spatial_order so per-timestep refines never recompute it.
   std::vector<std::shared_ptr<const std::vector<mesh::VertexId>>> orders;
-
-  std::size_t level_count() const { return meshes.size(); }
 
   /// Morton ordering of level l (from the prewarmed cache).
   const std::vector<mesh::VertexId>& order(std::size_t level) const {
@@ -135,6 +159,14 @@ struct GeometryCache {
   static GeometryCache load(storage::StorageHierarchy& hierarchy,
                             const std::string& path, const std::string& var,
                             RetrievalTimings* cost = nullptr);
+
+ private:
+  struct Level0;  // level 0's kept sections, once-guard and decoded mesh
+
+  /// levels_[l] is G^l for l >= 1; levels_[0] holds level 0's positions and
+  /// no triangles (mesh(0) returns level0_'s mesh).
+  std::vector<mesh::TriMesh> levels_;
+  std::shared_ptr<Level0> level0_;
 };
 
 }  // namespace canopus::core

@@ -101,7 +101,7 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
                                           storage::Admission::kAdmit);
     geometry_ = &*owned_geometry_;
   }
-  CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
+  CANOPUS_CHECK(values_.size() == geometry_->vertex_count(current_level_),
                 "base level inconsistent with its mesh");
 }
 
@@ -111,7 +111,7 @@ util::ThreadPool& ProgressiveReader::pool() const {
 }
 
 double ProgressiveReader::decimation_ratio() const {
-  return static_cast<double>(geometry_->meshes[0].vertex_count()) /
+  return static_cast<double>(geometry_->vertex_count(0)) /
          static_cast<double>(values_.size());
 }
 
@@ -213,8 +213,8 @@ void ProgressiveReader::restore_next(std::uint32_t next, mesh::Field delta,
   CANOPUS_SPAN("read.restore", {{"level", next}});
   util::WallTimer t;
   if (chunked) delta = unpermute(delta, geometry_->order(next), pool());
-  values_ = restore_level(geometry_->meshes[current_level_], values_,
-                          geometry_->meshes[next], delta,
+  values_ = restore_level(geometry_->mesh(current_level_), values_,
+                          geometry_->vertices(next), delta,
                           geometry_->mappings[next], estimate_, &pool());
   step.restore_seconds += t.seconds();
 }
@@ -287,7 +287,7 @@ RetrievalTimings ProgressiveReader::advance(std::uint32_t next,
   last_status_ = step.retries > 0 || step.replica_reads > 0
                      ? RefineStatus::kRetried
                      : RefineStatus::kOk;
-  CANOPUS_CHECK(values_.size() == current_mesh().vertex_count(),
+  CANOPUS_CHECK(values_.size() == geometry_->vertex_count(current_level_),
                 "restored level inconsistent with its mesh");
   cumulative_ += step;
   return step;
@@ -370,20 +370,21 @@ std::vector<std::uint32_t> ProgressiveReader::region_chunks(
   // read[v]: level-m vertex v must hold its full-refine value, because it
   // lies in the ROI or a finer level's Estimate reads it. Walk up from
   // level 0 to level `next`.
-  const auto in_roi = [&](const mesh::TriMesh& m, std::vector<std::uint8_t>& marks) {
-    for (mesh::VertexId v = 0; v < m.vertex_count(); ++v) {
-      const auto p = m.vertex(v);
+  const auto in_roi = [&](std::uint32_t level, std::vector<std::uint8_t>& marks) {
+    const auto& positions = geometry_->vertices(level);
+    for (std::size_t v = 0; v < positions.size(); ++v) {
+      const auto p = positions[v];
       if (p.x >= roi.lo.x && p.x <= roi.hi.x && p.y >= roi.lo.y && p.y <= roi.hi.y) {
         marks[v] = 1;
       }
     }
   };
-  std::vector<std::uint8_t> read(geometry_->meshes[0].vertex_count(), 0);
-  in_roi(geometry_->meshes[0], read);
+  std::vector<std::uint8_t> read(geometry_->vertex_count(0), 0);
+  in_roi(0, read);
   for (std::uint32_t m = 0; m < next; ++m) {
-    read = estimate_support(geometry_->meshes[m + 1], geometry_->mappings[m],
+    read = estimate_support(geometry_->mesh(m + 1), geometry_->mappings[m],
                             estimate_, read);
-    in_roi(geometry_->meshes[m + 1], read);
+    in_roi(m + 1, read);
   }
   const auto& order = geometry_->order(next);
   for (std::uint32_t c = 0; c < index.chunks.size(); ++c) {
@@ -416,7 +417,7 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
                                   next, probe);
     util::ByteReader br(raw);
     index = ChunkIndex::deserialize(br);
-    check_tiling(index, geometry_->meshes[next].vertex_count());
+    check_tiling(index, geometry_->vertex_count(next));
   } catch (const storage::StorageError&) {
     return degrade(std::move(probe));
   } catch (const Error&) {

@@ -85,10 +85,11 @@ class ProgressiveReader {
   std::uint32_t current_level() const { return current_level_; }
   bool at_full_accuracy() const { return current_level_ == 0; }
 
-  /// Data and geometry at the current accuracy.
+  /// Data and geometry at the current accuracy. At level 0 the mesh is the
+  /// geometry cache's mesh(0), which decodes its triangles on first request.
   const mesh::Field& values() const { return values_; }
   const mesh::TriMesh& current_mesh() const {
-    return geometry_->meshes[current_level_];
+    return geometry_->mesh(current_level_);
   }
 
   /// Decimation ratio of the current level relative to L^0.

@@ -172,8 +172,8 @@ CodedDelta ClosedLoop::code_delta(const mesh::TriMesh& coarse,
   CANOPUS_CHECK(chunks == 1 || order != nullptr,
                 "closed loop: chunked deltas need a storage order");
   CodedDelta out;
-  out.values = compute_delta(coarse, level_, fine, fine_values, mapping,
-                             estimate_, &pool());
+  out.values = compute_delta(coarse, level_, fine.vertices(), fine_values,
+                             mapping, estimate_, &pool());
   if (order != nullptr) {
     CANOPUS_CHECK(order->size() == out.values.size(),
                   "closed loop: storage order does not match the fine mesh");
@@ -218,8 +218,8 @@ CodedDelta ClosedLoop::code_delta(const mesh::TriMesh& coarse,
   // As the reader does: scatter a chunked delta back to vertex order, then
   // restore.
   if (order != nullptr) decoded = unpermute(decoded, *order, pool());
-  level_ = restore_level(coarse, level_, fine, decoded, mapping, estimate_,
-                         &pool());
+  level_ = restore_level(coarse, level_, fine.vertices(), decoded, mapping,
+                         estimate_, &pool());
   return out;
 }
 

@@ -8,11 +8,35 @@
 
 namespace canopus::mesh {
 
+namespace {
+/// The arrays of every empty mesh, shared so default construction allocates
+/// nothing.
+template <class T>
+const std::shared_ptr<const std::vector<T>>& empty_array() {
+  static const auto empty = std::make_shared<const std::vector<T>>();
+  return empty;
+}
+}  // namespace
+
+TriMesh::TriMesh()
+    : vertices_(empty_array<Vec2>()), triangles_(empty_array<Triangle>()) {}
+
 TriMesh::TriMesh(std::vector<Vec2> vertices, std::vector<Triangle> triangles)
-    : vertices_(std::move(vertices)), triangles_(std::move(triangles)) {
-  for (const auto& t : triangles_) {
+    : TriMesh(std::make_shared<const std::vector<Vec2>>(std::move(vertices)),
+              std::move(triangles)) {}
+
+TriMesh::TriMesh(SharedVertices vertices, std::vector<Triangle> triangles)
+    : vertices_(std::move(vertices)),
+      triangles_(std::make_shared<const std::vector<Triangle>>(
+          std::move(triangles))) {
+  CANOPUS_CHECK(vertices_ != nullptr, "mesh without a vertex array");
+  vertex_data_ = vertices_->data();
+  triangle_data_ = triangles_->data();
+  vertex_count_ = vertices_->size();
+  triangle_count_ = triangles_->size();
+  for (const auto& t : *triangles_) {
     for (VertexId v : t.v) {
-      CANOPUS_CHECK(v < vertices_.size(), "triangle references missing vertex");
+      CANOPUS_CHECK(v < vertex_count_, "triangle references missing vertex");
     }
     CANOPUS_CHECK(t.v[0] != t.v[1] && t.v[1] != t.v[2] && t.v[0] != t.v[2],
                   "degenerate triangle (repeated vertex)");
@@ -40,9 +64,9 @@ std::vector<Edge> TriMesh::edges() const {
   // File each triangle edge's larger endpoint under its smaller one (count,
   // prefix-sum, fill), then sort and deduplicate each bucket and emit the
   // buckets in vertex order: ascending (a, b) without a global sort.
-  const std::size_t nv = vertices_.size();
+  const std::size_t nv = vertex_count_;
   auto for_each_edge = [&](auto&& visit) {
-    for (const auto& t : triangles_) {
+    for (const auto& t : triangles()) {
       visit(t.v[0], t.v[1]);
       visit(t.v[1], t.v[2]);
       visit(t.v[2], t.v[0]);
@@ -75,23 +99,23 @@ std::vector<Edge> TriMesh::edges() const {
 
 Aabb TriMesh::bounds() const {
   Aabb box;
-  if (vertices_.empty()) return box;
-  box.lo = box.hi = vertices_[0];
-  for (const auto& v : vertices_) box.expand(v);
+  if (vertex_count_ == 0) return box;
+  box.lo = box.hi = vertex_data_[0];
+  for (const auto& v : vertices()) box.expand(v);
   return box;
 }
 
 double TriMesh::total_area() const {
   double area = 0.0;
-  for (const auto& t : triangles_) {
-    area += triangle_area(vertices_[t.v[0]], vertices_[t.v[1]], vertices_[t.v[2]]);
+  for (const auto& t : triangles()) {
+    area += triangle_area(vertex(t.v[0]), vertex(t.v[1]), vertex(t.v[2]));
   }
   return area;
 }
 
 std::vector<Edge> TriMesh::boundary_edges() const {
   std::map<Edge, int> count;
-  for (const auto& t : triangles_) {
+  for (const auto& t : triangles()) {
     ++count[Edge(t.v[0], t.v[1])];
     ++count[Edge(t.v[1], t.v[2])];
     ++count[Edge(t.v[2], t.v[0])];

@@ -5,9 +5,13 @@
 // connectivity. Edges are derived from triangles. Field values (the L^l data)
 // are stored separately as one double per vertex, which lets several
 // variables share one mesh.
+//
+// The vertex and triangle arrays are immutable and shared: copying a TriMesh
+// is O(1), and a copy reads its source's arrays.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mesh/geometry.hpp"
@@ -35,16 +39,27 @@ struct Edge {
 
 class TriMesh {
  public:
-  TriMesh() = default;
+  using SharedVertices = std::shared_ptr<const std::vector<Vec2>>;
+
+  TriMesh();
   TriMesh(std::vector<Vec2> vertices, std::vector<Triangle> triangles);
+  /// A mesh over an existing vertex array, which it shares (not null).
+  TriMesh(SharedVertices vertices, std::vector<Triangle> triangles);
 
-  std::size_t vertex_count() const { return vertices_.size(); }
-  std::size_t triangle_count() const { return triangles_.size(); }
+  // Copies share the arrays. A move copies too, so a moved-from mesh stays
+  // the mesh it was rather than one whose arrays are gone.
+  TriMesh(const TriMesh&) = default;
+  TriMesh& operator=(const TriMesh&) = default;
 
-  const std::vector<Vec2>& vertices() const { return vertices_; }
-  const std::vector<Triangle>& triangles() const { return triangles_; }
-  Vec2 vertex(VertexId v) const { return vertices_[v]; }
-  const Triangle& triangle(TriangleId t) const { return triangles_[t]; }
+  std::size_t vertex_count() const { return vertex_count_; }
+  std::size_t triangle_count() const { return triangle_count_; }
+
+  const std::vector<Vec2>& vertices() const { return *vertices_; }
+  const std::vector<Triangle>& triangles() const { return *triangles_; }
+  Vec2 vertex(VertexId v) const { return vertex_data_[v]; }
+  const Triangle& triangle(TriangleId t) const { return triangle_data_[t]; }
+  /// The vertex array, for building another mesh over the same positions.
+  const SharedVertices& shared_vertices() const { return vertices_; }
 
   /// Unique undirected edges in ascending (a, b) order, derived afresh on
   /// every call in one bucketed pass: each triangle edge is filed under its
@@ -60,13 +75,20 @@ class TriMesh {
   /// Edges that belong to exactly one triangle.
   std::vector<Edge> boundary_edges() const;
 
+  /// Equal contents, whether or not the arrays are shared.
   bool operator==(const TriMesh& o) const {
-    return vertices_ == o.vertices_ && triangles_ == o.triangles_;
+    return vertices() == o.vertices() && triangles() == o.triangles();
   }
 
  private:
-  std::vector<Vec2> vertices_;
-  std::vector<Triangle> triangles_;
+  SharedVertices vertices_;
+  std::shared_ptr<const std::vector<Triangle>> triangles_;
+  // The arrays' data and sizes, cached so the hot accessors above read them
+  // without going through the shared pointers.
+  const Vec2* vertex_data_ = nullptr;
+  const Triangle* triangle_data_ = nullptr;
+  std::size_t vertex_count_ = 0;
+  std::size_t triangle_count_ = 0;
 };
 
 /// A scalar field sampled at mesh vertices — the L^l of the paper.

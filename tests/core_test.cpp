@@ -119,10 +119,12 @@ TEST_P(DeltaRestore, ExactInverseWithLosslessDeltas) {
   const auto coarse = cm::decimate(fine_mesh, fine_values, opt);
 
   const auto mapping = cc::build_mapping(fine_mesh, coarse.mesh);
-  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine_mesh,
-                                       fine_values, mapping, GetParam());
-  const auto restored = cc::restore_level(coarse.mesh, coarse.values, fine_mesh,
-                                          delta, mapping, GetParam());
+  const auto delta = cc::compute_delta(coarse.mesh, coarse.values,
+                                       fine_mesh.vertices(), fine_values,
+                                       mapping, GetParam());
+  const auto restored =
+      cc::restore_level(coarse.mesh, coarse.values, fine_mesh.vertices(),
+                        delta, mapping, GetParam());
   ASSERT_EQ(restored.size(), fine_values.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
     EXPECT_DOUBLE_EQ(restored[i], fine_values[i]) << "vertex " << i;
@@ -210,8 +212,9 @@ TEST(Delta, DeltasAreSmootherThanLevels) {
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, values, opt);
   const auto mapping = cc::build_mapping(mesh, coarse.mesh);
-  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, mesh, values,
-                                       mapping, cc::EstimateMode::kBarycentric);
+  const auto delta =
+      cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), values,
+                        mapping, cc::EstimateMode::kBarycentric);
   cu::RunningStats level_stats, delta_stats;
   level_stats.add(values);
   delta_stats.add(delta);
@@ -231,10 +234,12 @@ TEST(Delta, BarycentricBeatsUniformOnLinearField) {
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, f, opt);
   const auto mapping = cc::build_mapping(mesh, coarse.mesh);
-  const auto d_bary = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
-                                        mapping, cc::EstimateMode::kBarycentric);
-  const auto d_unif = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
-                                        mapping, cc::EstimateMode::kUniformThirds);
+  const auto d_bary =
+      cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), f, mapping,
+                        cc::EstimateMode::kBarycentric);
+  const auto d_unif =
+      cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), f, mapping,
+                        cc::EstimateMode::kUniformThirds);
   cu::RunningStats bary, unif;
   for (double x : d_bary) bary.add(std::abs(x));
   for (double x : d_unif) unif.add(std::abs(x));
@@ -261,13 +266,15 @@ TEST(Delta, GradientEstimateIsTheReferenceAtAnyWorkerCount) {
       for (const std::size_t threads : {1u, 4u}) {
         cu::ThreadPool pool(threads);
         const auto delta =
-            cc::compute_delta(coarse.mesh, coarse.values, fine.mesh, fine.values,
-                              mapping, cc::EstimateMode::kGradient, &pool);
+            cc::compute_delta(coarse.mesh, coarse.values, fine.mesh.vertices(),
+                              fine.values, mapping, cc::EstimateMode::kGradient,
+                              &pool);
         EXPECT_TRUE(ct::same_bits(delta, expected))
             << "level " << l << " threads " << threads;
         EXPECT_TRUE(ct::same_bits(
-            cc::restore_level(coarse.mesh, coarse.values, fine.mesh, delta,
-                              mapping, cc::EstimateMode::kGradient, &pool),
+            cc::restore_level(coarse.mesh, coarse.values, fine.mesh.vertices(),
+                              delta, mapping, cc::EstimateMode::kGradient,
+                              &pool),
             ct::reference_restore(coarse.mesh, coarse.values, expected,
                                   reference, cc::EstimateMode::kGradient)))
             << "level " << l << " threads " << threads;
@@ -293,8 +300,9 @@ TEST(Delta, GradientEstimateReproducesLinearFields) {
   opt.ratio = 2.0;
   const auto coarse = cm::decimate(mesh, f, opt);
   const auto mapping = cc::build_mapping(mesh, coarse.mesh);
-  const auto delta = cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
-                                       mapping, cc::EstimateMode::kGradient);
+  const auto delta =
+      cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), f, mapping,
+                        cc::EstimateMode::kGradient);
   std::size_t unclamped = 0, clamped = 0;
   for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
     const auto& tri = coarse.mesh.triangle(mapping.triangle[v]);
@@ -328,12 +336,13 @@ TEST(Delta, GradientBeatsBarycentricOnQuadraticField) {
   const auto mapping = cc::build_mapping(mesh, coarse.mesh);
   cu::RunningStats bary, grad;
   for (const double d :
-       cc::compute_delta(coarse.mesh, coarse.values, mesh, f, mapping,
-                         cc::EstimateMode::kBarycentric)) {
+       cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), f,
+                         mapping, cc::EstimateMode::kBarycentric)) {
     bary.add(std::abs(d));
   }
-  for (const double d : cc::compute_delta(coarse.mesh, coarse.values, mesh, f,
-                                          mapping, cc::EstimateMode::kGradient)) {
+  for (const double d :
+       cc::compute_delta(coarse.mesh, coarse.values, mesh.vertices(), f,
+                         mapping, cc::EstimateMode::kGradient)) {
     grad.add(std::abs(d));
   }
   EXPECT_LT(grad.mean(), 0.5 * bary.mean());
@@ -1497,7 +1506,7 @@ TEST(CollapseReplay, LoadedLevelsAreTheCascadeOnEveryReadPath) {
           const auto geometry = cc::GeometryCache::load(tiers, "s.bp", "v");
           ASSERT_EQ(geometry.level_count(), levels);
           for (std::size_t l = 0; l < levels; ++l) {
-            const auto& m = geometry.meshes[l];
+            const auto& m = geometry.mesh(l);
             EXPECT_TRUE(m == cascade.levels[l].mesh) << "level " << l;
             EXPECT_EQ(m.vertices().capacity(), m.vertex_count()) << "level " << l;
             EXPECT_EQ(m.triangles().capacity(), m.triangle_count())

@@ -6,16 +6,21 @@
 
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <map>
+#include <thread>
 
 #include "compress/codec.hpp"
 #include "compress/huffman.hpp"
 #include "core/canopus.hpp"
 #include "mesh/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observability.hpp"
 #include "reference_mapping.hpp"
 #include "test_support.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -380,7 +385,7 @@ TEST(GeometryCache, MappingBlocksAreIdenticalAcrossEstimateModes) {
       const auto geometry = cc::GeometryCache::load(tiers, path, "v");
       ASSERT_EQ(geometry.mappings.size(), 2u);
       for (std::size_t l = 0; l < 2; ++l) {
-        EXPECT_EQ(geometry.mappings[l].size(), geometry.meshes[l].vertex_count());
+        EXPECT_EQ(geometry.mappings[l].size(), geometry.mesh(l).vertex_count());
       }
     }
   }
@@ -432,12 +437,12 @@ void expect_same_geometry(const cc::GeometryCache& got,
                           const cc::GeometryCache& want) {
   ASSERT_EQ(got.level_count(), want.level_count());
   for (std::size_t l = 0; l < want.level_count(); ++l) {
-    const auto& gv = got.meshes[l].vertices();
-    const auto& wv = want.meshes[l].vertices();
+    const auto& gv = got.mesh(l).vertices();
+    const auto& wv = want.mesh(l).vertices();
     ASSERT_EQ(gv.size(), wv.size()) << "level " << l;
     EXPECT_EQ(std::memcmp(gv.data(), wv.data(), wv.size() * sizeof(wv[0])), 0)
         << "level " << l;
-    EXPECT_EQ(got.meshes[l].triangles(), want.meshes[l].triangles()) << "level " << l;
+    EXPECT_EQ(got.mesh(l).triangles(), want.mesh(l).triangles()) << "level " << l;
     EXPECT_EQ(got.order(l), want.order(l)) << "level " << l;
   }
   ASSERT_EQ(got.mappings.size(), want.mappings.size());
@@ -510,6 +515,128 @@ TEST(GeometryCache, MismatchedCacheRejected) {
   const auto geometry = cc::GeometryCache::load(tiers, "a.bp", "v");
   EXPECT_THROW(cc::ProgressiveReader(tiers, "b.bp", "v", &geometry),
                canopus::Error);
+}
+
+namespace {
+
+/// A 3-level, 4-chunk container of a disk mesh as "l0.bp", variable "v".
+void write_level_zero_container(cs::StorageHierarchy& tiers) {
+  const auto mesh = cm::make_disk_mesh(12, 64, 1.0, 0.1, 31);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "zfp";
+  config.error_bound = 1e-5;
+  config.delta_chunks = 4;
+  cc::refactor_and_write(tiers, "l0.bp", "v", mesh, wave_field(mesh), config);
+}
+
+/// The container's kMesh block, decoded on its own.
+cm::TriMesh stored_level_zero(cs::StorageHierarchy& tiers) {
+  const canopus::adios::BpReader container(tiers, "l0.bp");
+  return cc::decode_mesh_block(
+      container.read_opaque("v", canopus::adios::BlockKind::kMesh, 0));
+}
+
+/// CRC-32 of a mesh's vertex and triangle bytes.
+std::uint32_t mesh_bits(const cm::TriMesh& m) {
+  cu::Crc32 crc;
+  crc.update(m.vertices().data(), m.vertex_count() * sizeof(cm::Vec2));
+  crc.update(m.triangles().data(), m.triangle_count() * sizeof(cm::Triangle));
+  return crc.value();
+}
+
+void expect_same_bits(const cm::TriMesh& got, const cm::TriMesh& want) {
+  ASSERT_EQ(got.vertex_count(), want.vertex_count());
+  EXPECT_EQ(std::memcmp(got.vertices().data(), want.vertices().data(),
+                        want.vertex_count() * sizeof(cm::Vec2)),
+            0);
+  EXPECT_EQ(got.triangles(), want.triangles());  // ids, order, corner order
+}
+
+}  // namespace
+
+// A cache frees level 0's triangles after replay and decodes them again on
+// the first mesh(0): that mesh, and the one readers with and without a cache
+// end at, is the kMesh block decoded on its own, bit for bit.
+TEST(GeometryCache, LevelZeroMeshIsTheDecodedMeshBlockBitwise) {
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+  write_level_zero_container(tiers);
+  const auto want = stored_level_zero(tiers);
+  const auto geometry = cc::GeometryCache::load(tiers, "l0.bp", "v");
+  ASSERT_EQ(geometry.vertex_count(0), want.vertex_count());
+  expect_same_bits(geometry.mesh(0), want);
+  EXPECT_EQ(geometry.mesh(0).vertices().data(), geometry.vertices(0).data());
+
+  cc::ProgressiveReader cached(tiers, "l0.bp", "v", &geometry);
+  cc::ProgressiveReader plain(tiers, "l0.bp", "v");
+  cached.refine_to(0);
+  plain.refine_to(0);
+  ASSERT_TRUE(cached.at_full_accuracy() && plain.at_full_accuracy());
+  EXPECT_EQ(&cached.current_mesh(), &geometry.mesh(0));
+  expect_same_bits(plain.current_mesh(), want);
+  EXPECT_TRUE(ct::same_bits(cached.values(), plain.values()));
+}
+
+// Concurrent first requests for level 0's mesh share one decode, and every
+// thread reads the same bits through the mesh it got.
+TEST(GeometryCache, ConcurrentLevelZeroRequestsShareOneDecode) {
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+  write_level_zero_container(tiers);
+  const auto want = mesh_bits(stored_level_zero(tiers));
+  const auto geometry = cc::GeometryCache::load(tiers, "l0.bp", "v");
+
+  canopus::obs::ObservabilityOptions options;
+  options.enabled = true;
+  canopus::obs::install(options);  // clean counters
+  constexpr std::size_t kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const cm::TriMesh*> got(kThreads, nullptr);
+  std::vector<std::uint32_t> bits(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      got[i] = &geometry.mesh(0);
+      bits[i] = mesh_bits(*got[i]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const auto decodes = canopus::obs::MetricsRegistry::global()
+                           .counter("geometry.level0_decodes")
+                           .value();
+  canopus::obs::set_enabled(false);
+  EXPECT_EQ(decodes, 1u);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], got[0]) << "thread " << i;
+    EXPECT_EQ(bits[i], want) << "thread " << i;
+  }
+}
+
+// A read's result mesh is the cache's, shared: no copy of its arrays.
+TEST(GeometryCache, ReadResultsShareTheCachedMesh) {
+  cs::StorageHierarchy tiers(
+      {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+  write_level_zero_container(tiers);
+  const auto geometry = cc::GeometryCache::load(tiers, "l0.bp", "v");
+  canopus::Pipeline pipeline(tiers);
+  for (const std::uint32_t level : {1u, 0u}) {
+    canopus::ReadRequest request;
+    request.path = "l0.bp";
+    request.var = "v";
+    request.target_level = level;
+    request.geometry = &geometry;
+    canopus::ReadResult result;
+    ASSERT_TRUE(pipeline.read(request, &result).ok());
+    ASSERT_EQ(result.level, level);
+    EXPECT_TRUE(result.mesh == geometry.mesh(level)) << "level " << level;
+    EXPECT_EQ(result.mesh.vertices().data(), geometry.vertices(level).data())
+        << "level " << level;
+    EXPECT_EQ(result.mesh.triangles().data(),
+              geometry.mesh(level).triangles().data())
+        << "level " << level;
+  }
 }
 
 // ------------------------------------------------------------- byte codecs --

@@ -106,6 +106,36 @@ TEST(TriMesh, RejectsBadTriangles) {
   EXPECT_THROW(cm::TriMesh(verts, {{{0, 1, 1}}}), canopus::Error);
 }
 
+// Copies share the vertex and triangle arrays; equality compares contents,
+// shared or not. A move copies, so the source stays the mesh it was.
+TEST(TriMesh, CopiesShareTheirArrays) {
+  const auto mesh = cm::make_rect_mesh(7, 5, 2.0, 1.0, 0.2, 99);
+  const cm::TriMesh copy = mesh;
+  EXPECT_TRUE(copy == mesh);
+  EXPECT_EQ(copy.vertices().data(), mesh.vertices().data());
+  EXPECT_EQ(copy.triangles().data(), mesh.triangles().data());
+  cm::TriMesh source = mesh;
+  const cm::TriMesh moved = std::move(source);
+  EXPECT_TRUE(moved == mesh);
+  EXPECT_TRUE(source == mesh);
+
+  const cm::TriMesh rebuilt(mesh.vertices(), mesh.triangles());
+  EXPECT_TRUE(rebuilt == mesh);
+  EXPECT_NE(rebuilt.vertices().data(), mesh.vertices().data());
+  const cm::TriMesh over(mesh.shared_vertices(), mesh.triangles());
+  EXPECT_TRUE(over == mesh);
+  EXPECT_EQ(over.vertices().data(), mesh.vertices().data());
+  EXPECT_NE(over.triangles().data(), mesh.triangles().data());
+
+  const auto past = static_cast<cm::VertexId>(mesh.vertex_count());
+  EXPECT_THROW(cm::TriMesh(mesh.shared_vertices(), {{{0, 1, past}}}),
+               canopus::Error);
+  EXPECT_THROW(cm::TriMesh(cm::TriMesh::SharedVertices{}, {}), canopus::Error);
+  const cm::TriMesh empty;
+  EXPECT_EQ(empty.vertex_count(), 0u);
+  EXPECT_TRUE(empty.vertices().empty() && empty.triangles().empty());
+}
+
 // A mesh is stored as a container's kMesh block, which holds it bitwise.
 TEST(TriMesh, SerializeRoundTrip) {
   const auto mesh = cm::make_rect_mesh(7, 5, 2.0, 1.0, 0.2, 99);

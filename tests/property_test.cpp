@@ -893,8 +893,9 @@ const std::vector<cm::Field>& xgc_delta_chunks() {
       const auto& fine = cascade.levels[l];
       const auto& coarse = cascade.levels[l + 1];
       const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
-      const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine.mesh,
-                                           fine.values, mapping, mode);
+      const auto delta = cc::compute_delta(coarse.mesh, coarse.values,
+                                           fine.mesh.vertices(), fine.values,
+                                           mapping, mode);
       const auto order = cc::cached_spatial_order(fine.mesh);
       cm::Field ordered(delta.size());
       for (std::size_t pos = 0; pos < order->size(); ++pos) {
@@ -1092,10 +1093,11 @@ TEST_P(DeltaInverseSweep, RestoreInvertsDeltaAcrossTwoLevels) {
     const auto& fine = cascade.levels[l];
     const auto& coarse = cascade.levels[l + 1];
     const auto mapping = cc::build_mapping(fine.mesh, coarse.mesh);
-    const auto delta = cc::compute_delta(coarse.mesh, coarse.values, fine.mesh,
-                                         fine.values, mapping, mode);
-    const auto restored = cc::restore_level(coarse.mesh, coarse.values,
-                                            fine.mesh, delta, mapping, mode);
+    const auto delta = cc::compute_delta(coarse.mesh, coarse.values,
+                                         fine.mesh.vertices(), fine.values,
+                                         mapping, mode);
+    const auto restored = cc::restore_level(
+        coarse.mesh, coarse.values, fine.mesh.vertices(), delta, mapping, mode);
     ASSERT_EQ(restored.size(), fine.values.size());
     EXPECT_LE(cu::max_abs_error(fine.values, restored), 1e-13)
         << family << " level " << l;

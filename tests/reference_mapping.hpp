@@ -196,7 +196,12 @@ inline mesh::Field stored_delta(const adios::BpReader& reader,
 /// core_test and mesh_test hold them equal to the writer's cascade).
 inline std::vector<mesh::TriMesh> stored_meshes(const adios::BpReader& reader,
                                                 const std::string& geometry_var) {
-  return core::GeometryCache::load(reader, geometry_var).meshes;
+  const auto geometry = core::GeometryCache::load(reader, geometry_var);
+  std::vector<mesh::TriMesh> meshes;
+  for (std::size_t l = 0; l < geometry.level_count(); ++l) {
+    meshes.push_back(geometry.mesh(l));
+  }
+  return meshes;
 }
 
 /// The chunks of level `next` a regional step toward `roi` must fetch so

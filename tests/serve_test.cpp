@@ -85,6 +85,26 @@ cv::QueryRequest query(std::string var = "v") {
 
 // ---------------------------------------------------------- basic serving --
 
+// A served result's mesh is the geometry cache's, shared: answering a query
+// copies no mesh array.
+TEST(QueryScheduler, ResultMeshSharesTheCachedGeometry) {
+  Dataset data;
+  const auto geometry = cc::GeometryCache::load(data.tiers, "d.bp", "v");
+  cv::QueryScheduler scheduler(data.tiers, {}, {});
+  for (const std::uint32_t level : {1u, 0u}) {
+    cv::QueryRequest request = query();
+    request.target_level = level;
+    request.deadline_seconds = 1e9;
+    request.geometry = &geometry;
+    cv::QueryResult result;
+    ASSERT_TRUE(scheduler.execute(request, &result).ok());
+    ASSERT_EQ(result.achieved_level, level);
+    EXPECT_TRUE(result.mesh == geometry.mesh(level)) << "level " << level;
+    EXPECT_EQ(result.mesh.vertices().data(), geometry.vertices(level).data())
+        << "level " << level;
+  }
+}
+
 TEST(QueryScheduler, GenerousDeadlineReachesTargetBitwise) {
   Dataset data;
   cv::QueryScheduler scheduler(data.tiers, {}, {});
