@@ -20,11 +20,12 @@
 // the input's level.
 //
 // Base and deltas are only part of a stored container: each dataset also
-// gets a whole-container table by block kind (base, delta, chunk index, the
-// L0 mesh, collapse logs, mapping), summed from the block records of one
-// 4-level, 8-chunk container, and the write report's own account of the
-// container (RefactorReport: base+deltas + geometry_bytes). Those byte counts
-// are deterministic.
+// gets a whole-container table by block kind (base, delta, the L0 mesh,
+// collapse logs), summed from the block records of one 4-level, 8-chunk
+// container, and the write report's own account of the container
+// (RefactorReport: base+deltas + geometry_bytes). Those byte counts are
+// deterministic. Readers derive the mappings and chunk indexes, so no block
+// holds them.
 //
 // `--json` prints only the deterministic columns, as JSON on stdout: per
 // dataset the normalized sizes (direct, canopus, canopus-uniform) at each
@@ -156,9 +157,8 @@ Container container_by_kind(const sim::Dataset& ds, const std::string& codec,
     out.total += b.stored_bytes;
   }
   for (const auto kind : {adios::BlockKind::kBase, adios::BlockKind::kDelta,
-                          adios::BlockKind::kChunkIndex, adios::BlockKind::kMesh,
-                          adios::BlockKind::kCollapseLog,
-                          adios::BlockKind::kMapping}) {
+                          adios::BlockKind::kMesh,
+                          adios::BlockKind::kCollapseLog}) {
     out.kinds.emplace_back(kind, kinds[kind].first, kinds[kind].second);
   }
   core::ProgressiveReader refine(tiers, "fig5.bp", ds.variable);

@@ -162,8 +162,8 @@ GeometryFixture& geometry_fixture() {
 
 }  // namespace
 
-// What a reader opened without a cache pays at open: read the L0 mesh, the
-// collapse logs and the mappings, and rebuild levels 1..3.
+// What a reader opened without a cache pays at open: read the L0 mesh and
+// the collapse logs, rebuild levels 1..3 and derive the three mappings.
 static void BM_GeometryLoad(benchmark::State& state) {
   auto& f = geometry_fixture();
   const adios::BpReader reader(f.tiers, "geometry.bp");

@@ -34,9 +34,7 @@ std::string to_string(BlockKind kind) {
     case BlockKind::kBase: return "base";
     case BlockKind::kDelta: return "delta";
     case BlockKind::kMesh: return "mesh";
-    case BlockKind::kMapping: return "mapping";
     case BlockKind::kData: return "data";
-    case BlockKind::kChunkIndex: return "chunkindex";
     case BlockKind::kCollapseLog: return "collapselog";
   }
   CANOPUS_UNREACHABLE("unknown block kind");

@@ -6,7 +6,7 @@
 // (adios_inq_var / adios_read_var), and a metadata-rich binary-packed format
 // tracks where each refactored product lives across storage tiers. This
 // module reproduces that layer: a BpWriter compresses and places per-level
-// blocks plus opaque blobs (mesh geometry, restoration mappings), and a
+// blocks plus opaque blobs (mesh geometry, collapse logs), and a
 // BpReader answers variable inquiries and retrieves blocks by
 // (variable, level, kind) with per-phase timing.
 //
@@ -31,10 +31,8 @@ enum class BlockKind : std::uint8_t {
   kBase = 0,        // L^{N-1}, the low-accuracy base dataset
   kDelta = 1,       // delta^{l-(l+1)}
   kMesh = 2,        // serialized TriMesh for a level
-  kMapping = 3,     // fine-vertex -> coarse-triangle mapping
-  kData = 4,        // plain (non-refactored) variable payload
-  kChunkIndex = 5,  // per-chunk vertex ranges + bounding boxes of a level
-  kCollapseLog = 6, // collapses that decimate level l-1 into level l
+  kData = 3,        // plain (non-refactored) variable payload
+  kCollapseLog = 4, // collapses that decimate level l-1 into level l; last
 };
 
 std::string to_string(BlockKind kind);
@@ -121,7 +119,7 @@ class BpWriter {
                                   double error_bound,
                                   std::optional<std::uint32_t> tier_hint = {});
 
-  /// Stores opaque bytes (mesh geometry, mappings) without compression.
+  /// Stores opaque bytes (mesh geometry, collapse logs) without compression.
   WriteTiming write_opaque(const std::string& var, BlockKind kind,
                            std::uint32_t level, util::BytesView bytes,
                            std::optional<std::uint32_t> tier_hint = {});

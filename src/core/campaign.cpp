@@ -74,16 +74,6 @@ CampaignReport write_variable_group(
     report.io_sim_seconds += t.io_sim_seconds;
     report.geometry_bytes += t.bytes_written;
   }
-  for (std::size_t l = 0; l + 1 < N; ++l) {
-    util::ByteWriter bytes;
-    mappings[l].serialize(bytes);
-    const auto level = static_cast<std::uint32_t>(l);
-    const auto t = writer.write_opaque(
-        geometry_var, adios::BlockKind::kMapping, level, bytes.view(),
-        tier_hint_for(rc, hierarchy, level));
-    report.io_sim_seconds += t.io_sim_seconds;
-    report.geometry_bytes += t.bytes_written;
-  }
 
   // ---- Per-timestep refactoring, fanned out on the pool. -----------------
   util::WallTimer refactor_timer;

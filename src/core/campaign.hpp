@@ -5,12 +5,14 @@
 // This is the regime the paper targets ("simulation results need to be
 // written once but analyzed a number of times"; XGC1 writes its grid data
 // every few timesteps over a fixed mesh). The geometry pipeline — decimation
-// cascade, the L0 mesh and its collapse logs, restoration mappings — depends
-// only on the mesh when the edge priority is shortest-first, so it runs
-// once; each timestep then decimates by *replaying* the recorded collapse
-// sequence, computes its deltas against the shared mappings, compresses, and
-// is placed on the hierarchy. Timesteps are independent, so the per-timestep work fans out on
-// a thread pool (the paper's "embarrassingly parallel" refactoring claim).
+// cascade, restoration mappings — depends only on the mesh when the edge
+// priority is shortest-first, so it runs once and stores the L0 mesh and its
+// collapse logs once; each timestep then decimates by *replaying* the
+// recorded collapse sequence, computes its deltas against the shared
+// mappings, compresses, and is placed on the hierarchy. Readers derive the
+// mappings from the stored geometry (GeometryCache::load). Timesteps are
+// independent, so the per-timestep work fans out on a thread pool (the
+// paper's "embarrassingly parallel" refactoring claim).
 //
 // The container layout names each timestep's blocks "<var>/t<k>", and the
 // shared geometry lives under "<var>" itself, so a GeometryCache loaded for
@@ -36,7 +38,7 @@ struct CampaignReport {
   std::size_t timesteps = 0;
   std::size_t raw_bytes = 0;
   std::size_t stored_bytes = 0;       // data products only (base + deltas)
-  std::size_t geometry_bytes = 0;     // one-time L0 mesh, logs, mappings
+  std::size_t geometry_bytes = 0;     // one-time L0 mesh and collapse logs
   double geometry_seconds = 0.0;      // cascade + mapping build (wall)
   double refactor_wall_seconds = 0.0; // parallel per-timestep phase (wall)
   double io_sim_seconds = 0.0;        // simulated placement cost

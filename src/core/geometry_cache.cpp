@@ -13,6 +13,7 @@
 #include "adios/bp.hpp"
 #include "compress/fpc.hpp"
 #include "compress/huffman.hpp"
+#include "core/delta.hpp"
 #include "core/refactorer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -464,7 +465,8 @@ const mesh::TriMesh& GeometryCache::mesh(std::size_t level) const {
 GeometryCache GeometryCache::load(const adios::BpReader& reader,
                                   const std::string& var,
                                   RetrievalTimings* cost,
-                                  storage::Admission admission) {
+                                  storage::Admission admission,
+                                  util::ThreadPool* pool) {
   util::WallTimer wall;
   RetrievalTimings local;
   RetrievalTimings& charged = cost != nullptr ? *cost : local;
@@ -498,17 +500,18 @@ GeometryCache GeometryCache::load(const adios::BpReader& reader,
         replay_block(raw, l == 1 ? finest : cache.levels_.back(), var, l));
   }
   finest = mesh::TriMesh();  // frees level 0's triangles
+  // The writer's own function over meshes bitwise equal to its cascade, so
+  // the mappings are the ones the deltas were taken with. Point location
+  // throws on geometry no writer produces (a vertex whose distance to every
+  // coarse triangle is not finite).
+  cache.mappings.reserve(levels - 1);
   for (std::uint32_t l = 0; l + 1 < levels; ++l) {
-    const auto raw =
-        read_charged(reader, var, adios::BlockKind::kMapping, l, charged,
-                     admission);
     try {
-      util::ByteReader br(raw);
-      cache.mappings.push_back(VertexMapping::deserialize(
-          br, cache.vertex_count(l), cache.levels_[l + 1].triangle_count()));
+      cache.mappings.push_back(
+          build_mapping(cache.levels_[l], cache.levels_[l + 1], pool));
     } catch (const Error& e) {
-      throw Error("mapping block of '" + var + "' at level " +
-                  std::to_string(l) + ": " + e.what());
+      throw Error("mapping of '" + var + "' at level " + std::to_string(l) +
+                  ": " + e.what());
     }
   }
   cache.orders.reserve(levels);

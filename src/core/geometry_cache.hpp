@@ -4,8 +4,9 @@
 //
 // Simulation meshes are static across a run: XGC1 writes thousands of dpot
 // timesteps over the same mesh. The per-level meshes and restoration
-// mappings are therefore campaign-lifetime artifacts — read and rebuilt
-// once, then shared by every ProgressiveReader that analyzes a timestep.
+// mappings are therefore campaign-lifetime artifacts — read, rebuilt and
+// derived once, then shared by every ProgressiveReader that analyzes a
+// timestep.
 // Passing a GeometryCache to ProgressiveReader removes geometry I/O from the
 // per-read critical path, which is the regime the paper's Figs. 9-11 measure;
 // a reader opened without one loads its own at open.
@@ -14,7 +15,11 @@
 // decimation pass, the collapse log that produced level l (a level-l
 // kCollapseLog block: a varint count, then varint (survivor, dying) pairs in
 // level l-1's slot numbering). load() rebuilds levels 1..N-1 by replaying the
-// logs (mesh::replay_collapses), bitwise equal to the writer's cascade.
+// logs (mesh::replay_collapses), bitwise equal to the writer's cascade, and
+// derives each restoration mapping with the writer's build_mapping. The
+// paper stores the mapping (Section III-E2); a container does not, because
+// locating a benchmark timestep's vertices costs a few milliseconds while
+// reading its mappings moves ~75 KB in three round trips.
 //
 // The kMesh block numbers the vertices by rank: the order of first use in
 // triangle order, unreferenced vertices last in id order. Its sections:
@@ -130,6 +135,7 @@ class GeometryCache {
   }
 
   /// mappings[l] restores level l from level l+1; size = level count - 1.
+  /// Derived by load() with build_mapping, never read from the container.
   std::vector<VertexMapping> mappings;
   /// orders[l] is the Morton ordering of level l, prewarmed by load() via
   /// cached_spatial_order so per-timestep refines never recompute it.
@@ -140,11 +146,14 @@ class GeometryCache {
     return *orders[level];
   }
 
-  /// Reads the L0 mesh, the collapse logs and the mappings of `var`, and
-  /// rebuilds levels 1..N-1 by replay. `cost`, when given, is charged every
-  /// read (I/O seconds, bytes, retries, corruptions, replica reads; a failed
-  /// read too) and the load's wall time as restore_seconds. A malformed
-  /// block throws canopus::Error naming it.
+  /// Reads the L0 mesh and the collapse logs of `var`, rebuilds levels
+  /// 1..N-1 by replay and derives the mappings, fanning point location out
+  /// on `pool` (nullptr = the process-global pool). `cost`, when given, is
+  /// charged every read (I/O seconds, bytes, retries, corruptions, replica
+  /// reads; a failed read too) and the load's wall time, derivation
+  /// included, as restore_seconds. A malformed block throws canopus::Error
+  /// naming it, as does geometry on which point location fails (a fine
+  /// vertex with no finite distance to any coarse triangle).
   ///
   /// By default a block-cache miss admits nothing: the caller keeps the
   /// decoded result, and nothing reads the raw blocks again. A resident copy
@@ -154,7 +163,8 @@ class GeometryCache {
   static GeometryCache load(
       const adios::BpReader& reader, const std::string& var,
       RetrievalTimings* cost = nullptr,
-      storage::Admission admission = storage::Admission::kSkip);
+      storage::Admission admission = storage::Admission::kSkip,
+      util::ThreadPool* pool = nullptr);
   /// Opens the container at `path` and loads `var`'s geometry from it.
   static GeometryCache load(storage::StorageHierarchy& hierarchy,
                             const std::string& path, const std::string& var,

@@ -115,9 +115,10 @@ struct ReadRequest {
   /// intersecting this region (Section III-E ROI retrieval); overrides
   /// target_level and rmse_threshold.
   std::optional<mesh::Aabb> roi;
-  /// Campaign-lifetime geometry (meshes, mappings, spatial orders); must
-  /// outlive the call. Without it the reader loads the container's geometry
-  /// at open and charges that load to the timings.
+  /// Campaign-lifetime geometry (meshes, derived mappings, spatial orders);
+  /// must outlive the call. Without it the reader loads the container's
+  /// geometry at open, derives the mappings, and charges that load to the
+  /// timings.
   const core::GeometryCache* geometry = nullptr;
 };
 

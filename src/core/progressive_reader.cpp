@@ -36,22 +36,6 @@ double rms_of(const mesh::Field& delta) {
   return std::sqrt(sum2 / static_cast<double>(delta.size()));
 }
 
-/// Throws canopus::Error unless `index`'s ranges tile storage positions
-/// [0, n) in chunk order, as the writer lays them out: a regional step
-/// copies each fetched chunk to its range, and the index comes from the
-/// container.
-void check_tiling(const ChunkIndex& index, std::size_t n) {
-  std::uint64_t end = 0;
-  for (const auto& range : index.chunks) {
-    CANOPUS_CHECK(range.start == end && range.count <= n - end,
-                  "chunk index does not tile its level's " + std::to_string(n) +
-                      " vertices");
-    end += range.count;
-  }
-  CANOPUS_CHECK(end == n, "chunk index does not tile its level's " +
-                              std::to_string(n) + " vertices");
-}
-
 /// Chunk ids 0 .. count-1: every chunk of a level, in chunk order.
 std::vector<std::uint32_t> all_chunks(std::uint32_t count) {
   std::vector<std::uint32_t> ids(count);
@@ -98,7 +82,7 @@ ProgressiveReader::ProgressiveReader(storage::StorageHierarchy& hierarchy,
   cumulative_.values_decoded += values_.size();
   if (!geometry_) {
     owned_geometry_ = GeometryCache::load(reader_, var_, &cumulative_,
-                                          storage::Admission::kAdmit);
+                                          storage::Admission::kAdmit, &pool());
     geometry_ = &*owned_geometry_;
   }
   CANOPUS_CHECK(values_.size() == geometry_->vertex_count(current_level_),
@@ -119,6 +103,33 @@ std::uint32_t ProgressiveReader::delta_chunk_count(std::uint32_t level) const {
   const auto* first = info_.block(adios::BlockKind::kDelta, level);
   CANOPUS_CHECK(first != nullptr, "delta block missing");
   return first->chunk_count;
+}
+
+ChunkIndex ProgressiveReader::chunk_index(std::uint32_t level) const {
+  const auto chunks = delta_chunk_count(level);
+  const auto n = geometry_->vertex_count(level);
+  const auto block = [&](std::uint32_t chunk) {
+    return "delta block of '" + var_ + "' at level " + std::to_string(level) +
+           ", chunk " + std::to_string(chunk) + ": ";
+  };
+  CANOPUS_CHECK(chunks >= 1 && chunks <= n,
+                block(0) + std::to_string(chunks) + " chunks of a " +
+                    std::to_string(n) + "-vertex level");
+  auto index = ChunkIndex::derive(geometry_->vertices(level),
+                                  geometry_->order(level), chunks);
+  // The records are container input: a regional step copies each fetched
+  // chunk to the range derived for it, so every record must hold that range.
+  for (const auto& b : info_.blocks) {
+    if (b.kind != adios::BlockKind::kDelta || b.level != level) continue;
+    CANOPUS_CHECK(b.chunk < chunks && b.chunk_count == chunks,
+                  block(b.chunk) + "chunk of " + std::to_string(b.chunk_count) +
+                      " in a level of " + std::to_string(chunks));
+    const auto count = index.chunks[b.chunk].count;
+    CANOPUS_CHECK(b.value_count == count,
+                  block(b.chunk) + std::to_string(b.value_count) +
+                      " values for a range of " + std::to_string(count));
+  }
+  return index;
 }
 
 ProgressiveReader::RawChunks ProgressiveReader::fetch_level(
@@ -388,7 +399,7 @@ std::vector<std::uint32_t> ProgressiveReader::region_chunks(
   }
   const auto& order = geometry_->order(next);
   for (std::uint32_t c = 0; c < index.chunks.size(); ++c) {
-    const auto& range = index.chunks[c];  // within the level (check_tiling)
+    const auto& range = index.chunks[c];
     for (std::uint64_t pos = range.start; pos < range.start + range.count; ++pos) {
       if (read[order[pos]] != 0) {
         wanted.push_back(c);
@@ -406,25 +417,9 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
   const std::uint32_t next = current_level_ - 1;
   CANOPUS_SPAN("read.refine_region", {{"level", next}});
 
-  // Without a chunk index the delta is monolithic: fall back to full refine,
-  // as for an index that does not tile the level. A faulted index read, by
-  // contrast, degrades like any other failed fetch and is charged what its
-  // attempts cost.
-  ChunkIndex index;
-  RetrievalTimings probe;
-  try {
-    const auto raw = read_charged(reader_, var_, adios::BlockKind::kChunkIndex,
-                                  next, probe);
-    util::ByteReader br(raw);
-    index = ChunkIndex::deserialize(br);
-    check_tiling(index, geometry_->vertex_count(next));
-  } catch (const storage::StorageError&) {
-    return degrade(std::move(probe));
-  } catch (const Error&) {
-    cumulative_ += probe;
-    return refine();
-  }
-  cumulative_ += probe;
+  // A monolithic delta has no regions to skip: a full refine.
+  if (delta_chunk_count(next) == 1) return refine();
+  ChunkIndex index = chunk_index(next);
 
   RetrievalTimings step;
   double delta_rms = 0.0;
@@ -433,10 +428,8 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
     const std::vector<std::uint32_t> wanted = region_chunks(next, index, roi);
     const RawChunks raw = fetch_level(next, wanted, step);
     const auto parts = decode_level(next, raw, step);
-    std::size_t fine_count = 0;
-    for (const auto& c : index.chunks) fine_count += c.count;
     // Delta in Morton storage order; unfetched chunks stay zero (estimate-only).
-    mesh::Field stored(fine_count, 0.0);
+    mesh::Field stored(geometry_->vertex_count(next), 0.0);
     for (std::size_t i = 0; i < wanted.size(); ++i) {
       const auto& range = index.chunks[wanted[i]];
       CANOPUS_CHECK(parts[i]->size() == range.count,

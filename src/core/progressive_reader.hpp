@@ -60,11 +60,11 @@ class ProgressiveReader {
   ///
   /// `geometry`, when given, supplies the per-level meshes, restoration
   /// mappings, and spatial orders from a campaign-lifetime GeometryCache so
-  /// that no geometry is read or rebuilt on the per-timestep path (meshes are
-  /// static across a simulation run); it must outlive the reader. Without
-  /// it, the reader loads its own GeometryCache at open and charges that
-  /// load to cumulative() — its reads (failed ones too) and its wall time —
-  /// so refinement steps read deltas only.
+  /// that no geometry is read, rebuilt or derived on the per-timestep path
+  /// (meshes are static across a simulation run); it must outlive the
+  /// reader. Without it, the reader loads its own GeometryCache at open, on
+  /// its own pool, and charges that load to cumulative() — its reads (failed
+  /// ones too) and its wall time — so refinement steps read deltas only.
   ///
   /// Restoration is concurrent per `options.parallel`: fetched delta chunks
   /// decompress in parallel and, with read-ahead on, refine_to() starts
@@ -113,7 +113,10 @@ class ProgressiveReader {
   /// whose extent intersects `roi` and restore the next level with full
   /// accuracy inside the region and estimate-only values outside. Requires
   /// the variable to have been written with delta_chunks > 1; with a single
-  /// chunk this degrades to a full refine(). After a regional refinement that
+  /// chunk this is a full refine(). Each chunk's range and extent come from
+  /// the level's geometry (chunk_index); a delta chunk record that does not
+  /// hold its range throws canopus::Error naming the block before anything
+  /// is read or restored. After a regional refinement that
   /// skipped chunks, partially_refined() reports true until the next full
   /// refine() backfills the skipped chunks (it re-reads them and applies
   /// their deltas before descending, restoring full accuracy bitwise). Once a
@@ -190,7 +193,7 @@ class ProgressiveReader {
   /// later estimates and partially_refined_ stays sticky.
   struct SkippedChunks {
     std::uint32_t level = 0;              // the partially refined level
-    ChunkIndex index;
+    ChunkIndex index;                     // chunk_index(level)
     std::vector<std::uint32_t> chunks;    // chunk ids not fetched
   };
 
@@ -224,6 +227,10 @@ class ProgressiveReader {
 
   util::ThreadPool& pool() const;
   std::uint32_t delta_chunk_count(std::uint32_t level) const;
+  /// ChunkIndex::derive of `level` at its records' chunk count, once every
+  /// delta chunk record of the level is checked to hold its derived range
+  /// (canopus::Error naming the block otherwise).
+  ChunkIndex chunk_index(std::uint32_t level) const;
   /// Reads the compressed delta chunks `chunks` of `level` one at a time, in
   /// that order, and folds each read into `step`: io_seconds as the serial
   /// per-op sum at depth <= 1, as the overlapped makespan at depth > 1.

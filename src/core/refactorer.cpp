@@ -25,15 +25,13 @@ struct PreparedLevel {
   std::size_t raw_bytes = 0;
   std::vector<util::Bytes> chunks;  // one codec stream per chunk
   std::vector<std::uint64_t> chunk_values;
-  util::Bytes index_bytes;   // serialized chunk index (chunked levels)
-  util::Bytes map_bytes;     // serialized restoration mapping
   double compute_seconds = 0.0;  // mapping + closed-loop coding wall time
 };
 
 /// Compute stage: mapping, then the closed loop codes the level's delta
-/// (Morton permutation and chunk coding fan out on `pool`), then the chunk
-/// bounding boxes. Nothing here touches the writer or the hierarchy; `loop`
-/// is only ever advanced here, one level at a time.
+/// (Morton permutation and chunk coding fan out on `pool`). Nothing here
+/// touches the writer or the hierarchy; `loop` is only ever advanced here,
+/// one level at a time.
 PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
                             const RefactorConfig& config,
                             util::ThreadPool& pool, ClosedLoop& loop) {
@@ -44,24 +42,24 @@ PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
   out.level = static_cast<std::uint32_t>(l);
   out.raw_bytes = fine.values.size() * sizeof(double);
 
-  // Split the delta into independently decodable chunks with spatial extents
-  // so readers can fetch only a region of interest. Chunked deltas are
-  // permuted into the deterministic Morton ordering of the fine mesh
-  // (spatial_order), which both sides derive from geometry: chunks get tight
-  // bounding boxes regardless of the mesh's native vertex numbering, and
-  // spatial coherence also helps the codec.
+  // Split the delta into independently decodable chunks so readers can
+  // fetch only a region of interest. Chunked deltas are permuted into the
+  // deterministic Morton ordering of the fine mesh (spatial_order), which
+  // both sides derive from geometry: chunks get tight bounding boxes
+  // regardless of the mesh's native vertex numbering, and spatial coherence
+  // also helps the codec. Readers derive each chunk's range and extent
+  // (ChunkIndex::derive), so the container stores neither.
   const auto nchunks = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(config.delta_chunks,
                                  static_cast<std::uint32_t>(fine.values.size())));
   std::shared_ptr<const std::vector<mesh::VertexId>> order;
   if (nchunks > 1) order = cached_spatial_order(fine.mesh);
 
-  VertexMapping mapping;
   CodedDelta coded;
   {
     CANOPUS_SPAN("refactor.delta", {{"level", out.level}});
     util::WallTimer t;
-    mapping = build_mapping(fine.mesh, coarse.mesh, &pool);
+    const auto mapping = build_mapping(fine.mesh, coarse.mesh, &pool);
     coded = loop.code_delta(coarse.mesh, fine.mesh, fine.values, mapping,
                             nchunks, order.get());
     out.compute_seconds = t.seconds();
@@ -70,28 +68,6 @@ PreparedLevel prepare_level(const mesh::Cascade& cascade, std::size_t l,
   for (std::uint32_t c = 0; c < nchunks; ++c) {
     out.chunk_values.push_back(coded.bounds[c + 1] - coded.bounds[c]);
   }
-  if (nchunks > 1) {
-    ChunkIndex index;
-    for (std::uint32_t c = 0; c < nchunks; ++c) {
-      ChunkIndex::Range range;
-      range.start = coded.bounds[c];
-      range.count = coded.bounds[c + 1] - coded.bounds[c];
-      range.bbox.lo = range.bbox.hi = fine.mesh.vertex((*order)[range.start]);
-      for (std::size_t pos = range.start; pos < coded.bounds[c + 1]; ++pos) {
-        range.bbox.expand(fine.mesh.vertex((*order)[pos]));
-      }
-      index.chunks.push_back(range);
-    }
-    util::ByteWriter w;
-    index.serialize(w);
-    out.index_bytes.assign(w.view().begin(), w.view().end());
-  }
-
-  // Persist the mapping next to the delta so restoration never re-runs
-  // point location (Section III-E2).
-  util::ByteWriter map_writer;
-  mapping.serialize(map_writer);
-  out.map_bytes.assign(map_writer.view().begin(), map_writer.view().end());
   return out;
 }
 
@@ -126,20 +102,7 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
   // or fastest-fit bypass scatters chunks.
   product.tier =
       *std::max_element(product.chunk_tiers.begin(), product.chunk_tiers.end());
-
-  if (nchunks > 1) {
-    const auto t = writer.write_opaque(var, adios::BlockKind::kChunkIndex,
-                                       prepared.level, prepared.index_bytes,
-                                       hint);
-    report.phases.add("io", t.io_sim_seconds);
-    report.geometry_bytes += t.bytes_written;
-  }
   report.products.push_back(std::move(product));
-
-  const auto mt = writer.write_opaque(var, adios::BlockKind::kMapping,
-                                      prepared.level, prepared.map_bytes, hint);
-  report.phases.add("io", mt.io_sim_seconds);
-  report.geometry_bytes += mt.bytes_written;
 }
 
 }  // namespace
@@ -167,11 +130,10 @@ CodedDelta ClosedLoop::code_delta(const mesh::TriMesh& coarse,
                                   const VertexMapping& mapping,
                                   std::uint32_t chunks,
                                   const std::vector<mesh::VertexId>* order) {
-  CANOPUS_CHECK(chunks >= 1 && chunks <= std::max<std::size_t>(1, fine_values.size()),
-                "closed loop: chunk count out of range");
   CANOPUS_CHECK(chunks == 1 || order != nullptr,
                 "closed loop: chunked deltas need a storage order");
   CodedDelta out;
+  out.bounds = chunk_bounds(fine_values.size(), chunks);
   out.values = compute_delta(coarse, level_, fine.vertices(), fine_values,
                              mapping, estimate_, &pool());
   if (order != nullptr) {
@@ -191,12 +153,8 @@ CodedDelta ClosedLoop::code_delta(const mesh::TriMesh& coarse,
 
   // Code and decode every chunk concurrently; each writes only its own
   // slots, so the streams and the decoded delta are the serial loop's.
-  const std::size_t n = out.values.size();
-  for (std::uint32_t c = 0; c <= chunks; ++c) {
-    out.bounds.push_back(n * c / chunks);
-  }
   out.chunks.resize(chunks);
-  mesh::Field decoded(n);
+  mesh::Field decoded(out.values.size());
   pool().parallel_for(
       0, chunks,
       [&](std::size_t lo, std::size_t hi) {

@@ -3,9 +3,11 @@
 //
 // refactor_and_write() runs the full Section III pipeline for one variable on
 // one unstructured triangular mesh and persists every product (base, deltas,
-// the L0 mesh and per-pass collapse logs, restoration mappings) into a BP
-// container across the storage hierarchy. The returned report carries the paper's Fig. 6b phase
-// breakdown plus per-product sizes for the Fig. 5 comparison.
+// the L0 mesh and per-pass collapse logs) into a BP container across the
+// storage hierarchy. Restoration mappings and chunk indexes are not stored:
+// readers derive them from the geometry (GeometryCache, ChunkIndex::derive).
+// The returned report carries the paper's Fig. 6b phase breakdown plus
+// per-product sizes for the Fig. 5 comparison.
 
 #include <optional>
 #include <string>
@@ -42,8 +44,8 @@ struct RefactorReport {
   std::vector<ProductSize> products;
   /// Vertex counts per level, finest first.
   std::vector<std::size_t> level_vertices;
-  /// Stored bytes of the L0 mesh, collapse-log, mapping and chunk-index
-  /// blocks. The whole container is total_stored_bytes() + geometry_bytes.
+  /// Stored bytes of the L0 mesh and collapse-log blocks. The whole
+  /// container is total_stored_bytes() + geometry_bytes.
   std::size_t geometry_bytes = 0;
 
   /// Base and deltas only: the products Fig. 5 compares.
@@ -55,7 +57,8 @@ struct RefactorReport {
 struct CodedDelta {
   /// The delta in stored order (Morton order when chunked).
   mesh::Field values;
-  /// Chunk c codes stored positions [bounds[c], bounds[c + 1]).
+  /// chunk_bounds of the level: chunk c codes stored positions
+  /// [bounds[c], bounds[c + 1]).
   std::vector<std::size_t> bounds;
   /// One codec stream per chunk, in chunk order.
   std::vector<util::Bytes> chunks;
@@ -84,7 +87,7 @@ class ClosedLoop {
   /// places in `coarse`, against the chain's level (which lies on
   /// `coarse`), then moves the chain to the fine level as the reader
   /// restores it. With `order`, the delta is stored permuted into it and
-  /// split into `chunks` near-equal ranges, each coded on its own.
+  /// cut into `chunks` ranges (chunk_bounds), each coded on its own.
   CodedDelta code_delta(const mesh::TriMesh& coarse, const mesh::TriMesh& fine,
                         const mesh::Field& fine_values,
                         const VertexMapping& mapping, std::uint32_t chunks = 1,

@@ -1,5 +1,7 @@
 #include "core/types.hpp"
 
+#include <algorithm>
+
 #include "adios/bp.hpp"
 #include "storage/tier.hpp"
 #include "util/assert.hpp"
@@ -52,42 +54,35 @@ EstimateMode estimate_mode_from_string(const std::string& s) {
   throw Error("unknown estimate mode: " + s);
 }
 
-namespace {
-// Layout byte, the first byte of a mapping block: a varint triangle per
-// entry.
-constexpr std::uint8_t kTriangles = 0;
-}  // namespace
-
-void VertexMapping::serialize(util::ByteWriter& out) const {
-  out.put(kTriangles);
-  out.put_varint(triangle.size());
-  for (const auto t : triangle) out.put_varint(t);
+std::vector<std::size_t> chunk_bounds(std::size_t n, std::uint32_t chunks) {
+  CANOPUS_CHECK(chunks >= 1 && chunks <= std::max<std::size_t>(1, n),
+                std::to_string(chunks) + " chunks of " + std::to_string(n) +
+                    " values");
+  std::vector<std::size_t> bounds;
+  bounds.reserve(chunks + std::size_t{1});
+  for (std::uint32_t c = 0; c <= chunks; ++c) bounds.push_back(n * c / chunks);
+  return bounds;
 }
 
-VertexMapping VertexMapping::deserialize(util::ByteReader& in,
-                                         std::size_t fine_vertices,
-                                         std::size_t coarse_triangles) {
-  const auto layout = in.get<std::uint8_t>();
-  CANOPUS_CHECK(layout == kTriangles,
-                "unknown layout " + std::to_string(layout));
-  const auto n = in.get_varint();
-  CANOPUS_CHECK(n == fine_vertices,
-                std::to_string(n) + " entries for " +
-                    std::to_string(fine_vertices) + " fine vertices");
-  // Every entry takes at least one varint byte.
-  CANOPUS_CHECK(n <= in.remaining(), std::to_string(n) + " entries in " +
-                                         std::to_string(in.remaining()) +
-                                         " bytes");
-  VertexMapping m;
-  m.triangle.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto t = in.get_varint();
-    CANOPUS_CHECK(t < coarse_triangles,
-                  "triangle " + std::to_string(t) + " of " +
-                      std::to_string(coarse_triangles) + " coarse triangles");
-    m.triangle.push_back(static_cast<std::uint32_t>(t));
+ChunkIndex ChunkIndex::derive(std::span<const mesh::Vec2> positions,
+                              const std::vector<mesh::VertexId>& order,
+                              std::uint32_t chunks) {
+  CANOPUS_CHECK(order.size() == positions.size(),
+                "chunk index: storage order does not match the level");
+  const auto bounds = chunk_bounds(order.size(), chunks);
+  ChunkIndex index;
+  index.chunks.reserve(chunks);
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    Range range;
+    range.start = bounds[c];
+    range.count = bounds[c + 1] - bounds[c];
+    if (range.count > 0) range.bbox.lo = range.bbox.hi = positions[order[bounds[c]]];
+    for (std::size_t pos = bounds[c]; pos < bounds[c + 1]; ++pos) {
+      range.bbox.expand(positions[order[pos]]);
+    }
+    index.chunks.push_back(range);
   }
-  return m;
+  return index;
 }
 
 std::vector<std::uint32_t> ChunkIndex::intersecting(const mesh::Aabb& roi) const {
@@ -99,39 +94,6 @@ std::vector<std::uint32_t> ChunkIndex::intersecting(const mesh::Aabb& roi) const
     if (!disjoint) out.push_back(c);
   }
   return out;
-}
-
-void ChunkIndex::serialize(util::ByteWriter& out) const {
-  out.put_varint(chunks.size());
-  for (const auto& c : chunks) {
-    out.put_varint(c.start);
-    out.put_varint(c.count);
-    out.put(c.bbox.lo.x);
-    out.put(c.bbox.lo.y);
-    out.put(c.bbox.hi.x);
-    out.put(c.bbox.hi.y);
-  }
-}
-
-ChunkIndex ChunkIndex::deserialize(util::ByteReader& in) {
-  ChunkIndex idx;
-  const auto n = in.get_varint();
-  // Every range takes at least two varint bytes and four doubles.
-  CANOPUS_CHECK(n <= in.remaining() / (2 + 4 * sizeof(double)),
-                "chunk index block: " + std::to_string(n) + " chunks in " +
-                    std::to_string(in.remaining()) + " bytes");
-  idx.chunks.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Range r;
-    r.start = in.get_varint();
-    r.count = in.get_varint();
-    r.bbox.lo.x = in.get<double>();
-    r.bbox.lo.y = in.get<double>();
-    r.bbox.hi.x = in.get<double>();
-    r.bbox.hi.y = in.get<double>();
-    idx.chunks.push_back(r);
-  }
-  return idx;
 }
 
 }  // namespace canopus::core

@@ -1,14 +1,14 @@
 #pragma once
-// Core Canopus types: refactoring configuration and the persisted
-// fine-vertex -> coarse-triangle mapping.
+// Core Canopus types: refactoring configuration, the fine-vertex ->
+// coarse-triangle mapping and the chunk index of a chunked delta.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mesh/decimate.hpp"
 #include "mesh/geometry.hpp"
-#include "util/byte_buffer.hpp"
 
 namespace canopus::adios {
 struct ReadTiming;
@@ -109,42 +109,44 @@ struct RefactorConfig {
   ParallelConfig parallel;
 };
 
-/// Per-chunk vertex ranges and spatial extents of one level's delta,
-/// persisted alongside chunked deltas to drive ROI reads.
+/// The stored positions chunk c of an n-value delta cut into `chunks`
+/// holds: [bounds[c], bounds[c + 1]), bounds[c] = n * c / chunks. The
+/// writers cut by it and readers derive ChunkIndex from it, so it alone
+/// decides a chunked level's layout. Throws canopus::Error unless
+/// 1 <= chunks <= max(1, n).
+std::vector<std::size_t> chunk_bounds(std::size_t n, std::uint32_t chunks);
+
+/// Per-chunk vertex ranges and spatial extents of one level's chunked delta,
+/// which drive ROI reads. Nothing stores it: a reader derives it from the
+/// level's geometry.
 struct ChunkIndex {
   struct Range {
-    std::uint64_t start = 0;  // first fine-vertex index of the chunk
+    std::uint64_t start = 0;  // first storage position of the chunk
     std::uint64_t count = 0;
     mesh::Aabb bbox;          // extent of those vertices
   };
   std::vector<Range> chunks;
 
+  /// The index of a level whose vertices sit at `positions`, stored in
+  /// Morton order `order` (stored[pos] belongs to vertex order[pos]) and cut
+  /// into `chunks` by chunk_bounds.
+  static ChunkIndex derive(std::span<const mesh::Vec2> positions,
+                           const std::vector<mesh::VertexId>& order,
+                           std::uint32_t chunks);
+
   /// Indices of chunks whose bbox overlaps `roi`.
   std::vector<std::uint32_t> intersecting(const mesh::Aabb& roi) const;
-
-  void serialize(util::ByteWriter& out) const;
-  static ChunkIndex deserialize(util::ByteReader& in);
 };
 
-/// For every vertex of the fine level, the containing coarse triangle.
-/// Stored in BP metadata during refactoring and reused to accelerate
-/// restoration (Section III-E2). Estimate's weights are not stored: they are
-/// mesh::location_weights of the fine vertex in its triangle, derived from
-/// geometry that writer and reader hold bitwise.
+/// For every vertex of the fine level, the containing coarse triangle. The
+/// paper persists it to spare restoration the point location (Section
+/// III-E2); here the writer and every reader build it with build_mapping
+/// from geometry they hold bitwise, so nothing stores it. Estimate's
+/// weights are mesh::location_weights of the fine vertex in its triangle.
 struct VertexMapping {
   std::vector<std::uint32_t> triangle;  // coarse triangle per vertex
 
   std::size_t size() const { return triangle.size(); }
-
-  /// A block is a layout byte (0), the varint entry count, then a varint
-  /// triangle id per entry.
-  void serialize(util::ByteWriter& out) const;
-  /// Decodes the mapping of a `fine_vertices`-vertex level into a
-  /// `coarse_triangles`-triangle level; throws canopus::Error when the
-  /// layout byte is not 0 or the block's count or any triangle id does not
-  /// fit those meshes.
-  static VertexMapping deserialize(util::ByteReader& in, std::size_t fine_vertices,
-                                   std::size_t coarse_triangles);
 };
 
 }  // namespace canopus::core

@@ -112,8 +112,8 @@ class Fabric {
   /// fabric. Sharded kinds (kBase, kDelta, kData) land on their directory
   /// owner's fastest fitting tier, then replica copies on the ring
   /// successor (best-effort, like replicate_below); metadata and geometry
-  /// (kMesh, kCollapseLog, kMapping, kChunkIndex) are replicated to every
-  /// node. Refreshes the occupancy gauges when done.
+  /// (kMesh, kCollapseLog) are replicated to every node. Refreshes the
+  /// occupancy gauges when done.
   ImportReport import_container(storage::StorageHierarchy& staging,
                                 const std::string& path);
 

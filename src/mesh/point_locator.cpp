@@ -17,7 +17,10 @@ PointLocator::PointLocator(const TriMesh& mesh, double cells_per_triangle)
       std::max(1.0, cells_per_triangle * static_cast<double>(mesh.triangle_count()));
   const double aspect = std::max(bounds_.width(), 1e-300) /
                         std::max(bounds_.height(), 1e-300);
-  ny_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::sqrt(target / aspect)));
+  // nx_ * ny_ stays near `target` cells: the min caps the rows at `target`
+  // when the aspect is tiny or NaN (an overflowed or non-finite extent).
+  ny_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::min(target, std::sqrt(target / aspect))));
   nx_ = std::max<std::size_t>(1, static_cast<std::size_t>(target / static_cast<double>(ny_)));
   inv_dx_ = bounds_.width() > 0.0 ? static_cast<double>(nx_) / bounds_.width() : 0.0;
   inv_dy_ = bounds_.height() > 0.0 ? static_cast<double>(ny_) / bounds_.height() : 0.0;
@@ -54,10 +57,11 @@ PointLocator::PointLocator(const TriMesh& mesh, double cells_per_triangle)
 }
 
 std::size_t PointLocator::cell_of(Vec2 p) const {
+  // NaN goes to cell 0, like a coordinate below the grid.
   auto clampi = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
+    if (!(v >= 0.0)) return std::size_t{0};
+    if (!(v < static_cast<double>(n))) return n - 1;
+    return static_cast<std::size_t>(v);
   };
   const std::size_t x = clampi((p.x - bounds_.lo.x) * inv_dx_, nx_);
   const std::size_t y = clampi((p.y - bounds_.lo.y) * inv_dy_, ny_);

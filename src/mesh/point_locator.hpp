@@ -3,8 +3,8 @@
 //
 // Delta calculation (Algorithm 2) and restoration (Algorithm 3) both need,
 // for every fine-level vertex, the coarse-level triangle that contains it.
-// Canopus stores that mapping in metadata during refactoring; this locator
-// is what builds it. The brute-force O(V·T) scan the paper warns about is
+// The paper stores that mapping in metadata during refactoring; here the
+// writer and every reader build it with this locator. The brute-force O(V·T) scan the paper warns about is
 // replaced by bucketing triangle bounding boxes into a uniform grid, stored
 // as flat CSR arrays. Points outside every triangle (the rim that edge
 // collapses shrink away) are answered by a ring search over the same grid

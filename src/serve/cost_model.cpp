@@ -21,7 +21,7 @@ CostModel CostModel::build(storage::StorageHierarchy& hierarchy,
   for (const auto& b : info.blocks) {
     if (b.level >= model.steps_.size()) continue;  // base-level blocks
     // A step reads delta chunks only: every reader holds its geometry from
-    // open, and the chunk index is only touched by regional reads.
+    // open and derives its mappings and chunk indexes from it.
     if (b.kind != adios::BlockKind::kDelta) continue;
 
     LevelCostEstimate& step = model.steps_[b.level];

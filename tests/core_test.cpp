@@ -349,35 +349,6 @@ TEST(Delta, GradientBeatsBarycentricOnQuadraticField) {
   EXPECT_LT(grad.max(), bary.max());
 }
 
-TEST(Delta, MappingSerializationRoundTrip) {
-  // The codec is exact: the triangles come back as built, and they are the
-  // reference's. A block is the layout byte 0 and then the reference's
-  // triangles; no Estimate mode adds anything to it.
-  const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
-  cm::DecimateOptions opt;
-  opt.ratio = 2.0;
-  const auto coarse = cm::decimate(mesh, smooth_field(mesh), opt);
-  const auto reference = ct::reference_build_mapping(mesh, coarse.mesh);
-  cu::ByteWriter reference_block;
-  reference.serialize_triangles(reference_block);
-  const auto mapping = cc::build_mapping(mesh, coarse.mesh);
-  EXPECT_EQ(mapping.triangle, reference.triangle);
-
-  cu::ByteWriter w;
-  mapping.serialize(w);
-  ASSERT_EQ(w.size(), reference_block.size() + 1);
-  EXPECT_EQ(w.view()[0], std::byte{0});
-  EXPECT_EQ(std::memcmp(w.view().data() + 1, reference_block.view().data(),
-                        reference_block.size()),
-            0);
-
-  cu::ByteReader r(w.view());
-  const auto copy = cc::VertexMapping::deserialize(
-      r, mesh.vertex_count(), coarse.mesh.triangle_count());
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(copy.triangle, mapping.triangle);
-}
-
 // The weights Estimate derives for a fine vertex, mesh::location_weights in
 // the triangle the mapping names, are the weights PointLocator::locate
 // gave it, bit for bit: on every level of 4-level cascades of the three
@@ -459,7 +430,10 @@ TEST(Refactorer, WritesAllProductsAndLevels) {
   EXPECT_NE(info.block(ca::BlockKind::kDelta, 0), nullptr);
   EXPECT_NE(info.block(ca::BlockKind::kDelta, 1), nullptr);
   EXPECT_NE(info.block(ca::BlockKind::kMesh, 0), nullptr);
-  EXPECT_NE(info.block(ca::BlockKind::kMapping, 1), nullptr);
+  EXPECT_EQ(info.levels(ca::BlockKind::kCollapseLog),
+            (std::vector<std::uint32_t>{1, 2}));
+  // Nothing else: readers derive the mappings from the geometry.
+  EXPECT_EQ(info.blocks.size(), 6u);
   EXPECT_EQ(reader.attribute("codec"), std::optional<std::string>("zfp"));
 }
 
@@ -560,9 +534,9 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
 
 TEST(Refactorer, LevelTakesItsHintedTierWhenItsStoredBytesFit) {
   // Level 0's Fig. 1 tier is tier 2, sized to hold exactly the level's
-  // stored delta and mapping but not its raw delta bytes. Only
-  // StorageHierarchy::place decides whether a block fits, with the bytes it
-  // stores, so the level lands there.
+  // stored delta but not its raw delta bytes. Only StorageHierarchy::place
+  // decides whether a block fits, with the bytes it stores, so the level
+  // lands there.
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   const auto values = smooth_field(mesh);
   cc::RefactorConfig config;
@@ -575,8 +549,7 @@ TEST(Refactorer, LevelTakesItsHintedTierWhenItsStoredBytesFit) {
                                  cs::lustre_spec(slowest)});
   };
   const auto level0 = [](const ca::BlockRecord& b) {
-    return b.level == 0 && (b.kind == ca::BlockKind::kDelta ||
-                            b.kind == ca::BlockKind::kMapping);
+    return b.level == 0 && b.kind == ca::BlockKind::kDelta;
   };
   std::size_t stored = 0;
   std::size_t raw_delta = 0;
@@ -604,7 +577,7 @@ TEST(Refactorer, LevelTakesItsHintedTierWhenItsStoredBytesFit) {
         << ca::to_string(b.kind);
     ++placed;
   }
-  EXPECT_EQ(placed, 2u);
+  EXPECT_EQ(placed, 1u);
 }
 
 TEST(Refactorer, RejectsACascadeWithoutCollapseLogs) {
@@ -1020,111 +993,58 @@ TEST(ProgressiveReader, RefineUntilValidatesThreshold) {
 
 // ---------------------------------------------------------- crafted input --
 
-// Each decoder bounds a declared count by the bytes left in its block, and
-// the mapping decoder its count and triangle ids by the meshes it maps
-// between, so corrupt input is a canopus::Error instead of a huge
-// allocation or a read past a mesh.
+// Each decoder bounds a declared count by the bytes left in its block, so
+// corrupt input is a canopus::Error instead of a huge allocation or a read
+// past a mesh.
 
-TEST(Decoders, MappingCountBeyondBlockThrowsError) {
-  // Blocks for a 4-vertex level over a 2-triangle coarse level.
-  const auto block = [](std::uint8_t layout, std::uint64_t count,
-                        std::initializer_list<std::uint64_t> ids) {
-    cu::ByteWriter w;
-    w.put(layout);
-    w.put_varint(count);
-    for (const auto id : ids) w.put_varint(id);
-    return w.take();
-  };
-  const auto decode = [](const cu::Bytes& bytes) {
-    cu::ByteReader r(bytes);
-    return cc::VertexMapping::deserialize(r, 4, 2);
-  };
-  EXPECT_EQ(decode(block(0, 4, {0, 1, 1, 0})).size(), 4u);
-  // A whole block for another level, counts past the block, a block that
-  // ends early.
-  EXPECT_THROW(decode(block(0, 5, {0, 1, 1, 0, 0})), canopus::Error);
-  EXPECT_THROW(decode(block(0, std::uint64_t{1} << 40, {1})), canopus::Error);
-  EXPECT_THROW(decode(block(0, std::uint64_t{1} << 61, {1})), canopus::Error);
-  EXPECT_THROW(decode(block(0, 4, {1})), canopus::Error);
-  // Triangle ids past the coarse level's triangles, small and wide.
-  EXPECT_THROW(decode(block(0, 4, {0, 1, 2, 0})), canopus::Error);
-  EXPECT_THROW(decode(block(0, 4, {0, 1, std::uint64_t{1} << 33, 0})),
-               canopus::Error);
-  // Any layout but 0, the retired weighted layout 1 included.
-  for (const std::uint8_t layout : {1, 2, 7, 255}) {
-    EXPECT_THROW(decode(block(layout, 4, {0, 1, 1, 0})), canopus::Error);
+// A container stores no mapping: the loader derives each level's by point
+// location in the replayed coarser mesh. Geometry that leaves a fine vertex
+// in no coarse triangle (a coordinate that is not finite) is refused, naming
+// the mapping's level, by the loader and by a reader opened without a
+// cache, instead of handing Estimate a triangle id past the coarse mesh.
+// Vertex 4 is unreferenced, so only the fine level holds it; vertex 0 is a
+// corner, so the coarse level's extent is NaN too.
+TEST(Decoders, GeometryWithoutAMappingThrowsErrorNamingTheLevel) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, MeshBlockSpec>> cases;
+  for (const auto& [vertex, x] :
+       {std::pair{4, kNaN}, std::pair{4, kInf}, std::pair{0, kNaN}}) {
+    MeshBlockSpec spec;
+    spec.x[vertex] = x;
+    cases.emplace_back("x of vertex " + std::to_string(vertex) + " = " +
+                           std::to_string(x),
+                       spec);
   }
-
-  // In a container, a mapping block that names a triangle past the coarse
-  // mesh or carries a layout byte other than 0: the loader rejects the
-  // block, naming it, instead of reading past the mesh or guessing at
-  // weights, whether called directly or by a reader opened without a cache.
-  const auto mesh = cm::make_disk_mesh(8, 40, 1.0, 0.1, 11);
   auto tiers = big_two_tiers();
-  cc::RefactorConfig config;
-  config.levels = 2;
-  config.codec = "raw";
-  config.delta_chunks = 1;
-  cc::refactor_and_write(tiers, "ok.bp", "v", mesh, smooth_field(mesh), config);
-  const ca::BpReader ok(tiers, "ok.bp");
-  const auto meshes = ct::stored_meshes(ok, "v");
-  const auto stored = ok.read_opaque("v", ca::BlockKind::kMapping, 0);
-  cc::VertexMapping past_the_mesh;
-  past_the_mesh.triangle.assign(meshes[0].vertex_count(), 0);
-  past_the_mesh.triangle.back() =
-      static_cast<std::uint32_t>(meshes[1].triangle_count());
-  cu::ByteWriter past_the_mesh_block;
-  past_the_mesh.serialize(past_the_mesh_block);
-  std::vector<std::pair<std::string, cu::Bytes>> cases = {
-      {"triangle past the coarse mesh", past_the_mesh_block.take()}};
-  for (const std::uint8_t layout : {1, 2, 255}) {
-    // The stored block, triangles intact, under another layout byte; layout
-    // 1 also with the two float32 weights per entry it used to carry.
-    auto relabeled = stored;
-    relabeled[0] = std::byte{layout};
-    cases.emplace_back("layout " + std::to_string(layout), relabeled);
-    if (layout != 1) continue;
-    cu::ByteWriter weighted;
-    weighted.put(layout);
-    weighted.put_varint(meshes[0].vertex_count());
-    for (cm::VertexId v = 0; v < meshes[0].vertex_count(); ++v) {
-      weighted.put_varint(0);
-      weighted.put(0.25f);
-      weighted.put(0.5f);
-    }
-    cases.emplace_back("layout 1 with weights", weighted.take());
-  }
   for (std::size_t k = 0; k < cases.size(); ++k) {
-    const auto& [what, bytes] = cases[k];
+    const auto& [what, spec] = cases[k];
     SCOPED_TRACE(what);
-    const std::string path = "bad" + std::to_string(k) + ".bp";
+    const std::string path = "nomap" + std::to_string(k) + ".bp";
     {
       ca::BpWriter writer(tiers, path);
       writer.set_attribute("levels", "2");
-      writer.write_opaque("v", ca::BlockKind::kMesh, 0,
-                          ok.read_opaque("v", ca::BlockKind::kMesh, 0));
-      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
-                          ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
-      writer.write_opaque("v", ca::BlockKind::kMapping, 0, bytes);
+      writer.write_opaque("v", ca::BlockKind::kMesh, 0, spec.block());
+      cu::ByteWriter no_collapses;
+      no_collapses.put_varint(0);
+      writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1, no_collapses.view());
       writer.write_doubles("v", ca::BlockKind::kBase, 1,
-                           ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
-                           0.0);
+                           std::vector<double>(4, 1.0), "raw", 0.0);
       writer.write_doubles("v", ca::BlockKind::kDelta, 0,
-                           ok.read_doubles("v", ca::BlockKind::kDelta, 0), "raw",
-                           0.0);
+                           std::vector<double>(5, 0.0), "raw", 0.0);
       writer.close();
     }
-    const auto names_block = [](const std::function<void()>& open) {
+    const auto names_level = [](const std::function<void()>& open) {
       try {
         open();
       } catch (const canopus::Error& e) {
-        return std::string(e.what()).find("mapping block of 'v' at level 0") !=
+        return std::string(e.what()).find("mapping of 'v' at level 0") !=
                std::string::npos;
       }
       return false;
     };
-    EXPECT_TRUE(names_block([&] { cc::GeometryCache::load(tiers, path, "v"); }));
-    EXPECT_TRUE(names_block([&] { cc::ProgressiveReader(tiers, path, "v"); }));
+    EXPECT_TRUE(names_level([&] { cc::GeometryCache::load(tiers, path, "v"); }));
+    EXPECT_TRUE(names_level([&] { cc::ProgressiveReader(tiers, path, "v"); }));
   }
 }
 
@@ -1139,16 +1059,6 @@ TEST(Decoders, MeshCountBeyondBlockThrowsError) {
     triangles.triangles = count;
     EXPECT_THROW(cc::decode_mesh_block(triangles.block()), canopus::Error);
   }
-}
-
-TEST(Decoders, ChunkIndexCountBeyondBlockThrowsError) {
-  cu::ByteWriter w;
-  w.put_varint(std::uint64_t{1} << 40);
-  w.put_varint(0);
-  w.put_varint(4);
-  for (int k = 0; k < 4; ++k) w.put(0.0);
-  cu::ByteReader r(w.view());
-  EXPECT_THROW(cc::ChunkIndex::deserialize(r), canopus::Error);
 }
 
 TEST(Decoders, MalformedLevelsAttributeThrowsError) {
@@ -1215,8 +1125,6 @@ TEST(Decoders, MalformedCollapseLogThrowsErrorNamingTheBlock) {
       writer.write_opaque("v", ca::BlockKind::kCollapseLog, 2,
                           ok.read_opaque("v", ca::BlockKind::kCollapseLog, 2));
       for (std::uint32_t l = 0; l < 2; ++l) {
-        writer.write_opaque("v", ca::BlockKind::kMapping, l,
-                            ok.read_opaque("v", ca::BlockKind::kMapping, l));
         writer.write_doubles("v", ca::BlockKind::kDelta, l,
                              ok.read_doubles("v", ca::BlockKind::kDelta, l),
                              "raw", 0.0);
@@ -1261,8 +1169,6 @@ TEST(Decoders, MalformedMeshBlockThrowsErrorNamingTheBlock) {
       writer.write_opaque("v", ca::BlockKind::kMesh, 0, block);
       writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
                           ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
-      writer.write_opaque("v", ca::BlockKind::kMapping, 0,
-                          ok.read_opaque("v", ca::BlockKind::kMapping, 0));
       writer.write_doubles("v", ca::BlockKind::kBase, 1,
                            ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
                            0.0);

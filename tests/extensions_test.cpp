@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <latch>
 #include <map>
+#include <numeric>
 #include <thread>
 
 #include "compress/codec.hpp"
@@ -255,23 +257,15 @@ TEST(Campaign, GeometryStoredOncePerCampaign) {
   const auto report =
       cc::write_campaign(tiers, "g.bp", "v", mesh, steps, config);
   // Geometry cost must not scale with timestep count: 8 timesteps of data
-  // but a single geometry set (the L0 mesh, a collapse log per coarser
-  // level, a mapping per delta level).
+  // but a single geometry set (the L0 mesh and a collapse log per coarser
+  // level; readers derive the mappings).
   canopus::adios::BpReader reader(tiers, "g.bp");
   const auto info = reader.inq_var("v");
-  std::size_t meshes = 0, logs = 0, mappings = 0;
-  for (const auto& b : info.blocks) {
-    if (b.kind == canopus::adios::BlockKind::kMesh) ++meshes;
-    if (b.kind == canopus::adios::BlockKind::kCollapseLog) ++logs;
-    if (b.kind == canopus::adios::BlockKind::kMapping) ++mappings;
-  }
-  EXPECT_EQ(meshes, 1u);
+  EXPECT_EQ(info.blocks.size(), 3u);
   EXPECT_EQ(info.levels(canopus::adios::BlockKind::kMesh),
             std::vector<std::uint32_t>{0});
-  EXPECT_EQ(logs, 2u);
   EXPECT_EQ(info.levels(canopus::adios::BlockKind::kCollapseLog),
             (std::vector<std::uint32_t>{1, 2}));
-  EXPECT_EQ(mappings, 2u);
   EXPECT_EQ(reader.attribute("group_size"), std::optional<std::string>("8"));
   EXPECT_GT(report.raw_bytes, 8u * report.geometry_bytes / 10u);
 }
@@ -352,12 +346,13 @@ TEST(Campaign, DeltasAndFieldsMatchReferenceMappingInEveryMode) {
 // ---------------------------------------------------------- geometry cache --
 
 TEST(GeometryCache, MappingBlocksAreIdenticalAcrossEstimateModes) {
-  // Every Estimate mode stores the same mapping blocks, a triangle id per
-  // fine vertex: the weight-reading modes derive their weights from
-  // geometry. Both writers; the cache holds the triangles and nothing else.
+  // Containers store no mapping: under every Estimate mode, both writers'
+  // containers load the same derived mappings, a triangle id per fine
+  // vertex, the reference's. The weight-reading modes derive their weights
+  // from geometry; the cache holds the triangles and nothing else.
   const auto mesh = cm::make_disk_mesh(10, 48, 1.0, 0.1, 23);
   const std::vector<cm::Field> steps{wave_field(mesh)};
-  std::map<std::string, std::vector<cu::Bytes>> uniform_blocks;
+  std::map<std::string, std::vector<cc::VertexMapping>> uniform_mappings;
   for (auto mode : {cc::EstimateMode::kUniformThirds,
                     cc::EstimateMode::kBarycentric,
                     cc::EstimateMode::kGradient}) {
@@ -371,21 +366,23 @@ TEST(GeometryCache, MappingBlocksAreIdenticalAcrossEstimateModes) {
     cc::write_campaign(tiers, "c.bp", "v", mesh, steps, config);
     for (const char* path : {"w.bp", "c.bp"}) {
       SCOPED_TRACE(path);
-      const canopus::adios::BpReader reader(tiers, path);
-      std::vector<cu::Bytes> blocks;
-      for (std::uint32_t l = 0; l < 2; ++l) {
-        blocks.push_back(
-            reader.read_opaque("v", canopus::adios::BlockKind::kMapping, l));
-      }
-      if (mode == cc::EstimateMode::kUniformThirds) {
-        uniform_blocks[path] = blocks;
-      } else {
-        EXPECT_EQ(blocks, uniform_blocks.at(path));
-      }
       const auto geometry = cc::GeometryCache::load(tiers, path, "v");
       ASSERT_EQ(geometry.mappings.size(), 2u);
       for (std::size_t l = 0; l < 2; ++l) {
-        EXPECT_EQ(geometry.mappings[l].size(), geometry.mesh(l).vertex_count());
+        EXPECT_EQ(geometry.mappings[l].triangle,
+                  ct::reference_build_mapping(geometry.mesh(l),
+                                              geometry.mesh(l + 1))
+                      .triangle)
+            << "level " << l;
+      }
+      if (mode == cc::EstimateMode::kUniformThirds) {
+        uniform_mappings[path] = geometry.mappings;
+      } else {
+        for (std::size_t l = 0; l < 2; ++l) {
+          EXPECT_EQ(geometry.mappings[l].triangle,
+                    uniform_mappings.at(path)[l].triangle)
+              << "level " << l;
+        }
       }
     }
   }
@@ -475,12 +472,11 @@ TEST(GeometryCache, LoadOnACachedHierarchyAdmitsNothing) {
   std::vector<std::string> geometry_keys;
   for (const auto& b : container.inq_var("v").blocks) {
     using canopus::adios::BlockKind;
-    if (b.kind == BlockKind::kMesh || b.kind == BlockKind::kCollapseLog ||
-        b.kind == BlockKind::kMapping) {
+    if (b.kind == BlockKind::kMesh || b.kind == BlockKind::kCollapseLog) {
       geometry_keys.push_back(b.object_key);
     }
   }
-  ASSERT_EQ(geometry_keys.size(), 5u);  // the L0 mesh, 2 logs, 2 mappings
+  ASSERT_EQ(geometry_keys.size(), 3u);  // the L0 mesh, 2 logs
   const std::size_t opened = cache->occupancy_bytes();
   cc::RetrievalTimings cold;
   const auto loaded = cc::GeometryCache::load(container, "v", &cold);
@@ -638,6 +634,137 @@ TEST(GeometryCache, ReadResultsShareTheCachedMesh) {
         << "level " << level;
   }
 }
+
+// ------------------------------------------------ derived restoration data --
+
+// A container stores only what a reader cannot derive: base, deltas, the L0
+// mesh and the collapse logs. On 4-level containers of each dataset, from
+// both writers (refactor_and_write at 8 delta chunks, write_variable_group)
+// and under every Estimate mode, the cache derives the reference's mappings,
+// and every level of a full refine and every step of a regional walk,
+// stacked or backfilled, restores the reference's bits: cached and cacheless
+// readers, at 1 and 4 threads.
+class DerivedGeometry : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DerivedGeometry, ContainersHoldNoDerivableBlockAndRestoreTheReference) {
+  using canopus::adios::BlockKind;
+  const auto ds = si::all_datasets(0.25)[GetParam()];
+  // A quarter of each side, off the centre (XGC1's plane is an annulus).
+  const auto box = ds.mesh.bounds();
+  const cm::Aabb roi{
+      {box.lo.x + 0.10 * box.width(), box.lo.y + 0.10 * box.height()},
+      {box.lo.x + 0.35 * box.width(), box.lo.y + 0.35 * box.height()}};
+  constexpr std::uint32_t kLevels = 4;
+  for (auto mode : {cc::EstimateMode::kUniformThirds,
+                    cc::EstimateMode::kBarycentric,
+                    cc::EstimateMode::kGradient}) {
+    for (const bool campaign : {false, true}) {
+      SCOPED_TRACE(cc::to_string(mode) + (campaign ? " campaign" : " refactor"));
+      cs::StorageHierarchy tiers(
+          {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
+      cc::CampaignConfig config;
+      config.refactor.levels = kLevels;
+      config.refactor.error_bound = 1e-4;
+      config.refactor.estimate = mode;
+      config.refactor.delta_chunks = 8;
+      config.threads = 2;
+      // The group's one member shares the geometry's name, so a reader
+      // opened without a cache finds the geometry under its own variable.
+      const std::string var = "v";
+      if (campaign) {
+        cc::write_variable_group(tiers, "d.bp", "v", ds.mesh, {{"v", ds.values}},
+                                 config);
+      } else {
+        cc::refactor_and_write(tiers, "d.bp", "v", ds.mesh, ds.values,
+                               config.refactor);
+      }
+
+      const canopus::adios::BpReader raw(tiers, "d.bp");
+      std::map<BlockKind, std::size_t> kinds;
+      for (const auto& name : raw.variables()) {
+        for (const auto& b : raw.inq_var(name).blocks) ++kinds[b.kind];
+      }
+      EXPECT_EQ(kinds, (std::map<BlockKind, std::size_t>{
+                           {BlockKind::kBase, 1},
+                           {BlockKind::kDelta, campaign ? 3u : 24u},
+                           {BlockKind::kMesh, 1},
+                           {BlockKind::kCollapseLog, 3}}));
+
+      const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
+      const auto meshes = ct::stored_meshes(raw, "v");
+      std::vector<ct::ReferenceMapping> mappings;
+      for (std::uint32_t l = 0; l + 1 < kLevels; ++l) {
+        mappings.push_back(ct::reference_build_mapping(meshes[l], meshes[l + 1]));
+        EXPECT_EQ(geometry.mappings.at(l).triangle, mappings[l].triangle)
+            << "level " << l;
+      }
+
+      const auto levels = ct::reference_levels(tiers, "d.bp", var, "v", mode);
+      // A regional step to level `next` from `coarse`: the chunks the step
+      // fetches applied, the rest at zero; a monolithic delta applies whole.
+      const auto regional = [&](std::uint32_t next, const cm::Field& coarse) {
+        const auto info = raw.inq_var(var);
+        const auto chunks = info.block(BlockKind::kDelta, next)->chunk_count;
+        std::vector<std::uint32_t> wanted(chunks);
+        std::iota(wanted.begin(), wanted.end(), 0u);
+        if (chunks > 1) {
+          wanted = ct::reference_region_chunks(
+              meshes, next, ct::reference_chunk_index(meshes[next], chunks), roi,
+              mode);
+        }
+        return ct::reference_restore(
+            meshes[next + 1], coarse,
+            ct::stored_delta(raw, var, next, meshes[next], &wanted),
+            mappings[next], mode);
+      };
+      // stacked[l]: level l after regional steps all the way from the base.
+      std::vector<cm::Field> stacked(kLevels);
+      stacked[kLevels - 1] = levels[kLevels - 1];
+      for (std::uint32_t next = kLevels - 1; next-- > 0;) {
+        stacked[next] = regional(next, stacked[next + 1]);
+      }
+      const auto regional_from_level1 = regional(0, levels[1]);
+
+      const cc::GeometryCache* no_geometry = nullptr;
+      for (const cc::GeometryCache* g : {&geometry, no_geometry}) {
+        for (const std::size_t threads : {1u, 4u}) {
+          SCOPED_TRACE(std::string(g != nullptr ? "cached" : "cacheless") +
+                       " at " + std::to_string(threads) + " threads");
+          cc::ReaderOptions options;
+          options.parallel.threads = threads;
+          cc::ProgressiveReader full(tiers, "d.bp", var, g, options);
+          for (std::uint32_t l = kLevels - 1; l-- > 0;) {
+            full.refine_to(l);
+            EXPECT_TRUE(ct::same_bits(full.values(), levels[l])) << "level " << l;
+          }
+
+          cc::ProgressiveReader regions(tiers, "d.bp", var, g, options);
+          for (std::uint32_t next = kLevels - 1; next-- > 0;) {
+            regions.refine_region(roi);
+            EXPECT_TRUE(ct::same_bits(regions.values(), stacked[next]))
+                << "stacked step to level " << next;
+          }
+
+          cc::ProgressiveReader backfilled(tiers, "d.bp", var, g, options);
+          backfilled.refine_region(roi);
+          EXPECT_EQ(backfilled.partially_refined(), !campaign);
+          EXPECT_TRUE(ct::same_bits(backfilled.values(), stacked[2]));
+          backfilled.refine();  // backfills level 2, then restores level 1
+          EXPECT_FALSE(backfilled.partially_refined());
+          EXPECT_TRUE(ct::same_bits(backfilled.values(), levels[1]));
+          backfilled.refine_region(roi);
+          EXPECT_TRUE(ct::same_bits(backfilled.values(), regional_from_level1));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDatasets, DerivedGeometry, ::testing::Values(0u, 1u, 2u),
+                         [](const ::testing::TestParamInfo<std::size_t>& p) {
+                           return std::string(
+                               std::array{"xgc1", "genasis", "cfd"}[p.param]);
+                         });
 
 // ------------------------------------------------------------- byte codecs --
 

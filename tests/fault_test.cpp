@@ -574,9 +574,9 @@ TEST(ReaderDegradation, FailedDeltaReadKeepsItsCharge) {
 }
 
 // The other reads that can give up are charged the same way: a regional
-// step whose chunk index is unreadable, and a geometry load whose L0 mesh
-// is.
-TEST(ReaderDegradation, FailedIndexAndGeometryReadsKeepTheirCharge) {
+// step, which derives its chunk index and reads delta chunks only, pays its
+// first chunk read's failed attempts; a geometry load pays its L0 mesh's.
+TEST(ReaderDegradation, FailedRegionalAndGeometryReadsKeepTheirCharge) {
   const auto ds = tiny_xgc();
   cs::StorageHierarchy tiers(
       {cs::tmpfs_spec(8 << 20), cs::lustre_spec(1 << 30)});
@@ -588,23 +588,29 @@ TEST(ReaderDegradation, FailedIndexAndGeometryReadsKeepTheirCharge) {
   cc::refactor_and_write(tiers, "charge.bp", ds.variable, ds.mesh, ds.values,
                          config);
   cc::ProgressiveReader reader(tiers, "charge.bp", ds.variable);
-  const auto* index = reader.var_info().block(
-      canopus::adios::BlockKind::kChunkIndex, reader.current_level() - 1);
+  // The step's first read: chunk 0 of the next level's delta.
+  const auto* first = reader.var_info().block(
+      canopus::adios::BlockKind::kDelta, reader.current_level() - 1);
   const auto* mesh =
       reader.var_info().block(canopus::adios::BlockKind::kMesh, 0);
-  ASSERT_NE(index, nullptr);
+  ASSERT_NE(first, nullptr);
   ASSERT_NE(mesh, nullptr);
-  ASSERT_EQ(tiers.find(index->object_key), std::optional<std::size_t>(1));
+  ASSERT_EQ(first->chunk, 0u);
+  ASSERT_EQ(tiers.find(first->object_key), std::optional<std::size_t>(1));
   ASSERT_EQ(tiers.find(mesh->object_key), std::optional<std::size_t>(1));
 
   auto inj = std::make_shared<cs::FaultInjector>(5);
   const auto retry = fail_every_lustre_read(tiers, inj);
+  const auto opened = reader.cumulative();
   const auto step =
       reader.refine_region(canopus::mesh::Aabb{{-1e9, -1e9}, {1e9, 1e9}});
   ASSERT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+  EXPECT_EQ(inj->counters().read_errors, retry.max_attempts);
   EXPECT_EQ(step.retries, retry.max_attempts);
   EXPECT_EQ(step.io_seconds,
-            failed_attempts_cost(tiers.tier(1), index->object_key, retry));
+            failed_attempts_cost(tiers.tier(1), first->object_key, retry));
+  EXPECT_EQ(step.bytes_read, 0u);
+  EXPECT_EQ(reader.cumulative().io_seconds, opened.io_seconds + step.io_seconds);
 
   cc::RetrievalTimings cost;
   EXPECT_THROW(cc::GeometryCache::load(tiers, "charge.bp", ds.variable, &cost),

@@ -25,7 +25,6 @@
 #include "mesh/tri_mesh.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/assert.hpp"
-#include "util/byte_buffer.hpp"
 
 namespace canopus::test {
 
@@ -35,13 +34,6 @@ struct ReferenceMapping {
   std::vector<mesh::Vec2> point;                  // the fine vertex itself
 
   std::size_t size() const { return triangle.size(); }
-
-  /// The triangles as a block stores them after its layout byte: the
-  /// varint entry count, then a varint triangle id per entry.
-  void serialize_triangles(util::ByteWriter& out) const {
-    out.put_varint(triangle.size());
-    for (const auto t : triangle) out.put_varint(t);
-  }
 };
 
 /// The mapping located serially (the parallel builder fills the same
@@ -202,6 +194,36 @@ inline std::vector<mesh::TriMesh> stored_meshes(const adios::BpReader& reader,
     meshes.push_back(geometry.mesh(l));
   }
   return meshes;
+}
+
+/// The chunk index of `level`'s delta cut into `chunks`, as the writer lays
+/// it out: the level's vertices in mesh::spatial_order, chunk c holding
+/// storage positions [n * c / chunks, n * (c + 1) / chunks), its extent the
+/// box of those vertices.
+inline core::ChunkIndex reference_chunk_index(const mesh::TriMesh& level,
+                                              std::uint32_t chunks) {
+  const auto order = mesh::spatial_order(level);
+  const std::uint64_t n = order.size();
+  core::ChunkIndex index;
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    core::ChunkIndex::Range range;
+    range.start = n * c / chunks;
+    range.count = n * (c + 1) / chunks - range.start;
+    for (std::uint64_t k = 0; k < range.count; ++k) {
+      const auto p = level.vertex(order[range.start + k]);
+      auto& b = range.bbox;
+      if (k == 0) {
+        b.lo = b.hi = p;
+      } else {
+        b.lo.x = p.x < b.lo.x ? p.x : b.lo.x;
+        b.lo.y = p.y < b.lo.y ? p.y : b.lo.y;
+        b.hi.x = p.x > b.hi.x ? p.x : b.hi.x;
+        b.hi.y = p.y > b.hi.y ? p.y : b.hi.y;
+      }
+    }
+    index.chunks.push_back(range);
+  }
+  return index;
 }
 
 /// The chunks of level `next` a regional step toward `roi` must fetch so

@@ -69,18 +69,10 @@ TEST(SpatialOrder, DeterministicAcrossCalls) {
   EXPECT_EQ(cm::spatial_order(mesh), cm::spatial_order(mesh));
 }
 
-TEST(ChunkIndex, SerializeRoundTripAndIntersection) {
+TEST(ChunkIndex, IntersectingListsOverlappingChunks) {
   cc::ChunkIndex idx;
   idx.chunks.push_back({0, 10, {{0, 0}, {1, 1}}});
   idx.chunks.push_back({10, 10, {{2, 2}, {3, 3}}});
-  cu::ByteWriter w;
-  idx.serialize(w);
-  cu::ByteReader r(w.view());
-  const auto copy = cc::ChunkIndex::deserialize(r);
-  ASSERT_EQ(copy.chunks.size(), 2u);
-  EXPECT_EQ(copy.chunks[1].start, 10u);
-  EXPECT_EQ(copy.chunks[1].bbox.hi.x, 3.0);
-
   EXPECT_EQ(idx.intersecting({{0.5, 0.5}, {0.6, 0.6}}),
             (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(idx.intersecting({{2.5, 2.5}, {2.6, 2.6}}),
@@ -88,6 +80,46 @@ TEST(ChunkIndex, SerializeRoundTripAndIntersection) {
   EXPECT_EQ(idx.intersecting({{0.5, 0.5}, {2.5, 2.5}}),
             (std::vector<std::uint32_t>{0, 1}));
   EXPECT_TRUE(idx.intersecting({{10, 10}, {11, 11}}).empty());
+}
+
+// A reader derives each chunk's range and extent from the level's geometry:
+// the memoized Morton order and chunk_bounds, which the writer cuts by. The
+// result is the reference's, computed from mesh::spatial_order and the
+// writer's layout, on every level of a chunked container.
+TEST(ChunkIndex, DerivedIndexIsTheReference) {
+  const auto mesh = cm::shuffle_vertices(
+      cm::make_annulus_mesh(14, 84, 0.5, 1.0, 0.1, 23), 6);
+  auto h = tiers();
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "zfp";
+  config.error_bound = 1e-6;
+  config.delta_chunks = 7;
+  cc::refactor_and_write(h, "ix.bp", "v", mesh, bump_field(mesh, {0.8, 0.0}, 0.1),
+                         config);
+  const auto geometry = cc::GeometryCache::load(h, "ix.bp", "v");
+  const auto info = ca::BpReader(h, "ix.bp").inq_var("v");
+  for (std::uint32_t l = 0; l + 1 < config.levels; ++l) {
+    SCOPED_TRACE("level " + std::to_string(l));
+    const auto derived = cc::ChunkIndex::derive(geometry.vertices(l),
+                                                geometry.order(l), 7);
+    const auto reference = ct::reference_chunk_index(geometry.mesh(l), 7);
+    ASSERT_EQ(derived.chunks.size(), reference.chunks.size());
+    for (std::size_t c = 0; c < reference.chunks.size(); ++c) {
+      const auto& d = derived.chunks[c];
+      const auto& r = reference.chunks[c];
+      EXPECT_EQ(d.start, r.start) << "chunk " << c;
+      EXPECT_EQ(d.count, r.count) << "chunk " << c;
+      EXPECT_EQ(d.bbox.lo, r.bbox.lo) << "chunk " << c;
+      EXPECT_EQ(d.bbox.hi, r.bbox.hi) << "chunk " << c;
+    }
+    // The writer's chunk records hold those ranges.
+    for (const auto& b : info.blocks) {
+      if (b.kind == ca::BlockKind::kDelta && b.level == l) {
+        EXPECT_EQ(b.value_count, reference.chunks.at(b.chunk).count);
+      }
+    }
+  }
 }
 
 TEST(ChunkedDeltas, FullRefineMatchesUnchunked) {
@@ -195,46 +227,70 @@ TEST(RoiRefine, UnchunkedVariableFallsBackToFullRefine) {
   EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-13);
 }
 
-// A chunk index is container input: one whose ranges do not tile its
-// level (here a range starting past the level, at a start that would wrap
-// an unchecked start + count) is refused, and the step falls back to a
-// full refine as it does for an unchunked variable.
-TEST(RoiRefine, ChunkIndexThatDoesNotTileFallsBackToFullRefine) {
+// The delta chunk records are container input: a record whose value count
+// is not the range the reader derives for its chunk (here chunks 0 and 1 of
+// a lossless container re-split one value later) is refused, naming the
+// block, before the regional step reads or restores anything. A full refine
+// reads the chunks in order and restores the container's level as before.
+TEST(RoiRefine, DeltaRecordOffItsRangeThrowsErrorNamingTheBlock) {
   const auto mesh = cm::make_rect_mesh(20, 20, 1.0, 1.0, 0.1, 19);
   const auto values = bump_field(mesh, {0.5, 0.5}, 0.2);
   auto h = tiers();
   cc::RefactorConfig config;
   config.levels = 2;
-  config.codec = "zfp";
-  config.error_bound = 1e-6;
+  config.codec = "raw";
   config.delta_chunks = 4;
-  cc::refactor_and_write(h, "tile.bp", "v", mesh, values, config);
-  const ca::BpReader raw(h, "tile.bp");
-  const auto info = raw.inq_var("v");
-  const auto* record = info.block(ca::BlockKind::kChunkIndex, 0);
-  ASSERT_NE(record, nullptr);
-  const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 0);
-  cu::ByteReader ir(index_bytes);
-  const auto index = cc::ChunkIndex::deserialize(ir);
-  ASSERT_EQ(index.chunks.size(), 4u);
+  cc::refactor_and_write(h, "ok.bp", "v", mesh, values, config);
+  const ca::BpReader ok(h, "ok.bp");
+  std::vector<cm::Field> parts;
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    parts.push_back(ok.read_doubles_chunk("v", ca::BlockKind::kDelta, 0, c));
+  }
+  parts[1].insert(parts[1].begin(), parts[0].back());
+  parts[0].pop_back();
+  {
+    ca::BpWriter writer(h, "off.bp");
+    for (const char* name : {"levels", "codec", "estimate"}) {
+      writer.set_attribute(name, *ok.attribute(name));
+    }
+    writer.write_opaque("v", ca::BlockKind::kMesh, 0,
+                        ok.read_opaque("v", ca::BlockKind::kMesh, 0));
+    writer.write_opaque("v", ca::BlockKind::kCollapseLog, 1,
+                        ok.read_opaque("v", ca::BlockKind::kCollapseLog, 1));
+    writer.write_doubles("v", ca::BlockKind::kBase, 1,
+                         ok.read_doubles("v", ca::BlockKind::kBase, 1), "raw",
+                         0.0);
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      writer.write_doubles_chunk("v", ca::BlockKind::kDelta, 0, c, 4, parts[c],
+                                 "raw", 0.0);
+    }
+    writer.close();
+  }
+  const auto geometry = cc::GeometryCache::load(h, "off.bp", "v");
+  const cc::GeometryCache* on_demand = nullptr;
+  for (const cc::GeometryCache* g : {&geometry, on_demand}) {
+    SCOPED_TRACE(g != nullptr ? "geometry cache" : "on demand");
+    cc::ProgressiveReader reader(h, "off.bp", "v", g);
+    const auto base = reader.values();
+    const auto opened = reader.cumulative().bytes_read;
+    try {
+      reader.refine_region({{0.4, 0.4}, {0.6, 0.6}});
+      ADD_FAILURE() << "the regional step took the crafted records";
+    } catch (const canopus::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "delta block of 'v' at level 0, chunk 0"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(reader.current_level(), 1u);
+    EXPECT_TRUE(ct::same_bits(reader.values(), base));
+    EXPECT_EQ(reader.cumulative().bytes_read, opened);
 
-  cc::ProgressiveReader full(h, "tile.bp", "v");
-  full.refine();
-  for (const std::uint64_t start : {std::uint64_t{1}, ~std::uint64_t{0}}) {
-    SCOPED_TRACE("start " + std::to_string(start));
-    auto crafted = index;
-    crafted.chunks[1].start = start;
-    cu::ByteWriter w;
-    crafted.serialize(w);
-    const auto tier = h.find(record->object_key);
-    ASSERT_TRUE(tier.has_value());
-    h.erase(record->object_key);
-    h.write_to(*tier, record->object_key, w.view());
-    cc::ProgressiveReader reader(h, "tile.bp", "v");
-    reader.refine_region({{0.4, 0.4}, {0.6, 0.6}});
-    EXPECT_TRUE(reader.at_full_accuracy());
-    EXPECT_FALSE(reader.partially_refined());
-    EXPECT_TRUE(ct::same_bits(reader.values(), full.values()));
+    cc::ProgressiveReader full(h, "off.bp", "v", g);
+    cc::ProgressiveReader good(h, "ok.bp", "v");
+    full.refine();
+    good.refine();
+    EXPECT_TRUE(ct::same_bits(full.values(), good.values()));
   }
 }
 
@@ -293,10 +349,9 @@ TEST(RoiRefine, MatchesReferenceMappingInEveryMode) {
 
     const ca::BpReader raw(h, "eq.bp");
     const auto meshes = ct::stored_meshes(raw, "v");
-    const auto index_bytes = raw.read_opaque("v", ca::BlockKind::kChunkIndex, 1);
-    cu::ByteReader ir(index_bytes);
     const auto wanted = ct::reference_region_chunks(
-        meshes, 1, cc::ChunkIndex::deserialize(ir), roi, mode);
+        meshes, 1, ct::reference_chunk_index(meshes[1], config.delta_chunks),
+        roi, mode);
     ASSERT_LT(wanted.size(), config.delta_chunks);
     const auto regional = ct::reference_restore(
         meshes[2], expected[2], ct::stored_delta(raw, "v", 1, meshes[1], &wanted),
